@@ -1,9 +1,9 @@
 // Distributed DPD demo and the scale-smoke equivalence check: the same
 // quickstart-scale channel is stepped once on a single rank and once
 // decomposed over N xmp ranks (src/dpd/exchange/), and the two trajectory
-// digests are compared. Under HaloMode::Symmetric they must be *bitwise*
-// equal — any divergence is an exchange bug, and the binary exits non-zero
-// so CI catches it. Runs under both XMP_SCHED modes (CI pins fibers).
+// digests are compared. They must be *bitwise* equal — any divergence is an
+// exchange bug, and the binary exits non-zero so CI catches it. Runs under
+// both XMP_SCHED modes (CI pins fibers).
 //
 // Build & run:  cmake --build build && ./build/examples/dpd_decomposed
 //

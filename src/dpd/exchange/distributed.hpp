@@ -4,25 +4,22 @@
 // engine's step loop). Protocol per force evaluation:
 //
 //   refresh():  allreduce the max owned displacement since the last rebuild;
-//               below skin/2 the halo fast path ships packed pos/vel lanes
-//               for the planned boundary slots, above it ownership migrates
+//               below skin/2 the halo fast path posts packed pos/vel lanes
+//               for the planned boundary slots (HaloExchanger::begin_update)
+//               and completes them at once, or — with DistOptions::overlap —
+//               leaves them in flight until the engine's pair pass calls
+//               finish_refresh(); above skin/2 ownership migrates
 //               (MigrationExchanger), the halo is rebuilt from whole records
 //               (HaloExchanger::build) and the local arrays are re-laid out
 //               sorted by gid.
-//   after_pairs() [HaloMode::ReverseOnce only]: ship ghost-accumulated pair
-//               forces home (HaloExchanger::reverse).
 //
-// Equivalence guarantee (the tentpole gate, pinned in
-// tests/dpd_exchange_test.cpp and docs/PERF.md): under HaloMode::Symmetric
-// every cross-boundary pair is computed on both ranks (compute-twice, ghost
-// rows discarded), local arrays are kept sorted by gid with a complete
-// rc+skin halo, and the engine's canonical CSR pair order plus gid-keyed
-// pair RNG then reproduce the single-rank per-particle floating-point
-// accumulation order exactly — N-rank trajectories are bitwise equal to the
-// single-rank run, independent of rebuild cadence. HaloMode::ReverseOnce
-// computes each cross-boundary pair once (on the owner of the lower gid)
-// and reverse-ships the other half; the changed accumulation order leaves
-// O(1 ulp) differences, pinned by tolerance instead.
+// Equivalence guarantee (pinned in tests/dpd_exchange_test.cpp and
+// docs/PERF.md): every cross-boundary pair is computed on both ranks
+// (compute-twice, ghost rows discarded), local arrays are kept sorted by gid
+// with a complete rc+skin halo, and the engine's canonical CSR pair order
+// plus gid-keyed pair RNG then reproduce the single-rank per-particle
+// floating-point accumulation order exactly — N-rank trajectories are
+// bitwise equal to the single-rank run, independent of rebuild cadence.
 
 #include <chrono>
 #include <cstdint>
@@ -36,23 +33,17 @@
 
 namespace dpd::exchange {
 
-enum class HaloMode : std::uint8_t {
-  Symmetric,    ///< cross-boundary pairs computed on both ranks; bitwise-equal
-  ReverseOnce,  ///< computed once, forces reverse-shipped; tolerance-equal
-};
-
 struct DistOptions {
   GridDims dims{};  ///< process grid; default (count()==0) auto-factors
-  HaloMode mode = HaloMode::Symmetric;
   /// Ghost shell thickness; 0 means rc + skin (the pair-completeness
   /// minimum). Raise to max module cutoff + skin when a force module
   /// (platelet adhesion, long bonds) reaches beyond rc.
   double halo_width = 0.0;
-  /// Overlap halo communication with interior pair computation: the fast
-  /// path posts nonblocking lanes (HaloExchanger::begin_update) and the
-  /// engine computes interior neighbor-list rows while they fly, completing
-  /// the exchange only before the boundary rows. Bitwise-neutral under
-  /// either HaloMode (see docs/PERF.md "Overlapped halos").
+  /// Overlap halo communication with interior pair computation: the engine
+  /// computes interior neighbor-list rows while the fast-path lanes fly,
+  /// completing the exchange only before the boundary rows. Off, refresh()
+  /// completes the lanes before returning. Bitwise-neutral either way (see
+  /// docs/PERF.md "Overlapped halos").
   bool overlap = false;
   /// When > 0, every Nth refresh measures owned-count imbalance and — above
   /// rebalance_threshold — shifts the decomposition's cut planes toward
@@ -84,7 +75,6 @@ public:
   void refresh(DpdSystem& sys) override;
   bool overlap_pending() const override { return overlap_pending_; }
   void finish_refresh(DpdSystem& sys) override;
-  void after_pairs(DpdSystem& sys) override;
 
   /// Measure owned-count imbalance (max/mean over ranks, allreduced) and,
   /// above options().rebalance_threshold, move the decomposition's cut
@@ -101,8 +91,7 @@ public:
   /// (empty on other ranks). Collective.
   std::vector<ParticleRecord> gather(int root = 0) const;
   /// trajectory_digest of the whole distributed population — equal on every
-  /// rank, and equal to the single-rank digest under HaloMode::Symmetric.
-  /// Collective.
+  /// rank, and equal to the single-rank digest. Collective.
   std::uint64_t global_digest() const;
 
   // --- collective diagnostics over owned particles ---
@@ -115,7 +104,7 @@ public:
   /// of Bound platelets. Collective.
   void sync_platelets(PlateletModel& model);
 
-  /// Checkpoint the driver: decomposition layout + halo mode (validated on
+  /// Checkpoint the driver: decomposition layout + halo width (validated on
   /// load) and the current cut planes (restored, so a post-rebalance restart
   /// migrates under the decomposition that actually owns the particles) —
   /// plans and displacement references are rebuilt, so load forces a full
@@ -134,7 +123,7 @@ private:
   xmp::Comm comm_;
   // analyze: no-checkpoint (borrowed engine; checkpoints separately)
   DpdSystem& sys_;
-  DistOptions opt_;  ///< layout + mode; serialised for restart validation
+  DistOptions opt_;  ///< layout + halo width; serialised for restart validation
   Decomposition decomp_;  ///< geometry from opt_; moved cut planes serialised
   // analyze: no-checkpoint (stateless protocol object)
   MigrationExchanger migrate_;

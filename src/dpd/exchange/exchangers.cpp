@@ -16,8 +16,6 @@ telemetry::TagClasses comm_tag_classes() {
   c.add(kTagMigrate, "dpd.migrate");
   c.add(kTagHaloBuild, "dpd.halo.build");
   c.add(kTagHaloUpdate, "dpd.halo.update");
-  c.add(kTagReverse, "dpd.reverse");
-  c.add(kTagHaloAsync, "dpd.halo.async");
   return c;
 }
 
@@ -122,23 +120,6 @@ std::vector<ParticleRecord> HaloExchanger::build(const std::vector<ParticleRecor
   return merged;
 }
 
-void HaloExchanger::update(DpdSystem& sys) {
-  const auto& nbrs = decomp_->neighbors(comm_.rank());
-  std::size_t shipped = 0, bytes = 0;
-  for (std::size_t k = 0; k < nbrs.size(); ++k) {
-    pack_posvel(sys.positions(), sys.velocities(), send_[k], pack_buf_);
-    comm_.send(nbrs[k], kTagHaloUpdate, pack_buf_);
-    shipped += send_[k].size();
-    bytes += pack_buf_.size() * sizeof(double);
-  }
-  for (std::size_t k = 0; k < nbrs.size(); ++k) {
-    recv_into(comm_.recv_bytes(nbrs[k], kTagHaloUpdate), recv_buf_);
-    unpack_posvel(sys.positions(), sys.velocities(), recv_[k], recv_buf_);
-  }
-  telemetry::count("dpd.halo.particles", static_cast<double>(shipped));
-  telemetry::count("dpd.halo.bytes", static_cast<double>(bytes));
-}
-
 void HaloExchanger::begin_update(DpdSystem& sys) {
   const auto& nbrs = decomp_->neighbors(comm_.rank());
   if (!send_pending_.empty() || !recv_pending_.empty())
@@ -147,10 +128,10 @@ void HaloExchanger::begin_update(DpdSystem& sys) {
   recv_pending_.reserve(nbrs.size());
   send_pending_.reserve(nbrs.size());
   for (std::size_t k = 0; k < nbrs.size(); ++k)
-    recv_pending_.push_back(comm_.irecv_bytes(nbrs[k], kTagHaloAsync));
+    recv_pending_.push_back(comm_.irecv_bytes(nbrs[k], kTagHaloUpdate));
   for (std::size_t k = 0; k < nbrs.size(); ++k) {
     pack_posvel(sys.positions(), sys.velocities(), send_[k], pack_buf_);
-    send_pending_.push_back(comm_.isend_bytes(nbrs[k], kTagHaloAsync, pack_buf_.data(),
+    send_pending_.push_back(comm_.isend_bytes(nbrs[k], kTagHaloUpdate, pack_buf_.data(),
                                               pack_buf_.size() * sizeof(double)));
     shipped += send_[k].size();
     bytes += pack_buf_.size() * sizeof(double);
@@ -170,24 +151,6 @@ void HaloExchanger::finish_update(DpdSystem& sys) {
     unpack_posvel(sys.positions(), sys.velocities(), recv_[k], recv_buf_);
   }
   recv_pending_.clear();
-}
-
-void HaloExchanger::reverse(DpdSystem& sys) {
-  const auto& nbrs = decomp_->neighbors(comm_.rank());
-  std::size_t bytes = 0;
-  // ghosts on this rank came from nbrs[k]; their accumulated pair forces go
-  // home along the recv plan and land additively on the owner's send plan
-  // (same particles, same order, by construction in build())
-  for (std::size_t k = 0; k < nbrs.size(); ++k) {
-    pack_lanes(sys.forces(), recv_[k], pack_buf_);
-    comm_.send(nbrs[k], kTagReverse, pack_buf_);
-    bytes += pack_buf_.size() * sizeof(double);
-  }
-  for (std::size_t k = 0; k < nbrs.size(); ++k) {
-    recv_into(comm_.recv_bytes(nbrs[k], kTagReverse), recv_buf_);
-    accumulate_lanes(sys.forces(), send_[k], recv_buf_);
-  }
-  telemetry::count("dpd.reverse.bytes", static_cast<double>(bytes));
 }
 
 }  // namespace dpd::exchange

@@ -1,16 +1,15 @@
 #pragma once
-// The three exchangers of the decomposition driver (Mirheo-style
-// exchanger/packer split, ROADMAP item 2):
+// The two exchangers of the decomposition driver (Mirheo-style
+// exchanger/packer split):
 //
 //   MigrationExchanger — transfers *ownership*: after a rebuild trigger,
 //     records whose position left the subdomain travel to the neighbour
 //     rank that now contains them.
 //   HaloExchanger — builds and refreshes *ghosts*: owned particles within
 //     halo_width of a neighbour subdomain are replicated there. A full
-//     build() ships whole ParticleRecords and plans the index lists; the
-//     per-force-pass update() then ships only packed pos/vel lanes for the
-//     planned slots, and reverse() ships ghost-accumulated force lanes back
-//     along the same plan (ReverseOnce mode).
+//     build() ships whole ParticleRecords and plans the index lists; every
+//     force pass in between ships only packed pos/vel lanes for the planned
+//     slots, as a split-phase begin_update()/finish_update() pair.
 //
 // All traffic is tagged point-to-point between decomposition neighbours
 // (kTag*), counted in telemetry (dpd.halo.particles / dpd.halo.bytes /
@@ -29,8 +28,6 @@ namespace dpd::exchange {
 inline constexpr int kTagMigrate = 7101;
 inline constexpr int kTagHaloBuild = 7102;
 inline constexpr int kTagHaloUpdate = 7103;
-inline constexpr int kTagReverse = 7104;
-inline constexpr int kTagHaloAsync = 7105;
 
 /// Tag classes attributing exchange traffic in a telemetry::CommMatrix.
 telemetry::TagClasses comm_tag_classes();
@@ -61,29 +58,20 @@ public:
   /// Full halo rebuild from the gid-sorted owned set: ships copies of
   /// boundary particles to every neighbour whose subdomain they are within
   /// halo_width of, returns owned + received ghosts sorted by gid, and
-  /// records the send/recv slot plans that update()/reverse() replay.
+  /// records the send/recv slot plans that the fast path replays.
   std::vector<ParticleRecord> build(const std::vector<ParticleRecord>& owned);
 
-  /// Fast path between rebuilds: ship current pos/vel of the planned
-  /// boundary slots, scatter into the planned ghost slots. The system's
-  /// local layout must be unchanged since the last build().
-  void update(DpdSystem& sys);
-
-  /// Split-phase update for comm/compute overlap: begin_update packs every
-  /// neighbour lane and posts it as nonblocking isend/irecv on
-  /// kTagHaloAsync, returning while the messages are in flight;
-  /// finish_update completes the handles and scatters the fresh ghost
-  /// pos/vel. Exactly one finish_update must follow every begin_update
-  /// before the next update of any flavour (checked xmp builds flag
-  /// dropped handles). Ghost slots hold stale positions in between — the
-  /// caller may only touch owned-only work there.
+  /// Fast path between rebuilds, split in two phases so the caller can
+  /// overlap it with owned-only work: begin_update packs the current pos/vel
+  /// of every neighbour's planned boundary slots and posts them as
+  /// nonblocking isend/irecv on kTagHaloUpdate, returning while the
+  /// messages are in flight; finish_update completes the handles and
+  /// scatters the fresh ghost pos/vel into the planned ghost slots. Exactly
+  /// one finish_update must follow every begin_update (checked xmp builds
+  /// flag dropped handles), and the system's local layout must be unchanged
+  /// since the last build(). Ghost slots hold stale positions in between.
   void begin_update(DpdSystem& sys);
   void finish_update(DpdSystem& sys);
-
-  /// Ship the forces accumulated on ghost slots back to their owners and
-  /// add them there (ReverseOnce mode; call while frc holds only pair
-  /// contributions).
-  void reverse(DpdSystem& sys);
 
   /// Ghost slots per neighbour rank, in plan order (tests/diagnostics).
   const std::vector<std::vector<std::uint32_t>>& recv_plan() const { return recv_; }

@@ -3,9 +3,8 @@
 // contiguous double lanes per message — [x...][y...][z...][vx...][vy...][vz...]
 // — gathered straight out of the SoA particle storage, so packing is six
 // tight gather loops (and unpacking six scatter loops) over index lists the
-// exchanger planned at halo-build time. Reverse force accumulation uses the
-// same layout with three lanes. Whole-record traffic (migration, halo
-// build) sends trivially-copyable ParticleRecord arrays directly.
+// exchanger planned at halo-build time. Whole-record traffic (migration,
+// halo build) sends trivially-copyable ParticleRecord arrays directly.
 
 #include <cstdint>
 #include <vector>
@@ -23,14 +22,5 @@ void pack_posvel(const SoA3& a, const SoA3& b, const std::vector<std::uint32_t>&
 /// doubles (a mismatched exchange must fail loudly).
 void unpack_posvel(SoA3& a, SoA3& b, const std::vector<std::uint32_t>& idx,
                    const std::vector<double>& in);
-
-/// Gather slots `idx` of one SoA array into out = [x][y][z].
-void pack_lanes(const SoA3& a, const std::vector<std::uint32_t>& idx, std::vector<double>& out);
-
-/// out[idx[k]] += in lanes (pack_lanes layout); size-checked like
-/// unpack_posvel. Used by the reverse exchange to add ghost-accumulated
-/// forces into the owner's force array.
-void accumulate_lanes(SoA3& a, const std::vector<std::uint32_t>& idx,
-                      const std::vector<double>& in);
 
 }  // namespace dpd::exchange

@@ -69,15 +69,10 @@ void NeighborList::build(const SoA3& pos) {
   degenerate_ = (prm_.periodic[0] && ncx_ < 3) || (prm_.periodic[1] && ncy_ < 3) ||
                 (prm_.periodic[2] && ncz_ < 3);
 
-  // Decomposition filter: drop pairs this rank must not compute. With only
-  // the mask set, both-ghost pairs go (neither member is owned here); with
-  // owned_lower_only the lower-index member must be owned (reverse-exchange
-  // mode computes each cross-face pair on exactly one rank).
+  // Decomposition filter: drop both-ghost pairs (neither member is owned
+  // here, so no local force needs them).
   auto keep = [this](std::uint32_t a, std::uint32_t b) {
-    if (!ghost_) return true;
-    const bool ga = (*ghost_)[a] != 0, gb = (*ghost_)[b] != 0;
-    if (owned_lower_only_) return !ga;
-    return !(ga && gb);
+    return !ghost_ || !((*ghost_)[a] && (*ghost_)[b]);
   };
 
   auto& pairs = pair_scratch_;

@@ -19,9 +19,8 @@
 // owned particle's pair forces in exactly the single-rank order.
 //
 // Positions are structure-of-arrays (soa.hpp); build/ensure/query stream
-// the flat x/y/z lanes. An optional ghost-pair filter drops pairs no rank
-// is responsible for (both-ghost pairs, or — in the reverse-exchange mode —
-// pairs whose lower member is a ghost).
+// the flat x/y/z lanes. An optional ghost-pair filter drops both-ghost
+// pairs, which no force on an owned particle needs.
 //
 // The same cell grid serves point queries (query()) for sparse secondary
 // scans — platelet adhesion and thrombus-arrest checks — which would
@@ -55,14 +54,11 @@ public:
   const NeighborParams& params() const { return prm_; }
 
   /// Exclude pairs from the half list that no local computation needs:
-  /// with `is_ghost` set, both-ghost pairs are skipped; with
-  /// `owned_lower_only` additionally every pair whose *lower-index* member
-  /// is a ghost (reverse-exchange mode: the lower member's owner computes
-  /// the pair). Pass nullptr to clear. The mask must outlive the list and
-  /// cover every particle at build time; changing it invalidates the list.
-  void set_pair_filter(const std::vector<char>* is_ghost, bool owned_lower_only = false) {
+  /// with `is_ghost` set, both-ghost pairs are skipped. Pass nullptr to
+  /// clear. The mask must outlive the list and cover every particle at
+  /// build time; changing it invalidates the list.
+  void set_pair_filter(const std::vector<char>* is_ghost) {
     ghost_ = is_ghost;
-    owned_lower_only_ = owned_lower_only;
     invalidate();
   }
 
@@ -210,7 +206,6 @@ private:
 
   // optional decomposition pair filter (see set_pair_filter)
   const std::vector<char>* ghost_ = nullptr;
-  bool owned_lower_only_ = false;
 
   // cell grid over build-time positions
   int ncx_ = 0, ncy_ = 0, ncz_ = 0;

@@ -213,26 +213,6 @@ Vec3 DpdSystem::min_image(const Vec3& a, const Vec3& b) const {
   return d;
 }
 
-void DpdSystem::build_cells() {
-  telemetry::ScopedPhase phase("dpd.cells");
-  ncx_ = std::max(1, static_cast<int>(prm_.box.x / prm_.rc));
-  ncy_ = std::max(1, static_cast<int>(prm_.box.y / prm_.rc));
-  ncz_ = std::max(1, static_cast<int>(prm_.box.z / prm_.rc));
-  cell_head_.assign(static_cast<std::size_t>(ncx_) * ncy_ * ncz_, -1);
-  cell_next_.assign(pos_.size(), -1);
-  for (std::size_t i = 0; i < pos_.size(); ++i) {
-    Vec3 p = pos_[i];
-    wrap(p);
-    int cx = std::clamp(static_cast<int>(p.x / prm_.box.x * ncx_), 0, ncx_ - 1);
-    int cy = std::clamp(static_cast<int>(p.y / prm_.box.y * ncy_), 0, ncy_ - 1);
-    int cz = std::clamp(static_cast<int>(p.z / prm_.box.z * ncz_), 0, ncz_ - 1);
-    const std::size_t c =
-        (static_cast<std::size_t>(cz) * ncy_ + cy) * static_cast<std::size_t>(ncx_) + cx;
-    cell_next_[i] = cell_head_[c];
-    cell_head_[c] = static_cast<long>(i);
-  }
-}
-
 void DpdSystem::pair_row(std::size_t i, std::size_t lo, std::size_t m, double inv_rc,
                          double inv_sqrt_dt, double* r2_out, double* fx_out, double* fy_out,
                          double* fz_out) {
@@ -430,10 +410,6 @@ void DpdSystem::compute_forces() {
   const std::size_t n = pos_.size();
   frc_.assign(n, {});
   pair_forces();
-  // Reverse-exchange seam: frc_ holds only pair contributions here, so a
-  // driver in owned-lower-only mode can ship ghost accumulations to their
-  // owners without double-counting the per-particle terms below.
-  if (exchange_) exchange_->after_pairs(*this);
   // effective wall boundary force: normal repulsion + dissipative friction
   // + the fluctuation-dissipation-matched random kicks (a particle wall
   // would deliver both; omitting the random part cools the near-wall fluid)

@@ -56,9 +56,7 @@ public:
 /// Domain-decomposition seam (implemented by exchange::DistributedDpd).
 /// step() calls refresh() immediately before every force evaluation so the
 /// driver can migrate owners, rebuild halos, and push current ghost
-/// positions/velocities; compute_forces() calls after_pairs() right after
-/// the pair loop — while the force array holds *only* pair contributions —
-/// so the reverse-exchange mode can ship ghost-accumulated forces home.
+/// positions/velocities.
 class ExchangeHook {
 public:
   virtual ~ExchangeHook() = default;
@@ -71,7 +69,6 @@ public:
   /// Complete an in-flight split-phase refresh (no-op otherwise). Called by
   /// the engine between its interior and boundary row passes.
   virtual void finish_refresh(DpdSystem& sys) { (void)sys; }
-  virtual void after_pairs(DpdSystem& sys) { (void)sys; }
 };
 
 /// Flat particle record used by the exchange layer to (re)build a rank's
@@ -171,8 +168,8 @@ public:
   bool distributed() const { return exchange_ != nullptr; }
   /// Enable/disable the neighbor-list ghost pair filter (see
   /// NeighborList::set_pair_filter); the mask is this system's ghost mask.
-  void set_ghost_pair_filter(bool enabled, bool owned_lower_only = false) {
-    nlist_.set_pair_filter(enabled ? &is_ghost_ : nullptr, owned_lower_only);
+  void set_ghost_pair_filter(bool enabled) {
+    nlist_.set_pair_filter(enabled ? &is_ghost_ : nullptr);
   }
 
   /// Snapshot one particle into the flat exchange record format.
@@ -194,8 +191,7 @@ public:
   void set_body_force(BodyForceFn f) { body_force_ = std::move(f); }
 
   // --- dynamics ---
-  /// Recompute frc_ from scratch (pair + exchange hook + wall + body +
-  /// modules).
+  /// Recompute frc_ from scratch (pair + wall + body + modules).
   void compute_forces();
   /// One modified-velocity-Verlet step (incl. wall reflection, wrapping).
   void step();
@@ -243,59 +239,6 @@ public:
     nlist_.for_each(pos_, std::forward<Fn>(fn));
   }
 
-  /// Legacy pre-Verlet pair walk: rebuilds the rc-sized cell grid on every
-  /// call and enumerates via the half stencil. Kept as the baseline for
-  /// bench/extra_dpd_pairs and the equivalence tests.
-  template <class Fn>
-  void for_each_pair_cellwalk(Fn&& fn) {
-    build_cells();
-    const double rc2 = prm_.rc * prm_.rc;
-    const bool degenerate = (prm_.periodic[0] && ncx_ < 3) || (prm_.periodic[1] && ncy_ < 3) ||
-                            (prm_.periodic[2] && ncz_ < 3);
-    if (degenerate) {
-      for_each_pair_direct(std::forward<Fn>(fn));
-      return;
-    }
-    auto cell_of = [this](int cx, int cy, int cz) -> long {
-      auto adjust = [](int c, int n, bool per) -> int {
-        if (c < 0) return per ? c + n : -1;
-        if (c >= n) return per ? c - n : -1;
-        return c;
-      };
-      cx = adjust(cx, ncx_, prm_.periodic[0]);
-      cy = adjust(cy, ncy_, prm_.periodic[1]);
-      cz = adjust(cz, ncz_, prm_.periodic[2]);
-      if (cx < 0 || cy < 0 || cz < 0) return -1;
-      return (static_cast<long>(cz) * ncy_ + cy) * ncx_ + cx;
-    };
-    auto visit = [&](long i, long j) {
-      const auto ii = static_cast<std::size_t>(i), jj = static_cast<std::size_t>(j);
-      const Vec3 dr = min_image(pos_[ii], pos_[jj]);
-      const double r2 = dr.norm2();
-      if (r2 < rc2 && r2 > 1e-20)
-        fn(static_cast<std::size_t>(i), static_cast<std::size_t>(j), dr, std::sqrt(r2));
-    };
-    for (int cz = 0; cz < ncz_; ++cz)
-      for (int cy = 0; cy < ncy_; ++cy)
-        for (int cx = 0; cx < ncx_; ++cx) {
-          const long c = cell_of(cx, cy, cz);
-          for (long i = cell_head_[static_cast<std::size_t>(c)]; i >= 0;
-               i = cell_next_[static_cast<std::size_t>(i)])
-            for (long j = cell_next_[static_cast<std::size_t>(i)]; j >= 0;
-                 j = cell_next_[static_cast<std::size_t>(j)])
-              visit(i, j);
-          for (const auto& o : kHalfStencil) {
-            const long c2 = cell_of(cx + o[0], cy + o[1], cz + o[2]);
-            if (c2 < 0 || c2 == c) continue;
-            for (long i = cell_head_[static_cast<std::size_t>(c)]; i >= 0;
-                 i = cell_next_[static_cast<std::size_t>(i)])
-              for (long j = cell_head_[static_cast<std::size_t>(c2)]; j >= 0;
-                   j = cell_next_[static_cast<std::size_t>(j)])
-                visit(i, j);
-          }
-        }
-  }
-
   /// Direct O(N^2) pair enumeration — the reference the fast paths are
   /// validated against in tests/neighbor_test.cpp.
   template <class Fn>
@@ -309,7 +252,7 @@ public:
       }
   }
 
-  /// Bring the Verlet list / cell grid up to date with the current
+  /// Bring the Verlet list and its cell grid up to date with the current
   /// positions (no-op while the skin criterion holds).
   void ensure_neighbors() { nlist_.ensure(pos_); }
 
@@ -325,7 +268,6 @@ public:
   const NeighborList& neighbor_list() const { return nlist_; }
 
 private:
-  void build_cells();
   void wrap(Vec3& p) const;
   void reflect_walls(std::size_t i);
   void pair_forces();
@@ -344,11 +286,6 @@ private:
   /// (cached per neighbor-list rebuild).
   void classify_rows();
   void rebuild_gid_map();
-
-  static constexpr int kHalfStencil[13][3] = {{1, 0, 0},  {0, 1, 0},  {0, 0, 1},  {1, 1, 0},
-                                              {1, -1, 0}, {1, 0, 1},  {1, 0, -1}, {0, 1, 1},
-                                              {0, 1, -1}, {1, 1, 1},  {1, 1, -1}, {1, -1, 1},
-                                              {1, -1, -1}};
 
   // analyze: no-checkpoint (constructor configuration, re-supplied by the driver)
   DpdParams prm_;
@@ -379,14 +316,6 @@ private:
   // a, gamma, and sigma = sqrt(2 gamma kBT), row-major [si * kNumSpecies + sj]
   // analyze: no-checkpoint (derived from prm_ in the constructor)
   std::array<double, kNumSpecies * kNumSpecies> a_tab_{}, g_tab_{}, sig_tab_{};
-
-  // legacy rc-sized cell grid (for_each_pair_cellwalk baseline only)
-  // analyze: no-checkpoint (rebuilt every cell walk from pos_)
-  int ncx_ = 0, ncy_ = 0, ncz_ = 0;
-  // analyze: no-checkpoint (rebuilt every cell walk from pos_)
-  std::vector<long> cell_head_;
-  // analyze: no-checkpoint (rebuilt every cell walk from pos_)
-  std::vector<long> cell_next_;
 
   // reusable scratch: predicted velocities (integrator) and the gathered
   // per-run pair batch handed to la::simd::dpd_pair_forces. Dead between

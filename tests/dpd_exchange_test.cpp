@@ -1,10 +1,11 @@
 // Tests for the spatial domain decomposition (src/dpd/exchange/): grid
-// geometry, halo/migration protocols, and the tentpole gate — N-rank
-// distributed runs reproduce the single-rank trajectory digest *bitwise*
-// under HaloMode::Symmetric (tolerance-pinned under ReverseOnce), including
-// across a mid-run checkpoint/restart. Also pins the gid-keyed pair RNG
-// (trajectories invariant to local index layout and to removal compaction)
-// and the exchange telemetry counters / CommMatrix attribution.
+// geometry, halo/migration protocols, and the equivalence gate — N-rank
+// distributed runs reproduce the single-rank trajectory digest *bitwise*,
+// with blocking and overlapped halo refreshes alike, including across a
+// mid-run checkpoint/restart and under checked xmp mode. Also pins the
+// gid-keyed pair RNG (trajectories invariant to local index layout and to
+// removal compaction) and the exchange telemetry counters / CommMatrix
+// attribution.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <mutex>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "dpd/bonds.hpp"
@@ -34,7 +36,6 @@ using dpd::exchange::Decomposition;
 using dpd::exchange::DistOptions;
 using dpd::exchange::DistributedDpd;
 using dpd::exchange::GridDims;
-using dpd::exchange::HaloMode;
 using dpd::exchange::trajectory_digest;
 
 // ---------------------------------------------------------------- geometry
@@ -164,23 +165,21 @@ std::uint64_t single_rank_digest(int steps) {
   return trajectory_digest(*sys);
 }
 
-std::uint64_t distributed_digest_opt(int nranks, int steps, DistOptions opt) {
+std::uint64_t distributed_digest(int nranks, int steps, DistOptions opt = {},
+                                 xmp::CheckOptions check = xmp::CheckOptions::from_env()) {
   std::uint64_t out = 0;
-  xmp::run(nranks, [&](xmp::Comm& world) {
-    auto sys = make_channel_system();
-    DistributedDpd drv(world, *sys, opt);
-    drv.distribute();
-    for (int s = 0; s < steps; ++s) sys->step();
-    const std::uint64_t d = drv.global_digest();
-    if (world.rank() == 0) out = d;
-  });
+  xmp::run(
+      nranks,
+      [&](xmp::Comm& world) {
+        auto sys = make_channel_system();
+        DistributedDpd drv(world, *sys, opt);
+        drv.distribute();
+        for (int s = 0; s < steps; ++s) sys->step();
+        const std::uint64_t d = drv.global_digest();
+        if (world.rank() == 0) out = d;
+      },
+      nullptr, check);
   return out;
-}
-
-std::uint64_t distributed_digest(int nranks, int steps, HaloMode mode = HaloMode::Symmetric) {
-  DistOptions opt;
-  opt.mode = mode;
-  return distributed_digest_opt(nranks, steps, opt);
 }
 
 TEST(ExchangeEquivalence, TwoRankSymmetricRunIsBitwiseEqual) {
@@ -197,13 +196,31 @@ TEST(ExchangeEquivalence, OverlappedTwoRankSymmetricRunIsBitwiseEqual) {
   // not change a single bit of the trajectory.
   DistOptions opt;
   opt.overlap = true;
-  EXPECT_EQ(distributed_digest_opt(2, 40, opt), single_rank_digest(40));
+  EXPECT_EQ(distributed_digest(2, 40, opt), single_rank_digest(40));
 }
 
 TEST(ExchangeEquivalence, OverlappedFourRankSymmetricRunIsBitwiseEqual) {
   DistOptions opt;
   opt.overlap = true;
-  EXPECT_EQ(distributed_digest_opt(4, 40, opt), single_rank_digest(40));
+  EXPECT_EQ(distributed_digest(4, 40, opt), single_rank_digest(40));
+}
+
+TEST(ExchangeEquivalence, BothRefreshFlavoursRunCleanUnderCheckedMode) {
+  if (!xmp::checked_available()) GTEST_SKIP() << "built without XMP_CHECKED";
+  // The blocking refresh completes its Pending handles right away, the
+  // overlapped one from inside the pair pass. Checked mode must find no
+  // leaked handle and no unreceived message in either, and both must stay
+  // bitwise equal to the single-rank run.
+  xmp::CheckOptions check;
+  check.enabled = true;
+  const std::uint64_t ref = single_rank_digest(40);
+  for (bool overlap : {false, true}) {
+    DistOptions opt;
+    opt.overlap = overlap;
+    std::uint64_t got = 0;
+    EXPECT_NO_THROW(got = distributed_digest(2, 40, opt, check)) << "overlap=" << overlap;
+    EXPECT_EQ(got, ref) << "overlap=" << overlap;
+  }
 }
 
 TEST(ExchangeEquivalence, DigestAgreesOnEveryRank) {
@@ -300,9 +317,9 @@ std::shared_ptr<dpd::DpdSystem> make_skewed_system() {
 
 TEST(ExchangeRebalance, SkewedRunMovesCutsAndStaysBitwiseEqual) {
   // Particle-count load balancing is trajectory-neutral: shifting the cut
-  // planes forces a rebuild under a different ownership layout, but under
-  // HaloMode::Symmetric the digest must still match the single-rank run
-  // bitwise — while the cuts demonstrably moved off the uniform layout.
+  // planes forces a rebuild under a different ownership layout, but the
+  // digest must still match the single-rank run bitwise — while the cuts
+  // demonstrably moved off the uniform layout.
   const int steps = 30;
   std::uint64_t ref = 0;
   {
@@ -383,42 +400,29 @@ TEST(ExchangeRebalance, RestartAfterRebalanceRestoresMovedCuts) {
   EXPECT_TRUE(cuts_restored) << "load_state must restore the post-rebalance cut planes";
 }
 
-TEST(ExchangeEquivalence, ReverseOnceModeIsTolerancePinned) {
-  // ReverseOnce computes each cross-boundary pair once and reverse-ships
-  // the other half; the changed per-particle accumulation order leaves
-  // O(ulp) differences that chaotic amplification grows — pinned here at
-  // 1e-8 over 10 steps (documented in docs/PERF.md).
-  const int steps = 10;
-  auto ref = make_channel_system();
-  for (int s = 0; s < steps; ++s) ref->step();
-  std::vector<dpd::ParticleRecord> ref_recs;
-  for (std::size_t i = 0; i < ref->size(); ++i) ref_recs.push_back(ref->particle_record(i));
-  std::sort(ref_recs.begin(), ref_recs.end(),
-            [](const dpd::ParticleRecord& a, const dpd::ParticleRecord& b) {
-              return a.gid < b.gid;
-            });
-
-  double max_err = -1.0;
-  xmp::run(2, [&](xmp::Comm& world) {
+TEST(ExchangeEquivalence, BlobWithRetiredModeByteFailsTyped) {
+  // Driver checkpoints once carried a halo-mode byte between the process
+  // grid and the halo width. Loading such a blob must end in a typed
+  // snapshot error, never in misaligned fields read as a valid layout.
+  xmp::run(1, [](xmp::Comm& world) {
     auto sys = make_channel_system();
-    DistOptions opt;
-    opt.mode = HaloMode::ReverseOnce;
-    DistributedDpd drv(world, *sys, opt);
-    drv.distribute();
-    for (int s = 0; s < steps; ++s) sys->step();
-    const auto all = drv.gather(0);
-    if (world.rank() != 0) return;
-    ASSERT_EQ(all.size(), ref_recs.size());
-    double err = 0.0;
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      ASSERT_EQ(all[i].gid, ref_recs[i].gid);
-      err = std::max(err, (all[i].pos - ref_recs[i].pos).norm());
-      err = std::max(err, (all[i].vel - ref_recs[i].vel).norm());
+    DistributedDpd drv(world, *sys);
+    const Decomposition& d = drv.decomposition();
+    resilience::BlobWriter w;
+    w.pod(static_cast<std::int32_t>(d.dims().px));
+    w.pod(static_cast<std::int32_t>(d.dims().py));
+    w.pod(static_cast<std::int32_t>(d.dims().pz));
+    w.pod(std::uint8_t{0});  // the retired mode byte
+    w.pod(d.halo_width());
+    w.pod(std::uint8_t{1});
+    for (int a = 0; a < 3; ++a) {
+      w.pod(static_cast<std::uint64_t>(d.bounds(a).size()));
+      for (double v : d.bounds(a)) w.pod(v);
     }
-    max_err = err;
+    const auto blob = w.take();
+    resilience::BlobReader r(blob);
+    EXPECT_THROW(drv.load_state(r), resilience::SnapshotError);
   });
-  ASSERT_GE(max_err, 0.0);
-  EXPECT_LT(max_err, 1e-8);
 }
 
 // ----------------------------------------------- migration & diagnostics
@@ -462,44 +466,27 @@ TEST(ExchangeMigration, OwnershipMovesAndGlobalCountIsConserved) {
   EXPECT_GT(temp, 0.0);
 }
 
-TEST(ExchangeTelemetry, CommMatrixAttributesExchangeTraffic) {
-  telemetry::CommMatrix matrix(dpd::exchange::comm_tag_classes());
-  xmp::run(
-      2,
-      [](xmp::Comm& world) {
-        auto sys = make_channel_system();
-        DistributedDpd drv(world, *sys);
-        drv.distribute();
-        for (int s = 0; s < 5; ++s) sys->step();
-      },
-      matrix.sink());
+// Five steps of the two-rank channel run with telemetry on: the bytes per
+// CommMatrix tag class, and the overlap counters summed over the ranks.
+struct ExchangeTraffic {
   std::uint64_t build_bytes = 0, update_bytes = 0;
-  for (const auto& [key, cell] : matrix.cells()) {
-    const std::string& cls = std::get<2>(key);
-    if (cls == "dpd.halo.build") build_bytes += cell.bytes;
-    if (cls == "dpd.halo.update") update_bytes += cell.bytes;
-  }
-  EXPECT_GT(build_bytes, 0u);
-  EXPECT_GT(update_bytes, 0u);
-}
+  std::vector<std::string> unattributed;  // "tag:N" classes that carried traffic
+  double rows_interior = 0.0, rows_boundary = 0.0;
+  bool overlap_counted = false;
+};
 
-TEST(ExchangeTelemetry, OverlapCountersAndAsyncTagClass) {
-  // The overlapped path reports its comm/compute overlap window and the
-  // interior/boundary row split, and its traffic rides the dedicated
-  // kTagHaloAsync tag so a CommMatrix attributes it separately from the
-  // blocking halo update.
+ExchangeTraffic run_exchange_traffic(bool overlap) {
+  ExchangeTraffic out;
   telemetry::Registry::reset_all();
   telemetry::set_enabled(true);
   telemetry::CommMatrix matrix(dpd::exchange::comm_tag_classes());
   std::mutex mu;
-  double rows_interior = 0.0, rows_boundary = 0.0;
-  bool overlap_counted = false;
   xmp::run(
       2,
       [&](xmp::Comm& world) {
         auto sys = make_channel_system();
         DistOptions opt;
-        opt.overlap = true;
+        opt.overlap = overlap;
         DistributedDpd drv(world, *sys, opt);
         drv.distribute();
         for (int s = 0; s < 5; ++s) sys->step();
@@ -509,19 +496,43 @@ TEST(ExchangeTelemetry, OverlapCountersAndAsyncTagClass) {
           return it == counters.end() ? 0.0 : it->second.value;
         };
         std::lock_guard<std::mutex> lk(mu);
-        rows_interior += get("dpd.rows.interior");
-        rows_boundary += get("dpd.rows.boundary");
-        overlap_counted = overlap_counted || counters.count("dpd.halo.overlap_us") > 0;
+        out.rows_interior += get("dpd.rows.interior");
+        out.rows_boundary += get("dpd.rows.boundary");
+        out.overlap_counted = out.overlap_counted || counters.count("dpd.halo.overlap_us") > 0;
       },
       matrix.sink());
   telemetry::set_enabled(false);
-  EXPECT_GT(rows_interior, 0.0) << "the channel split leaves owned-only rows to overlap with";
-  EXPECT_GT(rows_boundary, 0.0);
-  EXPECT_TRUE(overlap_counted);
-  std::uint64_t async_bytes = 0;
-  for (const auto& [key, cell] : matrix.cells())
-    if (std::get<2>(key) == "dpd.halo.async") async_bytes += cell.bytes;
-  EXPECT_GT(async_bytes, 0u);
+  for (const auto& [key, cell] : matrix.cells()) {
+    const std::string& cls = std::get<2>(key);
+    if (cls.rfind("tag:", 0) == 0) out.unattributed.push_back(cls);
+    if (cls == "dpd.halo.build") out.build_bytes += cell.bytes;
+    if (cls == "dpd.halo.update") out.update_bytes += cell.bytes;
+  }
+  return out;
+}
+
+TEST(ExchangeTelemetry, CommMatrixAttributesExchangeTraffic) {
+  // The blocking refresh attributes every exchange byte to a named class
+  // and reports no overlap window or row split.
+  const ExchangeTraffic t = run_exchange_traffic(false);
+  EXPECT_GT(t.build_bytes, 0u);
+  EXPECT_GT(t.update_bytes, 0u);
+  EXPECT_TRUE(t.unattributed.empty()) << "unattributed traffic on " << t.unattributed.front();
+  EXPECT_FALSE(t.overlap_counted);
+  EXPECT_EQ(t.rows_interior + t.rows_boundary, 0.0);
+}
+
+TEST(ExchangeTelemetry, OverlapCountersAndAsyncTagClass) {
+  // The overlapped path reports its comm/compute overlap window and the
+  // interior/boundary row split. Its lanes ride the same dpd.halo.update
+  // class as the blocking refresh, so no async traffic goes unattributed.
+  const ExchangeTraffic t = run_exchange_traffic(true);
+  EXPECT_GT(t.rows_interior, 0.0) << "the channel split leaves owned-only rows to overlap with";
+  EXPECT_GT(t.rows_boundary, 0.0);
+  EXPECT_TRUE(t.overlap_counted);
+  EXPECT_GT(t.build_bytes, 0u);
+  EXPECT_GT(t.update_bytes, 0u);
+  EXPECT_TRUE(t.unattributed.empty()) << "unattributed traffic on " << t.unattributed.front();
 }
 
 // --------------------------------------- force modules under decomposition

@@ -1,5 +1,5 @@
 // Verlet neighbor-list equivalence suite: the fast pair paths (CSR list,
-// legacy cell walk, grid point queries) must agree exactly with direct
+// grid point queries) must agree exactly with direct
 // O(N^2) enumeration across periodicities, skins, degenerate boxes, and
 // particle insertion/deletion — and checkpoint/restart must stay bitwise
 // identical even though a restart rebuilds a list the uninterrupted run was
@@ -384,19 +384,4 @@ TEST(DpdNeighbor, HeavyChurnKeepsPairSetsExact) {
   EXPECT_GT(removed_total, 0u);
   EXPECT_GT(added_total, 0u);
   EXPECT_GT(sys.neighbor_list().reuses(), 0u);  // churn must not kill reuse entirely
-}
-
-TEST(DpdNeighbor, CellwalkBaselineMatchesDirect) {
-  auto prm = small_box_params(0.3);
-  dpd::DpdSystem sys(prm, std::make_shared<dpd::NoWalls>());
-  sys.fill(3.0, dpd::kSolvent);
-  std::vector<Pair> walk, ref;
-  sys.for_each_pair_cellwalk([&](std::size_t i, std::size_t j, const dpd::Vec3&, double) {
-    walk.emplace_back(std::min(i, j), std::max(i, j));
-  });
-  sys.for_each_pair_direct(
-      [&](std::size_t i, std::size_t j, const dpd::Vec3&, double) { ref.emplace_back(i, j); });
-  std::sort(walk.begin(), walk.end());
-  std::sort(ref.begin(), ref.end());
-  EXPECT_EQ(walk, ref);
 }

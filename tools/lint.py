@@ -38,10 +38,10 @@ sem-hot-alloc
     scratch they are benchmarked against.
 
 exchange-hot-alloc
-    Inside the halo/migration fast-path bodies under src/dpd/exchange/
-    (`update` / `reverse` / `begin_update` / `finish_update` and the
-    `pack_*` / `unpack_*` / `accumulate_*` packers), constructing a
-    `std::vector` is a per-force-pass heap allocation; the exchangers hoist
+    Inside the halo fast-path bodies under src/dpd/exchange/
+    (`begin_update` / `finish_update` and the `pack_*` / `unpack_*`
+    packers), constructing a `std::vector` is a per-force-pass heap
+    allocation; the exchangers hoist
     all pack/recv scratch into persistent members (see docs/PERF.md). Lines
     opt out with a `// lint: exchange-alloc-ok (<reason>)` marker (on the
     line or the 2 lines above). Cold paths (build, plan construction,
@@ -105,7 +105,7 @@ STD_FUNCTION_OK_RE = re.compile(r"//\s*lint:\s*std-function-ok")
 SEM_HOT_FN_RE = re.compile(r"\b(?:\w+\s*::\s*)?((?:apply_|elem_)\w*)\s*\(")
 EXCHANGE_HOT_FN_RE = re.compile(
     r"\b(?:\w+\s*::\s*)?"
-    r"(update|reverse|begin_update|finish_update|pack_\w+|unpack_\w+|accumulate_\w+)\s*\(")
+    r"(begin_update|finish_update|pack_\w+|unpack_\w+)\s*\(")
 STD_VECTOR_CTOR_RE = re.compile(r"\bstd\s*::\s*vector\s*<")
 SEM_ALLOC_OK_RE = re.compile(r"//\s*lint:\s*sem-alloc-ok")
 EXCHANGE_ALLOC_OK_RE = re.compile(r"//\s*lint:\s*exchange-alloc-ok")
@@ -364,10 +364,10 @@ def lint_file(path: pathlib.Path, repo_root: pathlib.Path) -> list[Finding]:
                 findings.append(Finding(
                     rel, i + 1, "exchange-hot-alloc",
                     "std::vector construction inside a halo fast-path body "
-                    "(update/reverse/begin_update/finish_update/pack_*/"
-                    "unpack_*/accumulate_*) allocates every force pass; use "
-                    "the hoisted member scratch, or mark a deliberate case "
-                    "with `// lint: exchange-alloc-ok (<reason>)`"))
+                    "(begin_update/finish_update/pack_*/unpack_*) allocates "
+                    "every force pass; use the hoisted member scratch, or mark "
+                    "a deliberate case with `// lint: exchange-alloc-ok "
+                    "(<reason>)`"))
 
     if in_src and path.suffix == ".hpp":
         head = [l.strip() for l in lines[:5]]
@@ -534,23 +534,24 @@ SELF_TEST_CASES = [
      "  std::vector<double> lu(npe);\n}\n",
      set()),
     ("src/dpd/exchange/bad_hot_alloc.cpp",
-     "void HaloExchanger::update(DpdSystem& sys) {\n"
-     "  std::vector<double> buf(send_.size() * 6);\n"
-     "  comm_.send(0, 1, buf);\n}\n",
+     "void HaloExchanger::finish_update(DpdSystem& sys) {\n"
+     "  std::vector<double> buf(recv_.size() * 6);\n"
+     "  unpack_posvel(sys.positions(), sys.velocities(), recv_[0], buf);\n}\n",
      {"exchange-hot-alloc"}),
     ("src/dpd/exchange/bad_hot_alloc_begin.cpp",
      "void HaloExchanger::begin_update(DpdSystem& sys) {\n"
      "  std::vector<xmp::Pending> pending;\n}\n",
      {"exchange-hot-alloc"}),
     ("src/dpd/exchange/ok_param_types.cpp",
-     "void pack_lanes(const SoA3& a, const std::vector<std::uint32_t>& idx,\n"
-     "                std::vector<double>& out) {\n"
-     "  out.resize(3 * idx.size());\n"
-     "  const std::vector<double>* lanes[3] = {&a.xs(), &a.ys(), &a.zs()};\n"
+     "void pack_posvel(const SoA3& a, const SoA3& b, const std::vector<std::uint32_t>& idx,\n"
+     "                 std::vector<double>& out) {\n"
+     "  out.resize(6 * idx.size());\n"
+     "  const std::vector<double>* lanes[6] = {&a.xs(), &a.ys(), &a.zs(),\n"
+     "                                         &b.xs(), &b.ys(), &b.zs()};\n"
      "}\n",
      set()),
     ("src/dpd/exchange/ok_hot_alloc_marker.cpp",
-     "void HaloExchanger::update(DpdSystem& sys) {\n"
+     "void HaloExchanger::finish_update(DpdSystem& sys) {\n"
      "  // lint: exchange-alloc-ok (diagnostic copy outside the benchmarked path)\n"
      "  std::vector<double> snapshot(recv_buf_);\n}\n",
      set()),
@@ -560,10 +561,10 @@ SELF_TEST_CASES = [
      set()),
     ("src/dpd/exchange/ok_call_not_definition.cpp",
      "void DistributedDpd::refresh(DpdSystem& sys) {\n"
-     "  halo_.update(sys);\n  std::vector<double> disp(n);\n}\n",
+     "  halo_.begin_update(sys);\n  std::vector<double> disp(n);\n}\n",
      set()),
     ("src/dpd/ok_exchange_rule_scoped.cpp",
-     "void HaloExchanger::update(DpdSystem& sys) {\n"
+     "void HaloExchanger::begin_update(DpdSystem& sys) {\n"
      "  std::vector<double> buf(n);\n}\n",
      set()),
     ("src/xmp/bad_thread_local.cpp",

@@ -3,7 +3,8 @@
 // every sweep and pays a std::function indirect call per pair (the
 // pre-fast-path cost model). Prints pairs/sec for both and
 // DPD_PAIRS_SPEEDUP for CI to grep, then measures rebuilds/step across skin
-// radii on a live (stepped) system. Writes BENCH_dpd_pairs.json.
+// radii on a live (stepped) system and on an open channel whose FlowBc
+// inserts and deletes particles every step. Writes BENCH_dpd_pairs.json.
 // Exits non-zero when the speedup falls below the gate (override with
 // NEKTARG_DPD_PAIRS_MIN_SPEEDUP; timing smoke, default is a loose 1.0).
 
@@ -12,7 +13,9 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <string>
 
+#include "dpd/inflow.hpp"
 #include "dpd/neighbor.hpp"
 #include "dpd/system.hpp"
 #include "telemetry/bench_report.hpp"
@@ -26,10 +29,10 @@ constexpr int kTraversals = 25;
 constexpr int kRepeats = 5;
 constexpr int kLiveSteps = 200;
 
-dpd::DpdSystem make_system(double skin) {
+dpd::DpdSystem make_system(double skin, bool open_x = false) {
   dpd::DpdParams prm;
   prm.box = {kBoxLen, kBoxLen, kBoxLen};
-  prm.periodic = {true, true, true};
+  prm.periodic = {!open_x, true, true};
   prm.skin = skin;
   dpd::DpdSystem sys(prm, std::make_shared<dpd::NoWalls>());
   sys.fill(kDensity, dpd::kSolvent);
@@ -119,22 +122,40 @@ int main() {
   rep.set("best_ms", verlet.best_ms);
   rep.set("speedup", speedup);
 
-  // Rebuild frequency on a live run: fresh system per skin, kLiveSteps of
-  // real dynamics, rebuilds/reuses read off the neighbor-list counters.
-  std::printf("\nskin   rebuilds/step  reuse-frac  pairs-in-list\n");
-  for (double skin : {0.15, 0.3, 0.6}) {
-    auto live = make_system(skin);
+  // Rebuild frequency on a live run: fresh system per case, kLiveSteps of
+  // real dynamics, rebuilds/reuses read off the neighbor-list counters. The
+  // "flowbc" case opens the x faces to an inflow/outflow FlowBc, which
+  // inserts and deletes particles every step; the list absorbs that churn
+  // by patching itself instead of rebuilding.
+  struct LiveCase {
+    const char* variant;
+    double skin;
+    bool open;
+  };
+  std::printf("\nvariant  skin   rebuilds/step  reuse-frac  pairs-in-list\n");
+  for (const LiveCase& c : {LiveCase{"live", 0.15, false}, LiveCase{"live", 0.3, false},
+                            LiveCase{"live", 0.6, false}, LiveCase{"flowbc", 0.3, true}}) {
+    auto live = make_system(c.skin, c.open);
+    dpd::FlowBcParams bp;
+    bp.axis = 0;
+    bp.density = kDensity;
+    bp.target_velocity = [](const dpd::Vec3&) { return dpd::Vec3{1.0, 0.0, 0.0}; };
+    dpd::FlowBc bc(bp);
     const auto& nl = live.neighbor_list();
     const std::size_t rb0 = nl.rebuilds(), ru0 = nl.reuses();
-    for (int s = 0; s < kLiveSteps; ++s) live.step();
+    for (int s = 0; s < kLiveSteps; ++s) {
+      live.step();
+      if (c.open) bc.apply(live);
+    }
     const double rebuilds = static_cast<double>(nl.rebuilds() - rb0);
     const double reuses = static_cast<double>(nl.reuses() - ru0);
     const double per_step = rebuilds / kLiveSteps;
     const double reuse_frac = reuses / (rebuilds + reuses);
-    std::printf("%.2f   %12.3f  %10.3f  %13zu\n", skin, per_step, reuse_frac, nl.pair_count());
+    std::printf("%-7s  %.2f   %12.3f  %10.3f  %13zu\n", c.variant, c.skin, per_step, reuse_frac,
+                nl.pair_count());
     rep.row();
-    rep.set("variant", std::string("live"));
-    rep.set("skin", skin);
+    rep.set("variant", std::string(c.variant));
+    rep.set("skin", c.skin);
     rep.set("steps", static_cast<double>(kLiveSteps));
     rep.set("rebuilds_per_step", per_step);
     rep.set("reuse_frac", reuse_frac);

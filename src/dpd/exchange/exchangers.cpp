@@ -107,13 +107,19 @@ std::vector<ParticleRecord> HaloExchanger::build(const std::vector<ParticleRecor
   }
   std::sort(merged.begin(), merged.end(), gid_less);
 
-  std::unordered_map<std::uint32_t, std::uint32_t> local;
-  local.reserve(merged.size());
-  for (std::size_t i = 0; i < merged.size(); ++i)
-    local[merged[i].gid] = static_cast<std::uint32_t>(i);
+  // resolve the plan's gids to slots of the gid-sorted layout
+  auto slot_of = [&merged](std::uint32_t g) {
+    const auto it = std::lower_bound(
+        merged.begin(), merged.end(), g,
+        [](const ParticleRecord& r, std::uint32_t v) { return r.gid < v; });
+    if (it == merged.end() || it->gid != g)
+      throw std::logic_error("exchange: halo plan gid " + std::to_string(g) +
+                             " missing from the merged layout");
+    return static_cast<std::uint32_t>(it - merged.begin());
+  };
   for (std::size_t k = 0; k < nbrs.size(); ++k) {
-    for (std::uint32_t g : sent_gids[k]) send_[k].push_back(local.at(g));
-    for (std::uint32_t g : got_gids[k]) recv_[k].push_back(local.at(g));
+    for (std::uint32_t g : sent_gids[k]) send_[k].push_back(slot_of(g));
+    for (std::uint32_t g : got_gids[k]) recv_[k].push_back(slot_of(g));
   }
   telemetry::count("dpd.halo.particles", static_cast<double>(shipped));
   telemetry::count("dpd.halo.bytes", static_cast<double>(bytes));

@@ -13,14 +13,18 @@ void NeighborList::configure(const NeighborParams& p) {
 }
 
 bool NeighborList::ensure(const SoA3& pos) {
-  if (valid_ && pos.size() == ref_pos_.size()) {
+  const std::size_t n0 = ref_pos_.size();
+  if (valid_ && pos.size() >= n0 && prm_.skin > 0.0) {
     // Verlet criterion: the list is a superset of the interacting pairs as
-    // long as no particle has moved farther than skin/2 since the build.
+    // long as no listed particle has moved farther than skin/2 from its
+    // reference position.
     const double lim2 = 0.25 * prm_.skin * prm_.skin;
-    bool ok = prm_.skin > 0.0;
-    for (std::size_t i = 0; ok && i < pos.size(); ++i)
+    bool ok = true;
+    for (std::size_t i = 0; ok && i < n0; ++i)
       if (min_image(ref_pos_[i], pos[i]).norm2() > lim2) ok = false;
-    if (ok) {
+    // the direct enumeration and the pair filter have no incremental form
+    if (ok && (pos.size() == n0 || (!degenerate_ && !ghost_))) {
+      if (pos.size() > n0) append(pos);
       ++reuses_;
       telemetry::count("dpd.nlist.reuse");
       return false;
@@ -29,8 +33,104 @@ bool NeighborList::ensure(const SoA3& pos) {
   build(pos);
   valid_ = true;
   ++rebuilds_;
+  ++version_;
   telemetry::count("dpd.nlist.rebuild");
   return true;
+}
+
+void NeighborList::on_remap(const std::vector<long>& new_index) {
+  const std::size_t n0 = ref_pos_.size();
+  if (!valid_ || ghost_ || new_index.size() < n0) {
+    invalidate();
+    return;
+  }
+  telemetry::ScopedPhase phase("dpd.nlist.patch");
+  // In-place compaction. Row i is read before any write can reach its
+  // slots: the write cursors w (rows) and out (entries) never pass the read
+  // cursors. Particles appended after the last ensure() sit past n0 and map
+  // past the survivors, so they stay a pending tail.
+  std::size_t w = 0, out = 0;
+  for (std::size_t i = 0; i < n0; ++i) {
+    const std::size_t lo = offsets_[i], hi = offsets_[i + 1];
+    if (new_index[i] < 0) continue;
+    offsets_[w] = out;
+    for (std::size_t k = lo; k < hi; ++k) {
+      const long j = new_index[neighbors_[k]];
+      if (j >= 0) neighbors_[out++] = static_cast<std::uint32_t>(j);
+    }
+    ref_pos_.set(w, ref_pos_[i]);
+    ++w;
+  }
+  offsets_[w] = out;
+  offsets_.resize(w + 1);
+  neighbors_.resize(out);
+  ref_pos_.resize(w);
+  rebin();
+  ++version_;
+  telemetry::count("dpd.nlist.compact");
+}
+
+void NeighborList::bin(std::size_t i) {
+  Vec3 p = ref_pos_[i];
+  wrap(p);
+  const int cx = cell_coord(p.x, prm_.box.x, ncx_);
+  const int cy = cell_coord(p.y, prm_.box.y, ncy_);
+  const int cz = cell_coord(p.z, prm_.box.z, ncz_);
+  const std::size_t c =
+      (static_cast<std::size_t>(cz) * ncy_ + cy) * static_cast<std::size_t>(ncx_) + cx;
+  cell_next_[i] = cell_head_[c];
+  cell_head_[c] = static_cast<long>(i);
+}
+
+void NeighborList::rebin() {
+  cell_head_.assign(static_cast<std::size_t>(ncx_) * ncy_ * ncz_, -1);
+  cell_next_.assign(ref_pos_.size(), -1);
+  for (std::size_t i = 0; i < ref_pos_.size(); ++i) bin(i);
+}
+
+void NeighborList::append(const SoA3& pos) {
+  telemetry::ScopedPhase phase("dpd.nlist.patch");
+  const double rcut = prm_.rc + prm_.skin;
+  const double rcut2 = rcut * rcut;
+  const std::size_t n0 = ref_pos_.size(), n = pos.size();
+  // A new particle's current position becomes its reference.
+  cell_next_.resize(n, -1);
+  for (std::size_t k = n0; k < n; ++k) {
+    ref_pos_.push_back(pos[k]);
+    bin(k);
+  }
+  // Each new pair is found once, from its higher member k, against every
+  // j < k whose reference lies within rc + skin — the pairs a full build at
+  // these reference positions would list. Testing the reference rather than
+  // the current position of j is what keeps the skin/2 guarantee exact.
+  auto& pairs = pair_scratch_;
+  pairs.clear();
+  for (std::size_t k = n0; k < n; ++k) {
+    const Vec3 pk = ref_pos_[k];
+    for_each_binned_near(pk, rcut, [&](std::size_t j) {
+      if (j < k && min_image(pk, ref_pos_[j]).norm2() < rcut2)
+        pairs.emplace_back(static_cast<std::uint32_t>(j), static_cast<std::uint32_t>(k));
+    });
+  }
+  std::sort(pairs.begin(), pairs.end());
+
+  // Merge in place, back to front. Every new partner has a larger index
+  // than any old one, so it goes at the end of its row's run and the runs
+  // stay sorted; rows n0..n-1 start empty.
+  std::size_t w = neighbors_.size() + pairs.size();  // write cursor, never below the read one
+  std::size_t p = pairs.size();
+  std::size_t hi = offsets_[n0];
+  neighbors_.resize(w);
+  offsets_.resize(n + 1, hi);
+  for (std::size_t i = n; i-- > 0;) {
+    const std::size_t lo = offsets_[i];
+    offsets_[i + 1] = w;
+    while (p > 0 && pairs[p - 1].first == i) neighbors_[--w] = pairs[--p].second;
+    for (std::size_t k = hi; k-- > lo;) neighbors_[--w] = neighbors_[k];
+    hi = lo;
+  }
+  ++version_;
+  telemetry::count("dpd.nlist.append", static_cast<double>(n - n0));
 }
 
 void NeighborList::build(const SoA3& pos) {
@@ -49,19 +149,7 @@ void NeighborList::build(const SoA3& pos) {
   csx_ = prm_.box.x / ncx_;
   csy_ = prm_.box.y / ncy_;
   csz_ = prm_.box.z / ncz_;
-  cell_head_.assign(static_cast<std::size_t>(ncx_) * ncy_ * ncz_, -1);
-  cell_next_.assign(n, -1);
-  for (std::size_t i = 0; i < n; ++i) {
-    Vec3 p = pos[i];
-    wrap(p);
-    const int cx = cell_coord(p.x, prm_.box.x, ncx_);
-    const int cy = cell_coord(p.y, prm_.box.y, ncy_);
-    const int cz = cell_coord(p.z, prm_.box.z, ncz_);
-    const std::size_t c =
-        (static_cast<std::size_t>(cz) * ncy_ + cy) * static_cast<std::size_t>(ncx_) + cx;
-    cell_next_[i] = cell_head_[c];
-    cell_head_[c] = static_cast<long>(i);
-  }
+  rebin();
 
   // A periodic dimension with fewer than 3 cells breaks the half-stencil's
   // visit-each-pair-once guarantee; enumerate directly for such tiny boxes

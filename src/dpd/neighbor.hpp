@@ -18,6 +18,13 @@
 // particle ID, so index order == gid order and every rank accumulates an
 // owned particle's pair forces in exactly the single-rank order.
 //
+// Particle churn (open-boundary deletion and insertion) patches the live
+// list instead of discarding it: removal compacts it in place through the
+// same index remap the force modules get (on_remap), and particles appended
+// since the last ensure() are merged in with every partner j whose
+// *reference* position lies within rc + skin, which is exactly what a full
+// build at the same reference positions would list.
+//
 // Positions are structure-of-arrays (soa.hpp); build/ensure/query stream
 // the flat x/y/z lanes. An optional ghost-pair filter drops both-ghost
 // pairs, which no force on an owned particle needs.
@@ -62,22 +69,29 @@ public:
     invalidate();
   }
 
-  /// Make the list valid for `pos`: reuse it when every particle has moved
-  /// less than skin/2 since the last build, rebuild otherwise. Returns true
-  /// iff a rebuild happened.
+  /// Make the list valid for `pos`: reuse it when every listed particle has
+  /// moved less than skin/2 since the last build, rebuild otherwise.
+  /// Particles appended to `pos` since the last call are merged into a
+  /// reused list (full build for degenerate boxes and ghost-filtered lists).
+  /// Returns true iff a full rebuild happened.
   bool ensure(const SoA3& pos);
 
-  /// Drop the list (particle insertion/deletion, wholesale state reload).
+  /// Drop the list (wholesale state reload).
   void invalidate() { valid_ = false; }
-  /// ForceModule-style remap hook: indices changed, the list is meaningless.
-  void on_remap(const std::vector<long>& new_index) {
-    (void)new_index;
-    invalidate();
-  }
+  /// Particle removal (ForceModule-style remap hook): new_index[i] is the
+  /// new index of old particle i, or -1 if it was removed; survivors keep
+  /// their relative order. Compacts the live list in place; a ghost-filtered
+  /// list is invalidated instead.
+  void on_remap(const std::vector<long>& new_index);
   bool valid() const { return valid_; }
+  /// Bumped by every build, compaction and append: a cache derived from the
+  /// list topology (DpdSystem's overlap row classes) is current while its
+  /// recorded version matches.
+  std::uint64_t version() const { return version_; }
 
   // --- stats (telemetry mirrors these as dpd.nlist.* counters) ---
   std::uint64_t rebuilds() const { return rebuilds_; }
+  /// Passes that kept the list, including those that appended to it.
   std::uint64_t reuses() const { return reuses_; }
   std::size_t pair_count() const { return neighbors_.size(); }
   /// True when a periodic dimension has < 3 cells and the pair list had to
@@ -122,20 +136,44 @@ public:
   /// Visit every particle within `cutoff` of point `p` (current positions):
   /// fn(j, dr = xj - p minimum image, r2). Walks only the grid cells that
   /// can hold such a particle, padding the search radius by skin/2 because
-  /// the grid bins build-time positions. The caller must have ensure()d the
-  /// list against the same position array.
+  /// the grid bins reference positions. Particles appended since the last
+  /// ensure() are not binned yet and are scanned directly. The caller must
+  /// have ensure()d the list against the same position array.
   template <class Fn>
   void query(const SoA3& pos, const Vec3& p, double cutoff, Fn&& fn) const {
     const double c2 = cutoff * cutoff;
-    if (!valid_) {
-      for (std::size_t j = 0; j < pos.size(); ++j) {
+    auto scan = [&](std::size_t from) {
+      for (std::size_t j = from; j < pos.size(); ++j) {
         const Vec3 dr = min_image(p, pos[j]);
         const double r2 = dr.norm2();
         if (r2 <= c2) fn(j, dr, r2);
       }
+    };
+    if (!valid_ || pos.size() < ref_pos_.size()) {
+      scan(0);
       return;
     }
-    const double pad = cutoff + 0.5 * prm_.skin;
+    for_each_binned_near(p, cutoff + 0.5 * prm_.skin, [&](std::size_t j) {
+      const Vec3 dr = min_image(p, pos[j]);
+      const double r2 = dr.norm2();
+      if (r2 <= c2) fn(j, dr, r2);
+    });
+    scan(ref_pos_.size());
+  }
+
+private:
+  void build(const SoA3& pos);
+  /// Merge particles [ref_pos_.size(), pos.size()) into the reused list.
+  void append(const SoA3& pos);
+  /// Re-bin every reference position into the cell grid.
+  void rebin();
+  /// Link particle i into the grid cell holding its reference position.
+  void bin(std::size_t i);
+
+  /// fn(j) for every binned particle j in the grid cells that can hold a
+  /// reference position within `pad` of point p.
+  template <class Fn>
+  void for_each_binned_near(const Vec3& p, double pad, Fn&& fn) const {
     Vec3 q = p;
     wrap(q);
     const int bx = cell_coord(q.x, prm_.box.x, ncx_);
@@ -149,16 +187,10 @@ public:
         for (int c : cx) {
           const std::size_t cell =
               (static_cast<std::size_t>(a) * ncy_ + b) * static_cast<std::size_t>(ncx_) + c;
-          for (long j = cell_head_[cell]; j >= 0; j = cell_next_[static_cast<std::size_t>(j)]) {
-            const Vec3 dr = min_image(p, pos[static_cast<std::size_t>(j)]);
-            const double r2 = dr.norm2();
-            if (r2 <= c2) fn(static_cast<std::size_t>(j), dr, r2);
-          }
+          for (long j = cell_head_[cell]; j >= 0; j = cell_next_[static_cast<std::size_t>(j)])
+            fn(static_cast<std::size_t>(j));
         }
   }
-
-private:
-  void build(const SoA3& pos);
 
   void wrap(Vec3& p) const {
     auto wrap1 = [](double v, double L) {
@@ -207,17 +239,20 @@ private:
   // optional decomposition pair filter (see set_pair_filter)
   const std::vector<char>* ghost_ = nullptr;
 
-  // cell grid over build-time positions
+  // cell grid over reference positions
   int ncx_ = 0, ncy_ = 0, ncz_ = 0;
   double csx_ = 0.0, csy_ = 0.0, csz_ = 0.0;
   std::vector<long> cell_head_, cell_next_;
 
-  SoA3 ref_pos_;  ///< positions at build time (rebuild trigger)
+  /// Reference positions: at build time, or at append time for particles
+  /// merged later (rebuild trigger; the list holds every pair within
+  /// rc + skin of each other here).
+  SoA3 ref_pos_;
   std::vector<std::size_t> offsets_;
   std::vector<std::uint32_t> neighbors_;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pair_scratch_;
 
-  std::uint64_t rebuilds_ = 0, reuses_ = 0;
+  std::uint64_t rebuilds_ = 0, reuses_ = 0, version_ = 0;
 };
 
 }  // namespace dpd

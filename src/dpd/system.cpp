@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "la/simd.hpp"
 #include "resilience/blob.hpp"
@@ -47,6 +48,10 @@ void DpdSystem::PairBatch::resize(std::size_t m) {
 std::size_t DpdSystem::add_particle(const Vec3& pos, const Vec3& vel, Species s) {
   if (distributed())
     throw std::logic_error("DpdSystem: add_particle while decomposed (unsupported)");
+  if (!gid_.empty() && next_gid_ <= gid_.back())
+    throw std::logic_error("DpdSystem: add_particle with next_gid " +
+                           std::to_string(next_gid_) + " not above the largest gid " +
+                           std::to_string(gid_.back()));
   pos_.push_back(pos);
   vel_.push_back(vel);
   frc_.push_back({});
@@ -55,9 +60,7 @@ std::size_t DpdSystem::add_particle(const Vec3& pos, const Vec3& vel, Species s)
   frozen_.push_back(0);
   gid_.push_back(next_gid_);
   is_ghost_.push_back(0);
-  gid_to_local_[next_gid_] = static_cast<std::uint32_t>(pos_.size() - 1);
   ++next_gid_;
-  nlist_.invalidate();
   return pos_.size() - 1;
 }
 
@@ -127,19 +130,11 @@ void DpdSystem::remove_particles(std::vector<std::size_t> idx) {
   frozen_.resize(w);
   gid_.resize(w);
   is_ghost_.resize(w);
-  rebuild_gid_map();
   nlist_.on_remap(new_index);
   for (auto& m : modules_) {
     m->on_remap(new_index);
     m->on_remove_gids(dead_gids);
   }
-}
-
-void DpdSystem::rebuild_gid_map() {
-  gid_to_local_.clear();
-  gid_to_local_.reserve(gid_.size());
-  for (std::size_t i = 0; i < gid_.size(); ++i)
-    gid_to_local_[gid_[i]] = static_cast<std::uint32_t>(i);
 }
 
 std::size_t DpdSystem::owned_count() const {
@@ -165,6 +160,12 @@ ParticleRecord DpdSystem::particle_record(std::size_t i) const {
 
 void DpdSystem::reset_particles(const std::vector<ParticleRecord>& recs) {
   const std::size_t n = recs.size();
+  for (std::size_t i = 1; i < n; ++i)
+    if (recs[i - 1].gid >= recs[i].gid)
+      throw std::invalid_argument("DpdSystem::reset_particles: record " + std::to_string(i) +
+                                  " has gid " + std::to_string(recs[i].gid) +
+                                  ", not above its predecessor's " +
+                                  std::to_string(recs[i - 1].gid));
   pos_.resize(n);
   vel_.resize(n);
   frc_.resize(n);
@@ -186,7 +187,6 @@ void DpdSystem::reset_particles(const std::vector<ParticleRecord>& recs) {
     gid_[i] = r.gid;
     is_ghost_[i] = static_cast<char>(r.ghost);
   }
-  rebuild_gid_map();
   nlist_.invalidate();
 }
 
@@ -320,8 +320,8 @@ void DpdSystem::classify_rows() {
   // ghost: every lane then reads only owned (locally integrated, always
   // fresh) pos/vel, so the row can be computed while a split-phase halo
   // update is still in flight. The classification only depends on the list
-  // topology and the ghost mask — both fixed between rebuilds — so it is
-  // cached against nlist_.rebuilds().
+  // topology and the ghost mask — both fixed while the list version holds —
+  // so it is cached against nlist_.version().
   const auto& offs = nlist_.offsets();
   const auto& nbr = nlist_.neighbors();
   const std::size_t n = pos_.size();
@@ -337,7 +337,7 @@ void DpdSystem::classify_rows() {
         break;
       }
   }
-  row_class_rebuilds_ = nlist_.rebuilds();
+  row_class_version_ = nlist_.version();
 }
 
 void DpdSystem::pair_forces_overlapped() {
@@ -350,7 +350,7 @@ void DpdSystem::pair_forces_overlapped() {
   // forces, and hence the trajectory, are bitwise identical to the
   // non-overlapped run (docs/PERF.md "Overlapped halos").
   ensure_neighbors();
-  if (row_class_rebuilds_ != nlist_.rebuilds() || row_interior_.size() != pos_.size())
+  if (row_class_version_ != nlist_.version() || row_interior_.size() != pos_.size())
     classify_rows();
   const double rc2 = prm_.rc * prm_.rc;
   const double inv_rc = 1.0 / prm_.rc;
@@ -570,9 +570,13 @@ void DpdSystem::load_state(resilience::BlobReader& r) {
       frc_old_.ys().size() != n || frc_old_.zs().size() != n || species_.size() != n ||
       frozen_.size() != n || gid_.size() != n || is_ghost_.size() != n)
     throw resilience::CorruptError("DpdSystem: inconsistent array lengths in checkpoint");
+  // local_of binary-searches gid_
+  for (std::size_t i = 1; i < n; ++i)
+    if (gid_[i - 1] >= gid_[i])
+      throw resilience::CorruptError(
+          "DpdSystem: checkpoint gids not strictly ascending at index " + std::to_string(i));
   r.pod(next_gid_);
   resilience::get_rng(r, rng_);
-  rebuild_gid_map();
   nlist_.invalidate();
 }
 

@@ -16,12 +16,12 @@
 // ExchangeHook seam lets the decomposition driver refresh them before
 // every force evaluation.
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <random>
-#include <unordered_map>
 #include <vector>
 
 #include "dpd/geometry.hpp"
@@ -121,11 +121,14 @@ public:
   const Geometry& geometry() const { return *geom_; }
 
   // --- population ---
+  /// Append a particle with gid next_gid(); the next neighbor-list pass
+  /// merges it into the live list.
   std::size_t add_particle(const Vec3& pos, const Vec3& vel, Species s);
   /// Fill the fluid region (sdf > margin) with `density` particles per unit
   /// volume at Maxwellian velocities; returns number inserted.
   std::size_t fill(double density, Species s, unsigned seed = 7, double margin = 0.0);
-  /// Remove particles by index (order-irrelevant); modules are remapped.
+  /// Remove particles by index (order-irrelevant); the neighbor list is
+  /// compacted in place and modules are remapped.
   /// Global IDs of surviving particles are preserved, so the pair-RNG
   /// stream of every surviving pair is unchanged by the compaction.
   void remove_particles(std::vector<std::size_t> idx);
@@ -147,10 +150,12 @@ public:
   const std::vector<std::uint32_t>& gids() const { return gid_; }
   std::uint32_t gid_of(std::size_t i) const { return gid_[i]; }
   /// Local index of a global ID, or -1 when the particle is neither owned
-  /// nor ghosted here.
+  /// nor ghosted here. A binary search: gids are strictly ascending in
+  /// every layout (add_particle appends a fresh gid, removal compacts in
+  /// order, reset_particles and load_state reject anything else).
   long local_of(std::uint32_t gid) const {
-    auto it = gid_to_local_.find(gid);
-    return it == gid_to_local_.end() ? -1 : static_cast<long>(it->second);
+    const auto it = std::lower_bound(gid_.begin(), gid_.end(), gid);
+    return it != gid_.end() && *it == gid ? static_cast<long>(it - gid_.begin()) : -1;
   }
   /// Ghost mask: 1 for halo images owned by another rank (skipped by the
   /// integrator and by diagnostics), 0 for owned particles.
@@ -175,10 +180,10 @@ public:
   /// Snapshot one particle into the flat exchange record format.
   ParticleRecord particle_record(std::size_t i) const;
   /// Replace the whole local population from exchange records (migration
-  /// merge, halo rebuild, scatter). Records must already be in the desired
-  /// storage order — the exchange layer keeps them sorted by gid so local
-  /// index order equals gid order on every rank. Invalidates the neighbor
-  /// list and rebuilds the gid map; does not touch next_gid_.
+  /// merge, halo rebuild, scatter). Records must be strictly ascending by
+  /// gid (std::invalid_argument otherwise) — the exchange layer sorts them
+  /// so local index order equals gid order on every rank. Invalidates the
+  /// neighbor list; does not touch next_gid_.
   void reset_particles(const std::vector<ParticleRecord>& recs);
 
   void add_module(std::shared_ptr<ForceModule> m) { modules_.push_back(std::move(m)); }
@@ -217,10 +222,12 @@ public:
   /// current and previous forces (the modified-velocity-Verlet half-step
   /// memory), species, frozen flags, global IDs + allocation cursor, the
   /// ghost mask, and the RNG engine — everything needed for a
-  /// bitwise-identical restart. The Verlet list, the gid lookup map and the
-  /// integrator's prediction scratch are rebuilt on demand and deliberately
-  /// not serialised (restart trajectories stay bitwise identical
-  /// regardless; see docs/PERF.md). Modules serialise separately.
+  /// bitwise-identical restart. The Verlet list and the integrator's
+  /// prediction scratch are rebuilt on demand and deliberately not
+  /// serialised (restart trajectories stay bitwise identical regardless;
+  /// see docs/PERF.md). Modules serialise separately. load_state throws
+  /// resilience::CorruptError on inconsistent lengths or gids that are not
+  /// strictly ascending.
   void save_state(resilience::BlobWriter& w) const;
   void load_state(resilience::BlobReader& r);
 
@@ -283,9 +290,8 @@ private:
   /// trajectory — bitwise equal to the monolithic pass.
   void pair_forces_overlapped();
   /// Mark rows whose full neighbor run touches only owned particles
-  /// (cached per neighbor-list rebuild).
+  /// (cached per neighbor-list version).
   void classify_rows();
-  void rebuild_gid_map();
 
   // analyze: no-checkpoint (constructor configuration, re-supplied by the driver)
   DpdParams prm_;
@@ -298,8 +304,6 @@ private:
   std::vector<std::uint32_t> gid_;
   std::vector<char> is_ghost_;
   std::uint32_t next_gid_ = 0;
-  // analyze: no-checkpoint (derived lookup, rebuilt from gid_ on load)
-  std::unordered_map<std::uint32_t, std::uint32_t> gid_to_local_;
   // analyze: no-checkpoint (borrowed runtime wiring, re-installed by the driver)
   ExchangeHook* exchange_ = nullptr;
   // analyze: no-checkpoint (modules checkpoint separately via the coordinator)
@@ -307,8 +311,9 @@ private:
   // analyze: no-checkpoint (callback configuration, re-established by the driver)
   BodyForceFn body_force_;
 
-  // Verlet neighbor list (the hot-path pair source); load_state only
-  // invalidates it so the first post-restart step rebuilds from pos_.
+  // Verlet neighbor list (the hot-path pair source), patched in place by
+  // add_particle/remove_particles; load_state only invalidates it so the
+  // first post-restart step rebuilds from pos_.
   // analyze: no-checkpoint (derived cache, rebuilt on demand from pos_)
   NeighborList nlist_;
 
@@ -330,12 +335,12 @@ private:
   PairBatch batch_;
 
   // Overlapped pair pass state: which CSR rows touch only owned particles
-  // (cached per neighbor-list rebuild) and the staged per-pair kernel
+  // (cached per neighbor-list version) and the staged per-pair kernel
   // outputs that the canonical-order scatter replay consumes.
-  // analyze: no-checkpoint (derived from the neighbor list, reclassified per rebuild)
+  // analyze: no-checkpoint (derived from the neighbor list, reclassified per list version)
   std::vector<char> row_interior_;
-  // analyze: no-checkpoint (cache key: nlist_.rebuilds() at classification time)
-  std::uint64_t row_class_rebuilds_ = ~std::uint64_t{0};
+  // analyze: no-checkpoint (cache key: nlist_.version() at classification time)
+  std::uint64_t row_class_version_ = ~std::uint64_t{0};
   struct PairStage {
     std::vector<double> r2, fx, fy, fz;
   };

@@ -217,7 +217,7 @@ public:
           " bytes, not a multiple of element size " + std::to_string(sizeof(T)));
     if (out_src) *out_src = got_src;
     std::vector<T> v(raw.size() / sizeof(T));
-    std::memcpy(v.data(), raw.data(), raw.size());
+    if (!raw.empty()) std::memcpy(v.data(), raw.data(), raw.size());
     return v;
   }
 

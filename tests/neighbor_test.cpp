@@ -200,6 +200,73 @@ TEST(NeighborList, QueryMatchesBruteForce) {
   check_queries(32);
 }
 
+TEST(NeighborList, PatchedListEqualsFreshBuild) {
+  // With every particle still at its reference position, a list patched by
+  // insertion and removal must be exactly the CSR list a fresh build of the
+  // surviving population produces. The removal lands while the inserted
+  // particles are still pending (not yet merged by ensure()).
+  dpd::NeighborParams prm;
+  prm.box = {8.0, 6.0, 5.0};
+  prm.periodic = {true, true, false};
+  prm.skin = 0.3;
+  dpd::NeighborList nl(prm);
+  const auto pos0 = random_positions(400, prm.box, 28);
+  EXPECT_TRUE(nl.ensure(pos0));
+
+  const auto extra = random_positions(60, prm.box, 29);
+  const std::size_t total = pos0.size() + extra.size();
+  std::vector<long> new_index(total, -1);
+  dpd::SoA3 kept;
+  for (std::size_t i = 0; i < total; ++i) {
+    if (i % 7 == 3) continue;
+    new_index[i] = static_cast<long>(kept.size());
+    kept.push_back(i < pos0.size() ? pos0.get(i) : extra.get(i - pos0.size()));
+  }
+  nl.on_remap(new_index);
+  EXPECT_TRUE(nl.valid());
+
+  // queries between the patch and the next ensure() see the pending tail
+  const dpd::Vec3 p = kept.get(kept.size() - 1);
+  std::vector<std::size_t> got, want;
+  nl.query(kept, p, 1.0, [&](std::size_t j, const dpd::Vec3&, double) { got.push_back(j); });
+  for (std::size_t j = 0; j < kept.size(); ++j)
+    if (nl.min_image(p, kept[j]).norm2() <= 1.0) want.push_back(j);
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, want);
+
+  EXPECT_FALSE(nl.ensure(kept));
+  EXPECT_EQ(nl.rebuilds(), 1u);
+  dpd::NeighborList fresh(prm);
+  fresh.ensure(kept);
+  EXPECT_EQ(nl.offsets(), fresh.offsets());
+  EXPECT_EQ(nl.neighbors(), fresh.neighbors());
+}
+
+TEST(NeighborList, AppendPairsAgainstReferencePositions) {
+  // Particle 0 drifts 0.14 (< skin/2) away from its reference, then particle
+  // 1 is inserted 1.25 (< rc + skin) from that reference but 1.39 from 0's
+  // current position. Both then drift back toward each other, still within
+  // skin/2, to r = 0.97 < rc without triggering a rebuild: the pair is found
+  // only if the append tested 0's reference position.
+  dpd::NeighborParams prm;
+  prm.box = {8.0, 8.0, 8.0};
+  prm.periodic = {true, true, true};
+  prm.rc = 1.0;
+  prm.skin = 0.3;
+  dpd::NeighborList nl(prm);
+  dpd::SoA3 pos;
+  pos.push_back({5.0, 4.0, 4.0});
+  EXPECT_TRUE(nl.ensure(pos));
+  pos[0].x = 5.14;
+  pos.push_back({3.75, 4.0, 4.0});
+  EXPECT_FALSE(nl.ensure(pos));
+  pos[0].x = 4.86;
+  pos[1].x = 3.89;
+  EXPECT_FALSE(nl.ensure(pos));
+  ASSERT_EQ(brute_pairs(nl, pos).size(), 1u);
+  EXPECT_EQ(list_pairs(nl, pos), brute_pairs(nl, pos));
+}
+
 // ---------------- DpdSystem integration ----------------
 
 namespace {
@@ -310,28 +377,69 @@ TEST(DpdNeighbor, ListSurvivesRemovalAndInsertion) {
     EXPECT_EQ(fast, ref);
   };
 
+  // both patches keep the list: no rebuild across the remove and the add
+  const std::uint64_t rebuilds = sys.neighbor_list().rebuilds();
   sys.remove_particles({0, 5, 17, sys.size() - 1});
   expect_pairs_exact();
+  EXPECT_EQ(sys.neighbor_list().rebuilds(), rebuilds);
 
   sys.add_particle({3.0, 3.0, 3.0}, {0.1, 0.0, 0.0}, dpd::kSolvent);
   expect_pairs_exact();
+  EXPECT_EQ(sys.neighbor_list().rebuilds(), rebuilds);
 }
 
-TEST(DpdNeighbor, InflowOutflowKeepsListCorrect) {
-  // FlowBc inserts and deletes particles every step; the list must be
-  // invalidated/remapped through both paths
+TEST(DpdNeighbor, QueryFindsParticleAddedBeforeNextPass) {
+  // PlateletModel-style: insert a particle, then query the grid before any
+  // force pass merged it into the list.
+  dpd::DpdSystem sys(small_box_params(0.3), std::make_shared<dpd::NoWalls>());
+  sys.fill(3.0, dpd::kSolvent);
+  sys.compute_forces();
+  const std::uint64_t rebuilds = sys.neighbor_list().rebuilds();
+
+  const dpd::Vec3 p{3.0, 3.0, 3.0};
+  const std::size_t k = sys.add_particle(p, {}, dpd::kSolvent);
+  EXPECT_TRUE(sys.neighbor_list().valid());
+  std::vector<std::size_t> got, want;
+  sys.query_neighbors(p, 0.8,
+                      [&](std::size_t j, const dpd::Vec3&, double) { got.push_back(j); });
+  for (std::size_t j = 0; j < sys.size(); ++j)
+    if (sys.min_image(p, sys.positions()[j]).norm2() <= 0.64) want.push_back(j);
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, want);
+  EXPECT_NE(std::find(got.begin(), got.end(), k), got.end());
+
+  sys.ensure_neighbors();
+  EXPECT_EQ(sys.neighbor_list().rebuilds(), rebuilds);
+}
+
+namespace {
+
+/// Open channel along x: FlowBc deletes escapees at both faces and inserts
+/// into the inflow buffer.
+dpd::DpdParams open_channel_params(double skin) {
   dpd::DpdParams prm;
   prm.box = {10.0, 5.0, 5.0};
   prm.periodic = {false, true, true};
-  prm.skin = 0.4;
-  dpd::DpdSystem sys(prm, std::make_shared<dpd::NoWalls>());
-  sys.fill(3.0, dpd::kSolvent);
+  prm.skin = skin;
+  return prm;
+}
 
+dpd::FlowBcParams open_channel_bc() {
   dpd::FlowBcParams bp;
   bp.axis = 0;
   bp.density = 3.0;
   bp.target_velocity = [](const dpd::Vec3&) { return dpd::Vec3{1.0, 0.0, 0.0}; };
-  dpd::FlowBc bc(bp);
+  return bp;
+}
+
+}  // namespace
+
+TEST(DpdNeighbor, InflowOutflowKeepsListCorrect) {
+  // FlowBc inserts and deletes particles every step; the list must be
+  // patched correctly through both paths
+  dpd::DpdSystem sys(open_channel_params(0.4), std::make_shared<dpd::NoWalls>());
+  sys.fill(3.0, dpd::kSolvent);
+  dpd::FlowBc bc(open_channel_bc());
 
   for (int s = 0; s < 10; ++s) {
     sys.step();
@@ -348,6 +456,85 @@ TEST(DpdNeighbor, InflowOutflowKeepsListCorrect) {
   std::sort(fast.begin(), fast.end());
   std::sort(ref.begin(), ref.end());
   EXPECT_EQ(fast, ref);
+}
+
+TEST(DpdNeighbor, FlowBcChurnTrajectoryEqualsRebuildEveryPass) {
+  // Skin 0 rebuilds the list on every force pass; at skin 0.3 the churn
+  // patches the live list instead. Bitwise-equal states pin that every
+  // patched list enumerates the interacting pairs in canonical order; the
+  // rebuild count pins that churn no longer throws the list away.
+  struct Run {
+    std::vector<std::uint8_t> state;
+    std::uint64_t rebuilds = 0, passes = 0;
+    std::size_t churned = 0;
+  };
+  auto run = [](double skin) {
+    dpd::DpdSystem sys(open_channel_params(skin), std::make_shared<dpd::NoWalls>());
+    sys.fill(3.0, dpd::kSolvent);
+    dpd::FlowBc bc(open_channel_bc());
+    for (int s = 0; s < 200; ++s) {
+      sys.step();
+      bc.apply(sys);
+    }
+    // the binary-searched gid lookup survives the churn
+    for (std::size_t i = 0; i < sys.size(); ++i)
+      EXPECT_EQ(sys.local_of(sys.gid_of(i)), static_cast<long>(i));
+    const auto& nl = sys.neighbor_list();
+    return Run{state_of(sys), nl.rebuilds(), nl.rebuilds() + nl.reuses(),
+               bc.inserted_total() + bc.deleted_total()};
+  };
+  const Run every = run(0.0);
+  const Run patched = run(0.3);
+  EXPECT_GT(patched.churned, 200u);
+  EXPECT_EQ(every.rebuilds, every.passes);
+  EXPECT_EQ(patched.passes, every.passes);
+  EXPECT_LT(static_cast<double>(patched.rebuilds), 0.8 * static_cast<double>(patched.passes));
+  EXPECT_EQ(patched.state, every.state);
+}
+
+TEST(DpdNeighbor, LoadStateRejectsUnsortedGids) {
+  // local_of binary-searches the gids, so a checkpoint whose gids are not
+  // strictly ascending is corrupt input.
+  const auto prm = small_box_params(0.3);
+  dpd::DpdSystem sys(prm, std::make_shared<dpd::NoWalls>());
+  sys.fill(3.0, dpd::kSolvent);
+  auto blob = state_of(sys);
+
+  // walk save_state's field order up to the gid array, then swap two gids
+  resilience::BlobReader walk(blob);
+  walk.pod<std::uint64_t>();  // step
+  for (int lane = 0; lane < 12; ++lane) walk.vec<double>();  // pos, vel, frc, frc_old
+  walk.vec<dpd::Species>();
+  walk.vec<char>();  // frozen
+  const std::size_t at = blob.size() - walk.remaining() + sizeof(std::uint64_t);
+  std::uint32_t g[2];
+  std::memcpy(g, blob.data() + at, sizeof g);
+  ASSERT_EQ(g[0], sys.gid_of(0));
+  ASSERT_EQ(g[1], sys.gid_of(1));
+
+  dpd::DpdSystem intact(prm, std::make_shared<dpd::NoWalls>());
+  resilience::BlobReader r0(blob);
+  EXPECT_NO_THROW(intact.load_state(r0));
+
+  std::swap(g[0], g[1]);
+  std::memcpy(blob.data() + at, g, sizeof g);
+  dpd::DpdSystem swapped(prm, std::make_shared<dpd::NoWalls>());
+  resilience::BlobReader r1(blob);
+  EXPECT_THROW(swapped.load_state(r1), resilience::CorruptError);
+}
+
+TEST(DpdNeighbor, ResetParticlesRejectsUnsortedRecords) {
+  const auto prm = small_box_params(0.3);
+  dpd::DpdSystem a(prm, std::make_shared<dpd::NoWalls>());
+  a.fill(3.0, dpd::kSolvent);
+  dpd::DpdSystem b(prm, std::make_shared<dpd::NoWalls>());
+  std::vector<dpd::ParticleRecord> recs = {a.particle_record(1), a.particle_record(0)};
+  EXPECT_THROW(b.reset_particles(recs), std::invalid_argument);
+  EXPECT_THROW(b.reset_particles({recs[0], recs[0]}), std::invalid_argument);
+  std::swap(recs[0], recs[1]);
+  b.reset_particles(recs);
+  EXPECT_EQ(b.local_of(a.gid_of(1)), 1);
+  EXPECT_EQ(b.local_of(a.gid_of(2)), -1);
 }
 
 TEST(DpdNeighbor, HeavyChurnKeepsPairSetsExact) {

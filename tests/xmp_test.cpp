@@ -39,6 +39,22 @@ TEST(Xmp, PingPong) {
   });
 }
 
+TEST(Xmp, EmptyVectorRoundTrip) {
+  // An empty payload has no storage to copy from; recv<T> must hand back an
+  // empty vector without touching it (UBSan flags a memcpy from null).
+  xmp::run(2, [](xmp::Comm& world) {
+    if (world.rank() == 0) {
+      world.send(1, 4, std::vector<double>{});
+      world.send(1, 5, std::vector<double>{1.5});
+    } else {
+      EXPECT_TRUE(world.recv<double>(0, 4).empty());
+      const auto one = world.recv<double>(0, 5);
+      ASSERT_EQ(one.size(), 1u);
+      EXPECT_EQ(one[0], 1.5);
+    }
+  });
+}
+
 TEST(Xmp, TagMatchingOutOfOrder) {
   // A message with a later tag must not be consumed by an earlier recv.
   xmp::run(2, [](xmp::Comm& world) {

@@ -2,9 +2,11 @@
 // vs a skin-0 NeighborList that rebuilds its cell grid and pair list on
 // every sweep and pays a std::function indirect call per pair (the
 // pre-fast-path cost model). Prints pairs/sec for both and
-// DPD_PAIRS_SPEEDUP for CI to grep, then measures rebuilds/step across skin
-// radii on a live (stepped) system and on an open channel whose FlowBc
-// inserts and deletes particles every step. Writes BENCH_dpd_pairs.json.
+// DPD_PAIRS_SPEEDUP for CI to grep, then times one full Verlet build at the
+// cdc2d_ckpt DPD shape and at the 12^3 periodic box, and measures
+// rebuilds/step across skin radii on a live (stepped) system and on an open
+// channel whose FlowBc inserts and deletes particles every step. Writes
+// BENCH_dpd_pairs.json.
 // Exits non-zero when the speedup falls below the gate (override with
 // NEKTARG_DPD_PAIRS_MIN_SPEEDUP; timing smoke, default is a loose 1.0).
 
@@ -46,7 +48,8 @@ struct Throughput {
   std::size_t pairs = 0;
 };
 
-/// Best-of-kRepeats time for kTraversals pair sweeps with `sweep()`.
+/// Best-of-kRepeats time for kTraversals calls of `sweep()` (a pair sweep or
+/// a full build).
 template <class Sweep>
 Throughput time_sweeps(Sweep&& sweep) {
   Throughput out;
@@ -66,6 +69,29 @@ Throughput time_sweeps(Sweep&& sweep) {
   out.pairs_per_sec =
       static_cast<double>(out.pairs) * kTraversals / (out.best_ms * 1e-3);
   return out;
+}
+
+/// The cdc2d_ckpt DPD box (the quickstart scenario): 16x6x10, periodic in y
+/// only, channel walls at z = 0 and 10, filled at density 3 with margin 0.1.
+dpd::DpdSystem make_channel() {
+  dpd::DpdParams prm;
+  prm.box = {16.0, 6.0, 10.0};
+  prm.periodic = {false, true, false};
+  dpd::DpdSystem sys(prm, std::make_shared<dpd::ChannelZ>(10.0));
+  sys.fill(kDensity, dpd::kSolvent, 7, 0.1);
+  return sys;
+}
+
+/// Best-of-kRepeats milliseconds per full Verlet build (rc + skin, the
+/// engine's defaults) of `sys`'s current positions.
+double best_build_ms(const dpd::DpdSystem& sys) {
+  const auto& p = sys.params();
+  dpd::NeighborList nl({p.box, p.periodic, p.rc, p.skin});
+  return time_sweeps([&](std::size_t&, double&) {
+           nl.invalidate();
+           nl.ensure(sys.positions());
+         }).best_ms /
+         kTraversals;
 }
 
 }  // namespace
@@ -121,6 +147,24 @@ int main() {
   rep.set("pairs_per_sec", verlet.pairs_per_sec);
   rep.set("best_ms", verlet.best_ms);
   rep.set("speedup", speedup);
+
+  // One full build (binning, candidate scan, CSR assembly) per shape: the
+  // cost every rebuild in the rows below pays.
+  std::printf("\nvariant  shape        particles  ms/build\n");
+  struct BuildCase {
+    const char* shape;
+    const dpd::DpdSystem* sys;
+  };
+  const auto channel = make_channel();
+  for (const BuildCase& c : {BuildCase{"cdc2d_ckpt", &channel}, BuildCase{"periodic_12", &sys}}) {
+    const double ms = best_build_ms(*c.sys);
+    std::printf("build    %-11s  %9zu  %8.3f\n", c.shape, c.sys->size(), ms);
+    rep.row();
+    rep.set("variant", std::string("build"));
+    rep.set("shape", std::string(c.shape));
+    rep.set("n", static_cast<double>(c.sys->size()));
+    rep.set("best_ms", ms);
+  }
 
   // Rebuild frequency on a live run: fresh system per case, kLiveSteps of
   // real dynamics, rebuilds/reuses read off the neighbor-list counters. The

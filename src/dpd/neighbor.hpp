@@ -7,6 +7,13 @@
 // skin/2 from its position at build time — the classic Verlet-list
 // criterion that guarantees no interacting pair (r < rc) is ever missed.
 //
+// The grid is cell-sorted: one counting sort by cell lays the reference
+// positions out in cell order, cells numbered x fastest, so the cells
+// cx-1..cx+1 of one (y, z) row are one contiguous slot range. The build
+// scans such ranges with tight branchless loops, and a two-pass counting
+// sort (by upper, then stably by lower index) assembles the canonical CSR
+// without sorting any row.
+//
 // The canonical (i ascending, j ascending within each run) pair ordering is
 // load-bearing: the force loop skips out-of-range pairs entirely, so the
 // floating-point summation order of the *contributing* pairs is a function
@@ -37,6 +44,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "dpd/soa.hpp"
@@ -94,8 +102,8 @@ public:
   /// Passes that kept the list, including those that appended to it.
   std::uint64_t reuses() const { return reuses_; }
   std::size_t pair_count() const { return neighbors_.size(); }
-  /// True when a periodic dimension has < 3 cells and the pair list had to
-  /// be built by direct O(N^2) enumeration (half-stencil double-counts).
+  /// True when a periodic dimension has < 3 cells, so the pair list is
+  /// built by direct O(N^2) enumeration (the half stencil would double-count).
   bool degenerate() const { return degenerate_; }
 
   /// CSR half list: pairs of particle i live in
@@ -106,14 +114,9 @@ public:
   /// Minimum-image displacement a -> b under the configured periodicity.
   Vec3 min_image(const Vec3& a, const Vec3& b) const {
     Vec3 d = b - a;
-    auto mi = [](double v, double L) {
-      if (v > 0.5 * L) return v - L;
-      if (v < -0.5 * L) return v + L;
-      return v;
-    };
-    if (prm_.periodic[0]) d.x = mi(d.x, prm_.box.x);
-    if (prm_.periodic[1]) d.y = mi(d.y, prm_.box.y);
-    if (prm_.periodic[2]) d.z = mi(d.z, prm_.box.z);
+    if (prm_.periodic[0]) d.x = min_image_1d(d.x, prm_.box.x);
+    if (prm_.periodic[1]) d.y = min_image_1d(d.y, prm_.box.y);
+    if (prm_.periodic[2]) d.z = min_image_1d(d.z, prm_.box.z);
     return d;
   }
 
@@ -165,31 +168,84 @@ private:
   void build(const SoA3& pos);
   /// Merge particles [ref_pos_.size(), pos.size()) into the reused list.
   void append(const SoA3& pos);
-  /// Re-bin every reference position into the cell grid.
+  /// Counting-sort every reference position into the cell-sorted grid
+  /// (build, compaction and append all re-bin through here).
   void rebin();
-  /// Link particle i into the grid cell holding its reference position.
-  void bin(std::size_t i);
+  /// Candidate scan over the half stencil: keeps every pair within
+  /// rc + skin at the front of pair_scratch_ and returns how many.
+  template <bool Px, bool Py, bool Pz>
+  std::size_t scan_cells();
+  /// Canonical CSR of n rows from the first m entries of pair_scratch_.
+  void assemble_csr(std::size_t n, std::size_t m);
+
+  /// Cells within `reach` of cell `base` along an axis of n cells, as at
+  /// most two ascending runs [lo[k], hi[k]] holding each cell at most once:
+  /// a periodic wrap splits the run, a non-periodic face clips it.
+  struct AxisRuns {
+    int count = 0;
+    int lo[2] = {0, 0}, hi[2] = {0, 0};
+    void add(int l, int h) {
+      lo[count] = l;
+      hi[count++] = h;
+    }
+  };
+  static AxisRuns axis_runs(int base, int reach, int n, bool per) {
+    AxisRuns r;
+    const int lo = base - reach, hi = base + reach;
+    if (!per) {
+      r.add(std::max(lo, 0), std::min(hi, n - 1));
+    } else if (2 * reach + 1 >= n) {
+      r.add(0, n - 1);
+    } else if (lo < 0) {
+      r.add(0, hi);
+      r.add(lo + n, n - 1);
+    } else if (hi >= n) {
+      r.add(0, hi - n);
+      r.add(lo, n - 1);
+    } else {
+      r.add(lo, hi);
+    }
+    return r;
+  }
+
+  /// Cells an axis of n cells of size cs needs to cover distance `pad`,
+  /// clamped in double so a huge or non-finite pad cannot overflow the cast.
+  static int reach_cells(double pad, double cs, int n) {
+    const double r = std::ceil(pad / cs);
+    if (!(r > 0.0)) return 0;
+    return r < n ? static_cast<int>(r) : n;
+  }
+
+  std::size_t row_start(int cy, int cz) const {
+    return (static_cast<std::size_t>(cz) * static_cast<std::size_t>(ncy_) +
+            static_cast<std::size_t>(cy)) *
+           static_cast<std::size_t>(ncx_);
+  }
 
   /// fn(j) for every binned particle j in the grid cells that can hold a
-  /// reference position within `pad` of point p.
+  /// reference position within `pad` of point p. Allocates nothing.
   template <class Fn>
   void for_each_binned_near(const Vec3& p, double pad, Fn&& fn) const {
     Vec3 q = p;
     wrap(q);
-    const int bx = cell_coord(q.x, prm_.box.x, ncx_);
-    const int by = cell_coord(q.y, prm_.box.y, ncy_);
-    const int bz = cell_coord(q.z, prm_.box.z, ncz_);
-    const std::vector<int> cx = cells_along(bx, pad, csx_, ncx_, prm_.periodic[0]);
-    const std::vector<int> cy = cells_along(by, pad, csy_, ncy_, prm_.periodic[1]);
-    const std::vector<int> cz = cells_along(bz, pad, csz_, ncz_, prm_.periodic[2]);
-    for (int a : cz)
-      for (int b : cy)
-        for (int c : cx) {
-          const std::size_t cell =
-              (static_cast<std::size_t>(a) * ncy_ + b) * static_cast<std::size_t>(ncx_) + c;
-          for (long j = cell_head_[cell]; j >= 0; j = cell_next_[static_cast<std::size_t>(j)])
-            fn(static_cast<std::size_t>(j));
-        }
+    const AxisRuns rx = axis_runs(cell_coord(q.x, prm_.box.x, ncx_),
+                                  reach_cells(pad, csx_, ncx_), ncx_, prm_.periodic[0]);
+    const AxisRuns ry = axis_runs(cell_coord(q.y, prm_.box.y, ncy_),
+                                  reach_cells(pad, csy_, ncy_), ncy_, prm_.periodic[1]);
+    const AxisRuns rz = axis_runs(cell_coord(q.z, prm_.box.z, ncz_),
+                                  reach_cells(pad, csz_, ncz_), ncz_, prm_.periodic[2]);
+    for (int a = 0; a < rz.count; ++a)
+      for (int cz = rz.lo[a]; cz <= rz.hi[a]; ++cz)
+        for (int b = 0; b < ry.count; ++b)
+          for (int cy = ry.lo[b]; cy <= ry.hi[b]; ++cy) {
+            const std::size_t row = row_start(cy, cz);
+            for (int c = 0; c < rx.count; ++c) {
+              const std::uint32_t end = cell_start_[row + static_cast<std::size_t>(rx.hi[c]) + 1];
+              for (std::uint32_t s = cell_start_[row + static_cast<std::size_t>(rx.lo[c])];
+                   s < end; ++s)
+                fn(static_cast<std::size_t>(slot_id_[s]));
+            }
+          }
   }
 
   void wrap(Vec3& p) const {
@@ -202,34 +258,13 @@ private:
     if (prm_.periodic[2]) p.z = wrap1(p.z, prm_.box.z);
   }
 
+  /// Cell of coordinate v along an axis of n cells spanning [0, L). Clamped
+  /// in double before the cast: a coordinate beyond a non-periodic face (or
+  /// +inf) lands in the edge cell, NaN in cell 0.
   static int cell_coord(double v, double L, int n) {
-    const int c = static_cast<int>(v / L * n);
-    return c < 0 ? 0 : (c >= n ? n - 1 : c);
-  }
-
-  /// Cells along one dimension whose contents can lie within `pad` of cell
-  /// `base` (periodic wrap, each cell listed at most once).
-  static std::vector<int> cells_along(int base, double pad, double cell_size, int n, bool per) {
-    const int reach = static_cast<int>(std::ceil(pad / cell_size));
-    std::vector<int> out;
-    if (2 * reach + 1 >= n) {
-      out.resize(static_cast<std::size_t>(n));
-      for (int c = 0; c < n; ++c) out[static_cast<std::size_t>(c)] = c;
-      return out;
-    }
-    out.reserve(static_cast<std::size_t>(2 * reach + 1));
-    for (int d = -reach; d <= reach; ++d) {
-      int c = base + d;
-      if (c < 0) {
-        if (!per) continue;
-        c += n;
-      } else if (c >= n) {
-        if (!per) continue;
-        c -= n;
-      }
-      out.push_back(c);
-    }
-    return out;
+    const double c = v / L * n;
+    if (!(c >= 0.0)) return 0;
+    return c < n ? static_cast<int>(c) : n - 1;
   }
 
   NeighborParams prm_;
@@ -239,10 +274,16 @@ private:
   // optional decomposition pair filter (see set_pair_filter)
   const std::vector<char>* ghost_ = nullptr;
 
-  // cell grid over reference positions
+  // Cell-sorted grid over the reference positions, cells numbered x
+  // fastest: cell c owns slots [cell_start_[c], cell_start_[c+1]) of
+  // binned_ (the reference positions in cell order) and of slot_id_ (their
+  // particle indices, ascending within a cell). binned_ghost_ is the pair
+  // filter mask in slot order (filtered builds only).
   int ncx_ = 0, ncy_ = 0, ncz_ = 0;
   double csx_ = 0.0, csy_ = 0.0, csz_ = 0.0;
-  std::vector<long> cell_head_, cell_next_;
+  std::vector<std::uint32_t> cell_start_, slot_id_;
+  SoA3 binned_;
+  std::vector<char> binned_ghost_;
 
   /// Reference positions: at build time, or at append time for particles
   /// merged later (rebuild trigger; the list holds every pair within
@@ -250,7 +291,17 @@ private:
   SoA3 ref_pos_;
   std::vector<std::size_t> offsets_;
   std::vector<std::uint32_t> neighbors_;
+
+  // Scratch reused across calls: each particle's cell (rebin); the kept
+  // candidate pairs as (lower, upper) index, whose size only grows because
+  // the scan writes ahead of its count; the lower indices bucketed by upper
+  // index with each bucket's end (first CSR pass) — 12 B per listed pair in
+  // all; and the pairs an append merges.
+  std::vector<std::uint32_t> cell_of_;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pair_scratch_;
+  std::vector<std::uint32_t> by_upper_;
+  std::vector<std::size_t> upper_end_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> new_pairs_;
 
   std::uint64_t rebuilds_ = 0, reuses_ = 0, version_ = 0;
 };

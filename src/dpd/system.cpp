@@ -202,14 +202,9 @@ void DpdSystem::wrap(Vec3& p) const {
 
 Vec3 DpdSystem::min_image(const Vec3& a, const Vec3& b) const {
   Vec3 d = b - a;
-  auto mi = [](double v, double L) {
-    if (v > 0.5 * L) return v - L;
-    if (v < -0.5 * L) return v + L;
-    return v;
-  };
-  if (prm_.periodic[0]) d.x = mi(d.x, prm_.box.x);
-  if (prm_.periodic[1]) d.y = mi(d.y, prm_.box.y);
-  if (prm_.periodic[2]) d.z = mi(d.z, prm_.box.z);
+  if (prm_.periodic[0]) d.x = min_image_1d(d.x, prm_.box.x);
+  if (prm_.periodic[1]) d.y = min_image_1d(d.y, prm_.box.y);
+  if (prm_.periodic[2]) d.z = min_image_1d(d.z, prm_.box.z);
   return d;
 }
 
@@ -234,11 +229,6 @@ void DpdSystem::pair_row(std::size_t i, std::size_t lo, std::size_t m, double in
   const double* uz = vel_.zs().data();
   const double bx = prm_.box.x, by = prm_.box.y, bz = prm_.box.z;
   const bool perx = prm_.periodic[0], pery = prm_.periodic[1], perz = prm_.periodic[2];
-  auto mi = [](double v, double L) {
-    if (v > 0.5 * L) return v - L;
-    if (v < -0.5 * L) return v + L;
-    return v;
-  };
   auto& b = batch_;
   const Species si = species_[i];
   const double* a_row = &a_tab_[static_cast<std::size_t>(si) * kNumSpecies];
@@ -252,9 +242,9 @@ void DpdSystem::pair_row(std::size_t i, std::size_t lo, std::size_t m, double in
     double dx = px[j] - xi;
     double dy = py[j] - yi;
     double dz = pz[j] - zi;
-    if (perx) dx = mi(dx, bx);
-    if (pery) dy = mi(dy, by);
-    if (perz) dz = mi(dz, bz);
+    if (perx) dx = min_image_1d(dx, bx);
+    if (pery) dy = min_image_1d(dy, by);
+    if (perz) dz = min_image_1d(dz, bz);
     b.dx[k] = dx;
     b.dy[k] = dy;
     b.dz[k] = dz;

@@ -29,6 +29,18 @@ struct Vec3 {
   double norm() const { return std::sqrt(norm2()); }
 };
 
+/// Minimum-image wrap of one separation component v = b - a along a
+/// periodic axis of length L. Every pair path (neighbor-list build and
+/// queries, the force gather, bonds, platelets) goes through this one
+/// definition, so they all agree bit for bit. It is odd-symmetric:
+/// min_image_1d(-v, L) == -min_image_1d(v, L) exactly, including v = ±L/2,
+/// which is what makes a pair's separation independent of visit order.
+inline double min_image_1d(double v, double L) {
+  if (v > 0.5 * L) return v - L;
+  if (v < -0.5 * L) return v + L;
+  return v;
+}
+
 /// Particle species. Pair coefficients are indexed by (species, species).
 enum Species : std::uint8_t {
   kSolvent = 0,

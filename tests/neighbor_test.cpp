@@ -10,8 +10,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -49,6 +51,45 @@ std::vector<Pair> list_pairs(const dpd::NeighborList& nl, const dpd::SoA3& pos) 
   });
   std::sort(out.begin(), out.end());
   return out;
+}
+
+struct Csr {
+  std::vector<std::size_t> offsets{0};
+  std::vector<std::uint32_t> neighbors;
+};
+
+/// The canonical half list by direct O(N^2) enumeration: every pair within
+/// rc + skin at `pos`, under its lower index, runs ascending; with `ghost`
+/// set, both-ghost pairs are left out.
+Csr brute_csr(const dpd::NeighborList& nl, const dpd::SoA3& pos,
+              const std::vector<char>* ghost = nullptr) {
+  const double rcut = nl.params().rc + nl.params().skin;
+  Csr out;
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    for (std::size_t j = i + 1; j < pos.size(); ++j) {
+      if (ghost && (*ghost)[i] && (*ghost)[j]) continue;
+      if (nl.min_image(pos[i], pos[j]).norm2() < rcut * rcut)
+        out.neighbors.push_back(static_cast<std::uint32_t>(j));
+    }
+    out.offsets.push_back(out.neighbors.size());
+  }
+  return out;
+}
+
+void expect_csr_eq(const dpd::NeighborList& nl, const Csr& want, const std::string& what) {
+  EXPECT_EQ(nl.offsets(), want.offsets) << what;
+  EXPECT_EQ(nl.neighbors(), want.neighbors) << what;
+}
+
+/// query() finds exactly the particles within `cutoff` of p.
+void expect_query_exact(const dpd::NeighborList& nl, const dpd::SoA3& pos, const dpd::Vec3& p,
+                        double cutoff) {
+  std::vector<std::size_t> got, want;
+  nl.query(pos, p, cutoff, [&](std::size_t j, const dpd::Vec3&, double) { got.push_back(j); });
+  for (std::size_t j = 0; j < pos.size(); ++j)
+    if (nl.min_image(p, pos[j]).norm2() <= cutoff * cutoff) want.push_back(j);
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, want);
 }
 
 /// Bitwise fingerprint of the full particle state.
@@ -265,6 +306,75 @@ TEST(NeighborList, AppendPairsAgainstReferencePositions) {
   EXPECT_FALSE(nl.ensure(pos));
   ASSERT_EQ(brute_pairs(nl, pos).size(), 1u);
   EXPECT_EQ(list_pairs(nl, pos), brute_pairs(nl, pos));
+}
+
+TEST(NeighborList, BuildCsrEqualsBruteForceAllPeriodicities) {
+  // The exact CSR out to rc + skin, offsets and runs, for every periodicity
+  // mask. With rc + skin = 1.3 the box has exactly 3 cells along x and z, so
+  // a periodic x row wraps on both sides of every cell. Non-periodic
+  // coordinates reach 1 past the faces (clamped into the edge cells), and
+  // the sparse populations leave cells empty.
+  dpd::NeighborParams prm;
+  prm.box = {4.0, 6.0, 4.5};
+  prm.rc = 1.0;
+  prm.skin = 0.3;
+  for (int mask = 0; mask < 8; ++mask) {
+    prm.periodic = {(mask & 1) != 0, (mask & 2) != 0, (mask & 4) != 0};
+    for (std::size_t n : {0, 1, 2, 25, 300}) {
+      std::mt19937 rng(static_cast<unsigned>(100 + 10 * mask) + static_cast<unsigned>(n));
+      auto coord = [&](double L, bool per) {
+        return std::uniform_real_distribution<double>(per ? 0.0 : -1.0, per ? L : L + 1.0)(rng);
+      };
+      dpd::SoA3 pos;
+      for (std::size_t i = 0; i < n; ++i)
+        pos.push_back({coord(prm.box.x, prm.periodic[0]), coord(prm.box.y, prm.periodic[1]),
+                       coord(prm.box.z, prm.periodic[2])});
+      const std::string what = "mask " + std::to_string(mask) + " n " + std::to_string(n);
+      dpd::NeighborList nl(prm);
+      nl.ensure(pos);
+      ASSERT_FALSE(nl.degenerate());
+      expect_csr_eq(nl, brute_csr(nl, pos), what);
+
+      // decomposition filter: every third particle a ghost, no both-ghost pair
+      std::vector<char> ghost(n);
+      for (std::size_t i = 0; i < n; ++i) ghost[i] = i % 3 == 0;
+      nl.set_pair_filter(&ghost);
+      nl.ensure(pos);
+      expect_csr_eq(nl, brute_csr(nl, pos, &ghost), what + " ghost-filtered");
+    }
+  }
+}
+
+TEST(NeighborList, FarOutAndNonFiniteCoordinatesBinSafely) {
+  // A coordinate 1e300 past a non-periodic face and a NaN coordinate have
+  // no in-range cell; binning must clamp them (in double, before any cast
+  // to int) instead of overflowing. Neither lists a pair, and every finite
+  // particle's pairs stay exact through build, query and append.
+  dpd::NeighborParams prm;
+  prm.box = {8.0, 6.0, 5.0};
+  prm.periodic = {true, true, false};
+  dpd::NeighborList nl(prm);
+  auto pos = random_positions(200, prm.box, 30);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  pos[3].z = 1e300;
+  pos[11].x = nan;
+  EXPECT_TRUE(nl.ensure(pos));
+  const Csr built = brute_csr(nl, pos);
+  EXPECT_EQ(built.offsets[4] - built.offsets[3], 0u);
+  EXPECT_EQ(built.offsets[12] - built.offsets[11], 0u);
+  expect_csr_eq(nl, built, "build");
+
+  for (const dpd::Vec3& p : {pos.get(0), pos.get(3), pos.get(11)}) expect_query_exact(nl, pos, p, 1.0);
+
+  // merged by append, not a rebuild: one more of each, plus a finite one
+  pos.push_back({2.0, 3.0, -1e300});
+  pos.push_back({1.0, nan, 2.0});
+  pos.push_back(pos.get(0) + dpd::Vec3{0.5, 0.0, 0.0});
+  EXPECT_FALSE(nl.ensure(pos));
+  EXPECT_EQ(nl.rebuilds(), 1u);
+  expect_csr_eq(nl, brute_csr(nl, pos), "append");
+  for (const dpd::Vec3& p : {pos.get(200), pos.get(201), pos.get(202)})
+    expect_query_exact(nl, pos, p, 1.0);
 }
 
 // ---------------- DpdSystem integration ----------------

@@ -1,12 +1,14 @@
 // DPD pair-iteration throughput: the engine's reused Verlet neighbor list
-// vs a skin-0 NeighborList that rebuilds its cell grid and pair list on
-// every sweep and pays a std::function indirect call per pair (the
-// pre-fast-path cost model). Prints pairs/sec for both and
+// (at the default skin) vs a skin-0 NeighborList that rebuilds its cell
+// grid and pair list on every sweep and pays a std::function indirect call
+// per pair (the pre-fast-path cost model). Prints pairs/sec for both and
 // DPD_PAIRS_SPEEDUP for CI to grep, then times one full Verlet build at the
-// cdc2d_ckpt DPD shape and at the 12^3 periodic box, and measures
+// cdc2d_ckpt DPD shape and at the 12^3 periodic box, measures
 // rebuilds/step across skin radii on a live (stepped) system and on an open
-// channel whose FlowBc inserts and deletes particles every step. Writes
-// BENCH_dpd_pairs.json.
+// channel whose FlowBc inserts and deletes particles every step, and sweeps
+// the skin at the cdc2d_ckpt DPD shape with its open x faces (force-pass
+// and step cost, rebuild rate, listed and in-range pairs: the measurement
+// behind dpd::kDefaultSkin). Writes BENCH_dpd_pairs.json.
 // Exits non-zero when the speedup falls below the gate (override with
 // NEKTARG_DPD_PAIRS_MIN_SPEEDUP; timing smoke, default is a loose 1.0).
 
@@ -16,11 +18,13 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "dpd/inflow.hpp"
 #include "dpd/neighbor.hpp"
 #include "dpd/system.hpp"
 #include "telemetry/bench_report.hpp"
+#include "telemetry/registry.hpp"
 
 namespace {
 
@@ -30,6 +34,7 @@ constexpr int kWarmupSteps = 50;
 constexpr int kTraversals = 25;
 constexpr int kRepeats = 5;
 constexpr int kLiveSteps = 200;
+constexpr int kSkinSteps = 300;
 
 dpd::DpdSystem make_system(double skin, bool open_x = false) {
   dpd::DpdParams prm;
@@ -73,10 +78,11 @@ Throughput time_sweeps(Sweep&& sweep) {
 
 /// The cdc2d_ckpt DPD box (the quickstart scenario): 16x6x10, periodic in y
 /// only, channel walls at z = 0 and 10, filled at density 3 with margin 0.1.
-dpd::DpdSystem make_channel() {
+dpd::DpdSystem make_channel(double skin = dpd::kDefaultSkin) {
   dpd::DpdParams prm;
   prm.box = {16.0, 6.0, 10.0};
   prm.periodic = {false, true, false};
+  prm.skin = skin;
   dpd::DpdSystem sys(prm, std::make_shared<dpd::ChannelZ>(10.0));
   sys.fill(kDensity, dpd::kSolvent, 7, 0.1);
   return sys;
@@ -99,7 +105,7 @@ double best_build_ms(const dpd::DpdSystem& sys) {
 int main() {
   std::printf("=== DPD pair iteration: reused Verlet list vs rebuild-every-sweep ===\n");
 
-  auto sys = make_system(0.3);
+  auto sys = make_system(dpd::kDefaultSkin);
   const std::size_t n = sys.size();
   std::printf("n=%zu box=%.0f^3 rc=%.1f density=%.1f\n", n, kBoxLen, sys.params().rc, kDensity);
 
@@ -177,8 +183,9 @@ int main() {
     bool open;
   };
   std::printf("\nvariant  skin   rebuilds/step  reuse-frac  pairs-in-list\n");
-  for (const LiveCase& c : {LiveCase{"live", 0.15, false}, LiveCase{"live", 0.3, false},
-                            LiveCase{"live", 0.6, false}, LiveCase{"flowbc", 0.3, true}}) {
+  for (const LiveCase& c :
+       {LiveCase{"live", 0.15, false}, LiveCase{"live", 0.3, false}, LiveCase{"live", 0.6, false},
+        LiveCase{"flowbc", dpd::kDefaultSkin, true}}) {
     auto live = make_system(c.skin, c.open);
     dpd::FlowBcParams bp;
     bp.axis = 0;
@@ -204,6 +211,78 @@ int main() {
     rep.set("rebuilds_per_step", per_step);
     rep.set("reuse_frac", reuse_frac);
     rep.set("list_pairs", static_cast<double>(nl.pair_count()));
+  }
+
+  // Skin sweep at the cdc2d_ckpt DPD shape, x faces open to a FlowBc with
+  // the coupled run's parabolic inflow (NS peak 1 scales to 5 in DPD
+  // units; flow speed sets the rebuild rate). Per skin: ms per force pass
+  // (the dpd.forces phase, full builds amortised over the run), ms per
+  // whole step including the FlowBc churn (whose list compaction scales
+  // with the list), full rebuilds per step, and the listed and in-range
+  // (r < rc) pairs per pass. A thicker skin rebuilds less often but lists
+  // more pairs that the pass must reject and the churn must compact. Every
+  // skin gets a fresh run in each of kRepeats rounds and reports its best;
+  // interleaving the rounds spreads host noise evenly.
+  struct SkinRow {
+    double skin, best_ms = 0.0, step_ms = 0.0, rebuilds = 0.0, listed = 0.0, in_range = 0.0;
+  };
+  std::vector<SkinRow> skins;
+  for (double skin : {0.15, 0.2, 0.25, 0.3, 0.4}) skins.push_back({skin});
+  for (int r = 0; r < kRepeats; ++r)
+    for (SkinRow& row : skins) {
+      auto ch = make_channel(row.skin);
+      dpd::FlowBcParams bp;
+      bp.axis = 0;
+      bp.density = kDensity;
+      bp.relax = 0.3;
+      bp.target_velocity = [](const dpd::Vec3& p) {
+        return dpd::Vec3{0.2 * p.z * (10.0 - p.z), 0.0, 0.0};
+      };
+      dpd::FlowBc bc(bp);
+      for (int s = 0; s < kWarmupSteps; ++s) {
+        ch.step();
+        bc.apply(ch);
+      }
+      telemetry::Registry::local().clear();
+      const std::size_t rb0 = ch.neighbor_list().rebuilds();
+      double listed = 0.0;
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int s = 0; s < kSkinSteps; ++s) {
+        ch.step();
+        listed += static_cast<double>(ch.neighbor_list().pair_count());
+        bc.apply(ch);
+      }
+      const double step_ms =
+          std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+              .count() /
+          kSkinSteps;
+      const auto phases = telemetry::Registry::local().phases();
+      const telemetry::PhaseNode* step = phases.find("dpd.step");
+      const telemetry::PhaseNode* forces = step ? step->find("dpd.forces") : nullptr;
+      const auto in = telemetry::Registry::local().counters()["dpd.pairs.in_range"];
+      if (!forces || forces->count == 0 || in.count == 0) std::abort();
+      const double ms = 1e3 * forces->seconds / static_cast<double>(forces->count);
+      if (r == 0 || ms < row.best_ms) row.best_ms = ms;
+      if (r == 0 || step_ms < row.step_ms) row.step_ms = step_ms;
+      row.rebuilds = static_cast<double>(ch.neighbor_list().rebuilds() - rb0) / kSkinSteps;
+      row.listed = listed / kSkinSteps;
+      row.in_range = in.value / static_cast<double>(in.count);
+    }
+  std::printf(
+      "\nvariant  skin   ms/pass  ms/step  rebuilds/step  listed/pass  in-range/pass\n");
+  for (const SkinRow& row : skins) {
+    std::printf("skin     %.2f  %7.3f  %7.3f  %13.3f  %11.0f  %13.0f\n", row.skin, row.best_ms,
+                row.step_ms, row.rebuilds, row.listed, row.in_range);
+    rep.row();
+    rep.set("variant", std::string("skin"));
+    rep.set("shape", std::string("cdc2d_ckpt"));
+    rep.set("skin", row.skin);
+    rep.set("steps", static_cast<double>(kSkinSteps));
+    rep.set("ms_per_pass", row.best_ms);
+    rep.set("ms_per_step", row.step_ms);
+    rep.set("rebuilds_per_step", row.rebuilds);
+    rep.set("listed_pairs_per_pass", row.listed);
+    rep.set("in_range_pairs_per_pass", row.in_range);
   }
   rep.write();
 

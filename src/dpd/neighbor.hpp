@@ -52,11 +52,15 @@
 
 namespace dpd {
 
+/// Default Verlet skin of both NeighborParams and DpdParams, chosen by
+/// measurement (docs/PERF.md, `extra_dpd_pairs` "skin" rows).
+inline constexpr double kDefaultSkin = 0.2;
+
 struct NeighborParams {
   Vec3 box{20.0, 10.0, 10.0};
   std::array<bool, 3> periodic{true, true, false};
-  double rc = 1.0;    ///< interaction cutoff
-  double skin = 0.3;  ///< Verlet skin: list radius is rc + skin
+  double rc = 1.0;             ///< interaction cutoff
+  double skin = kDefaultSkin;  ///< Verlet skin: list radius is rc + skin
 };
 
 class NeighborList {

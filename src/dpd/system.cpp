@@ -28,21 +28,15 @@ DpdSystem::DpdSystem(const DpdParams& prm, std::shared_ptr<Geometry> geom)
     }
 }
 
-void DpdSystem::PairBatch::resize(std::size_t m) {
-  dx.resize(m);
-  dy.resize(m);
-  dz.resize(m);
-  r2.resize(m);
-  dvx.resize(m);
-  dvy.resize(m);
-  dvz.resize(m);
-  zeta.resize(m);
-  a.resize(m);
-  g.resize(m);
-  sig.resize(m);
-  fx.resize(m);
-  fy.resize(m);
-  fz.resize(m);
+void DpdSystem::PairBatch::grow(std::size_t m) {
+  if (dx.size() >= m) return;
+  for (auto* v : {&dx, &dy, &dz, &r2, &dvx, &dvy, &dvz, &zeta, &a, &g, &sig}) v->resize(m);
+}
+
+void DpdSystem::PairStage::grow(std::size_t lanes) {
+  if (j.size() >= lanes) return;
+  j.resize(lanes);
+  for (auto* v : {&fx, &fy, &fz}) v->resize(lanes);
 }
 
 std::size_t DpdSystem::add_particle(const Vec3& pos, const Vec3& vel, Species s) {
@@ -208,101 +202,165 @@ Vec3 DpdSystem::min_image(const Vec3& a, const Vec3& b) const {
   return d;
 }
 
-void DpdSystem::pair_row(std::size_t i, std::size_t lo, std::size_t m, double inv_rc,
-                         double inv_sqrt_dt, double* r2_out, double* fx_out, double* fy_out,
-                         double* fz_out) {
-  // Gather particle i's neighbor run into flat lanes (minimum-image
-  // separation, relative velocity, counter-based noise, hoisted
-  // coefficients) and hand it to the SIMD kernel. The input lanes live in
-  // batch_ (the caller must have called batch_.resize(m)); r2 and the
-  // kernel's per-pair forces go through the out pointers so the monolithic
-  // pass can target batch_ while the overlapped pass stages them at the
-  // row's CSR offset. The noise is keyed on *global* IDs, so a pair's
-  // random stream is invariant to index compaction and to which rank
-  // computes it.
-  const auto& nbr = nlist_.neighbors();
+std::size_t DpdSystem::pair_row(std::size_t i, std::size_t at, double rc2, double inv_rc,
+                                double inv_sqrt_dt) {
+  // Compact, then compute. The first sweep takes the minimum-image
+  // separation and r2 of every listed partner and keeps the in-range lanes,
+  // with their j, in CSR order; only those lanes get the relative velocity,
+  // counter-based noise and hoisted coefficients, and the SIMD kernel writes
+  // their forces straight into the stage. The noise is keyed on *global*
+  // IDs, so a pair's random stream is invariant to index compaction and to
+  // which rank computes it.
+  const std::size_t lo = nlist_.offsets()[i], m = nlist_.offsets()[i + 1] - lo;
+  batch_.grow(m);
+  stage_.grow(at + m);
+  const std::uint32_t* nbr = nlist_.neighbors().data() + lo;
   const double* px = pos_.xs().data();
   const double* py = pos_.ys().data();
   const double* pz = pos_.zs().data();
-  const double* ux = vel_.xs().data();
-  const double* uy = vel_.ys().data();
-  const double* uz = vel_.zs().data();
   const double bx = prm_.box.x, by = prm_.box.y, bz = prm_.box.z;
   const bool perx = prm_.periodic[0], pery = prm_.periodic[1], perz = prm_.periodic[2];
   auto& b = batch_;
-  const Species si = species_[i];
-  const double* a_row = &a_tab_[static_cast<std::size_t>(si) * kNumSpecies];
-  const double* g_row = &g_tab_[static_cast<std::size_t>(si) * kNumSpecies];
-  const double* s_row = &sig_tab_[static_cast<std::size_t>(si) * kNumSpecies];
+  std::uint32_t* sj = stage_.j.data() + at;
   const double xi = px[i], yi = py[i], zi = pz[i];
-  const double uxi = ux[i], uyi = uy[i], uzi = uz[i];
-  const std::uint32_t gi = gid_[i];
+  std::size_t c = 0;
   for (std::size_t k = 0; k < m; ++k) {
-    const std::size_t j = nbr[lo + k];
+    const std::uint32_t j = nbr[k];
     double dx = px[j] - xi;
     double dy = py[j] - yi;
     double dz = pz[j] - zi;
     if (perx) dx = min_image_1d(dx, bx);
     if (pery) dy = min_image_1d(dy, by);
     if (perz) dz = min_image_1d(dz, bz);
-    b.dx[k] = dx;
-    b.dy[k] = dy;
-    b.dz[k] = dz;
-    r2_out[k] = dx * dx + dy * dy + dz * dz;
+    const double r2 = dx * dx + dy * dy + dz * dz;
+    b.dx[c] = dx;
+    b.dy[c] = dy;
+    b.dz[c] = dz;
+    b.r2[c] = r2;
+    sj[c] = j;
+    // keep = !(r2 >= rc2 || r2 <= 1e-20), the exact negation of "out of
+    // range or coincident", so a NaN separation (a non-finite position)
+    // stays in and poisons both partners. `|` instead of `||` evaluates both
+    // side-effect-free compares without a branch: about half the listed
+    // pairs are out of range, so a branch here would mispredict often.
+    c += !((r2 >= rc2) | (r2 <= 1e-20));
+  }
+  const double* ux = vel_.xs().data();
+  const double* uy = vel_.ys().data();
+  const double* uz = vel_.zs().data();
+  const Species si = species_[i];
+  const double* a_row = &a_tab_[static_cast<std::size_t>(si) * kNumSpecies];
+  const double* g_row = &g_tab_[static_cast<std::size_t>(si) * kNumSpecies];
+  const double* s_row = &sig_tab_[static_cast<std::size_t>(si) * kNumSpecies];
+  const double uxi = ux[i], uyi = uy[i], uzi = uz[i];
+  const std::uint32_t gi = gid_[i];
+  for (std::size_t k = 0; k < c; ++k) {
+    const std::uint32_t j = sj[k];
     b.dvx[k] = ux[j] - uxi;
     b.dvy[k] = uy[j] - uyi;
     b.dvz[k] = uz[j] - uzi;
     b.zeta[k] = pair_gaussian_like(step_, gi, gid_[j]);
-    const Species sj = species_[j];
-    b.a[k] = a_row[sj];
-    b.g[k] = g_row[sj];
-    b.sig[k] = s_row[sj];
+    const Species s = species_[j];
+    b.a[k] = a_row[s];
+    b.g[k] = g_row[s];
+    b.sig[k] = s_row[s];
   }
   // f = (dx,dy,dz) fmag / r is the force on j; i receives -f (the kernel
-  // header documents the lane math; out-of-range lanes are discarded).
-  la::simd::dpd_pair_forces(m, inv_rc, inv_sqrt_dt, b.dx.data(), b.dy.data(), b.dz.data(), r2_out,
-                            b.dvx.data(), b.dvy.data(), b.dvz.data(), b.zeta.data(), b.a.data(),
-                            b.g.data(), b.sig.data(), fx_out, fy_out, fz_out);
+  // header documents the lane math)
+  la::simd::dpd_pair_forces(c, inv_rc, inv_sqrt_dt, b.dx.data(), b.dy.data(), b.dz.data(),
+                            b.r2.data(), b.dvx.data(), b.dvy.data(), b.dvz.data(),
+                            b.zeta.data(), b.a.data(), b.g.data(), b.sig.data(),
+                            stage_.fx.data() + at, stage_.fy.data() + at, stage_.fz.data() + at);
+  stage_.start[i] = at;
+  stage_.count[i] = c;
+  return c;
+}
+
+void DpdSystem::pair_scatter(std::size_t lo, std::size_t hi) {
+  double* gx = frc_.xs().data();
+  double* gy = frc_.ys().data();
+  double* gz = frc_.zs().data();
+  const std::uint32_t* sj = stage_.j.data();
+  const double* fx = stage_.fx.data();
+  const double* fy = stage_.fy.data();
+  const double* fz = stage_.fz.data();
+  for (std::size_t i = lo; i < hi; ++i) {
+    // every partner j > i, so i's running sum can live in registers: the
+    // same subtractions in the same order as updating frc_ in place
+    double xi = gx[i], yi = gy[i], zi = gz[i];
+    const std::size_t end = stage_.start[i] + stage_.count[i];
+    for (std::size_t k = stage_.start[i]; k < end; ++k) {
+      const std::uint32_t j = sj[k];
+      xi -= fx[k];
+      yi -= fy[k];
+      zi -= fz[k];
+      gx[j] += fx[k];
+      gy[j] += fy[k];
+      gz[j] += fz[k];
+    }
+    gx[i] = xi;
+    gy[i] = yi;
+    gz[i] = zi;
+  }
 }
 
 void DpdSystem::pair_forces() {
-  // Batched Groot-Warren pair forces over the Verlet list: per particle i,
-  // gather + kernel (pair_row), then scatter only the in-range lanes.
-  // Skipping out-of-range lanes entirely — rather than zeroing them — keeps
-  // the floating-point accumulation order a function of the particle state
-  // alone, independent of when the list was built (bitwise restarts).
-  if (exchange_ && exchange_->overlap_pending()) {
-    pair_forces_overlapped();
-    return;
-  }
+  // Batched Groot-Warren pair forces over the Verlet list as one staged
+  // pass: pair_row computes a row's in-range lanes into the stage, and
+  // pair_scatter replays finished rows into frc_ in canonical CSR order.
+  // Out-of-range lanes are dropped before any force arithmetic — skipped,
+  // never zeroed — so the accumulation order of the contributing pairs is a
+  // function of the particle state alone, not of when the list was built
+  // (bitwise restarts). A row is replayed once every earlier row is done:
+  // without a halo update in flight that is at once, and the stage holds
+  // one row. With one in flight (overlap), rows touching a ghost wait for
+  // finish_refresh, and the interior rows after the first of them stay
+  // staged until it is done — compute out of order, accumulate in order,
+  // bitwise equal to the blocking run (docs/PERF.md "Overlapped halos").
   ensure_neighbors();
+  const bool overlap = exchange_ && exchange_->overlap_pending();
+  if (overlap &&
+      (row_class_version_ != nlist_.version() || row_interior_.size() != pos_.size()))
+    classify_rows();
   const double rc2 = prm_.rc * prm_.rc;
   const double inv_rc = 1.0 / prm_.rc;
   const double inv_sqrt_dt = 1.0 / std::sqrt(prm_.dt);
   const auto& offs = nlist_.offsets();
-  const auto& nbr = nlist_.neighbors();
   const std::size_t n = pos_.size();
-  double* gx = frc_.xs().data();
-  double* gy = frc_.ys().data();
-  double* gz = frc_.zs().data();
-  auto& b = batch_;
+  stage_.start.resize(n);
+  stage_.count.resize(n);
+  auto deferred = [&](std::size_t i) { return overlap && !row_interior_[i]; };
+  std::size_t next = 0;  // first row not yet replayed
+  std::size_t at = 0;    // stage cursor
+  std::size_t in_range = 0, interior_rows = 0, boundary_rows = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t lo = offs[i], hi = offs[i + 1];
-    const std::size_t m = hi - lo;
-    if (m == 0) continue;
-    b.resize(m);
-    pair_row(i, lo, m, inv_rc, inv_sqrt_dt, b.r2.data(), b.fx.data(), b.fy.data(), b.fz.data());
-    for (std::size_t k = 0; k < m; ++k) {
-      if (b.r2[k] >= rc2 || b.r2[k] <= 1e-20) continue;
-      const std::size_t j = nbr[lo + k];
-      gx[i] -= b.fx[k];
-      gy[i] -= b.fy[k];
-      gz[i] -= b.fz[k];
-      gx[j] += b.fx[k];
-      gy[j] += b.fy[k];
-      gz[j] += b.fz[k];
+    if (deferred(i)) continue;
+    interior_rows += offs[i + 1] > offs[i];
+    const std::size_t c = pair_row(i, at, rc2, inv_rc, inv_sqrt_dt);
+    in_range += c;
+    if (next == i) {
+      pair_scatter(i, ++next);  // every earlier row is done; the stage drains
+    } else {
+      at += c;
     }
   }
+  if (overlap) {
+    // complete the in-flight halo update; ghost slots are fresh from here
+    // on. Row `next` is now the first deferred row: compute it, replay it
+    // with the staged rows up to the next deferred one, repeat.
+    exchange_->finish_refresh(*this);
+    while (next < n) {
+      boundary_rows += offs[next + 1] > offs[next];
+      in_range += pair_row(next, at, rc2, inv_rc, inv_sqrt_dt);
+      std::size_t stop = next + 1;
+      while (stop < n && !deferred(stop)) ++stop;
+      pair_scatter(next, stop);
+      next = stop;
+    }
+    telemetry::count("dpd.rows.interior", static_cast<double>(interior_rows));
+    telemetry::count("dpd.rows.boundary", static_cast<double>(boundary_rows));
+  }
+  telemetry::count("dpd.pairs.in_range", static_cast<double>(in_range));
 }
 
 void DpdSystem::classify_rows() {
@@ -328,71 +386,6 @@ void DpdSystem::classify_rows() {
       }
   }
   row_class_version_ = nlist_.version();
-}
-
-void DpdSystem::pair_forces_overlapped() {
-  // Split-phase pair pass (comm/compute overlap): interior rows are
-  // gathered and run through the kernel while the halo lanes are in flight,
-  // the exchange is completed, then the boundary rows run against the fresh
-  // ghost pos/vel. Per-pair kernel outputs are *staged* at each row's CSR
-  // offset and scattered afterwards in one replay over rows i = 0..n-1 —
-  // exactly the monolithic pass's accumulation order — so the computed
-  // forces, and hence the trajectory, are bitwise identical to the
-  // non-overlapped run (docs/PERF.md "Overlapped halos").
-  ensure_neighbors();
-  if (row_class_version_ != nlist_.version() || row_interior_.size() != pos_.size())
-    classify_rows();
-  const double rc2 = prm_.rc * prm_.rc;
-  const double inv_rc = 1.0 / prm_.rc;
-  const double inv_sqrt_dt = 1.0 / std::sqrt(prm_.dt);
-  const auto& offs = nlist_.offsets();
-  const auto& nbr = nlist_.neighbors();
-  const std::size_t n = pos_.size();
-  const std::size_t total = nlist_.pair_count();
-  stage_.r2.resize(total);
-  stage_.fx.resize(total);
-  stage_.fy.resize(total);
-  stage_.fz.resize(total);
-  std::size_t interior_rows = 0, boundary_rows = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t lo = offs[i], m = offs[i + 1] - lo;
-    if (m == 0) continue;
-    if (!row_interior_[i]) {
-      ++boundary_rows;
-      continue;
-    }
-    ++interior_rows;
-    batch_.resize(m);
-    pair_row(i, lo, m, inv_rc, inv_sqrt_dt, stage_.r2.data() + lo, stage_.fx.data() + lo,
-             stage_.fy.data() + lo, stage_.fz.data() + lo);
-  }
-  // complete the in-flight halo update; ghost slots are fresh from here on
-  exchange_->finish_refresh(*this);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (row_interior_[i]) continue;
-    const std::size_t lo = offs[i], m = offs[i + 1] - lo;
-    if (m == 0) continue;
-    batch_.resize(m);
-    pair_row(i, lo, m, inv_rc, inv_sqrt_dt, stage_.r2.data() + lo, stage_.fx.data() + lo,
-             stage_.fy.data() + lo, stage_.fz.data() + lo);
-  }
-  double* gx = frc_.xs().data();
-  double* gy = frc_.ys().data();
-  double* gz = frc_.zs().data();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = offs[i]; k < offs[i + 1]; ++k) {
-      if (stage_.r2[k] >= rc2 || stage_.r2[k] <= 1e-20) continue;
-      const std::size_t j = nbr[k];
-      gx[i] -= stage_.fx[k];
-      gy[i] -= stage_.fy[k];
-      gz[i] -= stage_.fz[k];
-      gx[j] += stage_.fx[k];
-      gy[j] += stage_.fy[k];
-      gz[j] += stage_.fz[k];
-    }
-  }
-  telemetry::count("dpd.rows.interior", static_cast<double>(interior_rows));
-  telemetry::count("dpd.rows.boundary", static_cast<double>(boundary_rows));
 }
 
 void DpdSystem::compute_forces() {

@@ -94,7 +94,7 @@ struct DpdParams {
   /// Verlet-list skin radius: the neighbor list covers rc + skin and is
   /// reused until some particle moves farther than skin/2 (0 disables
   /// reuse: rebuild on every force evaluation).
-  double skin = 0.3;
+  double skin = kDefaultSkin;
 
   /// Pair coefficients by species (symmetric): conservative repulsion a_ij
   /// and dissipative gamma_ij (sigma_ij = sqrt(2 gamma_ij kBT)).
@@ -277,18 +277,20 @@ public:
 private:
   void wrap(Vec3& p) const;
   void reflect_walls(std::size_t i);
+  /// The staged pair pass. With a split-phase halo update in flight it
+  /// computes the interior rows (owned-only runs), completes the exchange
+  /// via ExchangeHook::finish_refresh, then computes the boundary rows;
+  /// otherwise every row is interior. Each row is scatter-replayed once
+  /// every earlier row is done, so forces accumulate in canonical CSR row
+  /// order — bitwise the same however the rows were scheduled.
   void pair_forces();
-  /// Gather + SIMD kernel for one CSR neighbor row: fills r2/fx/fy/fz for
-  /// the run [lo, lo+m) without touching frc_ (the caller scatters). Both
-  /// pair passes share this so their per-pair arithmetic is identical.
-  void pair_row(std::size_t i, std::size_t lo, std::size_t m, double inv_rc, double inv_sqrt_dt,
-                double* r2_out, double* fx_out, double* fy_out, double* fz_out);
-  /// Split-phase pair pass driving ExchangeHook::finish_refresh: interior
-  /// rows (owned-only runs) compute into staged lanes while the halo lanes
-  /// fly, boundary rows after completion, then one scatter replay in
-  /// canonical CSR row order keeps the accumulation order — and hence the
-  /// trajectory — bitwise equal to the monolithic pass.
-  void pair_forces_overlapped();
+  /// Compute CSR row i into the stage at `at`: r2 for the whole run, then
+  /// the noise, coefficients and SIMD kernel for its in-range lanes only.
+  /// Records the row's (start, count) and returns the count.
+  std::size_t pair_row(std::size_t i, std::size_t at, double rc2, double inv_rc,
+                       double inv_sqrt_dt);
+  /// Scatter-replay the staged rows [lo, hi) into frc_, in row order.
+  void pair_scatter(std::size_t lo, std::size_t hi);
   /// Mark rows whose full neighbor run touches only owned particles
   /// (cached per neighbor-list version).
   void classify_rows();
@@ -322,29 +324,34 @@ private:
   // analyze: no-checkpoint (derived from prm_ in the constructor)
   std::array<double, kNumSpecies * kNumSpecies> a_tab_{}, g_tab_{}, sig_tab_{};
 
-  // reusable scratch: predicted velocities (integrator) and the gathered
-  // per-run pair batch handed to la::simd::dpd_pair_forces. Dead between
-  // calls — never checkpointed.
+  // reusable scratch: predicted velocities (integrator) and the compacted
+  // in-range lanes of one row handed to la::simd::dpd_pair_forces. Dead
+  // between calls — never checkpointed.
   // analyze: no-checkpoint (integrator scratch, recomputed within every step)
   SoA3 v_pred_;
   struct PairBatch {
-    std::vector<double> dx, dy, dz, r2, dvx, dvy, dvz, zeta, a, g, sig, fx, fy, fz;
-    void resize(std::size_t m);
+    std::vector<double> dx, dy, dz, r2, dvx, dvy, dvz, zeta, a, g, sig;
+    void grow(std::size_t m);
   };
   // analyze: no-checkpoint (pair-loop scratch, dead between force passes)
   PairBatch batch_;
 
-  // Overlapped pair pass state: which CSR rows touch only owned particles
-  // (cached per neighbor-list version) and the staged per-pair kernel
-  // outputs that the canonical-order scatter replay consumes.
+  // Which CSR rows touch only owned particles (cached per neighbor-list
+  // version; read only while a split-phase halo update is in flight).
   // analyze: no-checkpoint (derived from the neighbor list, reclassified per list version)
   std::vector<char> row_interior_;
   // analyze: no-checkpoint (cache key: nlist_.version() at classification time)
   std::uint64_t row_class_version_ = ~std::uint64_t{0};
+  // The pair stage: each computed row's in-range partners j and kernel
+  // forces, at [start[i], start[i] + count[i]), until its scatter replay.
+  // Only rows computed ahead of an unfinished earlier row stay staged.
   struct PairStage {
-    std::vector<double> r2, fx, fy, fz;
+    std::vector<std::uint32_t> j;
+    std::vector<double> fx, fy, fz;
+    std::vector<std::size_t> start, count;
+    void grow(std::size_t lanes);
   };
-  // analyze: no-checkpoint (overlap staging scratch, dead between force passes)
+  // analyze: no-checkpoint (pair-pass staging scratch, dead between force passes)
   PairStage stage_;
 
   std::uint64_t step_ = 0;

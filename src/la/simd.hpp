@@ -56,8 +56,9 @@ void scale(double a, double* x, std::size_t n);                   // x *= a
 //   fmag = a w - g w^2 rv + sig w zeta inv_sqrt_dt
 //   f    = (dx, dy, dz) * fmag / r        (i receives -f)
 //
-// Lanes with r >= rc or r ~ 0 produce values the caller must discard (the
-// kernel does not filter; out-of-range lanes may be non-finite). Within one
+// The kernel does not filter: callers pass only in-range lanes (DpdSystem
+// compacts away r >= rc and r ~ 0 before the call; such lanes would yield
+// meaningless or non-finite forces), and a NaN input lane yields NaN. Within one
 // ISA path the result for a lane is a pure function of that lane's inputs —
 // independent of n and of the lane's position in the batch (the AVX2 tail is
 // padded through the same 4-wide body) — so callers may re-batch the same

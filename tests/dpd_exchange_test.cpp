@@ -539,7 +539,7 @@ TEST(ExchangeTelemetry, OverlapCountersAndAsyncTagClass) {
 
 TEST(ExchangeModules, BondsAndPlateletsMatchSingleRankBitwise) {
   // Platelet adhesion (cutoff 1.5) reaches beyond the rc + skin pair halo
-  // (1.3): the driver must be told, via halo_width, to ghost the wider
+  // (1.2): the driver must be told, via halo_width, to ghost the wider
   // shell. Bonds and platelet slot tables are replicated and gid-keyed;
   // owner-decided state transitions are re-synced after every step.
   const int steps = 25;

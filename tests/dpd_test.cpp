@@ -1,13 +1,17 @@
-// Tests for the DPD engine: pair search, force symmetry/momentum
-// conservation, thermostat equilibrium, Poiseuille flow against continuum
-// theory, wall no-penetration, inflow/outflow bookkeeping, bonded RBC rings,
-// and platelet aggregation dynamics.
+// Tests for the DPD engine: pair search, the pair pass against a per-pair
+// reference, force symmetry/momentum conservation, thermostat equilibrium,
+// Poiseuille flow against continuum theory, wall no-penetration,
+// inflow/outflow bookkeeping, bonded RBC rings, and platelet aggregation
+// dynamics.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "dpd/bonds.hpp"
 #include "dpd/buffers.hpp"
@@ -17,6 +21,8 @@
 #include "dpd/sampling.hpp"
 #include "dpd/system.hpp"
 #include "dpd/viscometry.hpp"
+#include "la/simd.hpp"
+#include "telemetry/registry.hpp"
 
 namespace {
 
@@ -557,6 +563,113 @@ TEST(Dpd, TinyPeriodicBoxCountsPairsOnce) {
   for (int s = 0; s < 20; ++s) sys.step();
   const auto p1 = sys.total_momentum();
   EXPECT_NEAR(p1.x, p0.x, 1e-9);
+}
+
+/// Pair forces by the plain rule: walk the CSR rows in order, one kernel
+/// lane per listed pair, skipping `r2 >= rc2 || r2 <= 1e-20`.
+struct PairReference {
+  std::vector<dpd::Vec3> f;
+  double in_range = 0.0;  ///< pairs not skipped
+};
+
+PairReference per_pair_reference(const dpd::DpdSystem& sys) {
+  const auto& prm = sys.params();
+  const double rc2 = prm.rc * prm.rc, inv_rc = 1.0 / prm.rc;
+  const double inv_sqrt_dt = 1.0 / std::sqrt(prm.dt);
+  const auto& offs = sys.neighbor_list().offsets();
+  const auto& nbr = sys.neighbor_list().neighbors();
+  PairReference ref{std::vector<dpd::Vec3>(sys.size())};
+  for (std::size_t i = 0; i < sys.size(); ++i)
+    for (std::size_t k = offs[i]; k < offs[i + 1]; ++k) {
+      const std::size_t j = nbr[k];
+      const dpd::Vec3 d = sys.min_image(sys.positions()[i], sys.positions()[j]);
+      const double r2 = d.x * d.x + d.y * d.y + d.z * d.z;
+      if (r2 >= rc2 || r2 <= 1e-20) continue;
+      const dpd::Vec3 dv = sys.velocities()[j] - sys.velocities()[i];
+      const double zeta =
+          dpd::pair_gaussian_like(sys.step_count(), sys.gid_of(i), sys.gid_of(j));
+      const auto si = sys.species()[i], sj = sys.species()[j];
+      const double a = prm.a[si][sj], g = prm.gamma[si][sj];
+      const double sig = std::sqrt(2.0 * g * prm.kBT);
+      dpd::Vec3 fj;
+      la::simd::dpd_pair_forces(1, inv_rc, inv_sqrt_dt, &d.x, &d.y, &d.z, &r2, &dv.x, &dv.y,
+                                &dv.z, &zeta, &a, &g, &sig, &fj.x, &fj.y, &fj.z);
+      ref.f[i] -= fj;
+      ref.f[j] += fj;
+      ref.in_range += 1.0;
+    }
+  return ref;
+}
+
+/// Bitwise equal, except that any NaN matches any NaN.
+bool same_bits(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) || std::bit_cast<std::uint64_t>(a) ==
+                                                 std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(Dpd, PairPassMatchesPerPairReference) {
+  // Hand-placed pairs on every edge of the pair pass's keep test, in groups
+  // far enough apart (> rc + skin) not to list each other. A pair at r = rc
+  // gets w = 0 and so a zero force either way; the dpd.pairs.in_range
+  // counter is what shows that it was dropped.
+  dpd::DpdParams prm;
+  prm.box = {8.0, 8.0, 8.0};
+  prm.periodic = {true, false, false};
+  prm.skin = 0.3;
+  prm.wall_force = 0.0;
+  prm.a[dpd::kSolvent][dpd::kPlatelet] = prm.a[dpd::kPlatelet][dpd::kSolvent] = 40.0;
+  prm.gamma[dpd::kSolvent][dpd::kRbcBead] = prm.gamma[dpd::kRbcBead][dpd::kSolvent] = 9.0;
+  dpd::DpdSystem sys(prm, std::make_shared<dpd::NoWalls>());
+  int v = 0;
+  auto add = [&](double x, double y, double z, dpd::Species s) {
+    ++v;
+    return sys.add_particle({x, y, z}, {0.1 * v, -0.05 * v, 0.3 - 0.07 * v}, s);
+  };
+  const auto at_rc_a = add(1.0, 1.0, 1.0, dpd::kSolvent);  // dx = 1.0: r == rc, excluded
+  const auto at_rc_b = add(2.0, 1.0, 1.0, dpd::kSolvent);
+  const auto below_a = add(1.0, 3.0, 1.0, dpd::kSolvent);  // r just below rc
+  const auto below_b = add(1.0, 3.0 + 0.99999, 1.0, dpd::kRbcBead);
+  const auto same_a = add(1.0, 6.0, 1.0, dpd::kRbcBead);  // coincident: r2 = 0, excluded
+  const auto same_b = add(1.0, 6.0, 1.0, dpd::kSolvent);
+  const auto shell_a = add(4.0, 1.0, 4.0, dpd::kSolvent);  // rc < r < rc + skin, excluded
+  add(4.0 + 1.1, 1.0, 4.0, dpd::kPlatelet);
+  add(4.0, 1.0 + 1.25, 4.0, dpd::kRbcBead);
+  const auto wrap_a = add(0.2, 6.5, 6.5, dpd::kPlatelet);  // across the periodic x wrap
+  const auto wrap_b = add(7.6, 6.5, 6.5, dpd::kSolvent);
+  for (int k = 0; k < 7; ++k)  // a mixed-species cluster: rows longer than one SIMD block
+    add(4.0 + 0.21 * k, 5.0 + 0.13 * (k % 3), 1.5 + 0.11 * (k % 2),
+        static_cast<dpd::Species>(k % dpd::kNumSpecies));
+
+  auto expect_reference = [&] {
+    telemetry::Registry::local().clear();
+    sys.compute_forces();
+    const auto ref = per_pair_reference(sys);
+    for (std::size_t i = 0; i < sys.size(); ++i) {
+      const dpd::Vec3 f = sys.forces()[i];
+      EXPECT_TRUE(same_bits(f.x, ref.f[i].x) && same_bits(f.y, ref.f[i].y) &&
+                  same_bits(f.z, ref.f[i].z))
+          << "particle " << i;
+    }
+    const auto counters = telemetry::Registry::local().counters();
+    EXPECT_EQ(counters.at("dpd.pairs.in_range").value, ref.in_range);
+  };
+  expect_reference();
+  // every excluded pair is listed, and contributes nothing
+  EXPECT_EQ(sys.neighbor_list().pair_count(), 3u + 2u + 1u + 21u);
+  for (auto i : {at_rc_a, at_rc_b, same_a, same_b, shell_a})
+    EXPECT_EQ(sys.forces()[i].norm2(), 0.0) << "particle " << i;
+  for (auto i : {below_a, below_b, wrap_a, wrap_b})
+    EXPECT_GT(sys.forces()[i].norm2(), 0.0) << "particle " << i;
+
+  // A NaN position passes the Verlet check (NaN > lim is false), so the
+  // list is reused with the NaN particle's pairs still in it; the keep test
+  // keeps them, as the skip test always did, and both partners go NaN.
+  sys.positions().xs()[below_a] = std::nan("");
+  expect_reference();
+  EXPECT_EQ(sys.neighbor_list().rebuilds(), 1u);
+  EXPECT_TRUE(std::isnan(sys.forces()[below_b].x));
+  EXPECT_TRUE(std::isnan(sys.forces()[below_a].x));
+  EXPECT_EQ(sys.forces()[at_rc_a].norm2(), 0.0);
 }
 
 }  // namespace

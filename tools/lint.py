@@ -28,24 +28,20 @@ dpd-no-std-function
     setup-time callbacks (body force, coupling velocity fields) that are
     evaluated at most once per particle, never per pair.
 
-sem-hot-alloc
-    Inside `apply_*` / `elem_*` function bodies under src/sem/, constructing
-    a `std::vector` is a per-apply heap allocation in the operator hot path
-    (the SEM fast path hoists all element scratch into persistent members;
-    see docs/PERF.md). Lines must carry a `// lint: sem-alloc-ok (<reason>)`
-    marker (on the line or the 2 lines above) to opt out — used by the
-    retained `_reference` baselines, which deliberately keep the per-call
-    scratch they are benchmarked against.
-
-exchange-hot-alloc
-    Inside the halo fast-path bodies under src/dpd/exchange/
-    (`begin_update` / `finish_update` and the `pack_*` / `unpack_*`
-    packers), constructing a `std::vector` is a per-force-pass heap
-    allocation; the exchangers hoist
-    all pack/recv scratch into persistent members (see docs/PERF.md). Lines
-    opt out with a `// lint: exchange-alloc-ok (<reason>)` marker (on the
-    line or the 2 lines above). Cold paths (build, plan construction,
-    migration merges) are not gated.
+sem-hot-alloc, exchange-hot-alloc, pair-hot-alloc
+    Constructing a `std::vector` inside a hot-path function body is a heap
+    allocation per apply or per force pass; the fast paths hoist all scratch
+    into persistent members (see docs/PERF.md). One table (HOT_ALLOC_RULES)
+    gives each rule its path scope, the bodies it gates and its opt-out
+    marker, `// lint: <marker> (<reason>)` on the line or the 2 lines above:
+      sem-hot-alloc       src/sem/, `apply_*` / `elem_*`; sem-alloc-ok (the
+                          retained `_reference` baselines keep their scratch)
+      exchange-hot-alloc  src/dpd/exchange/, `begin_update` / `finish_update`
+                          and the `pack_*` / `unpack_*` packers;
+                          exchange-alloc-ok (build, plan and migration paths
+                          are cold and not gated)
+      pair-hot-alloc      src/dpd/system.cpp, the `DpdSystem::pair_*` pair
+                          pass; pair-alloc-ok
 
 sched-context
     Rank-visible code (src/xmp/, src/telemetry/) must not introduce raw
@@ -82,7 +78,7 @@ import pathlib
 import re
 import sys
 
-# The token-level rules (memcpy-divisibility, sched-context, sem-hot-alloc,
+# The token-level rules (memcpy-divisibility, sched-context, *-hot-alloc,
 # dpd-no-std-function) match against comment/string-stripped lines produced
 # by the analyzer's C++ tokenizer, so a rule name mentioned in a comment or a
 # log string is never a finding. Markers, by contrast, live in comments and
@@ -102,13 +98,22 @@ MEMCPY_OK_RE = re.compile(r"//\s*lint:\s*memcpy-ok")
 NO_TRACE_RE = re.compile(r"//\s*lint:\s*no-trace")
 STD_FUNCTION_RE = re.compile(r"\bstd\s*::\s*function\s*<")
 STD_FUNCTION_OK_RE = re.compile(r"//\s*lint:\s*std-function-ok")
-SEM_HOT_FN_RE = re.compile(r"\b(?:\w+\s*::\s*)?((?:apply_|elem_)\w*)\s*\(")
-EXCHANGE_HOT_FN_RE = re.compile(
-    r"\b(?:\w+\s*::\s*)?"
-    r"(begin_update|finish_update|pack_\w+|unpack_\w+)\s*\(")
 STD_VECTOR_CTOR_RE = re.compile(r"\bstd\s*::\s*vector\s*<")
-SEM_ALLOC_OK_RE = re.compile(r"//\s*lint:\s*sem-alloc-ok")
-EXCHANGE_ALLOC_OK_RE = re.compile(r"//\s*lint:\s*exchange-alloc-ok")
+# (rule, path prefix, gated function bodies, opt-out marker, what they are)
+HOT_ALLOC_RULES = [
+    (rule, scope, re.compile(rf"\b(?:\w+\s*::\s*)?({fn})\s*\("),
+     re.compile(rf"//\s*lint:\s*{marker}"), marker, what)
+    for rule, scope, fn, marker, what in [
+        ("sem-hot-alloc", "src/sem/", r"(?:apply_|elem_)\w*", "sem-alloc-ok",
+         "an apply_*/elem_* SEM hot path allocates per apply"),
+        ("exchange-hot-alloc", "src/dpd/exchange/",
+         r"begin_update|finish_update|pack_\w+|unpack_\w+", "exchange-alloc-ok",
+         "a halo fast-path body (begin_update/finish_update/pack_*/unpack_*) "
+         "allocates every force pass"),
+        ("pair-hot-alloc", "src/dpd/system.cpp", r"DpdSystem\s*::\s*pair_\w+",
+         "pair-alloc-ok", "a DpdSystem::pair_* body allocates every force pass"),
+    ]
+]
 THREAD_IDENTITY_RE = re.compile(r"\bthread_local\b|\bstd\s*::\s*this_thread\s*::\s*get_id\b")
 SCHED_CONTEXT_OK_RE = re.compile(r"//\s*lint:\s*sched-context-ok")
 SCHEMA_FN_RE = re.compile(r"\b(parse|serialize)_(\w+)\s*\(")
@@ -333,41 +338,23 @@ def lint_file(path: pathlib.Path, repo_root: pathlib.Path) -> list[Finding]:
     in_src = rel.startswith("src/")
     in_xmp = rel.startswith("src/xmp/")
     in_dpd_header = rel.startswith("src/dpd/") and path.suffix == ".hpp"
-    in_sem = rel.startswith("src/sem/")
-    in_exchange = rel.startswith("src/dpd/exchange/")
     in_rank_visible = in_xmp or rel.startswith("src/telemetry/")
 
     if rel == "src/scenario/schema.cpp":
         findings.extend(schema_sync_findings(rel, lines))
 
-    if in_sem:
-        for lo, hi in hot_fn_ranges(clines, SEM_HOT_FN_RE):
+    for rule, scope, fn_re, ok_re, marker, what in HOT_ALLOC_RULES:
+        if not rel.startswith(scope):
+            continue
+        for lo, hi in hot_fn_ranges(clines, fn_re):
             for i in range(lo, hi + 1):
-                if not vector_ctor_on_line(clines[i]):
-                    continue
-                if marker_near(lines, i, SEM_ALLOC_OK_RE, MARKER_BACKWINDOW):
-                    continue
-                findings.append(Finding(
-                    rel, i + 1, "sem-hot-alloc",
-                    "std::vector construction inside an apply_*/elem_* SEM hot "
-                    "path allocates per apply; use the persistent member "
-                    "scratch, or mark a deliberate baseline with `// lint: "
-                    "sem-alloc-ok (<reason>)`"))
-
-    if in_exchange:
-        for lo, hi in hot_fn_ranges(clines, EXCHANGE_HOT_FN_RE):
-            for i in range(lo, hi + 1):
-                if not vector_ctor_on_line(clines[i]):
-                    continue
-                if marker_near(lines, i, EXCHANGE_ALLOC_OK_RE, MARKER_BACKWINDOW):
-                    continue
-                findings.append(Finding(
-                    rel, i + 1, "exchange-hot-alloc",
-                    "std::vector construction inside a halo fast-path body "
-                    "(begin_update/finish_update/pack_*/unpack_*) allocates "
-                    "every force pass; use the hoisted member scratch, or mark "
-                    "a deliberate case with `// lint: exchange-alloc-ok "
-                    "(<reason>)`"))
+                if vector_ctor_on_line(clines[i]) and not marker_near(
+                        lines, i, ok_re, MARKER_BACKWINDOW):
+                    findings.append(Finding(
+                        rel, i + 1, rule,
+                        f"std::vector construction inside {what}; use the "
+                        "persistent member scratch, or mark a deliberate case "
+                        f"with `// lint: {marker} (<reason>)`"))
 
     if in_src and path.suffix == ".hpp":
         head = [l.strip() for l in lines[:5]]
@@ -566,6 +553,16 @@ SELF_TEST_CASES = [
     ("src/dpd/ok_exchange_rule_scoped.cpp",
      "void HaloExchanger::begin_update(DpdSystem& sys) {\n"
      "  std::vector<double> buf(n);\n}\n",
+     set()),
+    ("src/dpd/system.cpp",
+     "void DpdSystem::pair_scatter(std::size_t lo, std::size_t hi) {\n"
+     "  std::vector<double> acc(hi - lo);\n}\n",
+     {"pair-hot-alloc"}),
+    ("src/dpd/system.cpp",
+     "std::size_t DpdSystem::pair_row(std::size_t i, std::size_t at) {\n"
+     "  // lint: pair-alloc-ok (diagnostic copy outside the timed pass)\n"
+     "  std::vector<double> copy(batch_.r2);\n  return 0;\n}\n"
+     "void DpdSystem::compute_forces() {\n  std::vector<double> tmp(n);\n}\n",
      set()),
     ("src/xmp/bad_thread_local.cpp",
      "thread_local int cached_rank = -1;\n",

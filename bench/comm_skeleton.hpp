@@ -7,10 +7,9 @@
 // runtime — hierarchical split into patches (MCI L2/L3), a per-iteration
 // ring halo exchange plus CG-style allreduce inside each patch, and a
 // per-step interface exchange between adjacent patch roots (Sec. 3.2's
-// 3-step pattern, collapsed to the root p2p leg). With the fiber backend
-// (SchedMode::Fibers) this runs at the paper's real rank counts — 4k-64k
-// ranks in one process — so the benches can report measured wall-clock next
-// to the modeled numbers.
+// 3-step pattern, collapsed to the root p2p leg). Ranks are xmp fibers, so
+// this runs at the paper's real rank counts — 4k-64k ranks in one process —
+// and the benches can report measured wall-clock next to the modeled numbers.
 //
 // Absolute measured times are in-process memcpy speeds, not BG/P link
 // speeds; the point of the measured column is that the runtime genuinely
@@ -100,9 +99,9 @@ inline SkeletonResult run_comm_skeleton(const SkeletonConfig& cfg) {
 // ---------------------------------------------------------------------------
 
 /// Flags accepted by table3/4/5: --ranks=N turns on the measured execution,
-/// --sched=threads|fibers / --workers=N / --no-guard-pages configure the
-/// executor, --patches/--steps/--iters size the skeleton. Unknown flags fail
-/// loudly so CI typos don't silently run the wrong config.
+/// --workers=N / --stack-kb=N / --no-guard-pages configure the fiber
+/// scheduler, --patches/--steps/--iters size the skeleton. Unknown flags
+/// fail loudly so CI typos don't silently run the wrong config.
 struct ScalingCli {
   int ranks = 0;  ///< 0: modeled tables only (default)
   int patches = 4;
@@ -143,20 +142,10 @@ inline bool parse_scaling_cli(int argc, char** argv, ScalingCli& cli) {
       cli.sched.stack_kb = std::atoi(v.c_str());
     } else if (arg == "--no-guard-pages") {
       cli.sched.guard_pages = false;
-    } else if (value_of(arg, "sched", i, v)) {
-      if (v == "threads")
-        cli.sched.mode = xmp::SchedMode::Threads;
-      else if (v == "fibers")
-        cli.sched.mode = xmp::SchedMode::Fibers;
-      else {
-        std::fprintf(stderr, "unknown --sched value '%s' (threads|fibers)\n", v.c_str());
-        return false;
-      }
     } else {
       std::fprintf(stderr,
-                   "unknown flag '%s'\nusage: %s [--ranks=N] [--sched=threads|fibers] "
-                   "[--workers=N] [--stack-kb=N] [--no-guard-pages] [--patches=N] "
-                   "[--steps=N] [--iters=N]\n",
+                   "unknown flag '%s'\nusage: %s [--ranks=N] [--workers=N] [--stack-kb=N] "
+                   "[--no-guard-pages] [--patches=N] [--steps=N] [--iters=N]\n",
                    arg.c_str(), argv[0]);
       return false;
     }
@@ -179,8 +168,7 @@ inline void run_measured_scaling(const ScalingCli& cli, double modeled_s_per_ste
   cfg.steps = cli.steps;
   cfg.iters_per_step = cli.iters;
   cfg.sched = cli.sched;
-  std::printf("--- measured execution: %d ranks, %s backend ---\n", cfg.ranks,
-              xmp::to_string(cfg.sched.mode));
+  std::printf("--- measured execution: %d fiber ranks ---\n", cfg.ranks);
   const auto r = run_comm_skeleton(cfg);
   const double per_step = r.seconds / cfg.steps;
   std::printf("%d ranks x %d patches, %d steps x %d iters: %.3f s wall "
@@ -192,7 +180,6 @@ inline void run_measured_scaling(const ScalingCli& cli, double modeled_s_per_ste
   rep.set("patches", static_cast<double>(cfg.patches));
   rep.set("steps", static_cast<double>(cfg.steps));
   rep.set("iters_per_step", static_cast<double>(cfg.iters_per_step));
-  rep.set("sched", std::string(xmp::to_string(cfg.sched.mode)));
   rep.set("workers", static_cast<double>(cfg.sched.workers));
   rep.set("measured_s", r.seconds);
   rep.set("measured_s_per_step", per_step);

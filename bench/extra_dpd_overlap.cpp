@@ -5,12 +5,13 @@
 // load balancing — Decomposition::rebalance shifts cut planes toward equal
 // owned counts on a skewed population (DistOptions::rebalance_every). Both
 // are bitwise trajectory-neutral (tests/dpd_exchange_test.cpp), so this
-// bench measures pure wall-time ratios on 4 threads-mode ranks. Prints
+// bench measures pure wall-time ratios on 4 xmp ranks. Prints
 // DPD_OVERLAP_SPEEDUP and DPD_REBALANCE_SPEEDUP for CI to grep and writes
 // BENCH_dpd_overlap.json. Exits non-zero when a ratio falls below
 // NEKTARG_DPD_OVERLAP_MIN_SPEEDUP / NEKTARG_DPD_REBALANCE_MIN_SPEEDUP —
-// unset, the gates are a loose 0.0: threads-mode overlap only pays with
-// real cores (CI pins 1.10 and 1.30 on its 4-core runners).
+// unset, the gates are a loose 0.0: the rank fibers run on min(cores, 8)
+// worker threads, so overlap only pays with real cores (CI pins 1.10 and
+// 1.30 on its 4-core runners).
 
 #include <chrono>
 #include <cstdio>
@@ -91,7 +92,7 @@ std::size_t probe_pairs(bool skewed) {
 }
 
 int main() {
-  std::printf("=== Distributed DPD overlap + rebalancing (%d threads-mode ranks) ===\n", kRanks);
+  std::printf("=== Distributed DPD overlap + rebalancing (%d xmp fiber ranks) ===\n", kRanks);
 
   const std::size_t pairs_balanced = probe_pairs(false);
   const std::size_t pairs_skewed = probe_pairs(true);

@@ -1,12 +1,13 @@
 // Distributed-DPD strong scaling: pairs/sec for the same global system
-// stepped on 1, 2 and 4 threads-mode xmp ranks through the exchange layer
+// stepped on 1, 2 and 4 xmp ranks through the exchange layer
 // (src/dpd/exchange/). The single-rank baseline is the plain engine with no
 // decomposition driver, so the speedup includes every halo/migration
 // overhead the distributed path pays. Prints DPD_SCALING_SPEEDUP (4 ranks
 // vs 1) for CI to grep and writes BENCH_dpd_scaling.json. Exits non-zero
 // when the speedup falls below NEKTARG_DPD_SCALING_MIN_SPEEDUP — unset, the
-// gate is a loose 0.0: threads-mode ranks only scale with real cores, and
-// dev boxes may have one (CI pins 2.0 on its 4-core runners).
+// gate is a loose 0.0: the rank fibers run on min(cores, 8) worker threads,
+// so they only scale with real cores, and dev boxes may have one (CI pins
+// 2.0 on its 4-core runners).
 
 #include <chrono>
 #include <cstdio>
@@ -74,7 +75,7 @@ double time_steps(int nranks) {
 }  // namespace
 
 int main() {
-  std::printf("=== Distributed DPD strong scaling (threads-mode ranks) ===\n");
+  std::printf("=== Distributed DPD strong scaling (xmp fiber ranks) ===\n");
 
   // global pair count at rc, for the pairs/sec normalisation
   auto probe = make_system();

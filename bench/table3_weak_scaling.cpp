@@ -5,7 +5,7 @@
 // Also reprints the Sec. 4.1 large-run claims: 92.3% at 49,152 -> 122,880
 // cores (16 -> 40 patches, 3072 cores/patch).
 
-// With --ranks=N (plus --sched=fibers etc., see comm_skeleton.hpp) the bench
+// With --ranks=N (plus --workers=W etc., see comm_skeleton.hpp) the bench
 // additionally executes the communication skeleton at N real ranks through
 // the xmp runtime and writes BENCH_scaling_table3_weak.json.
 

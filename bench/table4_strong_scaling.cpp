@@ -3,7 +3,7 @@
 // from 1024 to 2048 yields ~75% parallel efficiency in the paper
 // (996.98 -> 650.67 s, 1025.33 -> 685.23 s, 1048.75 -> 703.4 s).
 //
-// With --ranks=N (plus --sched=fibers etc., see comm_skeleton.hpp) the bench
+// With --ranks=N (plus --workers=W etc., see comm_skeleton.hpp) the bench
 // additionally *executes* the communication skeleton at N real ranks through
 // the xmp runtime and writes BENCH_scaling_table4_strong.json with measured
 // wall-clock next to the modeled per-step time.

@@ -6,7 +6,7 @@
 // super-linear (BG/P 107% / 102%; XT5 144%) because halving the per-core
 // working set moves it into cache.
 
-// With --ranks=N (plus --sched=fibers etc., see comm_skeleton.hpp) the bench
+// With --ranks=N (plus --workers=W etc., see comm_skeleton.hpp) the bench
 // additionally executes the communication skeleton at N real ranks through
 // the xmp runtime and writes BENCH_scaling_table5_coupled.json.
 

@@ -2,8 +2,8 @@
 // quickstart-scale channel is stepped once on a single rank and once
 // decomposed over N xmp ranks (src/dpd/exchange/), and the two trajectory
 // digests are compared. They must be *bitwise* equal — any divergence is an
-// exchange bug, and the binary exits non-zero so CI catches it. Runs under
-// both XMP_SCHED modes (CI pins fibers).
+// exchange bug, and the binary exits non-zero so CI catches it. The digest
+// does not depend on XMP_SCHED_WORKERS.
 //
 // Build & run:  cmake --build build && ./build/examples/dpd_decomposed
 //

@@ -303,8 +303,8 @@ EnsembleReport EnsembleEngine::run_pool(const std::vector<Variant>& variants) {
   EnsembleReport rep;
   rep.variants.resize(variants.size());
 
-  // Fibers need room for a whole solver stack on their stacks; keep the
-  // env-selected backend but raise the floor.
+  // Each rank runs a whole solver on its fiber stack; keep the env-selected
+  // options but raise the stack floor.
   xmp::SchedOptions sched = xmp::SchedOptions::from_env();
   if (sched.stack_kb < 4096) sched.stack_kb = 4096;
 

@@ -55,7 +55,7 @@ class CommMatrix {
 public:
   explicit CommMatrix(TagClasses classes = {}) : classes_(std::move(classes)) {}
 
-  /// Thread-safe: callable from any rank thread.
+  /// Thread-safe: callable from any rank, on any worker thread.
   void record(const xmp::TraceEvent& e);
 
   /// Adapter usable as xmp::TraceSink (keeps *this alive by the caller's

@@ -16,7 +16,7 @@ using Clock = std::chrono::steady_clock;
 std::atomic<bool> g_enabled{true};
 
 /// Common time origin for every registry, so Chrome traces from different
-/// rank threads align on one timeline.
+/// ranks align on one timeline.
 Clock::time_point epoch() {
   static const Clock::time_point e = Clock::now();
   return e;
@@ -114,12 +114,11 @@ std::shared_ptr<Registry> make_registered() {
 }  // namespace
 
 Registry& Registry::local() {
-  // Rank-first resolution: under xmp's fiber backend the scheduler exposes a
-  // rank-local slot that migrates with the fiber across worker threads, so
-  // two ranks sharing one worker get distinct registries and one rank
-  // resuming on another worker keeps its own. Plain threads (the reference
-  // backend, benches, main) have no slot and fall back to thread-local
-  // storage exactly as before.
+  // Rank-first resolution: xmp's scheduler exposes a rank-local slot that
+  // migrates with the rank's fiber across worker threads, so two ranks
+  // sharing one worker get distinct registries and one rank resuming on
+  // another worker keeps its own. Plain threads (serial benches, main) have
+  // no slot and fall back to thread-local storage.
   if (std::shared_ptr<void>* slot = xmp::sched::rank_local_slot()) {
     if (!*slot) *slot = make_registered();
     return *static_cast<Registry*>(slot->get());

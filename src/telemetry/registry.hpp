@@ -3,15 +3,14 @@
 //
 // The per-rank store follows the xmp scheduler's rank context:
 // Registry::local() first asks xmp::sched::rank_local_slot() for the current
-// rank's storage (fiber backend: the slot migrates with the fiber across
-// worker threads, so attribution is per rank, never per OS thread) and only
-// falls back to thread-local storage for plain threads — the reference
-// thread-per-rank backend, benches, tests and main(). Either way the
-// registry is created on first use and registered in a process-wide list so
-// exporters can enumerate every rank after a run finishes — the backing
-// storage outlives the rank. A rank announces its identity once via
-// bind_world_rank(); serial code simply uses the default rank -1, reported
-// as "main".
+// rank's storage (the slot migrates with the rank's fiber across worker
+// threads, so attribution is per rank, never per OS thread) and only falls
+// back to thread-local storage for plain threads — serial benches, tests
+// and main(). Either way the registry is created on first use and
+// registered in a process-wide list so exporters can enumerate every rank
+// after a run finishes — the backing storage outlives the rank. A rank
+// announces its identity once via bind_world_rank(); serial code simply uses
+// the default rank -1, reported as "main".
 //
 // Phases nest: ScopedPhase("ns2d.step") { ScopedPhase("helmholtz.solve")
 // { ScopedPhase("cg.solve") ... } } builds the hierarchical tree the paper's
@@ -65,10 +64,11 @@ struct CounterValue {
 
 class Registry {
 public:
-  /// This thread's registry (created and globally registered on first use).
+  /// The calling rank's registry, or this thread's outside any rank (created
+  /// and globally registered on first use).
   static Registry& local();
   /// Every registry created so far, in registration order. The shared_ptrs
-  /// keep rank data alive after the rank threads have joined.
+  /// keep rank data alive after the ranks have finished.
   static std::vector<std::shared_ptr<Registry>> all();
   /// Clear recorded data in every registered registry (test isolation /
   /// between bench cases). Bindings and timeline enablement are kept.

@@ -9,8 +9,8 @@
 //   * collective matching: every rank of a communicator must issue the same
 //     collective sequence — operation kind, element size, root, reduce op,
 //     and (where declared) shape;
-//   * thread affinity: a Comm handle is only used by the rank thread it was
-//     created for;
+//   * rank affinity: a Comm handle is only used by the rank it was created
+//     for;
 //   * p2p/collective deadlock: a wait-for graph over blocked operations with
 //     cycle detection, plus a stall timeout that dumps every rank's blocked
 //     operation (comm, peer, tag, bytes) before aborting the run;
@@ -43,8 +43,8 @@ struct CheckOptions {
   /// sequence (kind / element size / root / reduce op / shape).
   bool verify_collectives = true;
 
-  /// Enforce that every Comm is used only by the rank thread it was created
-  /// for (the documented affinity contract).
+  /// Enforce that every Comm is used only by the rank it was created for
+  /// (the documented affinity contract).
   bool enforce_affinity = true;
 
   /// Maintain the wait-for graph and abort on a verified cycle.
@@ -61,9 +61,10 @@ struct CheckOptions {
 
   LeftoverPolicy leftovers = LeftoverPolicy::Error;
 
-  /// Reads XMP_CHECK (0/1), XMP_CHECK_STALL_MS, XMP_CHECK_POLL_MS and
-  /// XMP_CHECK_LEFTOVER (error|warn|off). Unset variables keep defaults;
-  /// XMP_CHECK unset or 0 leaves `enabled` false.
+  /// Reads XMP_CHECK (0|1), XMP_CHECK_STALL_MS (>= 0, 0 = no stall
+  /// timeout), XMP_CHECK_POLL_MS (>= 1) and XMP_CHECK_LEFTOVER
+  /// (error|warn|off). Unset or empty variables keep defaults; any other
+  /// malformed value throws std::invalid_argument naming the variable.
   static CheckOptions from_env();
 };
 

@@ -2,25 +2,26 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <sstream>
+
+#include "xmp/env.hpp"
 
 namespace xmp {
 
 CheckOptions CheckOptions::from_env() {
   CheckOptions o;
-  auto get = [](const char* name) -> const char* { return std::getenv(name); };
-  if (const char* v = get("XMP_CHECK")) o.enabled = v[0] != '\0' && v[0] != '0';
-  if (const char* v = get("XMP_CHECK_STALL_MS"))
-    o.stall_timeout = std::chrono::milliseconds(std::atol(v));
-  if (const char* v = get("XMP_CHECK_POLL_MS"))
-    o.poll_interval = std::chrono::milliseconds(std::max(1L, std::atol(v)));
-  if (const char* v = get("XMP_CHECK_LEFTOVER")) {
-    const std::string s = v;
-    if (s == "warn") o.leftovers = LeftoverPolicy::Warn;
-    else if (s == "off") o.leftovers = LeftoverPolicy::Off;
-    else o.leftovers = LeftoverPolicy::Error;
+  if (auto v = detail::env_flag("XMP_CHECK")) o.enabled = *v;
+  constexpr long kDayMs = 24L * 3600 * 1000;
+  if (auto v = detail::env_int("XMP_CHECK_STALL_MS", 0, kDayMs))
+    o.stall_timeout = std::chrono::milliseconds(*v);
+  if (auto v = detail::env_int("XMP_CHECK_POLL_MS", 1, kDayMs))
+    o.poll_interval = std::chrono::milliseconds(*v);
+  if (auto v = detail::env_str("XMP_CHECK_LEFTOVER")) {
+    if (*v == "error") o.leftovers = LeftoverPolicy::Error;
+    else if (*v == "warn") o.leftovers = LeftoverPolicy::Warn;
+    else if (*v == "off") o.leftovers = LeftoverPolicy::Off;
+    else detail::env_invalid("XMP_CHECK_LEFTOVER", *v, "error, warn or off");
   }
   return o;
 }
@@ -58,10 +59,9 @@ Checker::~Checker() { stop_watchdog(); }
 void Checker::check_affinity(const Group& g, int local_rank, const char* op) const {
   if (!opts_.enforce_affinity) return;
   // Identity comes from the scheduler's rank context, never from the OS
-  // thread: under the fiber backend a rank legally migrates between worker
-  // threads, and a thread-id comparison would fire falsely. A helper thread
-  // spawned by user code has no rank context (current_rank() == -1) and is
-  // caught exactly as before.
+  // thread: a rank legally migrates between worker threads, and a thread-id
+  // comparison would fire falsely. A helper thread spawned by user code has
+  // no rank context (current_rank() == -1) and is caught.
   const int w = world_of(g, local_rank);
   const int cur = sched::current_rank();
   if (cur == w) return;

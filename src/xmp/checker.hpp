@@ -1,6 +1,6 @@
 #pragma once
 // Checked-mode verifier (see check.hpp for the user-facing contract). One
-// Checker exists per checked run, owned by the RunState. Rank threads call
+// Checker exists per checked run, owned by the RunState. Rank fibers call
 // the hooks from comm.cpp; a watchdog thread polls the wait registry for
 // deadlock cycles and stalls. Internal header.
 
@@ -18,7 +18,7 @@
 namespace xmp::detail {
 
 /// What a blocked rank is waiting on. One slot per world rank, each behind
-/// its own mutex so rank threads never contend with each other — only with
+/// its own mutex so ranks never contend with each other — only with
 /// the (rare) watchdog poll.
 struct BlockedOp {
   enum class Kind : std::uint8_t { None, Recv, Collective };
@@ -42,8 +42,8 @@ public:
   const CheckOptions& options() const { return opts_; }
 
   // -- rank affinity ---------------------------------------------------------
-  /// Throws CheckError when the calling execution context (fiber or rank
-  /// thread, per sched::current_rank) is not `local_rank`'s owner.
+  /// Throws CheckError when the calling execution context (per
+  /// sched::current_rank) is not `local_rank`'s owner.
   void check_affinity(const Group& g, int local_rank, const char* op) const;
 
   // -- collective matching ---------------------------------------------------
@@ -65,16 +65,16 @@ public:
                                  bool is_send);
   void complete_pending(std::uint64_t id);
   /// Reports Pending handles never completed by wait()/test(); same
-  /// LeftoverPolicy handling as report_leftovers. Call after all rank
-  /// threads joined, on the clean-run path.
+  /// LeftoverPolicy handling as report_leftovers. Call after every rank
+  /// finished, on the clean-run path.
   void report_leaked_pending();
 
   // -- watchdog / run end ----------------------------------------------------
   void start_watchdog();
   void stop_watchdog();
   /// Scans every communicator's mailboxes after a clean run; throws
-  /// CheckError (or warns) per LeftoverPolicy. Must be called after all rank
-  /// threads joined.
+  /// CheckError (or warns) per LeftoverPolicy. Must be called after every
+  /// rank finished.
   void report_leftovers();
   /// Retains the group so end-of-run leftover reporting can reach it even
   /// after every Comm handle died.

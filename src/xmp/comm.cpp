@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <thread>
 
 #include "xmp/checker.hpp"
 #include "xmp/detail.hpp"
@@ -73,6 +72,9 @@ std::shared_ptr<void> Group::collective(int rank, const void* ptr, std::size_t b
 #ifdef XMP_CHECKED
   if (rs->checker) rs->checker->check_affinity(*this, rank, to_string(desc.kind));
 #endif
+  // Refuse a non-rank caller before it touches the slot, not inside the
+  // WaitCv park where its input would already be registered.
+  require_rank_fiber();
   std::unique_lock lk(cmu);
   check_abort();
   const std::uint64_t mygen = gen;
@@ -301,9 +303,9 @@ std::vector<std::uint8_t> Pending::wait(int* out_src, int* out_tag) {
   }
   if (!st.matched) {
     // Same match/park loop as Group::recv: parking goes through WaitCv, so
-    // under the fiber scheduler this wait() is a yield point, and the
-    // checked-mode watchdog sees it as a blocked recv (wait-for cycles
-    // through Pending::wait are diagnosed like recv deadlocks).
+    // this wait() is a yield point, and the checked-mode watchdog sees it as
+    // a blocked recv (wait-for cycles through Pending::wait are diagnosed
+    // like recv deadlocks).
     detail::Mailbox& box = *g.boxes[static_cast<std::size_t>(st.me)];
     std::unique_lock lk(box.mu);
     auto match = [&]() -> std::deque<detail::Message>::iterator {
@@ -377,7 +379,7 @@ bool Pending::test() {
   }
   // A failed poll is a cooperative yield point: the caller's
   // `while (!test())` loop must let the polled-on rank run even on a
-  // single fiber worker (threads are preemptive, fibers are not).
+  // single worker.
   detail::fiber_yield();
   return false;
 }
@@ -633,7 +635,7 @@ void run(int nranks, const std::function<void(Comm&)>& fn, TraceSink trace,
   auto rs = std::make_shared<detail::RunState>();
   rs->world_size = nranks;
   if (trace) {
-    // Installed before any rank thread exists: trivially race-free.
+    // Installed before any rank exists: trivially race-free.
     rs->trace = std::move(trace);
     rs->has_trace.store(true, std::memory_order_release);
   }
@@ -666,9 +668,9 @@ void run(int nranks, const std::function<void(Comm&)>& fn, TraceSink trace,
   std::exception_ptr first_error;
   std::mutex err_mu;
 
-  // Backend-independent rank body: both executors call it with the rank
-  // context (sched::current_rank) already established.
-  auto rank_main = [&](int r) {
+  // The scheduler establishes the rank context (sched::current_rank) before
+  // each fiber runs.
+  detail::FiberScheduler(sched).run(nranks, [&](int r) {
     Comm c(world, r);
     try {
       fn(c);
@@ -679,22 +681,7 @@ void run(int nranks, const std::function<void(Comm&)>& fn, TraceSink trace,
       }
       rs->abort_all();
     }
-  };
-
-  if (sched.mode == SchedMode::Fibers) {
-    detail::FiberScheduler fs(sched);
-    fs.run(nranks, rank_main);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(nranks));
-    for (int r = 0; r < nranks; ++r) {
-      threads.emplace_back([&, r] {
-        sched::detail::set_current_rank(r);
-        rank_main(r);
-      });
-    }
-    for (auto& t : threads) t.join();
-  }
+  });
 #ifdef XMP_CHECKED
   if (rs->checker) rs->checker->stop_watchdog();
 #endif

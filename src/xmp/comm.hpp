@@ -5,9 +5,9 @@
 // algorithm over MPI communicators: the World communicator is split into
 // topology groups (L2), task groups (L3) and interface groups (L4), and all
 // coupling traffic flows point-to-point between group roots. We reproduce
-// that algorithm faithfully on an in-process runtime where each rank is an
-// OS thread (reference backend) or a cooperatively scheduled fiber
-// (sched/sched.hpp, scaling to 4k-64k ranks in one process):
+// that algorithm faithfully on an in-process runtime where each rank is a
+// cooperatively scheduled fiber (sched/sched.hpp, scaling to 4k-64k ranks
+// in one process):
 //   * communicators with rank/size, collective split (color/key),
 //   * blocking tagged p2p send/recv (any-source supported),
 //   * collectives: barrier, bcast, gather(v), scatter(v), allgather(v),
@@ -15,13 +15,12 @@
 //   * a traffic trace hook so tests and the machine model can observe the
 //     exact message pattern an algorithm generates,
 //   * an optional checked mode (check.hpp) verifying collective matching,
-//     thread affinity, deadlock freedom and mailbox hygiene at run time.
+//     rank affinity, deadlock freedom and mailbox hygiene at run time.
 //
 // A failed rank (uncaught exception) aborts the whole run: every blocked
 // rank wakes and throws AbortedError, and xmp::run rethrows the original
 // exception to the caller, so tests fail loudly instead of deadlocking.
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -118,8 +117,8 @@ struct PendingState;
 /// Handle to a nonblocking point-to-point operation (Comm::isend_bytes /
 /// Comm::irecv_bytes). wait() completes the operation — for receives it
 /// blocks until a matching message arrives, and like every runtime blocking
-/// point it is a fiber *yield* point under the fiber scheduler (the parked
-/// rank's worker runs other ranks); test() is a nonblocking completion
+/// point it is a fiber *yield* point (the parked rank's worker runs other
+/// ranks); test() is a nonblocking completion
 /// probe. Every handle must be completed by wait() (or a test() that
 /// returned true) before the run ends: checked mode audits handle hygiene
 /// and reports leaked handles the way it reports leftover mailbox messages.
@@ -146,9 +145,8 @@ public:
   /// Nonblocking completion probe: true when wait() would return without
   /// blocking. A matching message is claimed off the mailbox immediately,
   /// so a true result is stable and the payload stays reserved for wait().
-  /// A false result is a cooperative yield point under the fiber scheduler
-  /// (the polled-on rank gets a turn), so `while (!p.test())` loops make
-  /// progress on any worker count.
+  /// A false result is a cooperative yield point (the polled-on rank gets a
+  /// turn), so `while (!p.test())` loops make progress on any worker count.
   bool test();
 
 private:
@@ -158,9 +156,10 @@ private:
 };
 
 /// Rank-local handle to a communicator. Cheap to copy; all copies refer to
-/// the same group. Rank-affine: a Comm must only be used by the rank
-/// (thread or fiber) it was created for — checked builds enforce this via
-/// the scheduler's rank context (sched::current_rank).
+/// the same group. Rank-affine: a Comm must only be used by the rank it was
+/// created for — checked builds enforce this via the scheduler's rank
+/// context (sched::current_rank), and a blocking call from a thread outside
+/// any rank throws std::logic_error even unchecked.
 class Comm {
 public:
   Comm() = default;
@@ -254,8 +253,8 @@ public:
   /// traffic; calling it on a communicator that does not span the whole run
   /// throws std::logic_error. To observe a run from the very first message,
   /// pass the sink to xmp::run() instead, which installs it before any rank
-  /// thread starts. The sink itself is invoked under a mutex and may be
-  /// called from any rank thread.
+  /// starts. The sink itself is invoked under a mutex and may be called from
+  /// any rank, on any worker thread.
   void set_trace(TraceSink sink) const;
 
   /// Internal: report one logical transfer (local ranks of this comm) to the
@@ -440,16 +439,14 @@ std::vector<T> Comm::scatterv(const std::vector<std::vector<T>>& parts, int root
 }
 
 /// Launch `nranks` ranks, each running fn with its world communicator, and
-/// rethrow the first rank failure after every rank has stopped. `sched`
-/// selects the executor (sched/sched.hpp): SchedMode::Threads runs one OS
-/// thread per rank (the reference backend); SchedMode::Fibers multiplexes
-/// cooperatively scheduled fibers over a worker pool, executing 4k-64k ranks
-/// on a laptop. Semantics are identical under both backends.
+/// rethrow the first rank failure after every rank has stopped. Every rank
+/// is a cooperatively scheduled fiber; `sched` sizes the worker pool and the
+/// fiber stacks (sched/sched.hpp), executing 4k-64k ranks on a laptop.
 /// A non-null `trace` sink is installed before any rank starts (the
 /// race-free way to observe a run's traffic from its first message) and
 /// stays installed for the whole run unless replaced via Comm::set_trace.
 /// The shorter overloads read CheckOptions::from_env() and/or
-/// SchedOptions::from_env(), so exporting XMP_CHECK=1 or XMP_SCHED=fibers
+/// SchedOptions::from_env(), so exporting XMP_CHECK=1 or XMP_SCHED_WORKERS=1
 /// switches every run in the process (see check.hpp, docs/CHECKING.md and
 /// docs/SCHED.md).
 void run(int nranks, const std::function<void(Comm&)>& fn, TraceSink trace,

@@ -5,7 +5,6 @@
 // user API: include "xmp/comm.hpp" instead.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -20,17 +19,17 @@ namespace xmp::detail {
 class Checker;
 struct Fiber;
 
-/// Backend-agnostic wait channel: the runtime's blocking points park here.
-/// Thread-ranks sleep on the condition variable; fiber-ranks register in the
-/// waiter list and yield into their scheduler (sched/fiber.hpp), making
-/// every blocking point a yield point. Both wait() and notify_all() require
-/// the mutex guarding the surrounding predicate to be held — unlike a bare
-/// condition_variable, notify_all() mutates the waiter list.
+/// Wait channel: the runtime's blocking points park here. A waiting rank
+/// registers its fiber in the waiter list and yields into its scheduler
+/// (sched/fiber.hpp), making every blocking point a yield point. Both wait()
+/// and notify_all() require the mutex guarding the surrounding predicate to
+/// be held, because both touch the waiter list.
 struct WaitCv {
-  std::condition_variable cv;
   std::vector<Fiber*> waiters;
 
   /// One park; returns after any wake. Callers loop on their predicate.
+  /// Throws std::logic_error when called outside any rank (see
+  /// require_rank_fiber in sched/fiber.hpp).
   void wait(std::unique_lock<std::mutex>& lk);
   void notify_all();
 };

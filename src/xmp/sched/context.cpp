@@ -1,31 +1,16 @@
 #include "xmp/sched/sched.hpp"
 
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
+#include "xmp/env.hpp"
 
 namespace xmp {
 
 SchedOptions SchedOptions::from_env() {
   SchedOptions o;
-  if (const char* v = std::getenv("XMP_SCHED")) {
-    const std::string s = v;
-    if (s == "fibers" || s == "fiber") o.mode = SchedMode::Fibers;
-    else if (s == "threads" || s == "thread" || s.empty()) o.mode = SchedMode::Threads;
-    else throw std::invalid_argument("xmp: XMP_SCHED must be 'threads' or 'fibers', got '" + s + "'");
-  }
-  if (const char* v = std::getenv("XMP_SCHED_WORKERS")) o.workers = std::atoi(v);
-  if (const char* v = std::getenv("XMP_SCHED_STACK_KB")) o.stack_kb = std::atoi(v);
-  if (const char* v = std::getenv("XMP_SCHED_GUARD")) o.guard_pages = v[0] != '\0' && v[0] != '0';
+  if (auto v = detail::env_int("XMP_SCHED_WORKERS", 0, 1024)) o.workers = static_cast<int>(*v);
+  if (auto v = detail::env_int("XMP_SCHED_STACK_KB", 16, 1 << 20))
+    o.stack_kb = static_cast<int>(*v);
+  if (auto v = detail::env_flag("XMP_SCHED_GUARD")) o.guard_pages = *v;
   return o;
-}
-
-const char* to_string(SchedMode m) {
-  switch (m) {
-    case SchedMode::Threads: return "threads";
-    case SchedMode::Fibers: return "fibers";
-  }
-  return "?";
 }
 
 namespace sched {

@@ -103,6 +103,13 @@ void annotated_swap(void** save_fake_stack, const void* target_bottom, std::size
 
 Fiber* current_fiber() noexcept { return tl_worker ? tl_worker->current : nullptr; }
 
+Fiber* require_rank_fiber() {
+  if (Fiber* f = current_fiber()) return f;
+  throw std::logic_error(
+      "xmp: blocking call from a thread outside any rank (Comm handles are rank-affine: only "
+      "the rank they were created for may use them)");
+}
+
 void fiber_yield() noexcept {
   if (Fiber* f = current_fiber()) f->sched->yield_current();
 }
@@ -338,16 +345,12 @@ void FiberScheduler::run(int nranks, const std::function<void(int)>& body) {
 // ---- WaitCv (declared in detail.hpp) ----------------------------------------
 
 void WaitCv::wait(std::unique_lock<std::mutex>& lk) {
-  if (Fiber* f = current_fiber()) {
-    waiters.push_back(f);
-    f->sched->park(lk);
-  } else {
-    cv.wait(lk);
-  }
+  Fiber* f = require_rank_fiber();
+  waiters.push_back(f);
+  f->sched->park(lk);
 }
 
 void WaitCv::notify_all() {
-  cv.notify_all();
   if (waiters.empty()) return;
   // Detach the list first: entries are consumed exactly once, and a woken
   // fiber may re-register into this WaitCv as soon as the caller releases

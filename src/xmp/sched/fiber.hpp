@@ -1,6 +1,6 @@
 #pragma once
-// Cooperative fiber executor behind xmp::run's Fibers backend. Internal
-// header: user code selects it through xmp::SchedOptions (sched.hpp).
+// Cooperative fiber executor behind every xmp::run. Internal header: user
+// code tunes it through xmp::SchedOptions (sched.hpp).
 //
 // Each rank is a ucontext fiber on its own guard-paged mmap stack; a small
 // pool of worker threads drains a FIFO run queue of runnable fibers. A fiber
@@ -110,13 +110,19 @@ private:
 };
 
 /// Fiber the calling OS thread is currently executing, or nullptr on plain
-/// threads (threads backend, helper threads, the watchdog, main).
+/// threads (helper threads, the watchdog, main).
 Fiber* current_fiber() noexcept;
+
+/// The calling rank's fiber; throws std::logic_error on a plain thread.
+/// Parking needs a fiber to suspend, so a blocking call from a plain thread
+/// is refused rather than left to hang; checked mode reports the same
+/// misuse earlier as a CheckError.
+Fiber* require_rank_fiber();
 
 /// Yields the calling fiber to its scheduler; no-op on plain threads.
 /// Non-blocking runtime calls that poll — `while (!p.test()) ...` — route
 /// through this so the polled-on rank can run even on a single worker
-/// (threads are preemptive, fibers are not).
+/// (fibers are never preempted).
 void fiber_yield() noexcept;
 
 }  // namespace xmp::detail

@@ -1,21 +1,17 @@
 #pragma once
 // Scheduling options and rank-context API for xmp::run.
 //
-// The runtime has two interchangeable rank executors:
-//   * Threads (reference): every rank is a std::thread, exactly the model
-//     described in comm.hpp. Simple, preemptive, but caps practical world
-//     sizes at a few hundred ranks.
-//   * Fibers: every rank is a cooperatively scheduled ucontext fiber
-//     multiplexed over a small worker-thread pool. Blocking points inside
-//     the runtime (mailbox recv, the collective slot, barrier) yield into
-//     the scheduler instead of sleeping on a condition variable, so 4k-64k
-//     ranks execute on a laptop — the paper's Table 3-5 rank counts become
-//     directly runnable instead of extrapolated (see docs/SCHED.md).
+// Every rank is a cooperatively scheduled ucontext fiber multiplexed over a
+// small worker-thread pool (sched/fiber.hpp). Blocking points inside the
+// runtime (mailbox recv, the collective slot, barrier) yield into the
+// scheduler, so 4k-64k ranks execute on a laptop — the paper's Table 3-5
+// rank counts are directly runnable instead of extrapolated (see
+// docs/SCHED.md).
 //
 // Because a fiber may resume on a different worker thread than it parked on,
 // rank identity MUST NOT be derived from the OS thread
 // (std::this_thread::get_id()). This header is the one sanctioned source of
-// rank identity: sched::current_rank() works under both backends, and
+// rank identity: sched::current_rank() names the running rank, and
 // sched::rank_local_slot() gives rank-local storage that migrates with the
 // fiber (telemetry keys its per-rank registries on it).
 
@@ -23,55 +19,49 @@
 
 namespace xmp {
 
-enum class SchedMode {
-  Threads,  ///< one OS thread per rank (reference backend)
-  Fibers,   ///< cooperative fibers over a worker pool
-};
+// Kept for bench/e2e/dpd_dist.cpp; the next benchmark change deletes it and `mode`.
+enum class SchedMode { Fibers };
 
-/// Per-run scheduling knobs, passed to xmp::run. The default-constructed
-/// value is the reference thread backend; from_env() reads
-///   XMP_SCHED=threads|fibers
-///   XMP_SCHED_WORKERS=<n>    (fibers: worker threads; 0 = auto)
-///   XMP_SCHED_STACK_KB=<n>   (fibers: per-rank stack size)
-/// so any existing test or bench can be re-run under fibers without a code
-/// change.
+/// Per-run scheduling knobs, passed to xmp::run. from_env() reads
+///   XMP_SCHED_WORKERS=<n>    (worker threads; 0 = auto)
+///   XMP_SCHED_STACK_KB=<n>   (per-rank stack size)
+///   XMP_SCHED_GUARD=0|1      (guard page below every stack)
+/// so any existing test or bench can be re-tuned without a code change.
 struct SchedOptions {
-  SchedMode mode = SchedMode::Threads;
-  /// Fibers: worker threads the fibers multiplex over. 0 picks
+  SchedMode mode = SchedMode::Fibers;
+  /// Worker threads the fibers multiplex over. 0 picks
   /// min(hardware_concurrency, 8). With workers == 1 the FIFO run queue
   /// makes scheduling bitwise deterministic across identical runs.
   int workers = 0;
-  /// Fibers: usable stack per rank, excluding the guard page. Rank bodies
-  /// run user code on this stack; see docs/SCHED.md for sizing guidance.
+  /// Usable stack per rank, excluding the guard page. Rank bodies run user
+  /// code on this stack; see docs/SCHED.md for sizing guidance.
   int stack_kb = 256;
-  /// Fibers: map an inaccessible guard page below every stack so overflow
-  /// faults instead of corrupting a neighbour. Each guarded stack costs two
-  /// kernel VMAs, so runs beyond ~32k ranks exhaust the default
-  /// vm.max_map_count; setting this false allocates all stacks from one
-  /// contiguous slab (two VMAs total), trading overflow detection for scale.
+  /// Map an inaccessible guard page below every stack so overflow faults
+  /// instead of corrupting a neighbour. Each guarded stack costs two kernel
+  /// VMAs, so runs beyond ~32k ranks exhaust the default vm.max_map_count;
+  /// setting this false allocates all stacks from one contiguous slab (two
+  /// VMAs total), trading overflow detection for scale.
   bool guard_pages = true;
 
+  /// Unset or empty variables keep the defaults; a malformed or
+  /// out-of-range value throws std::invalid_argument naming the variable.
   static SchedOptions from_env();
 };
-
-const char* to_string(SchedMode m);
 
 namespace sched {
 
 /// World rank of the calling execution context: the rank whose fiber is
-/// running on this worker, or the rank bound to this thread under the
-/// threads backend. -1 outside any rank (main thread, watchdog, helper
-/// threads spawned by user code).
+/// running on this worker. -1 outside any rank (main thread, watchdog,
+/// helper threads spawned by user code).
 int current_rank() noexcept;
 
-/// Rank-local storage slot for the current execution context, or nullptr
-/// when the backend has no such slot (threads backend and non-rank threads
-/// fall back to genuinely thread-local storage). The slot lives in the
-/// rank's fiber and follows it across worker threads.
+/// Rank-local storage slot of the running rank's fiber, or nullptr outside
+/// any rank (plain threads fall back to genuinely thread-local storage).
+/// The slot follows the fiber across worker threads.
 std::shared_ptr<void>* rank_local_slot() noexcept;
 
 namespace detail {
-// Set by the backends on rank entry/exit and fiber switch. Not user API.
+// Set by the scheduler on every fiber switch. Not user API.
 void set_current_rank(int r) noexcept;
 void set_rank_local_slot(std::shared_ptr<void>* slot) noexcept;
 }  // namespace detail

@@ -321,7 +321,6 @@ TEST(TelemetryRegistry, FiberRanksSharingOneWorkerDoNotCrossContaminate) {
   // registry must resolve through the scheduler's rank context instead.
   telemetry::Registry::reset_all();
   xmp::SchedOptions sched;
-  sched.mode = xmp::SchedMode::Fibers;
   sched.workers = 1;
   std::map<std::string, telemetry::CounterValue> counters[2];
   telemetry::PhaseNode phases[2];

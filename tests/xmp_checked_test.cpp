@@ -15,14 +15,16 @@
 #include <initializer_list>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "scoped_env.hpp"
 #include "xmp/comm.hpp"
 
 namespace {
 
 // The default stall budget is deliberately huge: on an oversubscribed CI
-// machine a rank thread can be starved for many seconds mid-collective, and
+// machine a rank can be starved for many seconds mid-collective, and
 // the positive-control tests must not mistake that for a hang. Stall
 // reporting itself is exercised by StallTimeoutDumpsBlockedOperations, which
 // passes its own 200 ms budget.
@@ -148,7 +150,7 @@ TEST(XmpChecked, CrossThreadCommUseCaught) {
       2,
       [&](xmp::Comm& world) {
         if (world.rank() == 0) {
-          // The documented affinity contract: only the owning rank thread may
+          // The documented affinity contract: only the owning rank may
           // drive a Comm. A helper thread must be rejected.
           std::thread helper([&] {
             try {
@@ -159,7 +161,7 @@ TEST(XmpChecked, CrossThreadCommUseCaught) {
             }
           });
           helper.join();
-          world.send(1, 1, std::vector<int>{42});  // owner thread: fine
+          world.send(1, 1, std::vector<int>{42});  // owner rank: fine
         } else {
           auto v = world.recv<int>(0, 1);
           EXPECT_EQ(v[0], 42);
@@ -431,8 +433,34 @@ TEST(XmpChecked, FromEnvDefaultsDisabled) {
   // Unless the surrounding environment opts in, from_env must not enable
   // checking (the suite also runs with XMP_CHECK=1 in CI, where it must).
   const char* v = std::getenv("XMP_CHECK");
-  const bool want = v != nullptr && v[0] != '\0' && v[0] != '0';
+  const bool want = v != nullptr && std::string(v) == "1";
   EXPECT_EQ(xmp::CheckOptions::from_env().enabled, want);
+}
+
+TEST(XmpChecked, FromEnvRejectsMalformedValues) {
+  // Only 0/1 switch checking, so a word like "false" must not turn it on.
+  // Every malformed value throws and names its variable instead of meaning
+  // 0, "on" or the Error policy.
+  const std::pair<const char*, const char*> cases[] = {
+      {"XMP_CHECK", "false"},           {"XMP_CHECK", "true"},
+      {"XMP_CHECK", "2"},               {"XMP_CHECK_STALL_MS", "5s"},
+      {"XMP_CHECK_STALL_MS", "-1"},     {"XMP_CHECK_POLL_MS", "0"},
+      {"XMP_CHECK_LEFTOVER", "ignore"},
+  };
+  for (const auto& [name, value] : cases) {
+    ScopedEnv e(name, value);
+    try {
+      (void)xmp::CheckOptions::from_env();
+      ADD_FAILURE() << name << "=" << value << " was accepted";
+    } catch (const std::invalid_argument& err) {
+      EXPECT_NE(std::string(err.what()).find(name), std::string::npos) << err.what();
+    }
+  }
+  // Well-formed values still parse.
+  ScopedEnv check("XMP_CHECK", "0"), leftover("XMP_CHECK_LEFTOVER", "warn");
+  const auto o = xmp::CheckOptions::from_env();
+  EXPECT_FALSE(o.enabled);
+  EXPECT_EQ(o.leftovers, xmp::LeftoverPolicy::Warn);
 }
 
 }  // namespace

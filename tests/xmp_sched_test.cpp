@@ -1,32 +1,31 @@
-// Tests for the fiber scheduling backend (src/xmp/sched/): the full xmp
-// surface — p2p, collectives, hierarchical splits, abort propagation and
-// checked mode — must behave identically when ranks are cooperatively
-// scheduled fibers multiplexed over a small worker pool, including when
-// thousands of ranks share two workers and when a fiber migrates between
-// workers across yield points. Also covers SchedOptions env parsing and
-// bitwise scheduler determinism with a single worker.
+// Tests for the fiber scheduler (src/xmp/sched/) that every xmp::run uses.
+// The xmp surface itself — p2p, collectives, splits, abort propagation and
+// checked mode — is covered by xmp_test and xmp_checked_test on the same
+// executor; this file pins what is specific to fibers: the rank context
+// across yields, many ranks on few workers, the 4096-rank smoke, bitwise
+// determinism on one worker, fiber migration under the affinity check,
+// non-rank threads that would block, and SchedOptions env parsing.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <functional>
 #include <mutex>
-#include <numeric>
-#include <set>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "scoped_env.hpp"
+#include "telemetry/registry.hpp"
 #include "xmp/comm.hpp"
 
 namespace {
 
 xmp::SchedOptions fibers(int workers = 2, int stack_kb = 256) {
   xmp::SchedOptions o;
-  o.mode = xmp::SchedMode::Fibers;
   o.workers = workers;
   o.stack_kb = stack_kb;
   return o;
@@ -58,82 +57,50 @@ TEST(XmpSched, RankContextMatchesCommRank) {
   EXPECT_EQ(xmp::sched::current_rank(), -1);
 }
 
-TEST(XmpSched, PingPongAndAnySource) {
-  run_fibers(5, [](xmp::Comm& world) {
-    if (world.rank() == 0) {
-      std::set<int> seen;
-      for (int i = 0; i < 4; ++i) {
-        int src = -1;
-        auto v = world.recv<int>(xmp::kAnySource, 3, &src);
-        EXPECT_EQ(v[0], src * 10);
-        seen.insert(src);
-      }
-      EXPECT_EQ(seen.size(), 4u);
-      for (int r = 1; r < 5; ++r) world.send(r, 4, std::vector<int>{r});
-    } else {
-      world.send(0, 3, std::vector<int>{world.rank() * 10});
-      auto v = world.recv<int>(0, 4);
-      EXPECT_EQ(v[0], world.rank());
-    }
-  });
-}
-
-TEST(XmpSched, CollectiveSuiteMatchesExpectedValues) {
-  const int n = 16;
-  run_fibers(n, [&](xmp::Comm& world) {
-    // allreduce
-    EXPECT_DOUBLE_EQ(world.allreduce(double(world.rank()), xmp::Op::Sum), n * (n - 1) / 2.0);
-    EXPECT_EQ(world.allreduce(std::int64_t(world.rank()), xmp::Op::Max), n - 1);
-    // bcast
-    std::vector<int> data;
-    if (world.rank() == 3) data = {7, 8, 9};
-    world.bcast(data, 3);
-    ASSERT_EQ(data.size(), 3u);
-    EXPECT_EQ(data[2], 9);
-    // gatherv of rank-dependent lengths
-    std::vector<int> mine(static_cast<std::size_t>(world.rank() % 3 + 1), world.rank());
-    std::vector<std::size_t> counts;
-    auto gathered = world.gatherv(std::span<const int>(mine), 0, &counts);
-    if (world.rank() == 0) {
-      ASSERT_EQ(counts.size(), static_cast<std::size_t>(n));
-      std::size_t total = 0;
-      for (int r = 0; r < n; ++r) total += static_cast<std::size_t>(r % 3 + 1);
-      EXPECT_EQ(gathered.size(), total);
-    } else {
-      EXPECT_TRUE(gathered.empty());
-    }
-    // allgatherv
-    auto all = world.allgatherv(std::span<const int>(mine));
-    std::size_t total = 0;
-    for (int r = 0; r < n; ++r) total += static_cast<std::size_t>(r % 3 + 1);
-    EXPECT_EQ(all.size(), total);
-    // scatterv
-    std::vector<std::vector<int>> parts;
-    if (world.rank() == 1) {
-      parts.resize(static_cast<std::size_t>(n));
-      for (int r = 0; r < n; ++r) parts[static_cast<std::size_t>(r)] = {r * 2};
-    }
-    auto part = world.scatterv(parts, 1);
-    ASSERT_EQ(part.size(), 1u);
-    EXPECT_EQ(part[0], world.rank() * 2);
+TEST(XmpSched, DefaultRunExecutesRanksAsFibers) {
+  // No SchedOptions and no scheduler env: ranks still run as fibers, so each
+  // has a rank-local slot and its own telemetry registry.
+  ScopedEnv workers("XMP_SCHED_WORKERS", nullptr), stack("XMP_SCHED_STACK_KB", nullptr),
+      guard("XMP_SCHED_GUARD", nullptr);
+  const telemetry::Registry* regs[2] = {nullptr, nullptr};
+  bool has_slot[2] = {false, false};
+  xmp::run(2, [&](xmp::Comm& world) {
+    has_slot[world.rank()] = xmp::sched::rank_local_slot() != nullptr;
+    regs[world.rank()] = &telemetry::Registry::local();
     world.barrier();
   });
+  EXPECT_TRUE(has_slot[0]);
+  EXPECT_TRUE(has_slot[1]);
+  EXPECT_NE(regs[0], regs[1]);
 }
 
-TEST(XmpSched, HierarchicalSplit) {
-  run_fibers(12, [](xmp::Comm& world) {
-    // L2: three groups of four; L3: evens/odds inside each group.
-    xmp::Comm l2 = world.split(world.rank() / 4, world.rank());
-    ASSERT_TRUE(l2.valid());
-    EXPECT_EQ(l2.size(), 4);
-    EXPECT_EQ(l2.rank(), world.rank() % 4);
-    xmp::Comm l3 = l2.split(l2.rank() % 2, l2.rank());
-    EXPECT_EQ(l3.size(), 2);
-    const double s = l3.allreduce(double(world.rank()), xmp::Op::Sum);
-    // partner in l3 is +/-2 world ranks away inside the same group of 4
-    const int partner = world.rank() % 4 < 2 ? world.rank() + 2 : world.rank() - 2;
-    EXPECT_DOUBLE_EQ(s, double(world.rank() + partner));
-  });
+TEST(XmpSched, NonRankThreadThatWouldBlockThrows) {
+  // Unchecked run: a helper thread has no fiber to park, so a recv that
+  // would block, or any collective, is refused with std::logic_error instead
+  // of sleeping on the mailbox.
+  std::atomic<int> refused{0};
+  xmp::run(
+      2,
+      [&](xmp::Comm& world) {
+        if (world.rank() == 0) {
+          std::thread helper([&] {
+            auto expect_refused = [&](const std::function<void()>& op) {
+              try {
+                op();
+              } catch (const std::logic_error& e) {
+                if (std::string(e.what()).find("rank-affine") != std::string::npos)
+                  refused.fetch_add(1);
+              }
+            };
+            expect_refused([&] { (void)world.recv<int>(1, 5); });
+            expect_refused([&] { world.barrier(); });
+          });
+          helper.join();
+        }
+        world.barrier();  // the refused barrier left no trace in the slot
+      },
+      nullptr, xmp::CheckOptions{}, fibers());
+  EXPECT_EQ(refused.load(), 2);
 }
 
 TEST(XmpSched, ManyRanksFewWorkersBlockAndResume) {
@@ -151,16 +118,6 @@ TEST(XmpSched, ManyRanksFewWorkersBlockAndResume) {
         }
       },
       fibers(/*workers=*/1, /*stack_kb=*/128));
-}
-
-TEST(XmpSched, AbortPropagatesAcrossFibers) {
-  EXPECT_THROW(run_fibers(8,
-                          [](xmp::Comm& world) {
-                            if (world.rank() == 3) throw std::logic_error("rank 3 failed");
-                            // everyone else blocks on a message that never comes
-                            (void)world.recv<int>(3, 1);
-                          }),
-               std::logic_error);
 }
 
 TEST(XmpSched, FourThousandRankAllreduceAndSplitSmoke) {
@@ -217,31 +174,41 @@ TEST(XmpSched, SingleWorkerSchedulingIsDeterministic) {
 }
 
 TEST(XmpSched, FromEnvParsesModeWorkersAndStack) {
-  setenv("XMP_SCHED", "fibers", 1);
-  setenv("XMP_SCHED_WORKERS", "3", 1);
-  setenv("XMP_SCHED_STACK_KB", "512", 1);
-  setenv("XMP_SCHED_GUARD", "0", 1);
-  auto o = xmp::SchedOptions::from_env();
-  EXPECT_EQ(o.mode, xmp::SchedMode::Fibers);
-  EXPECT_EQ(o.workers, 3);
-  EXPECT_EQ(o.stack_kb, 512);
-  EXPECT_FALSE(o.guard_pages);
-
-  setenv("XMP_SCHED", "threads", 1);
-  unsetenv("XMP_SCHED_WORKERS");
-  unsetenv("XMP_SCHED_STACK_KB");
-  unsetenv("XMP_SCHED_GUARD");
-  o = xmp::SchedOptions::from_env();
-  EXPECT_EQ(o.mode, xmp::SchedMode::Threads);
-  EXPECT_EQ(o.workers, 0);
-  EXPECT_TRUE(o.guard_pages);
-
-  setenv("XMP_SCHED", "bogus", 1);
-  EXPECT_THROW(xmp::SchedOptions::from_env(), std::invalid_argument);
-  unsetenv("XMP_SCHED");
+  {
+    ScopedEnv w("XMP_SCHED_WORKERS", "3"), s("XMP_SCHED_STACK_KB", "512"),
+        g("XMP_SCHED_GUARD", "0");
+    const auto o = xmp::SchedOptions::from_env();
+    EXPECT_EQ(o.workers, 3);
+    EXPECT_EQ(o.stack_kb, 512);
+    EXPECT_FALSE(o.guard_pages);
+  }
+  {
+    // Unset and empty both keep the defaults.
+    ScopedEnv w("XMP_SCHED_WORKERS", nullptr), s("XMP_SCHED_STACK_KB", ""),
+        g("XMP_SCHED_GUARD", "1");
+    const auto o = xmp::SchedOptions::from_env();
+    EXPECT_EQ(o.workers, 0);
+    EXPECT_EQ(o.stack_kb, 256);
+    EXPECT_TRUE(o.guard_pages);
+  }
+  // Malformed values throw and name the variable instead of silently
+  // meaning 0 or "on".
+  const std::pair<const char*, const char*> bad[] = {
+      {"XMP_SCHED_GUARD", "false"},  {"XMP_SCHED_GUARD", "yes"},
+      {"XMP_SCHED_WORKERS", "two"},  {"XMP_SCHED_WORKERS", "2x"},
+      {"XMP_SCHED_WORKERS", "-1"},   {"XMP_SCHED_WORKERS", " 2"},
+      {"XMP_SCHED_STACK_KB", "8"},   {"XMP_SCHED_STACK_KB", "99999999999999999999"},
+  };
+  for (const auto& [name, value] : bad) {
+    ScopedEnv e(name, value);
+    try {
+      (void)xmp::SchedOptions::from_env();
+      ADD_FAILURE() << name << "=" << value << " was accepted";
+    } catch (const std::invalid_argument& err) {
+      EXPECT_NE(std::string(err.what()).find(name), std::string::npos) << err.what();
+    }
+  }
 }
-
-// --- checked mode under the fiber backend -----------------------------------
 
 TEST(XmpSched, CheckedFiberMigrationDoesNotTripAffinity) {
   SKIP_UNLESS_CHECKED();
@@ -258,70 +225,6 @@ TEST(XmpSched, CheckedFiberMigrationDoesNotTripAffinity) {
         }
       },
       nullptr, checked(), fibers(/*workers=*/2));
-}
-
-TEST(XmpSched, CheckedMismatchCaughtUnderFibers) {
-  SKIP_UNLESS_CHECKED();
-  try {
-    xmp::run(
-        2,
-        [](xmp::Comm& world) {
-          if (world.rank() == 0)
-            world.barrier();
-          else
-            world.allreduce(1.0, xmp::Op::Sum);
-        },
-        nullptr, checked(), fibers());
-    FAIL() << "expected xmp::CheckError";
-  } catch (const xmp::CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("collective mismatch"), std::string::npos) << e.what();
-  }
-}
-
-TEST(XmpSched, CheckedDeadlockCaughtUnderFibers) {
-  SKIP_UNLESS_CHECKED();
-  try {
-    xmp::run(
-        2,
-        [](xmp::Comm& world) {
-          const int peer = 1 - world.rank();
-          (void)world.recv<double>(peer, 7 + world.rank());
-        },
-        nullptr, checked(), fibers());
-    FAIL() << "expected xmp::CheckError";
-  } catch (const xmp::CheckError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("deadlock detected"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("wait-for cycle"), std::string::npos) << msg;
-  }
-}
-
-TEST(XmpSched, CheckedHelperThreadStillCaughtUnderFibers) {
-  SKIP_UNLESS_CHECKED();
-  // A raw std::thread spawned inside a fiber rank has no rank context and
-  // must still be rejected as an affinity violation.
-  std::atomic<int> violations{0};
-  xmp::run(
-      2,
-      [&](xmp::Comm& world) {
-        if (world.rank() == 0) {
-          std::thread helper([&] {
-            try {
-              world.send(1, 1, std::vector<int>{7});
-            } catch (const xmp::CheckError& e) {
-              if (std::string(e.what()).find("thread-affinity violation") != std::string::npos)
-                violations.fetch_add(1);
-            }
-          });
-          helper.join();
-          world.send(1, 1, std::vector<int>{42});
-        } else {
-          auto v = world.recv<int>(0, 1);
-          EXPECT_EQ(v[0], 42);
-        }
-      },
-      nullptr, checked(), fibers());
-  EXPECT_EQ(violations.load(), 1);
 }
 
 }  // namespace

@@ -2,21 +2,22 @@
 
 #include "resilience/blob_la.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 
 #include "telemetry/registry.hpp"
 
 namespace sem {
 
-HelmholtzSolver::HelmholtzSolver(const Operators& ops, double lambda, double nu,
-                                 std::vector<int> dirichlet_tags, PreconditionerKind precond)
-    : ops_(&ops), lambda_(lambda), nu_(nu), precond_kind_(precond) {
+template <class Ops>
+HelmholtzSolver<Ops>::HelmholtzSolver(const Ops& ops, double lambda, double nu,
+                                      std::vector<Boundary> dirichlet)
+    : ops_(&ops), lambda_(lambda), nu_(nu) {
   const auto& d = ops.disc();
   is_dirichlet_.assign(d.num_nodes(), 0);
-  for (int tag : dirichlet_tags)
-    for (std::size_t g : d.boundary_nodes(tag)) is_dirichlet_[g] = 1;
+  for (Boundary b : dirichlet)
+    for (std::size_t g : d.boundary_nodes(b)) is_dirichlet_[g] = 1;
   for (std::size_t g = 0; g < is_dirichlet_.size(); ++g)
     if (is_dirichlet_[g]) dnodes_.push_back(g);
 
@@ -24,112 +25,37 @@ HelmholtzSolver::HelmholtzSolver(const Operators& ops, double lambda, double nu,
   for (std::size_t g : dnodes_) precond_diag_[g] = 1.0;
   // Pure-Neumann Poisson: diag(K) alone can be near-singular in scale; the
   // Jacobi preconditioner still works because diag entries are positive.
-
-  if (precond_kind_ == PreconditionerKind::BlockSchwarz) {
-    const int P = d.order();
-    const auto n1 = static_cast<std::size_t>(P) + 1;
-    const std::size_t npe = n1 * n1;
-    const double jac = 0.25 * d.mesh().dx() * d.mesh().dy();
-    const double rx2 = 4.0 / (d.mesh().dx() * d.mesh().dx());
-    const double ry2 = 4.0 / (d.mesh().dy() * d.mesh().dy());
-    const auto& w = d.rule().weights;
-    // 1D weak-derivative kernel G = D^T diag(w) D
-    la::DenseMatrix G(n1, n1);
-    const auto& D = d.diff_matrix();
-    for (std::size_t a = 0; a < n1; ++a)
-      for (std::size_t b = 0; b < n1; ++b) {
-        double s = 0.0;
-        for (std::size_t m = 0; m < n1; ++m) s += D(m, a) * w[m] * D(m, b);
-        G(a, b) = s;
-      }
-
-    block_chol_.reserve(d.num_elements());
-    for (std::size_t e = 0; e < d.num_elements(); ++e) {
-      la::DenseMatrix A(npe, npe);
-      for (std::size_t b = 0; b < n1; ++b)
-        for (std::size_t a = 0; a < n1; ++a) {
-          const std::size_t row = b * n1 + a;
-          for (std::size_t bp = 0; bp < n1; ++bp)
-            for (std::size_t ap = 0; ap < n1; ++ap) {
-              const std::size_t col = bp * n1 + ap;
-              double v = 0.0;
-              if (b == bp) v += nu * jac * rx2 * w[b] * G(a, ap);
-              if (a == ap) v += nu * jac * ry2 * w[a] * G(b, bp);
-              if (row == col) v += lambda * jac * w[a] * w[b];
-              A(row, col) += v;
-            }
-        }
-      // constrained local nodes -> identity rows/cols
-      for (std::size_t b = 0; b < n1; ++b)
-        for (std::size_t a = 0; a < n1; ++a) {
-          const std::size_t g = d.global_node(e, static_cast<int>(a), static_cast<int>(b));
-          if (!is_dirichlet_[g]) continue;
-          const std::size_t k = b * n1 + a;
-          for (std::size_t q = 0; q < npe; ++q) {
-            A(k, q) = 0.0;
-            A(q, k) = 0.0;
-          }
-          A(k, k) = 1.0;
-        }
-      // ridge for the (near-)singular lambda = 0 local problems
-      double tr = 0.0;
-      for (std::size_t q = 0; q < npe; ++q) tr += A(q, q);
-      for (std::size_t q = 0; q < npe; ++q) A(q, q) += 1e-8 * tr / static_cast<double>(npe);
-      if (!la::cholesky(A))
-        throw std::runtime_error("HelmholtzSolver: local block not SPD");
-      block_chol_.push_back(std::move(A));
-    }
-    pou_.resize(d.num_nodes());
-    sqrt_pou_.resize(d.num_nodes());
-    for (std::size_t g = 0; g < d.num_nodes(); ++g) {
-      pou_[g] = 1.0 / d.node_multiplicity(g);
-      sqrt_pou_[g] = std::sqrt(pou_[g]);
-    }
-    rl_.resize(d.nodes_per_element());
-    zl_.resize(d.nodes_per_element());
-  }
 }
 
-void HelmholtzSolver::apply_block_schwarz(const double* r, double* z, std::size_t n) const {
-  const auto& d = ops_->disc();
-  for (std::size_t g = 0; g < n; ++g) z[g] = 0.0;
-  // symmetric weighted additive Schwarz: z = sum_e R^T W^1/2 A_e^-1 W^1/2 R r
-  la::Vector &rl = rl_, &zl = zl_;
-  const la::Vector& sq = sqrt_pou_;
-  for (std::size_t e = 0; e < block_chol_.size(); ++e) {
-    // gather weighted residual
-    const int P = d.order();
-    const auto n1 = static_cast<std::size_t>(P) + 1;
-    for (std::size_t b = 0; b < n1; ++b)
-      for (std::size_t a = 0; a < n1; ++a) {
-        const std::size_t g = d.global_node(e, static_cast<int>(a), static_cast<int>(b));
-        rl[b * n1 + a] = sq[g] * r[g];
-      }
-    la::cholesky_solve(block_chol_[e], rl, zl);
-    for (std::size_t b = 0; b < n1; ++b)
-      for (std::size_t a = 0; a < n1; ++a) {
-        const std::size_t g = d.global_node(e, static_cast<int>(a), static_cast<int>(b));
-        z[g] += sq[g] * zl[b * n1 + a];
-      }
-  }
-}
-
-la::CgResult HelmholtzSolver::solve(const la::Vector& f,
-                                    const std::function<double(double, double)>& g,
-                                    la::Vector& u) {
+template <class Ops>
+la::CgResult HelmholtzSolver<Ops>::solve(const la::Vector& f, const BcFn& g, la::Vector& u) {
   const auto& d = ops_->disc();
   la::Vector bc(dnodes_.size());
-  for (std::size_t k = 0; k < dnodes_.size(); ++k)
-    bc[k] = g(d.node_x(dnodes_[k]), d.node_y(dnodes_[k]));
+  for (std::size_t k = 0; k < dnodes_.size(); ++k) {
+    const std::size_t n = dnodes_[k];
+    if constexpr (std::is_same_v<Ops, Operators3D>)
+      bc[k] = g(d.node_x(n), d.node_y(n), d.node_z(n));
+    else
+      bc[k] = g(d.node_x(n), d.node_y(n));
+  }
   return solve_with_values(f, bc, u);
 }
 
-la::CgResult HelmholtzSolver::solve_with_values(const la::Vector& f, const la::Vector& bc_values,
-                                                la::Vector& u) {
-  telemetry::ScopedPhase phase("helmholtz.solve");
-  telemetry::count("helmholtz.solves");
+template <class Ops>
+la::CgResult HelmholtzSolver<Ops>::solve_with_values(const la::Vector& f,
+                                                     const la::Vector& bc_values,
+                                                     la::Vector& u) {
   const auto& d = ops_->disc();
   const std::size_t n = d.num_nodes();
+  if (f.size() != n)
+    throw std::invalid_argument("HelmholtzSolver: rhs has " + std::to_string(f.size()) +
+                                " entries, discretization has " + std::to_string(n) + " nodes");
+  if (bc_values.size() != dnodes_.size())
+    throw std::invalid_argument("HelmholtzSolver: " + std::to_string(bc_values.size()) +
+                                " Dirichlet values for " + std::to_string(dnodes_.size()) +
+                                " Dirichlet nodes");
+  telemetry::ScopedPhase phase("helmholtz.solve");
+  telemetry::count("helmholtz.solves");
   const auto& M = ops_->mass_diag();
 
   // masked operator: rows and columns of constrained nodes removed
@@ -168,14 +94,7 @@ la::CgResult HelmholtzSolver::solve_with_values(const la::Vector& f, const la::V
   // warm start from the successive-solution projector
   la::Vector u0(n, 0.0);
   if (projection_enabled_) projector_.predict(op, b, u0);
-
-  la::Preconditioner precond =
-      precond_kind_ == PreconditionerKind::BlockSchwarz
-          ? la::Preconditioner([this](const double* r, double* z, std::size_t nn) {
-              apply_block_schwarz(r, z, nn);
-            })
-          : la::jacobi_preconditioner(precond_diag_);
-  auto res = la::cg_solve(op, b, u0, precond, opt_);
+  auto res = la::cg_solve(op, b, u0, la::jacobi_preconditioner(precond_diag_), opt_);
   if (projection_enabled_) projector_.record(op, u0);
 
   if (u.size() != n) u.resize(n);
@@ -194,12 +113,17 @@ la::CgResult HelmholtzSolver::solve_with_values(const la::Vector& f, const la::V
   return res;
 }
 
-void HelmholtzSolver::save_state(resilience::BlobWriter& w) const {
+template <class Ops>
+void HelmholtzSolver<Ops>::save_state(resilience::BlobWriter& w) const {
   resilience::put_projector(w, projector_);
 }
 
-void HelmholtzSolver::load_state(resilience::BlobReader& r) {
+template <class Ops>
+void HelmholtzSolver<Ops>::load_state(resilience::BlobReader& r) {
   resilience::get_projector(r, projector_);
 }
+
+template class HelmholtzSolver<Operators>;
+template class HelmholtzSolver<Operators3D>;
 
 }  // namespace sem

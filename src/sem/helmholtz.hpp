@@ -1,16 +1,17 @@
 #pragma once
-// Helmholtz / Poisson boundary-value solver on a Discretization:
-//   (lambda M + nu K) u = M f   with Dirichlet values on selected tags and
-// natural (zero-Neumann) conditions elsewhere. Solved by Jacobi-
-// preconditioned CG on the free dofs, warm-started by the successive-
-// solution projector (paper: NEKTAR's Helmholtz/Poisson solvers are CG with
-// preconditioning and initial-state prediction).
+// Helmholtz / Poisson boundary-value solver on a 2D or 3D discretization:
+//   (lambda M + nu K) u = M f   with Dirichlet values on selected boundaries
+// (mesh tags in 2D, box faces in 3D) and natural (zero-Neumann) conditions
+// elsewhere. Solved by Jacobi-preconditioned CG on the free dofs, warm-
+// started by the successive-solution projector (paper: NEKTAR's Helmholtz/
+// Poisson solvers are CG with preconditioning and initial-state prediction).
 
 #include <functional>
 #include <vector>
 
 #include "la/cg.hpp"
 #include "la/vector.hpp"
+#include "sem/hex3d.hpp"
 #include "sem/operators.hpp"
 
 namespace resilience {
@@ -20,31 +21,42 @@ class BlobReader;
 
 namespace sem {
 
-enum class PreconditionerKind {
-  Jacobi,          ///< diagonal scaling
-  BlockSchwarz,    ///< overlapping element-block additive Schwarz (stand-in
-                   ///< for NEKTAR's low-energy preconditioner: both damp the
-                   ///< high-energy intra-element modes the diagonal misses)
+/// What differs per dimension: how a Dirichlet boundary is named and the
+/// signature of the Dirichlet value function g.
+template <class Ops>
+struct HelmholtzTraits;
+template <>
+struct HelmholtzTraits<Operators> {
+  using Boundary = int;  ///< mesh boundary tag
+  using BcFn = std::function<double(double, double)>;
+};
+template <>
+struct HelmholtzTraits<Operators3D> {
+  using Boundary = HexFace;
+  using BcFn = std::function<double(double, double, double)>;
 };
 
+/// Instantiated for Operators (2D) and Operators3D (3D).
+template <class Ops>
 class HelmholtzSolver {
 public:
-  /// `dirichlet_tags`: boundary tags whose nodes carry essential BCs.
-  /// For a pure-Neumann problem pass an empty list; the operator is then
-  /// singular (constant nullspace) and the solver pins the mean to zero.
-  HelmholtzSolver(const Operators& ops, double lambda, double nu,
-                  std::vector<int> dirichlet_tags,
-                  PreconditionerKind precond = PreconditionerKind::Jacobi);
+  using Boundary = typename HelmholtzTraits<Ops>::Boundary;
+  using BcFn = typename HelmholtzTraits<Ops>::BcFn;
+
+  /// `dirichlet`: boundaries whose nodes carry essential BCs. For a pure-
+  /// Neumann problem pass an empty list; the operator is then singular
+  /// (constant nullspace) and the solver pins the mean to zero.
+  HelmholtzSolver(const Ops& ops, double lambda, double nu, std::vector<Boundary> dirichlet);
 
   /// Solve with rhs f (as a nodal field; the solver forms M f) and the
-  /// Dirichlet value function g(x, y) evaluated on constrained nodes.
-  /// Returns iteration count. `u` is input (initial state hint is managed
-  /// internally) and output.
-  la::CgResult solve(const la::Vector& f, const std::function<double(double, double)>& g,
-                     la::Vector& u);
+  /// Dirichlet value function g evaluated at the constrained nodes'
+  /// coordinates. `u` is output; the initial guess comes from the projector.
+  la::CgResult solve(const la::Vector& f, const BcFn& g, la::Vector& u);
 
-  /// Variant with explicit per-node Dirichlet values (same order/content as
-  /// dirichlet_nodes()).
+  /// Variant with explicit per-node Dirichlet values aligned with
+  /// dirichlet_nodes() (the NS solvers' per-step BC path). Throws
+  /// std::invalid_argument unless f has num_nodes() entries and bc_values
+  /// one per Dirichlet node.
   la::CgResult solve_with_values(const la::Vector& f, const la::Vector& bc_values,
                                  la::Vector& u);
 
@@ -65,13 +77,11 @@ public:
   void load_state(resilience::BlobReader& r);
 
 private:
-  void apply_block_schwarz(const double* r, double* z, std::size_t n) const;
-
   // analyze: no-checkpoint (constructor configuration, re-supplied by the driver)
-  const Operators* ops_;
+  const Ops* ops_;
   // analyze: no-checkpoint (constructor configuration: operator coefficients)
   double lambda_, nu_;
-  // analyze: no-checkpoint (derived from the BC tags in the constructor)
+  // analyze: no-checkpoint (derived from the BC boundaries in the constructor)
   std::vector<std::size_t> dnodes_;
   // analyze: no-checkpoint (derived from dnodes_ in the constructor)
   std::vector<char> is_dirichlet_;
@@ -82,21 +92,9 @@ private:
   bool projection_enabled_ = true;
   // analyze: no-checkpoint (solver tolerances are configuration)
   la::CgOptions opt_;
-
-  // analyze: no-checkpoint (driver configuration)
-  PreconditionerKind precond_kind_ = PreconditionerKind::Jacobi;
-  // BlockSchwarz data: per-element Cholesky factors of the local Helmholtz
-  // blocks, the partition-of-unity weights (inverse node multiplicity), and
-  // their square roots plus element scratch, precomputed so the per-CG-
-  // iteration apply allocates nothing.
-  // analyze: no-checkpoint (precomputed preconditioner factors)
-  std::vector<la::DenseMatrix> block_chol_;
-  // analyze: no-checkpoint (precomputed partition-of-unity weights)
-  la::Vector pou_;
-  // analyze: no-checkpoint (precomputed partition-of-unity weights)
-  la::Vector sqrt_pou_;
-  // analyze: no-checkpoint (per-apply element scratch)
-  mutable la::Vector rl_, zl_;
 };
+
+extern template class HelmholtzSolver<Operators>;
+extern template class HelmholtzSolver<Operators3D>;
 
 }  // namespace sem

@@ -1,7 +1,5 @@
 #include "sem/hex3d.hpp"
 
-#include "resilience/blob_la.hpp"
-
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
@@ -220,52 +218,6 @@ void Operators3D::elem_helmholtz(double lambda, double nu, const double* u, doub
   for (std::size_t q = 0; q < npe; ++q) y[q] += lambda * lmass_[q] * u[q];
 }
 
-void Operators3D::elem_stiffness_reference(const double* u, double* y) const {
-  const int P = d_->order();
-  const auto n1 = static_cast<std::size_t>(P) + 1;
-  const auto& w = d_->rule().weights;
-  const double cx = jac_ * rx_ * rx_;
-  const double cy = jac_ * ry_ * ry_;
-  const double cz = jac_ * rz_ * rz_;
-  const std::size_t npe = n1 * n1 * n1;
-  for (std::size_t q = 0; q < npe; ++q) y[q] = 0.0;
-
-  auto at = [n1](std::size_t a, std::size_t b, std::size_t c) {
-    return (c * n1 + b) * n1 + a;
-  };
-  // x-lines
-  for (std::size_t c = 0; c < n1; ++c)
-    for (std::size_t b = 0; b < n1; ++b) {
-      const double coef = cx * w[b] * w[c];
-      const double* line = u + at(0, b, c);  // contiguous in a
-      double* yl = y + at(0, b, c);
-      for (std::size_t a = 0; a < n1; ++a)
-        yl[a] += coef * la::simd::dot(G_.row(a), line, n1);
-    }
-  // y-lines
-  for (std::size_t c = 0; c < n1; ++c)
-    for (std::size_t a = 0; a < n1; ++a) {
-      const double coef = cy * w[a] * w[c];
-      for (std::size_t b = 0; b < n1; ++b) {
-        double s = 0.0;
-        const double* Gb = G_.row(b);
-        for (std::size_t m = 0; m < n1; ++m) s += Gb[m] * u[at(a, m, c)];
-        y[at(a, b, c)] += coef * s;
-      }
-    }
-  // z-lines
-  for (std::size_t b = 0; b < n1; ++b)
-    for (std::size_t a = 0; a < n1; ++a) {
-      const double coef = cz * w[a] * w[b];
-      for (std::size_t c = 0; c < n1; ++c) {
-        double s = 0.0;
-        const double* Gc = G_.row(c);
-        for (std::size_t m = 0; m < n1; ++m) s += Gc[m] * u[at(a, b, m)];
-        y[at(a, b, c)] += coef * s;
-      }
-    }
-}
-
 void Operators3D::apply_stiffness(const la::Vector& u, la::Vector& y) const {
   if (y.size() != u.size()) y.resize(u.size());
   y.fill(0.0);
@@ -274,19 +226,6 @@ void Operators3D::apply_stiffness(const la::Vector& u, la::Vector& y) const {
     d_->gather(u, e, lu_.data());
     elem_stiffness(lu_.data(), ly_.data());
     d_->scatter_add(ly_.data(), e, y);
-  }
-}
-
-void Operators3D::apply_stiffness_reference(const la::Vector& u, la::Vector& y) const {
-  const std::size_t npe = d_->nodes_per_element();
-  if (y.size() != u.size()) y.resize(u.size());
-  y.fill(0.0);
-  // lint: sem-alloc-ok (reference baseline keeps the pre-fast-path per-call scratch)
-  std::vector<double> lu(npe), ly(npe);
-  for (std::size_t e = 0; e < d_->num_elements(); ++e) {
-    d_->gather(u, e, lu.data());
-    elem_stiffness_reference(lu.data(), ly.data());
-    d_->scatter_add(ly.data(), e, y);
   }
 }
 
@@ -300,13 +239,6 @@ void Operators3D::apply_helmholtz(double lambda, double nu, const la::Vector& u,
     elem_helmholtz(lambda, nu, lu_.data(), ly_.data());
     d_->scatter_add(ly_.data(), e, y);
   }
-}
-
-void Operators3D::apply_helmholtz_reference(double lambda, double nu, const la::Vector& u,
-                                            la::Vector& y) const {
-  apply_stiffness_reference(u, y);
-  la::simd::scale(nu, y.data(), y.size());
-  for (std::size_t g = 0; g < u.size(); ++g) y[g] += lambda * mass_[g] * u[g];
 }
 
 la::Vector Operators3D::helmholtz_diag(double lambda, double nu) const {
@@ -324,27 +256,6 @@ void Operators3D::elem_derivs(const double* u, double* dx, double* dy, double* d
   for (std::size_t c = 0; c < n1; ++c)
     la::simd::lines_apply(D.data(), n1, n1, u + c * n1 * n1, dy + c * n1 * n1, nullptr, ry_);
   la::simd::lines_apply(D.data(), n1, n1 * n1, u, dz, nullptr, rz_);
-}
-
-void Operators3D::elem_derivs_reference(const double* u, double* dx, double* dy,
-                                        double* dz) const {
-  const int P = d_->order();
-  const auto n1 = static_cast<std::size_t>(P) + 1;
-  const auto& D = d_->diff_matrix();
-  auto at = [n1](std::size_t a, std::size_t b, std::size_t c) { return (c * n1 + b) * n1 + a; };
-  for (std::size_t c = 0; c < n1; ++c)
-    for (std::size_t b = 0; b < n1; ++b)
-      for (std::size_t a = 0; a < n1; ++a) {
-        double sx = 0.0, sy = 0.0, sz = 0.0;
-        for (std::size_t m = 0; m < n1; ++m) {
-          sx += D(a, m) * u[at(m, b, c)];
-          sy += D(b, m) * u[at(a, m, c)];
-          sz += D(c, m) * u[at(a, b, m)];
-        }
-        dx[at(a, b, c)] = rx_ * sx;
-        dy[at(a, b, c)] = ry_ * sy;
-        dz[at(a, b, c)] = rz_ * sz;
-      }
 }
 
 void Operators3D::gradient(const la::Vector& u, la::Vector& ddx, la::Vector& ddy,
@@ -367,41 +278,6 @@ void Operators3D::gradient(const la::Vector& u, la::Vector& ddx, la::Vector& ddy
     d_->scatter_add(ldx_.data(), e, ddx);
     d_->scatter_add(ldy_.data(), e, ddy);
     d_->scatter_add(ldz_.data(), e, ddz);
-  }
-  for (std::size_t g = 0; g < n; ++g) {
-    ddx[g] /= mass_[g];
-    ddy[g] /= mass_[g];
-    ddz[g] /= mass_[g];
-  }
-}
-
-void Operators3D::gradient_reference(const la::Vector& u, la::Vector& ddx, la::Vector& ddy,
-                                     la::Vector& ddz) const {
-  const std::size_t n = d_->num_nodes();
-  const std::size_t npe = d_->nodes_per_element();
-  const auto& w = d_->rule().weights;
-  for (la::Vector* v : {&ddx, &ddy, &ddz}) {
-    if (v->size() != n) v->resize(n);
-    v->fill(0.0);
-  }
-  // lint: sem-alloc-ok (reference baseline keeps the pre-fast-path per-call scratch)
-  std::vector<double> lu(npe), dx(npe), dy(npe), dz(npe);
-  const auto n1 = static_cast<std::size_t>(d_->order()) + 1;
-  for (std::size_t e = 0; e < d_->num_elements(); ++e) {
-    d_->gather(u, e, lu.data());
-    elem_derivs_reference(lu.data(), dx.data(), dy.data(), dz.data());
-    std::size_t k = 0;
-    for (std::size_t c = 0; c < n1; ++c)
-      for (std::size_t b = 0; b < n1; ++b)
-        for (std::size_t a = 0; a < n1; ++a, ++k) {
-          const double m = jac_ * w[a] * w[b] * w[c];
-          dx[k] *= m;
-          dy[k] *= m;
-          dz[k] *= m;
-        }
-    d_->scatter_add(dx.data(), e, ddx);
-    d_->scatter_add(dy.data(), e, ddy);
-    d_->scatter_add(dz.data(), e, ddz);
   }
   for (std::size_t g = 0; g < n; ++g) {
     ddx[g] /= mass_[g];
@@ -441,94 +317,6 @@ double Operators3D::integral(const la::Vector& u) const {
   double s = 0.0;
   for (std::size_t g = 0; g < u.size(); ++g) s += mass_[g] * u[g];
   return s;
-}
-
-// ---------------------------------------------------------------------------
-
-HelmholtzSolver3D::HelmholtzSolver3D(const Operators3D& ops, double lambda, double nu,
-                                     std::vector<HexFace> dirichlet_faces)
-    : ops_(&ops), lambda_(lambda), nu_(nu) {
-  const auto& d = ops.disc();
-  is_dirichlet_.assign(d.num_nodes(), 0);
-  for (HexFace f : dirichlet_faces)
-    for (std::size_t g : d.face_nodes(f)) is_dirichlet_[g] = 1;
-  for (std::size_t g = 0; g < is_dirichlet_.size(); ++g)
-    if (is_dirichlet_[g]) dnodes_.push_back(g);
-  precond_diag_ = ops.helmholtz_diag(lambda, nu);
-  for (std::size_t g : dnodes_) precond_diag_[g] = 1.0;
-}
-
-la::CgResult HelmholtzSolver3D::solve(const la::Vector& f,
-                                      const std::function<double(double, double, double)>& g,
-                                      la::Vector& u) {
-  const auto& d = ops_->disc();
-  la::Vector bc(dnodes_.size());
-  for (std::size_t k = 0; k < dnodes_.size(); ++k)
-    bc[k] = g(d.node_x(dnodes_[k]), d.node_y(dnodes_[k]), d.node_z(dnodes_[k]));
-  return solve_with_values(f, bc, u);
-}
-
-la::CgResult HelmholtzSolver3D::solve_with_values(const la::Vector& f,
-                                                  const la::Vector& bc_values, la::Vector& u) {
-  const auto& d = ops_->disc();
-  const std::size_t n = d.num_nodes();
-  const auto& M = ops_->mass_diag();
-
-  la::Vector tmp_in(n), tmp_out(n);
-  la::LinearOperator op = [&](const double* x, double* y) {
-    for (std::size_t gi = 0; gi < n; ++gi) tmp_in[gi] = is_dirichlet_[gi] ? 0.0 : x[gi];
-    ops_->apply_helmholtz(lambda_, nu_, tmp_in, tmp_out);
-    for (std::size_t gi = 0; gi < n; ++gi) y[gi] = is_dirichlet_[gi] ? x[gi] : tmp_out[gi];
-  };
-
-  la::Vector b(n);
-  for (std::size_t gi = 0; gi < n; ++gi) b[gi] = M[gi] * f[gi];
-
-  la::Vector lift(n, 0.0);
-  if (!dnodes_.empty()) {
-    for (std::size_t k = 0; k < dnodes_.size(); ++k) lift[dnodes_[k]] = bc_values[k];
-    la::Vector Alift(n);
-    ops_->apply_helmholtz(lambda_, nu_, lift, Alift);
-    for (std::size_t gi = 0; gi < n; ++gi) b[gi] -= Alift[gi];
-  }
-  for (std::size_t gi = 0; gi < n; ++gi)
-    if (is_dirichlet_[gi]) b[gi] = 0.0;
-
-  if (pure_neumann() && lambda_ == 0.0) {
-    double sum_b = 0.0, sum_m = 0.0;
-    for (std::size_t gi = 0; gi < n; ++gi) {
-      sum_b += b[gi];
-      sum_m += M[gi];
-    }
-    const double shift = sum_b / sum_m;
-    for (std::size_t gi = 0; gi < n; ++gi) b[gi] -= M[gi] * shift;
-  }
-
-  la::Vector u0(n, 0.0);
-  projector_.predict(op, b, u0);
-  auto res = la::cg_solve(op, b, u0, la::jacobi_preconditioner(precond_diag_), opt_);
-  projector_.record(op, u0);
-
-  if (u.size() != n) u.resize(n);
-  for (std::size_t gi = 0; gi < n; ++gi) u[gi] = u0[gi] + lift[gi];
-
-  if (pure_neumann() && lambda_ == 0.0) {
-    double num = 0.0, den = 0.0;
-    for (std::size_t gi = 0; gi < n; ++gi) {
-      num += M[gi] * u[gi];
-      den += M[gi];
-    }
-    for (std::size_t gi = 0; gi < n; ++gi) u[gi] -= num / den;
-  }
-  return res;
-}
-
-void HelmholtzSolver3D::save_state(resilience::BlobWriter& w) const {
-  resilience::put_projector(w, projector_);
-}
-
-void HelmholtzSolver3D::load_state(resilience::BlobReader& r) {
-  resilience::get_projector(r, projector_);
 }
 
 }  // namespace sem

@@ -1,27 +1,19 @@
 #pragma once
 // Three-dimensional spectral-element core on structured hexahedral meshes:
 // the dimensionality NEKTAR-3D actually runs at. Provides the continuous-
-// Galerkin discretization, matrix-free tensor-product operators, and the
-// Helmholtz/Poisson solver; per-element operator cost is O(P^4) via sum
+// Galerkin discretization and matrix-free tensor-product operators (the
+// Helmholtz/Poisson solver on top is sem::HelmholtzSolver<Operators3D> in
+// helmholtz.hpp); per-element operator cost is O(P^4) via sum
 // factorisation, the same kernel structure whose SIMDization Table 1
-// measures. (The unsteady Navier-Stokes splitting is validated in 2D in
-// ns2d.hpp; all its building blocks are provided here in 3D.)
+// measures.
 
 #include <array>
 #include <cstddef>
-#include <functional>
-#include <map>
 #include <vector>
 
-#include "la/cg.hpp"
 #include "la/dense.hpp"
 #include "la/vector.hpp"
 #include "sem/gll.hpp"
-
-namespace resilience {
-class BlobWriter;
-class BlobReader;
-}  // namespace resilience
 
 namespace sem {
 
@@ -75,8 +67,9 @@ public:
   double node_y(std::size_t g) const;
   double node_z(std::size_t g) const;
 
-  /// Nodes on one of the six box faces (sorted, deduplicated).
-  const std::vector<std::size_t>& face_nodes(HexFace f) const {
+  /// Nodes on one of the six box faces (sorted, deduplicated); the 3D
+  /// counterpart of Discretization::boundary_nodes(tag).
+  const std::vector<std::size_t>& boundary_nodes(HexFace f) const {
     return faces_[static_cast<std::size_t>(f)];
   }
 
@@ -105,11 +98,11 @@ private:
 ///
 /// The apply paths run on the batched `la::simd` line kernels with
 /// per-instance scratch buffers (no allocation and no index arithmetic per
-/// apply); the pre-fast-path implementations are retained as `_reference`
-/// for benchmarking and equivalence tests (bench/extra_sem3d_kernel,
-/// tests/sem3d_test). Scratch makes applies non-reentrant: one Operators3D
-/// instance must not be applied from two threads at once (each xmp rank
-/// owns its solvers, so this never happens in-tree).
+/// apply); the scalar baselines they are checked and timed against live in
+/// the test-only library under tests/reference. Scratch makes applies
+/// non-reentrant: one Operators3D instance must not be applied from two
+/// threads at once (each xmp rank owns its solvers, so this never happens
+/// in-tree).
 class Operators3D {
 public:
   explicit Operators3D(const Discretization3D& d);
@@ -134,20 +127,10 @@ public:
 
   double integral(const la::Vector& u) const;
 
-  /// Pre-fast-path baselines (scalar strided y/z lines, per-call scratch):
-  /// kept for bench/extra_sem3d_kernel and the equivalence suites.
-  void apply_stiffness_reference(const la::Vector& u, la::Vector& y) const;
-  void apply_helmholtz_reference(double lambda, double nu, const la::Vector& u,
-                                 la::Vector& y) const;
-  void gradient_reference(const la::Vector& u, la::Vector& ddx, la::Vector& ddy,
-                          la::Vector& ddz) const;
-
 private:
   void elem_stiffness(const double* u, double* y) const;
   void elem_helmholtz(double lambda, double nu, const double* u, double* y) const;
   void elem_derivs(const double* u, double* dx, double* dy, double* dz) const;
-  void elem_stiffness_reference(const double* u, double* y) const;
-  void elem_derivs_reference(const double* u, double* dx, double* dy, double* dz) const;
 
   const Discretization3D* d_;
   la::Vector mass_;
@@ -162,45 +145,6 @@ private:
   mutable la::Vector gx_, gy_, gz_;
   double jac_;
   double rx_, ry_, rz_;
-};
-
-/// Helmholtz/Poisson boundary-value solver in 3D (Dirichlet on selected box
-/// faces, natural elsewhere; pure-Neumann mean pinning as in 2D).
-class HelmholtzSolver3D {
-public:
-  HelmholtzSolver3D(const Operators3D& ops, double lambda, double nu,
-                    std::vector<HexFace> dirichlet_faces);
-
-  la::CgResult solve(const la::Vector& f,
-                     const std::function<double(double, double, double)>& g, la::Vector& u);
-
-  /// Variant with explicit per-node Dirichlet values aligned with
-  /// dirichlet_nodes() (the NS solver's per-step BC path).
-  la::CgResult solve_with_values(const la::Vector& f, const la::Vector& bc_values,
-                                 la::Vector& u);
-
-  const std::vector<std::size_t>& dirichlet_nodes() const { return dnodes_; }
-  bool pure_neumann() const { return dnodes_.empty(); }
-  la::CgOptions& options() { return opt_; }
-
-  /// Checkpoint the warm-start projector (the solver's only mutable state).
-  void save_state(resilience::BlobWriter& w) const;
-  void load_state(resilience::BlobReader& r);
-
-private:
-  // analyze: no-checkpoint (constructor configuration, re-supplied by the driver)
-  const Operators3D* ops_;
-  // analyze: no-checkpoint (constructor configuration: operator coefficients)
-  double lambda_, nu_;
-  // analyze: no-checkpoint (derived from the BC tags in the constructor)
-  std::vector<std::size_t> dnodes_;
-  // analyze: no-checkpoint (derived from dnodes_ in the constructor)
-  std::vector<char> is_dirichlet_;
-  // analyze: no-checkpoint (preconditioner table, precomputed from ops_)
-  la::Vector precond_diag_;
-  la::SolutionProjector projector_;
-  // analyze: no-checkpoint (solver tolerances are configuration)
-  la::CgOptions opt_;
 };
 
 }  // namespace sem

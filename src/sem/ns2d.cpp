@@ -67,17 +67,18 @@ void NavierStokes2D::build_solvers() {
     const bool natural = it != bc_.end() && it->second.natural;
     if (!natural) velocity_dirichlet_tags_.push_back(tag);
   }
-  velocity_solver_ = std::make_unique<HelmholtzSolver>(ops_, 1.0 / params_.dt, params_.nu,
-                                                       velocity_dirichlet_tags_);
+  using Solver = HelmholtzSolver<Operators>;
+  velocity_solver_ =
+      std::make_unique<Solver>(ops_, 1.0 / params_.dt, params_.nu, velocity_dirichlet_tags_);
   if (params_.time_order >= 2)
-    velocity_solver2_ = std::make_unique<HelmholtzSolver>(ops_, 1.5 / params_.dt, params_.nu,
-                                                          velocity_dirichlet_tags_);
+    velocity_solver2_ =
+        std::make_unique<Solver>(ops_, 1.5 / params_.dt, params_.nu, velocity_dirichlet_tags_);
   // Pressure: Dirichlet 0 on the configured tags (outlets / natural
   // boundaries), Neumann elsewhere.
   std::vector<int> ptags;
   for (int tag : params_.pressure_dirichlet_tags)
     if (!d_->boundary_nodes(tag).empty()) ptags.push_back(tag);
-  pressure_solver_ = std::make_unique<HelmholtzSolver>(ops_, 0.0, 1.0, ptags);
+  pressure_solver_ = std::make_unique<Solver>(ops_, 0.0, 1.0, ptags);
 }
 
 void NavierStokes2D::fill_bc_values(double t, la::Vector& ubc, la::Vector& vbc) const {
@@ -214,7 +215,7 @@ std::size_t NavierStokes2D::step() {
     fu[g] = gamma0 * us[g] / dt;
     fv[g] = gamma0 * vs[g] / dt;
   }
-  HelmholtzSolver& vsolve = second ? *velocity_solver2_ : *velocity_solver_;
+  HelmholtzSolver<Operators>& vsolve = second ? *velocity_solver2_ : *velocity_solver_;
   auto ru = vsolve.solve_with_values(fu, ubc, u_);
   auto rv = vsolve.solve_with_values(fv, vbc, v_);
   iters += ru.iterations + rv.iterations;
@@ -233,15 +234,7 @@ void NavierStokes2D::save_state(resilience::BlobWriter& w) const {
   resilience::put_vector(w, v_prev_);
   resilience::put_vector(w, conv_u_prev_);
   resilience::put_vector(w, conv_v_prev_);
-  // solver warm-start projectors (solvers exist after the first step; a
-  // pre-first-step checkpoint records them as absent)
-  w.pod(static_cast<std::uint8_t>(pressure_solver_ != nullptr));
-  if (pressure_solver_) {
-    pressure_solver_->save_state(w);
-    velocity_solver_->save_state(w);
-    w.pod(static_cast<std::uint8_t>(velocity_solver2_ != nullptr));
-    if (velocity_solver2_) velocity_solver2_->save_state(w);
-  }
+  save_warmstart(w);
 }
 
 void NavierStokes2D::load_state(resilience::BlobReader& r) {
@@ -257,18 +250,11 @@ void NavierStokes2D::load_state(resilience::BlobReader& r) {
   resilience::get_vector(r, v_prev_);
   resilience::get_vector(r, conv_u_prev_);
   resilience::get_vector(r, conv_v_prev_);
-  if (r.pod<std::uint8_t>() != 0) {
-    if (!pressure_solver_) build_solvers();
-    pressure_solver_->load_state(r);
-    velocity_solver_->load_state(r);
-    const bool had2 = r.pod<std::uint8_t>() != 0;
-    if (had2 != (velocity_solver2_ != nullptr))
-      throw resilience::LayoutError("NS2D: checkpoint time_order != configured time_order");
-    if (velocity_solver2_) velocity_solver2_->load_state(r);
-  }
+  load_warmstart(r);
 }
 
 void NavierStokes2D::save_warmstart(resilience::BlobWriter& w) const {
+  // solvers exist after the first step; before it they are recorded absent
   w.pod(static_cast<std::uint8_t>(pressure_solver_ != nullptr));
   if (pressure_solver_) {
     pressure_solver_->save_state(w);
@@ -279,13 +265,13 @@ void NavierStokes2D::save_warmstart(resilience::BlobWriter& w) const {
 }
 
 void NavierStokes2D::load_warmstart(resilience::BlobReader& r) {
-  if (r.pod<std::uint8_t>() == 0) return;  // donor had never stepped
+  if (r.pod<std::uint8_t>() == 0) return;  // the saved run had never stepped
   if (!pressure_solver_) build_solvers();
   pressure_solver_->load_state(r);
   velocity_solver_->load_state(r);
   const bool had2 = r.pod<std::uint8_t>() != 0;
   if (had2 != (velocity_solver2_ != nullptr))
-    throw resilience::LayoutError("NS2D: warm-start time_order != configured time_order");
+    throw resilience::LayoutError("NS2D: saved time_order != configured time_order");
   if (velocity_solver2_) velocity_solver2_->load_state(r);
 }
 

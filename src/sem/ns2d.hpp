@@ -89,6 +89,7 @@ public:
   /// bases (no fields, no time). Loading seeds the CG predictors of a fresh
   /// run from a completed nearby one — the ensemble engine's "projector"
   /// warm-start mode. Requires identical discretization and time_order.
+  /// save_state/load_state end with this same block.
   void save_warmstart(resilience::BlobWriter& w) const;
   void load_warmstart(resilience::BlobReader& r);
 
@@ -122,9 +123,9 @@ private:
   bool have_history_ = false;
   double t_ = 0.0;
 
-  std::unique_ptr<HelmholtzSolver> pressure_solver_;
-  std::unique_ptr<HelmholtzSolver> velocity_solver_;   // order-1 lambda = 1/dt
-  std::unique_ptr<HelmholtzSolver> velocity_solver2_;  // order-2 lambda = 3/(2 dt)
+  std::unique_ptr<HelmholtzSolver<Operators>> pressure_solver_;
+  std::unique_ptr<HelmholtzSolver<Operators>> velocity_solver_;   // order-1 lambda = 1/dt
+  std::unique_ptr<HelmholtzSolver<Operators>> velocity_solver2_;  // order-2 lambda = 3/(2 dt)
   // analyze: no-checkpoint (derived from BC registration, rebuilt by build_solvers)
   std::vector<int> velocity_dirichlet_tags_;
 };

@@ -54,16 +54,15 @@ void NavierStokes3D::build_solvers() {
   for (int f = 0; f < 6; ++f) {
     if (bc_[static_cast<std::size_t>(f)].natural) continue;
     vel_faces.push_back(static_cast<HexFace>(f));
-    for (std::size_t g : d_->face_nodes(static_cast<HexFace>(f)))
+    for (std::size_t g : d_->boundary_nodes(static_cast<HexFace>(f)))
       if (node_face_[g] == static_cast<char>(-1)) node_face_[g] = static_cast<char>(f);
   }
-  velocity_solver_ =
-      std::make_unique<HelmholtzSolver3D>(ops_, 1.0 / params_.dt, params_.nu, vel_faces);
+  using Solver = HelmholtzSolver<Operators3D>;
+  velocity_solver_ = std::make_unique<Solver>(ops_, 1.0 / params_.dt, params_.nu, vel_faces);
   if (params_.time_order >= 2)
-    velocity_solver2_ =
-        std::make_unique<HelmholtzSolver3D>(ops_, 1.5 / params_.dt, params_.nu, vel_faces);
+    velocity_solver2_ = std::make_unique<Solver>(ops_, 1.5 / params_.dt, params_.nu, vel_faces);
   pressure_solver_ =
-      std::make_unique<HelmholtzSolver3D>(ops_, 0.0, 1.0, params_.pressure_dirichlet_faces);
+      std::make_unique<Solver>(ops_, 0.0, 1.0, params_.pressure_dirichlet_faces);
   dnodes_ = velocity_solver_->dirichlet_nodes();
 }
 
@@ -180,7 +179,7 @@ std::size_t NavierStokes3D::step() {
     fv[g] = gamma0 * vs[g] / dt;
     fw[g] = gamma0 * ws[g] / dt;
   }
-  HelmholtzSolver3D& vsolve = second ? *velocity_solver2_ : *velocity_solver_;
+  HelmholtzSolver<Operators3D>& vsolve = second ? *velocity_solver2_ : *velocity_solver_;
   iters += vsolve.solve_with_values(fu, ubc, u_).iterations;
   iters += vsolve.solve_with_values(fv, vbc, v_).iterations;
   iters += vsolve.solve_with_values(fw, wbc, w_).iterations;
@@ -202,13 +201,7 @@ void NavierStokes3D::save_state(resilience::BlobWriter& w) const {
   resilience::put_vector(w, cu_prev_);
   resilience::put_vector(w, cv_prev_);
   resilience::put_vector(w, cw_prev_);
-  w.pod(static_cast<std::uint8_t>(pressure_solver_ != nullptr));
-  if (pressure_solver_) {
-    pressure_solver_->save_state(w);
-    velocity_solver_->save_state(w);
-    w.pod(static_cast<std::uint8_t>(velocity_solver2_ != nullptr));
-    if (velocity_solver2_) velocity_solver2_->save_state(w);
-  }
+  save_warmstart(w);
 }
 
 void NavierStokes3D::load_state(resilience::BlobReader& r) {
@@ -227,15 +220,7 @@ void NavierStokes3D::load_state(resilience::BlobReader& r) {
   resilience::get_vector(r, cu_prev_);
   resilience::get_vector(r, cv_prev_);
   resilience::get_vector(r, cw_prev_);
-  if (r.pod<std::uint8_t>() != 0) {
-    if (!pressure_solver_) build_solvers();
-    pressure_solver_->load_state(r);
-    velocity_solver_->load_state(r);
-    const bool had2 = r.pod<std::uint8_t>() != 0;
-    if (had2 != (velocity_solver2_ != nullptr))
-      throw resilience::LayoutError("NS3D: checkpoint time_order != configured time_order");
-    if (velocity_solver2_) velocity_solver2_->load_state(r);
-  }
+  load_warmstart(r);
 }
 
 void NavierStokes3D::save_warmstart(resilience::BlobWriter& w) const {
@@ -249,13 +234,13 @@ void NavierStokes3D::save_warmstart(resilience::BlobWriter& w) const {
 }
 
 void NavierStokes3D::load_warmstart(resilience::BlobReader& r) {
-  if (r.pod<std::uint8_t>() == 0) return;  // donor had never stepped
+  if (r.pod<std::uint8_t>() == 0) return;  // the saved run had never stepped
   if (!pressure_solver_) build_solvers();
   pressure_solver_->load_state(r);
   velocity_solver_->load_state(r);
   const bool had2 = r.pod<std::uint8_t>() != 0;
   if (had2 != (velocity_solver2_ != nullptr))
-    throw resilience::LayoutError("NS3D: warm-start time_order != configured time_order");
+    throw resilience::LayoutError("NS3D: saved time_order != configured time_order");
   if (velocity_solver2_) velocity_solver2_->load_state(r);
 }
 

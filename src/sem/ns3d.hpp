@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "sem/helmholtz.hpp"
 #include "sem/hex3d.hpp"
 
 namespace resilience {
@@ -55,6 +56,7 @@ public:
   /// Serialize only the Helmholtz solvers' successive-solution projector
   /// bases (no fields, no time) — the ensemble engine's "projector"
   /// warm-start mode. Requires identical discretization and time_order.
+  /// save_state/load_state end with this same block.
   void save_warmstart(resilience::BlobWriter& w) const;
   void load_warmstart(resilience::BlobReader& r);
 
@@ -94,9 +96,9 @@ private:
   bool have_history_ = false;
   double t_ = 0.0;
 
-  std::unique_ptr<HelmholtzSolver3D> pressure_solver_;
-  std::unique_ptr<HelmholtzSolver3D> velocity_solver_;
-  std::unique_ptr<HelmholtzSolver3D> velocity_solver2_;
+  std::unique_ptr<HelmholtzSolver<Operators3D>> pressure_solver_;
+  std::unique_ptr<HelmholtzSolver<Operators3D>> velocity_solver_;
+  std::unique_ptr<HelmholtzSolver<Operators3D>> velocity_solver2_;
   // analyze: no-checkpoint (derived from BC registration, rebuilt by build_solvers)
   std::vector<std::size_t> dnodes_;  ///< union of Dirichlet-face nodes
   // analyze: no-checkpoint (derived from BC registration, rebuilt by build_solvers)

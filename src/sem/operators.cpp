@@ -84,33 +84,6 @@ void Operators::elem_helmholtz(double lambda, double nu, const double* u, double
   for (std::size_t k = 0; k < npe; ++k) y[k] += lambda * lmass_[k] * u[k];
 }
 
-void Operators::elem_stiffness_reference(const double* u, double* y) const {
-  const int P = d_->order();
-  const std::size_t n1 = static_cast<std::size_t>(P) + 1;
-  const auto& w = d_->rule().weights;
-  const double cx = jac_ * rx_ * rx_;
-  const double cy = jac_ * ry_ * ry_;
-  for (std::size_t k = 0; k < n1 * n1; ++k) y[k] = 0.0;
-  // x-direction: for each row j, y(:,j) += cx*w_j * G u(:,j)
-  for (std::size_t j = 0; j < n1; ++j) {
-    const double* uj = u + j * n1;
-    double* yj = y + j * n1;
-    const double c = cx * w[j];
-    for (std::size_t a = 0; a < n1; ++a)
-      yj[a] += c * la::simd::dot(G_.row(a), uj, n1);
-  }
-  // y-direction: for each column i, y(i,:) += cy*w_i * G u(i,:)
-  for (std::size_t i = 0; i < n1; ++i) {
-    const double c = cy * w[i];
-    for (std::size_t b = 0; b < n1; ++b) {
-      double s = 0.0;
-      const double* Gb = G_.row(b);
-      for (std::size_t nidx = 0; nidx < n1; ++nidx) s += Gb[nidx] * u[nidx * n1 + i];
-      y[b * n1 + i] += c * s;
-    }
-  }
-}
-
 void Operators::elem_deriv_x(const double* u, double* dudx) const {
   const std::size_t n1 = static_cast<std::size_t>(d_->order()) + 1;
   for (std::size_t k = 0; k < n1 * n1; ++k) dudx[k] = 0.0;
@@ -121,28 +94,6 @@ void Operators::elem_deriv_y(const double* u, double* dudy) const {
   const std::size_t n1 = static_cast<std::size_t>(d_->order()) + 1;
   for (std::size_t k = 0; k < n1 * n1; ++k) dudy[k] = 0.0;
   la::simd::lines_apply(d_->diff_matrix().data(), n1, n1, u, dudy, nullptr, ry_);
-}
-
-void Operators::elem_deriv_x_reference(const double* u, double* dudx) const {
-  const std::size_t n1 = static_cast<std::size_t>(d_->order()) + 1;
-  const auto& D = d_->diff_matrix();
-  for (std::size_t j = 0; j < n1; ++j) {
-    const double* uj = u + j * n1;
-    double* oj = dudx + j * n1;
-    for (std::size_t a = 0; a < n1; ++a) oj[a] = rx_ * la::simd::dot(D.row(a), uj, n1);
-  }
-}
-
-void Operators::elem_deriv_y_reference(const double* u, double* dudy) const {
-  const std::size_t n1 = static_cast<std::size_t>(d_->order()) + 1;
-  const auto& D = d_->diff_matrix();
-  for (std::size_t i = 0; i < n1; ++i)
-    for (std::size_t b = 0; b < n1; ++b) {
-      double s = 0.0;
-      const double* Db = D.row(b);
-      for (std::size_t nidx = 0; nidx < n1; ++nidx) s += Db[nidx] * u[nidx * n1 + i];
-      dudy[b * n1 + i] = ry_ * s;
-    }
 }
 
 void Operators::apply_stiffness(const la::Vector& u, la::Vector& y) const {
@@ -156,19 +107,6 @@ void Operators::apply_stiffness(const la::Vector& u, la::Vector& y) const {
   }
 }
 
-void Operators::apply_stiffness_reference(const la::Vector& u, la::Vector& y) const {
-  const std::size_t npe = d_->nodes_per_element();
-  if (y.size() != u.size()) y.resize(u.size());
-  y.fill(0.0);
-  // lint: sem-alloc-ok (reference baseline keeps the pre-fast-path per-call scratch)
-  std::vector<double> lu(npe), ly(npe);
-  for (std::size_t e = 0; e < d_->num_elements(); ++e) {
-    d_->gather(u, e, lu.data());
-    elem_stiffness_reference(lu.data(), ly.data());
-    d_->scatter_add(ly.data(), e, y);
-  }
-}
-
 void Operators::apply_helmholtz(double lambda, double nu, const la::Vector& u,
                                 la::Vector& y) const {
   if (y.size() != u.size()) y.resize(u.size());
@@ -179,13 +117,6 @@ void Operators::apply_helmholtz(double lambda, double nu, const la::Vector& u,
     elem_helmholtz(lambda, nu, lu_.data(), ly_.data());
     d_->scatter_add(ly_.data(), e, y);
   }
-}
-
-void Operators::apply_helmholtz_reference(double lambda, double nu, const la::Vector& u,
-                                          la::Vector& y) const {
-  apply_stiffness_reference(u, y);
-  la::simd::scale(nu, y.data(), y.size());
-  for (std::size_t g = 0; g < u.size(); ++g) y[g] += lambda * mass_[g] * u[g];
 }
 
 la::Vector Operators::helmholtz_diag(double lambda, double nu) const {
@@ -214,38 +145,6 @@ void Operators::gradient(const la::Vector& u, la::Vector& dudx, la::Vector& dudy
     }
     d_->scatter_add(ldx_.data(), e, dudx);
     d_->scatter_add(ldy_.data(), e, dudy);
-  }
-  for (std::size_t g = 0; g < n; ++g) {
-    dudx[g] /= mass_[g];
-    dudy[g] /= mass_[g];
-  }
-}
-
-void Operators::gradient_reference(const la::Vector& u, la::Vector& dudx,
-                                   la::Vector& dudy) const {
-  const std::size_t n = d_->num_nodes();
-  const std::size_t npe = d_->nodes_per_element();
-  const int P = d_->order();
-  const auto& w = d_->rule().weights;
-  if (dudx.size() != n) dudx.resize(n);
-  if (dudy.size() != n) dudy.resize(n);
-  dudx.fill(0.0);
-  dudy.fill(0.0);
-  // lint: sem-alloc-ok (reference baseline keeps the pre-fast-path per-call scratch)
-  std::vector<double> lu(npe), dx(npe), dy(npe);
-  for (std::size_t e = 0; e < d_->num_elements(); ++e) {
-    d_->gather(u, e, lu.data());
-    elem_deriv_x_reference(lu.data(), dx.data());
-    elem_deriv_y_reference(lu.data(), dy.data());
-    for (int b = 0; b <= P; ++b)
-      for (int a = 0; a <= P; ++a) {
-        const std::size_t k = static_cast<std::size_t>(b) * (P + 1) + static_cast<std::size_t>(a);
-        const double m = jac_ * w[static_cast<std::size_t>(a)] * w[static_cast<std::size_t>(b)];
-        dx[k] *= m;
-        dy[k] *= m;
-      }
-    d_->scatter_add(dx.data(), e, dudx);
-    d_->scatter_add(dy.data(), e, dudy);
   }
   for (std::size_t g = 0; g < n; ++g) {
     dudx[g] /= mass_[g];

@@ -18,10 +18,10 @@ namespace sem {
 ///
 /// The apply paths run on the batched `la::simd` line kernels with
 /// per-instance scratch (no allocation and no per-call index arithmetic);
-/// the pre-fast-path implementations are retained as `_reference` for the
-/// equivalence suites (tests/sem_test). Scratch makes applies non-reentrant:
-/// one Operators instance must not be applied from two threads at once
-/// (each solver owns its Operators, so this never happens in-tree).
+/// the scalar baselines they are checked against live in the test-only
+/// library under tests/reference. Scratch makes applies non-reentrant: one
+/// Operators instance must not be applied from two threads at once (each
+/// solver owns its Operators, so this never happens in-tree).
 class Operators {
 public:
   explicit Operators(const Discretization& d);
@@ -67,22 +67,12 @@ public:
   /// Discrete integral of the field: 1^T M u.
   double integral(const la::Vector& u) const;
 
-  /// Pre-fast-path baselines (scalar strided y-lines, per-call scratch):
-  /// kept for the equivalence suites.
-  void apply_stiffness_reference(const la::Vector& u, la::Vector& y) const;
-  void apply_helmholtz_reference(double lambda, double nu, const la::Vector& u,
-                                 la::Vector& y) const;
-  void gradient_reference(const la::Vector& u, la::Vector& dudx, la::Vector& dudy) const;
-
 private:
   // element-local kernels; local arrays are (P+1)^2, (b*(P+1)+a) layout
   void elem_stiffness(const double* u, double* y) const;
   void elem_helmholtz(double lambda, double nu, const double* u, double* y) const;
   void elem_deriv_x(const double* u, double* dudx) const;
   void elem_deriv_y(const double* u, double* dudy) const;
-  void elem_stiffness_reference(const double* u, double* y) const;
-  void elem_deriv_x_reference(const double* u, double* dudx) const;
-  void elem_deriv_y_reference(const double* u, double* dudy) const;
 
   const Discretization* d_;
   la::Vector mass_;

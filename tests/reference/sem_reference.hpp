@@ -1,0 +1,32 @@
+#pragma once
+// Scalar baselines of the SEM operator kernels (test-only library
+// `sem_reference`): the pre-fast-path algorithm — per-line dot products
+// along x, scalar strided loops along y (and z), per-call scratch and
+// tables — written as free functions of the discretization. The equivalence
+// suites (sem_test, sem3d_test) compare sem::Operators / sem::Operators3D
+// against them, and bench/extra_sem3d_kernel times the 3D fast path
+// against them. Results have the same layout and semantics as the member
+// functions of the same name.
+
+#include "la/vector.hpp"
+#include "sem/discretization.hpp"
+#include "sem/hex3d.hpp"
+
+namespace sem::reference {
+
+/// y = K u (resized and zeroed first).
+void apply_stiffness(const Discretization& d, const la::Vector& u, la::Vector& y);
+void apply_stiffness(const Discretization3D& d, const la::Vector& u, la::Vector& y);
+
+/// y = lambda M u + nu K u (stiffness apply, then the assembled mass term).
+void apply_helmholtz(const Discretization& d, double lambda, double nu, const la::Vector& u,
+                     la::Vector& y);
+void apply_helmholtz(const Discretization3D& d, double lambda, double nu, const la::Vector& u,
+                     la::Vector& y);
+
+/// Nodal derivatives, mass-averaged at shared nodes.
+void gradient(const Discretization& d, const la::Vector& u, la::Vector& dudx, la::Vector& dudy);
+void gradient(const Discretization3D& d, const la::Vector& u, la::Vector& ddx, la::Vector& ddy,
+              la::Vector& ddz);
+
+}  // namespace sem::reference

@@ -6,7 +6,9 @@
 
 #include <cmath>
 #include <complex>
+#include <stdexcept>
 
+#include "reference/sem_reference.hpp"
 #include "sem/discretization.hpp"
 #include "sem/gll.hpp"
 #include "sem/helmholtz.hpp"
@@ -327,22 +329,63 @@ TEST(Helmholtz, PureNeumannPoissonZeroMean) {
   EXPECT_NEAR(ops.integral(u), 0.0, 1e-9);
 }
 
-TEST(Helmholtz, ProjectorAcceleratesTimeSeries) {
-  auto m = mesh::QuadMesh::lid_cavity(3);
-  sem::Discretization d(m, 6);
-  sem::Operators ops(d);
-  sem::HelmholtzSolver hs(ops, 10.0, 1.0, {mesh::kWall, mesh::kInlet});
+}  // namespace
+
+// ---------------- Helmholtz, both instantiations ----------------
+
+// A Dirichlet-walled unit square (2D) or unit cube (3D) at order 6: one
+// problem per HelmholtzSolver instantiation, for the typed HelmholtzDims
+// suite. They sit outside the anonymous namespace so the discovered test
+// names read HelmholtzDims.<Test><Quad2d>.
+struct Quad2d {
+  sem::Discretization d{mesh::QuadMesh::lid_cavity(3), 6};
+  sem::Operators ops{d};
+  std::vector<int> walls{mesh::kWall, mesh::kInlet};
+};
+
+struct Hex3d {
+  sem::Discretization3D d{1.0, 1.0, 1.0, 2, 2, 2, 6};
+  sem::Operators3D ops{d};
+  std::vector<sem::HexFace> walls{sem::HexFace::X0, sem::HexFace::X1, sem::HexFace::Y0,
+                                  sem::HexFace::Y1, sem::HexFace::Z0, sem::HexFace::Z1};
+};
+
+namespace {
+
+template <class Case>
+class HelmholtzDims : public ::testing::Test {};
+using HelmholtzCases = ::testing::Types<Quad2d, Hex3d>;
+TYPED_TEST_SUITE(HelmholtzDims, HelmholtzCases);
+
+TYPED_TEST(HelmholtzDims, ProjectorAcceleratesTimeSeries) {
+  TypeParam c;
+  sem::HelmholtzSolver hs(c.ops, 10.0, 1.0, c.walls);
+  const la::Vector bc(hs.dirichlet_nodes().size(), 0.0);
   la::Vector u;
   std::size_t first = 0, late = 0;
   for (int step = 0; step < 8; ++step) {
-    la::Vector f(d.num_nodes());
-    for (std::size_t g = 0; g < d.num_nodes(); ++g)
-      f[g] = std::sin(M_PI * d.node_x(g) + 0.1 * step) * std::sin(M_PI * d.node_y(g));
-    auto res = hs.solve(f, [](double, double) { return 0.0; }, u);
+    la::Vector f(c.d.num_nodes());
+    for (std::size_t g = 0; g < c.d.num_nodes(); ++g)
+      f[g] = std::sin(M_PI * c.d.node_x(g) + 0.1 * step) * std::sin(M_PI * c.d.node_y(g));
+    auto res = hs.solve_with_values(f, bc, u);
     if (step == 0) first = res.iterations;
     if (step == 7) late = res.iterations;
   }
   EXPECT_LT(late, first / 2);
+}
+
+TYPED_TEST(HelmholtzDims, RejectsMissizedInput) {
+  TypeParam c;
+  sem::HelmholtzSolver hs(c.ops, 1.0, 1.0, c.walls);
+  const std::size_t n = c.d.num_nodes(), nb = hs.dirichlet_nodes().size();
+  la::Vector u;
+  EXPECT_NO_THROW(hs.solve_with_values(la::Vector(n, 0.0), la::Vector(nb, 0.0), u));
+  EXPECT_THROW(hs.solve_with_values(la::Vector(n - 1, 0.0), la::Vector(nb, 0.0), u),
+               std::invalid_argument);
+  EXPECT_THROW(hs.solve_with_values(la::Vector(n, 0.0), la::Vector(nb - 1, 0.0), u),
+               std::invalid_argument);
+  EXPECT_THROW(hs.solve_with_values(la::Vector(n, 0.0), la::Vector(nb + 1, 0.0), u),
+               std::invalid_argument);
 }
 
 // ---------------- Navier-Stokes ----------------
@@ -619,58 +662,7 @@ TEST(Ops, WallShearStressZeroForUniformFlow) {
 
 namespace {
 
-TEST(Helmholtz, BlockSchwarzSolvesCorrectly) {
-  auto m = mesh::QuadMesh::lid_cavity(3);
-  sem::Discretization d(m, 6);
-  sem::Operators ops(d);
-  const double lambda = 2.0, nu = 0.5;
-  sem::HelmholtzSolver hs(ops, lambda, nu, {mesh::kWall, mesh::kInlet},
-                          sem::PreconditionerKind::BlockSchwarz);
-  hs.options().rtol = 1e-12;
-  auto exact = [](double x, double y) { return std::sin(M_PI * x) * std::sin(M_PI * y); };
-  la::Vector f(d.num_nodes());
-  for (std::size_t g = 0; g < d.num_nodes(); ++g)
-    f[g] = (lambda + 2.0 * nu * M_PI * M_PI) * exact(d.node_x(g), d.node_y(g));
-  la::Vector u;
-  auto res = hs.solve(f, [&](double x, double y) { return exact(x, y); }, u);
-  EXPECT_TRUE(res.converged);
-  double err = 0.0;
-  for (std::size_t g = 0; g < d.num_nodes(); ++g)
-    err = std::max(err, std::fabs(u[g] - exact(d.node_x(g), d.node_y(g))));
-  EXPECT_LT(err, 1e-6);
-}
-
-TEST(Helmholtz, BlockSchwarzBeatsJacobiAtHighOrder) {
-  // The low-energy-style preconditioner's job: kill the high-energy
-  // intra-element modes that blow up the diagonal-preconditioned condition
-  // number as P grows.
-  auto m = mesh::QuadMesh::lid_cavity(3);
-  sem::Discretization d(m, 9);
-  sem::Operators ops(d);
-  la::Vector f(d.num_nodes());
-  for (std::size_t g = 0; g < d.num_nodes(); ++g)
-    f[g] = std::sin(M_PI * d.node_x(g)) * std::sin(2.0 * M_PI * d.node_y(g));
-  la::Vector u;
-
-  sem::HelmholtzSolver jac(ops, 1.0, 1.0, {mesh::kWall, mesh::kInlet},
-                           sem::PreconditionerKind::Jacobi);
-  jac.set_projection_depth(0);
-  jac.options().rtol = 1e-10;
-  auto rj = jac.solve(f, [](double, double) { return 0.0; }, u);
-
-  sem::HelmholtzSolver bs(ops, 1.0, 1.0, {mesh::kWall, mesh::kInlet},
-                          sem::PreconditionerKind::BlockSchwarz);
-  bs.set_projection_depth(0);
-  bs.options().rtol = 1e-10;
-  auto rb = bs.solve(f, [](double, double) { return 0.0; }, u);
-
-  EXPECT_TRUE(rj.converged);
-  EXPECT_TRUE(rb.converged);
-  EXPECT_LT(rb.iterations, rj.iterations) << "jacobi=" << rj.iterations
-                                          << " schwarz=" << rb.iterations;
-}
-
-// ---- fast path vs retained reference kernels --------------------------
+// ---- fast path vs the scalar reference kernels ------------------------
 
 la::Vector wavy2d(const sem::Discretization& d, double kx, double ky) {
   la::Vector f(d.num_nodes());
@@ -689,14 +681,14 @@ TEST_P(OpsEquivalence, StiffnessAndHelmholtzMatchReference) {
   const auto u = wavy2d(d, 2.0, 3.0);
   la::Vector yf, yr;
   ops.apply_stiffness(u, yf);
-  ops.apply_stiffness_reference(u, yr);
+  sem::reference::apply_stiffness(d, u, yr);
   double scale = 0.0;
   for (std::size_t g = 0; g < yr.size(); ++g) scale = std::max(scale, std::fabs(yr[g]));
   for (std::size_t g = 0; g < yr.size(); ++g)
     EXPECT_NEAR(yf[g], yr[g], 1e-12 * (1.0 + scale)) << "P=" << P;
 
   ops.apply_helmholtz(3.1, 0.45, u, yf);
-  ops.apply_helmholtz_reference(3.1, 0.45, u, yr);
+  sem::reference::apply_helmholtz(d, 3.1, 0.45, u, yr);
   scale = 0.0;
   for (std::size_t g = 0; g < yr.size(); ++g) scale = std::max(scale, std::fabs(yr[g]));
   for (std::size_t g = 0; g < yr.size(); ++g)
@@ -718,7 +710,7 @@ TEST_P(OpsEquivalence, MaskedMeshMatchesReference) {
     for (std::size_t g = 0; g < t.size(); ++g)
       if (mask[g]) t[g] = 0.0;
     if (ref)
-      ops.apply_helmholtz_reference(1.5, 0.7, t, out);
+      sem::reference::apply_helmholtz(d, 1.5, 0.7, t, out);
     else
       ops.apply_helmholtz(1.5, 0.7, t, out);
     for (std::size_t g = 0; g < t.size(); ++g)
@@ -741,7 +733,7 @@ TEST_P(OpsEquivalence, GradientMatchesReference) {
   const auto u = wavy2d(d, 1.9, 1.2);
   la::Vector fx, fy, rx, ry;
   ops.gradient(u, fx, fy);
-  ops.gradient_reference(u, rx, ry);
+  sem::reference::gradient(d, u, rx, ry);
   for (std::size_t g = 0; g < rx.size(); ++g) {
     EXPECT_NEAR(fx[g], rx[g], 1e-10 * (1.0 + std::fabs(rx[g]))) << "P=" << P;
     EXPECT_NEAR(fy[g], ry[g], 1e-10 * (1.0 + std::fabs(ry[g])));

@@ -10,9 +10,12 @@
 #include <chrono>
 #include <limits>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "coupling/mci.hpp"
+#include "sem/ns2d.hpp"
+#include "sem/ns3d.hpp"
 #include "telemetry/bench_report.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/comm_matrix.hpp"
@@ -64,6 +67,39 @@ TEST(TelemetryRegistry, PhasesNestIntoTree) {
   EXPECT_GE(solve->exclusive_seconds(), 0.0);
   EXPECT_NEAR(solve->child_seconds(), cg->seconds, 1e-12);
   EXPECT_GT(cg->seconds, 0.0);
+}
+
+namespace {
+
+// The SEM phase tree docs/TELEMETRY.md documents: a Navier-Stokes step
+// nests its pressure solve as <ns>.step/<ns>.pressure/helmholtz.solve/cg.solve.
+void expect_sem_phase_path(const std::string& ns) {
+  const auto root = telemetry::Registry::local().phases();
+  const telemetry::PhaseNode* node = &root;
+  const std::string path[] = {ns + ".step", ns + ".pressure", "helmholtz.solve", "cg.solve"};
+  for (const std::string& name : path) {
+    node = node->find(name);
+    ASSERT_NE(node, nullptr) << "no phase " << name << " on the " << ns << " path";
+  }
+  const auto counters = telemetry::Registry::local().counters();
+  ASSERT_TRUE(counters.count("helmholtz.solves")) << ns;
+  EXPECT_GT(counters.at("helmholtz.solves").value, 0.0) << ns;
+}
+
+}  // namespace
+
+TEST(TelemetryRegistry, NavierStokesStepsNestHelmholtzAndCg) {
+  telemetry::Registry::reset_all();
+  sem::Discretization d2(mesh::QuadMesh::channel(1.0, 1.0, 2, 2), 3);
+  sem::NavierStokes2D ns2(d2, {});
+  ns2.step();
+  expect_sem_phase_path("ns2d");
+
+  telemetry::Registry::reset_all();
+  sem::Discretization3D d3(1.0, 1.0, 1.0, 2, 2, 2, 3);
+  sem::NavierStokes3D ns3(d3, {});
+  ns3.step();
+  expect_sem_phase_path("ns3d");
 }
 
 TEST(TelemetryRegistry, UnmatchedPhaseEndThrows) {

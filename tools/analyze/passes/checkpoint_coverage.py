@@ -1,7 +1,8 @@
 """checkpoint-coverage: every data member of a class that defines
-save_state/load_state must be referenced in *both* bodies, or carry an
-explicit `// analyze: no-checkpoint (<reason>)` marker on (or up to two
-lines above) its declaration.
+save_state/load_state must be referenced in *both* bodies (directly or
+through the class's own methods they call), or carry an explicit
+`// analyze: no-checkpoint (<reason>)` marker on (or up to two lines above)
+its declaration.
 
 Bug class: a new member added to an evolving solver that nobody adds to the
 checkpoint codec. The restart then silently diverges from the uninterrupted
@@ -24,12 +25,19 @@ MARKERS = {"no-checkpoint", "checkpoint-coverage-ok"}
 _SAVE, _LOAD = "save_state", "load_state"
 
 
-def _id_set(fns) -> set:
-    out = set()
-    for fn in fns:
-        for t in fn.body:
-            if t.kind == "id":
-                out.add(t.text)
+def _id_set(repo, cls, fns) -> set:
+    """Identifiers in the bodies, following calls into the class's own
+    methods: a save_state that delegates to a shared writer covers what the
+    writer touches."""
+    out, seen, todo = set(), {fn.name for fn in fns}, list(fns)
+    while todo:
+        for t in todo.pop().body:
+            if t.kind != "id":
+                continue
+            out.add(t.text)
+            if t.text in cls.declared and t.text not in seen:
+                seen.add(t.text)
+                todo.extend(repo.method_bodies(cls.name, t.text))
     return out
 
 
@@ -45,8 +53,8 @@ def run(repo) -> list:
                 # declared but no body in the indexed set (e.g. interface
                 # class); nothing to verify structurally
                 continue
-            save_ids = _id_set(save_bodies)
-            load_ids = _id_set(load_bodies)
+            save_ids = _id_set(repo, cls, save_bodies)
+            load_ids = _id_set(repo, cls, load_bodies)
             for m in cls.members:
                 in_save = m.name in save_ids
                 in_load = m.name in load_ids
@@ -210,6 +218,21 @@ private:
 };
 """},
      {"Probe::b_", "Probe::d_"}),
+
+    ("delegation to the class's own shared writer/reader counts as a reference",
+     {"src/a/x.cpp": _HDR.replace("#pragma once\n", "") + """
+class Probe {
+public:
+  void save_state(resilience::BlobWriter& w) const { w.pod(a_); save_extra(w); }
+  void load_state(resilience::BlobReader& r) { r.pod(a_); load_extra(r); }
+  void save_extra(resilience::BlobWriter& w) const { w.pod(b_); }
+  void load_extra(resilience::BlobReader& r) { r.pod(b_); }
+private:
+  double a_;
+  double b_;
+};
+"""},
+     set()),
 
     ("delegation through a helper call counts as a reference",
      {"src/a/x.cpp": _HDR.replace("#pragma once\n", "") + """

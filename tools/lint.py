@@ -34,8 +34,9 @@ sem-hot-alloc, exchange-hot-alloc, pair-hot-alloc
     into persistent members (see docs/PERF.md). One table (HOT_ALLOC_RULES)
     gives each rule its path scope, the bodies it gates and its opt-out
     marker, `// lint: <marker> (<reason>)` on the line or the 2 lines above:
-      sem-hot-alloc       src/sem/, `apply_*` / `elem_*`; sem-alloc-ok (the
-                          retained `_reference` baselines keep their scratch)
+      sem-hot-alloc       src/sem/, `apply_*` / `elem_*`; sem-alloc-ok (no
+                          body in src/ carries it: the scalar baselines with
+                          per-call scratch live in tests/reference)
       exchange-hot-alloc  src/dpd/exchange/, `begin_update` / `finish_update`
                           and the `pack_*` / `unpack_*` packers;
                           exchange-alloc-ok (build, plan and migration paths
@@ -505,8 +506,8 @@ SELF_TEST_CASES = [
      "  for (std::size_t e = 0; e < ne; ++e) {}\n}\n",
      {"sem-hot-alloc"}),
     ("src/sem/ok_hot_alloc_marker.cpp",
-     "void Ops::apply_stiffness_reference(const V& u, V& y) const {\n"
-     "  // lint: sem-alloc-ok (reference baseline, not a hot path)\n"
+     "void Ops::apply_once(const V& u, V& y) const {\n"
+     "  // lint: sem-alloc-ok (one-off setup apply, not a hot path)\n"
      "  std::vector<double> lu(npe), ly(npe);\n}\n",
      set()),
     ("src/sem/ok_alloc_cold_fn.cpp",

@@ -15,7 +15,7 @@
 #include "dpd/platelets.hpp"
 #include "dpd/system.hpp"
 #include "mesh/quadmesh.hpp"
-#include "sem/ns2d.hpp"
+#include "sem/navier_stokes.hpp"
 #include "telemetry/bench_report.hpp"
 
 namespace {
@@ -26,10 +26,10 @@ void run_clot(double activation_delay, telemetry::BenchReport& rep) {
   // nucleation condition)
   auto m = mesh::QuadMesh::channel_with_cavity(8.0, 1.0, 3.0, 5.0, 1.0, 16, 2);
   sem::Discretization d(m, 4);
-  sem::NavierStokes2D::Params nsp;
+  sem::NavierStokes<sem::Operators>::Params nsp;
   nsp.nu = 0.02;
   nsp.dt = 2e-3;
-  sem::NavierStokes2D ns(d, nsp);
+  sem::NavierStokes<sem::Operators> ns(d, nsp);
   ns.set_velocity_bc(mesh::kInlet,
                      [](double, double y, double) { return 4.0 * y * (1.0 - y); },
                      [](double, double, double) { return 0.0; });
@@ -73,7 +73,7 @@ void run_clot(double activation_delay, telemetry::BenchReport& rep) {
   tp.dt_ns = nsp.dt;
   tp.exchange_every_ns = 5;
   tp.dpd_per_ns = 10;
-  coupling::ContinuumDpdCoupler cdc(ns, sys, bc, {2.0, 6.0, 0.0, 2.0}, scales, tp);
+  coupling::BasicContinuumDpdCoupler cdc(ns, sys, bc, {2.0, 6.0, 0.0, 2.0}, scales, tp);
 
   std::printf("activation delay = %.1f (DPD time units):\n", activation_delay);
   std::printf("  %-10s %-9s %-10s %-8s %-7s\n", "DPD time", "passive", "triggered",

@@ -13,7 +13,7 @@
 #include "dpd/inflow.hpp"
 #include "dpd/system.hpp"
 #include "mesh/quadmesh.hpp"
-#include "sem/ns2d.hpp"
+#include "sem/navier_stokes.hpp"
 #include "telemetry/bench_report.hpp"
 
 int main() {
@@ -22,10 +22,10 @@ int main() {
 
   auto m = mesh::QuadMesh::channel(4.0, 1.0, 8, 2);
   sem::Discretization d(m, 4);
-  sem::NavierStokes2D::Params nsp;
+  sem::NavierStokes<sem::Operators>::Params nsp;
   nsp.nu = 0.05;
   nsp.dt = 2e-3;
-  sem::NavierStokes2D ns(d, nsp);
+  sem::NavierStokes<sem::Operators> ns(d, nsp);
   ns.set_velocity_bc(mesh::kInlet,
                      [](double, double y, double) { return 4.0 * y * (1.0 - y); },
                      [](double, double, double) { return 0.0; });
@@ -48,7 +48,7 @@ int main() {
   scales.nu_dpd = 1.0;
   coupling::TimeProgression tp;  // paper defaults: 10 NS steps, 20 DPD per NS
   tp.dt_ns = nsp.dt;
-  coupling::ContinuumDpdCoupler cdc(ns, sys, bc, {1.5, 2.5, 0.0, 1.0}, scales, tp);
+  coupling::BasicContinuumDpdCoupler cdc(ns, sys, bc, {1.5, 2.5, 0.0, 1.0}, scales, tp);
 
   std::printf("schedule: tau = %d NS steps = %d DPD steps; tau_NS = %.4f (NS time units)\n\n",
               tp.exchange_every_ns, tp.dpd_steps_per_exchange(), tp.tau_ns());

@@ -60,10 +60,10 @@ int main() {
   std::printf("\ncontinuum-atomistic: DPD box embedded mid-channel\n");
   auto m = mesh::QuadMesh::channel(4.0, 1.0, 8, 2);
   sem::Discretization d(m, 4);
-  sem::NavierStokes2D::Params nsp;
+  sem::NavierStokes<sem::Operators>::Params nsp;
   nsp.nu = 0.05;
   nsp.dt = 2e-3;
-  sem::NavierStokes2D ns(d, nsp);
+  sem::NavierStokes<sem::Operators> ns(d, nsp);
   ns.set_velocity_bc(mesh::kInlet,
                      [](double, double y, double t) {
                        return 4.0 * y * (1.0 - y) * (1.0 + 0.3 * std::sin(2.0 * M_PI * t / 0.8));
@@ -92,7 +92,7 @@ int main() {
   coupling::TimeProgression tp;
   tp.exchange_every_ns = 2;
   tp.dpd_per_ns = 10;
-  coupling::ContinuumDpdCoupler cdc(ns, sys, bc, {1.5, 2.5, 0.0, 1.0}, scales, tp);
+  coupling::BasicContinuumDpdCoupler cdc(ns, sys, bc, {1.5, 2.5, 0.0, 1.0}, scales, tp);
 
   dpd::SamplerParams sp;
   sp.nx = 4;

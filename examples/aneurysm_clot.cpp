@@ -16,7 +16,7 @@
 #include "dpd/platelets.hpp"
 #include "dpd/system.hpp"
 #include "mesh/quadmesh.hpp"
-#include "sem/ns2d.hpp"
+#include "sem/navier_stokes.hpp"
 #include "sem/operators.hpp"
 
 int main() {
@@ -27,10 +27,10 @@ int main() {
                                                /*cav_x1=*/5.0, /*cav_depth=*/1.0,
                                                /*nx=*/16, /*ny=*/2);
   sem::Discretization d(m, 4);
-  sem::NavierStokes2D::Params nsp;
+  sem::NavierStokes<sem::Operators>::Params nsp;
   nsp.nu = 0.02;
   nsp.dt = 2e-3;
-  sem::NavierStokes2D ns(d, nsp);
+  sem::NavierStokes<sem::Operators> ns(d, nsp);
   const double T = 0.8;  // pulse period (NS time units)
   ns.set_velocity_bc(mesh::kInlet,
                      [T](double, double y, double t) {
@@ -80,7 +80,7 @@ int main() {
   tp.dt_ns = nsp.dt;
   tp.exchange_every_ns = 5;
   tp.dpd_per_ns = 10;
-  coupling::ContinuumDpdCoupler cdc(ns, sys, bc, {2.0, 6.0, 0.0, 2.0}, scales, tp);
+  coupling::BasicContinuumDpdCoupler cdc(ns, sys, bc, {2.0, 6.0, 0.0, 2.0}, scales, tp);
 
   std::printf("%-10s %-8s %-7s | clot profile along the sac wall\n", "DPD time", "active",
               "bound");

@@ -19,7 +19,7 @@
 #include "io/vtk.hpp"
 #include "mesh/quadmesh.hpp"
 #include "nektar1d/tree.hpp"
-#include "sem/ns2d.hpp"
+#include "sem/navier_stokes.hpp"
 
 int main(int argc, char** argv) {
   const std::string out = argc > 1 ? argv[1] : "out";
@@ -38,11 +38,11 @@ int main(int argc, char** argv) {
   // --- continuum patch with aneurysm (resolved MaN segment) ---
   auto m = mesh::QuadMesh::channel_with_cavity(8.0, 1.0, 3.0, 5.0, 1.0, 16, 2);
   sem::Discretization d(m, 4);
-  sem::NavierStokes2D::Params nsp;
+  sem::NavierStokes<sem::Operators>::Params nsp;
   nsp.nu = 0.02;
   nsp.dt = 2e-3;
   nsp.time_order = 2;
-  sem::NavierStokes2D ns(d, nsp);
+  sem::NavierStokes<sem::Operators> ns(d, nsp);
   ns.set_velocity_bc(mesh::kInlet,
                      [](double, double y, double) { return 4.0 * y * (1.0 - y); },
                      [](double, double, double) { return 0.0; });
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   tp.dt_ns = nsp.dt;
   tp.exchange_every_ns = 5;
   tp.dpd_per_ns = 10;
-  coupling::ContinuumDpdCoupler cdc(ns, sys, bc, {2.0, 6.0, 0.0, 2.0}, scales, tp);
+  coupling::BasicContinuumDpdCoupler cdc(ns, sys, bc, {2.0, 6.0, 0.0, 2.0}, scales, tp);
   for (int k = 0; k < 10; ++k) cdc.advance_interval([&] { platelets->update(sys); });
 
   // --- dump all three scales ---

@@ -1,38 +1,54 @@
 #pragma once
 // Continuum-atomistic coupling (paper Sec. 3.3): an atomistic subdomain
-// Omega_A (a DPD box) is embedded in a continuum patch Omega_C (a 2D SEM
-// Navier-Stokes solver). Every exchange period tau the continuum velocity
-// is interpolated onto the atomistic interface samples, scaled by Eq. (1),
-// and imposed on the DPD inflow buffer; the DPD solver then takes
+// Omega_A (a DPD box) is embedded in a continuum patch Omega_C (a 2D or 3D
+// SEM Navier-Stokes solver). Every exchange period tau the continuum
+// velocity is interpolated onto the atomistic interface samples, scaled by
+// Eq. (1), and imposed on the DPD inflow buffer; the DPD solver then takes
 // dpd_per_ns * exchange_every_ns steps per interval (Fig. 5 schedule).
 //
-// Geometry mapping: DPD x <-> NS x, DPD z <-> NS y, DPD y is the
-// out-of-plane (homogeneous, periodic) direction.
+// Geometry mapping: the DPD box covers an axis-aligned region of the
+// continuum domain. In 3D (the paper's configuration) all three axes map
+// directly and the full velocity vector is imposed. In 2D, DPD x <-> NS x
+// and DPD z <-> NS y; DPD y is the out-of-plane (homogeneous, periodic)
+// direction.
 
-#include <memory>
+#include <array>
+#include <functional>
+#include <type_traits>
 
 #include "coupling/scales.hpp"
 #include "dpd/buffers.hpp"
 #include "dpd/inflow.hpp"
 #include "dpd/sampling.hpp"
 #include "dpd/system.hpp"
-#include "sem/ns2d.hpp"
+#include "sem/navier_stokes.hpp"
 
 namespace coupling {
 
+/// NS-space rectangle covered by the DPD box (2D).
 struct EmbeddedRegion {
-  /// NS-space rectangle covered by the DPD box.
   double x0 = 0.0, x1 = 1.0;  ///< NS x-range of the DPD box
   double y0 = 0.0, y1 = 1.0;  ///< NS y-range of the DPD box (maps to DPD z)
 };
 
-class ContinuumDpdCoupler {
+/// Continuum-space box covered by the DPD domain (3D).
+struct EmbeddedBox {
+  double x0 = 0, x1 = 1, y0 = 0, y1 = 1, z0 = 0, z1 = 1;
+};
+
+/// Instantiated for sem::NavierStokes<Operators> and <Operators3D>.
+template <class NS>
+class BasicContinuumDpdCoupler {
 public:
+  using Region = std::conditional_t<NS::kDim == 3, EmbeddedBox, EmbeddedRegion>;
+
   /// `flow_bc` is the DPD inflow/outflow machinery whose target velocity the
   /// coupler refreshes each exchange. All objects must outlive the coupler.
-  ContinuumDpdCoupler(sem::NavierStokes2D& ns, dpd::DpdSystem& dpd_sys, dpd::FlowBc& flow_bc,
-                      const EmbeddedRegion& region, const ScaleMap& scales,
-                      const TimeProgression& tp);
+  /// Throws std::invalid_argument on invalid scales or a region that is
+  /// degenerate (hi <= lo, or NaN) on any axis.
+  BasicContinuumDpdCoupler(NS& ns, dpd::DpdSystem& dpd_sys, dpd::FlowBc& flow_bc,
+                           const Region& region, const ScaleMap& scales,
+                           const TimeProgression& tp);
 
   /// Register additional interface windows (the paper's Gamma_I1..5 planar
   /// surfaces): their shared target is refreshed at every exchange and they
@@ -52,9 +68,6 @@ public:
   void save_state(resilience::BlobWriter& w) const;
   void load_state(resilience::BlobReader& r);
 
-  /// Map a DPD-space point to NS space.
-  void dpd_to_ns(const dpd::Vec3& p, double& x_ns, double& y_ns) const;
-
   /// Continuum velocity at a DPD point, in DPD units (the imposed-BC field).
   dpd::Vec3 continuum_velocity_at(const dpd::Vec3& p) const;
 
@@ -62,14 +75,14 @@ public:
   /// DPD units), using a window of already-accumulated samples.
   double interface_mismatch(dpd::FieldSampler& sampler) const;
 
-  const ScaleMap& scales() const { return scales_; }
-  const TimeProgression& progression() const { return tp_; }
   dpd::DpdSystem& dpd_system() { return *dpd_; }
-  sem::NavierStokes2D& ns_solver() { return *ns_; }
 
 private:
+  /// Map a DPD-space point to NS space.
+  std::array<double, NS::kDim> dpd_to_ns(const dpd::Vec3& p) const;
+
   // analyze: no-checkpoint (coupled solvers checkpoint separately via the coordinator)
-  sem::NavierStokes2D* ns_;
+  NS* ns_;
   // analyze: no-checkpoint (coupled solvers checkpoint separately via the coordinator)
   dpd::DpdSystem* dpd_;
   // analyze: no-checkpoint (coupled solvers checkpoint separately via the coordinator)
@@ -77,12 +90,19 @@ private:
   // analyze: no-checkpoint (owned by the driver; checkpointed separately if registered)
   dpd::BufferZones* buffers_ = nullptr;
   // analyze: no-checkpoint (constructor configuration)
-  EmbeddedRegion region_;
+  Region region_;
   // analyze: no-checkpoint (constructor configuration)
   ScaleMap scales_;
   // analyze: no-checkpoint (constructor configuration)
   TimeProgression tp_;
   std::size_t exchanges_ = 0;
 };
+
+extern template class BasicContinuumDpdCoupler<sem::NavierStokes<sem::Operators>>;
+extern template class BasicContinuumDpdCoupler<sem::NavierStokes<sem::Operators3D>>;
+
+/// The 2D and 3D spellings bench/e2e/coupled.cpp uses.
+using ContinuumDpdCoupler = BasicContinuumDpdCoupler<sem::NavierStokes<sem::Operators>>;
+using ContinuumDpdCoupler3D = BasicContinuumDpdCoupler<sem::NavierStokes<sem::Operators3D>>;
 
 }  // namespace coupling

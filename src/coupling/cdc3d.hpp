@@ -1,69 +1,5 @@
 #pragma once
-// 3D-continuum <-> DPD coupling: the paper's actual configuration (a 3D
-// NEKTAR patch with an embedded DPD subdomain). Unlike the 2D coupler in
-// cdc.hpp (which folds the out-of-plane direction), all three axes map
-// directly: the DPD box covers an axis-aligned sub-box of the continuum
-// domain, and the full velocity vector is imposed on the atomistic
-// interface, scaled by Eq. (1).
+// Forwarding include: the 3D coupler is ContinuumDpdCoupler3D in cdc.hpp.
+// Kept for bench/e2e/coupled.cpp, which includes this header by name.
 
-#include <functional>
-
-#include "coupling/scales.hpp"
-#include "dpd/buffers.hpp"
-#include "dpd/inflow.hpp"
-#include "dpd/sampling.hpp"
-#include "dpd/system.hpp"
-#include "sem/ns3d.hpp"
-
-namespace coupling {
-
-/// Continuum-space box covered by the DPD domain.
-struct EmbeddedBox {
-  double x0 = 0, x1 = 1, y0 = 0, y1 = 1, z0 = 0, z1 = 1;
-};
-
-class ContinuumDpdCoupler3D {
-public:
-  ContinuumDpdCoupler3D(sem::NavierStokes3D& ns, dpd::DpdSystem& dpd_sys,
-                        dpd::FlowBc& flow_bc, const EmbeddedBox& box, const ScaleMap& scales,
-                        const TimeProgression& tp);
-
-  void set_buffer_zones(dpd::BufferZones* zones) { buffers_ = zones; }
-
-  /// One Fig.-5 coupling interval. Returns the total continuum CG
-  /// iterations spent (warm-start accounting for the ensemble engine).
-  std::size_t advance_interval(const std::function<void()>& per_dpd_step = {});
-
-  /// Continuum velocity at a DPD point, in DPD units.
-  dpd::Vec3 continuum_velocity_at(const dpd::Vec3& p) const;
-
-  /// Mean |u_DPD - u_NS| over the sampler's bins (DPD units).
-  double interface_mismatch(dpd::FieldSampler& sampler) const;
-
-  std::size_t exchanges() const { return exchanges_; }
-
-  /// Checkpoint the coupling bookkeeping (interface exchange counter).
-  void save_state(resilience::BlobWriter& w) const;
-  void load_state(resilience::BlobReader& r);
-
-private:
-  void dpd_to_ns(const dpd::Vec3& p, double& x, double& y, double& z) const;
-
-  // analyze: no-checkpoint (coupled solvers checkpoint separately via the coordinator)
-  sem::NavierStokes3D* ns_;
-  // analyze: no-checkpoint (coupled solvers checkpoint separately via the coordinator)
-  dpd::DpdSystem* dpd_;
-  // analyze: no-checkpoint (coupled solvers checkpoint separately via the coordinator)
-  dpd::FlowBc* flow_bc_;
-  // analyze: no-checkpoint (owned by the driver; checkpointed separately if registered)
-  dpd::BufferZones* buffers_ = nullptr;
-  // analyze: no-checkpoint (constructor configuration)
-  EmbeddedBox box_;
-  // analyze: no-checkpoint (constructor configuration)
-  ScaleMap scales_;
-  // analyze: no-checkpoint (constructor configuration)
-  TimeProgression tp_;
-  std::size_t exchanges_ = 0;
-};
-
-}  // namespace coupling
+#include "coupling/cdc.hpp"

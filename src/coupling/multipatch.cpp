@@ -60,11 +60,11 @@ MultiPatchChannel::MultiPatchChannel(const MultiPatchParams& p,
     });
     auto disc = std::make_unique<sem::Discretization>(*mesh, p.order);
 
-    sem::NavierStokes2D::Params nsp = p.ns;
+    sem::NavierStokes<sem::Operators>::Params nsp = p.ns;
     // only the last patch has a pressure Dirichlet (true outlet); interior
     // patches run pure-Neumann pressure (mean-pinned)
-    nsp.pressure_dirichlet_tags = last ? std::vector<int>{mesh::kOutlet} : std::vector<int>{};
-    auto ns = std::make_unique<sem::NavierStokes2D>(*disc, nsp);
+    nsp.pressure_dirichlet_faces = last ? std::vector<int>{mesh::kOutlet} : std::vector<int>{};
+    auto ns = std::make_unique<sem::NavierStokes<sem::Operators>>(*disc, nsp);
     if (first)
       ns->set_velocity_bc(mesh::kInlet,
                           [inlet_u](double, double y, double t) { return inlet_u(y, t); },

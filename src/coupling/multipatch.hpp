@@ -1,7 +1,7 @@
 #pragma once
 // Continuum-continuum multi-patch coupling (paper Sec. 3.2): a monolithic
 // domain is subdivided into overlapping patches, each solved by its own
-// NavierStokes2D instance; once per time step, interface (artificial
+// NavierStokes<Operators> instance; once per time step, interface (artificial
 // boundary) velocity conditions are refreshed from the neighbouring patch's
 // interior solution. This keeps each CG solve inside a small subdomain —
 // the mechanism behind the paper's multi-patch scalability (Tables 3-4) —
@@ -10,7 +10,7 @@
 #include <memory>
 #include <vector>
 
-#include "sem/ns2d.hpp"
+#include "sem/navier_stokes.hpp"
 
 namespace coupling {
 
@@ -28,7 +28,7 @@ struct MultiPatchParams {
   bool with_cavity = false;
   double cav_x0 = 0.0, cav_x1 = 0.0, cav_depth = 0.0;
 
-  sem::NavierStokes2D::Params ns;  ///< nu, dt (pressure tags managed here)
+  sem::NavierStokes<sem::Operators>::Params ns;  ///< nu, dt (pressure boundaries set here)
 };
 
 /// Boundary tags used for the artificial interfaces.
@@ -42,7 +42,9 @@ public:
                     std::function<double(double y, double t)> inlet_u);
 
   int num_patches() const { return static_cast<int>(solvers_.size()); }
-  sem::NavierStokes2D& patch(int k) { return *solvers_[static_cast<std::size_t>(k)]; }
+  sem::NavierStokes<sem::Operators>& patch(int k) {
+    return *solvers_[static_cast<std::size_t>(k)];
+  }
   const sem::Discretization& disc(int k) const {
     return *discs_[static_cast<std::size_t>(k)];
   }
@@ -80,7 +82,7 @@ private:
   std::vector<std::pair<std::size_t, std::size_t>> ranges_;  // element columns [b, e)
   std::vector<std::unique_ptr<mesh::QuadMesh>> meshes_;
   std::vector<std::unique_ptr<sem::Discretization>> discs_;
-  std::vector<std::unique_ptr<sem::NavierStokes2D>> solvers_;
+  std::vector<std::unique_ptr<sem::NavierStokes<sem::Operators>>> solvers_;
 };
 
 }  // namespace coupling

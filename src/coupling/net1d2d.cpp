@@ -6,7 +6,8 @@
 namespace coupling {
 
 Network1DToPatch::Network1DToPatch(nektar1d::ArterialNetwork& net, int vessel,
-                                   nektar1d::End end, sem::NavierStokes2D& ns, double q_scale)
+                                   nektar1d::End end, sem::NavierStokes<sem::Operators>& ns,
+                                   double q_scale)
     : net_(&net), vessel_(vessel), end_(end), ns_(&ns), q_scale_(q_scale) {
   const auto& mesh = ns.disc().mesh();
   profile_.H = mesh.dy() * static_cast<double>(mesh.grid_ny());
@@ -31,8 +32,9 @@ void Network1DToPatch::step(double dt_ns) {
   ns_->step();
 }
 
-PatchToNetwork1D::PatchToNetwork1D(sem::NavierStokes2D& ns, nektar1d::ArterialNetwork& net,
-                                   int root_vessel, double q_scale)
+PatchToNetwork1D::PatchToNetwork1D(sem::NavierStokes<sem::Operators>& ns,
+                                   nektar1d::ArterialNetwork& net, int root_vessel,
+                                   double q_scale)
     : ns_(&ns), net_(&net), root_(root_vessel), q_scale_(q_scale) {
   // register the (mutable) inflow target once; step() refreshes q_target_
   net_->set_inlet_flow(root_, [this](double) { return q_target_; });

@@ -21,7 +21,7 @@
 #include <functional>
 
 #include "nektar1d/network.hpp"
-#include "sem/ns2d.hpp"
+#include "sem/navier_stokes.hpp"
 
 namespace coupling {
 
@@ -42,7 +42,7 @@ public:
   /// `q_scale` converts the vessel's volumetric flow (3D units) into the 2D
   /// patch's area flux (the 2D model is a unit-depth slice).
   Network1DToPatch(nektar1d::ArterialNetwork& net, int vessel, nektar1d::End end,
-                   sem::NavierStokes2D& ns, double q_scale = 1.0);
+                   sem::NavierStokes<sem::Operators>& ns, double q_scale = 1.0);
 
   /// Advance both solvers by one continuum step dt_ns; the 1D network
   /// substeps at its own CFL limit (different time scales, Sec. 3.3).
@@ -54,7 +54,7 @@ private:
   nektar1d::ArterialNetwork* net_;
   int vessel_;
   nektar1d::End end_;
-  sem::NavierStokes2D* ns_;
+  sem::NavierStokes<sem::Operators>* ns_;
   double q_scale_;
   FluxProfile profile_;
   double last_q2d_ = 0.0;
@@ -65,8 +65,8 @@ class PatchToNetwork1D {
 public:
   /// The patch outlet flux (per unit depth) is scaled by `q_scale` into the
   /// network root's volumetric inflow.
-  PatchToNetwork1D(sem::NavierStokes2D& ns, nektar1d::ArterialNetwork& net, int root_vessel,
-                   double q_scale = 1.0);
+  PatchToNetwork1D(sem::NavierStokes<sem::Operators>& ns, nektar1d::ArterialNetwork& net,
+                   int root_vessel, double q_scale = 1.0);
   // the network holds a callback into this object: pin the address
   PatchToNetwork1D(const PatchToNetwork1D&) = delete;
   PatchToNetwork1D& operator=(const PatchToNetwork1D&) = delete;
@@ -81,7 +81,7 @@ public:
 private:
   double outlet_flux() const;
 
-  sem::NavierStokes2D* ns_;
+  sem::NavierStokes<sem::Operators>* ns_;
   nektar1d::ArterialNetwork* net_;
   int root_;
   double q_scale_;

@@ -15,7 +15,7 @@ dpd::SamplerParams sampler_params(int bins, int component) {
 }
 }  // namespace
 
-TripleDecker::TripleDecker(ContinuumDpdCoupler& cdc, dpd::DpdSystem& md,
+TripleDecker::TripleDecker(Coupler& cdc, dpd::DpdSystem& md,
                            dpd::BufferZones& md_buffers, const NestedRegion& region,
                            const ScaleMap& scales_dpd_md, int md_per_dpd, int sampler_bins)
     : cdc_(&cdc), md_(&md), md_buffers_(&md_buffers), region_(region),

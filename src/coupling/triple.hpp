@@ -2,7 +2,7 @@
 // Triple-decker coupling (Fedosov & Karniadakis 2009, the framework the
 // paper adopts in Sec. 3.3; Fig. 5 shows its three columns NS | DPD | MD
 // with dt_NS > dt_DPD > dt_MD). The continuum solver drives the DPD layer
-// (as in ContinuumDpdCoupler); a finer atomistic region — "MD", here a
+// (as in BasicContinuumDpdCoupler); a finer atomistic region — "MD", here a
 // particle system with a smaller time step and its own units — is nested
 // inside the DPD domain and driven by the DPD layer's windowed mean field
 // through interface buffer windows, with a second Eq.-(1) scale map.
@@ -27,13 +27,15 @@ struct NestedRegion {
 
 class TripleDecker {
 public:
+  using Coupler = BasicContinuumDpdCoupler<sem::NavierStokes<sem::Operators>>;
+
   /// `cdc` couples NS<->DPD (configure it first, including its FlowBc);
   /// `md` is the fine layer; `md_buffers` are its interface windows (in MD
   /// coordinates); `region` maps the MD box into the DPD domain;
   /// `scales_dpd_md` converts DPD velocities into MD units (Eq. 1 applied
   /// to the DPD->MD pair); `sampler_bins` controls the DPD mean-field
   /// sampling resolution.
-  TripleDecker(ContinuumDpdCoupler& cdc, dpd::DpdSystem& md, dpd::BufferZones& md_buffers,
+  TripleDecker(Coupler& cdc, dpd::DpdSystem& md, dpd::BufferZones& md_buffers,
                const NestedRegion& region, const ScaleMap& scales_dpd_md, int md_per_dpd,
                int sampler_bins = 6);
 
@@ -52,7 +54,7 @@ private:
   /// Map an MD-space point into DPD space.
   dpd::Vec3 md_to_dpd(const dpd::Vec3& p_md) const;
 
-  ContinuumDpdCoupler* cdc_;
+  Coupler* cdc_;
   dpd::DpdSystem* md_;
   dpd::BufferZones* md_buffers_;
   NestedRegion region_;

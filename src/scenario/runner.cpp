@@ -28,6 +28,69 @@ std::string mesh_signature(const Mesh3dSpec& m) {
   return buf;
 }
 
+std::shared_ptr<const sem::Discretization> make_disc(const MeshSpec& m) {
+  auto mesh = mesh::QuadMesh::channel(m.length, m.height, static_cast<int>(m.nx),
+                                      static_cast<int>(m.ny));
+  return std::make_shared<const sem::Discretization>(mesh, static_cast<int>(m.order));
+}
+
+std::shared_ptr<const sem::Discretization3D> make_disc(const Mesh3dSpec& m) {
+  return std::make_shared<const sem::Discretization3D>(
+      m.lx, m.ly, m.lz, static_cast<int>(m.nx), static_cast<int>(m.ny), static_cast<int>(m.nz),
+      static_cast<int>(m.order));
+}
+
+// What a coupled run builds differently per dimension: the discretization,
+// the inlet BCs (same expression trees as the hand-written examples, for
+// digest equality) and the region the DPD box covers.
+template <class NS>
+struct Dim;
+
+template <>
+struct Dim<sem::NavierStokes<sem::Operators>> {
+  static constexpr const char* kDevelopLine =
+      "continuum: %zu SEM nodes, developing the flow...\n";
+  static auto disc(const Scenario& sc, SharedTables* tables) {
+    return tables ? tables->quad(sc.mesh) : make_disc(sc.mesh);
+  }
+  static void set_inlet(sem::NavierStokes<sem::Operators>& ns, const Scenario& sc) {
+    const double H = sc.mesh.height;
+    const double Umax = sc.sem.inlet_umax;
+    ns.set_velocity_bc(
+        mesh::kInlet,
+        [H, Umax](double, double y, double) { return 4.0 * Umax * y * (H - y) / (H * H); },
+        [](double, double, double) { return 0.0; });
+    ns.set_natural_bc(mesh::kOutlet);
+  }
+  static coupling::EmbeddedRegion region(const std::vector<double>& rg) {
+    return {rg[0], rg[1], rg[2], rg[3]};
+  }
+};
+
+template <>
+struct Dim<sem::NavierStokes<sem::Operators3D>> {
+  static constexpr const char* kDevelopLine =
+      "continuum: %zu hexahedral SEM nodes, developing...\n";
+  static auto disc(const Scenario& sc, SharedTables* tables) {
+    return tables ? tables->hex(sc.mesh3d) : make_disc(sc.mesh3d);
+  }
+  static void set_inlet(sem::NavierStokes<sem::Operators3D>& ns, const Scenario& sc) {
+    const double H = sc.mesh3d.lz;
+    const double Umax = sc.sem.inlet_umax;
+    auto prof = [H, Umax](double, double, double z, double) {
+      return 4.0 * Umax * z * (H - z) / (H * H);
+    };
+    auto zero = [](double, double, double, double) { return 0.0; };
+    ns.set_velocity_bc(sem::HexFace::X0, prof, zero, zero);
+    ns.set_velocity_bc(sem::HexFace::Y0, prof, zero, zero);
+    ns.set_velocity_bc(sem::HexFace::Y1, prof, zero, zero);
+    ns.set_natural_bc(sem::HexFace::X1);
+  }
+  static coupling::EmbeddedBox region(const std::vector<double>& rg) {
+    return {rg[0], rg[1], rg[2], rg[3], rg[4], rg[5]};
+  }
+};
+
 }  // namespace
 
 std::shared_ptr<const sem::Discretization> SharedTables::quad(const MeshSpec& m) {
@@ -38,9 +101,7 @@ std::shared_ptr<const sem::Discretization> SharedTables::quad(const MeshSpec& m)
       return d;
     }
   ++misses_;
-  auto mesh = mesh::QuadMesh::channel(m.length, m.height, static_cast<int>(m.nx),
-                                      static_cast<int>(m.ny));
-  auto d = std::make_shared<const sem::Discretization>(mesh, static_cast<int>(m.order));
+  auto d = make_disc(m);
   quad_.emplace_back(key, d);
   return d;
 }
@@ -53,9 +114,7 @@ std::shared_ptr<const sem::Discretization3D> SharedTables::hex(const Mesh3dSpec&
       return d;
     }
   ++misses_;
-  auto d = std::make_shared<const sem::Discretization3D>(
-      m.lx, m.ly, m.lz, static_cast<int>(m.nx), static_cast<int>(m.ny), static_cast<int>(m.nz),
-      static_cast<int>(m.order));
+  auto d = make_disc(m);
   hex_.emplace_back(key, d);
   return d;
 }
@@ -92,78 +151,54 @@ void Runner::set_warm_start(WarmMode mode, std::vector<std::uint8_t> blob) {
   warm_blob_ = std::move(blob);
 }
 
-void Runner::apply_warm_start() {
+template <class NS>
+void Runner::apply_warm_start(NS& ns) {
   warm_applied_ = false;
   if (warm_mode_ == WarmMode::Off || warm_blob_.empty()) return;
-  if (!ns2_ && !ns3_) return;
   resilience::BlobReader r(warm_blob_);
   if (r.str() != warm_signature()) return;  // incompatible donor: ignore
   const auto full = r.vec<std::uint8_t>();
   const auto proj = r.vec<std::uint8_t>();
   r.expect_end();
   resilience::BlobReader br(warm_mode_ == WarmMode::State ? full : proj);
-  if (warm_mode_ == WarmMode::State) {
-    if (ns2_)
-      ns2_->load_state(br);
-    else
-      ns3_->load_state(br);
-  } else {
-    if (ns2_)
-      ns2_->load_warmstart(br);
-    else
-      ns3_->load_warmstart(br);
-  }
+  if (warm_mode_ == WarmMode::State)
+    ns.load_state(br);
+  else
+    ns.load_warmstart(br);
   br.expect_end();
   warm_applied_ = true;
 }
 
 std::vector<std::uint8_t> Runner::warm_state() const {
-  if (!ns2_ && !ns3_) return {};
-  resilience::BlobWriter w;
-  w.str(warm_signature());
-  resilience::BlobWriter full, proj;
-  if (ns2_) {
-    ns2_->save_state(full);
-    ns2_->save_warmstart(proj);
-  } else {
-    ns3_->save_state(full);
-    ns3_->save_warmstart(proj);
-  }
-  w.vec(full.data());
-  w.vec(proj.data());
-  return w.take();
+  return std::visit(
+      [this](const auto& c) -> std::vector<std::uint8_t> {
+        if (!c.ns) return {};
+        resilience::BlobWriter w;
+        w.str(warm_signature());
+        resilience::BlobWriter full, proj;
+        c.ns->save_state(full);
+        c.ns->save_warmstart(proj);
+        w.vec(full.data());
+        w.vec(proj.data());
+        return w.take();
+      },
+      continuum_);
 }
 
-std::size_t Runner::develop() {
+template <class NS>
+std::size_t Runner::develop(NS& ns) {
   const double tol = sc_.time.develop_tol;
   std::size_t cg = 0;
-  la::Vector u_old, v_old, w_old;
+  typename NS::template Components<la::Vector> old;
   for (std::int64_t s = 0; s < sc_.time.develop_steps; ++s) {
-    if (tol > 0.0) {
-      if (ns2_) {
-        u_old = ns2_->u();
-        v_old = ns2_->v();
-      } else {
-        u_old = ns3_->u();
-        v_old = ns3_->v();
-        w_old = ns3_->w();
-      }
-    }
-    cg += ns2_ ? ns2_->step() : ns3_->step();
+    if (tol > 0.0) old = ns.velocity();
+    cg += ns.step();
     ++develop_steps_;
     if (tol > 0.0) {
       double delta = 0.0;
-      const la::Vector& u = ns2_ ? ns2_->u() : ns3_->u();
-      const la::Vector& v = ns2_ ? ns2_->v() : ns3_->v();
-      for (std::size_t g = 0; g < u.size(); ++g) {
-        delta = std::max(delta, std::fabs(u[g] - u_old[g]));
-        delta = std::max(delta, std::fabs(v[g] - v_old[g]));
-      }
-      if (ns3_) {
-        const la::Vector& w = ns3_->w();
-        for (std::size_t g = 0; g < w.size(); ++g)
-          delta = std::max(delta, std::fabs(w[g] - w_old[g]));
-      }
+      for (std::size_t c = 0; c < NS::kDim; ++c)
+        for (std::size_t g = 0; g < old[c].size(); ++g)
+          delta = std::max(delta, std::fabs(ns.velocity()[c][g] - old[c][g]));
       if (delta < tol) break;
     }
   }
@@ -176,17 +211,15 @@ std::uint32_t Runner::compute_digest() const {
     net_->save_state(w);
     return resilience::crc32(w.data());
   }
-  if (ns2_)
-    ns2_->save_state(w);
-  else
-    ns3_->save_state(w);
-  dpd_->save_state(w);
-  bc_->save_state(w);
-  if (cdc_)
-    cdc_->save_state(w);
-  else
-    cdc3_->save_state(w);
-  sampler_->save_state(w);
+  std::visit(
+      [&](const auto& c) {
+        c.ns->save_state(w);
+        dpd_->save_state(w);
+        bc_->save_state(w);
+        c.cdc->save_state(w);
+        sampler_->save_state(w);
+      },
+      continuum_);
   return resilience::crc32(w.data());
 }
 
@@ -201,69 +234,29 @@ void Runner::maybe_checkpoint(std::int64_t interval, double time) {
 
 RunResult Runner::run() {
   develop_steps_ = 0;
-  return sc_.kind == "net1d" ? run_net1d() : run_coupled();
+  if (sc_.kind == "net1d") return run_net1d();
+  if (sc_.kind == "cdc3d") return run_coupled(continuum_.emplace<Continuum3D>());
+  return run_coupled(continuum_.emplace<Continuum2D>());
 }
 
-RunResult Runner::run_coupled() {
-  const bool is3d = sc_.kind == "cdc3d";
+template <class NS>
+RunResult Runner::run_coupled(Continuum<NS>& c) {
   const bool restarting = !opts_.restart_dir.empty();
   RunResult res;
 
   // --- 1. the continuum solver -- same construction order, parameters and
   // BC expression trees as the hand-written examples (digest equality).
-  if (is3d) {
-    disc3_ = tables_ ? tables_->hex(sc_.mesh3d)
-                     : std::make_shared<const sem::Discretization3D>(
-                           sc_.mesh3d.lx, sc_.mesh3d.ly, sc_.mesh3d.lz,
-                           static_cast<int>(sc_.mesh3d.nx), static_cast<int>(sc_.mesh3d.ny),
-                           static_cast<int>(sc_.mesh3d.nz), static_cast<int>(sc_.mesh3d.order));
-    sem::NavierStokes3D::Params prm;
-    prm.nu = sc_.sem.nu;
-    prm.dt = sc_.sem.dt;
-    prm.time_order = static_cast<int>(sc_.sem.time_order);
-    prm.pressure_dirichlet_faces = {sem::HexFace::X1};
-    ns3_ = std::make_unique<sem::NavierStokes3D>(*disc3_, prm);
-    const double H = sc_.mesh3d.lz;
-    const double Umax = sc_.sem.inlet_umax;
-    auto prof = [H, Umax](double, double, double z, double) {
-      return 4.0 * Umax * z * (H - z) / (H * H);
-    };
-    auto zero = [](double, double, double, double) { return 0.0; };
-    ns3_->set_velocity_bc(sem::HexFace::X0, prof, zero, zero);
-    ns3_->set_velocity_bc(sem::HexFace::Y0, prof, zero, zero);
-    ns3_->set_velocity_bc(sem::HexFace::Y1, prof, zero, zero);
-    ns3_->set_natural_bc(sem::HexFace::X1);
-  } else {
-    if (tables_) {
-      disc_ = tables_->quad(sc_.mesh);
-    } else {
-      auto mesh = mesh::QuadMesh::channel(sc_.mesh.length, sc_.mesh.height,
-                                          static_cast<int>(sc_.mesh.nx),
-                                          static_cast<int>(sc_.mesh.ny));
-      disc_ = std::make_shared<const sem::Discretization>(mesh, static_cast<int>(sc_.mesh.order));
-    }
-    sem::NavierStokes2D::Params nsp;
-    nsp.nu = sc_.sem.nu;
-    nsp.dt = sc_.sem.dt;
-    nsp.time_order = static_cast<int>(sc_.sem.time_order);
-    ns2_ = std::make_unique<sem::NavierStokes2D>(*disc_, nsp);
-    const double H = sc_.mesh.height;
-    const double Umax = sc_.sem.inlet_umax;
-    ns2_->set_velocity_bc(
-        mesh::kInlet,
-        [H, Umax](double, double y, double) { return 4.0 * Umax * y * (H - y) / (H * H); },
-        [](double, double, double) { return 0.0; });
-    ns2_->set_natural_bc(mesh::kOutlet);
-  }
+  c.disc = Dim<NS>::disc(sc_, tables_);
+  typename NS::Params prm;
+  prm.nu = sc_.sem.nu;
+  prm.dt = sc_.sem.dt;
+  prm.time_order = static_cast<int>(sc_.sem.time_order);
+  c.ns = std::make_unique<NS>(*c.disc, prm);
+  Dim<NS>::set_inlet(*c.ns, sc_);
   if (!restarting) {
-    apply_warm_start();
-    if (opts_.verbose) {
-      if (is3d)
-        std::printf("continuum: %zu hexahedral SEM nodes, developing...\n", sem_nodes());
-      else
-        std::printf("continuum: %zu SEM nodes, developing the flow...\n", sem_nodes());
-    }
-    res.cg_iters += develop();
+    apply_warm_start(*c.ns);
+    if (opts_.verbose) std::printf(Dim<NS>::kDevelopLine, sem_nodes());
+    res.cg_iters += develop(*c.ns);
     res.develop_steps = develop_steps_;
   }
 
@@ -303,15 +296,8 @@ RunResult Runner::run_coupled() {
   tp.dt_ns = sc_.sem.dt;
   tp.exchange_every_ns = static_cast<int>(sc_.coupling.exchange_every_ns);
   tp.dpd_per_ns = static_cast<int>(sc_.coupling.dpd_per_ns);
-  const auto& rg = sc_.coupling.region;
-  if (is3d) {
-    coupling::EmbeddedBox box{rg[0], rg[1], rg[2], rg[3], rg[4], rg[5]};
-    cdc3_ = std::make_unique<coupling::ContinuumDpdCoupler3D>(*ns3_, *dpd_, *bc_, box, scales_,
-                                                              tp);
-  } else {
-    cdc_ = std::make_unique<coupling::ContinuumDpdCoupler>(
-        *ns2_, *dpd_, *bc_, coupling::EmbeddedRegion{rg[0], rg[1], rg[2], rg[3]}, scales_, tp);
-  }
+  c.cdc = std::make_unique<coupling::BasicContinuumDpdCoupler<NS>>(
+      *c.ns, *dpd_, *bc_, Dim<NS>::region(sc_.coupling.region), scales_, tp);
 
   dpd::SamplerParams sp;
   sp.nx = static_cast<int>(sc_.sampler.nx);
@@ -319,17 +305,13 @@ RunResult Runner::run_coupled() {
   sp.nz = static_cast<int>(sc_.sampler.nz);
   sampler_ = std::make_unique<dpd::FieldSampler>(*dpd_, sp);
 
+  // stream names: the solver's phase prefix (ns2d, ns3d) and the scenario
+  // kind (cdc, cdc3d)
   coord_ = std::make_unique<resilience::CheckpointCoordinator>();
-  if (is3d)
-    coord_->add("ns3d", *ns3_);
-  else
-    coord_->add("ns2d", *ns2_);
+  coord_->add(NS::Traits::kPhasePrefix, *c.ns);
   coord_->add("dpd", *dpd_);
   coord_->add("flowbc", *bc_);
-  if (is3d)
-    coord_->add("cdc3d", *cdc3_);
-  else
-    coord_->add("cdc", *cdc_);
+  coord_->add(sc_.kind, *c.cdc);
   coord_->add("sampler", *sampler_);
 
   std::int64_t start_interval = 0;
@@ -338,7 +320,7 @@ RunResult Runner::run_coupled() {
     start_interval = static_cast<std::int64_t>(info.step);
     res.restarted = true;
     res.start_interval = static_cast<int>(start_interval);
-    res.t_ns = ns2_ ? ns2_->time() : ns3_->time();
+    res.t_ns = c.ns->time();
     if (opts_.verbose)
       std::printf("restarted from %s: interval %d, t_ns = %.4f, %zu DPD particles\n\n",
                   opts_.restart_dir.c_str(), res.start_interval, res.t_ns, dpd_->size());
@@ -351,9 +333,9 @@ RunResult Runner::run_coupled() {
     auto cb = [&, interval] {
       if (interval >= sc_.time.sample_from) sampler_->accumulate(*dpd_);
     };
-    res.cg_iters += is3d ? cdc3_->advance_interval(cb) : cdc_->advance_interval(cb);
+    res.cg_iters += c.cdc->advance_interval(cb);
     ++res.intervals_run;
-    maybe_checkpoint(interval, ns2_ ? ns2_->time() : ns3_->time());
+    maybe_checkpoint(interval, c.ns->time());
   }
 
   res.develop_steps = develop_steps_;
@@ -427,21 +409,24 @@ RunResult Runner::run_net1d() {
 }
 
 std::size_t Runner::sem_nodes() const {
-  if (disc_) return disc_->num_nodes();
-  if (disc3_) return disc3_->num_nodes();
-  return 0;
+  return std::visit(
+      [](const auto& c) -> std::size_t { return c.disc ? c.disc->num_nodes() : 0; },
+      continuum_);
 }
 
 std::size_t Runner::exchanges() const {
-  if (cdc_) return cdc_->exchanges();
-  if (cdc3_) return cdc3_->exchanges();
-  return 0;
+  return std::visit([](const auto& c) -> std::size_t { return c.cdc ? c.cdc->exchanges() : 0; },
+                    continuum_);
 }
 
-double Runner::eval_u(double x, double y) const { return disc_->evaluate(ns2_->u(), x, y); }
+double Runner::eval_u(double x, double y) const {
+  const auto& c = std::get<Continuum2D>(continuum_);
+  return c.disc->evaluate(c.ns->u(), x, y);
+}
 
 double Runner::eval_u(double x, double y, double z) const {
-  return disc3_->evaluate(ns3_->u(), x, y, z);
+  const auto& c = std::get<Continuum3D>(continuum_);
+  return c.disc->evaluate(c.ns->u(), x, y, z);
 }
 
 }  // namespace scenario

@@ -14,10 +14,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "coupling/cdc.hpp"
-#include "coupling/cdc3d.hpp"
 #include "nektar1d/network.hpp"
 #include "resilience/checkpoint.hpp"
 #include "resilience/fault.hpp"
@@ -115,28 +115,36 @@ class Runner {
   nektar1d::ArterialNetwork& network() { return *net_; }
 
  private:
+  /// The continuum solver of a coupled run and its coupler to the DPD box.
+  template <class NS>
+  struct Continuum {
+    std::shared_ptr<const typename NS::Disc> disc;
+    std::unique_ptr<NS> ns;
+    std::unique_ptr<coupling::BasicContinuumDpdCoupler<NS>> cdc;
+  };
+  using Continuum2D = Continuum<sem::NavierStokes<sem::Operators>>;
+  using Continuum3D = Continuum<sem::NavierStokes<sem::Operators3D>>;
+
   std::int64_t intervals() const;
   std::int64_t checkpoint_every() const;
   std::string checkpoint_dir() const;
-  void apply_warm_start();
-  std::size_t develop();
+  template <class NS>
+  void apply_warm_start(NS& ns);
+  template <class NS>
+  std::size_t develop(NS& ns);
   std::uint32_t compute_digest() const;
   void maybe_checkpoint(std::int64_t interval, double time);
-  RunResult run_coupled();
+  template <class NS>
+  RunResult run_coupled(Continuum<NS>& c);
   RunResult run_net1d();
 
   Scenario sc_;
   RunnerOptions opts_;
   SharedTables* tables_;
 
-  std::shared_ptr<const sem::Discretization> disc_;
-  std::shared_ptr<const sem::Discretization3D> disc3_;
-  std::unique_ptr<sem::NavierStokes2D> ns2_;
-  std::unique_ptr<sem::NavierStokes3D> ns3_;
+  std::variant<Continuum2D, Continuum3D> continuum_;
   std::unique_ptr<dpd::DpdSystem> dpd_;
   std::unique_ptr<dpd::FlowBc> bc_;
-  std::unique_ptr<coupling::ContinuumDpdCoupler> cdc_;
-  std::unique_ptr<coupling::ContinuumDpdCoupler3D> cdc3_;
   std::unique_ptr<dpd::FieldSampler> sampler_;
   std::unique_ptr<nektar1d::ArterialNetwork> net_;
   std::unique_ptr<resilience::CheckpointCoordinator> coord_;

@@ -33,7 +33,6 @@ Discretization::Discretization(const mesh::QuadMesh& mesh, int order)
                                        mesh_.dx());
           coords_y_.push_back(oy + 0.5 * (rule_.nodes[static_cast<std::size_t>(b)] + 1.0) *
                                        mesh_.dy());
-          mult_.push_back(0.0);
         }
         const std::size_t g = it->second;
         elem_map_[e * npe + static_cast<std::size_t>(b) * (P_ + 1) +
@@ -41,11 +40,6 @@ Discretization::Discretization(const mesh::QuadMesh& mesh, int order)
       }
     }
   }
-
-  // multiplicity = number of elements sharing each node (each local position
-  // is unique within an element, so counting map entries is the share count)
-  std::fill(mult_.begin(), mult_.end(), 0.0);
-  for (std::size_t k = 0; k < elem_map_.size(); ++k) mult_[elem_map_[k]] += 1.0;
 
   // boundary node sets
   for (const auto& f : mesh_.boundary_faces()) {

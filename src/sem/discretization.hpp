@@ -50,9 +50,6 @@ public:
   double node_x(std::size_t g) const { return coords_x_[g]; }
   double node_y(std::size_t g) const { return coords_y_[g]; }
 
-  /// Number of elements sharing each global node (1, 2, or 4).
-  double node_multiplicity(std::size_t g) const { return mult_[g]; }
-
   /// Global nodes lying on boundary faces with the given tag (deduplicated,
   /// ascending). Nodes shared between two tags appear in both sets.
   const std::vector<std::size_t>& boundary_nodes(int tag) const;
@@ -80,7 +77,6 @@ private:
 
   std::vector<std::size_t> elem_map_;  // e * npe + local -> global
   std::vector<double> coords_x_, coords_y_;
-  std::vector<double> mult_;
   std::map<int, std::vector<std::size_t>> boundary_;
   std::vector<std::size_t> empty_;
 };

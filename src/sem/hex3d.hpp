@@ -72,6 +72,10 @@ public:
   const std::vector<std::size_t>& boundary_nodes(HexFace f) const {
     return faces_[static_cast<std::size_t>(f)];
   }
+  /// All six faces, ascending.
+  std::vector<HexFace> boundary_tags() const {
+    return {HexFace::X0, HexFace::X1, HexFace::Y0, HexFace::Y1, HexFace::Z0, HexFace::Z1};
+  }
 
   /// Tensor-product Lagrange evaluation of a nodal field at (x, y, z).
   double evaluate(const la::Vector& field, double x, double y, double z) const;

@@ -152,7 +152,7 @@ void Operators::gradient(const la::Vector& u, la::Vector& dudx, la::Vector& dudy
   }
 }
 
-void Operators::divergence(const la::Vector& u, la::Vector& v, la::Vector& div) const {
+void Operators::divergence(const la::Vector& u, const la::Vector& v, la::Vector& div) const {
   if (div.size() != u.size()) div.resize(u.size());
   gradient(u, gx_, gy_);
   for (std::size_t g = 0; g < u.size(); ++g) div[g] = gx_[g];

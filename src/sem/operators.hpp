@@ -46,7 +46,7 @@ public:
   void gradient(const la::Vector& u, la::Vector& dudx, la::Vector& dudy) const;
 
   /// div = du/dx + dv/dy (nodal, mass-averaged).
-  void divergence(const la::Vector& u, la::Vector& v, la::Vector& div) const;
+  void divergence(const la::Vector& u, const la::Vector& v, la::Vector& div) const;
 
   /// Convective term (u . grad) applied to each velocity component:
   /// conv_u = u du/dx + v du/dy, conv_v = u dv/dx + v dv/dy.

@@ -295,10 +295,10 @@ TEST(Cdc, ScheduleCountsAndScaledVelocity) {
   // Continuum: steady Poiseuille channel. DPD box embedded mid-channel.
   auto m = mesh::QuadMesh::channel(4.0, 1.0, 8, 2);
   sem::Discretization d(m, 4);
-  sem::NavierStokes2D::Params nsp;
+  sem::NavierStokes<sem::Operators>::Params nsp;
   nsp.nu = 0.05;
   nsp.dt = 2e-3;
-  sem::NavierStokes2D ns(d, nsp);
+  sem::NavierStokes<sem::Operators> ns(d, nsp);
   ns.set_velocity_bc(mesh::kInlet,
                      [](double, double y, double) { return 4.0 * y * (1.0 - y); },
                      [](double, double, double) { return 0.0; });
@@ -328,7 +328,7 @@ TEST(Cdc, ScheduleCountsAndScaledVelocity) {
   tp.exchange_every_ns = 2;
   tp.dpd_per_ns = 5;
 
-  coupling::ContinuumDpdCoupler cdc(ns, sys, bc, region, scales, tp);
+  coupling::BasicContinuumDpdCoupler cdc(ns, sys, bc, region, scales, tp);
 
   // centerline: u_ns ~ 1 -> imposed DPD speed ~ 50... scale check first:
   const auto v_mid = cdc.continuum_velocity_at({8.0, 3.0, 5.0});
@@ -346,10 +346,10 @@ TEST(Cdc, DpdFlowTracksContinuum) {
   // continuum field after several coupling intervals (Fig. 9 behaviour).
   auto m = mesh::QuadMesh::channel(4.0, 1.0, 8, 2);
   sem::Discretization d(m, 4);
-  sem::NavierStokes2D::Params nsp;
+  sem::NavierStokes<sem::Operators>::Params nsp;
   nsp.nu = 0.05;
   nsp.dt = 2e-3;
-  sem::NavierStokes2D ns(d, nsp);
+  sem::NavierStokes<sem::Operators> ns(d, nsp);
   ns.set_velocity_bc(mesh::kInlet,
                      [](double, double y, double) { return 4.0 * y * (1.0 - y); },
                      [](double, double, double) { return 0.0; });
@@ -379,7 +379,7 @@ TEST(Cdc, DpdFlowTracksContinuum) {
   coupling::TimeProgression tp;
   tp.exchange_every_ns = 2;
   tp.dpd_per_ns = 10;
-  coupling::ContinuumDpdCoupler cdc(ns, sys, bc, region, scales, tp);
+  coupling::BasicContinuumDpdCoupler cdc(ns, sys, bc, region, scales, tp);
 
   dpd::SamplerParams sp;
   sp.nx = 4;
@@ -408,10 +408,10 @@ TEST(TripleDecker, NestedScheduleAndVelocityCascade) {
   // cascades through both Eq.-(1) maps with the right magnitude.
   auto m = mesh::QuadMesh::channel(4.0, 1.0, 8, 2);
   sem::Discretization d(m, 4);
-  sem::NavierStokes2D::Params nsp;
+  sem::NavierStokes<sem::Operators>::Params nsp;
   nsp.nu = 0.05;
   nsp.dt = 2e-3;
-  sem::NavierStokes2D ns(d, nsp);
+  sem::NavierStokes<sem::Operators> ns(d, nsp);
   ns.set_velocity_bc(mesh::kInlet,
                      [](double, double y, double) { return 4.0 * y * (1.0 - y); },
                      [](double, double, double) { return 0.0; });
@@ -437,7 +437,7 @@ TEST(TripleDecker, NestedScheduleAndVelocityCascade) {
   coupling::TimeProgression tp;
   tp.exchange_every_ns = 2;
   tp.dpd_per_ns = 10;
-  coupling::ContinuumDpdCoupler cdc(ns, dpd_sys, bc, {1.5, 2.5, 0.0, 1.0}, s1, tp);
+  coupling::BasicContinuumDpdCoupler cdc(ns, dpd_sys, bc, {1.5, 2.5, 0.0, 1.0}, s1, tp);
 
   // MD layer: small periodic box nested mid-DPD-domain
   dpd::DpdParams mdp;
@@ -553,8 +553,6 @@ TEST(MultiPatch, FourPatchesAsInPaper) {
 
 }  // namespace
 
-#include "coupling/cdc3d.hpp"
-
 namespace {
 
 TEST(Cdc3d, FullyThreeDimensionalCoupling) {
@@ -562,11 +560,11 @@ TEST(Cdc3d, FullyThreeDimensionalCoupling) {
   // the paper's actual configuration, no dimension folding.
   const double H = 1.0, Umax = 1.0, nu = 0.05;
   sem::Discretization3D d(4.0, 1.0, H, 4, 1, 2, 4);
-  sem::NavierStokes3D::Params prm;
+  sem::NavierStokes<sem::Operators3D>::Params prm;
   prm.nu = nu;
   prm.dt = 2e-3;
   prm.pressure_dirichlet_faces = {sem::HexFace::X1};
-  sem::NavierStokes3D ns(d, prm);
+  sem::NavierStokes<sem::Operators3D> ns(d, prm);
   auto prof = [&](double, double, double z, double) {
     return 4.0 * Umax * z * (H - z) / (H * H);
   };
@@ -597,7 +595,7 @@ TEST(Cdc3d, FullyThreeDimensionalCoupling) {
   tp.exchange_every_ns = 2;
   tp.dpd_per_ns = 10;
   coupling::EmbeddedBox box{1.5, 2.5, 0.25, 0.75, 0.0, 1.0};
-  coupling::ContinuumDpdCoupler3D cdc(ns, sys, bc, box, scales, tp);
+  coupling::BasicContinuumDpdCoupler cdc(ns, sys, bc, box, scales, tp);
 
   // scale check against the 3D field
   const auto vmid = cdc.continuum_velocity_at({8.0, 3.0, 5.0});
@@ -630,8 +628,8 @@ TEST(MultiPatch, RejectsNonPositivePatchCount) {
 TEST(Cdc, RejectsDegenerateRegion) {
   auto m = mesh::QuadMesh::channel(2.0, 1.0, 4, 2);
   sem::Discretization d(m, 3);
-  sem::NavierStokes2D::Params nsp;
-  sem::NavierStokes2D ns(d, nsp);
+  sem::NavierStokes<sem::Operators>::Params nsp;
+  sem::NavierStokes<sem::Operators> ns(d, nsp);
   dpd::DpdParams dp;
   dpd::DpdSystem sys(dp, nullptr);
   dpd::FlowBcParams fp;
@@ -640,10 +638,35 @@ TEST(Cdc, RejectsDegenerateRegion) {
   coupling::TimeProgression tp;
   coupling::EmbeddedRegion flat_x{1.0, 1.0, 0.0, 1.0};   // x1 == x0
   coupling::EmbeddedRegion inverted_y{0.0, 1.0, 1.0, 0.5};  // y1 < y0
-  EXPECT_THROW(coupling::ContinuumDpdCoupler(ns, sys, bc, flat_x, scales, tp),
+  EXPECT_THROW(coupling::BasicContinuumDpdCoupler(ns, sys, bc, flat_x, scales, tp),
                std::invalid_argument);
-  EXPECT_THROW(coupling::ContinuumDpdCoupler(ns, sys, bc, inverted_y, scales, tp),
+  EXPECT_THROW(coupling::BasicContinuumDpdCoupler(ns, sys, bc, inverted_y, scales, tp),
                std::invalid_argument);
+}
+
+TEST(Cdc3d, RejectsDegenerateBoxOnEveryAxis) {
+  sem::Discretization3D d(4.0, 1.0, 1.0, 4, 1, 2, 2);
+  sem::NavierStokes<sem::Operators3D> ns(d, {});
+  dpd::DpdParams dp;
+  dpd::DpdSystem sys(dp, nullptr);
+  dpd::FlowBcParams fp;
+  dpd::FlowBc bc(fp);
+  coupling::ScaleMap scales;
+  coupling::TimeProgression tp;
+  const double nan = std::nan("");
+  const std::pair<coupling::EmbeddedBox, const char*> degenerate[] = {
+      {{1.0, 1.0, 0.0, 1.0, 0.0, 1.0}, "axis x"},  // x1 == x0
+      {{0.0, 1.0, 1.0, 0.5, 0.0, 1.0}, "axis y"},  // y1 < y0
+      {{0.0, 1.0, 0.0, 1.0, nan, 1.0}, "axis z"},  // NaN bound
+  };
+  for (const auto& [box, axis] : degenerate) {
+    try {
+      coupling::BasicContinuumDpdCoupler cdc(ns, sys, bc, box, scales, tp);
+      ADD_FAILURE() << "accepted a box degenerate on " << axis;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(axis), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(Replica, DistributeVsGatherMismatchCaughtByCheckedMode) {

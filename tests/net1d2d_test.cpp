@@ -47,10 +47,10 @@ TEST(Net1dToPatch, VesselFlowDrivesPatchInlet) {
 
   auto m = mesh::QuadMesh::channel(2.0, 1.0, 4, 2);
   sem::Discretization d(m, 4);
-  sem::NavierStokes2D::Params nsp;
+  sem::NavierStokes<sem::Operators>::Params nsp;
   nsp.nu = 0.05;
   nsp.dt = 2e-3;
-  sem::NavierStokes2D ns(d, nsp);
+  sem::NavierStokes<sem::Operators> ns(d, nsp);
   ns.set_natural_bc(mesh::kOutlet);
 
   coupling::Network1DToPatch link(net, v, nektar1d::End::Right, ns, /*q_scale=*/1.0);
@@ -67,10 +67,10 @@ TEST(PatchToNet1d, PatchOutletFeedsPeripheralBed) {
   // outlet: the peripheral pressure must approach Q * R_total.
   auto m = mesh::QuadMesh::channel(2.0, 1.0, 4, 2);
   sem::Discretization d(m, 4);
-  sem::NavierStokes2D::Params nsp;
+  sem::NavierStokes<sem::Operators>::Params nsp;
   nsp.nu = 0.05;
   nsp.dt = 2e-3;
-  sem::NavierStokes2D ns(d, nsp);
+  sem::NavierStokes<sem::Operators> ns(d, nsp);
   const double Umax = 1.0;
   ns.set_velocity_bc(mesh::kInlet,
                      [Umax](double, double y, double) { return 4.0 * Umax * y * (1.0 - y); },
@@ -104,10 +104,10 @@ TEST(Net1dToPatch, PulsatileWaveformTransmits) {
 
   auto m = mesh::QuadMesh::channel(2.0, 1.0, 4, 2);
   sem::Discretization d(m, 4);
-  sem::NavierStokes2D::Params nsp;
+  sem::NavierStokes<sem::Operators>::Params nsp;
   nsp.nu = 0.05;
   nsp.dt = 1e-3;
-  sem::NavierStokes2D ns(d, nsp);
+  sem::NavierStokes<sem::Operators> ns(d, nsp);
   ns.set_natural_bc(mesh::kOutlet);
   coupling::Network1DToPatch link(net, v, nektar1d::End::Right, ns);
 

@@ -32,8 +32,7 @@
 #include "resilience/checkpoint.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/snapshot.hpp"
-#include "sem/ns2d.hpp"
-#include "sem/ns3d.hpp"
+#include "sem/navier_stokes.hpp"
 #include "telemetry/comm_matrix.hpp"
 #include "wpod/wpod.hpp"
 #include "xmp/comm.hpp"
@@ -331,12 +330,12 @@ TEST(Fault, UncaughtKillAbortsTheWholeRun) {
 
 // ---------------- solver round trips (bitwise) ----------------
 
-sem::NavierStokes2D make_ns2d(const sem::Discretization& disc) {
-  sem::NavierStokes2D::Params p;
+sem::NavierStokes<sem::Operators> make_ns2d(const sem::Discretization& disc) {
+  sem::NavierStokes<sem::Operators>::Params p;
   p.nu = 0.05;
   p.dt = 2e-3;
   p.time_order = 2;
-  sem::NavierStokes2D ns(disc, p);
+  sem::NavierStokes<sem::Operators> ns(disc, p);
   ns.set_velocity_bc(mesh::kInlet,
                      [](double, double y, double) { return 4.0 * y * (1.0 - y); },
                      [](double, double, double) { return 0.0; });
@@ -364,13 +363,13 @@ TEST(RoundTrip, Ns2dContinuesBitwise) {
   EXPECT_DOUBLE_EQ(ns.time(), restored.time());
 }
 
-sem::NavierStokes3D make_ns3d(const sem::Discretization3D& d) {
-  sem::NavierStokes3D::Params p;
+sem::NavierStokes<sem::Operators3D> make_ns3d(const sem::Discretization3D& d) {
+  sem::NavierStokes<sem::Operators3D>::Params p;
   p.nu = 0.05;
   p.dt = 2e-3;
   p.time_order = 2;
   p.pressure_dirichlet_faces = {sem::HexFace::X1};
-  sem::NavierStokes3D ns(d, p);
+  sem::NavierStokes<sem::Operators3D> ns(d, p);
   auto prof = [](double, double, double z, double) { return 4.0 * z * (1.0 - z); };
   auto zero = [](double, double, double, double) { return 0.0; };
   ns.set_velocity_bc(sem::HexFace::X0, prof, zero, zero);
@@ -656,14 +655,14 @@ TEST(RoundTrip, StreamingWpodContinuesExactly) {
 struct MiniCoupled {
   mesh::QuadMesh msh;
   sem::Discretization disc;
-  sem::NavierStokes2D ns;
+  sem::NavierStokes<sem::Operators> ns;
   dpd::DpdSystem sys;
   dpd::FlowBc bc;
-  coupling::ContinuumDpdCoupler cdc;
+  coupling::BasicContinuumDpdCoupler<sem::NavierStokes<sem::Operators>> cdc;
   dpd::FieldSampler sampler;
 
-  static sem::NavierStokes2D::Params ns_params() {
-    sem::NavierStokes2D::Params p;
+  static sem::NavierStokes<sem::Operators>::Params ns_params() {
+    sem::NavierStokes<sem::Operators>::Params p;
     p.nu = 0.05;
     p.dt = 2e-3;
     return p;

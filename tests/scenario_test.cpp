@@ -13,12 +13,12 @@
 #include <vector>
 
 #include "coupling/cdc.hpp"
-#include "coupling/cdc3d.hpp"
 #include "dpd/geometry.hpp"
 #include "dpd/inflow.hpp"
 #include "dpd/sampling.hpp"
 #include "dpd/system.hpp"
 #include "io/json_escape.hpp"
+#include "la/simd.hpp"
 #include "mesh/quadmesh.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/snapshot.hpp"
@@ -27,8 +27,7 @@
 #include "scenario/presets.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/schema.hpp"
-#include "sem/ns2d.hpp"
-#include "sem/ns3d.hpp"
+#include "sem/navier_stokes.hpp"
 
 namespace {
 
@@ -223,10 +222,10 @@ TEST(SchemaTest, CheckedInFilesMatchPresets) {
 std::uint32_t handwritten_quickstart_digest(int intervals, int develop) {
   auto mesh = mesh::QuadMesh::channel(4.0, 1.0, 8, 2);
   sem::Discretization disc(mesh, 4);
-  sem::NavierStokes2D::Params nsp;
+  sem::NavierStokes<sem::Operators>::Params nsp;
   nsp.nu = 0.05;
   nsp.dt = 2e-3;
-  sem::NavierStokes2D ns(disc, nsp);
+  sem::NavierStokes<sem::Operators> ns(disc, nsp);
   ns.set_velocity_bc(mesh::kInlet,
                      [](double, double y, double) { return 4.0 * y * (1.0 - y); },
                      [](double, double, double) { return 0.0; });
@@ -255,7 +254,7 @@ std::uint32_t handwritten_quickstart_digest(int intervals, int develop) {
   tp.dt_ns = nsp.dt;
   tp.exchange_every_ns = 2;
   tp.dpd_per_ns = 10;
-  coupling::ContinuumDpdCoupler cdc(ns, sys, bc, {1.5, 2.5, 0.0, 1.0}, scales, tp);
+  coupling::BasicContinuumDpdCoupler cdc(ns, sys, bc, {1.5, 2.5, 0.0, 1.0}, scales, tp);
   dpd::SamplerParams sp;
   sp.nx = 1;
   sp.ny = 1;
@@ -279,12 +278,12 @@ std::uint32_t handwritten_quickstart_digest(int intervals, int develop) {
 std::uint32_t handwritten_coupled3d_digest(int intervals, int develop) {
   const double H = 1.0, Umax = 1.0, nu = 0.05;
   sem::Discretization3D d(4.0, 1.0, H, 4, 1, 2, 4);
-  sem::NavierStokes3D::Params prm;
+  sem::NavierStokes<sem::Operators3D>::Params prm;
   prm.nu = nu;
   prm.dt = 2e-3;
   prm.time_order = 2;
   prm.pressure_dirichlet_faces = {sem::HexFace::X1};
-  sem::NavierStokes3D ns(d, prm);
+  sem::NavierStokes<sem::Operators3D> ns(d, prm);
   auto prof = [&](double, double, double z, double) {
     return 4.0 * Umax * z * (H - z) / (H * H);
   };
@@ -316,7 +315,7 @@ std::uint32_t handwritten_coupled3d_digest(int intervals, int develop) {
   tp.exchange_every_ns = 2;
   tp.dpd_per_ns = 10;
   coupling::EmbeddedBox box{1.5, 2.5, 0.25, 0.75, 0.0, 1.0};
-  coupling::ContinuumDpdCoupler3D cdc(ns, sys, bc, box, scales, tp);
+  coupling::BasicContinuumDpdCoupler cdc(ns, sys, bc, box, scales, tp);
   dpd::SamplerParams sp;
   sp.nx = 1;
   sp.ny = 1;
@@ -354,6 +353,20 @@ TEST(RunnerTest, Coupled3dDigestMatchesHandwritten) {
   sc.time.intervals = 3;
   const auto res = Runner(sc).run();
   EXPECT_EQ(res.digest, handwritten_coupled3d_digest(3, 40));
+}
+
+// The absolute STATE_DIGESTs of the two example presets at their CI interval
+// counts. Every relational gate (restart, scenario file vs preset) would
+// still pass if a refactor shifted both sides; these literals would not.
+// The scalar kernels sum in a different order, so the pins hold on AVX2 only.
+TEST(Scenario, PresetDigestsArePinned) {
+  if (la::simd::detect() != la::simd::Isa::Avx2) GTEST_SKIP() << "digests pinned on AVX2";
+  RunnerOptions q;
+  q.intervals = 12;
+  EXPECT_EQ(Runner(scenario::quickstart_preset(), q).run().digest, 0xbd696f32u);
+  RunnerOptions c;
+  c.intervals = 8;
+  EXPECT_EQ(Runner(scenario::coupled3d_preset(), c).run().digest, 0xcd1fbf0du);
 }
 
 TEST(RunnerTest, Net1dDeterministicDigest) {

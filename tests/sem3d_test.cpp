@@ -165,7 +165,7 @@ INSTANTIATE_TEST_SUITE_P(Orders, Sem3dOrderSweep, ::testing::Values(2, 3, 4));
 
 }  // namespace
 
-#include "sem/ns3d.hpp"
+#include "sem/navier_stokes.hpp"
 
 namespace {
 
@@ -203,11 +203,11 @@ TEST(Ns3d, PoiseuilleBetweenPlates) {
   // faces; steady state must carry it through the domain
   const double H = 1.0, Umax = 1.0, nu = 0.05;
   sem::Discretization3D d(2.0, 1.0, H, 3, 2, 2, 4);
-  sem::NavierStokes3D::Params prm;
+  sem::NavierStokes<sem::Operators3D>::Params prm;
   prm.nu = nu;
   prm.dt = 2e-3;
   prm.pressure_dirichlet_faces = {sem::HexFace::X1};
-  sem::NavierStokes3D ns(d, prm);
+  sem::NavierStokes<sem::Operators3D> ns(d, prm);
   auto prof = [&](double, double, double z, double) { return 4.0 * Umax * z * (H - z) / (H * H); };
   auto zero = [](double, double, double, double) { return 0.0; };
   ns.set_velocity_bc(sem::HexFace::X0, prof, zero, zero);
@@ -227,12 +227,12 @@ TEST(Ns3d, TaylorGreenColumnDecay) {
   // solution; all faces Dirichlet from the exact fields.
   const double nu = 0.02;
   sem::Discretization3D d(1.0, 1.0, 0.5, 3, 3, 1, 5);
-  sem::NavierStokes3D::Params prm;
+  sem::NavierStokes<sem::Operators3D>::Params prm;
   prm.nu = nu;
   prm.dt = 2e-3;
   prm.time_order = 2;
   prm.pressure_dirichlet_faces = {};
-  sem::NavierStokes3D ns(d, prm);
+  sem::NavierStokes<sem::Operators3D> ns(d, prm);
   auto F = [nu](double t) { return std::exp(-2.0 * M_PI * M_PI * nu * t); };
   auto ue = [&](double x, double y, double, double t) {
     return std::sin(M_PI * x) * std::cos(M_PI * y) * F(t);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <stdexcept>
@@ -12,7 +13,7 @@
 #include "sem/discretization.hpp"
 #include "sem/gll.hpp"
 #include "sem/helmholtz.hpp"
-#include "sem/ns2d.hpp"
+#include "sem/navier_stokes.hpp"
 #include "sem/operators.hpp"
 
 namespace {
@@ -121,16 +122,6 @@ TEST(Disc, SharedEdgeNodesIdentical) {
   const std::size_t e0 = m.cell_index(0, 0), e1 = m.cell_index(1, 0);
   for (int b = 0; b <= 4; ++b)
     EXPECT_EQ(d.global_node(e0, 4, b), d.global_node(e1, 0, b));
-}
-
-TEST(Disc, MultiplicityCorners) {
-  auto m = mesh::QuadMesh::channel(2.0, 2.0, 2, 2);
-  sem::Discretization d(m, 3);
-  // the center point is shared by 4 elements
-  const std::size_t center = d.global_node(m.cell_index(0, 0), 3, 3);
-  EXPECT_DOUBLE_EQ(d.node_multiplicity(center), 4.0);
-  const std::size_t corner = d.global_node(m.cell_index(0, 0), 0, 0);
-  EXPECT_DOUBLE_EQ(d.node_multiplicity(corner), 1.0);
 }
 
 TEST(Disc, BoundaryNodeSetsCoverTags) {
@@ -396,10 +387,10 @@ TEST(Ns2d, PoiseuilleSteadyState) {
   const double H = 1.0, L = 2.0, numean = 0.05, Umax = 1.0;
   auto m = mesh::QuadMesh::channel(L, H, 6, 3);
   sem::Discretization d(m, 5);
-  sem::NavierStokes2D::Params prm;
+  sem::NavierStokes<sem::Operators>::Params prm;
   prm.nu = numean;
   prm.dt = 2e-3;
-  sem::NavierStokes2D ns(d, prm);
+  sem::NavierStokes<sem::Operators> ns(d, prm);
   auto poiseuille = [&](double, double y, double) { return 4.0 * Umax * y * (H - y) / (H * H); };
   ns.set_velocity_bc(mesh::kInlet, poiseuille,
                      [](double, double, double) { return 0.0; });
@@ -421,11 +412,11 @@ TEST(Ns2d, TaylorGreenDecay) {
   const double nu = 0.02;
   auto m = mesh::QuadMesh::lid_cavity(4);
   sem::Discretization d(m, 6);
-  sem::NavierStokes2D::Params prm;
+  sem::NavierStokes<sem::Operators>::Params prm;
   prm.nu = nu;
   prm.dt = 1e-3;
-  prm.pressure_dirichlet_tags = {};  // enclosed flow: pure-Neumann pressure
-  sem::NavierStokes2D ns(d, prm);
+  prm.pressure_dirichlet_faces = {};  // enclosed flow: pure-Neumann pressure
+  sem::NavierStokes<sem::Operators> ns(d, prm);
   auto F = [nu](double t) { return std::exp(-2.0 * M_PI * M_PI * nu * t); };
   auto ue = [&](double x, double y, double t) {
     return std::sin(M_PI * x) * std::cos(M_PI * y) * F(t);
@@ -455,11 +446,11 @@ TEST(Ns2d, WomersleyOscillatoryChannel) {
   const double H = 1.0, L = 1.0, nu = 0.05, A = 1.0, w = 2.0 * M_PI;
   auto m = mesh::QuadMesh::channel(L, H, 2, 6);
   sem::Discretization d(m, 6);
-  sem::NavierStokes2D::Params prm;
+  sem::NavierStokes<sem::Operators>::Params prm;
   prm.nu = nu;
   prm.dt = 2.5e-3;
-  prm.pressure_dirichlet_tags = {mesh::kInlet, mesh::kOutlet};
-  sem::NavierStokes2D ns(d, prm);
+  prm.pressure_dirichlet_faces = {mesh::kInlet, mesh::kOutlet};
+  sem::NavierStokes<sem::Operators> ns(d, prm);
   ns.set_natural_bc(mesh::kInlet);
   ns.set_natural_bc(mesh::kOutlet);
   ns.set_body_force([&](double, double, double t) { return A * std::cos(w * t); },
@@ -495,11 +486,11 @@ TEST(Ns2d, WomersleyOscillatoryChannel) {
 TEST(Ns2d, CavityFlowConservesMassAtWalls) {
   auto m = mesh::QuadMesh::lid_cavity(4);
   sem::Discretization d(m, 5);
-  sem::NavierStokes2D::Params prm;
+  sem::NavierStokes<sem::Operators>::Params prm;
   prm.nu = 0.05;
   prm.dt = 2e-3;
-  prm.pressure_dirichlet_tags = {};
-  sem::NavierStokes2D ns(d, prm);
+  prm.pressure_dirichlet_faces = {};
+  sem::NavierStokes<sem::Operators> ns(d, prm);
   ns.set_velocity_bc(mesh::kInlet, [](double, double, double) { return 1.0; },
                      [](double, double, double) { return 0.0; });
   for (int s = 0; s < 100; ++s) ns.step();
@@ -526,9 +517,9 @@ TEST(Ns2d, CavityFlowConservesMassAtWalls) {
 TEST(Ns2d, ExplicitBcValuesOverrideFunctions) {
   auto m = mesh::QuadMesh::channel(1.0, 1.0, 2, 2);
   sem::Discretization d(m, 3);
-  sem::NavierStokes2D::Params prm;
+  sem::NavierStokes<sem::Operators>::Params prm;
   prm.dt = 1e-3;
-  sem::NavierStokes2D ns(d, prm);
+  sem::NavierStokes<sem::Operators> ns(d, prm);
   const auto& inlet = d.boundary_nodes(mesh::kInlet);
   std::vector<double> uvals(inlet.size(), 0.7), vvals(inlet.size(), 0.0);
   ns.set_velocity_bc_values(mesh::kInlet, uvals, vvals);
@@ -543,7 +534,7 @@ TEST(Ns2d, ExplicitBcValuesOverrideFunctions) {
 TEST(Ns2d, StepCountsIterations) {
   auto m = mesh::QuadMesh::channel(1.0, 1.0, 2, 2);
   sem::Discretization d(m, 4);
-  sem::NavierStokes2D ns(d, {});
+  sem::NavierStokes<sem::Operators> ns(d, {});
   ns.set_velocity_bc(mesh::kInlet, [](double, double, double) { return 1.0; },
                      [](double, double, double) { return 0.0; });
   ns.set_natural_bc(mesh::kOutlet);
@@ -559,12 +550,12 @@ double taylor_green_error(int time_order, double dt, int steps) {
   const double nu = 0.02;
   auto m = mesh::QuadMesh::lid_cavity(4);
   sem::Discretization d(m, 7);
-  sem::NavierStokes2D::Params prm;
+  sem::NavierStokes<sem::Operators>::Params prm;
   prm.nu = nu;
   prm.dt = dt;
   prm.time_order = time_order;
-  prm.pressure_dirichlet_tags = {};
-  sem::NavierStokes2D ns(d, prm);
+  prm.pressure_dirichlet_faces = {};
+  sem::NavierStokes<sem::Operators> ns(d, prm);
   auto F = [nu](double t) { return std::exp(-2.0 * M_PI * M_PI * nu * t); };
   auto ue = [&](double x, double y, double t) {
     return std::sin(M_PI * x) * std::cos(M_PI * y) * F(t);
@@ -604,14 +595,72 @@ TEST(Ns2d, SecondOrderTemporalConvergence) {
   EXPECT_LT(e1a / e1b, 3.0);
 }
 
+// ---------------- both dimensions ----------------
+
+// A small box and two velocity-Dirichlet boundaries that share nodes: `lo`
+// and `hi`, where `hi` has the largest id of every Dirichlet boundary (2D:
+// wall and inlet meet at the inlet corners; 3D: faces X0 and Z1 share an
+// edge). `outflow` is natural.
+template <class NS>
+struct SharedNodes;
+
+template <>
+struct SharedNodes<sem::NavierStokes<sem::Operators>> {
+  sem::Discretization d{mesh::QuadMesh::channel(1.0, 1.0, 2, 2), 3};
+  static constexpr int lo = mesh::kWall, hi = mesh::kInlet, outflow = mesh::kOutlet;
+  static auto constant(double c) {
+    return [c](double, double, double) { return c; };
+  }
+};
+
+template <>
+struct SharedNodes<sem::NavierStokes<sem::Operators3D>> {
+  sem::Discretization3D d{1.0, 1.0, 1.0, 2, 2, 2, 3};
+  static constexpr auto lo = sem::HexFace::X0, hi = sem::HexFace::Z1;
+  static constexpr auto outflow = sem::HexFace::X1;
+  static auto constant(double c) {
+    return [c](double, double, double, double) { return c; };
+  }
+};
+
+template <class NS>
+class NavierStokesDims : public ::testing::Test {};
+using Dims =
+    ::testing::Types<sem::NavierStokes<sem::Operators>, sem::NavierStokes<sem::Operators3D>>;
+TYPED_TEST_SUITE(NavierStokesDims, Dims);
+
+TYPED_TEST(NavierStokesDims, LargerBoundaryIdWinsSharedNodes) {
+  using NS = TypeParam;
+  using F = SharedNodes<NS>;
+  F f;
+  auto u_equals = [](double c) {
+    typename NS::template Components<typename NS::BcFn> fn;
+    fn.fill(F::constant(0.0));
+    fn[0] = F::constant(c);
+    return fn;
+  };
+  NS ns(f.d, {});
+  ns.set_velocity_bc(F::lo, u_equals(1.0));
+  ns.set_velocity_bc(F::hi, u_equals(2.0));
+  ns.set_natural_bc(F::outflow);
+  ns.step();
+  const auto& lo = f.d.boundary_nodes(F::lo);
+  std::size_t shared = 0;
+  for (std::size_t g : f.d.boundary_nodes(F::hi)) {
+    shared += std::binary_search(lo.begin(), lo.end(), g);
+    EXPECT_EQ(ns.u()[g], 2.0) << "node " << g;
+  }
+  EXPECT_GT(shared, 0u);
+}
+
 TEST(Ns2d, SecondOrderStableOnChannel) {
   auto m = mesh::QuadMesh::channel(2.0, 1.0, 4, 2);
   sem::Discretization d(m, 4);
-  sem::NavierStokes2D::Params prm;
+  sem::NavierStokes<sem::Operators>::Params prm;
   prm.nu = 0.05;
   prm.dt = 2e-3;
   prm.time_order = 2;
-  sem::NavierStokes2D ns(d, prm);
+  sem::NavierStokes<sem::Operators> ns(d, prm);
   ns.set_velocity_bc(mesh::kInlet, [](double, double y, double) { return 4.0 * y * (1.0 - y); },
                      [](double, double, double) { return 0.0; });
   ns.set_natural_bc(mesh::kOutlet);

@@ -14,8 +14,7 @@
 #include <thread>
 
 #include "coupling/mci.hpp"
-#include "sem/ns2d.hpp"
-#include "sem/ns3d.hpp"
+#include "sem/navier_stokes.hpp"
 #include "telemetry/bench_report.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/comm_matrix.hpp"
@@ -91,13 +90,13 @@ void expect_sem_phase_path(const std::string& ns) {
 TEST(TelemetryRegistry, NavierStokesStepsNestHelmholtzAndCg) {
   telemetry::Registry::reset_all();
   sem::Discretization d2(mesh::QuadMesh::channel(1.0, 1.0, 2, 2), 3);
-  sem::NavierStokes2D ns2(d2, {});
+  sem::NavierStokes<sem::Operators> ns2(d2, {});
   ns2.step();
   expect_sem_phase_path("ns2d");
 
   telemetry::Registry::reset_all();
   sem::Discretization3D d3(1.0, 1.0, 1.0, 2, 2, 2, 3);
-  sem::NavierStokes3D ns3(d3, {});
+  sem::NavierStokes<sem::Operators3D> ns3(d3, {});
   ns3.step();
   expect_sem_phase_path("ns3d");
 }

@@ -13,7 +13,7 @@
 #include <cstdlib>
 
 #include "reference/sem_reference.hpp"
-#include "sem/hex3d.hpp"
+#include "sem/operators.hpp"
 #include "telemetry/bench_report.hpp"
 
 namespace {
@@ -49,7 +49,7 @@ int main() {
     const std::size_t ne = std::max<std::size_t>(
         2, static_cast<std::size_t>(std::cbrt(20000.0 / std::pow(P + 1, 3))));
     sem::Discretization3D d(1.0, 1.0, 1.0, ne, ne, ne, P);
-    sem::Operators3D ops(d);
+    sem::Operators ops(d);
     la::Vector u(d.num_nodes()), y(d.num_nodes());
     for (std::size_t g = 0; g < d.num_nodes(); ++g) u[g] = std::sin(0.1 * g);
     const double nelem = static_cast<double>(d.num_elements());

@@ -22,10 +22,10 @@ int main() {
 
   auto m = mesh::QuadMesh::channel(4.0, 1.0, 8, 2);
   sem::Discretization d(m, 4);
-  sem::NavierStokes<sem::Operators>::Params nsp;
+  sem::NavierStokes<sem::Discretization>::Params nsp;
   nsp.nu = 0.05;
   nsp.dt = 2e-3;
-  sem::NavierStokes<sem::Operators> ns(d, nsp);
+  sem::NavierStokes<sem::Discretization> ns(d, nsp);
   ns.set_velocity_bc(mesh::kInlet,
                      [](double, double y, double) { return 4.0 * y * (1.0 - y); },
                      [](double, double, double) { return 0.0; });

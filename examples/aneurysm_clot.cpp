@@ -27,10 +27,10 @@ int main() {
                                                /*cav_x1=*/5.0, /*cav_depth=*/1.0,
                                                /*nx=*/16, /*ny=*/2);
   sem::Discretization d(m, 4);
-  sem::NavierStokes<sem::Operators>::Params nsp;
+  sem::NavierStokes<sem::Discretization>::Params nsp;
   nsp.nu = 0.02;
   nsp.dt = 2e-3;
-  sem::NavierStokes<sem::Operators> ns(d, nsp);
+  sem::NavierStokes<sem::Discretization> ns(d, nsp);
   const double T = 0.8;  // pulse period (NS time units)
   ns.set_velocity_bc(mesh::kInlet,
                      [T](double, double y, double t) {

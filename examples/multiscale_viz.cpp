@@ -38,11 +38,11 @@ int main(int argc, char** argv) {
   // --- continuum patch with aneurysm (resolved MaN segment) ---
   auto m = mesh::QuadMesh::channel_with_cavity(8.0, 1.0, 3.0, 5.0, 1.0, 16, 2);
   sem::Discretization d(m, 4);
-  sem::NavierStokes<sem::Operators>::Params nsp;
+  sem::NavierStokes<sem::Discretization>::Params nsp;
   nsp.nu = 0.02;
   nsp.dt = 2e-3;
   nsp.time_order = 2;
-  sem::NavierStokes<sem::Operators> ns(d, nsp);
+  sem::NavierStokes<sem::Discretization> ns(d, nsp);
   ns.set_velocity_bc(mesh::kInlet,
                      [](double, double y, double) { return 4.0 * y * (1.0 - y); },
                      [](double, double, double) { return 0.0; });

@@ -127,7 +127,7 @@ void BasicContinuumDpdCoupler<NS>::load_state(resilience::BlobReader& r) {
   exchanges_ = static_cast<std::size_t>(r.pod<std::uint64_t>());
 }
 
-template class BasicContinuumDpdCoupler<sem::NavierStokes<sem::Operators>>;
-template class BasicContinuumDpdCoupler<sem::NavierStokes<sem::Operators3D>>;
+template class BasicContinuumDpdCoupler<sem::NavierStokes<sem::Discretization>>;
+template class BasicContinuumDpdCoupler<sem::NavierStokes<sem::Discretization3D>>;
 
 }  // namespace coupling

@@ -36,7 +36,7 @@ struct EmbeddedBox {
   double x0 = 0, x1 = 1, y0 = 0, y1 = 1, z0 = 0, z1 = 1;
 };
 
-/// Instantiated for sem::NavierStokes<Operators> and <Operators3D>.
+/// Instantiated for sem::NavierStokes<Discretization> and <Discretization3D>.
 template <class NS>
 class BasicContinuumDpdCoupler {
 public:
@@ -98,11 +98,12 @@ private:
   std::size_t exchanges_ = 0;
 };
 
-extern template class BasicContinuumDpdCoupler<sem::NavierStokes<sem::Operators>>;
-extern template class BasicContinuumDpdCoupler<sem::NavierStokes<sem::Operators3D>>;
+extern template class BasicContinuumDpdCoupler<sem::NavierStokes<sem::Discretization>>;
+extern template class BasicContinuumDpdCoupler<sem::NavierStokes<sem::Discretization3D>>;
 
 /// The 2D and 3D spellings bench/e2e/coupled.cpp uses.
-using ContinuumDpdCoupler = BasicContinuumDpdCoupler<sem::NavierStokes<sem::Operators>>;
-using ContinuumDpdCoupler3D = BasicContinuumDpdCoupler<sem::NavierStokes<sem::Operators3D>>;
+using ContinuumDpdCoupler = BasicContinuumDpdCoupler<sem::NavierStokes<sem::Discretization>>;
+using ContinuumDpdCoupler3D =
+    BasicContinuumDpdCoupler<sem::NavierStokes<sem::Discretization3D>>;
 
 }  // namespace coupling

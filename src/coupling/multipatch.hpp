@@ -1,11 +1,12 @@
 #pragma once
 // Continuum-continuum multi-patch coupling (paper Sec. 3.2): a monolithic
 // domain is subdivided into overlapping patches, each solved by its own
-// NavierStokes<Operators> instance; once per time step, interface (artificial
-// boundary) velocity conditions are refreshed from the neighbouring patch's
-// interior solution. This keeps each CG solve inside a small subdomain —
-// the mechanism behind the paper's multi-patch scalability (Tables 3-4) —
-// while the overlap restores continuity of the global solution.
+// NavierStokes<Discretization> instance; once per time step, interface
+// (artificial boundary) velocity conditions are refreshed from the
+// neighbouring patch's interior solution. This keeps each CG solve inside a
+// small subdomain — the mechanism behind the paper's multi-patch
+// scalability (Tables 3-4) — while the overlap restores continuity of the
+// global solution.
 
 #include <memory>
 #include <vector>
@@ -28,7 +29,7 @@ struct MultiPatchParams {
   bool with_cavity = false;
   double cav_x0 = 0.0, cav_x1 = 0.0, cav_depth = 0.0;
 
-  sem::NavierStokes<sem::Operators>::Params ns;  ///< nu, dt (pressure boundaries set here)
+  sem::NavierStokes<sem::Discretization>::Params ns;  ///< nu, dt (pressure boundaries set here)
 };
 
 /// Boundary tags used for the artificial interfaces.
@@ -42,7 +43,7 @@ public:
                     std::function<double(double y, double t)> inlet_u);
 
   int num_patches() const { return static_cast<int>(solvers_.size()); }
-  sem::NavierStokes<sem::Operators>& patch(int k) {
+  sem::NavierStokes<sem::Discretization>& patch(int k) {
     return *solvers_[static_cast<std::size_t>(k)];
   }
   const sem::Discretization& disc(int k) const {
@@ -82,7 +83,7 @@ private:
   std::vector<std::pair<std::size_t, std::size_t>> ranges_;  // element columns [b, e)
   std::vector<std::unique_ptr<mesh::QuadMesh>> meshes_;
   std::vector<std::unique_ptr<sem::Discretization>> discs_;
-  std::vector<std::unique_ptr<sem::NavierStokes<sem::Operators>>> solvers_;
+  std::vector<std::unique_ptr<sem::NavierStokes<sem::Discretization>>> solvers_;
 };
 
 }  // namespace coupling

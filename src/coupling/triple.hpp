@@ -27,7 +27,7 @@ struct NestedRegion {
 
 class TripleDecker {
 public:
-  using Coupler = BasicContinuumDpdCoupler<sem::NavierStokes<sem::Operators>>;
+  using Coupler = BasicContinuumDpdCoupler<sem::NavierStokes<sem::Discretization>>;
 
   /// `cdc` couples NS<->DPD (configure it first, including its FlowBc);
   /// `md` is the fine layer; `md_buffers` are its interface windows (in MD

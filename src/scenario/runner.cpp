@@ -47,13 +47,13 @@ template <class NS>
 struct Dim;
 
 template <>
-struct Dim<sem::NavierStokes<sem::Operators>> {
+struct Dim<sem::NavierStokes<sem::Discretization>> {
   static constexpr const char* kDevelopLine =
       "continuum: %zu SEM nodes, developing the flow...\n";
   static auto disc(const Scenario& sc, SharedTables* tables) {
     return tables ? tables->quad(sc.mesh) : make_disc(sc.mesh);
   }
-  static void set_inlet(sem::NavierStokes<sem::Operators>& ns, const Scenario& sc) {
+  static void set_inlet(sem::NavierStokes<sem::Discretization>& ns, const Scenario& sc) {
     const double H = sc.mesh.height;
     const double Umax = sc.sem.inlet_umax;
     ns.set_velocity_bc(
@@ -68,13 +68,13 @@ struct Dim<sem::NavierStokes<sem::Operators>> {
 };
 
 template <>
-struct Dim<sem::NavierStokes<sem::Operators3D>> {
+struct Dim<sem::NavierStokes<sem::Discretization3D>> {
   static constexpr const char* kDevelopLine =
       "continuum: %zu hexahedral SEM nodes, developing...\n";
   static auto disc(const Scenario& sc, SharedTables* tables) {
     return tables ? tables->hex(sc.mesh3d) : make_disc(sc.mesh3d);
   }
-  static void set_inlet(sem::NavierStokes<sem::Operators3D>& ns, const Scenario& sc) {
+  static void set_inlet(sem::NavierStokes<sem::Discretization3D>& ns, const Scenario& sc) {
     const double H = sc.mesh3d.lz;
     const double Umax = sc.sem.inlet_umax;
     auto prof = [H, Umax](double, double, double z, double) {

@@ -122,8 +122,8 @@ class Runner {
     std::unique_ptr<NS> ns;
     std::unique_ptr<coupling::BasicContinuumDpdCoupler<NS>> cdc;
   };
-  using Continuum2D = Continuum<sem::NavierStokes<sem::Operators>>;
-  using Continuum3D = Continuum<sem::NavierStokes<sem::Operators3D>>;
+  using Continuum2D = Continuum<sem::NavierStokes<sem::Discretization>>;
+  using Continuum3D = Continuum<sem::NavierStokes<sem::Discretization3D>>;
 
   std::int64_t intervals() const;
   std::int64_t checkpoint_every() const;

@@ -76,6 +76,11 @@ std::vector<int> Discretization::boundary_tags() const {
 long Discretization::locate(double x, double y) const {
   const double fx = (x - mesh_.x0()) / mesh_.dx();
   const double fy = (y - mesh_.y0()) / mesh_.dy();
+  // NaN, infinite and far-out points would overflow the integer cast below
+  // (NaN fails every comparison, so it lands here too)
+  const auto nx = static_cast<double>(mesh_.grid_nx());
+  const auto ny = static_cast<double>(mesh_.grid_ny());
+  if (!(fx > -1.0 && fx < nx + 1.0 && fy > -1.0 && fy < ny + 1.0)) return -1;
   long i = static_cast<long>(std::floor(fx));
   long j = static_cast<long>(std::floor(fy));
   // points exactly on the far boundary belong to the last cell

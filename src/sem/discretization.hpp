@@ -5,7 +5,9 @@
 // evaluation of fields (used to interpolate velocity onto coupling
 // interfaces, paper Sec. 3.3).
 
+#include <array>
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -20,6 +22,13 @@ namespace sem {
 
 class Discretization {
 public:
+  static constexpr std::size_t kDim = 2;
+  using Boundary = int;  ///< mesh boundary tag
+  /// A scalar function of a point (x, y), then `Extra` (the time t for
+  /// Navier-Stokes BCs); see eval_at.
+  template <class... Extra>
+  using PointFn = std::function<double(double x, double y, Extra...)>;
+
   Discretization(const mesh::QuadMesh& mesh, int order);
 
   const mesh::QuadMesh& mesh() const { return mesh_; }
@@ -47,8 +56,12 @@ public:
     return elem_map_.data() + e * nodes_per_element();
   }
 
+  /// Element edge lengths (dx, dy) of the uniform grid.
+  std::array<double, kDim> element_size() const { return {mesh_.dx(), mesh_.dy()}; }
+
   double node_x(std::size_t g) const { return coords_x_[g]; }
   double node_y(std::size_t g) const { return coords_y_[g]; }
+  std::array<double, kDim> node(std::size_t g) const { return {coords_x_[g], coords_y_[g]}; }
 
   /// Global nodes lying on boundary faces with the given tag (deduplicated,
   /// ascending). Nodes shared between two tags appear in both sets.
@@ -56,7 +69,7 @@ public:
   /// All tags present on the boundary.
   std::vector<int> boundary_tags() const;
 
-  /// Element containing (x, y), or -1 if outside the mesh/mask.
+  /// Element containing (x, y), or -1 if outside the mesh/mask or not finite.
   long locate(double x, double y) const;
 
   /// Evaluate a field at (x, y) by tensor-product Lagrange interpolation in
@@ -80,5 +93,11 @@ private:
   std::map<int, std::vector<std::size_t>> boundary_;
   std::vector<std::size_t> empty_;
 };
+
+/// f(x, y, extra...) at the point x.
+template <class F, class... Extra>
+double eval_at(const F& f, const std::array<double, 2>& x, Extra... extra) {
+  return f(x[0], x[1], extra...);
+}
 
 }  // namespace sem

@@ -4,15 +4,14 @@
 
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 
 #include "telemetry/registry.hpp"
 
 namespace sem {
 
-template <class Ops>
-HelmholtzSolver<Ops>::HelmholtzSolver(const Ops& ops, double lambda, double nu,
-                                      std::vector<Boundary> dirichlet)
+template <class Disc>
+HelmholtzSolver<Disc>::HelmholtzSolver(const Operators<Disc>& ops, double lambda, double nu,
+                                       std::vector<Boundary> dirichlet)
     : ops_(&ops), lambda_(lambda), nu_(nu) {
   const auto& d = ops.disc();
   is_dirichlet_.assign(d.num_nodes(), 0);
@@ -27,24 +26,18 @@ HelmholtzSolver<Ops>::HelmholtzSolver(const Ops& ops, double lambda, double nu,
   // Jacobi preconditioner still works because diag entries are positive.
 }
 
-template <class Ops>
-la::CgResult HelmholtzSolver<Ops>::solve(const la::Vector& f, const BcFn& g, la::Vector& u) {
+template <class Disc>
+la::CgResult HelmholtzSolver<Disc>::solve(const la::Vector& f, const BcFn& g, la::Vector& u) {
   const auto& d = ops_->disc();
   la::Vector bc(dnodes_.size());
-  for (std::size_t k = 0; k < dnodes_.size(); ++k) {
-    const std::size_t n = dnodes_[k];
-    if constexpr (std::is_same_v<Ops, Operators3D>)
-      bc[k] = g(d.node_x(n), d.node_y(n), d.node_z(n));
-    else
-      bc[k] = g(d.node_x(n), d.node_y(n));
-  }
+  for (std::size_t k = 0; k < dnodes_.size(); ++k) bc[k] = eval_at(g, d.node(dnodes_[k]));
   return solve_with_values(f, bc, u);
 }
 
-template <class Ops>
-la::CgResult HelmholtzSolver<Ops>::solve_with_values(const la::Vector& f,
-                                                     const la::Vector& bc_values,
-                                                     la::Vector& u) {
+template <class Disc>
+la::CgResult HelmholtzSolver<Disc>::solve_with_values(const la::Vector& f,
+                                                      const la::Vector& bc_values,
+                                                      la::Vector& u) {
   const auto& d = ops_->disc();
   const std::size_t n = d.num_nodes();
   if (f.size() != n)
@@ -113,17 +106,17 @@ la::CgResult HelmholtzSolver<Ops>::solve_with_values(const la::Vector& f,
   return res;
 }
 
-template <class Ops>
-void HelmholtzSolver<Ops>::save_state(resilience::BlobWriter& w) const {
+template <class Disc>
+void HelmholtzSolver<Disc>::save_state(resilience::BlobWriter& w) const {
   resilience::put_projector(w, projector_);
 }
 
-template <class Ops>
-void HelmholtzSolver<Ops>::load_state(resilience::BlobReader& r) {
+template <class Disc>
+void HelmholtzSolver<Disc>::load_state(resilience::BlobReader& r) {
   resilience::get_projector(r, projector_);
 }
 
-template class HelmholtzSolver<Operators>;
-template class HelmholtzSolver<Operators3D>;
+template class HelmholtzSolver<Discretization>;
+template class HelmholtzSolver<Discretization3D>;
 
 }  // namespace sem

@@ -6,12 +6,10 @@
 // started by the successive-solution projector (paper: NEKTAR's Helmholtz/
 // Poisson solvers are CG with preconditioning and initial-state prediction).
 
-#include <functional>
 #include <vector>
 
 #include "la/cg.hpp"
 #include "la/vector.hpp"
-#include "sem/hex3d.hpp"
 #include "sem/operators.hpp"
 
 namespace resilience {
@@ -21,32 +19,19 @@ class BlobReader;
 
 namespace sem {
 
-/// What differs per dimension: how a Dirichlet boundary is named and the
-/// signature of the Dirichlet value function g.
-template <class Ops>
-struct HelmholtzTraits;
-template <>
-struct HelmholtzTraits<Operators> {
-  using Boundary = int;  ///< mesh boundary tag
-  using BcFn = std::function<double(double, double)>;
-};
-template <>
-struct HelmholtzTraits<Operators3D> {
-  using Boundary = HexFace;
-  using BcFn = std::function<double(double, double, double)>;
-};
-
-/// Instantiated for Operators (2D) and Operators3D (3D).
-template <class Ops>
+/// Instantiated for Discretization (2D) and Discretization3D (3D).
+template <class Disc>
 class HelmholtzSolver {
 public:
-  using Boundary = typename HelmholtzTraits<Ops>::Boundary;
-  using BcFn = typename HelmholtzTraits<Ops>::BcFn;
+  using Boundary = typename Disc::Boundary;
+  /// Dirichlet value function g(x, y[, z]).
+  using BcFn = typename Disc::template PointFn<>;
 
   /// `dirichlet`: boundaries whose nodes carry essential BCs. For a pure-
   /// Neumann problem pass an empty list; the operator is then singular
   /// (constant nullspace) and the solver pins the mean to zero.
-  HelmholtzSolver(const Ops& ops, double lambda, double nu, std::vector<Boundary> dirichlet);
+  HelmholtzSolver(const Operators<Disc>& ops, double lambda, double nu,
+                  std::vector<Boundary> dirichlet);
 
   /// Solve with rhs f (as a nodal field; the solver forms M f) and the
   /// Dirichlet value function g evaluated at the constrained nodes'
@@ -78,7 +63,7 @@ public:
 
 private:
   // analyze: no-checkpoint (constructor configuration, re-supplied by the driver)
-  const Ops* ops_;
+  const Operators<Disc>* ops_;
   // analyze: no-checkpoint (constructor configuration: operator coefficients)
   double lambda_, nu_;
   // analyze: no-checkpoint (derived from the BC boundaries in the constructor)
@@ -94,7 +79,7 @@ private:
   la::CgOptions opt_;
 };
 
-extern template class HelmholtzSolver<Operators>;
-extern template class HelmholtzSolver<Operators3D>;
+extern template class HelmholtzSolver<Discretization>;
+extern template class HelmholtzSolver<Discretization3D>;
 
 }  // namespace sem

@@ -1,14 +1,18 @@
 #pragma once
-// Three-dimensional spectral-element core on structured hexahedral meshes:
-// the dimensionality NEKTAR-3D actually runs at. Provides the continuous-
-// Galerkin discretization and matrix-free tensor-product operators (the
-// Helmholtz/Poisson solver on top is sem::HelmholtzSolver<Operators3D> in
-// helmholtz.hpp); per-element operator cost is O(P^4) via sum
+// Three-dimensional spectral-element discretization on structured
+// hexahedral meshes: the dimensionality NEKTAR-3D actually runs at. It is
+// the 3D counterpart of Discretization (discretization.hpp), with the same
+// interface: global GLL node numbering, gather/scatter tables, node
+// coordinates, boundary-node sets (per box face) and point evaluation. The
+// operators, Helmholtz solver and Navier-Stokes stepper on top are the
+// templates sem::Operators<Discretization3D>, HelmholtzSolver<...> and
+// NavierStokes<...>; per-element operator cost is O(P^4) via sum
 // factorisation, the same kernel structure whose SIMDization Table 1
 // measures.
 
 #include <array>
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "la/dense.hpp"
@@ -24,6 +28,13 @@ enum class HexFace : int { X0 = 0, X1 = 1, Y0 = 2, Y1 = 3, Z0 = 4, Z1 = 5 };
 /// and a continuous-Galerkin GLL discretization of order P.
 class Discretization3D {
 public:
+  static constexpr std::size_t kDim = 3;
+  using Boundary = HexFace;
+  /// A scalar function of a point (x, y, z), then `Extra` (the time t for
+  /// Navier-Stokes BCs); see eval_at.
+  template <class... Extra>
+  using PointFn = std::function<double(double x, double y, double z, Extra...)>;
+
   Discretization3D(double Lx, double Ly, double Lz, std::size_t nx, std::size_t ny,
                    std::size_t nz, int order);
 
@@ -44,6 +55,8 @@ public:
   double dx() const { return Lx_ / static_cast<double>(nx_); }
   double dy() const { return Ly_ / static_cast<double>(ny_); }
   double dz() const { return Lz_ / static_cast<double>(nz_); }
+  /// Element edge lengths (dx, dy, dz).
+  std::array<double, kDim> element_size() const { return {dx(), dy(), dz()}; }
 
   /// Global node id of element e's local node (a, b, c). O(1) lookup in the
   /// precomputed element->global table (built once at construction; the
@@ -66,6 +79,9 @@ public:
   double node_x(std::size_t g) const;
   double node_y(std::size_t g) const;
   double node_z(std::size_t g) const;
+  std::array<double, kDim> node(std::size_t g) const {
+    return {node_x(g), node_y(g), node_z(g)};
+  }
 
   /// Nodes on one of the six box faces (sorted, deduplicated); the 3D
   /// counterpart of Discretization::boundary_nodes(tag).
@@ -78,6 +94,7 @@ public:
   }
 
   /// Tensor-product Lagrange evaluation of a nodal field at (x, y, z).
+  /// Throws std::out_of_range outside the box or at a non-finite point.
   double evaluate(const la::Vector& field, double x, double y, double z) const;
 
   void gather(const la::Vector& field, std::size_t e, double* local) const;
@@ -98,57 +115,10 @@ private:
   std::vector<std::size_t> elem_map_;  // e * npe + local -> global (a fastest)
 };
 
-/// Matrix-free 3D operators (sum-factorised tensor kernels).
-///
-/// The apply paths run on the batched `la::simd` line kernels with
-/// per-instance scratch buffers (no allocation and no index arithmetic per
-/// apply); the scalar baselines they are checked and timed against live in
-/// the test-only library under tests/reference. Scratch makes applies
-/// non-reentrant: one Operators3D instance must not be applied from two
-/// threads at once (each xmp rank owns its solvers, so this never happens
-/// in-tree).
-class Operators3D {
-public:
-  explicit Operators3D(const Discretization3D& d);
-
-  const Discretization3D& disc() const { return *d_; }
-  const la::Vector& mass_diag() const { return mass_; }
-
-  void apply_stiffness(const la::Vector& u, la::Vector& y) const;
-  /// y = lambda M u + nu K u in a single gather/kernel/scatter sweep: the
-  /// diagonal mass term is folded into the element pass (the per-element
-  /// lumped masses sum to the assembled diagonal).
-  void apply_helmholtz(double lambda, double nu, const la::Vector& u, la::Vector& y) const;
-  la::Vector helmholtz_diag(double lambda, double nu) const;
-
-  /// Nodal derivatives, mass-averaged at shared nodes (as in 2D).
-  void gradient(const la::Vector& u, la::Vector& ddx, la::Vector& ddy, la::Vector& ddz) const;
-  void divergence(const la::Vector& u, const la::Vector& v, const la::Vector& w,
-                  la::Vector& div) const;
-  /// conv_q = (u.grad) q for each velocity component q in {u, v, w}.
-  void convection(const la::Vector& u, const la::Vector& v, const la::Vector& w,
-                  la::Vector& cu, la::Vector& cv, la::Vector& cw) const;
-
-  double integral(const la::Vector& u) const;
-
-private:
-  void elem_stiffness(const double* u, double* y) const;
-  void elem_helmholtz(double lambda, double nu, const double* u, double* y) const;
-  void elem_derivs(const double* u, double* dx, double* dy, double* dz) const;
-
-  const Discretization3D* d_;
-  la::Vector mass_;
-  la::Vector stiff_diag_;
-  la::DenseMatrix G_;        // D^T diag(w) D
-  la::DenseMatrix GT_, DT_;  // transposes for the along-line (x) kernels
-  std::vector<double> ww_;     // w[j]*w[i] outer product, i fastest
-  std::vector<double> lmass_;  // per-element lumped mass jac*wa*wb*wc
-  // element scratch, hoisted out of the apply loops (see class comment)
-  mutable std::vector<double> lu_, ly_, ldx_, ldy_, ldz_;
-  // global-field scratch for divergence/convection
-  mutable la::Vector gx_, gy_, gz_;
-  double jac_;
-  double rx_, ry_, rz_;
-};
+/// f(x, y, z, extra...) at the point x.
+template <class F, class... Extra>
+double eval_at(const F& f, const std::array<double, 3>& x, Extra... extra) {
+  return f(x[0], x[1], x[2], extra...);
+}
 
 }  // namespace sem

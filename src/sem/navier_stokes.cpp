@@ -5,7 +5,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 
 #include "resilience/blob_la.hpp"
 #include "telemetry/registry.hpp"
@@ -17,55 +16,28 @@ namespace {
 enum Stage : std::size_t { kStep, kAdvect, kPressure, kViscous };
 
 /// "<prefix>.step", "<prefix>.advect", ... of one dimension, built once.
-template <class Ops>
+template <class D>
 const char* phase_name(Stage s) {
   static const auto names = [] {
-    const std::string p = NavierStokesTraits<Ops>::kPhasePrefix;
+    const std::string p = NavierStokesTraits<D>::kPhasePrefix;
     return std::array<std::string, 4>{p + ".step", p + ".advect", p + ".pressure",
                                       p + ".viscous"};
   }();
   return names[s].c_str();
 }
 
-/// f(x, y[, z], t) at the point x.
-template <class Fn, std::size_t D>
-double at(const Fn& f, const std::array<double, D>& x, double t) {
-  return std::apply([&](auto... xi) { return f(xi..., t); }, x);
-}
-
-// The operators take one argument per component; spread the arrays.
-template <class Ops, std::size_t D>
-void gradient(const Ops& ops, const la::Vector& p, std::array<la::Vector, D>& g) {
-  std::apply([&](auto&... gc) { ops.gradient(p, gc...); }, g);
-}
-
-template <class Ops, std::size_t D>
-void divergence(const Ops& ops, const std::array<la::Vector, D>& u, la::Vector& div) {
-  std::apply([&](const auto&... uc) { ops.divergence(uc..., div); }, u);
-}
-
-template <class Ops, std::size_t D>
-void convection(const Ops& ops, const std::array<la::Vector, D>& u,
-                std::array<la::Vector, D>& conv) {
-  std::apply(
-      [&](const auto&... uc) {
-        std::apply([&](auto&... cc) { ops.convection(uc..., cc...); }, conv);
-      },
-      u);
-}
-
 }  // namespace
 
-template <class Ops>
-NavierStokes<Ops>::NavierStokes(const Disc& disc, Params params)
+template <class D>
+NavierStokes<D>::NavierStokes(const Disc& disc, Params params)
     : d_(&disc), params_(std::move(params)), ops_(disc) {
   const std::size_t n = disc.num_nodes();
   for (auto& c : vel_) c.resize(n, 0.0);
   p_.resize(n, 0.0);
 }
 
-template <class Ops>
-void NavierStokes<Ops>::set_velocity_bc(Boundary b, Components<BcFn> fn) {
+template <class D>
+void NavierStokes<D>::set_velocity_bc(Boundary b, Components<BcFn> fn) {
   if (pressure_solver_) throw std::logic_error("NavierStokes: BCs fixed after first step");
   auto& e = bc_[b];
   e.natural = false;
@@ -73,9 +45,9 @@ void NavierStokes<Ops>::set_velocity_bc(Boundary b, Components<BcFn> fn) {
   e.values.reset();
 }
 
-template <class Ops>
-void NavierStokes<Ops>::set_velocity_bc_values(Boundary b,
-                                               Components<std::vector<double>> vals) {
+template <class D>
+void NavierStokes<D>::set_velocity_bc_values(Boundary b,
+                                             Components<std::vector<double>> vals) {
   const std::size_t expect = d_->boundary_nodes(b).size();
   for (const auto& c : vals)
     if (c.size() != expect)
@@ -88,35 +60,27 @@ void NavierStokes<Ops>::set_velocity_bc_values(Boundary b,
   e.values = std::move(vals);
 }
 
-template <class Ops>
-void NavierStokes<Ops>::set_natural_bc(Boundary b) {
+template <class D>
+void NavierStokes<D>::set_natural_bc(Boundary b) {
   if (pressure_solver_) throw std::logic_error("NavierStokes: BCs fixed after first step");
   bc_[b].natural = true;
 }
 
-template <class Ops>
-void NavierStokes<Ops>::set_body_force(Components<BcFn> fn) {
+template <class D>
+void NavierStokes<D>::set_body_force(Components<BcFn> fn) {
   force_ = std::move(fn);
 }
 
-template <class Ops>
-void NavierStokes<Ops>::set_initial(const Components<BcFn>& fn) {
+template <class D>
+void NavierStokes<D>::set_initial(const Components<BcFn>& fn) {
   for (std::size_t g = 0; g < d_->num_nodes(); ++g) {
-    const auto x = node(g);
-    for (std::size_t c = 0; c < kDim; ++c) vel_[c][g] = at(fn[c], x, 0.0);
+    const auto x = d_->node(g);
+    for (std::size_t c = 0; c < kDim; ++c) vel_[c][g] = eval_at(fn[c], x, 0.0);
   }
 }
 
-template <class Ops>
-auto NavierStokes<Ops>::node(std::size_t g) const -> std::array<double, kDim> {
-  if constexpr (kDim == 3)
-    return {d_->node_x(g), d_->node_y(g), d_->node_z(g)};
-  else
-    return {d_->node_x(g), d_->node_y(g)};
-}
-
-template <class Ops>
-void NavierStokes<Ops>::build_solvers() {
+template <class D>
+void NavierStokes<D>::build_solvers() {
   // Every boundary not explicitly marked natural carries velocity Dirichlet
   // conditions (unregistered boundaries default to no-slip walls).
   dirichlet_.clear();
@@ -124,7 +88,7 @@ void NavierStokes<Ops>::build_solvers() {
     const auto it = bc_.find(b);
     if (it == bc_.end() || !it->second.natural) dirichlet_.push_back(b);
   }
-  using Solver = HelmholtzSolver<Ops>;
+  using Solver = HelmholtzSolver<Disc>;
   velocity_solver_ = std::make_unique<Solver>(ops_, 1.0 / params_.dt, params_.nu, dirichlet_);
   if (params_.time_order >= 2)
     velocity_solver2_ =
@@ -149,8 +113,8 @@ void NavierStokes<Ops>::build_solvers() {
   }
 }
 
-template <class Ops>
-void NavierStokes<Ops>::fill_bc_values(double t, Components<la::Vector>& bc) const {
+template <class D>
+void NavierStokes<D>::fill_bc_values(double t, Components<la::Vector>& bc) const {
   std::vector<const BoundaryBc*> src(dirichlet_.size(), nullptr);
   for (std::size_t j = 0; j < dirichlet_.size(); ++j) {
     const auto it = bc_.find(dirichlet_[j]);
@@ -164,20 +128,20 @@ void NavierStokes<Ops>::fill_bc_values(double t, Components<la::Vector>& bc) con
     if (b->values) {
       for (std::size_t c = 0; c < kDim; ++c) bc[c][k] = (*b->values)[c][owner_[k].index];
     } else if (b->fn[0]) {
-      const auto x = node(dn[k]);
-      for (std::size_t c = 0; c < kDim; ++c) bc[c][k] = at(b->fn[c], x, t);
+      const auto x = d_->node(dn[k]);
+      for (std::size_t c = 0; c < kDim; ++c) bc[c][k] = eval_at(b->fn[c], x, t);
     }
   }
 }
 
-template <class Ops>
-std::size_t NavierStokes<Ops>::step() {
+template <class D>
+std::size_t NavierStokes<D>::step() {
   if (!pressure_solver_) build_solvers();
-  telemetry::ScopedPhase phase(phase_name<Ops>(kStep));
+  telemetry::ScopedPhase phase(phase_name<D>(kStep));
   // sub-phases cover the three split-scheme stages; emplace() ends the
   // previous one before starting the next
   std::optional<telemetry::ScopedPhase> sub;
-  sub.emplace(phase_name<Ops>(kAdvect));
+  sub.emplace(phase_name<D>(kAdvect));
   const std::size_t n = d_->num_nodes();
   const double dt = params_.dt;
   const double tn1 = t_ + dt;
@@ -194,7 +158,7 @@ std::size_t NavierStokes<Ops>::step() {
   const double gamma0 = second ? 1.5 : 1.0;
 
   Components<la::Vector> conv, us;
-  convection(ops_, vel_, conv);
+  ops_.convection(vel_, conv);
   for (auto& c : us) c.resize(n);
   const bool forced = std::any_of(force_.begin(), force_.end(), [](const BcFn& f) {
     return static_cast<bool>(f);
@@ -202,9 +166,9 @@ std::size_t NavierStokes<Ops>::step() {
   for (std::size_t g = 0; g < n; ++g) {
     std::array<double, kDim> f{};
     if (forced) {
-      const auto x = node(g);
+      const auto x = d_->node(g);
       for (std::size_t c = 0; c < kDim; ++c)
-        if (force_[c]) f[c] = at(force_[c], x, tn1);
+        if (force_[c]) f[c] = eval_at(force_[c], x, tn1);
     }
     for (std::size_t c = 0; c < kDim; ++c) {
       if (second)
@@ -226,7 +190,7 @@ std::size_t NavierStokes<Ops>::step() {
   // phi = p^{n+1} - p^n, lifting the splitting error to O(dt^2).
   Components<la::Vector> grad;
   if (second) {
-    gradient(ops_, p_, grad);
+    ops_.gradient(p_, grad);
     for (std::size_t g = 0; g < n; ++g)
       for (std::size_t c = 0; c < kDim; ++c) us[c][g] -= dt / gamma0 * grad[c][g];
   }
@@ -240,9 +204,9 @@ std::size_t NavierStokes<Ops>::step() {
     for (std::size_t c = 0; c < kDim; ++c) us[c][dn[k]] = bc[c][k];
 
   // 2) pressure Poisson solve with the rhs -gamma0 div(us) / dt
-  sub.emplace(phase_name<Ops>(kPressure));
+  sub.emplace(phase_name<D>(kPressure));
   la::Vector rhs(n);
-  divergence(ops_, us, rhs);
+  ops_.divergence(us, rhs);
   for (std::size_t g = 0; g < n; ++g) rhs[g] = -gamma0 * rhs[g] / dt;
   la::Vector phi(n, 0.0);
   const la::Vector p_bc(pressure_solver_->dirichlet_nodes().size(), 0.0);
@@ -251,15 +215,15 @@ std::size_t NavierStokes<Ops>::step() {
     for (std::size_t g = 0; g < n; ++g) p_[g] += phi[g];
 
   // 3) projection: u_hat_hat/gamma0 = us - (dt/gamma0) grad (p or phi)
-  gradient(ops_, second ? phi : p_, grad);
+  ops_.gradient(second ? phi : p_, grad);
   for (std::size_t g = 0; g < n; ++g)
     for (std::size_t c = 0; c < kDim; ++c) us[c][g] -= dt / gamma0 * grad[c][g];
 
   // 4) implicit viscosity: (gamma0 M/dt + nu K) u = gamma0 M us / dt
-  sub.emplace(phase_name<Ops>(kViscous));
+  sub.emplace(phase_name<D>(kViscous));
   for (std::size_t g = 0; g < n; ++g)
     for (std::size_t c = 0; c < kDim; ++c) us[c][g] = gamma0 * us[c][g] / dt;
-  HelmholtzSolver<Ops>& vsolve = second ? *velocity_solver2_ : *velocity_solver_;
+  HelmholtzSolver<Disc>& vsolve = second ? *velocity_solver2_ : *velocity_solver_;
   for (std::size_t c = 0; c < kDim; ++c)
     iters += vsolve.solve_with_values(us[c], bc[c], vel_[c]).iterations;
 
@@ -267,8 +231,8 @@ std::size_t NavierStokes<Ops>::step() {
   return iters;
 }
 
-template <class Ops>
-void NavierStokes<Ops>::save_state(resilience::BlobWriter& w) const {
+template <class D>
+void NavierStokes<D>::save_state(resilience::BlobWriter& w) const {
   w.pod(t_);
   w.pod(static_cast<std::uint8_t>(have_history_));
   for (const auto& c : vel_) resilience::put_vector(w, c);
@@ -278,8 +242,8 @@ void NavierStokes<Ops>::save_state(resilience::BlobWriter& w) const {
   save_warmstart(w);
 }
 
-template <class Ops>
-void NavierStokes<Ops>::load_state(resilience::BlobReader& r) {
+template <class D>
+void NavierStokes<D>::load_state(resilience::BlobReader& r) {
   r.pod(t_);
   have_history_ = r.pod<std::uint8_t>() != 0;
   for (auto& c : vel_) resilience::get_vector(r, c);
@@ -293,8 +257,8 @@ void NavierStokes<Ops>::load_state(resilience::BlobReader& r) {
   load_warmstart(r);
 }
 
-template <class Ops>
-void NavierStokes<Ops>::save_warmstart(resilience::BlobWriter& w) const {
+template <class D>
+void NavierStokes<D>::save_warmstart(resilience::BlobWriter& w) const {
   // solvers exist after the first step; before it they are recorded absent
   w.pod(static_cast<std::uint8_t>(pressure_solver_ != nullptr));
   if (pressure_solver_) {
@@ -305,8 +269,8 @@ void NavierStokes<Ops>::save_warmstart(resilience::BlobWriter& w) const {
   }
 }
 
-template <class Ops>
-void NavierStokes<Ops>::load_warmstart(resilience::BlobReader& r) {
+template <class D>
+void NavierStokes<D>::load_warmstart(resilience::BlobReader& r) {
   if (r.pod<std::uint8_t>() == 0) return;  // the saved run had never stepped
   if (!pressure_solver_) build_solvers();
   pressure_solver_->load_state(r);
@@ -318,8 +282,8 @@ void NavierStokes<Ops>::load_warmstart(resilience::BlobReader& r) {
   if (velocity_solver2_) velocity_solver2_->load_state(r);
 }
 
-template <class Ops>
-double NavierStokes<Ops>::max_speed() const {
+template <class D>
+double NavierStokes<D>::max_speed() const {
   double m = 0.0;
   for (std::size_t g = 0; g < d_->num_nodes(); ++g) {
     double s = 0.0;
@@ -329,7 +293,7 @@ double NavierStokes<Ops>::max_speed() const {
   return m;
 }
 
-template class NavierStokes<Operators>;
-template class NavierStokes<Operators3D>;
+template class NavierStokes<Discretization>;
+template class NavierStokes<Discretization3D>;
 
 }  // namespace sem

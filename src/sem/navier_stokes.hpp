@@ -1,7 +1,7 @@
 #pragma once
 // Unsteady incompressible Navier-Stokes on spectral elements, NEKTAR-style:
-// a 2D quadrilateral (Operators) or 3D hexahedral (Operators3D) SEM
-// discretization plus a semi-implicit stiffly-stable splitting scheme
+// a 2D quadrilateral (Discretization) or 3D hexahedral (Discretization3D)
+// SEM discretization plus a semi-implicit stiffly-stable splitting scheme
 // (explicit advection EX1/EX2, pressure projection — non-incremental at
 // order 1, pressure-increment at order 2 — and implicit viscosity). This is
 // the solver family the paper runs on every continuum patch: high temporal
@@ -22,7 +22,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -39,35 +38,32 @@ class BlobReader;
 
 namespace sem {
 
-/// What differs per dimension beyond HelmholtzTraits' boundary id: the
-/// component count, the signature of BC/forcing functions, the default
-/// pressure-Dirichlet boundary and the telemetry phase-name prefix.
-template <class Ops>
+/// What a stepper configures per dimension that is not a property of the
+/// mesh: the default pressure-Dirichlet boundary and the telemetry
+/// phase-name prefix.
+template <class Disc>
 struct NavierStokesTraits;
 template <>
-struct NavierStokesTraits<Operators> {
-  static constexpr std::size_t kDim = 2;
-  using BcFn = std::function<double(double x, double y, double t)>;
+struct NavierStokesTraits<Discretization> {
   static constexpr int kPressureDirichlet = mesh::kOutlet;
   static constexpr const char* kPhasePrefix = "ns2d";
 };
 template <>
-struct NavierStokesTraits<Operators3D> {
-  static constexpr std::size_t kDim = 3;
-  using BcFn = std::function<double(double x, double y, double z, double t)>;
+struct NavierStokesTraits<Discretization3D> {
   static constexpr HexFace kPressureDirichlet = HexFace::X1;
   static constexpr const char* kPhasePrefix = "ns3d";
 };
 
-/// Instantiated for Operators (2D) and Operators3D (3D).
-template <class Ops>
+/// Instantiated for Discretization (2D) and Discretization3D (3D).
+template <class D>
 class NavierStokes {
 public:
-  using Traits = NavierStokesTraits<Ops>;
-  static constexpr std::size_t kDim = Traits::kDim;
-  using Boundary = typename HelmholtzTraits<Ops>::Boundary;
-  using Disc = std::remove_cvref_t<decltype(std::declval<const Ops&>().disc())>;
-  using BcFn = typename Traits::BcFn;
+  using Disc = D;
+  using Traits = NavierStokesTraits<Disc>;
+  static constexpr std::size_t kDim = Disc::kDim;
+  using Boundary = typename Disc::Boundary;
+  /// Velocity BC, forcing and initial-condition function f(x, y[, z], t).
+  using BcFn = typename Disc::template PointFn<double>;
   /// One entry per velocity component.
   template <class T>
   using Components = std::array<T, kDim>;
@@ -173,7 +169,6 @@ private:
 
   void build_solvers();
   void fill_bc_values(double t, Components<la::Vector>& bc) const;
-  std::array<double, kDim> node(std::size_t g) const;
 
   // load_state dereferences d_ only to validate field sizes; the
   // discretization itself is configuration.
@@ -182,7 +177,7 @@ private:
   // analyze: no-checkpoint (constructor configuration)
   Params params_;
   // analyze: no-checkpoint (derived operator tables, rebuilt from d_)
-  Ops ops_;
+  Operators<Disc> ops_;
 
   // analyze: no-checkpoint (BC callbacks are configuration, re-established by the caller)
   std::map<Boundary, BoundaryBc> bc_;
@@ -196,20 +191,20 @@ private:
   bool have_history_ = false;
   double t_ = 0.0;
 
-  std::unique_ptr<HelmholtzSolver<Ops>> pressure_solver_;
-  std::unique_ptr<HelmholtzSolver<Ops>> velocity_solver_;   // order-1 lambda = 1/dt
-  std::unique_ptr<HelmholtzSolver<Ops>> velocity_solver2_;  // order-2 lambda = 3/(2 dt)
+  std::unique_ptr<HelmholtzSolver<Disc>> pressure_solver_;
+  std::unique_ptr<HelmholtzSolver<Disc>> velocity_solver_;   // order-1 lambda = 1/dt
+  std::unique_ptr<HelmholtzSolver<Disc>> velocity_solver2_;  // order-2 lambda = 3/(2 dt)
   // analyze: no-checkpoint (derived from BC registration, rebuilt by build_solvers)
   std::vector<Boundary> dirichlet_;  ///< velocity-Dirichlet boundaries, ascending
   // analyze: no-checkpoint (derived from BC registration, rebuilt by build_solvers)
   std::vector<Owner> owner_;  ///< per velocity_solver_->dirichlet_nodes() entry
 };
 
-extern template class NavierStokes<Operators>;
-extern template class NavierStokes<Operators3D>;
+extern template class NavierStokes<Discretization>;
+extern template class NavierStokes<Discretization3D>;
 
 /// The 2D and 3D spellings bench/e2e/coupled.cpp uses.
-using NavierStokes2D = NavierStokes<Operators>;
-using NavierStokes3D = NavierStokes<Operators3D>;
+using NavierStokes2D = NavierStokes<Discretization>;
+using NavierStokes3D = NavierStokes<Discretization3D>;
 
 }  // namespace sem

@@ -1,6 +1,6 @@
 #include "sem/operators.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -9,15 +9,29 @@
 
 namespace sem {
 
-Operators::Operators(const Discretization& d) : d_(&d) {
-  const auto& mesh = d.mesh();
-  jac_ = 0.25 * mesh.dx() * mesh.dy();
-  rx_ = 2.0 / mesh.dx();
-  ry_ = 2.0 / mesh.dy();
+namespace {
 
-  const int P = d.order();
+/// Local index along each axis of local node q (axis 0 fastest).
+template <std::size_t D>
+std::array<std::size_t, D> local_index(std::size_t q, std::size_t n1) {
+  std::array<std::size_t, D> i{};
+  for (std::size_t k = 0; k < D; ++k, q /= n1) i[k] = q % n1;
+  return i;
+}
+
+}  // namespace
+
+template <class Disc>
+Operators<Disc>::Operators(const Disc& d) : d_(&d) {
+  const auto h = d.element_size();
+  jac_ = 1.0 / (1 << kDim);
+  for (std::size_t k = 0; k < kDim; ++k) {
+    jac_ *= h[k];
+    r_[k] = 2.0 / h[k];
+  }
+
   const auto& w = d.rule().weights;
-  const std::size_t n1 = static_cast<std::size_t>(P) + 1;
+  const std::size_t n1 = static_cast<std::size_t>(d.order()) + 1;
 
   // G = D^T diag(w) D, the 1D weak derivative kernel
   G_ = la::DenseMatrix(n1, n1);
@@ -29,158 +43,170 @@ Operators::Operators(const Discretization& d) : d_(&d) {
       G_(a, b) = s;
     }
 
-  // assembled diagonal mass and stiffness
+  // tables and scratch first, so the build's one temporary (lstiff) is the
+  // last allocation and freeing it leaves no hole between long-lived blocks
+  // (that hole measurably raised the peak RSS of coupled 3D runs)
+  const std::size_t npe = d.nodes_per_element();
   mass_.resize(d.num_nodes(), 0.0);
   stiff_diag_.resize(d.num_nodes(), 0.0);
-  for (std::size_t e = 0; e < d.num_elements(); ++e) {
-    for (int b = 0; b <= P; ++b)
-      for (int a = 0; a <= P; ++a) {
-        const std::size_t g = d.global_node(e, a, b);
-        const double wa = w[static_cast<std::size_t>(a)];
-        const double wb = w[static_cast<std::size_t>(b)];
-        mass_[g] += jac_ * wa * wb;
-        stiff_diag_[g] += jac_ * (rx_ * rx_ * wb * G_(static_cast<std::size_t>(a),
-                                                      static_cast<std::size_t>(a)) +
-                                  ry_ * ry_ * wa * G_(static_cast<std::size_t>(b),
-                                                      static_cast<std::size_t>(b)));
-      }
-  }
-
-  // fast-path tables and scratch
   GT_ = G_.transposed();
   DT_ = D.transposed();
-  const std::size_t npe = d.nodes_per_element();
+  wt_.assign(npe / n1, 1.0);
+  for (std::size_t q = 0; q < wt_.size(); ++q)
+    for (std::size_t i : local_index<kDim - 1>(q, n1)) wt_[q] *= w[i];
   lmass_.resize(npe);
-  for (std::size_t b = 0; b < n1; ++b)
-    for (std::size_t a = 0; a < n1; ++a) lmass_[b * n1 + a] = jac_ * w[a] * w[b];
   lu_.resize(npe);
   ly_.resize(npe);
-  ldx_.resize(npe);
-  ldy_.resize(npe);
+  for (auto& l : ld_) l.resize(npe);
+
+  // per local node: lumped mass jac * prod_k w_k and diag(K) =
+  // jac * sum_k r_k^2 (prod_{j != k} w_j) G(i_k, i_k); assembled per element
+  std::vector<double> lstiff(npe);
+  for (std::size_t q = 0; q < npe; ++q) {
+    const auto i = local_index<kDim>(q, n1);
+    double m = jac_;
+    double s = 0.0;
+    for (std::size_t k = 0; k < kDim; ++k) {
+      m *= w[i[k]];
+      double t = r_[k] * r_[k];
+      for (std::size_t j = 0; j < kDim; ++j)
+        if (j != k) t *= w[i[j]];
+      t *= G_(i[k], i[k]);
+      s = k == 0 ? t : s + t;
+    }
+    lmass_[q] = m;
+    lstiff[q] = jac_ * s;
+  }
+  for (std::size_t e = 0; e < d.num_elements(); ++e) {
+    d.scatter_add(lmass_.data(), e, mass_);
+    d.scatter_add(lstiff.data(), e, stiff_diag_);
+  }
 }
 
-void Operators::elem_stiffness(const double* u, double* y) const {
+template <class Disc>
+void Operators<Disc>::elem_axes(const la::DenseMatrix& M, const la::DenseMatrix& MT,
+                                bool weighted, const std::array<double, kDim>& coef,
+                                const double* u, const std::array<double*, kDim>& out) const {
   const std::size_t n1 = static_cast<std::size_t>(d_->order()) + 1;
-  const auto& w = d_->rule().weights;
-  const double cx = jac_ * rx_ * rx_;
-  const double cy = jac_ * ry_ * ry_;
-  for (std::size_t k = 0; k < n1 * n1; ++k) y[k] = 0.0;
-  // x: all rows in one batched call, row scale w_j; y: G down the columns,
-  // column scale w_i
-  la::simd::lines_apply_t(GT_.data(), n1, n1, u, y, w.data(), cx);
-  la::simd::lines_apply(G_.data(), n1, n1, u, y, w.data(), cy);
+  const std::size_t lines = wt_.size();  // n1^(d-1)
+  const double* wt = weighted ? wt_.data() : nullptr;
+  // axis 0: every line of the element in one batched call, row scale wt
+  la::simd::lines_apply_t(MT.data(), n1, lines, u, out[0], wt, coef[0]);
+  if constexpr (kDim == 3) {
+    // axis 1: per axis-2 plane, M across the rows, column scale w_a
+    const double* w = weighted ? d_->rule().weights.data() : nullptr;
+    for (std::size_t c = 0; c < n1; ++c)
+      la::simd::lines_apply(M.data(), n1, n1, u + c * n1 * n1, out[1] + c * n1 * n1, w,
+                            w ? coef[1] * w[c] : coef[1]);
+  }
+  // last axis: the element as one plane of n1^(d-1) columns, column scale wt
+  la::simd::lines_apply(M.data(), n1, lines, u, out[kDim - 1], wt, coef[kDim - 1]);
 }
 
-void Operators::elem_helmholtz(double lambda, double nu, const double* u, double* y) const {
-  const std::size_t n1 = static_cast<std::size_t>(d_->order()) + 1;
-  const auto& w = d_->rule().weights;
-  const double cx = nu * jac_ * rx_ * rx_;
-  const double cy = nu * jac_ * ry_ * ry_;
-  const std::size_t npe = n1 * n1;
-  for (std::size_t k = 0; k < npe; ++k) y[k] = 0.0;
-  la::simd::lines_apply_t(GT_.data(), n1, n1, u, y, w.data(), cx);
-  la::simd::lines_apply(G_.data(), n1, n1, u, y, w.data(), cy);
-  // lumped mass term folded into the element pass (sums to lambda*M*u)
-  for (std::size_t k = 0; k < npe; ++k) y[k] += lambda * lmass_[k] * u[k];
+template <class Disc>
+void Operators<Disc>::elem_stiffness(double nu, const double* u, double* y) const {
+  std::array<double, kDim> coef;
+  for (std::size_t k = 0; k < kDim; ++k) coef[k] = nu * jac_ * r_[k] * r_[k];
+  std::fill(y, y + lmass_.size(), 0.0);
+  std::array<double*, kDim> out;
+  out.fill(y);
+  elem_axes(G_, GT_, true, coef, u, out);
 }
 
-void Operators::elem_deriv_x(const double* u, double* dudx) const {
-  const std::size_t n1 = static_cast<std::size_t>(d_->order()) + 1;
-  for (std::size_t k = 0; k < n1 * n1; ++k) dudx[k] = 0.0;
-  la::simd::lines_apply_t(DT_.data(), n1, n1, u, dudx, nullptr, rx_);
-}
-
-void Operators::elem_deriv_y(const double* u, double* dudy) const {
-  const std::size_t n1 = static_cast<std::size_t>(d_->order()) + 1;
-  for (std::size_t k = 0; k < n1 * n1; ++k) dudy[k] = 0.0;
-  la::simd::lines_apply(d_->diff_matrix().data(), n1, n1, u, dudy, nullptr, ry_);
-}
-
-void Operators::apply_stiffness(const la::Vector& u, la::Vector& y) const {
+template <class Disc>
+template <class Kernel>
+void Operators<Disc>::sweep(const la::Vector& u, la::Vector& y, Kernel&& kernel) const {
   if (y.size() != u.size()) y.resize(u.size());
   y.fill(0.0);
-  telemetry::count("sem.apply.stiffness2d");
   for (std::size_t e = 0; e < d_->num_elements(); ++e) {
     d_->gather(u, e, lu_.data());
-    elem_stiffness(lu_.data(), ly_.data());
+    kernel(lu_.data(), ly_.data());
     d_->scatter_add(ly_.data(), e, y);
   }
 }
 
-void Operators::apply_helmholtz(double lambda, double nu, const la::Vector& u,
-                                la::Vector& y) const {
-  if (y.size() != u.size()) y.resize(u.size());
-  y.fill(0.0);
-  telemetry::count("sem.apply.helmholtz2d");
-  for (std::size_t e = 0; e < d_->num_elements(); ++e) {
-    d_->gather(u, e, lu_.data());
-    elem_helmholtz(lambda, nu, lu_.data(), ly_.data());
-    d_->scatter_add(ly_.data(), e, y);
-  }
+template <class Disc>
+void Operators<Disc>::apply_stiffness(const la::Vector& u, la::Vector& y) const {
+  telemetry::count("sem.apply.stiffness");
+  sweep(u, y, [this](const double* lu, double* ly) { elem_stiffness(1.0, lu, ly); });
 }
 
-la::Vector Operators::helmholtz_diag(double lambda, double nu) const {
+template <class Disc>
+void Operators<Disc>::apply_helmholtz(double lambda, double nu, const la::Vector& u,
+                                      la::Vector& y) const {
+  telemetry::count("sem.apply.helmholtz");
+  sweep(u, y, [&](const double* lu, double* ly) {
+    elem_stiffness(nu, lu, ly);
+    // lumped mass term folded into the element pass (sums to lambda*M*u)
+    for (std::size_t q = 0; q < lmass_.size(); ++q) ly[q] += lambda * lmass_[q] * lu[q];
+  });
+}
+
+template <class Disc>
+la::Vector Operators<Disc>::helmholtz_diag(double lambda, double nu) const {
   la::Vector dgl(d_->num_nodes());
   for (std::size_t g = 0; g < dgl.size(); ++g)
     dgl[g] = lambda * mass_[g] + nu * stiff_diag_[g];
   return dgl;
 }
 
-void Operators::gradient(const la::Vector& u, la::Vector& dudx, la::Vector& dudy) const {
+template <class Disc>
+void Operators<Disc>::gradient(const la::Vector& u, Fields& grad) const {
   const std::size_t n = d_->num_nodes();
-  const std::size_t npe = d_->nodes_per_element();
-  if (dudx.size() != n) dudx.resize(n);
-  if (dudy.size() != n) dudy.resize(n);
-  dudx.fill(0.0);
-  dudy.fill(0.0);
+  const std::size_t npe = lmass_.size();
+  std::array<double*, kDim> out;
+  for (std::size_t k = 0; k < kDim; ++k) {
+    if (grad[k].size() != n) grad[k].resize(n);
+    grad[k].fill(0.0);
+    out[k] = ld_[k].data();
+  }
   for (std::size_t e = 0; e < d_->num_elements(); ++e) {
     d_->gather(u, e, lu_.data());
-    elem_deriv_x(lu_.data(), ldx_.data());
-    elem_deriv_y(lu_.data(), ldy_.data());
+    for (auto& l : ld_) std::fill(l.begin(), l.end(), 0.0);
+    elem_axes(d_->diff_matrix(), DT_, false, r_, lu_.data(), out);
     // weight by the local mass before scatter; divide by assembled mass after
-    for (std::size_t k = 0; k < npe; ++k) {
-      const double m = lmass_[k];
-      ldx_[k] *= m;
-      ldy_[k] *= m;
+    for (std::size_t k = 0; k < kDim; ++k) {
+      for (std::size_t q = 0; q < npe; ++q) ld_[k][q] *= lmass_[q];
+      d_->scatter_add(ld_[k].data(), e, grad[k]);
     }
-    d_->scatter_add(ldx_.data(), e, dudx);
-    d_->scatter_add(ldy_.data(), e, dudy);
   }
-  for (std::size_t g = 0; g < n; ++g) {
-    dudx[g] /= mass_[g];
-    dudy[g] /= mass_[g];
-  }
+  for (std::size_t g = 0; g < n; ++g)
+    for (std::size_t k = 0; k < kDim; ++k) grad[k][g] /= mass_[g];
 }
 
-void Operators::divergence(const la::Vector& u, const la::Vector& v, la::Vector& div) const {
-  if (div.size() != u.size()) div.resize(u.size());
-  gradient(u, gx_, gy_);
-  for (std::size_t g = 0; g < u.size(); ++g) div[g] = gx_[g];
-  gradient(v, gx_, gy_);
-  for (std::size_t g = 0; g < u.size(); ++g) div[g] += gy_[g];
-}
-
-void Operators::convection(const la::Vector& u, const la::Vector& v, la::Vector& conv_u,
-                           la::Vector& conv_v) const {
-  gradient(u, gx_, gy_);
-  gradient(v, hx_, hy_);
-  if (conv_u.size() != u.size()) conv_u.resize(u.size());
-  if (conv_v.size() != u.size()) conv_v.resize(u.size());
-  for (std::size_t g = 0; g < u.size(); ++g) {
-    conv_u[g] = u[g] * gx_[g] + v[g] * gy_[g];
-    conv_v[g] = u[g] * hx_[g] + v[g] * hy_[g];
+template <class Disc>
+void Operators<Disc>::divergence(const Fields& u, la::Vector& div) const {
+  const std::size_t n = u[0].size();
+  if (div.size() != n) div.resize(n);
+  for (std::size_t k = 0; k < kDim; ++k) {
+    gradient(u[k], grad_);
+    const la::Vector& dk = grad_[k];
+    for (std::size_t g = 0; g < n; ++g) div[g] = k == 0 ? dk[g] : div[g] + dk[g];
   }
 }
 
-std::vector<double> Operators::wall_shear_stress(const la::Vector& u, const la::Vector& v,
-                                                 double nu, int tag) const {
+template <class Disc>
+void Operators<Disc>::convection(const Fields& u, Fields& conv) const {
+  const std::size_t n = u[0].size();
+  for (auto& cc : conv)
+    if (cc.size() != n) cc.resize(n);
+  for (std::size_t c = 0; c < kDim; ++c) {
+    gradient(u[c], grad_);
+    for (std::size_t g = 0; g < n; ++g) {
+      double s = u[0][g] * grad_[0][g];
+      for (std::size_t k = 1; k < kDim; ++k) s += u[k][g] * grad_[k][g];
+      conv[c][g] = s;
+    }
+  }
+}
+
+template <class Disc>
+std::vector<double> Operators<Disc>::wall_shear_stress(const la::Vector& u, const la::Vector& v,
+                                                       double nu, int tag) const
+  requires(kDim == 2)
+{
   const auto& d = *d_;
   const int P = d.order();
-
-  // nodal gradients of both components (mass-averaged, as in gradient())
-  gradient(u, gx_, gy_);
-  gradient(v, hx_, hy_);
-  const la::Vector &dudx = gx_, &dudy = gy_, &dvdx = hx_, &dvdy = hy_;
 
   // face orientation per boundary node of the tag: inward normal (nx, ny)
   // and which velocity component is tangential (0 = u, 1 = v)
@@ -210,30 +236,31 @@ std::vector<double> Operators::wall_shear_stress(const la::Vector& u, const la::
     }
   }
 
+  // nodal gradient of each tangential component in turn (mass-averaged, as
+  // in gradient()), read at the nodes where that component is tangential
   const auto& nodes = d.boundary_nodes(tag);
   std::vector<double> tau(nodes.size(), 0.0);
-  for (std::size_t k = 0; k < nodes.size(); ++k) {
-    const auto it = info.find(nodes[k]);
-    if (it == info.end()) continue;
-    const FaceInfo& fi = it->second;
-    const std::size_t g = nodes[k];
-    const double dt_dx = fi.tangential == 0 ? dudx[g] : dvdx[g];
-    const double dt_dy = fi.tangential == 0 ? dudy[g] : dvdy[g];
-    tau[k] = nu * (fi.nx * dt_dx + fi.ny * dt_dy);
+  for (int c = 0; c < 2; ++c) {
+    gradient(c == 0 ? u : v, grad_);
+    for (std::size_t k = 0; k < nodes.size(); ++k) {
+      const auto it = info.find(nodes[k]);
+      if (it == info.end() || it->second.tangential != c) continue;
+      const FaceInfo& fi = it->second;
+      const std::size_t g = nodes[k];
+      tau[k] = nu * (fi.nx * grad_[0][g] + fi.ny * grad_[1][g]);
+    }
   }
   return tau;
 }
 
-double Operators::l2_norm(const la::Vector& u) const {
-  double s = 0.0;
-  for (std::size_t g = 0; g < u.size(); ++g) s += u[g] * mass_[g] * u[g];
-  return std::sqrt(s);
-}
-
-double Operators::integral(const la::Vector& u) const {
+template <class Disc>
+double Operators<Disc>::integral(const la::Vector& u) const {
   double s = 0.0;
   for (std::size_t g = 0; g < u.size(); ++g) s += mass_[g] * u[g];
   return s;
 }
+
+template class Operators<Discretization>;
+template class Operators<Discretization3D>;
 
 }  // namespace sem

@@ -1,20 +1,27 @@
 #pragma once
-// Matrix-free SEM operators on a Discretization:
+// Matrix-free SEM operators on a 2D (Discretization) or 3D
+// (Discretization3D) spectral-element discretization:
 //   * diagonal (lumped-by-quadrature) mass matrix,
 //   * stiffness apply  y = K u  with  K_ij = (grad phi_i, grad phi_j),
 //   * Helmholtz apply  y = (lambda M + nu K) u,
 //   * nodal gradient (mass-averaged across element boundaries),
 //   * divergence and convective term for the Navier-Stokes solver.
-// All element work is tensor-product: cost O(P^3) per element per apply.
+// All element work is sum-factorised along each axis: one 1D (P+1)x(P+1)
+// kernel per axis, so an apply costs O(P^(d+1)) per element in d dimensions.
 
+#include <array>
+#include <cstddef>
 #include <vector>
 
+#include "la/dense.hpp"
 #include "la/vector.hpp"
 #include "sem/discretization.hpp"
+#include "sem/hex3d.hpp"
 
 namespace sem {
 
-/// Matrix-free 2D operators.
+/// Matrix-free operators, instantiated for Discretization and
+/// Discretization3D (`sem::Operators ops(d);` deduces which).
 ///
 /// The apply paths run on the batched `la::simd` line kernels with
 /// per-instance scratch (no allocation and no per-call index arithmetic);
@@ -22,11 +29,16 @@ namespace sem {
 /// library under tests/reference. Scratch makes applies non-reentrant: one
 /// Operators instance must not be applied from two threads at once (each
 /// solver owns its Operators, so this never happens in-tree).
+template <class Disc>
 class Operators {
 public:
-  explicit Operators(const Discretization& d);
+  static constexpr std::size_t kDim = Disc::kDim;
+  /// One nodal field per axis (gradient) or per velocity component.
+  using Fields = std::array<la::Vector, kDim>;
 
-  const Discretization& disc() const { return *d_; }
+  explicit Operators(const Disc& d);
+
+  const Disc& disc() const { return *d_; }
 
   /// Assembled diagonal mass matrix (GLL quadrature is diagonal in the SEM
   /// basis, so this is exact for the discrete inner product).
@@ -35,23 +47,24 @@ public:
   /// y = K u (zeroed first).
   void apply_stiffness(const la::Vector& u, la::Vector& y) const;
 
-  /// y = lambda * M u + nu * K u.
+  /// y = lambda M u + nu K u in a single gather/kernel/scatter sweep: the
+  /// diagonal mass term is folded into the element pass (the per-element
+  /// lumped masses sum to the assembled diagonal).
   void apply_helmholtz(double lambda, double nu, const la::Vector& u, la::Vector& y) const;
 
   /// Diagonal of lambda M + nu K (for Jacobi preconditioning).
   la::Vector helmholtz_diag(double lambda, double nu) const;
 
-  /// Nodal derivative fields du/dx, du/dy: per-element collocation
+  /// Nodal derivatives du/dx_k, one field per axis: per-element collocation
   /// derivatives, mass-averaged at shared nodes.
-  void gradient(const la::Vector& u, la::Vector& dudx, la::Vector& dudy) const;
+  void gradient(const la::Vector& u, Fields& grad) const;
 
-  /// div = du/dx + dv/dy (nodal, mass-averaged).
-  void divergence(const la::Vector& u, const la::Vector& v, la::Vector& div) const;
+  /// div = sum_k du_k/dx_k (nodal, mass-averaged).
+  void divergence(const Fields& u, la::Vector& div) const;
 
   /// Convective term (u . grad) applied to each velocity component:
-  /// conv_u = u du/dx + v du/dy, conv_v = u dv/dx + v dv/dy.
-  void convection(const la::Vector& u, const la::Vector& v, la::Vector& conv_u,
-                  la::Vector& conv_v) const;
+  /// conv_c = sum_k u_k du_c/dx_k.
+  void convection(const Fields& u, Fields& conv) const;
 
   /// Wall shear stress tau = nu * d(u_t)/dn on the boundary faces of `tag`
   /// (u_t = velocity component tangential to the face, n = inward normal).
@@ -59,33 +72,43 @@ public:
   /// disc().boundary_nodes(tag). The paper singles out mean WSS as "a very
   /// important quantity in biological flows" (Sec. 3.4).
   std::vector<double> wall_shear_stress(const la::Vector& u, const la::Vector& v, double nu,
-                                        int tag) const;
-
-  /// Discrete L2 norm: sqrt(u^T M u).
-  double l2_norm(const la::Vector& u) const;
+                                        int tag) const
+    requires(kDim == 2);
 
   /// Discrete integral of the field: 1^T M u.
   double integral(const la::Vector& u) const;
 
 private:
-  // element-local kernels; local arrays are (P+1)^2, (b*(P+1)+a) layout
-  void elem_stiffness(const double* u, double* y) const;
-  void elem_helmholtz(double lambda, double nu, const double* u, double* y) const;
-  void elem_deriv_x(const double* u, double* dudx) const;
-  void elem_deriv_y(const double* u, double* dudy) const;
+  /// Gather u per element, run `kernel(local u, local y)`, scatter-add into y.
+  template <class Kernel>
+  void sweep(const la::Vector& u, la::Vector& y, Kernel&& kernel) const;
+  /// Local y = nu K_e u (zeroed first).
+  void elem_stiffness(double nu, const double* u, double* y) const;
+  /// out[k] += coef[k] * (M applied along axis k) u for every axis k, from
+  /// the transposed MT along the contiguous axis 0. `weighted` scales each
+  /// line by the quadrature weights of the other axes (stiffness); the
+  /// gradient passes it false.
+  void elem_axes(const la::DenseMatrix& M, const la::DenseMatrix& MT, bool weighted,
+                 const std::array<double, kDim>& coef, const double* u,
+                 const std::array<double*, kDim>& out) const;
 
-  const Discretization* d_;
+  const Disc* d_;
   la::Vector mass_;
   la::Vector stiff_diag_;    // assembled diag(K)
   la::DenseMatrix G_;        // D^T diag(w) D, the 1D weak-derivative kernel
-  la::DenseMatrix GT_, DT_;  // transposes for the along-line (x) kernels
-  std::vector<double> lmass_;  // per-element lumped mass jac*wa*wb
+  la::DenseMatrix GT_, DT_;  // transposes for the along-line (axis 0) kernels
+  std::vector<double> wt_;     // weights of axes 1..d-1: w (2D), w (x) w (3D)
+  std::vector<double> lmass_;  // per-element lumped mass jac * prod_k w
   // element scratch, hoisted out of the apply loops (see class comment)
-  mutable std::vector<double> lu_, ly_, ldx_, ldy_;
+  mutable std::vector<double> lu_, ly_;
+  mutable std::array<std::vector<double>, kDim> ld_;
   // global-field scratch for divergence/convection/wall_shear_stress
-  mutable la::Vector gx_, gy_, hx_, hy_;
-  double jac_;             // element Jacobian (dx/2)(dy/2), uniform grid
-  double rx_, ry_;         // d(xi)/dx = 2/dx, d(eta)/dy = 2/dy
+  mutable Fields grad_;
+  double jac_;                  // element Jacobian prod_k h_k/2, uniform grid
+  std::array<double, kDim> r_;  // d(xi_k)/dx_k = 2/h_k
 };
+
+extern template class Operators<Discretization>;
+extern template class Operators<Discretization3D>;
 
 }  // namespace sem

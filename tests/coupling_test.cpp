@@ -295,10 +295,10 @@ TEST(Cdc, ScheduleCountsAndScaledVelocity) {
   // Continuum: steady Poiseuille channel. DPD box embedded mid-channel.
   auto m = mesh::QuadMesh::channel(4.0, 1.0, 8, 2);
   sem::Discretization d(m, 4);
-  sem::NavierStokes<sem::Operators>::Params nsp;
+  sem::NavierStokes<sem::Discretization>::Params nsp;
   nsp.nu = 0.05;
   nsp.dt = 2e-3;
-  sem::NavierStokes<sem::Operators> ns(d, nsp);
+  sem::NavierStokes<sem::Discretization> ns(d, nsp);
   ns.set_velocity_bc(mesh::kInlet,
                      [](double, double y, double) { return 4.0 * y * (1.0 - y); },
                      [](double, double, double) { return 0.0; });
@@ -346,10 +346,10 @@ TEST(Cdc, DpdFlowTracksContinuum) {
   // continuum field after several coupling intervals (Fig. 9 behaviour).
   auto m = mesh::QuadMesh::channel(4.0, 1.0, 8, 2);
   sem::Discretization d(m, 4);
-  sem::NavierStokes<sem::Operators>::Params nsp;
+  sem::NavierStokes<sem::Discretization>::Params nsp;
   nsp.nu = 0.05;
   nsp.dt = 2e-3;
-  sem::NavierStokes<sem::Operators> ns(d, nsp);
+  sem::NavierStokes<sem::Discretization> ns(d, nsp);
   ns.set_velocity_bc(mesh::kInlet,
                      [](double, double y, double) { return 4.0 * y * (1.0 - y); },
                      [](double, double, double) { return 0.0; });
@@ -408,10 +408,10 @@ TEST(TripleDecker, NestedScheduleAndVelocityCascade) {
   // cascades through both Eq.-(1) maps with the right magnitude.
   auto m = mesh::QuadMesh::channel(4.0, 1.0, 8, 2);
   sem::Discretization d(m, 4);
-  sem::NavierStokes<sem::Operators>::Params nsp;
+  sem::NavierStokes<sem::Discretization>::Params nsp;
   nsp.nu = 0.05;
   nsp.dt = 2e-3;
-  sem::NavierStokes<sem::Operators> ns(d, nsp);
+  sem::NavierStokes<sem::Discretization> ns(d, nsp);
   ns.set_velocity_bc(mesh::kInlet,
                      [](double, double y, double) { return 4.0 * y * (1.0 - y); },
                      [](double, double, double) { return 0.0; });
@@ -560,11 +560,11 @@ TEST(Cdc3d, FullyThreeDimensionalCoupling) {
   // the paper's actual configuration, no dimension folding.
   const double H = 1.0, Umax = 1.0, nu = 0.05;
   sem::Discretization3D d(4.0, 1.0, H, 4, 1, 2, 4);
-  sem::NavierStokes<sem::Operators3D>::Params prm;
+  sem::NavierStokes<sem::Discretization3D>::Params prm;
   prm.nu = nu;
   prm.dt = 2e-3;
   prm.pressure_dirichlet_faces = {sem::HexFace::X1};
-  sem::NavierStokes<sem::Operators3D> ns(d, prm);
+  sem::NavierStokes<sem::Discretization3D> ns(d, prm);
   auto prof = [&](double, double, double z, double) {
     return 4.0 * Umax * z * (H - z) / (H * H);
   };
@@ -628,8 +628,8 @@ TEST(MultiPatch, RejectsNonPositivePatchCount) {
 TEST(Cdc, RejectsDegenerateRegion) {
   auto m = mesh::QuadMesh::channel(2.0, 1.0, 4, 2);
   sem::Discretization d(m, 3);
-  sem::NavierStokes<sem::Operators>::Params nsp;
-  sem::NavierStokes<sem::Operators> ns(d, nsp);
+  sem::NavierStokes<sem::Discretization>::Params nsp;
+  sem::NavierStokes<sem::Discretization> ns(d, nsp);
   dpd::DpdParams dp;
   dpd::DpdSystem sys(dp, nullptr);
   dpd::FlowBcParams fp;
@@ -646,7 +646,7 @@ TEST(Cdc, RejectsDegenerateRegion) {
 
 TEST(Cdc3d, RejectsDegenerateBoxOnEveryAxis) {
   sem::Discretization3D d(4.0, 1.0, 1.0, 4, 1, 2, 2);
-  sem::NavierStokes<sem::Operators3D> ns(d, {});
+  sem::NavierStokes<sem::Discretization3D> ns(d, {});
   dpd::DpdParams dp;
   dpd::DpdSystem sys(dp, nullptr);
   dpd::FlowBcParams fp;

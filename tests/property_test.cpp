@@ -85,11 +85,11 @@ TEST_P(SemIdentitySweep, MassAndStiffnessIdentities) {
   // gradient of x is (1, 0) exactly for every P >= 1
   la::Vector fx(d.num_nodes());
   for (std::size_t g = 0; g < d.num_nodes(); ++g) fx[g] = d.node_x(g);
-  la::Vector gx, gy;
-  ops.gradient(fx, gx, gy);
+  decltype(ops)::Fields grad;
+  ops.gradient(fx, grad);
   for (std::size_t g = 0; g < d.num_nodes(); ++g) {
-    EXPECT_NEAR(gx[g], 1.0, 1e-10);
-    EXPECT_NEAR(gy[g], 0.0, 1e-10);
+    EXPECT_NEAR(grad[0][g], 1.0, 1e-10);
+    EXPECT_NEAR(grad[1][g], 0.0, 1e-10);
   }
 }
 

@@ -3,10 +3,10 @@
 // `sem_reference`): the pre-fast-path algorithm — per-line dot products
 // along x, scalar strided loops along y (and z), per-call scratch and
 // tables — written as free functions of the discretization. The equivalence
-// suites (sem_test, sem3d_test) compare sem::Operators / sem::Operators3D
+// suites (sem_test, sem3d_test) compare both sem::Operators instantiations
 // against them, and bench/extra_sem3d_kernel times the 3D fast path
-// against them. Results have the same layout and semantics as the member
-// functions of the same name.
+// against them. Results have the same semantics as the member functions of
+// the same name; the gradient writes one vector per axis argument.
 
 #include "la/vector.hpp"
 #include "sem/discretization.hpp"

@@ -330,12 +330,12 @@ TEST(Fault, UncaughtKillAbortsTheWholeRun) {
 
 // ---------------- solver round trips (bitwise) ----------------
 
-sem::NavierStokes<sem::Operators> make_ns2d(const sem::Discretization& disc) {
-  sem::NavierStokes<sem::Operators>::Params p;
+sem::NavierStokes<sem::Discretization> make_ns2d(const sem::Discretization& disc) {
+  sem::NavierStokes<sem::Discretization>::Params p;
   p.nu = 0.05;
   p.dt = 2e-3;
   p.time_order = 2;
-  sem::NavierStokes<sem::Operators> ns(disc, p);
+  sem::NavierStokes<sem::Discretization> ns(disc, p);
   ns.set_velocity_bc(mesh::kInlet,
                      [](double, double y, double) { return 4.0 * y * (1.0 - y); },
                      [](double, double, double) { return 0.0; });
@@ -363,13 +363,13 @@ TEST(RoundTrip, Ns2dContinuesBitwise) {
   EXPECT_DOUBLE_EQ(ns.time(), restored.time());
 }
 
-sem::NavierStokes<sem::Operators3D> make_ns3d(const sem::Discretization3D& d) {
-  sem::NavierStokes<sem::Operators3D>::Params p;
+sem::NavierStokes<sem::Discretization3D> make_ns3d(const sem::Discretization3D& d) {
+  sem::NavierStokes<sem::Discretization3D>::Params p;
   p.nu = 0.05;
   p.dt = 2e-3;
   p.time_order = 2;
   p.pressure_dirichlet_faces = {sem::HexFace::X1};
-  sem::NavierStokes<sem::Operators3D> ns(d, p);
+  sem::NavierStokes<sem::Discretization3D> ns(d, p);
   auto prof = [](double, double, double z, double) { return 4.0 * z * (1.0 - z); };
   auto zero = [](double, double, double, double) { return 0.0; };
   ns.set_velocity_bc(sem::HexFace::X0, prof, zero, zero);
@@ -655,14 +655,14 @@ TEST(RoundTrip, StreamingWpodContinuesExactly) {
 struct MiniCoupled {
   mesh::QuadMesh msh;
   sem::Discretization disc;
-  sem::NavierStokes<sem::Operators> ns;
+  sem::NavierStokes<sem::Discretization> ns;
   dpd::DpdSystem sys;
   dpd::FlowBc bc;
-  coupling::BasicContinuumDpdCoupler<sem::NavierStokes<sem::Operators>> cdc;
+  coupling::BasicContinuumDpdCoupler<sem::NavierStokes<sem::Discretization>> cdc;
   dpd::FieldSampler sampler;
 
-  static sem::NavierStokes<sem::Operators>::Params ns_params() {
-    sem::NavierStokes<sem::Operators>::Params p;
+  static sem::NavierStokes<sem::Discretization>::Params ns_params() {
+    sem::NavierStokes<sem::Discretization>::Params p;
     p.nu = 0.05;
     p.dt = 2e-3;
     return p;

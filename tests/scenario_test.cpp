@@ -222,10 +222,10 @@ TEST(SchemaTest, CheckedInFilesMatchPresets) {
 std::uint32_t handwritten_quickstart_digest(int intervals, int develop) {
   auto mesh = mesh::QuadMesh::channel(4.0, 1.0, 8, 2);
   sem::Discretization disc(mesh, 4);
-  sem::NavierStokes<sem::Operators>::Params nsp;
+  sem::NavierStokes<sem::Discretization>::Params nsp;
   nsp.nu = 0.05;
   nsp.dt = 2e-3;
-  sem::NavierStokes<sem::Operators> ns(disc, nsp);
+  sem::NavierStokes<sem::Discretization> ns(disc, nsp);
   ns.set_velocity_bc(mesh::kInlet,
                      [](double, double y, double) { return 4.0 * y * (1.0 - y); },
                      [](double, double, double) { return 0.0; });
@@ -278,12 +278,12 @@ std::uint32_t handwritten_quickstart_digest(int intervals, int develop) {
 std::uint32_t handwritten_coupled3d_digest(int intervals, int develop) {
   const double H = 1.0, Umax = 1.0, nu = 0.05;
   sem::Discretization3D d(4.0, 1.0, H, 4, 1, 2, 4);
-  sem::NavierStokes<sem::Operators3D>::Params prm;
+  sem::NavierStokes<sem::Discretization3D>::Params prm;
   prm.nu = nu;
   prm.dt = 2e-3;
   prm.time_order = 2;
   prm.pressure_dirichlet_faces = {sem::HexFace::X1};
-  sem::NavierStokes<sem::Operators3D> ns(d, prm);
+  sem::NavierStokes<sem::Discretization3D> ns(d, prm);
   auto prof = [&](double, double, double z, double) {
     return 4.0 * Umax * z * (H - z) / (H * H);
   };

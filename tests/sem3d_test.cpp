@@ -1,6 +1,8 @@
 // Tests for the 3D spectral-element core: discretization continuity,
-// operator identities, manufactured Helmholtz solutions, and spectral
-// convergence in the order.
+// manufactured Helmholtz solutions, spectral convergence in the order, and
+// the fast operator paths against the scalar reference kernels. The
+// operator identities both dimensions share are the typed OperatorsDims
+// suite in sem_test.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +11,7 @@
 #include "reference/sem_reference.hpp"
 #include "sem/helmholtz.hpp"
 #include "sem/hex3d.hpp"
+#include "sem/operators.hpp"
 
 namespace {
 
@@ -57,39 +60,9 @@ TEST(Disc3d, EvaluateReproducesSmoothField) {
         EXPECT_NEAR(d.evaluate(f, x, y, z), fn(x, y, z), 2e-5);
 }
 
-TEST(Ops3d, MassSumsToVolume) {
-  sem::Discretization3D d(2.0, 1.5, 1.0, 3, 2, 2, 4);
-  sem::Operators3D ops(d);
-  la::Vector ones(d.num_nodes(), 1.0);
-  EXPECT_NEAR(ops.integral(ones), 3.0, 1e-11);
-}
-
-TEST(Ops3d, StiffnessAnnihilatesConstantsAndIsSymmetric) {
-  sem::Discretization3D d(1.0, 1.0, 1.0, 2, 2, 2, 3);
-  sem::Operators3D ops(d);
-  const std::size_t n = d.num_nodes();
-  la::Vector ones(n, 1.0), y;
-  ops.apply_stiffness(ones, y);
-  for (std::size_t g = 0; g < n; ++g) EXPECT_NEAR(y[g], 0.0, 1e-10);
-
-  la::Vector x(n), z(n), Kx, Kz;
-  for (std::size_t g = 0; g < n; ++g) {
-    x[g] = std::sin(1.0 + 2.0 * static_cast<double>(g));
-    z[g] = std::cos(0.5 * static_cast<double>(g));
-  }
-  ops.apply_stiffness(x, Kx);
-  ops.apply_stiffness(z, Kz);
-  double xKz = 0.0, zKx = 0.0;
-  for (std::size_t g = 0; g < n; ++g) {
-    xKz += x[g] * Kz[g];
-    zKx += z[g] * Kx[g];
-  }
-  EXPECT_NEAR(xKz, zKx, 1e-9 * (1.0 + std::fabs(xKz)));
-}
-
 TEST(Helmholtz3d, ManufacturedDirichletSolution) {
   sem::Discretization3D d(1.0, 1.0, 1.0, 2, 2, 2, 6);
-  sem::Operators3D ops(d);
+  sem::Operators ops(d);
   const double lambda = 1.5, nu = 0.7;
   sem::HelmholtzSolver hs(ops, lambda, nu,
                           {sem::HexFace::X0, sem::HexFace::X1, sem::HexFace::Y0,
@@ -113,7 +86,7 @@ TEST(Helmholtz3d, ManufacturedDirichletSolution) {
 
 TEST(Helmholtz3d, PureNeumannPoisson) {
   sem::Discretization3D d(1.0, 1.0, 1.0, 2, 2, 2, 6);
-  sem::Operators3D ops(d);
+  sem::Operators ops(d);
   sem::HelmholtzSolver hs(ops, 0.0, 1.0, {});
   hs.options().rtol = 1e-12;
   la::Vector f(d.num_nodes());
@@ -136,7 +109,7 @@ class Sem3dOrderSweep : public ::testing::TestWithParam<int> {};
 TEST_P(Sem3dOrderSweep, SpectralConvergence) {
   auto err_at = [](int P) {
     sem::Discretization3D d(1.0, 1.0, 1.0, 2, 2, 2, P);
-    sem::Operators3D ops(d);
+    sem::Operators ops(d);
     sem::HelmholtzSolver hs(ops, 1.0, 1.0,
                             {sem::HexFace::X0, sem::HexFace::X1, sem::HexFace::Y0,
                              sem::HexFace::Y1, sem::HexFace::Z0, sem::HexFace::Z1});
@@ -169,45 +142,16 @@ INSTANTIATE_TEST_SUITE_P(Orders, Sem3dOrderSweep, ::testing::Values(2, 3, 4));
 
 namespace {
 
-TEST(Ops3d, GradientOfLinearFieldExact) {
-  sem::Discretization3D d(2.0, 1.0, 1.5, 2, 2, 2, 4);
-  sem::Operators3D ops(d);
-  la::Vector f(d.num_nodes());
-  for (std::size_t g = 0; g < d.num_nodes(); ++g)
-    f[g] = 3.0 * d.node_x(g) - 2.0 * d.node_y(g) + 0.5 * d.node_z(g);
-  la::Vector fx, fy, fz;
-  ops.gradient(f, fx, fy, fz);
-  for (std::size_t g = 0; g < d.num_nodes(); ++g) {
-    EXPECT_NEAR(fx[g], 3.0, 1e-10);
-    EXPECT_NEAR(fy[g], -2.0, 1e-10);
-    EXPECT_NEAR(fz[g], 0.5, 1e-10);
-  }
-}
-
-TEST(Ops3d, DivergenceOfSolenoidalFieldZero) {
-  sem::Discretization3D d(1.0, 1.0, 1.0, 2, 2, 2, 5);
-  sem::Operators3D ops(d);
-  la::Vector u(d.num_nodes()), v(d.num_nodes()), w(d.num_nodes()), div;
-  // (y z, x z, -2 x y... pick u=y, v=z, w=x: div = 0
-  for (std::size_t g = 0; g < d.num_nodes(); ++g) {
-    u[g] = d.node_y(g);
-    v[g] = d.node_z(g);
-    w[g] = d.node_x(g);
-  }
-  ops.divergence(u, v, w, div);
-  for (std::size_t g = 0; g < d.num_nodes(); ++g) EXPECT_NEAR(div[g], 0.0, 1e-10);
-}
-
 TEST(Ns3d, PoiseuilleBetweenPlates) {
   // flow in x, plates at z = 0, 1; exact parabola imposed at inlet and side
   // faces; steady state must carry it through the domain
   const double H = 1.0, Umax = 1.0, nu = 0.05;
   sem::Discretization3D d(2.0, 1.0, H, 3, 2, 2, 4);
-  sem::NavierStokes<sem::Operators3D>::Params prm;
+  sem::NavierStokes<sem::Discretization3D>::Params prm;
   prm.nu = nu;
   prm.dt = 2e-3;
   prm.pressure_dirichlet_faces = {sem::HexFace::X1};
-  sem::NavierStokes<sem::Operators3D> ns(d, prm);
+  sem::NavierStokes<sem::Discretization3D> ns(d, prm);
   auto prof = [&](double, double, double z, double) { return 4.0 * Umax * z * (H - z) / (H * H); };
   auto zero = [](double, double, double, double) { return 0.0; };
   ns.set_velocity_bc(sem::HexFace::X0, prof, zero, zero);
@@ -227,12 +171,12 @@ TEST(Ns3d, TaylorGreenColumnDecay) {
   // solution; all faces Dirichlet from the exact fields.
   const double nu = 0.02;
   sem::Discretization3D d(1.0, 1.0, 0.5, 3, 3, 1, 5);
-  sem::NavierStokes<sem::Operators3D>::Params prm;
+  sem::NavierStokes<sem::Discretization3D>::Params prm;
   prm.nu = nu;
   prm.dt = 2e-3;
   prm.time_order = 2;
   prm.pressure_dirichlet_faces = {};
-  sem::NavierStokes<sem::Operators3D> ns(d, prm);
+  sem::NavierStokes<sem::Discretization3D> ns(d, prm);
   auto F = [nu](double t) { return std::exp(-2.0 * M_PI * M_PI * nu * t); };
   auto ue = [&](double x, double y, double, double t) {
     return std::sin(M_PI * x) * std::cos(M_PI * y) * F(t);
@@ -276,7 +220,7 @@ TEST_P(Ops3dEquivalence, StiffnessMatchesReference) {
   const int P = GetParam();
   for (std::size_t nx : {1u, 2u, 3u}) {
     sem::Discretization3D d(1.3, 1.0, 0.8, nx, 2, 1, P);
-    sem::Operators3D ops(d);
+    sem::Operators ops(d);
     const auto u = wavy_field(d, 2.0, 3.0, 1.5);
     la::Vector yf, yr;
     ops.apply_stiffness(u, yf);
@@ -291,7 +235,7 @@ TEST_P(Ops3dEquivalence, StiffnessMatchesReference) {
 TEST_P(Ops3dEquivalence, HelmholtzMatchesReference) {
   const int P = GetParam();
   sem::Discretization3D d(1.0, 1.2, 0.9, 2, 2, 2, P);
-  sem::Operators3D ops(d);
+  sem::Operators ops(d);
   const auto u = wavy_field(d, 1.0, 2.0, 3.0);
   la::Vector yf, yr;
   ops.apply_helmholtz(2.75, 0.31, u, yf);
@@ -307,7 +251,7 @@ TEST_P(Ops3dEquivalence, MaskedHelmholtzMatchesReference) {
   // it: zero masked entries, apply, zero masked rows, restore identity
   const int P = GetParam();
   sem::Discretization3D d(1.0, 1.0, 1.0, 2, 1, 2, P);
-  sem::Operators3D ops(d);
+  sem::Operators ops(d);
   std::vector<char> mask(d.num_nodes(), 0);
   for (std::size_t g : d.boundary_nodes(sem::HexFace::X0)) mask[g] = 1;
   for (std::size_t g : d.boundary_nodes(sem::HexFace::Z1)) mask[g] = 1;
@@ -335,15 +279,16 @@ TEST_P(Ops3dEquivalence, MaskedHelmholtzMatchesReference) {
 TEST_P(Ops3dEquivalence, GradientMatchesReference) {
   const int P = GetParam();
   sem::Discretization3D d(2.0, 1.0, 1.5, 2, 2, 1, P);
-  sem::Operators3D ops(d);
+  sem::Operators ops(d);
   const auto u = wavy_field(d, 1.7, 2.3, 1.1);
-  la::Vector fx, fy, fz, rx, ry, rz;
-  ops.gradient(u, fx, fy, fz);
+  decltype(ops)::Fields grad;
+  la::Vector rx, ry, rz;
+  ops.gradient(u, grad);
   sem::reference::gradient(d, u, rx, ry, rz);
   for (std::size_t g = 0; g < rx.size(); ++g) {
-    EXPECT_NEAR(fx[g], rx[g], 1e-10 * (1.0 + std::fabs(rx[g]))) << "P=" << P;
-    EXPECT_NEAR(fy[g], ry[g], 1e-10 * (1.0 + std::fabs(ry[g])));
-    EXPECT_NEAR(fz[g], rz[g], 1e-10 * (1.0 + std::fabs(rz[g])));
+    EXPECT_NEAR(grad[0][g], rx[g], 1e-10 * (1.0 + std::fabs(rx[g]))) << "P=" << P;
+    EXPECT_NEAR(grad[1][g], ry[g], 1e-10 * (1.0 + std::fabs(ry[g])));
+    EXPECT_NEAR(grad[2][g], rz[g], 1e-10 * (1.0 + std::fabs(rz[g])));
   }
 }
 
@@ -354,7 +299,7 @@ TEST(Ops3dEquivalence2, PureNeumannSolveAgreesWithReferenceOperator) {
   // and through the reference operator; the discrete solutions must agree
   // far beyond the CG tolerance
   sem::Discretization3D d(1.0, 1.0, 1.0, 2, 2, 2, 5);
-  sem::Operators3D ops(d);
+  sem::Operators ops(d);
   const std::size_t n = d.num_nodes();
   // zero-mean forcing
   la::Vector f(n);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <complex>
 #include <stdexcept>
@@ -161,24 +162,6 @@ TEST(Disc, LocateRespectsMask) {
 
 // ---------------- Operators ----------------
 
-TEST(Ops, MassDiagSumsToArea) {
-  auto m = mesh::QuadMesh::channel(3.0, 2.0, 6, 4);
-  sem::Discretization d(m, 5);
-  sem::Operators ops(d);
-  double area = 0.0;
-  for (std::size_t g = 0; g < d.num_nodes(); ++g) area += ops.mass_diag()[g];
-  EXPECT_NEAR(area, 6.0, 1e-12);
-}
-
-TEST(Ops, StiffnessAnnihilatesConstants) {
-  auto m = mesh::QuadMesh::channel(2.0, 1.0, 3, 2);
-  sem::Discretization d(m, 4);
-  sem::Operators ops(d);
-  la::Vector ones(d.num_nodes(), 1.0), y;
-  ops.apply_stiffness(ones, y);
-  for (std::size_t g = 0; g < y.size(); ++g) EXPECT_NEAR(y[g], 0.0, 1e-11);
-}
-
 TEST(Ops, StiffnessSymmetricPositive) {
   auto m = mesh::QuadMesh::channel(1.0, 1.0, 2, 2);
   sem::Discretization d(m, 3);
@@ -202,21 +185,6 @@ TEST(Ops, StiffnessSymmetricPositive) {
   EXPECT_GT(xKx, 0.0);
 }
 
-TEST(Ops, GradientOfLinearFieldExact) {
-  auto m = mesh::QuadMesh::channel(2.0, 1.0, 4, 2);
-  sem::Discretization d(m, 4);
-  sem::Operators ops(d);
-  la::Vector f(d.num_nodes());
-  for (std::size_t g = 0; g < d.num_nodes(); ++g)
-    f[g] = 3.0 * d.node_x(g) - 2.0 * d.node_y(g) + 1.0;
-  la::Vector fx, fy;
-  ops.gradient(f, fx, fy);
-  for (std::size_t g = 0; g < d.num_nodes(); ++g) {
-    EXPECT_NEAR(fx[g], 3.0, 1e-10);
-    EXPECT_NEAR(fy[g], -2.0, 1e-10);
-  }
-}
-
 TEST(Ops, GradientSpectralAccuracy) {
   auto m = mesh::QuadMesh::channel(2.0, 1.0, 4, 2);
   sem::Discretization d(m, 8);
@@ -224,28 +192,14 @@ TEST(Ops, GradientSpectralAccuracy) {
   la::Vector f(d.num_nodes());
   for (std::size_t g = 0; g < d.num_nodes(); ++g)
     f[g] = std::sin(d.node_x(g)) * std::exp(d.node_y(g));
-  la::Vector fx, fy;
-  ops.gradient(f, fx, fy);
+  decltype(ops)::Fields grad;
+  ops.gradient(f, grad);
   double max_err = 0.0;
   for (std::size_t g = 0; g < d.num_nodes(); ++g) {
     max_err = std::max(max_err,
-                       std::fabs(fx[g] - std::cos(d.node_x(g)) * std::exp(d.node_y(g))));
+                       std::fabs(grad[0][g] - std::cos(d.node_x(g)) * std::exp(d.node_y(g))));
   }
   EXPECT_LT(max_err, 1e-7);
-}
-
-TEST(Ops, DivergenceOfRotationalFieldZero) {
-  auto m = mesh::QuadMesh::channel(2.0, 2.0, 4, 4);
-  sem::Discretization d(m, 6);
-  sem::Operators ops(d);
-  la::Vector u(d.num_nodes()), v(d.num_nodes()), div;
-  // u = y, v = -x is divergence-free
-  for (std::size_t g = 0; g < d.num_nodes(); ++g) {
-    u[g] = d.node_y(g);
-    v[g] = -d.node_x(g);
-  }
-  ops.divergence(u, v, div);
-  for (std::size_t g = 0; g < d.num_nodes(); ++g) EXPECT_NEAR(div[g], 0.0, 1e-10);
 }
 
 TEST(Ops, IntegralOfOneIsArea) {
@@ -322,31 +276,126 @@ TEST(Helmholtz, PureNeumannPoissonZeroMean) {
 
 }  // namespace
 
-// ---------------- Helmholtz, both instantiations ----------------
+// ---------------- both dimensions: operators and Helmholtz ----------------
 
-// A Dirichlet-walled unit square (2D) or unit cube (3D) at order 6: one
-// problem per HelmholtzSolver instantiation, for the typed HelmholtzDims
-// suite. They sit outside the anonymous namespace so the discovered test
-// names read HelmholtzDims.<Test><Quad2d>.
+// One case per dimension for the typed OperatorsDims, HelmholtzDims and
+// DiscDims suites: a Dirichlet-walled unit square (2D) or unit cube (3D) at
+// order 6, and box(P), a 2 x 1.5 (x 1) box of measure kBoxMeasure on an
+// anisotropic grid. They sit outside the anonymous namespace so the
+// discovered test names read <Suite>.<Test><Quad2d>.
 struct Quad2d {
-  sem::Discretization d{mesh::QuadMesh::lid_cavity(3), 6};
-  sem::Operators ops{d};
+  using Disc = sem::Discretization;
+  static Disc box(int P) { return {mesh::QuadMesh::channel(2.0, 1.5, 4, 3), P}; }
+  Disc d{mesh::QuadMesh::lid_cavity(3), 6};
+  sem::Operators<Disc> ops{d};
   std::vector<int> walls{mesh::kWall, mesh::kInlet};
 };
 
 struct Hex3d {
-  sem::Discretization3D d{1.0, 1.0, 1.0, 2, 2, 2, 6};
-  sem::Operators3D ops{d};
+  using Disc = sem::Discretization3D;
+  static Disc box(int P) { return {2.0, 1.5, 1.0, 3, 2, 2, P}; }
+  Disc d{1.0, 1.0, 1.0, 2, 2, 2, 6};
+  sem::Operators<Disc> ops{d};
   std::vector<sem::HexFace> walls{sem::HexFace::X0, sem::HexFace::X1, sem::HexFace::Y0,
                                   sem::HexFace::Y1, sem::HexFace::Z0, sem::HexFace::Z1};
 };
 
 namespace {
 
+constexpr double kBoxMeasure = 3.0;
+using DimCases = ::testing::Types<Quad2d, Hex3d>;
+
+template <class Case>
+class OperatorsDims : public ::testing::Test {};
+TYPED_TEST_SUITE(OperatorsDims, DimCases);
+
+TYPED_TEST(OperatorsDims, MassSumsToMeasure) {
+  const auto d = TypeParam::box(5);
+  sem::Operators ops(d);
+  double sum = 0.0;
+  for (std::size_t g = 0; g < d.num_nodes(); ++g) sum += ops.mass_diag()[g];
+  EXPECT_NEAR(sum, kBoxMeasure, 1e-11);
+  EXPECT_NEAR(ops.integral(la::Vector(d.num_nodes(), 1.0)), kBoxMeasure, 1e-11);
+}
+
+TYPED_TEST(OperatorsDims, StiffnessAnnihilatesConstantsAndIsSymmetric) {
+  const auto d = TypeParam::box(3);
+  sem::Operators ops(d);
+  const std::size_t n = d.num_nodes();
+  la::Vector ones(n, 1.0), y;
+  ops.apply_stiffness(ones, y);
+  for (std::size_t g = 0; g < n; ++g) EXPECT_NEAR(y[g], 0.0, 1e-10);
+
+  la::Vector x(n), z(n), Kx, Kz;
+  for (std::size_t g = 0; g < n; ++g) {
+    x[g] = std::sin(1.0 + 2.0 * static_cast<double>(g));
+    z[g] = std::cos(0.5 * static_cast<double>(g));
+  }
+  ops.apply_stiffness(x, Kx);
+  ops.apply_stiffness(z, Kz);
+  double xKz = 0.0, zKx = 0.0;
+  for (std::size_t g = 0; g < n; ++g) {
+    xKz += x[g] * Kz[g];
+    zKx += z[g] * Kx[g];
+  }
+  EXPECT_NEAR(xKz, zKx, 1e-9 * (1.0 + std::fabs(xKz)));
+}
+
+TYPED_TEST(OperatorsDims, GradientOfLinearFieldExact) {
+  const auto d = TypeParam::box(4);
+  sem::Operators ops(d);
+  constexpr std::array<double, 3> slope{3.0, -2.0, 0.5};
+  la::Vector f(d.num_nodes());
+  for (std::size_t g = 0; g < d.num_nodes(); ++g) {
+    f[g] = 1.0;
+    for (std::size_t k = 0; k < ops.kDim; ++k) f[g] += slope[k] * d.node(g)[k];
+  }
+  typename decltype(ops)::Fields grad;
+  ops.gradient(f, grad);
+  for (std::size_t g = 0; g < d.num_nodes(); ++g)
+    for (std::size_t k = 0; k < ops.kDim; ++k) EXPECT_NEAR(grad[k][g], slope[k], 1e-10);
+}
+
+TYPED_TEST(OperatorsDims, DivergenceOfSolenoidalFieldZero) {
+  // u_k = +-x_{k+1}: no component varies along its own axis (2D: u = y,
+  // v = -x; 3D: u = y, v = -z, w = x)
+  const auto d = TypeParam::box(5);
+  sem::Operators ops(d);
+  typename decltype(ops)::Fields u;
+  for (std::size_t k = 0; k < ops.kDim; ++k) {
+    u[k].resize(d.num_nodes());
+    for (std::size_t g = 0; g < d.num_nodes(); ++g)
+      u[k][g] = (k % 2 ? -1.0 : 1.0) * d.node(g)[(k + 1) % ops.kDim];
+  }
+  la::Vector div;
+  ops.divergence(u, div);
+  for (std::size_t g = 0; g < d.num_nodes(); ++g) EXPECT_NEAR(div[g], 0.0, 1e-10);
+}
+
+template <class Case>
+class DiscDims : public ::testing::Test {};
+TYPED_TEST_SUITE(DiscDims, DimCases);
+
+TYPED_TEST(DiscDims, EvaluateRejectsNonFinitePoints) {
+  // a NaN, infinite or far-out coordinate on any axis is out of range, and
+  // must be rejected before it reaches an integer cast
+  const auto d = TypeParam::box(2);
+  const la::Vector f(d.num_nodes(), 1.0);
+  auto evaluate = [&](auto... x) { return d.evaluate(f, x...); };
+  const auto inside = d.node(d.num_nodes() / 2);
+  EXPECT_NO_THROW(sem::eval_at(evaluate, inside));
+  for (std::size_t k = 0; k < TypeParam::Disc::kDim; ++k)
+    for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL, 1e300}) {
+      auto x = inside;
+      x[k] = bad;
+      EXPECT_THROW(sem::eval_at(evaluate, x), std::out_of_range)
+          << "axis " << k << " = " << bad;
+    }
+}
+
 template <class Case>
 class HelmholtzDims : public ::testing::Test {};
-using HelmholtzCases = ::testing::Types<Quad2d, Hex3d>;
-TYPED_TEST_SUITE(HelmholtzDims, HelmholtzCases);
+TYPED_TEST_SUITE(HelmholtzDims, DimCases);
 
 TYPED_TEST(HelmholtzDims, ProjectorAcceleratesTimeSeries) {
   TypeParam c;
@@ -387,10 +436,10 @@ TEST(Ns2d, PoiseuilleSteadyState) {
   const double H = 1.0, L = 2.0, numean = 0.05, Umax = 1.0;
   auto m = mesh::QuadMesh::channel(L, H, 6, 3);
   sem::Discretization d(m, 5);
-  sem::NavierStokes<sem::Operators>::Params prm;
+  sem::NavierStokes<sem::Discretization>::Params prm;
   prm.nu = numean;
   prm.dt = 2e-3;
-  sem::NavierStokes<sem::Operators> ns(d, prm);
+  sem::NavierStokes<sem::Discretization> ns(d, prm);
   auto poiseuille = [&](double, double y, double) { return 4.0 * Umax * y * (H - y) / (H * H); };
   ns.set_velocity_bc(mesh::kInlet, poiseuille,
                      [](double, double, double) { return 0.0; });
@@ -412,11 +461,11 @@ TEST(Ns2d, TaylorGreenDecay) {
   const double nu = 0.02;
   auto m = mesh::QuadMesh::lid_cavity(4);
   sem::Discretization d(m, 6);
-  sem::NavierStokes<sem::Operators>::Params prm;
+  sem::NavierStokes<sem::Discretization>::Params prm;
   prm.nu = nu;
   prm.dt = 1e-3;
   prm.pressure_dirichlet_faces = {};  // enclosed flow: pure-Neumann pressure
-  sem::NavierStokes<sem::Operators> ns(d, prm);
+  sem::NavierStokes<sem::Discretization> ns(d, prm);
   auto F = [nu](double t) { return std::exp(-2.0 * M_PI * M_PI * nu * t); };
   auto ue = [&](double x, double y, double t) {
     return std::sin(M_PI * x) * std::cos(M_PI * y) * F(t);
@@ -446,11 +495,11 @@ TEST(Ns2d, WomersleyOscillatoryChannel) {
   const double H = 1.0, L = 1.0, nu = 0.05, A = 1.0, w = 2.0 * M_PI;
   auto m = mesh::QuadMesh::channel(L, H, 2, 6);
   sem::Discretization d(m, 6);
-  sem::NavierStokes<sem::Operators>::Params prm;
+  sem::NavierStokes<sem::Discretization>::Params prm;
   prm.nu = nu;
   prm.dt = 2.5e-3;
   prm.pressure_dirichlet_faces = {mesh::kInlet, mesh::kOutlet};
-  sem::NavierStokes<sem::Operators> ns(d, prm);
+  sem::NavierStokes<sem::Discretization> ns(d, prm);
   ns.set_natural_bc(mesh::kInlet);
   ns.set_natural_bc(mesh::kOutlet);
   ns.set_body_force([&](double, double, double t) { return A * std::cos(w * t); },
@@ -486,19 +535,18 @@ TEST(Ns2d, WomersleyOscillatoryChannel) {
 TEST(Ns2d, CavityFlowConservesMassAtWalls) {
   auto m = mesh::QuadMesh::lid_cavity(4);
   sem::Discretization d(m, 5);
-  sem::NavierStokes<sem::Operators>::Params prm;
+  sem::NavierStokes<sem::Discretization>::Params prm;
   prm.nu = 0.05;
   prm.dt = 2e-3;
   prm.pressure_dirichlet_faces = {};
-  sem::NavierStokes<sem::Operators> ns(d, prm);
+  sem::NavierStokes<sem::Discretization> ns(d, prm);
   ns.set_velocity_bc(mesh::kInlet, [](double, double, double) { return 1.0; },
                      [](double, double, double) { return 0.0; });
   for (int s = 0; s < 100; ++s) ns.step();
   // interior divergence should be small relative to the lid speed scale
   la::Vector div(d.num_nodes());
   sem::Operators ops(d);
-  la::Vector u = ns.u(), v = ns.v();
-  ops.divergence(u, v, div);
+  ops.divergence(ns.velocity(), div);
   double interior_rms = 0.0;
   std::size_t cnt = 0;
   for (std::size_t g = 0; g < d.num_nodes(); ++g) {
@@ -517,9 +565,9 @@ TEST(Ns2d, CavityFlowConservesMassAtWalls) {
 TEST(Ns2d, ExplicitBcValuesOverrideFunctions) {
   auto m = mesh::QuadMesh::channel(1.0, 1.0, 2, 2);
   sem::Discretization d(m, 3);
-  sem::NavierStokes<sem::Operators>::Params prm;
+  sem::NavierStokes<sem::Discretization>::Params prm;
   prm.dt = 1e-3;
-  sem::NavierStokes<sem::Operators> ns(d, prm);
+  sem::NavierStokes<sem::Discretization> ns(d, prm);
   const auto& inlet = d.boundary_nodes(mesh::kInlet);
   std::vector<double> uvals(inlet.size(), 0.7), vvals(inlet.size(), 0.0);
   ns.set_velocity_bc_values(mesh::kInlet, uvals, vvals);
@@ -534,7 +582,7 @@ TEST(Ns2d, ExplicitBcValuesOverrideFunctions) {
 TEST(Ns2d, StepCountsIterations) {
   auto m = mesh::QuadMesh::channel(1.0, 1.0, 2, 2);
   sem::Discretization d(m, 4);
-  sem::NavierStokes<sem::Operators> ns(d, {});
+  sem::NavierStokes<sem::Discretization> ns(d, {});
   ns.set_velocity_bc(mesh::kInlet, [](double, double, double) { return 1.0; },
                      [](double, double, double) { return 0.0; });
   ns.set_natural_bc(mesh::kOutlet);
@@ -550,12 +598,12 @@ double taylor_green_error(int time_order, double dt, int steps) {
   const double nu = 0.02;
   auto m = mesh::QuadMesh::lid_cavity(4);
   sem::Discretization d(m, 7);
-  sem::NavierStokes<sem::Operators>::Params prm;
+  sem::NavierStokes<sem::Discretization>::Params prm;
   prm.nu = nu;
   prm.dt = dt;
   prm.time_order = time_order;
   prm.pressure_dirichlet_faces = {};
-  sem::NavierStokes<sem::Operators> ns(d, prm);
+  sem::NavierStokes<sem::Discretization> ns(d, prm);
   auto F = [nu](double t) { return std::exp(-2.0 * M_PI * M_PI * nu * t); };
   auto ue = [&](double x, double y, double t) {
     return std::sin(M_PI * x) * std::cos(M_PI * y) * F(t);
@@ -605,7 +653,7 @@ template <class NS>
 struct SharedNodes;
 
 template <>
-struct SharedNodes<sem::NavierStokes<sem::Operators>> {
+struct SharedNodes<sem::NavierStokes<sem::Discretization>> {
   sem::Discretization d{mesh::QuadMesh::channel(1.0, 1.0, 2, 2), 3};
   static constexpr int lo = mesh::kWall, hi = mesh::kInlet, outflow = mesh::kOutlet;
   static auto constant(double c) {
@@ -614,7 +662,7 @@ struct SharedNodes<sem::NavierStokes<sem::Operators>> {
 };
 
 template <>
-struct SharedNodes<sem::NavierStokes<sem::Operators3D>> {
+struct SharedNodes<sem::NavierStokes<sem::Discretization3D>> {
   sem::Discretization3D d{1.0, 1.0, 1.0, 2, 2, 2, 3};
   static constexpr auto lo = sem::HexFace::X0, hi = sem::HexFace::Z1;
   static constexpr auto outflow = sem::HexFace::X1;
@@ -625,8 +673,8 @@ struct SharedNodes<sem::NavierStokes<sem::Operators3D>> {
 
 template <class NS>
 class NavierStokesDims : public ::testing::Test {};
-using Dims =
-    ::testing::Types<sem::NavierStokes<sem::Operators>, sem::NavierStokes<sem::Operators3D>>;
+using Dims = ::testing::Types<sem::NavierStokes<sem::Discretization>,
+                              sem::NavierStokes<sem::Discretization3D>>;
 TYPED_TEST_SUITE(NavierStokesDims, Dims);
 
 TYPED_TEST(NavierStokesDims, LargerBoundaryIdWinsSharedNodes) {
@@ -656,11 +704,11 @@ TYPED_TEST(NavierStokesDims, LargerBoundaryIdWinsSharedNodes) {
 TEST(Ns2d, SecondOrderStableOnChannel) {
   auto m = mesh::QuadMesh::channel(2.0, 1.0, 4, 2);
   sem::Discretization d(m, 4);
-  sem::NavierStokes<sem::Operators>::Params prm;
+  sem::NavierStokes<sem::Discretization>::Params prm;
   prm.nu = 0.05;
   prm.dt = 2e-3;
   prm.time_order = 2;
-  sem::NavierStokes<sem::Operators> ns(d, prm);
+  sem::NavierStokes<sem::Discretization> ns(d, prm);
   ns.set_velocity_bc(mesh::kInlet, [](double, double y, double) { return 4.0 * y * (1.0 - y); },
                      [](double, double, double) { return 0.0; });
   ns.set_natural_bc(mesh::kOutlet);
@@ -780,12 +828,13 @@ TEST_P(OpsEquivalence, GradientMatchesReference) {
   sem::Discretization d(m, P);
   sem::Operators ops(d);
   const auto u = wavy2d(d, 1.9, 1.2);
-  la::Vector fx, fy, rx, ry;
-  ops.gradient(u, fx, fy);
+  decltype(ops)::Fields grad;
+  la::Vector rx, ry;
+  ops.gradient(u, grad);
   sem::reference::gradient(d, u, rx, ry);
   for (std::size_t g = 0; g < rx.size(); ++g) {
-    EXPECT_NEAR(fx[g], rx[g], 1e-10 * (1.0 + std::fabs(rx[g]))) << "P=" << P;
-    EXPECT_NEAR(fy[g], ry[g], 1e-10 * (1.0 + std::fabs(ry[g])));
+    EXPECT_NEAR(grad[0][g], rx[g], 1e-10 * (1.0 + std::fabs(rx[g]))) << "P=" << P;
+    EXPECT_NEAR(grad[1][g], ry[g], 1e-10 * (1.0 + std::fabs(ry[g])));
   }
 }
 

@@ -71,7 +71,8 @@ TEST(TelemetryRegistry, PhasesNestIntoTree) {
 namespace {
 
 // The SEM phase tree docs/TELEMETRY.md documents: a Navier-Stokes step
-// nests its pressure solve as <ns>.step/<ns>.pressure/helmholtz.solve/cg.solve.
+// nests its pressure solve as <ns>.step/<ns>.pressure/helmholtz.solve/cg.solve,
+// and every dimension counts its operator sweeps under one name.
 void expect_sem_phase_path(const std::string& ns) {
   const auto root = telemetry::Registry::local().phases();
   const telemetry::PhaseNode* node = &root;
@@ -81,8 +82,10 @@ void expect_sem_phase_path(const std::string& ns) {
     ASSERT_NE(node, nullptr) << "no phase " << name << " on the " << ns << " path";
   }
   const auto counters = telemetry::Registry::local().counters();
-  ASSERT_TRUE(counters.count("helmholtz.solves")) << ns;
-  EXPECT_GT(counters.at("helmholtz.solves").value, 0.0) << ns;
+  for (const char* name : {"helmholtz.solves", "sem.apply.helmholtz"}) {
+    ASSERT_TRUE(counters.count(name)) << ns << ": no counter " << name;
+    EXPECT_GT(counters.at(name).value, 0.0) << ns << ": " << name;
+  }
 }
 
 }  // namespace
@@ -90,13 +93,13 @@ void expect_sem_phase_path(const std::string& ns) {
 TEST(TelemetryRegistry, NavierStokesStepsNestHelmholtzAndCg) {
   telemetry::Registry::reset_all();
   sem::Discretization d2(mesh::QuadMesh::channel(1.0, 1.0, 2, 2), 3);
-  sem::NavierStokes<sem::Operators> ns2(d2, {});
+  sem::NavierStokes<sem::Discretization> ns2(d2, {});
   ns2.step();
   expect_sem_phase_path("ns2d");
 
   telemetry::Registry::reset_all();
   sem::Discretization3D d3(1.0, 1.0, 1.0, 2, 2, 2, 3);
-  sem::NavierStokes<sem::Operators3D> ns3(d3, {});
+  sem::NavierStokes<sem::Discretization3D> ns3(d3, {});
   ns3.step();
   expect_sem_phase_path("ns3d");
 }

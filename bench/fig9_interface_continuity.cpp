@@ -46,7 +46,7 @@ int main() {
     for (int s = 0; s < 100; ++s) chan.step();
     const double ujump = chan.interface_jump();
     const double pjump = chan.pressure_jump();
-    const double ucl = chan.evaluate_u(3.0, 0.5);
+    const double ucl = chan.velocity_at({3.0, 0.5})[0];
     std::printf("%-10.3f %-14.5f %-14.5f %-14.4f\n", chan.time(), ujump, pjump, ucl);
     rep.row();
     rep.set("section", std::string("continuum_continuum"));
@@ -139,12 +139,14 @@ int main() {
   for (int s = 0; s < 400; ++s) sac.step();
   const double xm = 0.5 * (sac.patch_extent(1).first + sac.patch_extent(0).second);
   double cav_jump = 0.0;
-  for (double y : {1.2, 1.5, 1.8})
-    cav_jump = std::max(cav_jump, std::fabs(sac.disc(0).evaluate(sac.patch(0).u(), xm, y) -
-                                            sac.disc(1).evaluate(sac.patch(1).u(), xm, y)));
+  for (double y : {1.2, 1.5, 1.8}) {
+    const double u0 = sem::evaluate(sac.disc(0), {xm, y}, sac.patch(0).u());
+    const double u1 = sem::evaluate(sac.disc(1), {xm, y}, sac.patch(1).u());
+    cav_jump = std::max(cav_jump, std::fabs(u0 - u1));
+  }
   const double sac_iface_jump = sac.interface_jump();
-  const double sac_u = sac.evaluate_u(4.0, 1.6);
-  const double chan_u = sac.evaluate_u(4.0, 0.5);
+  const double sac_u = sac.velocity_at({4.0, 1.6})[0];
+  const double chan_u = sac.velocity_at({4.0, 0.5})[0];
   std::printf("  channel-interface jump %.5f; in-sac jump %.5f; sac u %.4f vs channel u %.4f\n",
               sac_iface_jump, cav_jump, sac_u, chan_u);
   rep.row();

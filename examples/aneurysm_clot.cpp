@@ -43,7 +43,7 @@ int main() {
   for (int s = 0; s < 200; ++s) ns.step();
   // flow inside the sac is slow compared to the channel: the clot condition
   std::printf("  channel centerline u = %.3f, sac u = %.3f (stagnant: clotting risk)\n\n",
-              d.evaluate(ns.u(), 4.0, 0.5), d.evaluate(ns.u(), 4.0, 1.5));
+              sem::evaluate(d, {4.0, 0.5}, ns.u()), sem::evaluate(d, {4.0, 1.5}, ns.u()));
 
   // atomistic: DPD domain covering the sac region
   dpd::DpdParams dp;

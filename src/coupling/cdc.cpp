@@ -61,21 +61,21 @@ dpd::Vec3 BasicContinuumDpdCoupler<NS>::continuum_velocity_at(const dpd::Vec3& p
   // clamp into the NS domain to be robust at the region edges
   const auto& d = ns_->disc();
   const double eps = 1e-9;
-  auto scaled = [this](double v) { return scales_.velocity_ns_to_dpd(v); };
   if constexpr (NS::kDim == 3) {
     x[0] = std::clamp(x[0], eps, d.Lx() - eps);
     x[1] = std::clamp(x[1], eps, d.Ly() - eps);
     x[2] = std::clamp(x[2], eps, d.Lz() - eps);
-    return {scaled(d.evaluate(ns_->u(), x[0], x[1], x[2])),
-            scaled(d.evaluate(ns_->v(), x[0], x[1], x[2])),
-            scaled(d.evaluate(ns_->w(), x[0], x[1], x[2]))};
   } else {
     const auto& mesh = d.mesh();
     x[0] = std::clamp(x[0], mesh.x0() + eps, mesh.x0() + mesh.dx() * mesh.grid_nx() - eps);
     x[1] = std::clamp(x[1], mesh.y0() + eps, mesh.y0() + mesh.dy() * mesh.grid_ny() - eps);
-    return {scaled(d.evaluate(ns_->u(), x[0], x[1])), 0.0,
-            scaled(d.evaluate(ns_->v(), x[0], x[1]))};
   }
+  auto u = sem::evaluate(d, x, ns_->velocity());
+  for (double& c : u) c = scales_.velocity_ns_to_dpd(c);
+  if constexpr (NS::kDim == 3)
+    return {u[0], u[1], u[2]};
+  else
+    return {u[0], 0.0, u[1]};
 }
 
 template <class NS>

@@ -84,13 +84,9 @@ std::pair<double, double> MultiPatchChannel::patch_extent(int k) const {
   return {static_cast<double>(b) * dx_, static_cast<double>(e) * dx_};
 }
 
-double MultiPatchChannel::eval_patch_u(int k, double x, double y) const {
-  return discs_[static_cast<std::size_t>(k)]->evaluate(
-      solvers_[static_cast<std::size_t>(k)]->u(), x, y);
-}
-double MultiPatchChannel::eval_patch_v(int k, double x, double y) const {
-  return discs_[static_cast<std::size_t>(k)]->evaluate(
-      solvers_[static_cast<std::size_t>(k)]->v(), x, y);
+std::array<double, 2> MultiPatchChannel::eval_patch(int k, const std::array<double, 2>& x) const {
+  return sem::evaluate(*discs_[static_cast<std::size_t>(k)], x,
+                       solvers_[static_cast<std::size_t>(k)]->velocity());
 }
 
 void MultiPatchChannel::step() {
@@ -102,27 +98,19 @@ void MultiPatchChannel::step() {
   for (int k = 0; k < num_patches(); ++k) {
     auto& disc = *discs_[static_cast<std::size_t>(k)];
     auto& ns = *solvers_[static_cast<std::size_t>(k)];
-    if (k > 0) {
-      // west artificial boundary: values from the left neighbour's interior
-      const auto& nodes = disc.boundary_nodes(kIfaceWest);
+    // an artificial boundary takes its values from the neighbour's interior
+    auto refresh = [&](int tag, int from) {
+      const auto& nodes = disc.boundary_nodes(tag);
       std::vector<double> uu(nodes.size()), vv(nodes.size());
       for (std::size_t i = 0; i < nodes.size(); ++i) {
-        const double x = disc.node_x(nodes[i]), y = disc.node_y(nodes[i]);
-        uu[i] = eval_patch_u(k - 1, x, y);
-        vv[i] = eval_patch_v(k - 1, x, y);
+        const auto [u, v] = eval_patch(from, disc.node(nodes[i]));
+        uu[i] = u;
+        vv[i] = v;
       }
-      ns.set_velocity_bc_values(kIfaceWest, std::move(uu), std::move(vv));
-    }
-    if (k + 1 < num_patches()) {
-      const auto& nodes = disc.boundary_nodes(kIfaceEast);
-      std::vector<double> uu(nodes.size()), vv(nodes.size());
-      for (std::size_t i = 0; i < nodes.size(); ++i) {
-        const double x = disc.node_x(nodes[i]), y = disc.node_y(nodes[i]);
-        uu[i] = eval_patch_u(k + 1, x, y);
-        vv[i] = eval_patch_v(k + 1, x, y);
-      }
-      ns.set_velocity_bc_values(kIfaceEast, std::move(uu), std::move(vv));
-    }
+      ns.set_velocity_bc_values(tag, std::move(uu), std::move(vv));
+    };
+    if (k > 0) refresh(kIfaceWest, k - 1);
+    if (k + 1 < num_patches()) refresh(kIfaceEast, k + 1);
   }
   sub.emplace("multipatch.solve");
   for (auto& s : solvers_) s->step();
@@ -137,8 +125,9 @@ double MultiPatchChannel::interface_jump(int samples) const {
     const double xm = 0.5 * (x_l + x_r);
     for (int s = 0; s < samples; ++s) {
       const double y = prm_.H * (static_cast<double>(s) + 0.5) / samples;
-      jump = std::max(jump, std::fabs(eval_patch_u(k, xm, y) - eval_patch_u(k + 1, xm, y)));
-      jump = std::max(jump, std::fabs(eval_patch_v(k, xm, y) - eval_patch_v(k + 1, xm, y)));
+      const auto l = eval_patch(k, {xm, y}), r = eval_patch(k + 1, {xm, y});
+      jump = std::max(jump, std::fabs(l[0] - r[0]));
+      jump = std::max(jump, std::fabs(l[1] - r[1]));
     }
   }
   return jump;
@@ -157,7 +146,8 @@ double MultiPatchChannel::pressure_jump(int samples) const {
     std::vector<double> dp(static_cast<std::size_t>(samples));
     for (int s = 0; s < samples; ++s) {
       const double y = prm_.H * (static_cast<double>(s) + 0.5) / samples;
-      dp[static_cast<std::size_t>(s)] = dl.evaluate(pl, xm, y) - dr.evaluate(pr, xm, y);
+      dp[static_cast<std::size_t>(s)] =
+          sem::evaluate(dl, {xm, y}, pl) - sem::evaluate(dr, {xm, y}, pr);
       shift += dp[static_cast<std::size_t>(s)];
     }
     shift /= samples;
@@ -182,11 +172,8 @@ int MultiPatchChannel::owner_patch(double x) const {
   throw std::out_of_range("MultiPatchChannel: x outside domain");
 }
 
-double MultiPatchChannel::evaluate_u(double x, double y) const {
-  return eval_patch_u(owner_patch(x), x, y);
-}
-double MultiPatchChannel::evaluate_v(double x, double y) const {
-  return eval_patch_v(owner_patch(x), x, y);
+std::array<double, 2> MultiPatchChannel::velocity_at(const std::array<double, 2>& x) const {
+  return eval_patch(owner_patch(x[0]), x);
 }
 
 }  // namespace coupling

@@ -8,6 +8,7 @@
 // scalability (Tables 3-4) — while the overlap restores continuity of the
 // global solution.
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -65,17 +66,16 @@ public:
   /// pressure, so only the gauge-free part is comparable — Fig. 9 contours).
   double pressure_jump(int samples = 7) const;
 
-  /// Evaluate the composite solution at (x, y): uses the patch whose
-  /// interior (away from artificial boundaries) contains the point.
-  double evaluate_u(double x, double y) const;
-  double evaluate_v(double x, double y) const;
+  /// (u, v) of the composite solution at x, from the patch whose interior
+  /// (away from artificial boundaries) contains the point.
+  std::array<double, 2> velocity_at(const std::array<double, 2>& x) const;
 
   /// x-extents [lo, hi] of patch k.
   std::pair<double, double> patch_extent(int k) const;
 
 private:
-  double eval_patch_u(int k, double x, double y) const;
-  double eval_patch_v(int k, double x, double y) const;
+  /// (u, v) of patch k at x.
+  std::array<double, 2> eval_patch(int k, const std::array<double, 2>& x) const;
   int owner_patch(double x) const;
 
   MultiPatchParams prm_;

@@ -50,7 +50,7 @@ double PatchToNetwork1D::outlet_flux() const {
   double q = 0.0;
   for (int k = 0; k < n; ++k) {
     const double y = H * (static_cast<double>(k) + 0.5) / n;
-    q += disc.evaluate(ns_->u(), x_out, y) * (H / n);
+    q += sem::evaluate(disc, {x_out, y}, ns_->u()) * (H / n);
   }
   return q;
 }

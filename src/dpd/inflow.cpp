@@ -1,8 +1,10 @@
 #include "dpd/inflow.hpp"
 
 #include "resilience/blob.hpp"
+#include "telemetry/registry.hpp"
 
 #include <cmath>
+#include <optional>
 
 namespace dpd {
 
@@ -16,12 +18,15 @@ FlowBc::FlowBc(FlowBcParams p) : prm_(std::move(p)), rng_(prm_.seed) {
 }
 
 void FlowBc::apply(DpdSystem& sys) {
+  telemetry::ScopedPhase phase("flowbc.apply");
+  std::optional<telemetry::ScopedPhase> sub;
   const auto& box = sys.params().box;
   const double L = axis_of(box, prm_.axis);
   auto& pos = sys.positions();
   auto& vel = sys.velocities();
 
   // 1) delete escapees (both faces: inflow insertion replenishes)
+  sub.emplace("flowbc.delete");
   std::vector<std::size_t> dead;
   for (std::size_t i = 0; i < sys.size(); ++i) {
     const double c = axis_of(pos[i], prm_.axis);
@@ -31,6 +36,7 @@ void FlowBc::apply(DpdSystem& sys) {
   sys.remove_particles(std::move(dead));
 
   // 2) relax buffer velocities towards the imposed profile
+  sub.emplace("flowbc.relax");
   std::size_t in_buffer = 0;
   for (std::size_t i = 0; i < sys.size(); ++i) {
     if (sys.frozen()[i]) continue;
@@ -43,6 +49,7 @@ void FlowBc::apply(DpdSystem& sys) {
 
   // 3) insert to hold the buffer at the target density (counts only the
   //    fluid volume: rejection-sample positions against the wall geometry)
+  sub.emplace("flowbc.insert");
   const double area_like = (prm_.axis == 0   ? box.y * box.z
                             : prm_.axis == 1 ? box.x * box.z
                                              : box.x * box.y);

@@ -421,12 +421,12 @@ std::size_t Runner::exchanges() const {
 
 double Runner::eval_u(double x, double y) const {
   const auto& c = std::get<Continuum2D>(continuum_);
-  return c.disc->evaluate(c.ns->u(), x, y);
+  return sem::evaluate(*c.disc, {x, y}, c.ns->u());
 }
 
 double Runner::eval_u(double x, double y, double z) const {
   const auto& c = std::get<Continuum3D>(continuum_);
-  return c.disc->evaluate(c.ns->u(), x, y, z);
+  return sem::evaluate(*c.disc, {x, y, z}, c.ns->u());
 }
 
 }  // namespace scenario

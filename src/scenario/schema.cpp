@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "sem/evaluate.hpp"
+
 namespace scenario {
 
 namespace {
@@ -626,16 +628,19 @@ void validate_scenario(const Scenario& sc) {
   check(sc.time.develop_steps >= 0, "$.time.develop_steps", "must be >= 0");
   check(sc.time.develop_tol >= 0.0, "$.time.develop_tol", "must be >= 0");
   if (sc.kind == "cdc" || sc.kind == "cdc3d") {
+    const std::string max_order = "must be <= " + std::to_string(sem::kMaxOrder);
     if (sc.kind == "cdc") {
       check(sc.mesh.length > 0 && sc.mesh.height > 0, "$.mesh", "non-positive extent");
       check(sc.mesh.nx > 0 && sc.mesh.ny > 0, "$.mesh", "non-positive element count");
       check(sc.mesh.order >= 1, "$.mesh.order", "must be >= 1");
+      check(sc.mesh.order <= sem::kMaxOrder, "$.mesh.order", max_order);
     } else {
       check(sc.mesh3d.lx > 0 && sc.mesh3d.ly > 0 && sc.mesh3d.lz > 0, "$.mesh3d",
             "non-positive extent");
       check(sc.mesh3d.nx > 0 && sc.mesh3d.ny > 0 && sc.mesh3d.nz > 0, "$.mesh3d",
             "non-positive element count");
       check(sc.mesh3d.order >= 1, "$.mesh3d.order", "must be >= 1");
+      check(sc.mesh3d.order <= sem::kMaxOrder, "$.mesh3d.order", max_order);
     }
     check(sc.sem.nu > 0, "$.sem.nu", "must be > 0");
     check(sc.sem.dt > 0, "$.sem.dt", "must be > 0");

@@ -9,7 +9,8 @@ namespace sem {
 
 Discretization::Discretization(const mesh::QuadMesh& mesh, int order)
     : mesh_(mesh), P_(order), rule_(gll_rule(order)), D_(gll_diff_matrix(rule_)) {
-  if (order < 1) throw std::invalid_argument("Discretization: order must be >= 1");
+  if (order < 1 || order > kMaxOrder)
+    throw std::invalid_argument("Discretization: order must be in [1, sem::kMaxOrder]");
   const std::size_t npe = nodes_per_element();
   elem_map_.assign(mesh_.num_cells() * npe, 0);
 
@@ -73,44 +74,27 @@ std::vector<int> Discretization::boundary_tags() const {
   return tags;
 }
 
-long Discretization::locate(double x, double y) const {
-  const double fx = (x - mesh_.x0()) / mesh_.dx();
-  const double fy = (y - mesh_.y0()) / mesh_.dy();
+std::optional<ElementPoint<2>> Discretization::locate(const std::array<double, 2>& x) const {
+  const double fx = (x[0] - mesh_.x0()) / mesh_.dx();
+  const double fy = (x[1] - mesh_.y0()) / mesh_.dy();
   // NaN, infinite and far-out points would overflow the integer cast below
   // (NaN fails every comparison, so it lands here too)
   const auto nx = static_cast<double>(mesh_.grid_nx());
   const auto ny = static_cast<double>(mesh_.grid_ny());
-  if (!(fx > -1.0 && fx < nx + 1.0 && fy > -1.0 && fy < ny + 1.0)) return -1;
+  if (!(fx > -1.0 && fx < nx + 1.0 && fy > -1.0 && fy < ny + 1.0)) return std::nullopt;
   long i = static_cast<long>(std::floor(fx));
   long j = static_cast<long>(std::floor(fy));
-  // points exactly on the far boundary belong to the last cell
   if (i == static_cast<long>(mesh_.grid_nx()) && std::fabs(fx - i) < 1e-12) --i;
   if (j == static_cast<long>(mesh_.grid_ny()) && std::fabs(fy - j) < 1e-12) --j;
   if (i < 0 || j < 0 || i >= static_cast<long>(mesh_.grid_nx()) ||
       j >= static_cast<long>(mesh_.grid_ny()))
-    return -1;
-  if (!mesh_.is_active(static_cast<std::size_t>(i), static_cast<std::size_t>(j))) return -1;
-  return static_cast<long>(mesh_.cell_index(static_cast<std::size_t>(i),
-                                            static_cast<std::size_t>(j)));
-}
-
-double Discretization::evaluate(const la::Vector& field, double x, double y) const {
-  const long e = locate(x, y);
-  if (e < 0) throw std::out_of_range("Discretization::evaluate: point outside domain");
-  const auto [ox, oy] = mesh_.cell_origin(static_cast<std::size_t>(e));
-  const double xi = 2.0 * (x - ox) / mesh_.dx() - 1.0;
-  const double eta = 2.0 * (y - oy) / mesh_.dy() - 1.0;
-  const la::Vector lx = lagrange_basis_at(rule_, std::clamp(xi, -1.0, 1.0));
-  const la::Vector ly = lagrange_basis_at(rule_, std::clamp(eta, -1.0, 1.0));
-  double s = 0.0;
-  for (int b = 0; b <= P_; ++b) {
-    double row = 0.0;
-    for (int a = 0; a <= P_; ++a)
-      row += lx[static_cast<std::size_t>(a)] *
-             field[global_node(static_cast<std::size_t>(e), a, b)];
-    s += ly[static_cast<std::size_t>(b)] * row;
-  }
-  return s;
+    return std::nullopt;
+  const auto ci = static_cast<std::size_t>(i), cj = static_cast<std::size_t>(j);
+  if (!mesh_.is_active(ci, cj)) return std::nullopt;
+  const std::size_t e = mesh_.cell_index(ci, cj);
+  const auto [ox, oy] = mesh_.cell_origin(e);
+  return ElementPoint<2>{e, {std::clamp(2.0 * (x[0] - ox) / mesh_.dx() - 1.0, -1.0, 1.0),
+                             std::clamp(2.0 * (x[1] - oy) / mesh_.dy() - 1.0, -1.0, 1.0)}};
 }
 
 void Discretization::gather(const la::Vector& field, std::size_t e, double* local) const {

@@ -1,19 +1,20 @@
 #pragma once
 // Continuous-Galerkin spectral-element discretization over a (possibly
 // masked) structured QuadMesh: global GLL node numbering, element gather /
-// scatter maps, node coordinates, boundary-node sets per tag, and point
-// evaluation of fields (used to interpolate velocity onto coupling
-// interfaces, paper Sec. 3.3).
+// scatter maps, node coordinates, boundary-node sets per tag, and the point
+// location behind sem::evaluate (sem/evaluate.hpp).
 
 #include <array>
 #include <cstddef>
 #include <functional>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "la/dense.hpp"
 #include "la/vector.hpp"
 #include "mesh/quadmesh.hpp"
+#include "sem/evaluate.hpp"
 #include "sem/gll.hpp"
 
 namespace sem {
@@ -29,6 +30,7 @@ public:
   template <class... Extra>
   using PointFn = std::function<double(double x, double y, Extra...)>;
 
+  /// Throws std::invalid_argument unless 1 <= order <= kMaxOrder.
   Discretization(const mesh::QuadMesh& mesh, int order);
 
   const mesh::QuadMesh& mesh() const { return mesh_; }
@@ -69,12 +71,10 @@ public:
   /// All tags present on the boundary.
   std::vector<int> boundary_tags() const;
 
-  /// Element containing (x, y), or -1 if outside the mesh/mask or not finite.
-  long locate(double x, double y) const;
-
-  /// Evaluate a field at (x, y) by tensor-product Lagrange interpolation in
-  /// the containing element. Throws if (x, y) is outside the domain.
-  double evaluate(const la::Vector& field, double x, double y) const;
+  /// Element containing x and x's reference coordinates in it, or nullopt
+  /// outside the mesh/mask or at a non-finite x. The far boundary belongs
+  /// to the last cell.
+  std::optional<ElementPoint<kDim>> locate(const std::array<double, kDim>& x) const;
 
   /// Interpolate a field onto each element's GLL grid (gather): out has
   /// nodes_per_element() entries, (b*(P+1)+a) layout.

@@ -57,6 +57,14 @@ GllRule gll_rule(int P) {
     const double L = legendre(P, r.nodes[i]);
     r.weights[i] = 2.0 / (P * (P + 1.0) * L * L);
   }
+
+  r.bary.resize(n);
+  for (int k = 0; k < n; ++k) {
+    double prod = 1.0;
+    for (int m = 0; m < n; ++m)
+      if (m != k) prod *= (r.nodes[k] - r.nodes[m]);
+    r.bary[k] = 1.0 / prod;
+  }
   return r;
 }
 
@@ -78,37 +86,19 @@ la::DenseMatrix gll_diff_matrix(const GllRule& rule) {
   return D;
 }
 
-la::Vector lagrange_basis_at(const GllRule& rule, double x) {
+void lagrange_basis_at(const GllRule& rule, double x, double* out) {
   const std::size_t n = rule.nodes.size();
-  la::Vector v(n);
   // If x coincides with a node, the basis is a Kronecker delta.
   for (std::size_t k = 0; k < n; ++k) {
     if (std::fabs(x - rule.nodes[k]) < 1e-14) {
-      v[k] = 1.0;
-      return v;
+      for (std::size_t m = 0; m < n; ++m) out[m] = m == k ? 1.0 : 0.0;
+      return;
     }
   }
-  // Barycentric form with GLL weights w_k ~ (-1)^k delta_k.
-  la::Vector bw(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    double prod = 1.0;
-    for (std::size_t m = 0; m < n; ++m)
-      if (m != k) prod *= (rule.nodes[k] - rule.nodes[m]);
-    bw[k] = 1.0 / prod;
-  }
+  const double* bw = rule.bary.data();
   double denom = 0.0;
   for (std::size_t k = 0; k < n; ++k) denom += bw[k] / (x - rule.nodes[k]);
-  for (std::size_t k = 0; k < n; ++k) v[k] = (bw[k] / (x - rule.nodes[k])) / denom;
-  return v;
-}
-
-la::DenseMatrix interpolation_matrix(const GllRule& rule, const la::Vector& targets) {
-  la::DenseMatrix I(targets.size(), rule.nodes.size());
-  for (std::size_t t = 0; t < targets.size(); ++t) {
-    const auto row = lagrange_basis_at(rule, targets[t]);
-    for (std::size_t k = 0; k < row.size(); ++k) I(t, k) = row[k];
-  }
-  return I;
+  for (std::size_t k = 0; k < n; ++k) out[k] = (bw[k] / (x - rule.nodes[k])) / denom;
 }
 
 }  // namespace sem

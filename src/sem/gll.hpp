@@ -20,6 +20,7 @@ double legendre_deriv(int n, double x);
 struct GllRule {
   la::Vector nodes;    ///< size P+1, ascending, nodes[0] = -1, nodes[P] = 1
   la::Vector weights;  ///< size P+1
+  la::Vector bary;     ///< barycentric weights 1 / prod_{m != k} (nodes[k] - nodes[m])
 };
 GllRule gll_rule(int P);
 
@@ -28,10 +29,7 @@ GllRule gll_rule(int P);
 la::DenseMatrix gll_diff_matrix(const GllRule& rule);
 
 /// Values of the P+1 Lagrange cardinal polynomials (through the GLL nodes)
-/// at point x in [-1, 1]; row k of the result interpolates node k.
-la::Vector lagrange_basis_at(const GllRule& rule, double x);
-
-/// Interpolation matrix from GLL nodes to an arbitrary set of target points.
-la::DenseMatrix interpolation_matrix(const GllRule& rule, const la::Vector& targets);
+/// at point x in [-1, 1], written to out[0..P]; out[k] interpolates node k.
+void lagrange_basis_at(const GllRule& rule, double x, double* out);
 
 }  // namespace sem

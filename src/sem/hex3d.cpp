@@ -10,7 +10,8 @@ Discretization3D::Discretization3D(double Lx, double Ly, double Lz, std::size_t 
                                    std::size_t ny, std::size_t nz, int order)
     : Lx_(Lx), Ly_(Ly), Lz_(Lz), nx_(nx), ny_(ny), nz_(nz), P_(order),
       rule_(gll_rule(order)), D_(gll_diff_matrix(rule_)) {
-  if (nx == 0 || ny == 0 || nz == 0 || Lx <= 0 || Ly <= 0 || Lz <= 0 || order < 1)
+  if (nx == 0 || ny == 0 || nz == 0 || Lx <= 0 || Ly <= 0 || Lz <= 0 || order < 1 ||
+      order > kMaxOrder)
     throw std::invalid_argument("Discretization3D: bad arguments");
   const auto P = static_cast<std::size_t>(order);
   lat_nx_ = nx * P + 1;
@@ -80,38 +81,20 @@ double Discretization3D::node_z(std::size_t g) const {
   return lattice_coord(g / (lat_nx_ * lat_ny_), P_, dz(), rule_, nz_);
 }
 
-double Discretization3D::evaluate(const la::Vector& field, double x, double y, double z) const {
-  auto clamp_elem = [](double v, double h, std::size_t n) {
-    auto e = static_cast<long>(std::floor(v / h));
-    return static_cast<std::size_t>(std::clamp<long>(e, 0, static_cast<long>(n) - 1));
-  };
-  // written as "inside" so that NaN (false in every comparison) is rejected
-  // before the integer cast in clamp_elem
-  auto inside = [](double v, double L) { return v >= -1e-12 && v <= L + 1e-12; };
-  if (!inside(x, Lx_) || !inside(y, Ly_) || !inside(z, Lz_))
-    throw std::out_of_range("Discretization3D::evaluate: point outside box");
-  const std::size_t i = clamp_elem(x, dx(), nx_);
-  const std::size_t j = clamp_elem(y, dy(), ny_);
-  const std::size_t k = clamp_elem(z, dz(), nz_);
-  const std::size_t e = (k * ny_ + j) * nx_ + i;
-  auto ref = [](double v, double h, std::size_t idx) {
-    return std::clamp(2.0 * (v - static_cast<double>(idx) * h) / h - 1.0, -1.0, 1.0);
-  };
-  const la::Vector lx = lagrange_basis_at(rule_, ref(x, dx(), i));
-  const la::Vector ly = lagrange_basis_at(rule_, ref(y, dy(), j));
-  const la::Vector lz = lagrange_basis_at(rule_, ref(z, dz(), k));
-  double s = 0.0;
-  for (int c = 0; c <= P_; ++c) {
-    double sc = 0.0;
-    for (int b = 0; b <= P_; ++b) {
-      double sb = 0.0;
-      for (int a = 0; a <= P_; ++a)
-        sb += lx[static_cast<std::size_t>(a)] * field[global_node(e, a, b, c)];
-      sc += ly[static_cast<std::size_t>(b)] * sb;
-    }
-    s += lz[static_cast<std::size_t>(c)] * sc;
+std::optional<ElementPoint<3>> Discretization3D::locate(const std::array<double, 3>& x) const {
+  const std::array<double, 3> L{Lx_, Ly_, Lz_}, h = element_size();
+  const std::array<std::size_t, 3> n{nx_, ny_, nz_};
+  ElementPoint<3> p;
+  for (std::size_t k = 3; k-- > 0;) {  // z first: element = (k * ny + j) * nx + i
+    // written as "inside" so that NaN (false in every comparison) is
+    // rejected before the integer cast
+    if (!(x[k] >= -1e-12 && x[k] <= L[k] + 1e-12)) return std::nullopt;
+    const auto e = static_cast<long>(std::floor(x[k] / h[k]));
+    const auto i = static_cast<std::size_t>(std::clamp<long>(e, 0, static_cast<long>(n[k]) - 1));
+    p.element = p.element * n[k] + i;
+    p.xi[k] = std::clamp(2.0 * (x[k] - static_cast<double>(i) * h[k]) / h[k] - 1.0, -1.0, 1.0);
   }
-  return s;
+  return p;
 }
 
 void Discretization3D::gather(const la::Vector& field, std::size_t e, double* local) const {

@@ -3,20 +3,22 @@
 // hexahedral meshes: the dimensionality NEKTAR-3D actually runs at. It is
 // the 3D counterpart of Discretization (discretization.hpp), with the same
 // interface: global GLL node numbering, gather/scatter tables, node
-// coordinates, boundary-node sets (per box face) and point evaluation. The
-// operators, Helmholtz solver and Navier-Stokes stepper on top are the
-// templates sem::Operators<Discretization3D>, HelmholtzSolver<...> and
-// NavierStokes<...>; per-element operator cost is O(P^4) via sum
-// factorisation, the same kernel structure whose SIMDization Table 1
-// measures.
+// coordinates, boundary-node sets (per box face) and the point location
+// behind sem::evaluate. The operators, Helmholtz solver and Navier-Stokes
+// stepper on top are the templates sem::Operators<Discretization3D>,
+// HelmholtzSolver<...> and NavierStokes<...>; per-element operator cost is
+// O(P^4) via sum factorisation, the same kernel structure whose SIMDization
+// Table 1 measures.
 
 #include <array>
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "la/dense.hpp"
 #include "la/vector.hpp"
+#include "sem/evaluate.hpp"
 #include "sem/gll.hpp"
 
 namespace sem {
@@ -35,6 +37,7 @@ public:
   template <class... Extra>
   using PointFn = std::function<double(double x, double y, double z, Extra...)>;
 
+  /// Throws std::invalid_argument for an empty box or grid, or order outside [1, kMaxOrder].
   Discretization3D(double Lx, double Ly, double Lz, std::size_t nx, std::size_t ny,
                    std::size_t nz, int order);
 
@@ -93,9 +96,10 @@ public:
     return {HexFace::X0, HexFace::X1, HexFace::Y0, HexFace::Y1, HexFace::Z0, HexFace::Z1};
   }
 
-  /// Tensor-product Lagrange evaluation of a nodal field at (x, y, z).
-  /// Throws std::out_of_range outside the box or at a non-finite point.
-  double evaluate(const la::Vector& field, double x, double y, double z) const;
+  /// Element containing x and x's reference coordinates in it, or nullopt
+  /// if x is more than 1e-12 outside the box or not finite. Points within
+  /// that margin outside go to the nearest boundary element.
+  std::optional<ElementPoint<kDim>> locate(const std::array<double, kDim>& x) const;
 
   void gather(const la::Vector& field, std::size_t e, double* local) const;
   void scatter_add(const double* local, std::size_t e, la::Vector& field) const;

@@ -259,8 +259,9 @@ TEST(MultiPatch, PoiseuilleAcrossThreePatches) {
   for (int s = 0; s < 500; ++s) chan.step();
   // the parabolic profile survives through all three patches
   for (double x : {1.0, 3.0, 5.0}) {
-    EXPECT_NEAR(chan.evaluate_u(x, 0.5), Umax, 0.05) << "x=" << x;
-    EXPECT_NEAR(chan.evaluate_v(x, 0.5), 0.0, 0.03);
+    const auto [u, v] = chan.velocity_at({x, 0.5});
+    EXPECT_NEAR(u, Umax, 0.05) << "x=" << x;
+    EXPECT_NEAR(v, 0.0, 0.03);
   }
   // velocity is continuous across the artificial interfaces (Fig. 9)
   EXPECT_LT(chan.interface_jump(), 0.02 * Umax);
@@ -332,7 +333,7 @@ TEST(Cdc, ScheduleCountsAndScaledVelocity) {
 
   // centerline: u_ns ~ 1 -> imposed DPD speed ~ 50... scale check first:
   const auto v_mid = cdc.continuum_velocity_at({8.0, 3.0, 5.0});
-  const double u_ns_mid = d.evaluate(ns.u(), 2.0, 0.5);
+  const double u_ns_mid = sem::evaluate(d, {2.0, 0.5}, ns.u());
   EXPECT_NEAR(v_mid.x, scales.velocity_ns_to_dpd(u_ns_mid), 1e-9);
 
   std::size_t dpd_steps = 0;
@@ -520,12 +521,12 @@ TEST(MultiPatch, InterfaceThroughAneurysmCavity) {
   // midline at cavity heights
   const double xm = 0.5 * (chan.patch_extent(1).first + chan.patch_extent(0).second);
   for (double y : {1.2, 1.5, 1.8}) {
-    const double u0 = chan.disc(0).evaluate(chan.patch(0).u(), xm, y);
-    const double u1 = chan.disc(1).evaluate(chan.patch(1).u(), xm, y);
+    const double u0 = sem::evaluate(chan.disc(0), {xm, y}, chan.patch(0).u());
+    const double u1 = sem::evaluate(chan.disc(1), {xm, y}, chan.patch(1).u());
     EXPECT_NEAR(u0, u1, 0.03) << "y=" << y;
   }
   // the sac flow is slow compared to the channel (clotting condition)
-  EXPECT_LT(std::fabs(chan.evaluate_u(4.0, 1.6)), 0.5 * chan.evaluate_u(4.0, 0.5));
+  EXPECT_LT(std::fabs(chan.velocity_at({4.0, 1.6})[0]), 0.5 * chan.velocity_at({4.0, 0.5})[0]);
 }
 
 TEST(MultiPatch, FourPatchesAsInPaper) {
@@ -548,7 +549,7 @@ TEST(MultiPatch, FourPatchesAsInPaper) {
   EXPECT_EQ(chan.num_patches(), 4);
   EXPECT_LT(chan.interface_jump(), 0.05);
   // flux is transported through all four patches
-  EXPECT_GT(chan.evaluate_u(7.5, 0.5), 0.5);
+  EXPECT_GT(chan.velocity_at({7.5, 0.5})[0], 0.5);
 }
 
 }  // namespace
@@ -599,7 +600,8 @@ TEST(Cdc3d, FullyThreeDimensionalCoupling) {
 
   // scale check against the 3D field
   const auto vmid = cdc.continuum_velocity_at({8.0, 3.0, 5.0});
-  EXPECT_NEAR(vmid.x, scales.velocity_ns_to_dpd(d.evaluate(ns.u(), 2.0, 0.5, 0.5)), 1e-9);
+  EXPECT_NEAR(vmid.x, scales.velocity_ns_to_dpd(sem::evaluate(d, {2.0, 0.5, 0.5}, ns.u())),
+              1e-9);
   EXPECT_NEAR(vmid.z, 0.0, 0.5);
 
   dpd::SamplerParams sp;

@@ -59,7 +59,7 @@ TEST(Net1dToPatch, VesselFlowDrivesPatchInlet) {
   // 1D side is (near) steady at Q0; patch inlet profile carries that flux
   EXPECT_NEAR(link.last_q2d(), Q0, 0.15 * Q0);
   // and the inlet centerline velocity matches the parabola 6Q/H^3 y(H-y)
-  EXPECT_NEAR(d.evaluate(ns.u(), 1e-9, 0.5), 6.0 * link.last_q2d() * 0.25, 0.05);
+  EXPECT_NEAR(sem::evaluate(d, {1e-9, 0.5}, ns.u()), 6.0 * link.last_q2d() * 0.25, 0.05);
 }
 
 TEST(PatchToNet1d, PatchOutletFeedsPeripheralBed) {

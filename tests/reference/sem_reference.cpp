@@ -1,5 +1,8 @@
 #include "reference/sem_reference.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "la/dense.hpp"
@@ -155,6 +158,50 @@ void helmholtz_sweep(const Disc& d, double lambda, double nu, const la::Vector& 
   for (std::size_t g = 0; g < u.size(); ++g) y[g] += lambda * M[g] * u[g];
 }
 
+// Values of the Lagrange cardinal polynomials through the GLL nodes at x.
+la::Vector lagrange_basis_at(const GllRule& rule, double x) {
+  const std::size_t n = rule.nodes.size();
+  la::Vector v(n);
+  // If x coincides with a node, the basis is a Kronecker delta.
+  for (std::size_t k = 0; k < n; ++k) {
+    if (std::fabs(x - rule.nodes[k]) < 1e-14) {
+      v[k] = 1.0;
+      return v;
+    }
+  }
+  la::Vector bw(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    double prod = 1.0;
+    for (std::size_t m = 0; m < n; ++m)
+      if (m != k) prod *= (rule.nodes[k] - rule.nodes[m]);
+    bw[k] = 1.0 / prod;
+  }
+  double denom = 0.0;
+  for (std::size_t k = 0; k < n; ++k) denom += bw[k] / (x - rule.nodes[k]);
+  for (std::size_t k = 0; k < n; ++k) v[k] = (bw[k] / (x - rule.nodes[k])) / denom;
+  return v;
+}
+
+// Cell containing (x, y), or -1 outside the mesh/mask or at a non-finite
+// point; a point on the far boundary belongs to the last cell.
+long locate(const mesh::QuadMesh& mesh, double x, double y) {
+  const double fx = (x - mesh.x0()) / mesh.dx();
+  const double fy = (y - mesh.y0()) / mesh.dy();
+  const auto nx = static_cast<double>(mesh.grid_nx());
+  const auto ny = static_cast<double>(mesh.grid_ny());
+  if (!(fx > -1.0 && fx < nx + 1.0 && fy > -1.0 && fy < ny + 1.0)) return -1;
+  long i = static_cast<long>(std::floor(fx));
+  long j = static_cast<long>(std::floor(fy));
+  if (i == static_cast<long>(mesh.grid_nx()) && std::fabs(fx - i) < 1e-12) --i;
+  if (j == static_cast<long>(mesh.grid_ny()) && std::fabs(fy - j) < 1e-12) --j;
+  if (i < 0 || j < 0 || i >= static_cast<long>(mesh.grid_nx()) ||
+      j >= static_cast<long>(mesh.grid_ny()))
+    return -1;
+  if (!mesh.is_active(static_cast<std::size_t>(i), static_cast<std::size_t>(j))) return -1;
+  return static_cast<long>(
+      mesh.cell_index(static_cast<std::size_t>(i), static_cast<std::size_t>(j)));
+}
+
 }  // namespace
 
 void apply_stiffness(const Discretization& d, const la::Vector& u, la::Vector& y) {
@@ -250,6 +297,63 @@ void gradient(const Discretization3D& d, const la::Vector& u, la::Vector& ddx, l
     ddy[g] /= M[g];
     ddz[g] /= M[g];
   }
+}
+
+double evaluate(const Discretization& d, const la::Vector& field, double x, double y) {
+  const auto& mesh = d.mesh();
+  const long e = locate(mesh, x, y);
+  if (e < 0) throw std::out_of_range("reference::evaluate: point outside domain");
+  const auto [ox, oy] = mesh.cell_origin(static_cast<std::size_t>(e));
+  const double xi = 2.0 * (x - ox) / mesh.dx() - 1.0;
+  const double eta = 2.0 * (y - oy) / mesh.dy() - 1.0;
+  const la::Vector lx = lagrange_basis_at(d.rule(), std::clamp(xi, -1.0, 1.0));
+  const la::Vector ly = lagrange_basis_at(d.rule(), std::clamp(eta, -1.0, 1.0));
+  double s = 0.0;
+  for (int b = 0; b <= d.order(); ++b) {
+    double row = 0.0;
+    for (int a = 0; a <= d.order(); ++a)
+      row += lx[static_cast<std::size_t>(a)] *
+             field[d.global_node(static_cast<std::size_t>(e), a, b)];
+    s += ly[static_cast<std::size_t>(b)] * row;
+  }
+  return s;
+}
+
+double evaluate(const Discretization3D& d, const la::Vector& field, double x, double y,
+                double z) {
+  auto clamp_elem = [](double v, double h, std::size_t n) {
+    auto e = static_cast<long>(std::floor(v / h));
+    return static_cast<std::size_t>(std::clamp<long>(e, 0, static_cast<long>(n) - 1));
+  };
+  // element counts per axis (L / h recovers them exactly for any sane grid)
+  const auto nx = static_cast<std::size_t>(std::lround(d.Lx() / d.dx()));
+  const auto ny = static_cast<std::size_t>(std::lround(d.Ly() / d.dy()));
+  const auto nz = static_cast<std::size_t>(std::lround(d.Lz() / d.dz()));
+  auto inside = [](double v, double L) { return v >= -1e-12 && v <= L + 1e-12; };
+  if (!inside(x, d.Lx()) || !inside(y, d.Ly()) || !inside(z, d.Lz()))
+    throw std::out_of_range("reference::evaluate: point outside box");
+  const std::size_t i = clamp_elem(x, d.dx(), nx);
+  const std::size_t j = clamp_elem(y, d.dy(), ny);
+  const std::size_t k = clamp_elem(z, d.dz(), nz);
+  const std::size_t e = (k * ny + j) * nx + i;
+  auto ref = [](double v, double h, std::size_t idx) {
+    return std::clamp(2.0 * (v - static_cast<double>(idx) * h) / h - 1.0, -1.0, 1.0);
+  };
+  const la::Vector lx = lagrange_basis_at(d.rule(), ref(x, d.dx(), i));
+  const la::Vector ly = lagrange_basis_at(d.rule(), ref(y, d.dy(), j));
+  const la::Vector lz = lagrange_basis_at(d.rule(), ref(z, d.dz(), k));
+  double s = 0.0;
+  for (int c = 0; c <= d.order(); ++c) {
+    double sc = 0.0;
+    for (int b = 0; b <= d.order(); ++b) {
+      double sb = 0.0;
+      for (int a = 0; a <= d.order(); ++a)
+        sb += lx[static_cast<std::size_t>(a)] * field[d.global_node(e, a, b, c)];
+      sc += ly[static_cast<std::size_t>(b)] * sb;
+    }
+    s += lz[static_cast<std::size_t>(c)] * sc;
+  }
+  return s;
 }
 
 }  // namespace sem::reference

@@ -7,6 +7,8 @@
 // against them, and bench/extra_sem3d_kernel times the 3D fast path
 // against them. Results have the same semantics as the member functions of
 // the same name; the gradient writes one vector per axis argument.
+// evaluate is the per-dimension scalar point evaluation sem::evaluate is
+// checked against bitwise.
 
 #include "la/vector.hpp"
 #include "sem/discretization.hpp"
@@ -28,5 +30,13 @@ void apply_helmholtz(const Discretization3D& d, double lambda, double nu, const 
 void gradient(const Discretization& d, const la::Vector& u, la::Vector& dudx, la::Vector& dudy);
 void gradient(const Discretization3D& d, const la::Vector& u, la::Vector& ddx, la::Vector& ddy,
               la::Vector& ddz);
+
+/// Field value at a point: element search, one allocated Lagrange basis per
+/// axis with its barycentric weights recomputed per call, and the nested
+/// tensor-product sum. Throws std::out_of_range outside the domain or at a
+/// non-finite point.
+double evaluate(const Discretization& d, const la::Vector& field, double x, double y);
+double evaluate(const Discretization3D& d, const la::Vector& field, double x, double y,
+                double z);
 
 }  // namespace sem::reference

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "coupling/cdc.hpp"
@@ -146,6 +147,25 @@ TEST(SchemaTest, SemanticValidation) {
   sc = scenario::quickstart_preset();
   sc.coupling.region = {2.5, 1.5, 0.0, 1.0};  // max < min
   EXPECT_THROW(scenario::validate_scenario(sc), JsonError);
+}
+
+TEST(SchemaTest, MeshOrderAboveCapCarriesJsonPath) {
+  // an order the point evaluator's stack bases cannot hold is a scenario
+  // diagnostic, not an exception from inside the discretization
+  const std::pair<Scenario, std::string> cases[] = {{scenario::quickstart_preset(), "mesh"},
+                                                    {scenario::coupled3d_preset(), "mesh3d"}};
+  for (const auto& [preset, key] : cases) {
+    Json doc = Json::parse(scenario::scenario_to_json(preset));
+    *doc.find(key)->find("order") = Json(static_cast<std::int64_t>(24));
+    try {
+      scenario::parse_scenario(doc);
+      ADD_FAILURE() << key << ": expected JsonError";
+    } catch (const JsonError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("$." + key + ".order"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("must be <= 23"), std::string::npos) << msg;
+    }
+  }
 }
 
 TEST(SchemaTest, VersionAndKindAreChecked) {

@@ -57,7 +57,7 @@ TEST(Disc3d, EvaluateReproducesSmoothField) {
   for (double x : {0.13, 0.5, 0.94})
     for (double y : {0.21, 0.77})
       for (double z : {0.05, 0.63})
-        EXPECT_NEAR(d.evaluate(f, x, y, z), fn(x, y, z), 2e-5);
+        EXPECT_NEAR(sem::evaluate(d, {x, y, z}, f), fn(x, y, z), 2e-5);
 }
 
 TEST(Helmholtz3d, ManufacturedDirichletSolution) {
@@ -160,10 +160,10 @@ TEST(Ns3d, PoiseuilleBetweenPlates) {
   ns.set_natural_bc(sem::HexFace::X1);
   // Z faces default to no-slip walls
   for (int s = 0; s < 500; ++s) ns.step();
-  EXPECT_NEAR(d.evaluate(ns.u(), 1.0, 0.5, 0.5), Umax, 0.05);
-  EXPECT_NEAR(d.evaluate(ns.v(), 1.0, 0.5, 0.5), 0.0, 0.03);
-  EXPECT_NEAR(d.evaluate(ns.w(), 1.0, 0.5, 0.5), 0.0, 0.03);
-  EXPECT_NEAR(d.evaluate(ns.u(), 1.5, 0.5, 0.25), prof(0, 0, 0.25, 0), 0.06);
+  EXPECT_NEAR(sem::evaluate(d, {1.0, 0.5, 0.5}, ns.u()), Umax, 0.05);
+  EXPECT_NEAR(sem::evaluate(d, {1.0, 0.5, 0.5}, ns.v()), 0.0, 0.03);
+  EXPECT_NEAR(sem::evaluate(d, {1.0, 0.5, 0.5}, ns.w()), 0.0, 0.03);
+  EXPECT_NEAR(sem::evaluate(d, {1.5, 0.5, 0.25}, ns.u()), prof(0, 0, 0.25, 0), 0.06);
 }
 
 TEST(Ns3d, TaylorGreenColumnDecay) {

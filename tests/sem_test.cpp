@@ -8,7 +8,13 @@
 #include <array>
 #include <cmath>
 #include <complex>
+#include <iomanip>
+#include <optional>
+#include <random>
+#include <sstream>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "reference/sem_reference.hpp"
 #include "sem/discretization.hpp"
@@ -94,8 +100,9 @@ TEST(Gll, LagrangeInterpolationReproducesPolynomial) {
   la::Vector f(r.nodes.size());
   auto poly = [](double x) { return 1.0 + x - 2.0 * x * x + 0.5 * x * x * x; };
   for (std::size_t i = 0; i < f.size(); ++i) f[i] = poly(r.nodes[i]);
+  std::array<double, 7> basis{};
   for (double x : {-0.93, -0.2, 0.0, 0.41, 0.99}) {
-    auto basis = sem::lagrange_basis_at(r, x);
+    sem::lagrange_basis_at(r, x, basis.data());
     double s = 0.0;
     for (std::size_t k = 0; k < basis.size(); ++k) s += basis[k] * f[k];
     EXPECT_NEAR(s, poly(x), 1e-12);
@@ -104,7 +111,9 @@ TEST(Gll, LagrangeInterpolationReproducesPolynomial) {
 
 TEST(Gll, LagrangeBasisAtNodeIsDelta) {
   auto r = sem::gll_rule(4);
-  auto b = sem::lagrange_basis_at(r, r.nodes[2]);
+  std::array<double, 5> b;
+  b.fill(-1.0);
+  sem::lagrange_basis_at(r, r.nodes[2], b.data());
   for (std::size_t k = 0; k < b.size(); ++k) EXPECT_DOUBLE_EQ(b[k], k == 2 ? 1.0 : 0.0);
 }
 
@@ -142,22 +151,22 @@ TEST(Disc, EvaluateReproducesField) {
   for (std::size_t g = 0; g < d.num_nodes(); ++g) f[g] = fn(d.node_x(g), d.node_y(g));
   for (double x : {0.1, 0.77, 1.5, 1.99})
     for (double y : {0.05, 0.51, 0.93})
-      EXPECT_NEAR(d.evaluate(f, x, y), fn(x, y), 2e-6);
+      EXPECT_NEAR(sem::evaluate(d, {x, y}, f), fn(x, y), 2e-6);
 }
 
 TEST(Disc, EvaluateOutsideThrows) {
   auto m = mesh::QuadMesh::channel(2.0, 1.0, 4, 2);
   sem::Discretization d(m, 3);
   la::Vector f(d.num_nodes(), 1.0);
-  EXPECT_THROW(d.evaluate(f, -0.5, 0.5), std::out_of_range);
-  EXPECT_THROW(d.evaluate(f, 2.5, 0.5), std::out_of_range);
+  EXPECT_THROW(sem::evaluate(d, {-0.5, 0.5}, f), std::out_of_range);
+  EXPECT_THROW(sem::evaluate(d, {2.5, 0.5}, f), std::out_of_range);
 }
 
 TEST(Disc, LocateRespectsMask) {
   auto m = mesh::QuadMesh::channel_with_cavity(10.0, 1.0, 4.0, 6.0, 1.0, 10, 2);
   sem::Discretization d(m, 3);
-  EXPECT_GE(d.locate(5.0, 1.5), 0);   // inside cavity
-  EXPECT_EQ(d.locate(1.0, 1.5), -1);  // above channel, outside cavity
+  EXPECT_TRUE(d.locate({5.0, 1.5}).has_value());   // inside cavity
+  EXPECT_FALSE(d.locate({1.0, 1.5}).has_value());  // above channel, outside cavity
 }
 
 // ---------------- Operators ----------------
@@ -381,16 +390,120 @@ TYPED_TEST(DiscDims, EvaluateRejectsNonFinitePoints) {
   // must be rejected before it reaches an integer cast
   const auto d = TypeParam::box(2);
   const la::Vector f(d.num_nodes(), 1.0);
-  auto evaluate = [&](auto... x) { return d.evaluate(f, x...); };
   const auto inside = d.node(d.num_nodes() / 2);
-  EXPECT_NO_THROW(sem::eval_at(evaluate, inside));
+  EXPECT_NO_THROW(sem::evaluate(d, inside, f));
   for (std::size_t k = 0; k < TypeParam::Disc::kDim; ++k)
     for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL, 1e300}) {
       auto x = inside;
       x[k] = bad;
-      EXPECT_THROW(sem::eval_at(evaluate, x), std::out_of_range)
-          << "axis " << k << " = " << bad;
+      EXPECT_THROW(sem::evaluate(d, x, f), std::out_of_range) << "axis " << k << " = " << bad;
     }
+}
+
+TYPED_TEST(DiscDims, RejectsOrderAboveStackBasisCap) {
+  // sem::evaluate keeps one basis of order + 1 values per axis on the stack
+  EXPECT_EQ(sem::kMaxOrder, 23);
+  const auto d = TypeParam::box(sem::kMaxOrder);
+  auto x = d.element_size();
+  for (double& c : x) c *= 0.3;  // not a node: every basis value is computed
+  EXPECT_NEAR(sem::evaluate(d, x, la::Vector(d.num_nodes(), 1.0)), 1.0, 1e-9);
+  EXPECT_THROW(TypeParam::box(sem::kMaxOrder + 1), std::invalid_argument);
+}
+
+TYPED_TEST(DiscDims, EvaluatorMatchesReferenceBitwise) {
+  // sem::evaluate, single- and multi-field, against the scalar allocating
+  // evaluation in tests/reference: same element, same reference
+  // coordinates, same basis values and the same summation order, so every
+  // value is bitwise equal, and both reject the same points
+  using Disc = typename TypeParam::Disc;
+  using Point = std::array<double, Disc::kDim>;
+  std::vector<Disc> discs{TypeParam::box(5)};
+  if constexpr (Disc::kDim == 2)
+    discs.emplace_back(mesh::QuadMesh::channel_with_cavity(10.0, 1.0, 4.0, 6.0, 1.0, 10, 2), 4);
+  std::mt19937 rng(21);
+  std::uniform_real_distribution<double> u01(0.0, 1.0);
+  std::size_t compared = 0;
+  for (const Disc& d : discs) {
+    // a node on an edge with a masked cell above or to its right locates
+    // into that cell, and both reject it
+    const bool masked = &d != &discs.front();
+    std::array<la::Vector, 3> f;
+    for (std::size_t c = 0; c < f.size(); ++c) {
+      f[c].resize(d.num_nodes());
+      for (std::size_t g = 0; g < d.num_nodes(); ++g)
+        f[c][g] = std::sin(0.37 * static_cast<double>(g) + 1.1 * static_cast<double>(c));
+    }
+    Point lo = d.node(0), hi = d.node(0);
+    for (std::size_t g = 0; g < d.num_nodes(); ++g)
+      for (std::size_t k = 0; k < Disc::kDim; ++k) {
+        lo[k] = std::min(lo[k], d.node(g)[k]);
+        hi[k] = std::max(hi[k], d.node(g)[k]);
+      }
+    const Point h = d.element_size();
+    auto random_point = [&] {
+      Point x;
+      for (std::size_t k = 0; k < Disc::kDim; ++k) x[k] = lo[k] + u01(rng) * (hi[k] - lo[k]);
+      return x;
+    };
+    auto corner = [&](std::size_t k) {  // a random element-corner coordinate on axis k
+      const long cells = std::lround((hi[k] - lo[k]) / h[k]);
+      const long i = std::uniform_int_distribution<long>(0, cells)(rng);
+      return lo[k] + h[k] * static_cast<double>(i);
+    };
+
+    // (point, whether it must lie inside the domain)
+    std::vector<std::pair<Point, bool>> pts;
+    for (std::size_t g = 0; g < d.num_nodes(); ++g) pts.emplace_back(d.node(g), !masked);
+    for (int i = 0; i < 300; ++i) pts.emplace_back(random_point(), false);
+    for (std::size_t i = 0; i < 300; ++i) {
+      // odd i: an element corner; even i: a point on an element edge (2D)
+      // or face (3D); domain faces are among both
+      Point x = random_point();
+      for (std::size_t k = 0; k < Disc::kDim; ++k)
+        if (i % 2 || k == (i / 2) % Disc::kDim) x[k] = corner(k);
+      pts.emplace_back(x, false);
+    }
+    for (std::size_t k = 0; k < Disc::kDim; ++k)
+      for (int i = 0; i < 10; ++i)
+        for (double off : {0.0, 1e-13}) {
+          // on a domain face, and 1e-13 outside it: within the 3D box's
+          // 1e-12 margin, so those must evaluate; 2D rejects the near faces'
+          // offsets and snaps the far ones onto the last cell
+          Point a = random_point(), b = a;
+          a[k] = lo[k] - off;
+          b[k] = hi[k] + off;
+          pts.emplace_back(a, Disc::kDim == 3);
+          pts.emplace_back(b, Disc::kDim == 3);
+        }
+
+    // the value, or nullopt where the point is rejected
+    auto attempt = [](auto fn) -> std::optional<decltype(fn())> {
+      try {
+        return fn();
+      } catch (const std::out_of_range&) {
+        return std::nullopt;
+      }
+    };
+    for (const auto& [x, inside] : pts) {
+      std::ostringstream where;
+      where << std::setprecision(17) << "x =";
+      for (double c : x) where << ' ' << c;
+      const auto all = attempt([&] { return sem::evaluate(d, x, f); });
+      for (std::size_t c = 0; c < f.size(); ++c) {
+        auto reference = [&](auto... v) { return sem::reference::evaluate(d, f[c], v...); };
+        const auto ref = attempt([&] { return sem::eval_at(reference, x); });
+        const auto one = attempt([&] { return sem::evaluate(d, x, f[c]); });
+        ASSERT_TRUE(ref || !inside) << where.str();
+        ASSERT_EQ(one.has_value(), ref.has_value()) << where.str();
+        ASSERT_EQ(all.has_value(), ref.has_value()) << where.str();
+        if (!ref) continue;
+        EXPECT_EQ(*one, *ref) << where.str() << " field " << c;
+        EXPECT_EQ((*all)[c], *ref) << where.str() << " field " << c;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 3000u);
 }
 
 template <class Case>
@@ -448,11 +561,11 @@ TEST(Ns2d, PoiseuilleSteadyState) {
   for (int s = 0; s < 600; ++s) ns.step();
   // centerline velocity approaches Umax through the whole channel
   for (double x : {0.3, 1.0, 1.7}) {
-    EXPECT_NEAR(d.evaluate(ns.u(), x, 0.5), Umax, 0.03) << "x=" << x;
-    EXPECT_NEAR(d.evaluate(ns.v(), x, 0.5), 0.0, 0.02);
+    EXPECT_NEAR(sem::evaluate(d, {x, 0.5}, ns.u()), Umax, 0.03) << "x=" << x;
+    EXPECT_NEAR(sem::evaluate(d, {x, 0.5}, ns.v()), 0.0, 0.02);
   }
   // no-slip at the wall
-  EXPECT_NEAR(d.evaluate(ns.u(), 1.0, 0.0), 0.0, 1e-10);
+  EXPECT_NEAR(sem::evaluate(d, {1.0, 0.0}, ns.u()), 0.0, 1e-10);
 }
 
 TEST(Ns2d, TaylorGreenDecay) {
@@ -523,7 +636,7 @@ TEST(Ns2d, WomersleyOscillatoryChannel) {
   double max_err = 0.0, max_amp = 0.0;
   for (int s = 0; s < steps_per_period / 2; ++s) {
     ns.step();
-    const double uc = d.evaluate(ns.u(), 0.5, 0.5);
+    const double uc = sem::evaluate(d, {0.5, 0.5}, ns.u());
     const double ex = exact_u(0.5, ns.time());
     max_err = std::max(max_err, std::fabs(uc - ex));
     max_amp = std::max(max_amp, std::fabs(ex));
@@ -558,8 +671,8 @@ TEST(Ns2d, CavityFlowConservesMassAtWalls) {
   interior_rms = std::sqrt(interior_rms / cnt);
   EXPECT_LT(interior_rms, 0.2);
   // lid drives a recirculation: u below lid positive, deeper negative
-  EXPECT_GT(d.evaluate(ns.u(), 0.5, 0.95), 0.1);
-  EXPECT_LT(d.evaluate(ns.u(), 0.5, 0.3), 0.05);
+  EXPECT_GT(sem::evaluate(d, {0.5, 0.95}, ns.u()), 0.1);
+  EXPECT_LT(sem::evaluate(d, {0.5, 0.3}, ns.u()), 0.05);
 }
 
 TEST(Ns2d, ExplicitBcValuesOverrideFunctions) {
@@ -713,7 +826,7 @@ TEST(Ns2d, SecondOrderStableOnChannel) {
                      [](double, double, double) { return 0.0; });
   ns.set_natural_bc(mesh::kOutlet);
   for (int s = 0; s < 300; ++s) ns.step();
-  EXPECT_NEAR(d.evaluate(ns.u(), 1.0, 0.5), 1.0, 0.05);
+  EXPECT_NEAR(sem::evaluate(d, {1.0, 0.5}, ns.u()), 1.0, 0.05);
   EXPECT_LT(ns.max_speed(), 2.0);
 }
 

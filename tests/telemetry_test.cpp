@@ -13,7 +13,10 @@
 #include <string>
 #include <thread>
 
+#include "coupling/cdc.hpp"
 #include "coupling/mci.hpp"
+#include "dpd/geometry.hpp"
+#include "dpd/inflow.hpp"
 #include "sem/navier_stokes.hpp"
 #include "telemetry/bench_report.hpp"
 #include "telemetry/chrome_trace.hpp"
@@ -102,6 +105,39 @@ TEST(TelemetryRegistry, NavierStokesStepsNestHelmholtzAndCg) {
   sem::NavierStokes<sem::Discretization3D> ns3(d3, {});
   ns3.step();
   expect_sem_phase_path("ns3d");
+}
+
+TEST(TelemetryRegistry, FlowBcApplyNestsDeleteRelaxInsert) {
+  // a short coupled run: every DPD step applies the open boundary once
+  telemetry::Registry::reset_all();
+  sem::Discretization d(mesh::QuadMesh::channel(4.0, 1.0, 8, 2), 4);
+  sem::NavierStokes<sem::Discretization> ns(d, {});
+  dpd::DpdParams dp;
+  dp.box = {8.0, 4.0, 6.0};
+  dp.periodic = {false, true, false};
+  dp.dt = 0.01;
+  dpd::DpdSystem sys(dp, std::make_shared<dpd::ChannelZ>(6.0));
+  sys.fill(3.0, dpd::kSolvent, 13, 0.1);
+  dpd::FlowBc bc(dpd::FlowBcParams{});
+  coupling::ScaleMap scales;
+  scales.L_dpd = 6.0;
+  coupling::TimeProgression tp;
+  tp.exchange_every_ns = 1;
+  tp.dpd_per_ns = 3;
+  const coupling::EmbeddedRegion region{1.5, 2.5, 0.0, 1.0};
+  coupling::BasicContinuumDpdCoupler cdc(ns, sys, bc, region, scales, tp);
+  cdc.advance_interval({});
+
+  const auto root = telemetry::Registry::local().phases();
+  const telemetry::PhaseNode* apply = root.find("flowbc.apply");
+  ASSERT_NE(apply, nullptr);
+  EXPECT_EQ(apply->count, 3u);
+  for (const char* name : {"flowbc.delete", "flowbc.relax", "flowbc.insert"}) {
+    const telemetry::PhaseNode* child = apply->find(name);
+    ASSERT_NE(child, nullptr) << "no phase flowbc.apply/" << name;
+    EXPECT_EQ(child->count, 3u) << name;
+    EXPECT_GT(child->seconds, 0.0) << name;
+  }
 }
 
 TEST(TelemetryRegistry, UnmatchedPhaseEndThrows) {

@@ -29,14 +29,18 @@ dpd-no-std-function
     evaluated at most once per particle, never per pair.
 
 sem-hot-alloc, exchange-hot-alloc, pair-hot-alloc
-    Constructing a `std::vector` inside a hot-path function body is a heap
-    allocation per apply or per force pass; the fast paths hoist all scratch
-    into persistent members (see docs/PERF.md). One table (HOT_ALLOC_RULES)
-    gives each rule its path scope, the bodies it gates and its opt-out
-    marker, `// lint: <marker> (<reason>)` on the line or the 2 lines above:
-      sem-hot-alloc       src/sem/, `apply_*` / `elem_*`; sem-alloc-ok (no
-                          body in src/ carries it: the scalar baselines with
-                          per-call scratch live in tests/reference)
+    Constructing a `std::vector` or an `la::Vector` inside a hot-path
+    function body is a heap allocation per apply, per point or per force
+    pass; the fast paths hoist all scratch into persistent members or stack
+    arrays (see docs/PERF.md). One table (HOT_ALLOC_RULES) gives each rule
+    its path scope, the bodies it gates and its opt-out marker,
+    `// lint: <marker> (<reason>)` on the line or the 2 lines above:
+      sem-hot-alloc       src/sem/, the operator applies `apply_*` /
+                          `elem_*` and the point evaluator `evaluate` /
+                          `tensor_sum` / `locate` / `lagrange_basis_at`;
+                          sem-alloc-ok (no body in src/ carries it: the
+                          scalar baselines with per-call scratch live in
+                          tests/reference)
       exchange-hot-alloc  src/dpd/exchange/, `begin_update` / `finish_update`
                           and the `pack_*` / `unpack_*` packers;
                           exchange-alloc-ok (build, plan and migration paths
@@ -100,13 +104,17 @@ NO_TRACE_RE = re.compile(r"//\s*lint:\s*no-trace")
 STD_FUNCTION_RE = re.compile(r"\bstd\s*::\s*function\s*<")
 STD_FUNCTION_OK_RE = re.compile(r"//\s*lint:\s*std-function-ok")
 STD_VECTOR_CTOR_RE = re.compile(r"\bstd\s*::\s*vector\s*<")
+# an la::Vector value (declaration, temporary or returned-by-value type), not
+# a reference, pointer or template argument
+LA_VECTOR_VALUE_RE = re.compile(r"\bla\s*::\s*Vector\s*[\w({]")
 # (rule, path prefix, gated function bodies, opt-out marker, what they are)
 HOT_ALLOC_RULES = [
     (rule, scope, re.compile(rf"\b(?:\w+\s*::\s*)?({fn})\s*\("),
      re.compile(rf"//\s*lint:\s*{marker}"), marker, what)
     for rule, scope, fn, marker, what in [
-        ("sem-hot-alloc", "src/sem/", r"(?:apply_|elem_)\w*", "sem-alloc-ok",
-         "an apply_*/elem_* SEM hot path allocates per apply"),
+        ("sem-hot-alloc", "src/sem/",
+         r"(?:apply_|elem_)\w*|evaluate|tensor_sum|locate|lagrange_basis_at", "sem-alloc-ok",
+         "a SEM hot path (apply_*/elem_* or the point evaluator) allocates per call"),
         ("exchange-hot-alloc", "src/dpd/exchange/",
          r"begin_update|finish_update|pack_\w+|unpack_\w+", "exchange-alloc-ok",
          "a halo fast-path body (begin_update/finish_update/pack_*/unpack_*) "
@@ -178,11 +186,14 @@ def is_declaration(line: str, name_start: int) -> bool:
 
 
 def vector_ctor_on_line(line: str) -> bool:
-    """True if the line mentions `std::vector<...>` as a *construction* — a
-    value declaration or temporary that allocates — rather than a reference
-    or pointer type mention (`std::vector<T>&` parameters, `std::vector<T>*`
-    lane tables), which allocates nothing. Template args that spill onto the
-    next line are treated as a construction (conservative)."""
+    """True if the line mentions `std::vector<...>` or `la::Vector` as a
+    *construction* — a value declaration or temporary that allocates — rather
+    than a reference or pointer type mention (`std::vector<T>&` parameters,
+    `std::vector<T>*` lane tables), which allocates nothing. Template args
+    that spill onto the next line are treated as a construction
+    (conservative)."""
+    if LA_VECTOR_VALUE_RE.search(line):
+        return True
     for m in STD_VECTOR_CTOR_RE.finditer(line):
         depth = 1
         j = m.end()
@@ -353,8 +364,8 @@ def lint_file(path: pathlib.Path, repo_root: pathlib.Path) -> list[Finding]:
                         lines, i, ok_re, MARKER_BACKWINDOW):
                     findings.append(Finding(
                         rel, i + 1, rule,
-                        f"std::vector construction inside {what}; use the "
-                        "persistent member scratch, or mark a deliberate case "
+                        f"std::vector or la::Vector construction inside {what}; use "
+                        "persistent member or stack scratch, or mark a deliberate case "
                         f"with `// lint: {marker} (<reason>)`"))
 
     if in_src and path.suffix == ".hpp":
@@ -516,6 +527,16 @@ SELF_TEST_CASES = [
     ("src/sem/ok_call_is_not_definition.cpp",
      "void Solver::solve(V& u) {\n  ops_->apply_helmholtz(l, nu, u, y_);\n"
      "  std::vector<double> bc(nb);\n}\n",
+     set()),
+    ("src/sem/bad_eval_alloc.cpp",
+     "double Discretization::evaluate(const la::Vector& field, double x, double y) const {\n"
+     "  const la::Vector lx = lagrange_basis_at(rule_, x);\n  return lx[0] * field[0];\n}\n",
+     {"sem-hot-alloc"}),
+    ("src/sem/ok_eval_stack.hpp",
+     "#pragma once\ntemplate <class Disc>\n"
+     "double evaluate(const Disc& d, const std::array<double, 2>& x, const la::Vector& f) {\n"
+     "  std::array<std::array<double, 24>, 2> l{};\n  const auto p = d.locate(x);\n"
+     "  return tensor_sum<1>(l, f.data(), d.elem_map(p->element));\n}\n",
      set()),
     ("src/other/ok_sem_rule_scoped.cpp",
      "void Ops::apply_stiffness(const V& u, V& y) const {\n"

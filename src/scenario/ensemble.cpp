@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "resilience/blob.hpp"
+#include "scenario/fields.hpp"
 #include "xmp/comm.hpp"
 
 namespace scenario {
@@ -94,39 +95,26 @@ std::int64_t nearest_donor(const std::vector<Variant>& variants,
 
 }  // namespace
 
+auto fields(const SweepAxis*) {
+  return std::tuple{Field{"path", &SweepAxis::path, Use::Required},
+                    Field{"values", &SweepAxis::values, Use::Required}};
+}
+
+auto fields(const SweepSpec*) {
+  return std::tuple{Field{"mode", &SweepSpec::mode},
+                    Field{"axes", &SweepSpec::axes, Use::Required}};
+}
+
 SweepSpec SweepSpec::parse(const Json& doc) {
-  if (!doc.is_object()) sweep_fail("$: expected object");
   SweepSpec s;
-  for (const auto& [key, val] : doc.members()) {
-    if (key == "mode") {
-      if (!val.is_string()) sweep_fail("$.mode: expected string");
-      s.mode = val.as_string();
-    } else if (key == "axes") {
-      if (!val.is_array()) sweep_fail("$.axes: expected array");
-      std::size_t i = 0;
-      for (const Json& ax : val.elements()) {
-        const std::string at = "$.axes[" + std::to_string(i++) + "]";
-        if (!ax.is_object()) sweep_fail(at + ": expected object");
-        SweepAxis axis;
-        for (const auto& [ak, av] : ax.members()) {
-          if (ak == "path") {
-            if (!av.is_string()) sweep_fail(at + ".path: expected string");
-            axis.path = av.as_string();
-          } else if (ak == "values") {
-            if (!av.is_array()) sweep_fail(at + ".values: expected array");
-            axis.values = av.elements();
-          } else {
-            sweep_fail(at + "." + ak + ": unknown key (known keys: path, values)");
-          }
-        }
-        if (axis.path.empty()) sweep_fail(at + ": missing \"path\"");
-        if (axis.values.empty()) sweep_fail(at + " (\"" + axis.path + "\"): empty values");
-        s.axes.push_back(std::move(axis));
-      }
-    } else {
-      sweep_fail("$." + key + ": unknown key (known keys: axes, mode)");
-    }
+  try {
+    from_json(doc, "$", s);
+  } catch (const JsonError& e) {
+    sweep_fail(e.what());
   }
+  for (std::size_t i = 0; i < s.axes.size(); ++i)
+    if (s.axes[i].values.empty())
+      sweep_fail("$.axes[" + std::to_string(i) + "] (\"" + s.axes[i].path + "\"): empty values");
   if (s.mode != "cross" && s.mode != "zip")
     sweep_fail("$.mode \"" + s.mode + "\" unknown (known: cross, zip)");
   if (s.axes.empty()) sweep_fail("$.axes: no axes");

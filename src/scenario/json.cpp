@@ -347,7 +347,8 @@ Json Json::parse(std::string_view text) {
 void append_json_number(std::string& out, double v) {
   if (!std::isfinite(v)) throw JsonError("cannot serialize non-finite number");
   char buf[40];
-  if (v == static_cast<double>(static_cast<std::int64_t>(v)) && std::fabs(v) < 1e15) {
+  // range first: the integer cast is undefined for values it cannot hold
+  if (std::fabs(v) < 1e15 && v == static_cast<double>(static_cast<std::int64_t>(v))) {
     std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
   } else {
     std::snprintf(buf, sizeof buf, "%.*g", std::numeric_limits<double>::max_digits10, v);

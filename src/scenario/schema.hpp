@@ -8,10 +8,9 @@
 // carrying the JSON path ("$.sem.nu") so a typo'd config can never silently
 // run with defaults.
 //
-// Every spec struct has a parse_X / serialize_X pair in schema.cpp; the
-// `scenario-schema-sync` lint rule (tools/lint.py) verifies the two sides
-// consume/emit the same key set, so a field cannot be added to one and
-// forgotten in the other.
+// Each spec struct's keys are listed once, as (key, member) entries in
+// schema.cpp; one reader and one writer (scenario/fields.hpp) walk that
+// list, so a field is parsed and emitted under the same key or not at all.
 
 #include <array>
 #include <cstdint>

@@ -110,6 +110,26 @@ TEST(JsonTest, PathHelpers) {
 
 // --- schema: diagnostics ---------------------------------------------------
 
+Scenario tiny_net1d() {
+  Scenario sc;
+  sc.name = "bifurcation";
+  sc.kind = "net1d";
+  scenario::VesselSpec parent;
+  parent.length = 2.0;
+  parent.elements = 4;
+  parent.order = 3;
+  scenario::VesselSpec child = parent;
+  child.length = 1.5;
+  child.A0 = 0.3;
+  sc.network.vessels = {parent, child, child};
+  sc.network.junctions = {{{0, "right"}, {1, "left"}, {2, "left"}}};
+  sc.network.inlets = {{0, 5.0, 1.0, 2.0}};
+  sc.network.outlets = {{1, 100.0, 1000.0, 1e-4}, {2, 100.0, 1000.0, 1e-4}};
+  sc.network.steps_per_interval = 5;
+  sc.time.intervals = 3;
+  return sc;
+}
+
 TEST(SchemaTest, UnknownKeyCarriesJsonPath) {
   Json doc = Json::parse(scenario::scenario_to_json(scenario::quickstart_preset()));
   doc.find("sem")->set("nux", Json(1.0));
@@ -147,6 +167,71 @@ TEST(SchemaTest, SemanticValidation) {
   sc = scenario::quickstart_preset();
   sc.coupling.region = {2.5, 1.5, 0.0, 1.0};  // max < min
   EXPECT_THROW(scenario::validate_scenario(sc), JsonError);
+
+  // values the solvers would reject with an uncaught exception, and the
+  // checks that moved from the parser: each is a diagnostic with its path
+  const auto expect_invalid = [](const Scenario& bad, const std::string& path,
+                                 const std::string& what) {
+    try {
+      scenario::validate_scenario(bad);
+      ADD_FAILURE() << path << ": expected JsonError";
+    } catch (const JsonError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(path + ": "), std::string::npos) << msg;
+      EXPECT_NE(msg.find(what), std::string::npos) << msg;
+    }
+  };
+  sc = scenario::quickstart_preset();
+  sc.dpd.rc = 0.0;
+  expect_invalid(sc, "$.dpd.rc", "must be > 0");
+  sc = scenario::quickstart_preset();
+  sc.dpd.kBT = -1.0;
+  expect_invalid(sc, "$.dpd.kBT", "must be >= 0");
+  using Scales = scenario::ScalesSpec;
+  const std::pair<double Scales::*, std::string> scales[] = {
+      {&Scales::L_ns, "L_ns"}, {&Scales::L_dpd, "L_dpd"}, {&Scales::nu_ns, "nu_ns"},
+      {&Scales::nu_dpd, "nu_dpd"}};
+  for (const auto& [member, key] : scales) {
+    sc = scenario::quickstart_preset();
+    sc.coupling.scales.*member = 0.0;
+    expect_invalid(sc, "$.coupling.scales." + key, "must be > 0");
+  }
+  sc = scenario::quickstart_preset();
+  sc.coupling.region = {1.5, 2.5, 0.0};
+  expect_invalid(sc, "$.coupling.region", "expected 4 numbers, got 3");
+  sc = scenario::coupled3d_preset();
+  sc.coupling.region = {1.5, 2.5, 0.0, 1.0};
+  expect_invalid(sc, "$.coupling.region", "expected 6 numbers, got 4");
+  sc = tiny_net1d();
+  sc.network.junctions[0][2].end = "middle";
+  expect_invalid(sc, "$.network.junctions[0][2].end", "expected \"left\" or \"right\"");
+}
+
+TEST(SchemaTest, OutOfRangeIntegerIsADiagnostic) {
+  // The range check must come before the integer cast: 1e19 does not fit
+  // std::int64_t, and casting it is undefined behaviour.
+  for (const double bad : {1e19, -1e19, 1.5}) {
+    Json doc = Json::parse(scenario::scenario_to_json(scenario::quickstart_preset()));
+    *doc.find("dpd")->find("seed") = Json(bad);
+    try {
+      scenario::parse_scenario(doc);
+      ADD_FAILURE() << bad << ": expected JsonError";
+    } catch (const JsonError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("$.dpd.seed: expected integer"), std::string::npos) << msg;
+    }
+  }
+  // the same value arriving through a sweep
+  scenario::SweepSpec sweep;
+  sweep.axes.push_back({"dpd.seed", {Json(1e19)}});
+  try {
+    scenario::EnsembleEngine::expand(
+        Json::parse(scenario::scenario_to_json(scenario::quickstart_preset())), sweep);
+    FAIL() << "expected JsonError";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("$.dpd.seed: expected integer"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SchemaTest, MeshOrderAboveCapCarriesJsonPath) {
@@ -196,26 +281,6 @@ TEST(SchemaTest, LoadScenarioFilePrefixesPath) {
 
 // --- schema: bitwise re-emit ----------------------------------------------
 
-Scenario tiny_net1d() {
-  Scenario sc;
-  sc.name = "bifurcation";
-  sc.kind = "net1d";
-  scenario::VesselSpec parent;
-  parent.length = 2.0;
-  parent.elements = 4;
-  parent.order = 3;
-  scenario::VesselSpec child = parent;
-  child.length = 1.5;
-  child.A0 = 0.3;
-  sc.network.vessels = {parent, child, child};
-  sc.network.junctions = {{{0, "right"}, {1, "left"}, {2, "left"}}};
-  sc.network.inlets = {{0, 5.0, 1.0, 2.0}};
-  sc.network.outlets = {{1, 100.0, 1000.0, 1e-4}, {2, 100.0, 1000.0, 1e-4}};
-  sc.network.steps_per_interval = 5;
-  sc.time.intervals = 3;
-  return sc;
-}
-
 TEST(SchemaTest, BitwiseReEmit) {
   for (const Scenario& sc :
        {scenario::quickstart_preset(), scenario::coupled3d_preset(), tiny_net1d()}) {
@@ -231,6 +296,122 @@ TEST(SchemaTest, CheckedInFilesMatchPresets) {
             scenario::scenario_to_json(scenario::quickstart_preset()));
   EXPECT_EQ(slurp(root + "/examples/scenarios/coupled3d.json"),
             scenario::scenario_to_json(scenario::coupled3d_preset()));
+}
+
+TEST(SchemaTest, EveryKeyLandsInItsNamedMember) {
+  // Reading and writing walk one key list, so two swapped entries would
+  // still round-trip; only a member-by-name check catches them. Every value
+  // is valid, differs from its default and from its siblings.
+  const std::string coupled_sections = R"(
+    "sem": {"nu": 0.07, "dt": 0.003, "time_order": 2, "inlet_umax": 1.5},
+    "dpd": {"box": [11, 12, 13], "periodic": [true, false, true], "rc": 1.1, "kBT": 0.9,
+            "dt": 0.02, "density": 4, "seed": 17, "fill_margin": 0.2,
+            "geometry": {"kind": "none", "height": 9}},
+    "flow_bc": {"axis": 1, "buffer_len": 2.5, "density": 3.5, "relax": 0.4, "seed": 98},
+    "sampler": {"nx": 2, "ny": 3, "nz": 6},
+    "time": {"intervals": 21, "develop_steps": 301, "develop_tol": 1e-6, "sample_from": 13},
+    "checkpoint": {"every": 4, "dir": "ck"},
+    "coupling": {"scales": {"L_ns": 2, "L_dpd": 20, "nu_ns": 0.06, "nu_dpd": 3},
+                 "exchange_every_ns": 3, "dpd_per_ns": 11,)";
+
+  const Scenario cdc = scenario::parse_scenario_text(
+      R"({"version": 1, "name": "cdc-keys", "kind": "cdc",
+          "mesh": {"length": 5, "height": 2, "nx": 3, "ny": 7, "order": 6},)" +
+      coupled_sections + R"( "region": [1, 2, 0.2, 0.8]}})");
+  EXPECT_EQ(cdc.name, "cdc-keys");
+  EXPECT_EQ(cdc.mesh.length, 5.0);
+  EXPECT_EQ(cdc.mesh.height, 2.0);
+  EXPECT_EQ(cdc.mesh.nx, 3);
+  EXPECT_EQ(cdc.mesh.ny, 7);
+  EXPECT_EQ(cdc.mesh.order, 6);
+  EXPECT_EQ(cdc.sem.nu, 0.07);
+  EXPECT_EQ(cdc.sem.dt, 0.003);
+  EXPECT_EQ(cdc.sem.time_order, 2);
+  EXPECT_EQ(cdc.sem.inlet_umax, 1.5);
+  EXPECT_EQ(cdc.dpd.box, (std::array<double, 3>{11, 12, 13}));
+  EXPECT_EQ(cdc.dpd.periodic, (std::array<bool, 3>{true, false, true}));
+  EXPECT_EQ(cdc.dpd.rc, 1.1);
+  EXPECT_EQ(cdc.dpd.kBT, 0.9);
+  EXPECT_EQ(cdc.dpd.dt, 0.02);
+  EXPECT_EQ(cdc.dpd.density, 4.0);
+  EXPECT_EQ(cdc.dpd.seed, 17);
+  EXPECT_EQ(cdc.dpd.fill_margin, 0.2);
+  EXPECT_EQ(cdc.dpd.geometry.kind, "none");
+  EXPECT_EQ(cdc.dpd.geometry.height, 9.0);
+  EXPECT_EQ(cdc.flow_bc.axis, 1);
+  EXPECT_EQ(cdc.flow_bc.buffer_len, 2.5);
+  EXPECT_EQ(cdc.flow_bc.density, 3.5);
+  EXPECT_EQ(cdc.flow_bc.relax, 0.4);
+  EXPECT_EQ(cdc.flow_bc.seed, 98);
+  EXPECT_EQ(cdc.coupling.scales.L_ns, 2.0);
+  EXPECT_EQ(cdc.coupling.scales.L_dpd, 20.0);
+  EXPECT_EQ(cdc.coupling.scales.nu_ns, 0.06);
+  EXPECT_EQ(cdc.coupling.scales.nu_dpd, 3.0);
+  EXPECT_EQ(cdc.coupling.exchange_every_ns, 3);
+  EXPECT_EQ(cdc.coupling.dpd_per_ns, 11);
+  EXPECT_EQ(cdc.coupling.region, (std::vector<double>{1, 2, 0.2, 0.8}));
+  EXPECT_EQ(cdc.sampler.nx, 2);
+  EXPECT_EQ(cdc.sampler.ny, 3);
+  EXPECT_EQ(cdc.sampler.nz, 6);
+  EXPECT_EQ(cdc.time.intervals, 21);
+  EXPECT_EQ(cdc.time.develop_steps, 301);
+  EXPECT_EQ(cdc.time.develop_tol, 1e-6);
+  EXPECT_EQ(cdc.time.sample_from, 13);
+  EXPECT_EQ(cdc.checkpoint.every, 4);
+  EXPECT_EQ(cdc.checkpoint.dir, "ck");
+
+  // the sections cdc3d shares with cdc are checked above
+  const Scenario cdc3d = scenario::parse_scenario_text(
+      R"({"version": 1, "kind": "cdc3d",
+          "mesh3d": {"lx": 5, "ly": 2, "lz": 3, "nx": 6, "ny": 7, "nz": 8, "order": 9},)" +
+      coupled_sections + R"( "region": [1, 2, 0.1, 0.9, 0.3, 0.7]}})");
+  EXPECT_EQ(cdc3d.mesh3d.lx, 5.0);
+  EXPECT_EQ(cdc3d.mesh3d.ly, 2.0);
+  EXPECT_EQ(cdc3d.mesh3d.lz, 3.0);
+  EXPECT_EQ(cdc3d.mesh3d.nx, 6);
+  EXPECT_EQ(cdc3d.mesh3d.ny, 7);
+  EXPECT_EQ(cdc3d.mesh3d.nz, 8);
+  EXPECT_EQ(cdc3d.mesh3d.order, 9);
+  EXPECT_EQ(cdc3d.coupling.region, (std::vector<double>{1, 2, 0.1, 0.9, 0.3, 0.7}));
+
+  const Scenario net = scenario::parse_scenario_text(R"({"version": 1, "kind": "net1d",
+      "network": {
+        "vessels": [{"length": 2, "A0": 0.4, "beta": 2e5, "rho": 1.1, "Kr": 1.2,
+                     "elements": 5, "order": 3}, {}],
+        "junctions": [[{"vessel": 1, "end": "left"}, {}]],
+        "inlets": [{"vessel": 1, "q_mean": 6, "q_amp": 0.5, "freq": 2}],
+        "outlets": [{"vessel": 1, "rp": 101, "rd": 1001, "c": 2e-4}],
+        "dt": 1e-4, "cfl": 0.25, "steps_per_interval": 7},
+      "time": {"intervals": 21, "develop_steps": 301, "develop_tol": 1e-6, "sample_from": 13},
+      "checkpoint": {"every": 4, "dir": "ck"}})");
+  ASSERT_EQ(net.network.vessels.size(), 2u);
+  const auto& v = net.network.vessels[0];
+  EXPECT_EQ(v.length, 2.0);
+  EXPECT_EQ(v.A0, 0.4);
+  EXPECT_EQ(v.beta, 2e5);
+  EXPECT_EQ(v.rho, 1.1);
+  EXPECT_EQ(v.Kr, 1.2);
+  EXPECT_EQ(v.elements, 5);
+  EXPECT_EQ(v.order, 3);
+  ASSERT_EQ(net.network.junctions.size(), 1u);
+  ASSERT_EQ(net.network.junctions[0].size(), 2u);
+  EXPECT_EQ(net.network.junctions[0][0].vessel, 1);
+  EXPECT_EQ(net.network.junctions[0][0].end, "left");
+  ASSERT_EQ(net.network.inlets.size(), 1u);
+  EXPECT_EQ(net.network.inlets[0].vessel, 1);
+  EXPECT_EQ(net.network.inlets[0].q_mean, 6.0);
+  EXPECT_EQ(net.network.inlets[0].q_amp, 0.5);
+  EXPECT_EQ(net.network.inlets[0].freq, 2.0);
+  ASSERT_EQ(net.network.outlets.size(), 1u);
+  EXPECT_EQ(net.network.outlets[0].vessel, 1);
+  EXPECT_EQ(net.network.outlets[0].rp, 101.0);
+  EXPECT_EQ(net.network.outlets[0].rd, 1001.0);
+  EXPECT_EQ(net.network.outlets[0].c, 2e-4);
+  EXPECT_EQ(net.network.dt, 1e-4);
+  EXPECT_EQ(net.network.cfl, 0.25);
+  EXPECT_EQ(net.network.steps_per_interval, 7);
+  EXPECT_EQ(net.time.intervals, 21);
+  EXPECT_EQ(net.checkpoint.dir, "ck");
 }
 
 // --- Runner vs the handwritten examples -----------------------------------

@@ -57,15 +57,6 @@ sched-context
     own context variables opt out with a `// lint: sched-context-ok
     (<reason>)` marker on the line or within 2 lines above.
 
-scenario-schema-sync
-    In src/scenario/schema.cpp, every parse_<x> / serialize_<x> function pair
-    must consume and emit the same JSON key set: the parse side reads keys
-    through the Fields accessors (`.req*("key")` / `.opt*("key")`), the
-    serialize side writes them with `.set("key", ...)`. A key present on one
-    side only means a scenario field round-trips silently wrong (parsed but
-    never re-emitted, or emitted but rejected on re-parse), which breaks the
-    bitwise re-emit guarantee the scenario tests pin.
-
 pragma-once
     Every header under src/ starts with `#pragma once`.
 
@@ -125,9 +116,6 @@ HOT_ALLOC_RULES = [
 ]
 THREAD_IDENTITY_RE = re.compile(r"\bthread_local\b|\bstd\s*::\s*this_thread\s*::\s*get_id\b")
 SCHED_CONTEXT_OK_RE = re.compile(r"//\s*lint:\s*sched-context-ok")
-SCHEMA_FN_RE = re.compile(r"\b(parse|serialize)_(\w+)\s*\(")
-SCHEMA_PARSE_KEY_RE = re.compile(r"\.(?:req|opt)\w*\(\s*\"([^\"]+)\"")
-SCHEMA_SET_KEY_RE = re.compile(r"\.set\(\s*\"([^\"]+)\"")
 
 
 class Finding:
@@ -263,81 +251,6 @@ def hot_fn_ranges(lines: list[str], fn_re: re.Pattern) -> list[tuple[int, int]]:
     return ranges
 
 
-def schema_sync_findings(rel: str, lines: list[str]) -> list[Finding]:
-    """Pair parse_<x>/serialize_<x> bodies and compare their key sets.
-
-    Definitions in schema.cpp sit at column 0; indented matches are call
-    sites. The parse side's keys come from Fields accessors (.req*/.opt*),
-    the serialize side's from .set. Key sets are unions over all branches, so
-    kind-conditional sections compare correctly as long as both sides branch
-    over the same keys."""
-    fns: dict[str, dict[str, tuple[int, set[str]]]] = {"parse": {}, "serialize": {}}
-    n = len(lines)
-    i = 0
-    while i < n:
-        line = lines[i]
-        m = SCHEMA_FN_RE.search(line)
-        if not m or not line[:1].strip() or "(" not in line:
-            i += 1
-            continue
-        # Find `{` (definition) or `;` (declaration/call statement) first.
-        j, pos = i, m.end()
-        opened = None
-        while j < n and opened is None:
-            for c in lines[j][pos:]:
-                if c in ";{":
-                    opened = c == "{"
-                    break
-            if opened is None:
-                j, pos = j + 1, 0
-        if not opened:
-            i = j + 1
-            continue
-        depth, body_start = 0, j
-        while j < n:
-            depth += lines[j].count("{") - lines[j].count("}")
-            if depth <= 0 and j >= body_start:
-                break
-            j += 1
-        body = "\n".join(lines[body_start : j + 1])
-        key_re = SCHEMA_PARSE_KEY_RE if m.group(1) == "parse" else SCHEMA_SET_KEY_RE
-        keys = set(key_re.findall(body))
-        prev = fns[m.group(1)].get(m.group(2))
-        if prev:  # overloads merge
-            keys |= prev[1]
-        fns[m.group(1)][m.group(2)] = (i, keys)
-        i = j + 1
-
-    findings: list[Finding] = []
-    for suffix in sorted(set(fns["parse"]) | set(fns["serialize"])):
-        p = fns["parse"].get(suffix)
-        s = fns["serialize"].get(suffix)
-        if p is None or s is None:
-            present, kind = (p, "parse") if s is None else (s, "serialize")
-            missing = "serialize" if s is None else "parse"
-            if present[1]:  # helpers with no keys (parse_scenario_text) are fine
-                findings.append(Finding(
-                    rel, present[0] + 1, "scenario-schema-sync",
-                    f"{kind}_{suffix} consumes keys {sorted(present[1])} but "
-                    f"{missing}_{suffix} does not exist; every schema struct needs "
-                    "a parse/serialize pair over the same keys"))
-            continue
-        only_parse = sorted(p[1] - s[1])
-        only_ser = sorted(s[1] - p[1])
-        if only_parse:
-            findings.append(Finding(
-                rel, s[0] + 1, "scenario-schema-sync",
-                f"serialize_{suffix} never emits key(s) {only_parse} that "
-                f"parse_{suffix} consumes: the field would vanish on re-emit"))
-        if only_ser:
-            findings.append(Finding(
-                rel, p[0] + 1, "scenario-schema-sync",
-                f"parse_{suffix} never consumes key(s) {only_ser} that "
-                f"serialize_{suffix} emits: the emitted document would fail "
-                "strict re-parse"))
-    return findings
-
-
 def lint_file(path: pathlib.Path, repo_root: pathlib.Path) -> list[Finding]:
     rel = str(path.relative_to(repo_root))
     text = path.read_text(encoding="utf-8", errors="replace")
@@ -351,9 +264,6 @@ def lint_file(path: pathlib.Path, repo_root: pathlib.Path) -> list[Finding]:
     in_xmp = rel.startswith("src/xmp/")
     in_dpd_header = rel.startswith("src/dpd/") and path.suffix == ".hpp"
     in_rank_visible = in_xmp or rel.startswith("src/telemetry/")
-
-    if rel == "src/scenario/schema.cpp":
-        findings.extend(schema_sync_findings(rel, lines))
 
     for rule, scope, fn_re, ok_re, marker, what in HOT_ALLOC_RULES:
         if not rel.startswith(scope):
@@ -634,34 +544,6 @@ SELF_TEST_CASES = [
      "  log(\"apply_stiffness(n) took too long\");\n"
      "  std::vector<double> tmp(3);\n}\n",
      set()),
-    ("src/scenario/schema.cpp",
-     "MeshSpec parse_mesh(const Json& v, const std::string& path) {\n"
-     "  Fields f(v, path);\n  MeshSpec s;\n  s.nx = f.req_int(\"nx\");\n"
-     "  s.length = f.opt_num(\"length\", s.length);\n  f.finish();\n  return s;\n}\n"
-     "Json serialize_mesh(const MeshSpec& s) {\n  Json o = Json::object();\n"
-     "  o.set(\"length\", Json(s.length));\n  o.set(\"nx\", Json(s.nx));\n  return o;\n}\n",
-     set()),
-    ("src/scenario/schema.cpp",
-     "MeshSpec parse_mesh(const Json& v, const std::string& path) {\n"
-     "  Fields f(v, path);\n  MeshSpec s;\n  s.nx = f.req_int(\"nx\");\n"
-     "  s.length = f.opt_num(\"length\", s.length);\n  return s;\n}\n"
-     "Json serialize_mesh(const MeshSpec& s) {\n  Json o = Json::object();\n"
-     "  o.set(\"length\", Json(s.length));\n  return o;\n}\n",
-     {"scenario-schema-sync"}),  # serialize drops "nx"
-    ("src/scenario/schema.cpp",
-     "SemSpec parse_sem(const Json& v, const std::string& path) {\n"
-     "  Fields f(v, path);\n  SemSpec s;\n  s.nu = f.opt_num(\"nu\", s.nu);\n"
-     "  return s;\n}\n",
-     {"scenario-schema-sync"}),  # no serialize_sem at all
-    ("src/scenario/schema.cpp",
-     "Scenario parse_scenario_text(std::string_view text) {\n"
-     "  return parse_scenario(Json::parse(text));\n}\n",
-     set()),  # keyless helper needs no pair
-    ("src/other/schema.cpp",
-     "SemSpec parse_sem(const Json& v, const std::string& path) {\n"
-     "  Fields f(v, path);\n  SemSpec s;\n  s.nu = f.opt_num(\"nu\", s.nu);\n"
-     "  return s;\n}\n",
-     set()),  # rule is scoped to src/scenario/schema.cpp
 ]
 
 

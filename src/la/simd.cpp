@@ -406,6 +406,57 @@ void lines_apply_t(const double* MT, std::size_t n1, std::size_t nlines, const d
   lines_apply_t_scalar(MT, n1, nlines, u, y, rowscale, coef);
 }
 
+// --- dense product of any size -------------------------------------------
+
+NO_AUTOVEC
+void gemm_scalar(const double* A, const double* B, double* C, std::size_t m, std::size_t k,
+                 std::size_t n) {
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      double s = 0.0;
+      for (std::size_t p = 0; p < k; ++p) s += A[i * k + p] * B[p * n + j];
+      C[i * n + j] = s;
+    }
+}
+
+void gemm_avx2(const double* A, const double* B, double* C, std::size_t m, std::size_t k,
+               std::size_t n) {
+  for (std::size_t i = 0; i < m; ++i) {
+    const double* Ai = A + i * k;
+    double* Ci = C + i * n;
+    std::size_t j = 0;
+    // 8 columns in two independent accumulators, then 4, then scalar
+    for (; j + 8 <= n; j += 8) {
+      __m256d c0 = _mm256_setzero_pd(), c1 = _mm256_setzero_pd();
+      for (std::size_t p = 0; p < k; ++p) {
+        const __m256d a = _mm256_set1_pd(Ai[p]);
+        c0 = _mm256_fmadd_pd(a, _mm256_loadu_pd(B + p * n + j), c0);
+        c1 = _mm256_fmadd_pd(a, _mm256_loadu_pd(B + p * n + j + 4), c1);
+      }
+      _mm256_storeu_pd(Ci + j, c0);
+      _mm256_storeu_pd(Ci + j + 4, c1);
+    }
+    for (; j + 4 <= n; j += 4) {
+      __m256d c0 = _mm256_setzero_pd();
+      for (std::size_t p = 0; p < k; ++p)
+        c0 = _mm256_fmadd_pd(_mm256_set1_pd(Ai[p]), _mm256_loadu_pd(B + p * n + j), c0);
+      _mm256_storeu_pd(Ci + j, c0);
+    }
+    for (; j < n; ++j) {
+      double s = 0.0;
+      for (std::size_t p = 0; p < k; ++p) s += Ai[p] * B[p * n + j];
+      Ci[j] = s;
+    }
+  }
+}
+
+void gemm(const double* A, const double* B, double* C, std::size_t m, std::size_t k,
+          std::size_t n) {
+  static const Isa isa = detect();
+  if (isa == Isa::Avx2) return gemm_avx2(A, B, C, m, k, n);
+  gemm_scalar(A, B, C, m, k, n);
+}
+
 // --- fused CG vector passes --------------------------------------------
 
 NO_AUTOVEC

@@ -2,10 +2,26 @@
 // Helmholtz / Poisson boundary-value solver on a 2D or 3D discretization:
 //   (lambda M + nu K) u = M f   with Dirichlet values on selected boundaries
 // (mesh tags in 2D, box faces in 3D) and natural (zero-Neumann) conditions
-// elsewhere. Solved by Jacobi-preconditioned CG on the free dofs, warm-
-// started by the successive-solution projector (paper: NEKTAR's Helmholtz/
-// Poisson solvers are CG with preconditioning and initial-state prediction).
+// elsewhere. Solved by preconditioned CG on the free dofs, warm-started by
+// the successive-solution projector (paper: NEKTAR's Helmholtz/Poisson
+// solvers are CG with preconditioning and initial-state prediction).
+//
+// The dimension fixes the preconditioner:
+//   * 3D: the exact inverse of the masked operator, by fast
+//     diagonalisation. The box is one tensor-product GLL lattice and its
+//     Dirichlet sets are whole faces, so the operator is the Kronecker sum
+//       lambda Mz(x)My(x)Mx + nu (Mz(x)My(x)Kx + Mz(x)Ky(x)Mx + Kz(x)My(x)Mx)
+//     of each axis's assembled 1D mass and stiffness, with a Dirichlet face
+//     removing one end index of one axis. Per axis, K s = mu M s on the
+//     free indices gives an M-orthonormal basis S, and then
+//       A^{-1} = S diag(1 / (lambda + nu (mu_x + mu_y + mu_z))) S^T.
+//     CG stays the outer loop, so every solve is held to the same
+//     tolerance; it converges in one iteration.
+//   * 2D: Jacobi. A QuadMesh can be masked (channel_with_cavity), and then
+//     the operator is not a tensor product.
 
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "la/cg.hpp"
@@ -18,6 +34,11 @@ class BlobReader;
 }  // namespace resilience
 
 namespace sem {
+
+/// The per-axis eigenbases behind the 3D preconditioner (helmholtz.cpp).
+/// They depend only on the discretization and the Dirichlet faces, not on
+/// (lambda, nu), so solvers that differ only in coefficients share them.
+class BoxEigenbasis;
 
 /// Instantiated for Discretization (2D) and Discretization3D (3D).
 template <class Disc>
@@ -32,6 +53,11 @@ public:
   /// (constant nullspace) and the solver pins the mean to zero.
   HelmholtzSolver(const Operators<Disc>& ops, double lambda, double nu,
                   std::vector<Boundary> dirichlet);
+
+  /// The operator and Dirichlet boundaries of `like` with coefficients
+  /// (lambda, nu), a fresh projector and default options. In 3D it shares
+  /// like's eigenbases instead of computing them again.
+  HelmholtzSolver(const HelmholtzSolver& like, double lambda, double nu);
 
   /// Solve with rhs f (as a nodal field; the solver forms M f) and the
   /// Dirichlet value function g evaluated at the constrained nodes'
@@ -62,6 +88,10 @@ public:
   void load_state(resilience::BlobReader& r);
 
 private:
+  /// The Jacobi diagonal (2D) or the shared eigenbases (3D).
+  using Precond = std::conditional_t<Disc::kDim == 3, std::shared_ptr<const BoxEigenbasis>,
+                                     la::Vector>;
+
   // analyze: no-checkpoint (constructor configuration, re-supplied by the driver)
   const Operators<Disc>* ops_;
   // analyze: no-checkpoint (constructor configuration: operator coefficients)
@@ -70,8 +100,8 @@ private:
   std::vector<std::size_t> dnodes_;
   // analyze: no-checkpoint (derived from dnodes_ in the constructor)
   std::vector<char> is_dirichlet_;
-  // analyze: no-checkpoint (preconditioner table, precomputed from ops_)
-  la::Vector precond_diag_;
+  // analyze: no-checkpoint (preconditioner tables, precomputed from ops_)
+  Precond precond_;
   la::SolutionProjector projector_;
   // analyze: no-checkpoint (set by set_projection_depth, driver configuration)
   bool projection_enabled_ = true;

@@ -27,7 +27,9 @@ namespace sem {
 enum class HexFace : int { X0 = 0, X1 = 1, Y0 = 2, Y1 = 3, Z0 = 4, Z1 = 5 };
 
 /// Uniform box mesh [0,Lx] x [0,Ly] x [0,Lz] with nx x ny x nz hexahedra
-/// and a continuous-Galerkin GLL discretization of order P.
+/// and a continuous-Galerkin GLL discretization of order P. Node ids are
+/// lattice-ordered, x fastest: g = (k * (ny P + 1) + j) * (nx P + 1) + i.
+/// The 3D Helmholtz preconditioner (helmholtz.hpp) relies on this layout.
 class Discretization3D {
 public:
   static constexpr std::size_t kDim = 3;
@@ -60,6 +62,8 @@ public:
   double dz() const { return Lz_ / static_cast<double>(nz_); }
   /// Element edge lengths (dx, dy, dz).
   std::array<double, kDim> element_size() const { return {dx(), dy(), dz()}; }
+  /// Element counts (nx, ny, nz) along each axis.
+  std::array<std::size_t, kDim> element_counts() const { return {nx_, ny_, nz_}; }
 
   /// Global node id of element e's local node (a, b, c). O(1) lookup in the
   /// precomputed element->global table (built once at construction; the

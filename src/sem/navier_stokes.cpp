@@ -90,9 +90,10 @@ void NavierStokes<D>::build_solvers() {
   }
   using Solver = HelmholtzSolver<Disc>;
   velocity_solver_ = std::make_unique<Solver>(ops_, 1.0 / params_.dt, params_.nu, dirichlet_);
+  // order 2: the same boundaries, so it shares the first solver's 3D eigenbases
   if (params_.time_order >= 2)
     velocity_solver2_ =
-        std::make_unique<Solver>(ops_, 1.5 / params_.dt, params_.nu, dirichlet_);
+        std::make_unique<Solver>(*velocity_solver_, 1.5 / params_.dt, params_.nu);
   // Pressure: Dirichlet 0 on the configured boundaries (outlets / natural
   // boundaries), Neumann elsewhere.
   std::vector<Boundary> pressure;

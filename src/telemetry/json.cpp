@@ -15,7 +15,8 @@ void JsonWriter::value(double v) {
     out_ << "null";
     return;
   }
-  if (v == static_cast<double>(static_cast<std::int64_t>(v)) && std::fabs(v) < 1e15) {
+  // range first: the integer cast is undefined for values it cannot hold
+  if (std::fabs(v) < 1e15 && v == static_cast<double>(static_cast<std::int64_t>(v))) {
     out_ << static_cast<std::int64_t>(v);
     return;
   }

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 
@@ -262,6 +263,32 @@ TEST(SimdLineKernels, LinesApplyTMatchesNaive) {
         EXPECT_NEAR(ysc[k], yref[k], 1e-12 * (1.0 + std::fabs(yref[k])))
             << "n1=" << n1 << " nlines=" << nlines << " k=" << k;
         EXPECT_NEAR(yd[k], yref[k], 1e-12 * (1.0 + std::fabs(yref[k])));
+      }
+    }
+  }
+}
+
+TEST(SimdLineKernels, GemmMatchesDenseMatmul) {
+  // sizes around the 8- and 4-wide column blocks, and past kMaxLineN; a
+  // local generator leaves the shared stream of later tests as it was
+  std::mt19937 gen(7);
+  std::uniform_real_distribution<double> u01(-1.0, 1.0);
+  for (std::size_t m : {1u, 3u, 13u}) {
+    for (std::size_t k : {1u, 7u, 49u}) {
+      for (std::size_t n : {1u, 4u, 5u, 8u, 11u, 49u}) {
+        la::DenseMatrix A(m, k), B(k, n);
+        std::generate(A.data(), A.data() + m * k, [&] { return u01(gen); });
+        std::generate(B.data(), B.data() + k * n, [&] { return u01(gen); });
+        const la::DenseMatrix ref = la::DenseMatrix::matmul(A, B);
+        la::Vector csc(m * n, 9.0), cd(m * n, 9.0);  // gemm overwrites C
+        la::simd::gemm_scalar(A.data(), B.data(), csc.data(), m, k, n);
+        la::simd::gemm(A.data(), B.data(), cd.data(), m, k, n);
+        for (std::size_t q = 0; q < m * n; ++q) {
+          const double r = ref.data()[q];
+          EXPECT_NEAR(csc[q], r, 1e-12 * (1.0 + std::fabs(r)))
+              << "m=" << m << " k=" << k << " n=" << n << " q=" << q;
+          EXPECT_NEAR(cd[q], r, 1e-12 * (1.0 + std::fabs(r)));
+        }
       }
     }
   }

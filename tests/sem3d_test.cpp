@@ -1,12 +1,18 @@
 // Tests for the 3D spectral-element core: discretization continuity,
-// manufactured Helmholtz solutions, spectral convergence in the order, and
-// the fast operator paths against the scalar reference kernels. The
+// manufactured Helmholtz solutions, spectral convergence in the order, the
+// fast-diagonalisation Helmholtz solve against Jacobi CG, and the fast
+// operator paths against the scalar reference kernels. The
 // operator identities both dimensions share are the typed OperatorsDims
 // suite in sem_test.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "reference/sem_reference.hpp"
 #include "sem/helmholtz.hpp"
@@ -135,6 +141,118 @@ TEST_P(Sem3dOrderSweep, SpectralConvergence) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Orders, Sem3dOrderSweep, ::testing::Values(2, 3, 4));
+
+// ---- the fast-diagonalisation solve against Jacobi CG ------------------
+
+struct FastDiagCase {
+  const char* name;
+  std::array<double, 3> L;
+  std::array<std::size_t, 3> n;
+  int P;
+  std::vector<sem::HexFace> dirichlet;
+  double lambda, nu;
+};
+
+// gtest prints a parameter in the test listing; the name keeps it readable
+// and free of pointer bytes
+void PrintTo(const FastDiagCase& c, std::ostream* os) { *os << c.name; }
+
+const std::vector<FastDiagCase>& fast_diag_cases() {
+  using F = sem::HexFace;
+  static const std::vector<FastDiagCase> cases = {
+      {"AllFacesDirichlet", {1.0, 1.0, 1.0}, {2, 2, 2}, 6,
+       {F::X0, F::X1, F::Y0, F::Y1, F::Z0, F::Z1}, 1.5, 0.7},
+      // cdc3d's velocity solve (X1 natural) and pressure solve (X1 only)
+      {"Cdc3dVelocity", {4.0, 1.0, 1.0}, {4, 1, 2}, 4, {F::X0, F::Y0, F::Y1, F::Z0, F::Z1},
+       750.0, 0.05},
+      {"Cdc3dPressure", {4.0, 1.0, 1.0}, {4, 1, 2}, 4, {F::X1}, 0.0, 1.0},
+      {"PureNeumannPoisson", {1.0, 1.0, 1.0}, {2, 2, 2}, 5, {}, 0.0, 1.0},
+      {"NeumannHelmholtz", {1.0, 1.0, 1.0}, {2, 2, 2}, 5, {}, 2.0, 1.0},
+      {"AnisotropicBox", {2.0, 0.7, 1.3}, {3, 2, 4}, 5, {F::X0, F::Y1, F::Z0}, 3.0, 0.2},
+      {"OrderOne", {1.0, 2.0, 1.0}, {5, 3, 4}, 1, {F::Y0, F::Y1, F::Z1}, 2.0, 1.0},
+      {"OrderEight", {1.5, 1.0, 1.0}, {2, 1, 2}, 8, {F::X0, F::X1, F::Z0}, 10.0, 0.1},
+  };
+  return cases;
+}
+
+/// The solver's problem solved independently: the same masked operator,
+/// Dirichlet lift and rhs, by Jacobi-preconditioned CG to a tight tolerance.
+la::Vector jacobi_cg_solution(const sem::Operators<sem::Discretization3D>& ops,
+                              const FastDiagCase& c, const la::Vector& f,
+                              const sem::Discretization3D::PointFn<>& g) {
+  const auto& d = ops.disc();
+  const auto& M = ops.mass_diag();
+  const std::size_t n = d.num_nodes();
+  std::vector<char> fixed(n, 0);
+  for (sem::HexFace face : c.dirichlet)
+    for (std::size_t k : d.boundary_nodes(face)) fixed[k] = 1;
+  la::Vector lift(n, 0.0), Alift(n);
+  for (std::size_t k = 0; k < n; ++k)
+    if (fixed[k]) lift[k] = sem::eval_at(g, d.node(k));
+  ops.apply_helmholtz(c.lambda, c.nu, lift, Alift);
+  la::Vector b(n);
+  for (std::size_t k = 0; k < n; ++k) b[k] = fixed[k] ? 0.0 : M[k] * f[k] - Alift[k];
+  const bool singular = c.dirichlet.empty() && c.lambda == 0.0;
+  if (singular) {  // consistent rhs: remove its constant-mode part
+    double sb = 0.0;
+    for (std::size_t k = 0; k < n; ++k) sb += b[k];
+    const double shift = sb / ops.integral(la::Vector(n, 1.0));
+    for (std::size_t k = 0; k < n; ++k) b[k] -= M[k] * shift;
+  }
+  la::Vector t(n), y(n);
+  la::LinearOperator A = [&](const double* x, double* out) {
+    for (std::size_t k = 0; k < n; ++k) t[k] = fixed[k] ? 0.0 : x[k];
+    ops.apply_helmholtz(c.lambda, c.nu, t, y);
+    for (std::size_t k = 0; k < n; ++k) out[k] = fixed[k] ? x[k] : y[k];
+  };
+  la::Vector diag = ops.helmholtz_diag(c.lambda, c.nu);
+  for (std::size_t k = 0; k < n; ++k)
+    if (fixed[k]) diag[k] = 1.0;
+  la::Vector u(n, 0.0);
+  const auto res = la::cg_solve(A, b, u, la::jacobi_preconditioner(diag),
+                                {.rtol = 1e-14, .atol = 0.0, .max_iter = 20000});
+  EXPECT_TRUE(res.converged) << "Jacobi CG residual " << res.residual_norm;
+  for (std::size_t k = 0; k < n; ++k) u[k] += lift[k];
+  if (singular) {
+    const double mean = ops.integral(u) / ops.integral(la::Vector(n, 1.0));
+    for (std::size_t k = 0; k < n; ++k) u[k] -= mean;
+  }
+  return u;
+}
+
+class Helmholtz3dFastDiag : public ::testing::TestWithParam<FastDiagCase> {};
+
+TEST_P(Helmholtz3dFastDiag, AgreesWithJacobiCg) {
+  const FastDiagCase& c = GetParam();
+  sem::Discretization3D d(c.L[0], c.L[1], c.L[2], c.n[0], c.n[1], c.n[2], c.P);
+  sem::Operators ops(d);
+  sem::HelmholtzSolver hs(ops, c.lambda, c.nu, c.dirichlet);
+  // a short series of smooth fields, so the projector's guesses take part
+  for (int s = 0; s < 3; ++s) {
+    auto g = [s](double x, double y, double z) { return std::cos(x + 0.5 * y - z + s); };
+    la::Vector f(d.num_nodes());
+    for (std::size_t k = 0; k < d.num_nodes(); ++k)
+      f[k] = std::sin(2.0 * d.node_x(k) + 0.3 * s) * std::cos(1.7 * d.node_y(k)) +
+             d.node_z(k) * d.node_z(k);
+    la::Vector u;
+    const auto res = hs.solve(f, g, u);
+    EXPECT_TRUE(res.converged);
+    EXPECT_LE(res.iterations, 2u) << "solve " << s;
+    const la::Vector ref = jacobi_cg_solution(ops, c, f, g);
+    double err = 0.0, scale = 0.0;
+    for (std::size_t k = 0; k < ref.size(); ++k) {
+      err = std::max(err, std::fabs(u[k] - ref[k]));
+      scale = std::max(scale, std::fabs(ref[k]));
+    }
+    EXPECT_LE(err, 1e-9 * scale) << "solve " << s;
+    if (c.dirichlet.empty() && c.lambda == 0.0) {
+      EXPECT_NEAR(ops.integral(u), 0.0, 1e-12 * scale);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, Helmholtz3dFastDiag, ::testing::ValuesIn(fast_diag_cases()),
+                         [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 

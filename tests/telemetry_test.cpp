@@ -455,3 +455,18 @@ TEST(TelemetryJson, NonFiniteDoublesAreNull) {
   w.end_array();
   EXPECT_EQ(w.str(), "[null,null,null,1.5]");
 }
+
+TEST(TelemetryJson, DoublesBeyondInt64RangeAreWrittenAsDoubles) {
+  // +-1e19 lie outside std::int64_t: the writer must test the range before
+  // casting (the cast alone is undefined behaviour, which a
+  // float-cast-overflow build reports). Integral values in range keep
+  // their integer spelling.
+  telemetry::JsonWriter w;
+  w.begin_array();
+  w.value(1e19);
+  w.value(-1e19);
+  w.value(42.0);
+  w.value(-7.0);
+  w.end_array();
+  EXPECT_EQ(w.str(), "[1e+19,-1e+19,42,-7]");
+}

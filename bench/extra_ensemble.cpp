@@ -28,8 +28,9 @@ scenario::Json base_doc() {
   sc.time.intervals = 2;
   sc.time.sample_from = 0;
   // Tolerance-terminated develop phase: this is what a warm start collapses.
-  // The per-step delta floors near 2e-10 (CG noise), so 3e-8 is safely
-  // reachable (~1500 steps from rest on the quickstart mesh).
+  // The per-step delta floors near 1e-15 (rounding: the box-mesh solves are
+  // exact, so no CG residual is left over), so 3e-8 is safely reachable
+  // (~1500 steps from rest on the quickstart mesh).
   sc.time.develop_steps = 3000;
   sc.time.develop_tol = 3e-8;
   return scenario::Json::parse(scenario::scenario_to_json(sc));

@@ -91,7 +91,7 @@ std::size_t SolutionProjector::predict(const LinearOperator& A, const Vector& b,
                                        Vector& guess) const {
   (void)A;
   const std::size_t n = b.size();
-  guess.resize(n);
+  if (guess.size() != n) guess.resize(n);  // keeps a caller's buffer of the right size
   guess.fill(0.0);
   std::size_t used = 0;
   // basis_ is kept A-orthonormal, so the projection coefficients are plain

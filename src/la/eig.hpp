@@ -1,8 +1,11 @@
 #pragma once
-// Symmetric eigensolver (cyclic Jacobi rotations). WPOD's method of
-// snapshots builds a small dense correlation matrix (Nsnap x Nsnap) whose
-// full eigen-decomposition we need; Jacobi is simple, robust, and accurate
-// for that size range (<= a few hundred).
+// Symmetric eigensolver: Householder reduction to tridiagonal form, then
+// implicit QL iterations with Wilkinson shifts (the EISPACK tred2/tql2
+// pair). Two callers: WPOD's method of snapshots, whose correlation matrix
+// is Nsnap x Nsnap, and the Helmholtz solver's per-axis GLL eigenbases (a
+// few dozen rows). O(n^3) with a small constant; the eigenvalues are
+// accurate to a few ulps of ||A|| and the eigenvectors orthonormal to
+// rounding.
 
 #include <cstddef>
 
@@ -13,13 +16,13 @@ namespace la {
 
 struct EigResult {
   Vector values;     ///< eigenvalues, sorted descending
-  DenseMatrix vecs;  ///< column k is the eigenvector of values[k]
-  std::size_t sweeps = 0;
+  DenseMatrix vecs;  ///< column k is the unit eigenvector of values[k]
+  /// False when an eigenvalue hit the QL iteration cap or the input was
+  /// not finite.
   bool converged = false;
 };
 
 /// Full eigen-decomposition of a symmetric matrix.
-EigResult eig_symmetric(const DenseMatrix& A, double tol = 1e-12,
-                        std::size_t max_sweeps = 64);
+EigResult eig_symmetric(const DenseMatrix& A);
 
 }  // namespace la

@@ -130,7 +130,7 @@ void lines_apply_t_avx2(const double* MT, std::size_t n1, std::size_t nlines, co
 //   gemm: C = A B with A (m x k), B (k x n) and C (m x n), all row-major
 //         and contiguous; C is overwritten. Vectorises over the columns of
 //         C, with no cap on the sizes (the line kernels above stop at
-//         kMaxLineN). It applies a whole-axis basis of the 3D box in the
+//         kMaxLineN). It applies a whole-axis basis of a box mesh in the
 //         Helmholtz fast-diagonalisation transforms (sem/helmholtz.cpp).
 void gemm(const double* A, const double* B, double* C, std::size_t m, std::size_t k,
           std::size_t n);

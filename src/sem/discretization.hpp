@@ -60,6 +60,10 @@ public:
 
   /// Element edge lengths (dx, dy) of the uniform grid.
   std::array<double, kDim> element_size() const { return {mesh_.dx(), mesh_.dy()}; }
+  /// Element counts (nx, ny) of the grid, masked cells included.
+  std::array<std::size_t, kDim> element_counts() const {
+    return {mesh_.grid_nx(), mesh_.grid_ny()};
+  }
 
   double node_x(std::size_t g) const { return coords_x_[g]; }
   double node_y(std::size_t g) const { return coords_y_[g]; }

@@ -6,22 +6,24 @@
 // the successive-solution projector (paper: NEKTAR's Helmholtz/Poisson
 // solvers are CG with preconditioning and initial-state prediction).
 //
-// The dimension fixes the preconditioner:
-//   * 3D: the exact inverse of the masked operator, by fast
-//     diagonalisation. The box is one tensor-product GLL lattice and its
-//     Dirichlet sets are whole faces, so the operator is the Kronecker sum
+// The geometry picks the preconditioner, in either dimension:
+//   * Box meshes: the exact inverse of the masked operator, by fast
+//     diagonalisation. An unmasked grid (every Discretization3D, and a
+//     QuadMesh with no cell deactivated) is one tensor-product GLL lattice.
+//     When its Dirichlet set is a union of whole sides, the operator is the
+//     Kronecker sum
+//       lambda My(x)Mx + nu (My(x)Kx + Ky(x)Mx)                       (2D)
 //       lambda Mz(x)My(x)Mx + nu (Mz(x)My(x)Kx + Mz(x)Ky(x)Mx + Kz(x)My(x)Mx)
-//     of each axis's assembled 1D mass and stiffness, with a Dirichlet face
+//     of each axis's assembled 1D mass and stiffness, with a Dirichlet side
 //     removing one end index of one axis. Per axis, K s = mu M s on the
 //     free indices gives an M-orthonormal basis S, and then
-//       A^{-1} = S diag(1 / (lambda + nu (mu_x + mu_y + mu_z))) S^T.
+//       A^{-1} = S diag(1 / (lambda + nu sum_k mu_k)) S^T.
 //     CG stays the outer loop, so every solve is held to the same
 //     tolerance; it converges in one iteration.
-//   * 2D: Jacobi. A QuadMesh can be masked (channel_with_cavity), and then
-//     the operator is not a tensor product.
+//   * Otherwise Jacobi: a masked QuadMesh (channel_with_cavity) or a side
+//     only partly Dirichlet breaks the tensor product.
 
 #include <memory>
-#include <type_traits>
 #include <vector>
 
 #include "la/cg.hpp"
@@ -35,8 +37,8 @@ class BlobReader;
 
 namespace sem {
 
-/// The per-axis eigenbases behind the 3D preconditioner (helmholtz.cpp).
-/// They depend only on the discretization and the Dirichlet faces, not on
+/// The per-axis eigenbases behind the box preconditioner (helmholtz.cpp).
+/// They depend only on the discretization and the Dirichlet sides, not on
 /// (lambda, nu), so solvers that differ only in coefficients share them.
 class BoxEigenbasis;
 
@@ -55,8 +57,8 @@ public:
                   std::vector<Boundary> dirichlet);
 
   /// The operator and Dirichlet boundaries of `like` with coefficients
-  /// (lambda, nu), a fresh projector and default options. In 3D it shares
-  /// like's eigenbases instead of computing them again.
+  /// (lambda, nu), a fresh projector and default options. It shares like's
+  /// eigenbases instead of computing them again.
   HelmholtzSolver(const HelmholtzSolver& like, double lambda, double nu);
 
   /// Solve with rhs f (as a nodal field; the solver forms M f) and the
@@ -88,9 +90,8 @@ public:
   void load_state(resilience::BlobReader& r);
 
 private:
-  /// The Jacobi diagonal (2D) or the shared eigenbases (3D).
-  using Precond = std::conditional_t<Disc::kDim == 3, std::shared_ptr<const BoxEigenbasis>,
-                                     la::Vector>;
+  /// Jacobi diagonal when there are no eigenbases, and the scratch.
+  void allocate();
 
   // analyze: no-checkpoint (constructor configuration, re-supplied by the driver)
   const Operators<Disc>* ops_;
@@ -101,7 +102,11 @@ private:
   // analyze: no-checkpoint (derived from dnodes_ in the constructor)
   std::vector<char> is_dirichlet_;
   // analyze: no-checkpoint (preconditioner tables, precomputed from ops_)
-  Precond precond_;
+  std::shared_ptr<const BoxEigenbasis> basis_;  // null unless the mesh is a box
+  // analyze: no-checkpoint (preconditioner tables, precomputed from ops_)
+  la::Vector jacobi_;  // diag(lambda M + nu K), ones on Dirichlet rows; empty with basis_
+  // analyze: no-checkpoint (per-solve scratch: no value carries from one solve to the next)
+  la::Vector tmp_in_, tmp_out_, b_, work_;
   la::SolutionProjector projector_;
   // analyze: no-checkpoint (set by set_projection_depth, driver configuration)
   bool projection_enabled_ = true;

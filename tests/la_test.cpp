@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "la/cg.hpp"
 #include "la/csr.hpp"
@@ -14,6 +17,7 @@
 #include "la/simd.hpp"
 #include "la/stats.hpp"
 #include "la/vector.hpp"
+#include "sem/gll.hpp"
 
 namespace {
 
@@ -637,6 +641,141 @@ TEST(Eig, OrthonormalEigenvectors) {
       for (std::size_t k = 0; k < n; ++k) s += e.vecs(k, a) * e.vecs(k, b);
       EXPECT_NEAR(s, a == b ? 1.0 : 0.0, 1e-10);
     }
+}
+
+/// max_k ||A v_k - lambda_k v_k||_2 / max(1, ||A||_F) and max |V^T V - I|.
+std::pair<double, double> eig_errors(const la::DenseMatrix& A, const la::EigResult& e) {
+  const std::size_t n = A.rows();
+  double residual = 0.0, orth = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    double r2 = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      double s = -e.values[k] * e.vecs(i, k);
+      for (std::size_t j = 0; j < n; ++j) s += A(i, j) * e.vecs(j, k);
+      r2 += s * s;
+    }
+    residual = std::max(residual, std::sqrt(r2));
+    for (std::size_t l = 0; l < n; ++l) {
+      double s = 0.0;
+      for (std::size_t i = 0; i < n; ++i) s += e.vecs(i, k) * e.vecs(i, l);
+      orth = std::max(orth, std::fabs(s - (k == l ? 1.0 : 0.0)));
+    }
+  }
+  return {residual / std::max(1.0, A.frobenius()), orth};
+}
+
+/// Q diag(values) Q^T for a random orthogonal Q (Gram-Schmidt, twice).
+la::DenseMatrix rotated_diagonal(const std::vector<double>& values, unsigned seed) {
+  const std::size_t n = values.size();
+  std::mt19937 gen(seed);
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  la::DenseMatrix Q(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) Q(i, j) = u(gen);
+  for (std::size_t k = 0; k < n; ++k)
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::size_t l = 0; l < k; ++l) {
+        double s = 0.0;
+        for (std::size_t i = 0; i < n; ++i) s += Q(i, k) * Q(i, l);
+        for (std::size_t i = 0; i < n; ++i) Q(i, k) -= s * Q(i, l);
+      }
+      double s = 0.0;
+      for (std::size_t i = 0; i < n; ++i) s += Q(i, k) * Q(i, k);
+      for (std::size_t i = 0; i < n; ++i) Q(i, k) /= std::sqrt(s);
+    }
+  la::DenseMatrix A(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      double s = 0.0;
+      for (std::size_t k = 0; k < n; ++k) s += Q(i, k) * values[k] * Q(j, k);
+      A(i, j) = s;
+    }
+  for (std::size_t i = 0; i < n; ++i)  // exactly symmetric
+    for (std::size_t j = 0; j < i; ++j) A(j, i) = A(i, j);
+  return A;
+}
+
+TEST(Eig, OneAndTwoByTwo) {
+  la::DenseMatrix A1(1, 1, -3.0);
+  auto e1 = la::eig_symmetric(A1);
+  ASSERT_TRUE(e1.converged);
+  EXPECT_EQ(e1.values[0], -3.0);
+  EXPECT_EQ(std::fabs(e1.vecs(0, 0)), 1.0);
+
+  la::DenseMatrix A2(2, 2, 1.0);
+  A2(0, 0) = A2(1, 1) = 2.0;
+  auto e2 = la::eig_symmetric(A2);
+  ASSERT_TRUE(e2.converged);
+  EXPECT_NEAR(e2.values[0], 3.0, 1e-15);
+  EXPECT_NEAR(e2.values[1], 1.0, 1e-15);
+  EXPECT_NEAR(e2.vecs(0, 0), e2.vecs(1, 0), 1e-15);   // (1, 1) / sqrt 2
+  EXPECT_NEAR(e2.vecs(0, 1), -e2.vecs(1, 1), 1e-15);  // (1, -1) / sqrt 2
+  const auto [res, orth] = eig_errors(A2, e2);
+  EXPECT_LE(res, 1e-15);
+  EXPECT_LE(orth, 1e-15);
+}
+
+TEST(Eig, ZeroMatrix) {
+  const la::DenseMatrix A(6, 6);
+  auto e = la::eig_symmetric(A);
+  ASSERT_TRUE(e.converged);
+  for (double v : e.values) EXPECT_EQ(v, 0.0);
+  EXPECT_EQ(eig_errors(A, e).second, 0.0);  // the identity
+}
+
+TEST(Eig, RepeatedAndClusteredEigenvalues) {
+  const std::vector<std::vector<double>> spectra = {
+      {4.0, 4.0, 4.0, 1.0, 1.0, -2.0, -2.0, 0.5},                  // repeated
+      {2.0, 1.0 + 3e-12, 1.0 + 2e-12, 1.0 + 1e-12, 1.0, 1.0 - 1e-12, -1.0},  // clustered
+      std::vector<double>(7, 2.5),                                  // one eigenvalue
+  };
+  for (std::size_t c = 0; c < spectra.size(); ++c) {
+    const auto A = rotated_diagonal(spectra[c], 7 + static_cast<unsigned>(c));
+    auto e = la::eig_symmetric(A);
+    ASSERT_TRUE(e.converged) << "spectrum " << c;
+    auto want = spectra[c];
+    std::sort(want.begin(), want.end(), std::greater<>());
+    for (std::size_t k = 0; k < want.size(); ++k)
+      EXPECT_NEAR(e.values[k], want[k], 1e-14 * A.frobenius()) << "spectrum " << c;
+    const auto [res, orth] = eig_errors(A, e);
+    EXPECT_LE(res, 1e-14) << "spectrum " << c;
+    EXPECT_LE(orth, 1e-14) << "spectrum " << c;
+  }
+}
+
+TEST(Eig, GllAxisMatrix) {
+  // M^{-1/2} K M^{-1/2} of the assembled 1D GLL mass and stiffness on the
+  // cdc3d_sem x axis (8 elements of length 0.5, P = 6) with its first node
+  // Dirichlet: the 48 x 48 matrix behind one axis of the box preconditioner
+  const std::size_t ne = 8, P = 6, n = ne * P + 1;
+  const double h = 0.5;
+  const auto rule = sem::gll_rule(static_cast<int>(P));
+  const auto D = sem::gll_diff_matrix(rule);
+  std::vector<double> m(n, 0.0);
+  la::DenseMatrix K(n, n);
+  for (std::size_t e = 0; e < ne; ++e)
+    for (std::size_t a = 0; a <= P; ++a) {
+      m[e * P + a] += 0.5 * h * rule.weights[a];
+      for (std::size_t b = 0; b <= P; ++b)
+        for (std::size_t q = 0; q <= P; ++q)
+          K(e * P + a, e * P + b) += 2.0 / h * D(q, a) * rule.weights[q] * D(q, b);
+    }
+  la::DenseMatrix B(n - 1, n - 1);
+  for (std::size_t i = 0; i + 1 < n; ++i)
+    for (std::size_t j = 0; j + 1 < n; ++j)
+      B(i, j) = K(i + 1, j + 1) / std::sqrt(m[i + 1] * m[j + 1]);
+  const auto e = la::eig_symmetric(B);
+  ASSERT_TRUE(e.converged);
+  EXPECT_GT(e.values[n - 2], 0.0);  // SPD with a Dirichlet end
+  const auto [res, orth] = eig_errors(B, e);
+  EXPECT_LE(res, 2e-15);
+  EXPECT_LE(orth, 1e-14);
+}
+
+TEST(Eig, NonFiniteInputIsNotConverged) {
+  la::DenseMatrix A = la::DenseMatrix::identity(4);
+  A(2, 1) = A(1, 2) = std::nan("");
+  EXPECT_FALSE(la::eig_symmetric(A).converged);
 }
 
 // ---------------- Stats ----------------

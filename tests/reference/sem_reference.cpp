@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "la/cg.hpp"
 #include "la/dense.hpp"
 #include "la/simd.hpp"
 
@@ -355,5 +357,60 @@ double evaluate(const Discretization3D& d, const la::Vector& field, double x, do
   }
   return s;
 }
+
+template <class Disc>
+la::Vector helmholtz_jacobi_cg(const Operators<Disc>& ops, double lambda, double nu,
+                               const std::vector<typename Disc::Boundary>& dirichlet,
+                               const la::Vector& f,
+                               const typename Disc::template PointFn<>& g) {
+  const auto& d = ops.disc();
+  const auto& M = ops.mass_diag();
+  const std::size_t n = d.num_nodes();
+  std::vector<char> fixed(n, 0);
+  for (const auto& b : dirichlet)
+    for (std::size_t k : d.boundary_nodes(b)) fixed[k] = 1;
+  la::Vector lift(n, 0.0), Alift(n);
+  for (std::size_t k = 0; k < n; ++k)
+    if (fixed[k]) lift[k] = eval_at(g, d.node(k));
+  ops.apply_helmholtz(lambda, nu, lift, Alift);
+  la::Vector b(n);
+  for (std::size_t k = 0; k < n; ++k) b[k] = fixed[k] ? 0.0 : M[k] * f[k] - Alift[k];
+  const bool singular = dirichlet.empty() && lambda == 0.0;
+  if (singular) {  // consistent rhs: remove its constant-mode part
+    double sb = 0.0;
+    for (std::size_t k = 0; k < n; ++k) sb += b[k];
+    const double shift = sb / ops.integral(la::Vector(n, 1.0));
+    for (std::size_t k = 0; k < n; ++k) b[k] -= M[k] * shift;
+  }
+  la::Vector t(n), y(n);
+  la::LinearOperator A = [&](const double* x, double* out) {
+    for (std::size_t k = 0; k < n; ++k) t[k] = fixed[k] ? 0.0 : x[k];
+    ops.apply_helmholtz(lambda, nu, t, y);
+    for (std::size_t k = 0; k < n; ++k) out[k] = fixed[k] ? x[k] : y[k];
+  };
+  la::Vector diag = ops.helmholtz_diag(lambda, nu);
+  for (std::size_t k = 0; k < n; ++k)
+    if (fixed[k]) diag[k] = 1.0;
+  la::Vector u(n, 0.0);
+  const auto res = la::cg_solve(A, b, u, la::jacobi_preconditioner(diag),
+                                {.rtol = 1e-14, .atol = 0.0, .max_iter = 20000});
+  if (!res.converged)
+    throw std::runtime_error("helmholtz_jacobi_cg: residual " +
+                             std::to_string(res.residual_norm) + " after " +
+                             std::to_string(res.iterations) + " iterations");
+  for (std::size_t k = 0; k < n; ++k) u[k] += lift[k];
+  if (singular) {
+    const double mean = ops.integral(u) / ops.integral(la::Vector(n, 1.0));
+    for (std::size_t k = 0; k < n; ++k) u[k] -= mean;
+  }
+  return u;
+}
+
+template la::Vector helmholtz_jacobi_cg(const Operators<Discretization>&, double, double,
+                                        const std::vector<int>&, const la::Vector&,
+                                        const Discretization::PointFn<>&);
+template la::Vector helmholtz_jacobi_cg(const Operators<Discretization3D>&, double, double,
+                                        const std::vector<HexFace>&, const la::Vector&,
+                                        const Discretization3D::PointFn<>&);
 
 }  // namespace sem::reference

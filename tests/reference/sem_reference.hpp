@@ -8,11 +8,15 @@
 // against them. Results have the same semantics as the member functions of
 // the same name; the gradient writes one vector per axis argument.
 // evaluate is the per-dimension scalar point evaluation sem::evaluate is
-// checked against bitwise.
+// checked against bitwise. helmholtz_jacobi_cg is the Helmholtz solve the
+// fast-diagonalisation suites compare against.
+
+#include <vector>
 
 #include "la/vector.hpp"
 #include "sem/discretization.hpp"
 #include "sem/hex3d.hpp"
+#include "sem/operators.hpp"
 
 namespace sem::reference {
 
@@ -38,5 +42,15 @@ void gradient(const Discretization3D& d, const la::Vector& u, la::Vector& ddx, l
 double evaluate(const Discretization& d, const la::Vector& field, double x, double y);
 double evaluate(const Discretization3D& d, const la::Vector& field, double x, double y,
                 double z);
+
+/// The HelmholtzSolver problem solved by the algorithm before fast
+/// diagonalisation: (lambda M + nu K) u = M f with u = g on the nodes of
+/// `dirichlet` (and zero mean when the operator is singular), by
+/// Jacobi-preconditioned CG on the masked operator to rtol 1e-14. Throws
+/// std::runtime_error if CG does not converge.
+template <class Disc>
+la::Vector helmholtz_jacobi_cg(const Operators<Disc>& ops, double lambda, double nu,
+                               const std::vector<typename Disc::Boundary>& dirichlet,
+                               const la::Vector& f, const typename Disc::template PointFn<>& g);
 
 }  // namespace sem::reference

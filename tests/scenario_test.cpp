@@ -560,18 +560,21 @@ TEST(RunnerTest, Coupled3dDigestMatchesHandwritten) {
 // counts. Every relational gate (restart, scenario file vs preset) would
 // still pass if a refactor shifted both sides; these literals would not.
 // The scalar kernels sum in a different order, so the pins hold on AVX2 only.
-// The 3D pin moved from cd1fbf0d when the 3D Helmholtz solves switched from
-// Jacobi to the exact fast-diagonalisation preconditioner; the new solve
-// agrees with a Jacobi-CG solve of the same operator to 1e-9 relative
-// (Helmholtz3dFastDiag.AgreesWithJacobiCg in sem3d_test).
+// The 2D pin moved from bd696f32 when the 2D box-mesh Helmholtz solves
+// switched from Jacobi to the exact fast-diagonalisation preconditioner,
+// and the 3D pin from b7c32cce when the axis eigenbases moved from a
+// cyclic-Jacobi to a tridiagonal-QL eigensolver (rounding level). Each
+// solve agrees with a Jacobi-CG solve of the same operator to 1e-9
+// relative (Helmholtz2dFastDiag.AgreesWithJacobiCg in sem_test,
+// Helmholtz3dFastDiag.AgreesWithJacobiCg in sem3d_test).
 TEST(Scenario, PresetDigestsArePinned) {
   if (la::simd::detect() != la::simd::Isa::Avx2) GTEST_SKIP() << "digests pinned on AVX2";
   RunnerOptions q;
   q.intervals = 12;
-  EXPECT_EQ(Runner(scenario::quickstart_preset(), q).run().digest, 0xbd696f32u);
+  EXPECT_EQ(Runner(scenario::quickstart_preset(), q).run().digest, 0x0c02f50cu);
   RunnerOptions c;
   c.intervals = 8;
-  EXPECT_EQ(Runner(scenario::coupled3d_preset(), c).run().digest, 0xb7c32cceu);
+  EXPECT_EQ(Runner(scenario::coupled3d_preset(), c).run().digest, 0x351c803bu);
 }
 
 TEST(RunnerTest, Net1dDeterministicDigest) {

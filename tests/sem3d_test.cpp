@@ -175,51 +175,6 @@ const std::vector<FastDiagCase>& fast_diag_cases() {
   return cases;
 }
 
-/// The solver's problem solved independently: the same masked operator,
-/// Dirichlet lift and rhs, by Jacobi-preconditioned CG to a tight tolerance.
-la::Vector jacobi_cg_solution(const sem::Operators<sem::Discretization3D>& ops,
-                              const FastDiagCase& c, const la::Vector& f,
-                              const sem::Discretization3D::PointFn<>& g) {
-  const auto& d = ops.disc();
-  const auto& M = ops.mass_diag();
-  const std::size_t n = d.num_nodes();
-  std::vector<char> fixed(n, 0);
-  for (sem::HexFace face : c.dirichlet)
-    for (std::size_t k : d.boundary_nodes(face)) fixed[k] = 1;
-  la::Vector lift(n, 0.0), Alift(n);
-  for (std::size_t k = 0; k < n; ++k)
-    if (fixed[k]) lift[k] = sem::eval_at(g, d.node(k));
-  ops.apply_helmholtz(c.lambda, c.nu, lift, Alift);
-  la::Vector b(n);
-  for (std::size_t k = 0; k < n; ++k) b[k] = fixed[k] ? 0.0 : M[k] * f[k] - Alift[k];
-  const bool singular = c.dirichlet.empty() && c.lambda == 0.0;
-  if (singular) {  // consistent rhs: remove its constant-mode part
-    double sb = 0.0;
-    for (std::size_t k = 0; k < n; ++k) sb += b[k];
-    const double shift = sb / ops.integral(la::Vector(n, 1.0));
-    for (std::size_t k = 0; k < n; ++k) b[k] -= M[k] * shift;
-  }
-  la::Vector t(n), y(n);
-  la::LinearOperator A = [&](const double* x, double* out) {
-    for (std::size_t k = 0; k < n; ++k) t[k] = fixed[k] ? 0.0 : x[k];
-    ops.apply_helmholtz(c.lambda, c.nu, t, y);
-    for (std::size_t k = 0; k < n; ++k) out[k] = fixed[k] ? x[k] : y[k];
-  };
-  la::Vector diag = ops.helmholtz_diag(c.lambda, c.nu);
-  for (std::size_t k = 0; k < n; ++k)
-    if (fixed[k]) diag[k] = 1.0;
-  la::Vector u(n, 0.0);
-  const auto res = la::cg_solve(A, b, u, la::jacobi_preconditioner(diag),
-                                {.rtol = 1e-14, .atol = 0.0, .max_iter = 20000});
-  EXPECT_TRUE(res.converged) << "Jacobi CG residual " << res.residual_norm;
-  for (std::size_t k = 0; k < n; ++k) u[k] += lift[k];
-  if (singular) {
-    const double mean = ops.integral(u) / ops.integral(la::Vector(n, 1.0));
-    for (std::size_t k = 0; k < n; ++k) u[k] -= mean;
-  }
-  return u;
-}
-
 class Helmholtz3dFastDiag : public ::testing::TestWithParam<FastDiagCase> {};
 
 TEST_P(Helmholtz3dFastDiag, AgreesWithJacobiCg) {
@@ -238,7 +193,8 @@ TEST_P(Helmholtz3dFastDiag, AgreesWithJacobiCg) {
     const auto res = hs.solve(f, g, u);
     EXPECT_TRUE(res.converged);
     EXPECT_LE(res.iterations, 2u) << "solve " << s;
-    const la::Vector ref = jacobi_cg_solution(ops, c, f, g);
+    const la::Vector ref =
+        sem::reference::helmholtz_jacobi_cg(ops, c.lambda, c.nu, c.dirichlet, f, g);
     double err = 0.0, scale = 0.0;
     for (std::size_t k = 0; k < ref.size(); ++k) {
       err = std::max(err, std::fabs(u[k] - ref[k]));

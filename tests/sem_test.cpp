@@ -10,9 +10,11 @@
 #include <complex>
 #include <iomanip>
 #include <optional>
+#include <ostream>
 #include <random>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -283,6 +285,93 @@ TEST(Helmholtz, PureNeumannPoissonZeroMean) {
   EXPECT_LT(max_err, 1e-6);
   EXPECT_NEAR(ops.integral(u), 0.0, 1e-9);
 }
+
+// ---- the fast-diagonalisation solve against Jacobi CG ------------------
+
+struct FastDiag2dCase {
+  const char* name;
+  mesh::QuadMesh mesh;
+  int P;
+  std::vector<int> dirichlet;
+  double lambda, nu;
+  bool box;  ///< the box eigenbases apply; otherwise the solver falls back to Jacobi
+};
+
+// gtest prints a parameter in the test listing; the name keeps it readable
+void PrintTo(const FastDiag2dCase& c, std::ostream* os) { *os << c.name; }
+
+const std::vector<FastDiag2dCase>& fast_diag_2d_cases() {
+  using mesh::kInlet, mesh::kOutlet, mesh::kWall;
+  // a channel whose inlet covers only the lower half of the west side
+  auto half_inlet = [] {
+    auto m = mesh::QuadMesh::channel(2.0, 1.0, 4, 2);
+    m.retag_boundary([](const mesh::BoundaryFace& f) {
+      return f.side == mesh::Side::West && f.mid_y < 0.5 ? kInlet : kWall;
+    });
+    return m;
+  };
+  static const std::vector<FastDiag2dCase> cases = {
+      // the sweep_warm mesh: its velocity solve (outlet natural) and
+      // pressure solve (outlet only)
+      {"ChannelVelocity", mesh::QuadMesh::channel(4.0, 1.0, 8, 2), 4, {kWall, kInlet}, 500.0,
+       0.05, true},
+      {"ChannelPressure", mesh::QuadMesh::channel(4.0, 1.0, 8, 2), 4, {kOutlet}, 0.0, 1.0,
+       true},
+      {"LidCavity", mesh::QuadMesh::lid_cavity(3), 6, {kWall, kInlet}, 1.5, 0.7, true},
+      {"PureNeumannPoisson", mesh::QuadMesh::channel(2.0, 1.5, 4, 3), 5, {}, 0.0, 1.0, true},
+      {"NeumannHelmholtz", mesh::QuadMesh::lid_cavity(2), 5, {}, 2.0, 1.0, true},
+      {"Anisotropic", mesh::QuadMesh::channel(2.0, 0.7, 3, 4), 5, {kInlet, kOutlet}, 3.0, 0.2,
+       true},
+      {"OrderOne", mesh::QuadMesh::channel(1.0, 2.0, 5, 3), 1, {kWall}, 2.0, 1.0, true},
+      {"OrderEight", mesh::QuadMesh::channel(1.5, 1.0, 2, 1), 8, {kInlet, kWall}, 10.0, 0.1,
+       true},
+      {"MaskedCavity", mesh::QuadMesh::channel_with_cavity(4.0, 1.0, 1.5, 2.5, 0.5, 8, 2), 4,
+       {kWall, kInlet}, 500.0, 0.05, false},
+      {"PartlyDirichletSide", half_inlet(), 4, {kInlet}, 2.0, 1.0, false},
+  };
+  return cases;
+}
+
+class Helmholtz2dFastDiag : public ::testing::TestWithParam<FastDiag2dCase> {};
+
+TEST_P(Helmholtz2dFastDiag, AgreesWithJacobiCg) {
+  const FastDiag2dCase& c = GetParam();
+  sem::Discretization d(c.mesh, c.P);
+  sem::Operators ops(d);
+  sem::HelmholtzSolver hs(ops, c.lambda, c.nu, c.dirichlet);
+  // the Jacobi fallback stops at rtol; hold it tight enough for the bound below
+  if (!c.box) hs.options().rtol = 1e-13;
+  // a short series of smooth fields, so the projector's guesses take part
+  for (int s = 0; s < 3; ++s) {
+    auto g = [s](double x, double y) { return std::cos(x + 0.5 * y + s); };
+    la::Vector f(d.num_nodes());
+    for (std::size_t k = 0; k < d.num_nodes(); ++k)
+      f[k] = std::sin(2.0 * d.node_x(k) + 0.3 * s) * std::cos(1.7 * d.node_y(k)) +
+             d.node_y(k) * d.node_y(k);
+    la::Vector u;
+    const auto res = hs.solve(f, g, u);
+    EXPECT_TRUE(res.converged);
+    if (c.box) {
+      EXPECT_LE(res.iterations, 2u) << "solve " << s;
+    } else if (s == 0) {
+      EXPECT_GT(res.iterations, 2u) << "a masked or partly Dirichlet mesh takes Jacobi";
+    }
+    const la::Vector ref =
+        sem::reference::helmholtz_jacobi_cg(ops, c.lambda, c.nu, c.dirichlet, f, g);
+    double err = 0.0, scale = 0.0;
+    for (std::size_t k = 0; k < ref.size(); ++k) {
+      err = std::max(err, std::fabs(u[k] - ref[k]));
+      scale = std::max(scale, std::fabs(ref[k]));
+    }
+    EXPECT_LE(err, 1e-9 * scale) << "solve " << s;
+    if (c.dirichlet.empty() && c.lambda == 0.0) {
+      EXPECT_NEAR(ops.integral(u), 0.0, 1e-12 * scale);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, Helmholtz2dFastDiag, ::testing::ValuesIn(fast_diag_2d_cases()),
+                         [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 

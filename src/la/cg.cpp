@@ -28,7 +28,7 @@ CgResult cg_solve(const LinearOperator& A, const Vector& b, Vector& x,
   const std::size_t n = b.size();
   if (x.size() != n) x.resize(n);
 
-  Vector r(n), z(n), p(n), Ap(n);
+  Vector r(n), Ap(n);
 
   A(x.data(), Ap.data());
   for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - Ap[i];
@@ -36,10 +36,8 @@ CgResult cg_solve(const LinearOperator& A, const Vector& b, Vector& x,
   const double bnorm = std::sqrt(simd::dot(b.data(), b.data(), n));
   const double stop = std::max(opt.rtol * bnorm, opt.atol);
 
-  M(r.data(), z.data(), n);
-  for (std::size_t i = 0; i < n; ++i) p[i] = z[i];
-  double rz = simd::dot(r.data(), z.data(), n);
-
+  // a start that already meets the tolerance never pays for the
+  // preconditioner (an exact inverse is a full solve)
   CgResult res;
   double rnorm = std::sqrt(simd::dot(r.data(), r.data(), n));
   telemetry::sample("cg.residual", rnorm);
@@ -48,6 +46,11 @@ CgResult cg_solve(const LinearOperator& A, const Vector& b, Vector& x,
     res.residual_norm = rnorm;
     return res;
   }
+
+  Vector z(n), p(n);
+  M(r.data(), z.data(), n);
+  for (std::size_t i = 0; i < n; ++i) p[i] = z[i];
+  double rz = simd::dot(r.data(), z.data(), n);
 
   // Fused iteration body: the solution update is deferred past the
   // convergence check and folded into the (r, z) reduction, and the

@@ -11,7 +11,8 @@
 //     (SharedTables),
 //   * the checkpoint-format continuum state of the nearest completed
 //     parameter point warm-starts each new variant (WarmMode::State collapses
-//     the develop phase; WarmMode::Projector seeds only the CG predictors).
+//     the develop phase: the saving shows in develop steps, since box-mesh
+//     solves take 0 CG iterations cold or warm).
 
 #include <cstdint>
 #include <string>

@@ -157,14 +157,10 @@ void Runner::apply_warm_start(NS& ns) {
   if (warm_mode_ == WarmMode::Off || warm_blob_.empty()) return;
   resilience::BlobReader r(warm_blob_);
   if (r.str() != warm_signature()) return;  // incompatible donor: ignore
-  const auto full = r.vec<std::uint8_t>();
-  const auto proj = r.vec<std::uint8_t>();
+  const auto state = r.vec<std::uint8_t>();
   r.expect_end();
-  resilience::BlobReader br(warm_mode_ == WarmMode::State ? full : proj);
-  if (warm_mode_ == WarmMode::State)
-    ns.load_state(br);
-  else
-    ns.load_warmstart(br);
+  resilience::BlobReader br(state);
+  ns.load_state(br);
   br.expect_end();
   warm_applied_ = true;
 }
@@ -175,11 +171,9 @@ std::vector<std::uint8_t> Runner::warm_state() const {
         if (!c.ns) return {};
         resilience::BlobWriter w;
         w.str(warm_signature());
-        resilience::BlobWriter full, proj;
-        c.ns->save_state(full);
-        c.ns->save_warmstart(proj);
-        w.vec(full.data());
-        w.vec(proj.data());
+        resilience::BlobWriter state;
+        c.ns->save_state(state);
+        w.vec(state.data());
         return w.take();
       },
       continuum_);

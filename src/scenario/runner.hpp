@@ -7,9 +7,9 @@
 // example bit-for-bit (STATE_DIGEST equality — pinned by scenario_test).
 //
 // Runners are also the unit of work of the EnsembleEngine (ensemble.hpp):
-// they accept shared discretization tables (cross-variant redundancy), CG
-// warm-start blobs from a completed nearby parameter point, and a FaultPlan
-// hook for per-variant failure-isolation tests.
+// they accept shared discretization tables (cross-variant redundancy),
+// continuum warm-start blobs from a completed nearby parameter point, and a
+// FaultPlan hook for per-variant failure-isolation tests.
 
 #include <cstdint>
 #include <memory>
@@ -26,13 +26,11 @@
 namespace scenario {
 
 /// Cross-variant warm-start policy (docs/SCENARIOS.md):
-///   Off       — cold start, bitwise-reference behaviour.
-///   Projector — seed only the Helmholtz solvers' successive-solution
-///               projector bases from the donor.
-///   State     — additionally seed the full continuum field, so a
-///               tolerance-terminated develop phase (time.develop_tol > 0)
-///               converges in a handful of steps instead of hundreds.
-enum class WarmMode : std::uint8_t { Off, Projector, State };
+///   Off   — cold start, bitwise-reference behaviour.
+///   State — seed the full continuum state from the donor, so a
+///           tolerance-terminated develop phase (time.develop_tol > 0)
+///           converges in a handful of steps instead of hundreds.
+enum class WarmMode : std::uint8_t { Off, State };
 
 /// Per-rank cache of immutable discretization tables, keyed by the mesh
 /// signature. Variants of a sweep almost always share the mesh; building
@@ -94,7 +92,7 @@ class Runner {
   RunResult run();
 
   /// Donor blob for warm-starting sibling variants (valid after run()):
-  /// {signature, full continuum state, projector-only state}.
+  /// {signature, continuum state in its checkpoint format}.
   std::vector<std::uint8_t> warm_state() const;
   /// Discretization + solver fingerprint gating warm-start transfer.
   std::string warm_signature() const;

@@ -2,6 +2,7 @@
 
 #include "resilience/blob_la.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <optional>
@@ -286,9 +287,9 @@ la::CgResult HelmholtzSolver<Disc>::solve_with_values(const la::Vector& f,
     precond = la::jacobi_preconditioner(jacobi_);
 
   // rhs: M f, lifted by the Dirichlet extension (the lift and its image
-  // go through the operator's scratch)
+  // go through the operator's scratch); a zero lift has a zero image
   for (std::size_t gi = 0; gi < n; ++gi) b_[gi] = M[gi] * f[gi];
-  if (!dnodes_.empty()) {
+  if (std::any_of(bc_values.begin(), bc_values.end(), [](double v) { return v != 0.0; })) {
     tmp_in_.fill(0.0);
     for (std::size_t k = 0; k < dnodes_.size(); ++k) tmp_in_[dnodes_[k]] = bc_values[k];
     ops_->apply_helmholtz(lambda_, nu_, tmp_in_, tmp_out_);
@@ -308,14 +309,16 @@ la::CgResult HelmholtzSolver<Disc>::solve_with_values(const la::Vector& f,
     for (std::size_t gi = 0; gi < n; ++gi) b_[gi] -= M[gi] * shift;
   }
 
-  // u is the CG iterate, warm-started from the successive-solution projector
+  // u is the CG iterate. A box mesh starts at the exact inverse's answer,
+  // so CG only checks it against the tolerance; Jacobi starts from the
+  // successive-solution projector's prediction.
   if (u.size() != n) u.resize(n);
-  if (projection_enabled_)
-    projector_.predict(op, b_, u);
+  if (basis_)
+    basis_->solve(lambda_, nu_, b_.data(), u.data(), work_.data());
   else
-    u.fill(0.0);
+    projector_.predict(op, b_, u);
   auto res = la::cg_solve(op, b_, u, precond, opt_);
-  if (projection_enabled_) projector_.record(op, u);
+  if (!basis_) projector_.record(op, u);
   // add the lift back; it is zero off the Dirichlet nodes
   for (std::size_t k = 0; k < dnodes_.size(); ++k) u[dnodes_[k]] += bc_values[k];
 

@@ -2,11 +2,11 @@
 // Helmholtz / Poisson boundary-value solver on a 2D or 3D discretization:
 //   (lambda M + nu K) u = M f   with Dirichlet values on selected boundaries
 // (mesh tags in 2D, box faces in 3D) and natural (zero-Neumann) conditions
-// elsewhere. Solved by preconditioned CG on the free dofs, warm-started by
-// the successive-solution projector (paper: NEKTAR's Helmholtz/Poisson
-// solvers are CG with preconditioning and initial-state prediction).
+// elsewhere. Solved by preconditioned CG on the free dofs (paper: NEKTAR's
+// Helmholtz/Poisson solvers are CG with preconditioning and initial-state
+// prediction); every solve is held to the CG tolerance.
 //
-// The geometry picks the preconditioner, in either dimension:
+// The geometry picks the method, in either dimension:
 //   * Box meshes: the exact inverse of the masked operator, by fast
 //     diagonalisation. An unmasked grid (every Discretization3D, and a
 //     QuadMesh with no cell deactivated) is one tensor-product GLL lattice.
@@ -18,10 +18,14 @@
 //     removing one end index of one axis. Per axis, K s = mu M s on the
 //     free indices gives an M-orthonormal basis S, and then
 //       A^{-1} = S diag(1 / (lambda + nu sum_k mu_k)) S^T.
-//     CG stays the outer loop, so every solve is held to the same
-//     tolerance; it converges in one iteration.
-//   * Otherwise Jacobi: a masked QuadMesh (channel_with_cavity) or a side
-//     only partly Dirichlet breaks the tensor product.
+//     The solve starts at A^{-1} b and CG only checks its residual, which
+//     lands near 1e-15 ||b||: 0 iterations, one operator apply. CG iterates,
+//     preconditioned by the same inverse, only if the start misses the
+//     tolerance. No prediction is needed, so the projector stays empty.
+//   * Otherwise Jacobi-preconditioned CG from the successive-solution
+//     projector's prediction: a masked QuadMesh (channel_with_cavity) or a
+//     side only partly Dirichlet breaks the tensor product.
+// A solve whose Dirichlet values are all zero skips the lift's apply.
 
 #include <memory>
 #include <vector>
@@ -63,7 +67,7 @@ public:
 
   /// Solve with rhs f (as a nodal field; the solver forms M f) and the
   /// Dirichlet value function g evaluated at the constrained nodes'
-  /// coordinates. `u` is output; the initial guess comes from the projector.
+  /// coordinates. `u` is output; its value on entry is not used.
   la::CgResult solve(const la::Vector& f, const BcFn& g, la::Vector& u);
 
   /// Variant with explicit per-node Dirichlet values aligned with
@@ -78,14 +82,8 @@ public:
 
   la::CgOptions& options() { return opt_; }
 
-  /// Successive-solution projection depth (0 disables the warm start —
-  /// the ablation knob for the paper's "initial state prediction").
-  void set_projection_depth(std::size_t depth) {
-    projector_ = la::SolutionProjector(depth);
-    projection_enabled_ = depth > 0;
-  }
-
-  /// Checkpoint the warm-start projector (the solver's only mutable state).
+  /// Checkpoint the warm-start projector (the solver's only mutable state;
+  /// empty on a box mesh).
   void save_state(resilience::BlobWriter& w) const;
   void load_state(resilience::BlobReader& r);
 
@@ -107,9 +105,7 @@ private:
   la::Vector jacobi_;  // diag(lambda M + nu K), ones on Dirichlet rows; empty with basis_
   // analyze: no-checkpoint (per-solve scratch: no value carries from one solve to the next)
   la::Vector tmp_in_, tmp_out_, b_, work_;
-  la::SolutionProjector projector_;
-  // analyze: no-checkpoint (set by set_projection_depth, driver configuration)
-  bool projection_enabled_ = true;
+  la::SolutionProjector projector_;  // Jacobi path only
   // analyze: no-checkpoint (solver tolerances are configuration)
   la::CgOptions opt_;
 };

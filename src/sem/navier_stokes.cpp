@@ -240,7 +240,7 @@ void NavierStokes<D>::save_state(resilience::BlobWriter& w) const {
   resilience::put_vector(w, p_);
   for (const auto& c : vel_prev_) resilience::put_vector(w, c);
   for (const auto& c : conv_prev_) resilience::put_vector(w, c);
-  save_warmstart(w);
+  save_solvers(w);
 }
 
 template <class D>
@@ -255,11 +255,11 @@ void NavierStokes<D>::load_state(resilience::BlobReader& r) {
                                   " != discretization size " + std::to_string(d_->num_nodes()));
   for (auto& c : vel_prev_) resilience::get_vector(r, c);
   for (auto& c : conv_prev_) resilience::get_vector(r, c);
-  load_warmstart(r);
+  load_solvers(r);
 }
 
 template <class D>
-void NavierStokes<D>::save_warmstart(resilience::BlobWriter& w) const {
+void NavierStokes<D>::save_solvers(resilience::BlobWriter& w) const {
   // solvers exist after the first step; before it they are recorded absent
   w.pod(static_cast<std::uint8_t>(pressure_solver_ != nullptr));
   if (pressure_solver_) {
@@ -271,7 +271,7 @@ void NavierStokes<D>::save_warmstart(resilience::BlobWriter& w) const {
 }
 
 template <class D>
-void NavierStokes<D>::load_warmstart(resilience::BlobReader& r) {
+void NavierStokes<D>::load_solvers(resilience::BlobReader& r) {
   if (r.pod<std::uint8_t>() == 0) return;  // the saved run had never stepped
   if (!pressure_solver_) build_solvers();
   pressure_solver_->load_state(r);

@@ -120,7 +120,9 @@ public:
   void set_initial(const Components<BcFn>& fn);
 
   /// Advance one time step; returns the total CG iterations spent (pressure
-  /// plus every velocity solve) for performance accounting.
+  /// plus every velocity solve) for performance accounting. On a box mesh
+  /// every solve starts at its exact answer, so this is 0 unless a start
+  /// misses the tolerance.
   std::size_t step();
 
   double time() const { return t_; }
@@ -140,19 +142,12 @@ public:
   double max_speed() const;
 
   /// Checkpoint the full time-stepping state: fields, p, order-2 history,
-  /// time, and every Helmholtz solver's warm-start projector — enough for a
-  /// restart to continue bitwise identically. BCs/forcing are configuration
-  /// and must be re-established by the caller before load_state.
+  /// time, and every Helmholtz solver's warm-start projector (empty on box
+  /// meshes) — enough for a restart to continue bitwise identically.
+  /// BCs/forcing are configuration and must be re-established by the
+  /// caller before load_state.
   void save_state(resilience::BlobWriter& w) const;
   void load_state(resilience::BlobReader& r);
-
-  /// Serialize only the Helmholtz solvers' successive-solution projector
-  /// bases (no fields, no time). Loading seeds the CG predictors of a fresh
-  /// run from a completed nearby one — the ensemble engine's "projector"
-  /// warm-start mode. Requires identical discretization and time_order.
-  /// save_state/load_state end with this same block.
-  void save_warmstart(resilience::BlobWriter& w) const;
-  void load_warmstart(resilience::BlobReader& r);
 
 private:
   struct BoundaryBc {
@@ -169,6 +164,10 @@ private:
 
   void build_solvers();
   void fill_bc_values(double t, Components<la::Vector>& bc) const;
+  /// The tail of save_state/load_state: each Helmholtz solver's state, or
+  /// a marker that the solvers were never built.
+  void save_solvers(resilience::BlobWriter& w) const;
+  void load_solvers(resilience::BlobReader& r);
 
   // load_state dereferences d_ only to validate field sizes; the
   // discretization itself is configuration.

@@ -556,6 +556,33 @@ TEST(Cg, ZeroRhsImmediateConvergence) {
   EXPECT_EQ(res.iterations, 0u);
 }
 
+TEST(Cg, ConvergedStartNeverAppliesThePreconditioner) {
+  // an exact-inverse preconditioner is a full solve: a start that already
+  // meets the tolerance must return before paying for it
+  const std::size_t n = 50;
+  auto A = laplacian_1d(n);
+  la::LinearOperator op = [&](const double* x, double* y) { A.matvec(x, y); };
+  std::size_t calls = 0;
+  const la::Preconditioner counting = [&calls](const double* r, double* z, std::size_t m) {
+    ++calls;
+    for (std::size_t i = 0; i < m; ++i) z[i] = r[i];
+  };
+  const auto xref = random_vector(n);
+  const auto b = A.matvec(xref);
+  la::Vector x = xref;
+  auto res = la::cg_solve(op, b, x, counting, {.rtol = 1e-10});
+  EXPECT_TRUE(res.converged);
+  EXPECT_EQ(res.iterations, 0u);
+  EXPECT_EQ(calls, 0u);
+  for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(x[i], xref[i]);  // untouched
+
+  x.fill(0.0);  // a zero start must iterate, and precondition every iteration
+  res = la::cg_solve(op, b, x, counting, {.rtol = 1e-10});
+  EXPECT_TRUE(res.converged);
+  EXPECT_GT(res.iterations, 0u);
+  EXPECT_GE(calls, res.iterations);
+}
+
 TEST(Cg, SolutionProjectorCutsIterations) {
   // Unsteady-like sequence of solves with a smoothly varying RHS: the
   // projected initial guess must reduce iteration counts vs a zero guess

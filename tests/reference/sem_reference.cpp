@@ -358,30 +358,53 @@ double evaluate(const Discretization3D& d, const la::Vector& field, double x, do
   return s;
 }
 
+namespace {
+
+/// Nodes of the Dirichlet boundaries, flagged 1.
 template <class Disc>
-la::Vector helmholtz_jacobi_cg(const Operators<Disc>& ops, double lambda, double nu,
-                               const std::vector<typename Disc::Boundary>& dirichlet,
-                               const la::Vector& f,
-                               const typename Disc::template PointFn<>& g) {
+std::vector<char> dirichlet_mask(const Disc& d,
+                                 const std::vector<typename Disc::Boundary>& dirichlet) {
+  std::vector<char> fixed(d.num_nodes(), 0);
+  for (const auto& b : dirichlet)
+    for (std::size_t k : d.boundary_nodes(b)) fixed[k] = 1;
+  return fixed;
+}
+
+}  // namespace
+
+template <class Disc>
+la::Vector helmholtz_rhs(const Operators<Disc>& ops, double lambda, double nu,
+                         const std::vector<typename Disc::Boundary>& dirichlet,
+                         const la::Vector& f, const typename Disc::template PointFn<>& g) {
   const auto& d = ops.disc();
   const auto& M = ops.mass_diag();
   const std::size_t n = d.num_nodes();
-  std::vector<char> fixed(n, 0);
-  for (const auto& b : dirichlet)
-    for (std::size_t k : d.boundary_nodes(b)) fixed[k] = 1;
+  const std::vector<char> fixed = dirichlet_mask(d, dirichlet);
   la::Vector lift(n, 0.0), Alift(n);
   for (std::size_t k = 0; k < n; ++k)
     if (fixed[k]) lift[k] = eval_at(g, d.node(k));
   ops.apply_helmholtz(lambda, nu, lift, Alift);
   la::Vector b(n);
   for (std::size_t k = 0; k < n; ++k) b[k] = fixed[k] ? 0.0 : M[k] * f[k] - Alift[k];
-  const bool singular = dirichlet.empty() && lambda == 0.0;
-  if (singular) {  // consistent rhs: remove its constant-mode part
+  if (dirichlet.empty() && lambda == 0.0) {  // consistent rhs: remove its constant-mode part
     double sb = 0.0;
     for (std::size_t k = 0; k < n; ++k) sb += b[k];
     const double shift = sb / ops.integral(la::Vector(n, 1.0));
     for (std::size_t k = 0; k < n; ++k) b[k] -= M[k] * shift;
   }
+  return b;
+}
+
+template <class Disc>
+la::Vector helmholtz_jacobi_cg(const Operators<Disc>& ops, double lambda, double nu,
+                               const std::vector<typename Disc::Boundary>& dirichlet,
+                               const la::Vector& f,
+                               const typename Disc::template PointFn<>& g) {
+  const auto& d = ops.disc();
+  const std::size_t n = d.num_nodes();
+  const std::vector<char> fixed = dirichlet_mask(d, dirichlet);
+  const la::Vector b = helmholtz_rhs(ops, lambda, nu, dirichlet, f, g);
+  const bool singular = dirichlet.empty() && lambda == 0.0;
   la::Vector t(n), y(n);
   la::LinearOperator A = [&](const double* x, double* out) {
     for (std::size_t k = 0; k < n; ++k) t[k] = fixed[k] ? 0.0 : x[k];
@@ -398,7 +421,8 @@ la::Vector helmholtz_jacobi_cg(const Operators<Disc>& ops, double lambda, double
     throw std::runtime_error("helmholtz_jacobi_cg: residual " +
                              std::to_string(res.residual_norm) + " after " +
                              std::to_string(res.iterations) + " iterations");
-  for (std::size_t k = 0; k < n; ++k) u[k] += lift[k];
+  for (std::size_t k = 0; k < n; ++k)
+    if (fixed[k]) u[k] += eval_at(g, d.node(k));
   if (singular) {
     const double mean = ops.integral(u) / ops.integral(la::Vector(n, 1.0));
     for (std::size_t k = 0; k < n; ++k) u[k] -= mean;
@@ -406,6 +430,12 @@ la::Vector helmholtz_jacobi_cg(const Operators<Disc>& ops, double lambda, double
   return u;
 }
 
+template la::Vector helmholtz_rhs(const Operators<Discretization>&, double, double,
+                                  const std::vector<int>&, const la::Vector&,
+                                  const Discretization::PointFn<>&);
+template la::Vector helmholtz_rhs(const Operators<Discretization3D>&, double, double,
+                                  const std::vector<HexFace>&, const la::Vector&,
+                                  const Discretization3D::PointFn<>&);
 template la::Vector helmholtz_jacobi_cg(const Operators<Discretization>&, double, double,
                                         const std::vector<int>&, const la::Vector&,
                                         const Discretization::PointFn<>&);

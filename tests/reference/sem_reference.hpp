@@ -9,7 +9,8 @@
 // the same name; the gradient writes one vector per axis argument.
 // evaluate is the per-dimension scalar point evaluation sem::evaluate is
 // checked against bitwise. helmholtz_jacobi_cg is the Helmholtz solve the
-// fast-diagonalisation suites compare against.
+// fast-diagonalisation suites compare against, and helmholtz_rhs its
+// right-hand side.
 
 #include <vector>
 
@@ -42,6 +43,15 @@ void gradient(const Discretization3D& d, const la::Vector& u, la::Vector& ddx, l
 double evaluate(const Discretization& d, const la::Vector& field, double x, double y);
 double evaluate(const Discretization3D& d, const la::Vector& field, double x, double y,
                 double z);
+
+/// The right-hand side b of the masked system the HelmholtzSolver solves:
+/// M f minus the image of the Dirichlet lift, 0 on the Dirichlet nodes, and
+/// without its constant-mode part when the operator is singular. ||b|| is
+/// a zero guess's starting CG residual.
+template <class Disc>
+la::Vector helmholtz_rhs(const Operators<Disc>& ops, double lambda, double nu,
+                         const std::vector<typename Disc::Boundary>& dirichlet,
+                         const la::Vector& f, const typename Disc::template PointFn<>& g);
 
 /// The HelmholtzSolver problem solved by the algorithm before fast
 /// diagonalisation: (lambda M + nu K) u = M f with u = g on the nodes of

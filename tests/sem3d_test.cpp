@@ -182,7 +182,7 @@ TEST_P(Helmholtz3dFastDiag, AgreesWithJacobiCg) {
   sem::Discretization3D d(c.L[0], c.L[1], c.L[2], c.n[0], c.n[1], c.n[2], c.P);
   sem::Operators ops(d);
   sem::HelmholtzSolver hs(ops, c.lambda, c.nu, c.dirichlet);
-  // a short series of smooth fields, so the projector's guesses take part
+  // a short series of smooth fields with nonzero Dirichlet values
   for (int s = 0; s < 3; ++s) {
     auto g = [s](double x, double y, double z) { return std::cos(x + 0.5 * y - z + s); };
     la::Vector f(d.num_nodes());

@@ -18,7 +18,10 @@
 #include <utility>
 #include <vector>
 
+#include "la/cg.hpp"
+#include "la/simd.hpp"
 #include "reference/sem_reference.hpp"
+#include "resilience/blob_la.hpp"
 #include "sem/discretization.hpp"
 #include "sem/gll.hpp"
 #include "sem/helmholtz.hpp"
@@ -286,6 +289,66 @@ TEST(Helmholtz, PureNeumannPoissonZeroMean) {
   EXPECT_NEAR(ops.integral(u), 0.0, 1e-9);
 }
 
+// operator applies counted so far on this thread
+double helmholtz_applies() {
+  const auto counters = telemetry::Registry::local().counters();
+  const auto it = counters.find("sem.apply.helmholtz");
+  return it == counters.end() ? 0.0 : it->second.value;
+}
+
+// cg_solve restarts the series each solve; its first sample is the last
+// solve's starting residual
+double start_residual() {
+  return telemetry::Registry::local().series().at("cg.residual").front();
+}
+
+// ||b||: a zero guess's starting residual
+double rhs_norm(const la::Vector& b) {
+  return std::sqrt(la::simd::dot(b.data(), b.data(), b.size()));
+}
+
+// the projector a solver checkpoints
+template <class Disc>
+la::SolutionProjector saved_projector(const sem::HelmholtzSolver<Disc>& hs) {
+  resilience::BlobWriter w;
+  hs.save_state(w);
+  resilience::BlobReader r(w.data());
+  la::SolutionProjector p;
+  resilience::get_projector(r, p);
+  r.expect_end();
+  return p;
+}
+
+TEST(Helmholtz, ProjectorAcceleratesTimeSeries) {
+  // A masked mesh keeps Jacobi CG, started from the successive-solution
+  // projector's prediction. Its starting residual falls far below the zero
+  // guess's once the stored solutions span the series. This rhs spans two
+  // fields.
+  sem::Discretization d(mesh::QuadMesh::channel_with_cavity(4.0, 1.0, 1.5, 2.5, 0.5, 8, 2), 4);
+  sem::Operators ops(d);
+  const std::vector<int> walls{mesh::kWall, mesh::kInlet};
+  sem::HelmholtzSolver hs(ops, 10.0, 1.0, walls);
+  const la::Vector bc(hs.dirichlet_nodes().size(), 0.0);
+  la::Vector u;
+  for (int step = 0; step < 8; ++step) {
+    la::Vector f(d.num_nodes());
+    for (std::size_t g = 0; g < d.num_nodes(); ++g)
+      f[g] = std::sin(M_PI * d.node_x(g) + 0.1 * step) * std::sin(M_PI * d.node_y(g));
+    const auto res = hs.solve_with_values(f, bc, u);
+    const double predicted = start_residual();
+    const double zero_guess =
+        rhs_norm(sem::reference::helmholtz_rhs(ops, 10.0, 1.0, walls, f,
+                                               [](double, double) { return 0.0; }));
+    if (step == 0) {
+      EXPECT_DOUBLE_EQ(predicted, zero_guess);  // nothing stored yet
+      EXPECT_GT(res.iterations, 0u);
+    } else if (step >= 3) {
+      EXPECT_LT(predicted, 1e-6 * zero_guess) << "step " << step;
+    }
+  }
+  EXPECT_GT(saved_projector(hs).size(), 0u);
+}
+
 // ---- the fast-diagonalisation solve against Jacobi CG ------------------
 
 struct FastDiag2dCase {
@@ -341,7 +404,8 @@ TEST_P(Helmholtz2dFastDiag, AgreesWithJacobiCg) {
   sem::HelmholtzSolver hs(ops, c.lambda, c.nu, c.dirichlet);
   // the Jacobi fallback stops at rtol; hold it tight enough for the bound below
   if (!c.box) hs.options().rtol = 1e-13;
-  // a short series of smooth fields, so the projector's guesses take part
+  // a short series of smooth fields, so the Jacobi fallback's projector
+  // guesses take part
   for (int s = 0; s < 3; ++s) {
     auto g = [s](double x, double y) { return std::cos(x + 0.5 * y + s); };
     la::Vector f(d.num_nodes());
@@ -380,11 +444,27 @@ INSTANTIATE_TEST_SUITE_P(Cases, Helmholtz2dFastDiag, ::testing::ValuesIn(fast_di
 // One case per dimension for the typed OperatorsDims, HelmholtzDims and
 // DiscDims suites: a Dirichlet-walled unit square (2D) or unit cube (3D) at
 // order 6, and box(P), a 2 x 1.5 (x 1) box of measure kBoxMeasure on an
-// anisotropic grid. They sit outside the anonymous namespace so the
-// discovered test names read <Suite>.<Test><Quad2d>.
+// anisotropic grid. run_mesh() is an e2e workload's box mesh (sweep_warm's;
+// cdc3d_sem's box at an eighth of its elements and order 4), and
+// run_solves() its velocity and pressure solves plus pure Neumann at
+// lambda = 0. They sit outside the anonymous namespace so the discovered
+// test names read <Suite>.<Test><Quad2d>.
+template <class Boundary>
+struct BoxSolve {
+  const char* name;
+  double lambda, nu;
+  std::vector<Boundary> dirichlet;
+};
+
 struct Quad2d {
   using Disc = sem::Discretization;
   static Disc box(int P) { return {mesh::QuadMesh::channel(2.0, 1.5, 4, 3), P}; }
+  static Disc run_mesh() { return {mesh::QuadMesh::channel(4.0, 1.0, 8, 2), 4}; }
+  static std::vector<BoxSolve<int>> run_solves() {
+    return {{"velocity", 500.0, 0.05, {mesh::kWall, mesh::kInlet}},
+            {"pressure", 0.0, 1.0, {mesh::kOutlet}},
+            {"pure Neumann", 0.0, 1.0, {}}};
+  }
   Disc d{mesh::QuadMesh::lid_cavity(3), 6};
   sem::Operators<Disc> ops{d};
   std::vector<int> walls{mesh::kWall, mesh::kInlet};
@@ -393,6 +473,13 @@ struct Quad2d {
 struct Hex3d {
   using Disc = sem::Discretization3D;
   static Disc box(int P) { return {2.0, 1.5, 1.0, 3, 2, 2, P}; }
+  static Disc run_mesh() { return {4.0, 1.0, 1.0, 4, 1, 2, 4}; }
+  static std::vector<BoxSolve<sem::HexFace>> run_solves() {
+    using F = sem::HexFace;
+    return {{"velocity", 750.0, 0.05, {F::X0, F::Y0, F::Y1, F::Z0, F::Z1}},
+            {"pressure", 0.0, 1.0, {F::X1}},
+            {"pure Neumann", 0.0, 1.0, {}}};
+  }
   Disc d{1.0, 1.0, 1.0, 2, 2, 2, 6};
   sem::Operators<Disc> ops{d};
   std::vector<sem::HexFace> walls{sem::HexFace::X0, sem::HexFace::X1, sem::HexFace::Y0,
@@ -600,34 +687,38 @@ template <class Case>
 class HelmholtzDims : public ::testing::Test {};
 TYPED_TEST_SUITE(HelmholtzDims, DimCases);
 
-TYPED_TEST(HelmholtzDims, ProjectorAcceleratesTimeSeries) {
-  // The projector's effect whatever the preconditioner (the 3D one is
-  // exact, so iteration counts cannot show it): CG starts from the
-  // predicted guess, whose residual falls far below the zero guess's once
-  // the stored solutions span the series. This rhs spans two fields.
-  TypeParam c;
-  sem::HelmholtzSolver with(c.ops, 10.0, 1.0, c.walls), without(c.ops, 10.0, 1.0, c.walls);
-  without.set_projection_depth(0);
-  const la::Vector bc(with.dirichlet_nodes().size(), 0.0);
-  la::Vector u;
-  // cg_solve restarts the series each solve; its first sample is the
-  // starting residual
-  auto start_residual = [] {
-    return telemetry::Registry::local().series().at("cg.residual").front();
-  };
-  for (int step = 0; step < 8; ++step) {
-    la::Vector f(c.d.num_nodes());
-    for (std::size_t g = 0; g < c.d.num_nodes(); ++g)
-      f[g] = std::sin(M_PI * c.d.node_x(g) + 0.1 * step) * std::sin(M_PI * c.d.node_y(g));
-    with.solve_with_values(f, bc, u);
-    const double predicted = start_residual();
-    without.solve_with_values(f, bc, u);
-    const double zero_guess = start_residual();
-    if (step == 0) {
-      EXPECT_EQ(predicted, zero_guess);  // nothing stored yet
-    } else if (step >= 3) {
-      EXPECT_LT(predicted, 1e-6 * zero_guess) << "step " << step;
+TYPED_TEST(HelmholtzDims, BoxSolvesStartAtTheAnswer) {
+  // A box-mesh solve starts at the fast-diagonalisation answer, so CG only
+  // checks it: the starting residual is within rtol ||b|| and no iteration
+  // runs. A solve makes one operator apply for that check plus one for a
+  // nonzero lift, and the projector stays empty.
+  using Disc = typename TypeParam::Disc;
+  const Disc d = TypeParam::run_mesh();
+  const sem::Operators<Disc> ops(d);
+  const std::size_t n = d.num_nodes();
+  for (const auto& c : TypeParam::run_solves()) {
+    SCOPED_TRACE(c.name);
+    sem::HelmholtzSolver hs(ops, c.lambda, c.nu, c.dirichlet);
+    for (int s = 0; s < 4; ++s) {
+      const bool zero_lift = s % 2 == 0;
+      const auto g = [&](auto... x) { return zero_lift ? 0.0 : std::cos((x + ...) + s); };
+      la::Vector f(n);
+      for (std::size_t k = 0; k < n; ++k) {
+        const auto x = d.node(k);
+        f[k] = std::sin(2.0 * x[0] + 0.3 * s) * std::cos(1.7 * x[1]) + x.back() * x.back();
+      }
+      const double before = helmholtz_applies();
+      la::Vector u;
+      const auto res = hs.solve(f, g, u);
+      const double applies = helmholtz_applies() - before;
+      const double bnorm =
+          rhs_norm(sem::reference::helmholtz_rhs(ops, c.lambda, c.nu, c.dirichlet, f, g));
+      EXPECT_TRUE(res.converged) << "solve " << s;
+      EXPECT_EQ(res.iterations, 0u) << "solve " << s;
+      EXPECT_LE(start_residual(), hs.options().rtol * bnorm) << "solve " << s;
+      EXPECT_EQ(applies, zero_lift || c.dirichlet.empty() ? 1.0 : 2.0) << "solve " << s;
     }
+    EXPECT_EQ(saved_projector(hs).size(), 0u);
   }
 }
 
@@ -814,14 +905,24 @@ TEST(Ns2d, ExplicitBcValuesOverrideFunctions) {
 }
 
 TEST(Ns2d, StepCountsIterations) {
-  auto m = mesh::QuadMesh::channel(1.0, 1.0, 2, 2);
-  sem::Discretization d(m, 4);
-  sem::NavierStokes<sem::Discretization> ns(d, {});
-  ns.set_velocity_bc(mesh::kInlet, [](double, double, double) { return 1.0; },
-                     [](double, double, double) { return 0.0; });
-  ns.set_natural_bc(mesh::kOutlet);
-  EXPECT_GT(ns.step(), 0u);
-  EXPECT_DOUBLE_EQ(ns.time(), ns.dt());
+  // a box mesh starts every solve at its exact answer, so CG takes no
+  // iteration; a masked mesh runs Jacobi CG and counts its iterations
+  for (bool masked : {false, true}) {
+    auto m = masked ? mesh::QuadMesh::channel_with_cavity(2.0, 1.0, 0.5, 1.5, 0.5, 4, 2)
+                    : mesh::QuadMesh::channel(1.0, 1.0, 2, 2);
+    sem::Discretization d(m, 4);
+    sem::NavierStokes<sem::Discretization> ns(d, {});
+    ns.set_velocity_bc(mesh::kInlet, [](double, double, double) { return 1.0; },
+                       [](double, double, double) { return 0.0; });
+    ns.set_natural_bc(mesh::kOutlet);
+    const std::size_t iterations = ns.step();
+    if (masked) {
+      EXPECT_GT(iterations, 0u);
+    } else {
+      EXPECT_EQ(iterations, 0u);
+    }
+    EXPECT_DOUBLE_EQ(ns.time(), ns.dt());
+  }
 }
 
 }  // namespace

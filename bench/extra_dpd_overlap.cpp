@@ -8,15 +8,17 @@
 // bench measures pure wall-time ratios on 4 xmp ranks. Prints
 // DPD_OVERLAP_SPEEDUP and DPD_REBALANCE_SPEEDUP for CI to grep and writes
 // BENCH_dpd_overlap.json. Exits non-zero when a ratio falls below
-// NEKTARG_DPD_OVERLAP_MIN_SPEEDUP / NEKTARG_DPD_REBALANCE_MIN_SPEEDUP —
-// unset, the gates are a loose 0.0: the rank fibers run on min(cores, 8)
-// worker threads, so overlap only pays with real cores (CI pins 1.10 and
-// 1.30 on its 4-core runners).
+// NEKTARG_DPD_OVERLAP_MIN_SPEEDUP / NEKTARG_DPD_REBALANCE_MIN_SPEEDUP
+// (unset: 0.0; CI pins 1.10 and 1.30). Both gates need a thread per rank:
+// the rank fibers run on min(cores, 8) worker threads, and on fewer than 4
+// hardware threads hidden halo time and a balanced load do not shorten
+// the wall time, so there the gates are reported as not applicable.
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "dpd/exchange/distributed.hpp"
@@ -140,9 +142,18 @@ int main() {
   rep.write();
 
   int rc = 0;
-  const auto gate = [&rc](const char* env, const char* what, double got) {
+  // an unknown thread count (0) keeps the gates
+  const unsigned hw = std::thread::hardware_concurrency();
+  const bool applicable = hw == 0 || hw >= static_cast<unsigned>(kRanks);
+  const auto gate = [&rc, hw, applicable](const char* env, const char* what, double got) {
     double min = 0.0;
     if (const char* v = std::getenv(env)) min = std::atof(v);
+    if (!applicable) {
+      std::printf("%s gate: not applicable (%u hardware threads for %d ranks; bar %.2f)\n", what,
+                  hw, kRanks, min);
+      return;
+    }
+    std::printf("%s gate: >= %.2f\n", what, min);
     if (got < min) {
       std::fprintf(stderr, "FAIL: %s %.2f below gate %.2f\n", what, got, min);
       rc = 1;

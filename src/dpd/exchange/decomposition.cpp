@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -209,8 +210,22 @@ int Decomposition::rank_of_position(const Vec3& p) const {
                  cell(p.z, box_.z, dims_.pz, periodic_[2], cuts_[2]));
 }
 
-double Decomposition::dist2_to_subdomain(const Vec3& p, int rank) const {
-  const Subdomain s = subdomain(rank);
+Subdomain Decomposition::owned_box(int rank) const {
+  Subdomain s = subdomain(rank);
+  const auto c = coords_of(rank);
+  const int ns[3] = {dims_.px, dims_.py, dims_.pz};
+  double* lo[3] = {&s.lo.x, &s.lo.y, &s.lo.z};
+  double* hi[3] = {&s.hi.x, &s.hi.y, &s.hi.z};
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  for (std::size_t a = 0; a < 3; ++a) {
+    if (periodic_[a]) continue;
+    if (c[a] == 0) *lo[a] = -inf;
+    if (c[a] == ns[a] - 1) *hi[a] = inf;
+  }
+  return s;
+}
+
+double Decomposition::dist2_to(const Vec3& p, const Subdomain& s) const {
   auto axis = [](double x, double lo, double hi, double L, bool per) {
     auto plain = [&](double xx) { return xx < lo ? lo - xx : (xx > hi ? xx - hi : 0.0); };
     double v = plain(x);

@@ -58,14 +58,23 @@ public:
   /// ranks halo/migration traffic can flow to or from.
   const std::vector<int>& neighbors(int rank) const { return neighbors_[static_cast<std::size_t>(rank)]; }
 
-  /// Squared distance from p to rank's subdomain (0 inside), taking the
-  /// shorter way around on periodic axes.
-  double dist2_to_subdomain(const Vec3& p, int rank) const;
+  /// Box of the positions rank_of_position() maps to `rank` without a
+  /// search: the subdomain with each non-periodic outer face moved to
+  /// infinity (rank_of_position clamps there). A p with lo <= p < hi on
+  /// every axis is owned by `rank`; any other p (a periodic coordinate
+  /// outside [0, L), a NaN) must ask rank_of_position.
+  Subdomain owned_box(int rank) const;
 
-  /// Must rank `dst` hold a ghost image of a particle at p?
-  bool in_halo_of(const Vec3& p, int dst) const {
-    return dist2_to_subdomain(p, dst) < halo_ * halo_;
-  }
+  /// Squared distance from p to subdomain s (0 inside), taking the shorter
+  /// way around on periodic axes.
+  double dist2_to(const Vec3& p, const Subdomain& s) const;
+  double dist2_to_subdomain(const Vec3& p, int rank) const { return dist2_to(p, subdomain(rank)); }
+
+  /// Must the rank owning subdomain s hold a ghost image of a particle at
+  /// p? A rebuild takes each neighbour's subdomain once and asks this for
+  /// every owned particle.
+  bool in_halo(const Vec3& p, const Subdomain& s) const { return dist2_to(p, s) < halo_ * halo_; }
+  bool in_halo_of(const Vec3& p, int dst) const { return in_halo(p, subdomain(dst)); }
 
   /// Per-axis slab boundaries: dims+1 ascending values from 0 to the box
   /// length. Subdomain membership, neighbor sets and halo tests all derive

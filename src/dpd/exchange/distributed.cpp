@@ -100,14 +100,8 @@ void DistributedDpd::distribute() {
     throw std::runtime_error(
         "DistributedDpd: ranks hold different particle counts — the initial population must "
         "be built identically on every rank before distribute()");
-  std::vector<ParticleRecord> owned;
-  for (std::size_t i = 0; i < sys_.size(); ++i) {
-    if (sys_.is_ghost(i)) continue;
-    ParticleRecord r = sys_.particle_record(i);
-    if (decomp_.rank_of_position(r.pos) == comm_.rank()) owned.push_back(r);
-  }
-  sys_.reset_particles(halo_.build(owned));
-  capture_ref(sys_);
+  migrate_.claim(sys_);
+  rebuild_halo(sys_);
   distributed_ = true;
   rebuild_pending_ = false;
 }
@@ -202,9 +196,23 @@ bool DistributedDpd::rebalance() {
 
 void DistributedDpd::full_rebuild(DpdSystem& sys) {
   telemetry::ScopedPhase phase("dpd.exchange.rebuild");
-  sys.reset_particles(halo_.build(migrate_.exchange(owned_records(sys))));
-  capture_ref(sys);
+  {
+    telemetry::ScopedPhase migrate("dpd.exchange.migrate");
+    migrate_.exchange(sys);
+  }
+  rebuild_halo(sys);
   rebuild_pending_ = false;
+  ++rebuilds_;
+}
+
+void DistributedDpd::rebuild_halo(DpdSystem& sys) {
+  {
+    telemetry::ScopedPhase halo("dpd.exchange.halo");
+    halo_.ship(sys, migrate_.kept(), migrate_.arrivals());
+  }
+  telemetry::ScopedPhase relayout("dpd.exchange.relayout");
+  halo_.relayout(sys, migrate_.kept(), migrate_.arrivals());
+  capture_ref(sys);
 }
 
 std::vector<ParticleRecord> DistributedDpd::gather(int root) const {
@@ -292,11 +300,7 @@ void DistributedDpd::save_state(resilience::BlobWriter& w) const {
   // Cut planes: a rebalanced layout must survive restart, or the forced
   // post-load migration would run under uniform cuts that no longer own the
   // particles (and could need paths past the neighbour shell).
-  for (int a = 0; a < 3; ++a) {
-    const auto& b = decomp_.bounds(a);
-    w.pod(static_cast<std::uint64_t>(b.size()));
-    for (double v : b) w.pod(v);
-  }
+  for (int a = 0; a < 3; ++a) w.vec(decomp_.bounds(a));
 }
 
 void DistributedDpd::load_state(resilience::BlobReader& r) {
@@ -311,10 +315,15 @@ void DistributedDpd::load_state(resilience::BlobReader& r) {
   if (halo != opt_.halo_width)
     throw resilience::LayoutError("DistributedDpd: checkpoint halo width mismatch");
   for (int a = 0; a < 3; ++a) {
-    const auto nb = r.pod<std::uint64_t>();
-    std::vector<double> b(nb);
-    for (auto& v : b) v = r.pod<double>();
-    if (b != decomp_.bounds(a)) decomp_.set_bounds(a, b);
+    // vec() checks the count against the bytes left before allocating
+    const auto b = r.vec<double>();
+    if (b == decomp_.bounds(a)) continue;
+    try {
+      decomp_.set_bounds(a, b);
+    } catch (const std::invalid_argument& e) {
+      throw resilience::CorruptError(std::string("DistributedDpd: checkpoint cut planes: ") +
+                                     e.what());
+    }
   }
   distributed_ = was_distributed;
   // plans and displacement refs are not serialised: force a rebuild, which

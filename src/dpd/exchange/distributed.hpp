@@ -8,10 +8,14 @@
 //               for the planned boundary slots (HaloExchanger::begin_update)
 //               and completes them at once, or — with DistOptions::overlap —
 //               leaves them in flight until the engine's pair pass calls
-//               finish_refresh(); above skin/2 ownership migrates
-//               (MigrationExchanger), the halo is rebuilt from whole records
-//               (HaloExchanger::build) and the local arrays are re-laid out
-//               sorted by gid.
+//               finish_refresh(); above skin/2 the layout is rebuilt in
+//               place: ownership migrates (MigrationExchanger, records only
+//               for the particles that left), ghost records are shipped
+//               (HaloExchanger::ship), and one gid merge of survivors,
+//               arrivals and received ghosts lays out the local lanes and
+//               yields the plans (HaloExchanger::relayout). distribute(),
+//               the forced rebuild after a restart load and rebalance() all
+//               take this path.
 //
 // Equivalence guarantee (pinned in tests/dpd_exchange_test.cpp and
 // docs/PERF.md): every cross-boundary pair is computed on both ranks
@@ -86,6 +90,10 @@ public:
 
   const Decomposition& decomposition() const { return decomp_; }
   const DistOptions& options() const { return opt_; }
+  /// The halo protocol object, for its plans (tests/diagnostics).
+  const HaloExchanger& halo() const { return halo_; }
+  /// Full rebuilds taken by refresh() so far, rebalances included.
+  std::uint64_t rebuilds() const { return rebuilds_; }
 
   /// All owned records of the run, gathered to `root` and sorted by gid
   /// (empty on other ranks). Collective.
@@ -115,7 +123,12 @@ public:
   void load_state(resilience::BlobReader& r);
 
 private:
+  /// Migrate, then rebuild_halo: the phases dpd.exchange.migrate, .halo
+  /// and .relayout nested under dpd.exchange.rebuild.
   void full_rebuild(DpdSystem& sys);
+  /// Ship ghosts for the owned set migrate_ holds, merge the new layout
+  /// and recapture the displacement references.
+  void rebuild_halo(DpdSystem& sys);
   void capture_ref(const DpdSystem& sys);
   std::vector<ParticleRecord> owned_records(const DpdSystem& sys) const;
 
@@ -125,7 +138,7 @@ private:
   DpdSystem& sys_;
   DistOptions opt_;  ///< layout + halo width; serialised for restart validation
   Decomposition decomp_;  ///< geometry from opt_; moved cut planes serialised
-  // analyze: no-checkpoint (stateless protocol object)
+  // analyze: no-checkpoint (per-rebuild owned set, refilled by every rebuild)
   MigrationExchanger migrate_;
   // analyze: no-checkpoint (plans rebuilt by the forced post-load rebuild)
   HaloExchanger halo_;
@@ -140,6 +153,8 @@ private:
   std::chrono::steady_clock::time_point overlap_t0_{};
   // analyze: no-checkpoint (replicated cadence counter; restart restarts it identically everywhere)
   std::uint64_t refresh_count_ = 0;
+  // analyze: no-checkpoint (diagnostic counter of this process's rebuilds)
+  std::uint64_t rebuilds_ = 0;
 };
 
 }  // namespace dpd::exchange

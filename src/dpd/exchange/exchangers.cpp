@@ -4,7 +4,6 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 
 #include "dpd/exchange/packers.hpp"
 #include "telemetry/registry.hpp"
@@ -20,110 +19,148 @@ telemetry::TagClasses comm_tag_classes() {
 }
 
 namespace {
-bool gid_less(const ParticleRecord& a, const ParticleRecord& b) { return a.gid < b.gid; }
-
-/// Reinterpret a received byte payload as doubles in reusable scratch (the
-/// fast path keeps one scratch vector warm instead of allocating per recv).
-void recv_into(const std::vector<std::uint8_t>& raw, std::vector<double>& out) {
-  if (raw.size() % sizeof(double) != 0)
-    throw std::runtime_error("exchange: halo payload of " + std::to_string(raw.size()) +
-                             " bytes is not a whole number of doubles");
-  out.resize(raw.size() / sizeof(double));
-  // lint: memcpy-ok (byte payload reinterpreted into the double scratch)
+/// Reinterpret a received byte payload as T elements in reusable scratch
+/// (rebuilds and the fast path keep their buffers warm instead of
+/// allocating per recv).
+template <class T>
+void recv_into(const std::vector<std::uint8_t>& raw, std::vector<T>& out) {
+  if (raw.size() % sizeof(T) != 0)
+    throw std::runtime_error("exchange: payload of " + std::to_string(raw.size()) +
+                             " bytes is not a whole number of " + std::to_string(sizeof(T)) +
+                             "-byte elements");
+  out.resize(raw.size() / sizeof(T));
+  // lint: memcpy-ok (byte payload reinterpreted into the typed scratch)
   if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
+}
+
+/// Owner of the particle at slot i of the position lanes: `me` when it is
+/// inside this rank's owned_box, which settles all but the few near a face
+/// without a search; rank_of_position otherwise.
+int owner(const Decomposition& d, const Subdomain& box, int me, const SoA3& pos, std::size_t i) {
+  const double x = pos.xs()[i], y = pos.ys()[i], z = pos.zs()[i];
+  if (x >= box.lo.x && x < box.hi.x && y >= box.lo.y && y < box.hi.y && z >= box.lo.z &&
+      z < box.hi.z)
+    return me;
+  return d.rank_of_position({x, y, z});
 }
 }  // namespace
 
-std::vector<ParticleRecord> MigrationExchanger::exchange(
-    std::vector<ParticleRecord> owned) const {
+void MigrationExchanger::exchange(const DpdSystem& sys) {
   const int me = comm_.rank();
   const auto& nbrs = decomp_->neighbors(me);
-  std::unordered_map<int, std::size_t> slot;  // neighbour rank -> outbox slot
-  for (std::size_t k = 0; k < nbrs.size(); ++k) slot[nbrs[k]] = k;
-  std::vector<std::vector<ParticleRecord>> outbox(nbrs.size());
+  box_of_.assign(static_cast<std::size_t>(decomp_->nranks()), -1);
+  for (std::size_t k = 0; k < nbrs.size(); ++k)
+    box_of_[static_cast<std::size_t>(nbrs[k])] = static_cast<int>(k);
+  outbox_.resize(nbrs.size());
+  for (auto& out : outbox_) out.clear();
 
-  std::vector<ParticleRecord> kept;
-  kept.reserve(owned.size());
+  keep_.clear();
+  const Subdomain box = decomp_->owned_box(me);
+  const auto& ghost = sys.ghost_mask();
   std::size_t moved = 0;
-  for (const ParticleRecord& r : owned) {
-    const int dst = decomp_->rank_of_position(r.pos);
+  for (std::size_t i = 0; i < sys.size(); ++i) {
+    if (ghost[i]) continue;
+    const int dst = owner(*decomp_, box, me, sys.positions(), i);
     if (dst == me) {
-      kept.push_back(r);
+      keep_.push_back(static_cast<std::uint32_t>(i));
       continue;
     }
-    const auto it = slot.find(dst);
-    if (it == slot.end())
+    const int k = box_of_[static_cast<std::size_t>(dst)];
+    if (k < 0)
       throw std::runtime_error(
-          "exchange: particle gid " + std::to_string(r.gid) + " migrated from rank " +
+          "exchange: particle gid " + std::to_string(sys.gid_of(i)) + " migrated from rank " +
           std::to_string(me) + " past the neighbour shell to rank " + std::to_string(dst) +
           " (subdomains are too small for the per-rebuild drift; coarsen the grid or raise "
           "halo_width)");
-    outbox[it->second].push_back(r);
+    outbox_[static_cast<std::size_t>(k)].push_back(sys.particle_record(i));
     ++moved;
   }
-  for (std::size_t k = 0; k < nbrs.size(); ++k) comm_.send(nbrs[k], kTagMigrate, outbox[k]);
+  for (std::size_t k = 0; k < nbrs.size(); ++k) comm_.send(nbrs[k], kTagMigrate, outbox_[k]);
+  arrivals_.clear();
   for (int d : nbrs) {
-    auto in = comm_.recv<ParticleRecord>(d, kTagMigrate);
-    kept.insert(kept.end(), in.begin(), in.end());
+    recv_into(comm_.recv_bytes(d, kTagMigrate), in_);
+    arrivals_.insert(arrivals_.end(), in_.begin(), in_.end());
   }
+  std::sort(arrivals_.begin(), arrivals_.end(),
+            [](const ParticleRecord& a, const ParticleRecord& b) { return a.gid < b.gid; });
   telemetry::count("dpd.migrate.count", static_cast<double>(moved));
-  std::sort(kept.begin(), kept.end(), gid_less);
-  return kept;
 }
 
-std::vector<ParticleRecord> HaloExchanger::build(const std::vector<ParticleRecord>& owned) {
+void MigrationExchanger::claim(const DpdSystem& sys) {
   const int me = comm_.rank();
-  const auto& nbrs = decomp_->neighbors(me);
-  send_.assign(nbrs.size(), {});
-  recv_.assign(nbrs.size(), {});
+  const Subdomain box = decomp_->owned_box(me);
+  const auto& ghost = sys.ghost_mask();
+  keep_.clear();
+  arrivals_.clear();
+  for (std::size_t i = 0; i < sys.size(); ++i)
+    if (!ghost[i] && owner(*decomp_, box, me, sys.positions(), i) == me)
+      keep_.push_back(static_cast<std::uint32_t>(i));
+}
 
-  // ship boundary records (flagged as ghosts) to every neighbour whose
-  // subdomain is within halo_width of them; remember the shipped gids so the
-  // send plan can be resolved to slots in the merged layout below
-  std::vector<std::vector<std::uint32_t>> sent_gids(nbrs.size());
-  std::size_t shipped = 0, bytes = 0;
-  {
-    std::vector<ParticleRecord> out;
-    for (std::size_t k = 0; k < nbrs.size(); ++k) {
-      out.clear();
-      for (const ParticleRecord& r : owned)
-        if (decomp_->in_halo_of(r.pos, nbrs[k])) {
-          out.push_back(r);
-          out.back().ghost = 1;
-          sent_gids[k].push_back(r.gid);
-        }
-      comm_.send(nbrs[k], kTagHaloBuild, out);
-      shipped += out.size();
-      bytes += out.size() * sizeof(ParticleRecord);
+void HaloExchanger::ship(const DpdSystem& sys, const std::vector<std::uint32_t>& keep,
+                         const std::vector<ParticleRecord>& arrivals) {
+  const auto& nbrs = decomp_->neighbors(comm_.rank());
+  const std::size_t nn = nbrs.size();
+  nbr_box_.resize(nn);
+  out_.resize(nn);
+  shipped_.resize(nn);
+  for (std::size_t k = 0; k < nn; ++k) {
+    nbr_box_[k] = decomp_->subdomain(nbrs[k]);
+    out_[k].clear();
+    shipped_[k].clear();
+  }
+
+  // Walk the owned set in gid order — the survivors, gid-ordered in the
+  // layout, merged with the sorted arrivals — so every batch is gid-sorted
+  // on the wire and the receiver can merge it as it comes.
+  const auto& gid = sys.gids();
+  const std::size_t nk = keep.size(), na = arrivals.size();
+  std::size_t shipped = 0;
+  for (std::size_t s = 0, a = 0; s < nk || a < na;) {
+    const bool kept = a == na || (s < nk && gid[keep[s]] < arrivals[a].gid);
+    const Vec3 p = kept ? Vec3(sys.positions()[keep[s]]) : arrivals[a].pos;
+    const auto ref = static_cast<std::uint32_t>(kept ? s : nk + a);
+    for (std::size_t k = 0; k < nn; ++k) {
+      if (!decomp_->in_halo(p, nbr_box_[k])) continue;
+      out_[k].push_back(kept ? sys.particle_record(keep[s]) : arrivals[a]);
+      out_[k].back().ghost = 1;
+      shipped_[k].push_back(ref);
+      ++shipped;
     }
+    if (kept)
+      ++s;
+    else
+      ++a;
   }
-
-  std::vector<ParticleRecord> merged = owned;
-  std::vector<std::vector<std::uint32_t>> got_gids(nbrs.size());
-  for (std::size_t k = 0; k < nbrs.size(); ++k) {
-    auto in = comm_.recv<ParticleRecord>(nbrs[k], kTagHaloBuild);
-    for (const ParticleRecord& r : in) got_gids[k].push_back(r.gid);
-    merged.insert(merged.end(), in.begin(), in.end());
-  }
-  std::sort(merged.begin(), merged.end(), gid_less);
-
-  // resolve the plan's gids to slots of the gid-sorted layout
-  auto slot_of = [&merged](std::uint32_t g) {
-    const auto it = std::lower_bound(
-        merged.begin(), merged.end(), g,
-        [](const ParticleRecord& r, std::uint32_t v) { return r.gid < v; });
-    if (it == merged.end() || it->gid != g)
-      throw std::logic_error("exchange: halo plan gid " + std::to_string(g) +
-                             " missing from the merged layout");
-    return static_cast<std::uint32_t>(it - merged.begin());
-  };
-  for (std::size_t k = 0; k < nbrs.size(); ++k) {
-    for (std::uint32_t g : sent_gids[k]) send_[k].push_back(slot_of(g));
-    for (std::uint32_t g : got_gids[k]) recv_[k].push_back(slot_of(g));
-  }
+  for (std::size_t k = 0; k < nn; ++k) comm_.send(nbrs[k], kTagHaloBuild, out_[k]);
+  in_.resize(nn);
+  for (std::size_t k = 0; k < nn; ++k)
+    recv_into(comm_.recv_bytes(nbrs[k], kTagHaloBuild), in_[k]);
   telemetry::count("dpd.halo.particles", static_cast<double>(shipped));
-  telemetry::count("dpd.halo.bytes", static_cast<double>(bytes));
-  return merged;
+  telemetry::count("dpd.halo.bytes", static_cast<double>(shipped * sizeof(ParticleRecord)));
+}
+
+void HaloExchanger::relayout(DpdSystem& sys, const std::vector<std::uint32_t>& keep,
+                             const std::vector<ParticleRecord>& arrivals) {
+  runs_.clear();
+  runs_.emplace_back(arrivals);
+  for (const auto& batch : in_) runs_.emplace_back(batch);
+  sys.merge_particles(keep, runs_, slot_);
+
+  // The merge numbered its inputs keep, arrivals, then each neighbour's
+  // batch: a shipped particle's new slot is slot_[ref], and a neighbour's
+  // ghosts hold the consecutive stretch of slot_ after the batches before.
+  const std::size_t nn = in_.size();
+  send_.resize(nn);
+  recv_.resize(nn);
+  auto next = slot_.begin() + static_cast<std::ptrdiff_t>(keep.size() + arrivals.size());
+  for (std::size_t k = 0; k < nn; ++k) {
+    send_[k].clear();
+    for (std::uint32_t ref : shipped_[k]) send_[k].push_back(slot_[ref]);
+    const auto end = next + static_cast<std::ptrdiff_t>(in_[k].size());
+    recv_[k].assign(next, end);
+    next = end;
+  }
 }
 
 void HaloExchanger::begin_update(DpdSystem& sys) {

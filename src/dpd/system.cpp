@@ -152,36 +152,86 @@ ParticleRecord DpdSystem::particle_record(std::size_t i) const {
   return r;
 }
 
-void DpdSystem::reset_particles(const std::vector<ParticleRecord>& recs) {
-  const std::size_t n = recs.size();
-  for (std::size_t i = 1; i < n; ++i)
-    if (recs[i - 1].gid >= recs[i].gid)
-      throw std::invalid_argument("DpdSystem::reset_particles: record " + std::to_string(i) +
-                                  " has gid " + std::to_string(recs[i].gid) +
-                                  ", not above its predecessor's " +
-                                  std::to_string(recs[i - 1].gid));
-  pos_.resize(n);
-  vel_.resize(n);
-  frc_.resize(n);
-  frc_old_.resize(n);
-  v_pred_.resize(n);
-  species_.resize(n);
-  frozen_.resize(n);
-  gid_.resize(n);
-  is_ghost_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const ParticleRecord& r = recs[i];
-    pos_.set(i, r.pos);
-    vel_.set(i, r.vel);
-    v_pred_.set(i, r.aux_vel);
-    frc_.set(i, {});
-    frc_old_.set(i, r.frc_old);
-    species_[i] = static_cast<Species>(r.species);
-    frozen_[i] = static_cast<char>(r.frozen);
-    gid_[i] = r.gid;
-    is_ghost_[i] = static_cast<char>(r.ghost);
+void DpdSystem::merge_particles(const std::vector<std::uint32_t>& keep,
+                                std::span<const std::span<const ParticleRecord>> runs,
+                                std::vector<std::uint32_t>& slot) {
+  const std::size_t nk = keep.size();
+  if (nk > 0 && keep.back() >= size())
+    throw std::invalid_argument("DpdSystem::merge_particles: kept slot " +
+                                std::to_string(keep.back()) + " out of range");
+  // Pass 1, gids only: take the smallest head of the inputs until all are
+  // drained, handing out slots in order. No lane changes before every gid
+  // is known to be strictly ascending.
+  std::size_t n = nk;
+  for (const auto& run : runs) n += run.size();
+  slot.resize(n);
+  std::vector<std::size_t> at(runs.size(), 0), base(runs.size(), nk);
+  for (std::size_t r = 1; r < runs.size(); ++r) base[r] = base[r - 1] + runs[r - 1].size();
+  constexpr std::size_t kKeep = ~std::size_t{0};
+  std::size_t k = 0;
+  std::uint32_t prev = 0;
+  for (std::size_t w = 0; w < n; ++w) {
+    std::size_t src = kKeep;
+    bool have = k < nk;
+    std::uint32_t g = have ? gid_[keep[k]] : 0;
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+      if (at[r] == runs[r].size()) continue;
+      const std::uint32_t h = runs[r][at[r]].gid;
+      if (!have || h < g) {
+        g = h;
+        src = r;
+        have = true;
+      }
+    }
+    if (w > 0 && g <= prev)
+      throw std::invalid_argument("DpdSystem::merge_particles: gid " + std::to_string(g) +
+                                  " at slot " + std::to_string(w) +
+                                  " is not above its predecessor's " + std::to_string(prev));
+    slot[src == kKeep ? k++ : base[src] + at[src]++] = static_cast<std::uint32_t>(w);
+    prev = g;
   }
+
+  // Pass 2, per lane and in place: kept particles compact to the front
+  // (keep[k] >= k), then spread to their slots from the back (slot[k] >= k
+  // and ascending, so no unread entry is overwritten); the records fill the
+  // slots in between. An unstepped system has no integrator scratch yet:
+  // its kept particles read zeros there, as particle_record() does.
+  v_pred_.resize(size());
+  auto move_kept = [&](auto& lane) {
+    for (std::size_t q = 0; q < nk; ++q) lane[q] = lane[keep[q]];
+    lane.resize(n);
+    for (std::size_t q = nk; q-- > 0;) lane[slot[q]] = lane[q];
+  };
+  for (SoA3* a : {&pos_, &vel_, &v_pred_, &frc_old_}) {
+    move_kept(a->xs());
+    move_kept(a->ys());
+    move_kept(a->zs());
+  }
+  move_kept(species_);
+  move_kept(frozen_);
+  move_kept(gid_);
+  move_kept(is_ghost_);
+  frc_.assign(n, {});
+  std::size_t q = nk;
+  for (const auto& run : runs)
+    for (const ParticleRecord& r : run) {
+      const std::size_t i = slot[q++];
+      pos_.set(i, r.pos);
+      vel_.set(i, r.vel);
+      v_pred_.set(i, r.aux_vel);
+      frc_old_.set(i, r.frc_old);
+      species_[i] = static_cast<Species>(r.species);
+      frozen_[i] = static_cast<char>(r.frozen);
+      gid_[i] = r.gid;
+      is_ghost_[i] = static_cast<char>(r.ghost);
+    }
   nlist_.invalidate();
+}
+
+void DpdSystem::reset_particles(const std::vector<ParticleRecord>& recs) {
+  const std::span<const ParticleRecord> run(recs);
+  std::vector<std::uint32_t> slot;
+  merge_particles({}, {&run, 1}, slot);
 }
 
 void DpdSystem::wrap(Vec3& p) const {

@@ -22,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "dpd/geometry.hpp"
@@ -152,7 +153,7 @@ public:
   /// Local index of a global ID, or -1 when the particle is neither owned
   /// nor ghosted here. A binary search: gids are strictly ascending in
   /// every layout (add_particle appends a fresh gid, removal compacts in
-  /// order, reset_particles and load_state reject anything else).
+  /// order, merge_particles and load_state reject anything else).
   long local_of(std::uint32_t gid) const {
     const auto it = std::lower_bound(gid_.begin(), gid_.end(), gid);
     return it != gid_.end() && *it == gid ? static_cast<long>(it - gid_.begin()) : -1;
@@ -179,11 +180,22 @@ public:
 
   /// Snapshot one particle into the flat exchange record format.
   ParticleRecord particle_record(std::size_t i) const;
-  /// Replace the whole local population from exchange records (migration
-  /// merge, halo rebuild, scatter). Records must be strictly ascending by
-  /// gid (std::invalid_argument otherwise) — the exchange layer sorts them
-  /// so local index order equals gid order on every rank. Invalidates the
-  /// neighbor list; does not touch next_gid_.
+  /// The layout primitive of a decomposition rebuild: replace the local
+  /// population with the gid-ordered merge of the particles at local slots
+  /// `keep` (ascending) and the records of `runs` (each ascending by gid).
+  /// Kept particles move with every lane, their integrator scratch
+  /// included; records fill their slots as particle_record() captured them;
+  /// every force lane is zeroed. slot[q] receives the new local index of
+  /// input q, numbering `keep` first and then each run's records in order.
+  /// Throws std::invalid_argument, before any lane changes, unless the
+  /// merged gids are strictly ascending — so local index order equals gid
+  /// order on every rank. Invalidates the neighbor list; does not touch
+  /// next_gid_.
+  void merge_particles(const std::vector<std::uint32_t>& keep,
+                       std::span<const std::span<const ParticleRecord>> runs,
+                       std::vector<std::uint32_t>& slot);
+  /// Replace the whole local population from gid-ascending records: the
+  /// merge with no kept particles.
   void reset_particles(const std::vector<ParticleRecord>& recs);
 
   void add_module(std::shared_ptr<ForceModule> m) { modules_.push_back(std::move(m)); }

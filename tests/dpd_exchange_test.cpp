@@ -2,16 +2,20 @@
 // geometry, halo/migration protocols, and the equivalence gate — N-rank
 // distributed runs reproduce the single-rank trajectory digest *bitwise*,
 // with blocking and overlapped halo refreshes alike, including across a
-// mid-run checkpoint/restart and under checked xmp mode. Also pins the
-// gid-keyed pair RNG (trajectories invariant to local index layout and to
-// removal compaction) and the exchange telemetry counters / CommMatrix
-// attribution.
+// mid-run checkpoint/restart and under checked xmp mode. Every in-place
+// layout rebuild is replayed against the record-based oracle in
+// tests/reference and must match it bitwise. Also pins the gid-keyed pair
+// RNG (trajectories invariant to local index layout and to removal
+// compaction), the exchange telemetry counters / CommMatrix attribution,
+// and how DistributedDpd::load_state handles hostile input.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <string>
@@ -24,6 +28,7 @@
 #include "dpd/geometry.hpp"
 #include "dpd/platelets.hpp"
 #include "dpd/system.hpp"
+#include "reference/dpd_exchange_reference.hpp"
 #include "resilience/blob.hpp"
 #include "telemetry/comm_matrix.hpp"
 #include "telemetry/registry.hpp"
@@ -466,6 +471,48 @@ TEST(ExchangeMigration, OwnershipMovesAndGlobalCountIsConserved) {
   EXPECT_GT(temp, 0.0);
 }
 
+TEST(ExchangeMigration, SkipPastTheNeighbourShellThrowsNamingGidAndRanks) {
+  // Four x-slabs of width 3 on a 12-long periodic box: rank 0's neighbours
+  // are 1 and 3. An owned particle moved two slabs, into rank 2's, cannot
+  // migrate; the rebuild must say which particle went where, and the
+  // failing rank must abort the others instead of leaving them blocked on
+  // its migration message — with and without the checked runtime.
+  for (bool checked : {false, true}) {
+    if (checked && !xmp::checked_available()) continue;
+    xmp::CheckOptions check;
+    check.enabled = checked;
+    std::uint32_t gid = 0;
+    std::string what;
+    try {
+      xmp::run(
+          4,
+          [&](xmp::Comm& world) {
+            auto sys = make_channel_system();
+            DistributedDpd drv(world, *sys, DistOptions{{4, 1, 1}});
+            drv.distribute();
+            sys->step();
+            if (world.rank() == 0)
+              for (std::size_t i = 0; i < sys->size(); ++i) {
+                const double x = sys->positions()[i].x;
+                if (sys->is_ghost(i) || x < 1.0 || x > 2.0) continue;
+                gid = sys->gid_of(i);
+                sys->positions()[i].x = x + 6.0;
+                break;
+              }
+            sys->step();
+          },
+          nullptr, check);
+    } catch (const std::runtime_error& e) {
+      what = e.what();
+    }
+    EXPECT_NE(what.find("particle gid " + std::to_string(gid) + " migrated from rank 0"),
+              std::string::npos)
+        << "checked=" << checked << ": " << what;
+    EXPECT_NE(what.find("past the neighbour shell to rank 2"), std::string::npos)
+        << "checked=" << checked << ": " << what;
+  }
+}
+
 // Five steps of the two-rank channel run with telemetry on: the bytes per
 // CommMatrix tag class, and the overlap counters summed over the ranks.
 struct ExchangeTraffic {
@@ -533,6 +580,48 @@ TEST(ExchangeTelemetry, OverlapCountersAndAsyncTagClass) {
   EXPECT_GT(t.build_bytes, 0u);
   EXPECT_GT(t.update_bytes, 0u);
   EXPECT_TRUE(t.unattributed.empty()) << "unattributed traffic on " << t.unattributed.front();
+}
+
+TEST(ExchangeTelemetry, RebuildNestsMigrateHaloRelayout) {
+  // Each rebuild opens dpd.exchange.rebuild under dpd.step/dpd.exchange,
+  // and inside it exactly the migrate, halo and relayout phases, in that
+  // order, once per rebuild.
+  telemetry::Registry::reset_all();
+  telemetry::set_enabled(true);
+  std::mutex mu;
+  std::vector<std::string> failures;
+  std::uint64_t rebuilds = 0;
+  xmp::run(2, [&](xmp::Comm& world) {
+    auto sys = make_channel_system();
+    DistributedDpd drv(world, *sys);
+    drv.distribute();
+    for (int s = 0; s < 20; ++s) sys->step();
+    const telemetry::PhaseNode root = telemetry::Registry::local().phases();
+    std::string bad;
+    const telemetry::PhaseNode* step = root.find("dpd.step");
+    const telemetry::PhaseNode* exchange = step ? step->find("dpd.exchange") : nullptr;
+    const telemetry::PhaseNode* rebuild =
+        exchange ? exchange->find("dpd.exchange.rebuild") : nullptr;
+    if (!rebuild) {
+      bad = "no dpd.step/dpd.exchange/dpd.exchange.rebuild";
+    } else {
+      const std::vector<std::string> want = {"dpd.exchange.migrate", "dpd.exchange.halo",
+                                             "dpd.exchange.relayout"};
+      std::vector<std::string> got;
+      for (const auto& c : rebuild->children) {
+        got.push_back(c.name);
+        if (c.count != rebuild->count) bad += c.name + " entered a different number of times; ";
+      }
+      if (got != want) bad += "children differ from migrate, halo, relayout; ";
+      if (rebuild->count != drv.rebuilds()) bad += "rebuild count differs from rebuilds(); ";
+    }
+    std::lock_guard<std::mutex> lk(mu);
+    if (!bad.empty()) failures.push_back("rank " + std::to_string(world.rank()) + ": " + bad);
+    rebuilds += drv.rebuilds();
+  });
+  telemetry::set_enabled(false);
+  EXPECT_TRUE(failures.empty()) << failures.front();
+  EXPECT_GT(rebuilds, 0u) << "20 body-forced steps should rebuild";
 }
 
 // --------------------------------------- force modules under decomposition
@@ -695,6 +784,311 @@ TEST(GidPairRng, PairNoiseIsKeyedOnGidsNotLocalIndices) {
   EXPECT_EQ(pa3.x, pb3.x);
   EXPECT_EQ(pa3.y, pb3.y);
   EXPECT_EQ(pa3.z, pb3.z);
+}
+
+// ------------------------------- the in-place rebuild vs the record oracle
+
+namespace oracle = dpd::exchange::reference;
+
+bool same_bits(const Vec3& a, const Vec3& b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// Slots of `sys`, plus plans of `halo`, that differ from the oracle
+/// layout: 0 when every lane, the ghost mask and both plans are bitwise
+/// equal. Forces must be zeroed.
+std::size_t layout_mismatches(const dpd::DpdSystem& sys, const dpd::exchange::HaloExchanger& halo,
+                              const oracle::Layout& want) {
+  if (sys.size() != want.particles.size()) return sys.size() + want.particles.size();
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < sys.size(); ++i) {
+    const dpd::ParticleRecord got = sys.particle_record(i);
+    const dpd::ParticleRecord& w = want.particles[i];
+    bad += !(got.gid == w.gid && got.species == w.species && got.frozen == w.frozen &&
+             got.ghost == w.ghost && same_bits(got.pos, w.pos) && same_bits(got.vel, w.vel) &&
+             same_bits(got.aux_vel, w.aux_vel) && same_bits(got.frc_old, w.frc_old) &&
+             same_bits(sys.forces()[i], Vec3{}));
+  }
+  bad += halo.send_plan() != want.send;
+  bad += halo.recv_plan() != want.recv;
+  return bad;
+}
+
+/// Exchange hook between the engine and DistributedDpd. It snapshots the
+/// owned records before every refresh; whenever a refresh rebuilt, it replays
+/// the record oracle from the snapshot and counts what differs.
+class OracleProbe final : public dpd::ExchangeHook {
+public:
+  OracleProbe(const xmp::Comm& comm, dpd::DpdSystem& sys, DistributedDpd& drv)
+      : comm_(comm), sys_(sys), drv_(drv) {
+    sys_.set_exchange(this);
+  }
+  ~OracleProbe() override { sys_.set_exchange(&drv_); }
+
+  /// drv.distribute(), checked against the oracle's partition of the same
+  /// replicated population.
+  void distribute() {
+    const auto everyone = oracle::owned_records(sys_);
+    drv_.distribute();
+    check(oracle::distribute(comm_, drv_.decomposition(), everyone));
+  }
+
+  void refresh(dpd::DpdSystem& sys) override {
+    auto before = oracle::owned_records(sys);
+    const std::uint64_t rebuilds = drv_.rebuilds();
+    drv_.refresh(sys);
+    if (drv_.rebuilds() != rebuilds)
+      check(oracle::rebuild(comm_, drv_.decomposition(), std::move(before)));
+  }
+  bool overlap_pending() const override { return drv_.overlap_pending(); }
+  void finish_refresh(dpd::DpdSystem& sys) override { drv_.finish_refresh(sys); }
+
+  std::uint64_t checked = 0;   ///< layouts compared
+  std::size_t mismatches = 0;  ///< summed layout_mismatches
+
+private:
+  void check(const oracle::Layout& want) {
+    ++checked;
+    mismatches += layout_mismatches(sys_, drv_.halo(), want);
+  }
+
+  xmp::Comm comm_;
+  dpd::DpdSystem& sys_;
+  DistributedDpd& drv_;
+};
+
+struct OracleTally {
+  std::uint64_t checked = 0;
+  std::size_t mismatches = 0;
+  std::vector<double> cuts;  ///< rank 0's x cut planes at the end
+};
+
+/// A probed run: distribute the replicated system `make()` builds, then
+/// step it; every layout is compared with the oracle on every rank.
+template <class Make>
+OracleTally probed_run(int nranks, const DistOptions& opt, int steps, Make make) {
+  OracleTally tally;
+  std::mutex mu;
+  xmp::run(nranks, [&](xmp::Comm& world) {
+    auto sys = make();
+    DistributedDpd drv(world, *sys, opt);
+    OracleProbe probe(world, *sys, drv);
+    probe.distribute();
+    for (int s = 0; s < steps; ++s) sys->step();
+    std::lock_guard<std::mutex> lk(mu);
+    tally.checked += probe.checked;
+    tally.mismatches += probe.mismatches;
+    if (world.rank() == 0) tally.cuts = drv.decomposition().bounds(0);
+  });
+  return tally;
+}
+
+TEST(ExchangeOracle, TwoAndFourRankRebuildsMatchTheRecordOracle) {
+  for (int nranks : {2, 4})
+    for (bool overlap : {false, true}) {
+      DistOptions opt;
+      opt.overlap = overlap;
+      const OracleTally t = probed_run(nranks, opt, 40, make_channel_system);
+      // distribute() plus several rebuilds on every rank
+      EXPECT_GT(t.checked, 3u * static_cast<std::uint64_t>(nranks))
+          << nranks << " ranks, overlap=" << overlap;
+      EXPECT_EQ(t.mismatches, 0u) << nranks << " ranks, overlap=" << overlap;
+    }
+}
+
+TEST(ExchangeOracle, RebalanceMatchesTheRecordOracle) {
+  DistOptions opt;
+  opt.dims = {2, 1, 1};
+  opt.overlap = true;
+  opt.rebalance_every = 5;
+  const OracleTally t = probed_run(2, opt, 30, make_skewed_system);
+  ASSERT_EQ(t.cuts.size(), 3u);
+  EXPECT_LT(t.cuts[1], 6.0) << "the skew should have moved the x cut";
+  EXPECT_GT(t.checked, 2u);
+  EXPECT_EQ(t.mismatches, 0u);
+}
+
+TEST(ExchangeOracle, BondsAndPlateletsAtARaisedHaloMatchTheRecordOracle) {
+  // Species, frozen flags (bound platelets) and the wider shell all ride
+  // through the rebuild.
+  OracleTally t;
+  std::mutex mu;
+  xmp::run(2, [&](xmp::Comm& world) {
+    const auto prm = channel_params();
+    dpd::DpdSystem sys(prm, std::make_shared<dpd::ChannelZ>(prm.box.z));
+    sys.fill(3.0, dpd::kSolvent, 7);
+    auto bonds = std::make_shared<dpd::BondSet>();
+    dpd::RbcRingParams ring;
+    ring.center = {6.0, 3.0, 3.0};
+    ring.radius = 1.5;
+    ring.beads = 12;
+    dpd::make_rbc_ring(sys, *bonds, ring);
+    dpd::PlateletParams pp;
+    pp.adhesive_region = [](const Vec3& r) { return r.x > 4.0 && r.x < 8.0; };
+    auto model = std::make_shared<dpd::PlateletModel>(pp);
+    model->seed_platelets(sys, 12, 11);
+    sys.add_module(bonds);
+    sys.add_module(model);
+    DistOptions opt;
+    opt.halo_width = pp.adhesion_cutoff + prm.skin;
+    DistributedDpd drv(world, sys, opt);
+    OracleProbe probe(world, sys, drv);
+    probe.distribute();
+    for (int s = 0; s < 25; ++s) {
+      sys.step();
+      model->update(sys);
+      drv.sync_platelets(*model);
+    }
+    std::lock_guard<std::mutex> lk(mu);
+    t.checked += probe.checked;
+    t.mismatches += probe.mismatches;
+  });
+  EXPECT_GT(t.checked, 2u);
+  EXPECT_EQ(t.mismatches, 0u);
+}
+
+TEST(ExchangeOracle, RestartRebuildMatchesTheRecordOracle) {
+  // The forced rebuild after a load starts from a system whose integrator
+  // scratch was never sized; it must still lay out what the oracle does.
+  OracleTally before, after;
+  std::mutex mu;
+  xmp::run(2, [&](xmp::Comm& world) {
+    DistOptions opt;
+    opt.overlap = true;
+    std::vector<std::uint8_t> blob;
+    {
+      auto sys = make_channel_system();
+      DistributedDpd drv(world, *sys, opt);
+      OracleProbe probe(world, *sys, drv);
+      probe.distribute();
+      for (int s = 0; s < 15; ++s) sys->step();
+      resilience::BlobWriter w;
+      sys->save_state(w);
+      drv.save_state(w);
+      blob = w.take();
+      std::lock_guard<std::mutex> lk(mu);
+      before.checked += probe.checked;
+      before.mismatches += probe.mismatches;
+    }
+    auto sys = make_channel_system();
+    DistributedDpd drv(world, *sys, opt);
+    OracleProbe probe(world, *sys, drv);
+    resilience::BlobReader r(blob);
+    sys->load_state(r);
+    drv.load_state(r);
+    sys->step();
+    const bool rebuilt_on_load = drv.rebuilds() == 1;
+    for (int s = 0; s < 14; ++s) sys->step();
+    std::lock_guard<std::mutex> lk(mu);
+    after.checked += probe.checked;
+    after.mismatches += probe.mismatches;
+    EXPECT_TRUE(rebuilt_on_load) << "rank " << world.rank();
+  });
+  EXPECT_EQ(before.mismatches, 0u);
+  EXPECT_GE(after.checked, 2u);
+  EXPECT_EQ(after.mismatches, 0u);
+}
+
+TEST(DpdSystemMerge, SlotsFollowGidOrderAndRejectDuplicates) {
+  // Kept slots and record runs interleave by gid; each input learns its
+  // slot, and a gid present twice is rejected before any lane changes.
+  dpd::DpdParams prm;
+  prm.box = {10.0, 10.0, 10.0};
+  prm.periodic = {true, true, true};
+  dpd::DpdSystem src(prm, std::make_shared<dpd::NoWalls>());
+  for (int k = 0; k < 6; ++k)
+    src.add_particle({1.0 + k, 2.0, 3.0}, {0.1 * k, 0.0, 0.0}, dpd::kSolvent);
+  dpd::DpdSystem sys(prm, std::make_shared<dpd::NoWalls>());
+  sys.reset_particles({src.particle_record(0), src.particle_record(2), src.particle_record(3),
+                       src.particle_record(5)});
+  const std::vector<dpd::ParticleRecord> a = {src.particle_record(1)};
+  const std::vector<dpd::ParticleRecord> b = {src.particle_record(4)};
+  const std::span<const dpd::ParticleRecord> runs[2] = {a, b};
+  std::vector<std::uint32_t> slot;
+  sys.merge_particles({0, 3}, runs, slot);  // keep gids 0 and 5
+  EXPECT_EQ(sys.gids(), (std::vector<std::uint32_t>{0, 1, 4, 5}));
+  EXPECT_EQ(slot, (std::vector<std::uint32_t>{0, 3, 1, 2}));
+  EXPECT_EQ(sys.positions()[3].x, 6.0);
+  EXPECT_EQ(sys.velocities()[2].x, src.velocities()[4].x);
+
+  const std::vector<dpd::ParticleRecord> dup = {src.particle_record(5)};
+  const std::span<const dpd::ParticleRecord> dup_run[1] = {dup};
+  EXPECT_THROW(sys.merge_particles({3}, dup_run, slot), std::invalid_argument);
+  EXPECT_EQ(sys.gids(), (std::vector<std::uint32_t>{0, 1, 4, 5}))
+      << "a rejected merge changes nothing";
+}
+
+// ---------------------------------- hostile DistributedDpd checkpoints
+
+/// The DistributedDpd checkpoint header: process grid, halo width,
+/// distributed flag.
+void put_layout_header(resilience::BlobWriter& w, const Decomposition& d) {
+  w.pod(static_cast<std::int32_t>(d.dims().px));
+  w.pod(static_cast<std::int32_t>(d.dims().py));
+  w.pod(static_cast<std::int32_t>(d.dims().pz));
+  w.pod(d.halo_width());
+  w.pod(std::uint8_t{1});
+}
+
+/// The DistributedDpd checkpoint as save_state lays it out: the header, then per
+/// axis a u64 count and the cut planes.
+std::vector<std::uint8_t> layout_blob(const Decomposition& d,
+                                      const std::array<std::vector<double>, 3>& planes) {
+  resilience::BlobWriter w;
+  put_layout_header(w, d);
+  for (const auto& b : planes) {
+    w.pod(static_cast<std::uint64_t>(b.size()));
+    for (double v : b) w.pod(v);
+  }
+  return w.take();
+}
+
+TEST(ExchangeCheckpoint, BlobBytesAreUnchanged) {
+  xmp::run(2, [](xmp::Comm& world) {
+    auto sys = make_skewed_system();
+    DistOptions opt;
+    opt.dims = {2, 1, 1};
+    opt.rebalance_every = 3;
+    DistributedDpd drv(world, *sys, opt);
+    drv.distribute();
+    for (int s = 0; s < 6; ++s) sys->step();
+    const Decomposition& d = drv.decomposition();
+    resilience::BlobWriter w;
+    drv.save_state(w);
+    EXPECT_EQ(w.data(), layout_blob(d, {d.bounds(0), d.bounds(1), d.bounds(2)}));
+    EXPECT_NE(d.bounds(0)[1], 6.0) << "the rebalanced cut should be in the blob";
+  });
+}
+
+TEST(ExchangeCheckpoint, HugePlaneCountIsCorruptWithoutAllocating) {
+  xmp::run(1, [](xmp::Comm& world) {
+    auto sys = make_channel_system();
+    DistributedDpd drv(world, *sys);
+    resilience::BlobWriter w;
+    put_layout_header(w, drv.decomposition());
+    w.pod(std::uint64_t{1} << 62);  // the first axis claims 2^62 planes, 2^65 bytes
+    const auto blob = w.take();
+    resilience::BlobReader r(blob);
+    EXPECT_THROW(drv.load_state(r), resilience::CorruptError);
+  });
+}
+
+TEST(ExchangeCheckpoint, DescendingOrNanPlanesAreCorrupt) {
+  xmp::run(1, [](xmp::Comm& world) {
+    auto sys = make_channel_system();
+    DistributedDpd drv(world, *sys);
+    const Decomposition& d = drv.decomposition();
+    const double L = d.box().x;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const std::vector<double>& x :
+         {std::vector<double>{L, 0.0}, std::vector<double>{0.0, nan},
+          std::vector<double>{0.0, 0.5 * L, L}}) {
+      const auto blob = layout_blob(d, {x, d.bounds(1), d.bounds(2)});
+      resilience::BlobReader r(blob);
+      EXPECT_THROW(drv.load_state(r), resilience::CorruptError) << x.size() << " planes";
+    }
+    const auto good = layout_blob(d, {d.bounds(0), d.bounds(1), d.bounds(2)});
+    resilience::BlobReader r(good);
+    EXPECT_NO_THROW(drv.load_state(r));
+  });
 }
 
 }  // namespace

@@ -41,10 +41,14 @@ sem-hot-alloc, exchange-hot-alloc, pair-hot-alloc
                           sem-alloc-ok (no body in src/ carries it: the
                           scalar baselines with per-call scratch live in
                           tests/reference)
-      exchange-hot-alloc  src/dpd/exchange/, `begin_update` / `finish_update`
-                          and the `pack_*` / `unpack_*` packers;
-                          exchange-alloc-ok (build, plan and migration paths
-                          are cold and not gated)
+      exchange-hot-alloc  src/dpd/exchange/, the halo fast path
+                          `begin_update` / `finish_update`, the `pack_*` /
+                          `unpack_*` packers and the layout rebuild
+                          (`full_rebuild` / `rebuild_halo`, the migration
+                          `exchange` / `claim`, the halo `ship` /
+                          `relayout`), whose scratch lives in members;
+                          exchange-alloc-ok (distribute() and the gather
+                          and checkpoint paths are cold and not gated)
       pair-hot-alloc      src/dpd/system.cpp, the `DpdSystem::pair_*` pair
                           pass; pair-alloc-ok
 
@@ -107,9 +111,11 @@ HOT_ALLOC_RULES = [
          r"(?:apply_|elem_)\w*|evaluate|tensor_sum|locate|lagrange_basis_at", "sem-alloc-ok",
          "a SEM hot path (apply_*/elem_* or the point evaluator) allocates per call"),
         ("exchange-hot-alloc", "src/dpd/exchange/",
-         r"begin_update|finish_update|pack_\w+|unpack_\w+", "exchange-alloc-ok",
-         "a halo fast-path body (begin_update/finish_update/pack_*/unpack_*) "
-         "allocates every force pass"),
+         r"begin_update|finish_update|pack_\w+|unpack_\w+"
+         r"|full_rebuild|rebuild_halo|exchange|claim|ship|relayout", "exchange-alloc-ok",
+         "an exchange hot path (the halo fast path begin_update/finish_update/"
+         "pack_*/unpack_*, or a layout rebuild body) allocates every force pass "
+         "or every rebuild"),
         ("pair-hot-alloc", "src/dpd/system.cpp", r"DpdSystem\s*::\s*pair_\w+",
          "pair-alloc-ok", "a DpdSystem::pair_* body allocates every force pass"),
     ]
@@ -474,9 +480,22 @@ SELF_TEST_CASES = [
      "  // lint: exchange-alloc-ok (diagnostic copy outside the benchmarked path)\n"
      "  std::vector<double> snapshot(recv_buf_);\n}\n",
      set()),
-    ("src/dpd/exchange/ok_cold_build.cpp",
-     "std::vector<ParticleRecord> HaloExchanger::build(const std::vector<ParticleRecord>& o) {\n"
-     "  std::vector<ParticleRecord> merged = o;\n  return merged;\n}\n",
+    ("src/dpd/exchange/bad_rebuild_alloc.cpp",
+     "void HaloExchanger::ship(const DpdSystem& sys, const std::vector<std::uint32_t>& keep,\n"
+     "                         const std::vector<ParticleRecord>& arrivals) {\n"
+     "  std::vector<std::vector<ParticleRecord>> out(nbrs.size());\n}\n",
+     {"exchange-hot-alloc"}),
+    ("src/dpd/exchange/bad_migrate_alloc.cpp",
+     "void MigrationExchanger::exchange(const DpdSystem& sys) {\n"
+     "  std::vector<ParticleRecord> kept;\n}\n",
+     {"exchange-hot-alloc"}),
+    ("src/dpd/exchange/ok_cold_gather.cpp",
+     "std::vector<ParticleRecord> DistributedDpd::gather(int root) const {\n"
+     "  std::vector<ParticleRecord> mine = owned_records(sys_);\n  return mine;\n}\n",
+     set()),
+    ("src/dpd/exchange/ok_rebuild_calls.cpp",
+     "void DistributedDpd::distribute() {\n"
+     "  migrate_.claim(sys_);\n  std::vector<double> tmp(n);\n}\n",
      set()),
     ("src/dpd/exchange/ok_call_not_definition.cpp",
      "void DistributedDpd::refresh(DpdSystem& sys) {\n"

@@ -59,7 +59,7 @@ int main() {
             std::sin(M_PI * d.node_x(g) + time) * std::sin(M_PI * d.node_y(g) - 0.5 * time);
         b[g] = fixed[g] ? 0.0 : M[g] * f;
       }
-      projector.predict(A, b, u);  // depth 0 keeps no basis: the zero guess
+      projector.predict(b, u);  // depth 0 keeps no basis: the zero guess
       const auto res = la::cg_solve(A, b, u, la::jacobi_preconditioner(diag));
       projector.record(A, u);
       (step < 4 ? warmup : steady) += res.iterations;

@@ -19,7 +19,7 @@ struct BufferWindow {
   Vec3 lo{}, hi{};              ///< axis-aligned window bounds
   double relax = 0.2;           ///< per-step relaxation factor
   /// Imposed velocity field (refreshed by the coupler; per-particle use).
-  // lint: std-function-ok (coupling callback, evaluated per particle not per pair)
+  // analyze: std-function-ok (coupling callback, evaluated per particle not per pair)
   std::function<Vec3(const Vec3&)> target;
 };
 
@@ -31,7 +31,7 @@ public:
 
   /// Replace every window's target with velocities drawn from one shared
   /// field (the coupler's interpolated continuum solution).
-  // lint: std-function-ok (setup-time setter, not a pair-loop parameter)
+  // analyze: std-function-ok (setup-time setter, not a pair-loop parameter)
   void set_shared_target(const std::function<Vec3(const Vec3&)>& field);
 
   /// Apply all windows to the system (call once per DPD step).

@@ -29,7 +29,7 @@ void recv_into(const std::vector<std::uint8_t>& raw, std::vector<T>& out) {
                              " bytes is not a whole number of " + std::to_string(sizeof(T)) +
                              "-byte elements");
   out.resize(raw.size() / sizeof(T));
-  // lint: memcpy-ok (byte payload reinterpreted into the typed scratch)
+  // analyze: memcpy-ok (byte payload reinterpreted into the typed scratch)
   if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
 }
 

@@ -23,7 +23,7 @@ struct FlowBcParams {
   double max_density_factor = 1.05;
   unsigned seed = 99;
   /// Imposed velocity at a point (evaluated in the buffer and at insertion).
-  // lint: std-function-ok (coupling callback, evaluated per particle not per pair)
+  // analyze: std-function-ok (coupling callback, evaluated per particle not per pair)
   std::function<Vec3(const Vec3&)> target_velocity;
 };
 
@@ -35,7 +35,7 @@ public:
   void apply(DpdSystem& sys);
 
   /// Replace the imposed velocity (continuum coupling hook).
-  // lint: std-function-ok (setup-time setter, not a pair-loop parameter)
+  // analyze: std-function-ok (setup-time setter, not a pair-loop parameter)
   void set_target_velocity(std::function<Vec3(const Vec3&)> f) {
     prm_.target_velocity = std::move(f);
   }

@@ -34,7 +34,7 @@ namespace dpd {
 struct PlateletParams {
   /// Is a point inside the adhesive (damaged-endothelium) wall region?
   /// Setup-time configuration, evaluated per platelet (not per pair).
-  // lint: std-function-ok (setup-time callback, not a pair-loop parameter)
+  // analyze: std-function-ok (setup-time callback, not a pair-loop parameter)
   std::function<bool(const Vec3&)> adhesive_region;
   double trigger_distance = 1.0;   ///< wall distance that triggers activation
   double activation_delay = 2.0;   ///< time between trigger and adhesiveness

@@ -203,7 +203,7 @@ public:
 
   /// Per-particle external force (body force / pressure gradient).
   /// Setup-time configuration, evaluated outside the pair hot loop.
-  // lint: std-function-ok (setup-time callback, not a pair-loop parameter)
+  // analyze: std-function-ok (setup-time callback, not a pair-loop parameter)
   using BodyForceFn = std::function<Vec3(const Vec3& pos, Species s)>;
   void set_body_force(BodyForceFn f) { body_force_ = std::move(f); }
 

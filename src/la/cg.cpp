@@ -90,9 +90,7 @@ CgResult cg_solve(const LinearOperator& A, const Vector& b, Vector& x,
   return res;
 }
 
-std::size_t SolutionProjector::predict(const LinearOperator& A, const Vector& b,
-                                       Vector& guess) const {
-  (void)A;
+std::size_t SolutionProjector::predict(const Vector& b, Vector& guess) const {
   const std::size_t n = b.size();
   if (guess.size() != n) guess.resize(n);  // keeps a caller's buffer of the right size
   guess.fill(0.0);

@@ -51,7 +51,7 @@ public:
 
   /// Fill `guess` from the stored basis given the new rhs b.
   /// Returns the number of basis vectors used (0 -> zero guess).
-  std::size_t predict(const LinearOperator& A, const Vector& b, Vector& guess) const;
+  std::size_t predict(const Vector& b, Vector& guess) const;
 
   /// Record a converged solution so later predicts can use it.
   void record(const LinearOperator& A, const Vector& x);

@@ -83,7 +83,7 @@ public:
     if (n > remaining())
       throw CorruptError("resilience: truncated stream (want " + std::to_string(n) +
                          " bytes, have " + std::to_string(remaining()) + ")");
-    // lint: memcpy-ok (raw byte reader; pod<T>() supplies sizeof-exact counts)
+    // analyze: memcpy-ok (raw byte reader; pod<T>() supplies sizeof-exact counts)
     std::memcpy(out, p_, n);
     p_ += n;
   }

@@ -3,6 +3,7 @@
 // itself stays dependency-free.
 
 #include <deque>
+#include <string>
 
 #include "la/cg.hpp"
 #include "la/vector.hpp"
@@ -43,10 +44,21 @@ inline void put_projector(BlobWriter& w, const la::SolutionProjector& p) {
   put_vector_deque(w, p.images());
 }
 
-inline void get_projector(BlobReader& r, la::SolutionProjector& p) {
+// `n` is the solver's node count. SolutionProjector::record pairs basis
+// vector k with image k over n entries, so a blob with unpaired or missized
+// vectors is corrupt.
+inline void get_projector(BlobReader& r, la::SolutionProjector& p, std::size_t n) {
   std::deque<la::Vector> basis, images;
   get_vector_deque(r, basis);
   get_vector_deque(r, images);
+  if (basis.size() != images.size())
+    throw CorruptError("resilience: projector has " + std::to_string(basis.size()) +
+                       " basis vectors but " + std::to_string(images.size()) + " images");
+  for (const auto* d : {&basis, &images})
+    for (const auto& v : *d)
+      if (v.size() != n)
+        throw CorruptError("resilience: projector vector has " + std::to_string(v.size()) +
+                           " entries, the solver has " + std::to_string(n) + " nodes");
   p.set_state(std::move(basis), std::move(images));
 }
 

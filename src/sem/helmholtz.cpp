@@ -316,7 +316,7 @@ la::CgResult HelmholtzSolver<Disc>::solve_with_values(const la::Vector& f,
   if (basis_)
     basis_->solve(lambda_, nu_, b_.data(), u.data(), work_.data());
   else
-    projector_.predict(op, b_, u);
+    projector_.predict(b_, u);
   auto res = la::cg_solve(op, b_, u, precond, opt_);
   if (!basis_) projector_.record(op, u);
   // add the lift back; it is zero off the Dirichlet nodes
@@ -342,7 +342,7 @@ void HelmholtzSolver<Disc>::save_state(resilience::BlobWriter& w) const {
 
 template <class Disc>
 void HelmholtzSolver<Disc>::load_state(resilience::BlobReader& r) {
-  resilience::get_projector(r, projector_);
+  resilience::get_projector(r, projector_, ops_->disc().num_nodes());
 }
 
 template class HelmholtzSolver<Discretization>;

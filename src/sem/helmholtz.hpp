@@ -83,7 +83,9 @@ public:
   la::CgOptions& options() { return opt_; }
 
   /// Checkpoint the warm-start projector (the solver's only mutable state;
-  /// empty on a box mesh).
+  /// empty on a box mesh). load_state throws resilience::CorruptError on a
+  /// projector whose basis and image counts differ or whose vectors do not
+  /// have num_nodes() entries.
   void save_state(resilience::BlobWriter& w) const;
   void load_state(resilience::BlobReader& r);
 

@@ -123,7 +123,7 @@ Registry& Registry::local() {
     if (!*slot) *slot = make_registered();
     return *static_cast<Registry*>(slot->get());
   }
-  // lint: sched-context-ok (fallback for contexts without a rank slot)
+  // analyze: sched-context-ok (fallback for contexts without a rank slot)
   thread_local std::shared_ptr<Registry> reg = make_registered();
   return *reg;
 }

@@ -137,7 +137,7 @@ void Group::send(int src, int dst, int tag, const void* data, std::size_t bytes)
   Mailbox& box = *boxes[static_cast<std::size_t>(dst)];
   Message m{src, tag, {}};
   m.data.resize(bytes);
-  // lint: memcpy-ok (destination is the untyped mailbox byte buffer)
+  // analyze: memcpy-ok (destination is the untyped mailbox byte buffer)
   if (bytes) std::memcpy(m.data.data(), data, bytes);
   {
     // Notify under the mutex: WaitCv::notify_all touches the fiber waiter
@@ -386,7 +386,7 @@ bool Pending::test() {
 
 void Comm::barrier() const {
   if (!group_) throw std::logic_error("xmp: invalid comm");
-  // lint: no-trace (barriers carry no payload attribution)
+  // analyze: no-trace (barriers carry no payload attribution)
   group_->collective(rank_, nullptr, 0, CollDesc{CollKind::Barrier, 0, -1, -1, 0},
                      [](const auto&) { return std::make_shared<int>(0); });
 }
@@ -442,7 +442,7 @@ void Comm::set_trace(TraceSink sink) const {
     throw std::logic_error(
         "xmp: set_trace is collective over the WORLD communicator (or pass the "
         "sink to xmp::run to install it before ranks start)");
-  // lint: no-trace (installs the sink itself; nothing to attribute)
+  // analyze: no-trace (installs the sink itself; nothing to attribute)
   group_->collective(rank_, &sink, sizeof sink,
                      CollDesc{CollKind::SetTrace, sizeof sink, -1, -1, kShapeUnknown},
                      [rs](const auto& ins) {
@@ -475,7 +475,7 @@ Comm Comm::split(int color, int key) const {
     std::vector<int> new_rank;
   };
   In mine{color, key, rank_};
-  // lint: no-trace (communicator management, not data movement)
+  // analyze: no-trace (communicator management, not data movement)
   auto res = group_->collective(
       rank_, &mine, sizeof mine, CollDesc{CollKind::Split, sizeof mine, -1, -1, kShapeUnknown},
       [this](const auto& ins) {
@@ -524,7 +524,7 @@ std::shared_ptr<Blobs> collect_bytes(const std::shared_ptr<detail::Group>& g, in
     auto blobs = std::make_shared<Blobs>(ins.size());
     for (std::size_t r = 0; r < ins.size(); ++r) {
       (*blobs)[r].resize(ins[r].second);
-      // lint: memcpy-ok (destination is an untyped contribution blob)
+      // analyze: memcpy-ok (destination is an untyped contribution blob)
       if (ins[r].second) std::memcpy((*blobs)[r].data(), ins[r].first, ins[r].second);
     }
     return std::shared_ptr<void>(blobs);
@@ -539,7 +539,7 @@ std::shared_ptr<Blobs> collect_bytes(const std::shared_ptr<detail::Group>& g, in
 std::shared_ptr<const std::vector<std::vector<std::uint8_t>>> Comm::collect_bytes_all(
     const void* ptr, std::size_t bytes, const CollDesc& desc) const {
   if (!group_) throw std::logic_error("xmp: invalid comm");
-  // lint: no-trace (raw primitive; the typed collectives attribute traffic)
+  // analyze: no-trace (raw primitive; the typed collectives attribute traffic)
   return collect_bytes(group_, rank_, ptr, bytes, desc);
 }
 

@@ -19,9 +19,9 @@ namespace {
 // The one place rank identity is allowed to live in a thread-local: the
 // fiber scheduler rewrites both on every fiber switch, so they track the
 // rank, not the OS thread.
-// lint: sched-context-ok (this is the scheduler context itself)
+// analyze: sched-context-ok (this is the scheduler context itself)
 thread_local int tl_current_rank = -1;
-// lint: sched-context-ok (this is the scheduler context itself)
+// analyze: sched-context-ok (this is the scheduler context itself)
 thread_local std::shared_ptr<void>* tl_rank_slot = nullptr;
 }  // namespace
 

@@ -50,7 +50,7 @@ struct WorkerContext {
   void* tsan_fiber = nullptr;
 };
 
-// lint: sched-context-ok (per-worker scheduler state, never rank identity)
+// analyze: sched-context-ok (per-worker scheduler state, never rank identity)
 thread_local WorkerContext* tl_worker = nullptr;
 
 void worker_stack_bounds(WorkerContext& wc) {

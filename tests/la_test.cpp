@@ -604,7 +604,7 @@ TEST(Cg, SolutionProjectorCutsIterations) {
     auto rc = la::cg_solve(op, b, x_cold, la::identity_preconditioner(), {.rtol = 1e-10});
 
     la::Vector x_warm;
-    proj.predict(op, b, x_warm);
+    proj.predict(b, x_warm);
     auto rw = la::cg_solve(op, b, x_warm, la::identity_preconditioner(), {.rtol = 1e-10});
     proj.record(op, x_warm);
 

@@ -1,23 +1,15 @@
-"""Driver for the semantic repo analyzer.
+"""Driver for the repo analyzer.
 
 Usage (from the repo root):
-    python3 tools/analyze                 # analyze default roots, gate on
-                                          # unbaselined findings
+    python3 tools/analyze                 # analyze src tests bench examples,
+                                          # exit 1 on any finding
     python3 tools/analyze src/dpd         # restrict to explicit paths
-    python3 tools/analyze --self-test     # run the fixture suites of every pass
+    python3 tools/analyze --self-test     # run the fixture cases of every pass
     python3 tools/analyze --json out.json # also write a machine-readable report
-    python3 tools/analyze --write-baseline  # accept current findings
 
-Translation units come from `--compile-commands build/compile_commands.json`
-when given (plus every header under the default roots — compile commands only
-list .cpp files); otherwise from a glob over the default roots.
-
-Findings are suppressed either by an inline
-`// analyze: <marker> (<reason>)` on/above the offending line, or by an entry
-in the committed baseline (tools/analyze/baseline.json), keyed on
-(rule, path, stable key) — never on line numbers, so unrelated edits do not
-churn it. Stale baseline entries are reported as warnings so the file shrinks
-over time instead of fossilising.
+A finding is suppressed only by an inline `// analyze: <marker> (<reason>)`
+on the offending line or a few lines above it (docs/ANALYSIS.md lists each
+rule's marker and window); a marker without a reason suppresses nothing.
 """
 
 from __future__ import annotations
@@ -25,16 +17,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from index import RepoIndex
-from passes import checkpoint_coverage, collective_divergence, lock_across_yield
+from passes import (checkpoint_coverage, collective_divergence, collective_trace,
+                    dpd_no_std_function, hot_alloc, lock_across_yield, memcpy_divisibility,
+                    no_using_namespace, pragma_once, sched_context)
 
-PASSES = (checkpoint_coverage, collective_divergence, lock_across_yield)
+PASSES = (checkpoint_coverage, collective_divergence, lock_across_yield, memcpy_divisibility,
+          collective_trace, dpd_no_std_function, hot_alloc, sched_context, pragma_once,
+          no_using_namespace)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.json"
-DEFAULT_ROOTS = ("src",)
+DEFAULT_ROOTS = ("src", "tests", "bench", "examples")
 EXTS = (".hpp", ".h", ".cpp", ".cc", ".cxx")
 
 
@@ -45,50 +41,20 @@ def _relpath(p: Path) -> str:
         return p.as_posix()
 
 
-def collect_targets(paths, compile_commands) -> list:
+def collect_targets(paths) -> list:
     """Repo-relative paths of the files to index, sorted and de-duplicated."""
     out: set[str] = set()
-    if paths:
-        for p in paths:
-            pp = Path(p)
-            if not pp.is_absolute():
-                pp = REPO_ROOT / pp
-            if pp.is_dir():
-                for ext in EXTS:
-                    out.update(_relpath(f) for f in pp.rglob(f"*{ext}"))
-            elif pp.is_file():
-                out.add(_relpath(pp))
-            else:
-                print(f"analyze: warning: no such path: {p}", file=sys.stderr)
-        return sorted(out)
-    if compile_commands:
-        cc = Path(compile_commands)
-        if not cc.is_absolute():
-            cc = REPO_ROOT / cc
-        try:
-            entries = json.loads(cc.read_text())
-        except (OSError, ValueError) as e:
-            print(f"analyze: warning: cannot read {compile_commands} ({e}); "
-                  "falling back to glob", file=sys.stderr)
-            entries = []
-        for e in entries:
-            f = Path(e.get("file", ""))
-            if not f.is_absolute():
-                f = Path(e.get("directory", ".")) / f
-            rel = _relpath(f)
-            if any(rel.startswith(r + "/") for r in DEFAULT_ROOTS) and f.is_file():
-                out.add(rel)
-        # compile commands carry only TUs; headers hold the class declarations
-        for root in DEFAULT_ROOTS:
-            for ext in (".hpp", ".h"):
-                out.update(_relpath(f) for f in (REPO_ROOT / root).rglob(f"*{ext}"))
-        if out:
-            return sorted(out)
-    for root in DEFAULT_ROOTS:
-        base = REPO_ROOT / root
-        if base.is_dir():
+    for p in paths or DEFAULT_ROOTS:
+        pp = Path(p)
+        if not pp.is_absolute():
+            pp = REPO_ROOT / pp
+        if pp.is_dir():
             for ext in EXTS:
-                out.update(_relpath(f) for f in base.rglob(f"*{ext}"))
+                out.update(_relpath(f) for f in pp.rglob(f"*{ext}"))
+        elif pp.is_file():
+            out.add(_relpath(pp))
+        elif paths:
+            print(f"analyze: warning: no such path: {p}", file=sys.stderr)
     return sorted(out)
 
 
@@ -105,47 +71,16 @@ def build_index(targets) -> RepoIndex:
     return repo
 
 
-# ---- baseline ---------------------------------------------------------------
-
-def load_baseline(path: Path) -> list:
-    """[{rule, path, key}, ...]; missing file -> empty."""
-    try:
-        data = json.loads(path.read_text())
-    except FileNotFoundError:
-        return []
-    except ValueError as e:
-        print(f"analyze: error: malformed baseline {path}: {e}", file=sys.stderr)
-        raise SystemExit(2)
-    return data.get("findings", [])
-
-
-def save_baseline(path: Path, findings) -> None:
-    entries = sorted(
-        ({"rule": f.rule, "path": f.path, "key": f.key} for f in findings),
-        key=lambda e: (e["rule"], e["path"], e["key"]))
-    path.write_text(json.dumps(
-        {"comment": "Accepted analyzer findings. Entries are keyed on stable "
-                    "fingerprints, not line numbers. Prefer fixing the code or "
-                    "adding a reasoned inline marker; baseline only what is "
-                    "intentionally deferred.",
-         "findings": entries}, indent=2) + "\n")
-
-
-def split_by_baseline(findings, baseline):
-    base = {(e["rule"], e["path"], e["key"]) for e in baseline}
-    new, known = [], []
-    seen = set()
-    for f in findings:
-        k = (f.rule, f.path, f.key)
-        seen.add(k)
-        (known if k in base else new).append(f)
-    stale = sorted(b for b in base if b not in seen)
-    return new, known, stale
+def run_passes(repo) -> list:
+    return sorted((f for mod in PASSES for f in mod.run(repo)),
+                  key=lambda f: (f.path, f.line, f.rule, f.key))
 
 
 # ---- self-tests -------------------------------------------------------------
 
 def run_self_tests() -> int:
+    """Every case runs through every pass, so a case also pins that no other
+    pass fires on its files."""
     failures = 0
     total = 0
     for mod in PASSES:
@@ -154,7 +89,7 @@ def run_self_tests() -> int:
             repo = RepoIndex()
             for rel, src in files.items():
                 repo.add(rel, src)
-            got = {f.key for f in mod.run(repo)}
+            got = {f.key for f in run_passes(repo)}
             if got != expected:
                 failures += 1
                 print(f"FAIL [{mod.RULE}] {name}\n"
@@ -170,73 +105,37 @@ def run_self_tests() -> int:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="tools/analyze",
-        description="semantic static analysis over a shared C++ index")
+        description="repo static analysis over a shared C++ index")
     ap.add_argument("paths", nargs="*", help="files/dirs to analyze "
-                    "(default: src/)")
-    ap.add_argument("--compile-commands", metavar="JSON",
-                    help="discover translation units from a CMake "
-                    "compile_commands.json (headers are still globbed)")
-    ap.add_argument("--baseline", metavar="JSON", default=str(DEFAULT_BASELINE),
-                    help="baseline file (default: tools/analyze/baseline.json)")
-    ap.add_argument("--no-baseline", action="store_true",
-                    help="ignore the baseline: report every finding")
-    ap.add_argument("--write-baseline", action="store_true",
-                    help="rewrite the baseline to accept all current findings")
+                    f"(default: {' '.join(DEFAULT_ROOTS)})")
     ap.add_argument("--json", metavar="OUT",
                     help="write a machine-readable report to OUT")
     ap.add_argument("--self-test", action="store_true",
-                    help="run the per-pass fixture suites and exit")
+                    help="run the per-pass fixture cases and exit")
     args = ap.parse_args(argv)
 
     if args.self_test:
         return run_self_tests()
 
-    targets = collect_targets(args.paths, args.compile_commands)
+    targets = collect_targets(args.paths)
     if not targets:
         print("analyze: error: no input files", file=sys.stderr)
         return 2
     repo = build_index(targets)
-
-    findings = []
-    for mod in PASSES:
-        findings.extend(mod.run(repo))
-    findings.sort(key=lambda f: (f.path, f.line, f.rule, f.key))
-
-    baseline_path = Path(args.baseline)
-    if not baseline_path.is_absolute():
-        baseline_path = REPO_ROOT / baseline_path
-    if args.write_baseline:
-        save_baseline(baseline_path, findings)
-        print(f"analyze: wrote {len(findings)} entries to "
-              f"{_relpath(baseline_path)}")
-        return 0
-    baseline = [] if args.no_baseline else load_baseline(baseline_path)
-    new, known, stale = split_by_baseline(findings, baseline)
+    findings = run_passes(repo)
 
     if args.json:
-        report = {
-            "files": len(targets),
-            "passes": [m.RULE for m in PASSES],
-            "findings": [
-                {"rule": f.rule, "path": f.path, "line": f.line,
-                 "key": f.key, "message": f.message,
-                 "baselined": f in known}
-                for f in findings],
-            "stale_baseline": [list(s) for s in stale],
-        }
+        report = {"files": len(targets), "passes": [m.RULE for m in PASSES],
+                  "findings": [asdict(f) for f in findings]}
         Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
 
-    for f in new:
+    for f in findings:
         print(f)
-    for s in stale:
-        print(f"analyze: warning: stale baseline entry {s[0]} {s[1]} "
-              f"[{s[2]}] — remove it", file=sys.stderr)
     n_cls = sum(len(fi.classes) for fi in repo.files.values())
     n_fn = sum(len(fi.functions) for fi in repo.files.values())
     print(f"analyze: {len(targets)} files, {n_cls} classes, {n_fn} function "
-          f"bodies; {len(new)} finding(s), {len(known)} baselined, "
-          f"{len(stale)} stale baseline entr{'y' if len(stale) == 1 else 'ies'}")
-    return 1 if new else 0
+          f"bodies; {len(findings)} finding(s)")
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

@@ -77,9 +77,10 @@ class FileIndex:
     markers: list = field(default_factory=list)
 
     def markers_near(self, line: int, names: set, back: int = 2):
-        """Markers with a name in `names` on `line` or up to `back` lines above."""
+        """Markers with a name in `names` and a reason, on `line` or up to
+        `back` lines above. A bare marker suppresses nothing."""
         return [m for m in self.markers
-                if m.name in names and line - back <= m.line <= line]
+                if m.name in names and m.reason and line - back <= m.line <= line]
 
 
 class RepoIndex:

@@ -1,13 +1,12 @@
 """Analysis passes over the shared C++ index (see tools/analyze/index.py).
 
 Each pass module exports:
-  RULE      — the rule id findings carry
-  MARKERS   — set of `// analyze: <name> (<reason>)` marker names that
-              suppress this pass's findings
+  RULE      — the rule id its findings carry (hot_alloc names the family;
+              its findings carry the per-scope ids)
   run(repo) — RepoIndex -> list[Finding]
   SELF_TEST_CASES — fixture cases: (case_name, {relpath: source}, expected)
-              where expected is the set of finding keys the pass must emit
-              (after marker suppression, before baseline filtering)
+              where expected is the set of finding keys that *every* pass
+              together emits on those files (after marker suppression)
 """
 
 from __future__ import annotations
@@ -21,10 +20,20 @@ class Finding:
     path: str
     line: int      # 1-based
     message: str
-    key: str       # stable fingerprint (no line numbers) for baselining
+    key: str = ""  # what the finding is about (no line numbers); the rule if empty
+
+    def __post_init__(self) -> None:
+        self.key = self.key or self.rule
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}: {self.rule}: {self.message}"
+
+
+def spells(toks: list, i: int, *texts: str) -> bool:
+    """True when the tokens from toks[i] on spell `texts`, e.g.
+    spells(code, i, "std", "::", "function", "<")."""
+    return toks[i].text == texts[0] and \
+        [t.text for t in toks[i:i + len(texts)]] == list(texts)
 
 
 def iter_calls(toks: list):

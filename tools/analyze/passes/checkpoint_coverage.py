@@ -60,8 +60,7 @@ def run(repo) -> list:
                 in_load = m.name in load_ids
                 if in_save and in_load:
                     continue
-                marks = fi.markers_near(m.line, MARKERS)
-                if any(mk.reason for mk in marks):
+                if fi.markers_near(m.line, MARKERS):
                     continue
                 if in_save != in_load:
                     where = _LOAD if in_save else _SAVE

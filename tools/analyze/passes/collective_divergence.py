@@ -185,8 +185,7 @@ def run(repo) -> list:
             seen: dict = {}
 
             def report(tok, name, cond_line, fn=fn, fi=fi, seen=seen):
-                marks = fi.markers_near(tok.line, MARKERS)
-                if any(m.reason for m in marks):
+                if fi.markers_near(tok.line, MARKERS):
                     return
                 qual = f"{fn.cls}::{fn.name}" if fn.cls else fn.name
                 k = (qual, name)

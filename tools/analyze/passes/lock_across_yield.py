@@ -116,8 +116,7 @@ class _Scanner:
             i += 1
 
     def _report(self, tok, locks):
-        marks = self.fi.markers_near(tok.line, MARKERS)
-        if any(m.reason for m in marks):
+        if self.fi.markers_near(tok.line, MARKERS):
             return
         qual = f"{self.fn.cls}::{self.fn.name}" if self.fn.cls else self.fn.name
         k = (qual, tok.text)
@@ -206,7 +205,8 @@ void f(xmp::Comm& c, std::mutex& mu) {
   auto blobs = c.collect_bytes_all(nullptr, 0);
 }
 """},
-     {"f:collect_bytes_all(lk)#1"}),
+     # the untraced raw collective also trips collective-trace
+     {"f:collect_bytes_all(lk)#1", "collective-trace"}),
 
     ("a unique_lock parameter is not a lock acquisition",
      {"src/xmp/a.cpp": """

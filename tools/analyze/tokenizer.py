@@ -211,44 +211,3 @@ def code_tokens(toks: list[Tok]) -> list[Tok]:
     """Tokens with comments and preprocessor lines dropped (string/char
     literals stay, as opaque single tokens)."""
     return [t for t in toks if t.kind not in ("comment", "pp")]
-
-
-def code_only_lines(text: str) -> list[str]:
-    """The source with comments, string and char literal *contents*, and
-    preprocessor lines blanked out, preserving line/column layout.
-
-    Regex-based line rules run against these lines so a `memcpy(` inside a
-    comment or a "recv(src=" inside a diagnostic string can never match,
-    while markers (which live in comments) are still matched against the raw
-    lines. String/char literals are replaced by `""`/`' '` padded with
-    spaces; everything keeps its original line and column.
-    """
-    lines = text.split("\n")
-    out = [list(" " * len(l)) for l in lines]
-
-    def put(tok: Tok, render: str) -> None:
-        # render must not contain newlines and must fit the original span on
-        # the first line; we only use it for short placeholders
-        row = tok.line - 1
-        for k, ch in enumerate(render):
-            if tok.col + k < len(out[row]):
-                out[row][tok.col + k] = ch
-
-    for t in tokenize(text):
-        if t.kind in ("comment", "pp"):
-            continue
-        if t.kind == "str":
-            put(t, '""')
-        elif t.kind == "char":
-            put(t, "''")
-        else:
-            # copy token text (may span lines only for pp, excluded above)
-            row, c0 = t.line - 1, t.col
-            for k, ch in enumerate(t.text):
-                if ch == "\n":
-                    row += 1
-                    c0 = -k - 1
-                    continue
-                if row < len(out) and c0 + k < len(out[row]):
-                    out[row][c0 + k] = ch
-    return ["".join(row) for row in out]

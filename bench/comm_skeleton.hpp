@@ -17,10 +17,12 @@
 // structure), not that the two columns agree in seconds.
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "telemetry/bench_report.hpp"
@@ -100,8 +102,9 @@ inline SkeletonResult run_comm_skeleton(const SkeletonConfig& cfg) {
 
 /// Flags accepted by table3/4/5: --ranks=N turns on the measured execution,
 /// --workers=N / --stack-kb=N / --no-guard-pages configure the fiber
-/// scheduler, --patches/--steps/--iters size the skeleton. Unknown flags
-/// fail loudly so CI typos don't silently run the wrong config.
+/// scheduler, --patches/--steps/--iters size the skeleton. Unknown flags and
+/// malformed or out-of-range values fail loudly so CI typos don't silently
+/// run the wrong config.
 struct ScalingCli {
   int ranks = 0;  ///< 0: modeled tables only (default)
   int patches = 4;
@@ -110,7 +113,24 @@ struct ScalingCli {
   xmp::SchedOptions sched;
 };
 
+/// Parse the value of --`flag` as a base-10 integer in [lo, hi] spanning the
+/// whole string: "4k", "+4", " 4" and "x" are rejected, not read as 4 or 0.
+inline bool parse_int_flag(const char* flag, const std::string& text, int lo, int hi,
+                           int& out) {
+  int v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < lo || v > hi) {
+    std::fprintf(stderr, "invalid --%s '%s': expected an integer in [%d, %d]\n", flag,
+                 text.c_str(), lo, hi);
+    return false;
+  }
+  out = v;
+  return true;
+}
+
 inline bool parse_scaling_cli(int argc, char** argv, ScalingCli& cli) {
+  constexpr int kMax = std::numeric_limits<int>::max();
   auto value_of = [&](const std::string& arg, const char* name, int& i,
                       std::string& out) -> bool {
     const std::string flag = std::string("--") + name;
@@ -128,18 +148,20 @@ inline bool parse_scaling_cli(int argc, char** argv, ScalingCli& cli) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string v;
+    bool ok = true;
     if (value_of(arg, "ranks", i, v)) {
-      cli.ranks = std::atoi(v.c_str());
+      ok = parse_int_flag("ranks", v, 0, kMax, cli.ranks);
     } else if (value_of(arg, "patches", i, v)) {
-      cli.patches = std::atoi(v.c_str());
+      ok = parse_int_flag("patches", v, 1, kMax, cli.patches);
     } else if (value_of(arg, "steps", i, v)) {
-      cli.steps = std::atoi(v.c_str());
+      ok = parse_int_flag("steps", v, 1, kMax, cli.steps);
     } else if (value_of(arg, "iters", i, v)) {
-      cli.iters = std::atoi(v.c_str());
+      ok = parse_int_flag("iters", v, 1, kMax, cli.iters);
     } else if (value_of(arg, "workers", i, v)) {
-      cli.sched.workers = std::atoi(v.c_str());
+      // the XMP_SCHED_WORKERS / XMP_SCHED_STACK_KB ranges
+      ok = parse_int_flag("workers", v, 0, 1024, cli.sched.workers);
     } else if (value_of(arg, "stack-kb", i, v)) {
-      cli.sched.stack_kb = std::atoi(v.c_str());
+      ok = parse_int_flag("stack-kb", v, 16, 1 << 20, cli.sched.stack_kb);
     } else if (arg == "--no-guard-pages") {
       cli.sched.guard_pages = false;
     } else {
@@ -149,10 +171,7 @@ inline bool parse_scaling_cli(int argc, char** argv, ScalingCli& cli) {
                    arg.c_str(), argv[0]);
       return false;
     }
-  }
-  if (cli.ranks < 0 || cli.patches < 1 || cli.steps < 1 || cli.iters < 1) {
-    std::fprintf(stderr, "invalid scaling flags (ranks>=0, patches/steps/iters>=1)\n");
-    return false;
+    if (!ok) return false;
   }
   return true;
 }

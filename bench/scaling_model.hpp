@@ -15,10 +15,10 @@
 #include <cmath>
 #include <vector>
 
-#include "machine/cost.hpp"
-#include "machine/torus.hpp"
-#include "mesh/graph.hpp"
-#include "mesh/partition.hpp"
+#include "model/cost.hpp"
+#include "model/graph.hpp"
+#include "model/partition.hpp"
+#include "model/torus.hpp"
 
 namespace scaling {
 

@@ -12,22 +12,13 @@
 // BG/P torus (see DESIGN.md: absolute seconds are calibrated, the a-vs-b
 // *shape* is the reproduction target).
 
-// --topology=torus|fattree|dragonfly replays the same partitions on a
-// different modeled network (default torus, the paper's machine); the a-vs-b
-// and injection-schedule comparisons are topology-generic.
-
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <memory>
 #include <vector>
 
-#include "machine/cost.hpp"
-#include "machine/dragonfly.hpp"
-#include "machine/fattree.hpp"
-#include "machine/torus.hpp"
-#include "mesh/graph.hpp"
-#include "mesh/partition.hpp"
+#include "model/cost.hpp"
+#include "model/graph.hpp"
+#include "model/partition.hpp"
+#include "model/torus.hpp"
 #include "telemetry/bench_report.hpp"
 
 namespace {
@@ -55,33 +46,7 @@ machine::Torus torus_for(int cores) {
   return machine::Torus(spec);
 }
 
-/// Build the requested network sized for `cores` (4 cores/node throughout).
-std::unique_ptr<machine::Topology> topology_for(const char* kind, int cores) {
-  if (std::strcmp(kind, "torus") == 0)
-    return std::make_unique<machine::Torus>(torus_for(cores).spec());
-  const int nodes = std::max(1, cores / 4);
-  if (std::strcmp(kind, "fattree") == 0) {
-    machine::FatTreeSpec spec;
-    spec.cores_per_node = 4;
-    spec.hosts_per_leaf = 16;
-    spec.leaves = std::max(1, (nodes + spec.hosts_per_leaf - 1) / spec.hosts_per_leaf);
-    spec.uplinks = 4;
-    return std::make_unique<machine::FatTree>(spec);
-  }
-  if (std::strcmp(kind, "dragonfly") == 0) {
-    machine::DragonflySpec spec;
-    spec.cores_per_node = 4;
-    spec.routers_per_group = 4;
-    spec.hosts_per_router = 4;
-    const int per_group = spec.routers_per_group * spec.hosts_per_router;
-    spec.groups = std::max(1, (nodes + per_group - 1) / per_group);
-    spec.global_links = 2;
-    return std::make_unique<machine::Dragonfly>(spec);
-  }
-  return nullptr;
-}
-
-double modeled_time(const machine::Topology& topo, const mesh::ElementGraph& truth,
+double modeled_time(const machine::Torus& torus, const mesh::ElementGraph& truth,
                     const mesh::Partition& part, int cores, machine::InjectionSchedule sched) {
   machine::ComputeSpec cspec;
 
@@ -110,7 +75,7 @@ double modeled_time(const machine::Topology& topo, const mesh::ElementGraph& tru
   }
   sched_step.phases.push_back(halo);
 
-  const auto r = machine::replay_step(topo, cspec, sched_step,
+  const auto r = machine::replay_step(torus, cspec, sched_step,
                                       machine::Routing::Adaptive, sched);
   return kSteps * (r.compute_time + kExchangesPerStep * r.comm_time /
                                         static_cast<double>(sched_step.phases.size()));
@@ -119,27 +84,15 @@ double modeled_time(const machine::Topology& topo, const mesh::ElementGraph& tru
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* topology = "torus";
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--topology=", 11) == 0) {
-      topology = arg + 11;
-    } else if (std::strcmp(arg, "--topology") == 0 && i + 1 < argc) {
-      topology = argv[++i];
-    } else {
-      std::fprintf(stderr, "unknown flag '%s'\nusage: %s [--topology=torus|fattree|dragonfly]\n",
-                   arg, argv[0]);
-      return 2;
-    }
-  }
-  if (!topology_for(topology, 512)) {
-    std::fprintf(stderr, "unknown --topology '%s' (torus|fattree|dragonfly)\n", topology);
+  if (argc > 1) {
+    std::fprintf(stderr, "unknown argument '%s'\nusage: %s (takes no arguments)\n", argv[1],
+                 argv[0]);
     return 2;
   }
 
   std::printf("=== Table 2: partitioning strategies, CPU-time (s) per %d steps ===\n", kSteps);
   std::printf("(paper BG/P: a) 1181/655/382/238  b) 1172/638/362/220 for 512-4096 cores)\n");
-  std::printf("(modeled network: %s)\n\n", topology);
+  std::printf("(modeled network: torus)\n\n");
   std::printf("%-10s %14s %14s %9s | %16s\n", "N cores", "a) face-only", "b) full-adj",
               "gain", "naive-injection");
 
@@ -155,10 +108,10 @@ int main(int argc, char** argv) {
   rep.meta("steps", static_cast<double>(kSteps));
   rep.meta("elements", static_cast<double>(kAxial * kCirc * kRadial));
   rep.meta("order", static_cast<double>(kP));
-  rep.meta("topology", std::string(topology));
+  rep.meta("topology", "torus");
 
   for (int cores : {512, 1024, 2048, 4096}) {
-    const auto topo = topology_for(topology, cores);
+    const machine::Torus torus = torus_for(cores);
     // average over partitioner seeds: on a structured tube both policies
     // produce near-identical partitions, so single-seed gaps are noisy
     double ta = 0.0, tb = 0.0, tb_naive = 0.0;
@@ -168,9 +121,9 @@ int main(int argc, char** argv) {
       opt.seed = 42 + seed;
       auto p_face = mesh::partition_graph(g_face, cores, opt);
       auto p_full = mesh::partition_graph(g_full, cores, opt);
-      ta += modeled_time(*topo, g_full, p_face, cores, machine::InjectionSchedule::MultiDirection);
-      tb += modeled_time(*topo, g_full, p_full, cores, machine::InjectionSchedule::MultiDirection);
-      tb_naive += modeled_time(*topo, g_full, p_full, cores, machine::InjectionSchedule::Naive);
+      ta += modeled_time(torus, g_full, p_face, cores, machine::InjectionSchedule::MultiDirection);
+      tb += modeled_time(torus, g_full, p_full, cores, machine::InjectionSchedule::MultiDirection);
+      tb_naive += modeled_time(torus, g_full, p_full, cores, machine::InjectionSchedule::Naive);
     }
     ta /= kSeeds;
     tb /= kSeeds;

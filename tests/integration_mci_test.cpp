@@ -238,8 +238,8 @@ TEST(MciIntegration, ThreeStepExchangeRunsCleanUnderCheckedMode) {
 
 }  // namespace
 
-#include "machine/cost.hpp"
-#include "machine/torus.hpp"
+#include "model/cost.hpp"
+#include "model/torus.hpp"
 
 namespace {
 

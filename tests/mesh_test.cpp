@@ -4,9 +4,9 @@
 
 #include <set>
 
-#include "mesh/graph.hpp"
-#include "mesh/partition.hpp"
 #include "mesh/quadmesh.hpp"
+#include "model/graph.hpp"
+#include "model/partition.hpp"
 
 namespace {
 

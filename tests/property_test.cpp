@@ -13,10 +13,9 @@
 #include "dpd/system.hpp"
 #include "la/cg.hpp"
 #include "la/csr.hpp"
-#include "machine/cost.hpp"
-#include "machine/torus.hpp"
-#include "mesh/graph.hpp"
-#include "mesh/partition.hpp"
+#include "model/graph.hpp"
+#include "model/partition.hpp"
+#include "model/torus.hpp"
 #include "nektar1d/artery.hpp"
 #include "sem/discretization.hpp"
 #include "sem/helmholtz.hpp"

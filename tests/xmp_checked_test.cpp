@@ -57,7 +57,7 @@ void expect_contains(const std::string& msg, std::initializer_list<const char*> 
 #define SKIP_UNLESS_CHECKED() \
   if (!xmp::checked_available()) GTEST_SKIP() << "built without XMP_CHECKED"
 
-TEST(XmpChecked, MismatchedCollectiveKindNamesOffender) {
+TEST(XmpChecked, MismatchedCollectiveOpNamesOffender) {
   SKIP_UNLESS_CHECKED();
   const auto msg = run_expect_check(
       2,

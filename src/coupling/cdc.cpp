@@ -82,11 +82,9 @@ template <class NS>
 std::size_t BasicContinuumDpdCoupler<NS>::advance_interval(
     const std::function<void()>& per_dpd_step) {
   // exchange: interpolate the continuum field onto the atomistic interface
-  // (the FlowBc buffer and every registered Gamma_I window evaluate the
-  // imposed velocity pointwise)
-  auto field = [this](const dpd::Vec3& p) { return continuum_velocity_at(p); };
-  flow_bc_->set_target_velocity(field);
-  if (buffers_) buffers_->set_shared_target(field);
+  // (the FlowBc buffer evaluates the imposed velocity pointwise)
+  flow_bc_->set_target_velocity(
+      [this](const dpd::Vec3& p) { return continuum_velocity_at(p); });
   ++exchanges_;
 
   // Fig. 5 time progression
@@ -96,7 +94,6 @@ std::size_t BasicContinuumDpdCoupler<NS>::advance_interval(
     for (int q = 0; q < tp_.dpd_per_ns; ++q) {
       dpd_->step();
       flow_bc_->apply(*dpd_);
-      if (buffers_) buffers_->apply(*dpd_);
       if (per_dpd_step) per_dpd_step();
     }
   }

@@ -2,9 +2,11 @@
 // Continuum-atomistic coupling (paper Sec. 3.3): an atomistic subdomain
 // Omega_A (a DPD box) is embedded in a continuum patch Omega_C (a 2D or 3D
 // SEM Navier-Stokes solver). Every exchange period tau the continuum
-// velocity is interpolated onto the atomistic interface samples, scaled by
-// Eq. (1), and imposed on the DPD inflow buffer; the DPD solver then takes
-// dpd_per_ns * exchange_every_ns steps per interval (Fig. 5 schedule).
+// velocity, scaled by Eq. (1), becomes the target of the one dpd::FlowBc
+// inflow/outflow buffer, which evaluates it pointwise at the particles it
+// inserts and relaxes; the DPD solver then takes dpd_per_ns *
+// exchange_every_ns steps per interval (Fig. 5 schedule). FlowBc is the only
+// continuum -> DPD interface path.
 //
 // Geometry mapping: the DPD box covers an axis-aligned region of the
 // continuum domain. In 3D (the paper's configuration) all three axes map
@@ -17,7 +19,6 @@
 #include <type_traits>
 
 #include "coupling/scales.hpp"
-#include "dpd/buffers.hpp"
 #include "dpd/inflow.hpp"
 #include "dpd/sampling.hpp"
 #include "dpd/system.hpp"
@@ -50,11 +51,6 @@ public:
                            const Region& region, const ScaleMap& scales,
                            const TimeProgression& tp);
 
-  /// Register additional interface windows (the paper's Gamma_I1..5 planar
-  /// surfaces): their shared target is refreshed at every exchange and they
-  /// are applied each DPD step. Must outlive the coupler.
-  void set_buffer_zones(dpd::BufferZones* zones) { buffers_ = zones; }
-
   /// One coupling interval (Fig. 5): refresh atomistic BCs from the
   /// continuum, then advance NS by exchange_every_ns steps and DPD by
   /// dpd_per_ns steps per NS step. Optional per-DPD-step callback (platelet
@@ -75,8 +71,6 @@ public:
   /// DPD units), using a window of already-accumulated samples.
   double interface_mismatch(dpd::FieldSampler& sampler) const;
 
-  dpd::DpdSystem& dpd_system() { return *dpd_; }
-
 private:
   /// Map a DPD-space point to NS space.
   std::array<double, NS::kDim> dpd_to_ns(const dpd::Vec3& p) const;
@@ -87,8 +81,6 @@ private:
   dpd::DpdSystem* dpd_;
   // analyze: no-checkpoint (coupled solvers checkpoint separately via the coordinator)
   dpd::FlowBc* flow_bc_;
-  // analyze: no-checkpoint (owned by the driver; checkpointed separately if registered)
-  dpd::BufferZones* buffers_ = nullptr;
   // analyze: no-checkpoint (constructor configuration)
   Region region_;
   // analyze: no-checkpoint (constructor configuration)

@@ -29,8 +29,6 @@ public:
   bool is_master_replica() const { return rid_ == 0; }
   /// This rank's replica communicator (every rank belongs to exactly one).
   const xmp::Comm& replica_comm() const { return rep_; }
-  /// True on the root rank of this replica.
-  bool is_replica_root() const { return rep_.rank() == 0; }
   /// True on the rank that talks to the continuum side (master replica root).
   bool is_ensemble_root() const { return rid_ == 0 && rep_.rank() == 0; }
 

@@ -549,13 +549,6 @@ Vec3 DpdSystem::total_momentum() const {
   return p;
 }
 
-std::size_t DpdSystem::count_species(Species s) const {
-  std::size_t c = 0;
-  for (std::size_t i = 0; i < species_.size(); ++i)
-    if (!is_ghost_[i] && species_[i] == s) ++c;
-  return c;
-}
-
 void DpdSystem::save_state(resilience::BlobWriter& w) const {
   w.pod(step_);
   w.vec(pos_.xs());

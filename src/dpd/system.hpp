@@ -40,7 +40,7 @@ namespace dpd {
 class DpdSystem;
 
 /// Extra force contributions evaluated every force pass (bond networks,
-/// adhesion models, coupling buffers...).
+/// platelet adhesion).
 class ForceModule {
 public:
   virtual ~ForceModule() = default;
@@ -199,7 +199,6 @@ public:
   void reset_particles(const std::vector<ParticleRecord>& recs);
 
   void add_module(std::shared_ptr<ForceModule> m) { modules_.push_back(std::move(m)); }
-  const std::vector<std::shared_ptr<ForceModule>>& modules() const { return modules_; }
 
   /// Per-particle external force (body force / pressure gradient).
   /// Setup-time configuration, evaluated outside the pair hot loop.
@@ -213,14 +212,11 @@ public:
   /// One modified-velocity-Verlet step (incl. wall reflection, wrapping).
   void step();
   std::uint64_t step_count() const { return step_; }
-  void set_step_count(std::uint64_t s) { step_ = s; }
   double time() const { return static_cast<double>(step_) * prm_.dt; }
 
   // --- diagnostics (owned particles only) ---
   double kinetic_temperature() const;
   Vec3 total_momentum() const;
-  /// Number density of a species over the whole fluid volume estimate.
-  std::size_t count_species(Species s) const;
 
   /// Minimum-image displacement a -> b under the box periodicity.
   Vec3 min_image(const Vec3& a, const Vec3& b) const;

@@ -12,8 +12,8 @@
 
 namespace la {
 
-/// Abstract SPD operator: y = A x. Implemented by assembled matrices and by
-/// matrix-free SEM operators alike.
+/// Abstract SPD operator: y = A x. The SEM operators implement it
+/// matrix-free.
 using LinearOperator = std::function<void(const double* x, double* y)>;
 
 /// Preconditioner application: z = M^{-1} r (n = vector length).

@@ -95,35 +95,4 @@ bool lu_solve(DenseMatrix A, const Vector& b, Vector& x) {
   return true;
 }
 
-bool cholesky(DenseMatrix& A) {
-  const std::size_t n = A.rows();
-  for (std::size_t k = 0; k < n; ++k) {
-    double d = A(k, k);
-    for (std::size_t j = 0; j < k; ++j) d -= A(k, j) * A(k, j);
-    if (d <= 0.0) return false;
-    A(k, k) = std::sqrt(d);
-    for (std::size_t i = k + 1; i < n; ++i) {
-      double s = A(i, k);
-      for (std::size_t j = 0; j < k; ++j) s -= A(i, j) * A(k, j);
-      A(i, k) = s / A(k, k);
-    }
-  }
-  return true;
-}
-
-void cholesky_solve(const DenseMatrix& L, const Vector& b, Vector& x) {
-  const std::size_t n = L.rows();
-  x.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = b[i];
-    for (std::size_t j = 0; j < i; ++j) s -= L(i, j) * x[j];
-    x[i] = s / L(i, i);
-  }
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = x[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) s -= L(j, ii) * x[j];
-    x[ii] = s / L(ii, ii);
-  }
-}
-
 }  // namespace la

@@ -1,8 +1,8 @@
 #pragma once
 // Dense row-major matrix with the small set of operations the SEM core and
-// WPOD need: GEMM, GEMV, transpose, LU solve (partial pivoting), and
-// Cholesky. Sizes here are small (elemental operators, POD correlation
-// matrices), so clarity wins over blocking.
+// WPOD need: GEMM, GEMV, transpose and LU solve (partial pivoting). Sizes
+// here are small (elemental operators, POD correlation matrices), so clarity
+// wins over blocking.
 
 #include <cstddef>
 #include <vector>
@@ -50,11 +50,5 @@ private:
 /// Solve A x = b by LU with partial pivoting. A is overwritten.
 /// Returns false if A is singular to working precision.
 bool lu_solve(DenseMatrix A, const Vector& b, Vector& x);
-
-/// In-place Cholesky factorisation (lower triangle); false if not SPD.
-bool cholesky(DenseMatrix& A);
-
-/// Solve with a Cholesky factor produced by cholesky().
-void cholesky_solve(const DenseMatrix& L, const Vector& b, Vector& x);
 
 }  // namespace la

@@ -185,11 +185,6 @@ double ArterialNetwork::flow_at(int v, End e) const {
   return e == End::Left ? a.Q_left() : a.Q_right();
 }
 
-double ArterialNetwork::area_at(int v, End e) const {
-  const Artery& a = vessel(v);
-  return e == End::Left ? a.A_left() : a.A_right();
-}
-
 void ArterialNetwork::save_state(resilience::BlobWriter& w) const {
   w.pod(t_);
   w.pod(static_cast<std::uint64_t>(vessels_.size()));

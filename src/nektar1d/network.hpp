@@ -55,7 +55,6 @@ public:
   /// Diagnostics at a vessel end.
   double pressure_at(int v, End e) const;
   double flow_at(int v, End e) const;
-  double area_at(int v, End e) const;
 
   /// Checkpoint the network state: time, every vessel's (A, U) fields and
   /// ghosts, and the windkessel capacitor pressures. Topology (vessels,

@@ -2,8 +2,10 @@
 // Tiny command-line flag helper shared by the example mains. Replaces the
 // hand-rolled strcmp chains: flags are declared once with a bound target and
 // a help line, unknown flags are a hard error (exit code 2 convention in the
-// callers), and --help prints the generated usage text.
+// callers), and --help prints the generated usage text. Every int flag is a
+// count: its value must be a whole decimal int >= 0.
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,8 +29,9 @@ class Flags {
   }
 
   /// Parse argv. Returns false (after printing a diagnostic + usage to
-  /// stderr) on an unknown flag or a missing value; the caller should exit
-  /// non-zero. "--help" prints usage to stdout and exits 0.
+  /// stderr) on an unknown flag, a missing value or an int value that is not
+  /// a whole decimal int >= 0 (the target is left untouched); the caller
+  /// should exit non-zero. "--help" prints usage to stdout and exits 0.
   bool parse(int argc, char** argv) const {
     for (int i = 1; i < argc; ++i) {
       if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
@@ -56,10 +59,19 @@ class Flags {
         return false;
       }
       ++i;
-      if (spec->kind == Kind::Int)
-        *spec->int_target = std::atoi(argv[i]);
-      else
+      if (spec->kind == Kind::String) {
         *spec->str_target = argv[i];
+        continue;
+      }
+      const char* end = argv[i] + std::strlen(argv[i]);
+      int v = 0;
+      const auto [stop, ec] = std::from_chars(argv[i], end, v);
+      if (ec != std::errc() || stop != end || v < 0) {
+        std::fprintf(stderr, "invalid value for %s: '%s'\n", spec->name, argv[i]);
+        print_usage(stderr);
+        return false;
+      }
+      *spec->int_target = v;
     }
     return true;
   }

@@ -148,14 +148,7 @@ void Group::send(int src, int dst, int tag, const void* data, std::size_t bytes)
   }
 }
 
-std::vector<std::uint8_t> Group::recv(int me, int src, int tag, int* out_src, int* out_tag) {
-#ifdef XMP_CHECKED
-  if (rs->checker) rs->checker->check_affinity(*this, me, "recv");
-#endif
-  if (src != kAnySource && (src < 0 || src >= size()))
-    throw std::out_of_range("xmp: recv src " + std::to_string(src) +
-                            " out of range for comm of size " + std::to_string(size()) +
-                            " (tag " + std::to_string(tag) + ")");
+bool Group::claim(int me, int src, int tag, bool block, Message& out) {
   Mailbox& box = *boxes[static_cast<std::size_t>(me)];
   std::unique_lock lk(box.mu);
   auto match = [&]() -> std::deque<Message>::iterator {
@@ -164,30 +157,44 @@ std::vector<std::uint8_t> Group::recv(int me, int src, int tag, int* out_src, in
         return it;
     return box.q.end();
   };
-  std::deque<Message>::iterator it;
+  auto it = match();
+  if (block) {
 #ifdef XMP_CHECKED
-  bool registered = false;
+    bool registered = false;
 #endif
-  while (true) {
-    it = match();
-    if (it != box.q.end() || rs->aborted.load(std::memory_order_relaxed)) break;
+    while (it == box.q.end() && !rs->aborted.load(std::memory_order_relaxed)) {
 #ifdef XMP_CHECKED
-    // Register in the wait-for graph only when actually parking (the fast
-    // path where the message is already queued never touches the registry).
-    if (rs->checker && !registered) {
-      rs->checker->block_recv(*this, me, src, tag);
-      registered = true;
+      // Register in the wait-for graph only when actually parking (the fast
+      // path where the message is already queued never touches the registry).
+      if (rs->checker && !registered) {
+        rs->checker->block_recv(*this, me, src, tag);
+        registered = true;
+      }
+#endif
+      box.cv.wait(lk);
+      it = match();
     }
-#endif
-    box.cv.wait(lk);
-  }
 #ifdef XMP_CHECKED
-  if (registered) rs->checker->unblock(*this, me);
+    if (registered) rs->checker->unblock(*this, me);
 #endif
-  check_abort();
-  Message m = std::move(*it);
+    check_abort();
+  }
+  if (it == box.q.end()) return false;
+  out = std::move(*it);
   box.q.erase(it);
-  lk.unlock();
+  return true;
+}
+
+std::vector<std::uint8_t> Group::recv(int me, int src, int tag, int* out_src, int* out_tag) {
+#ifdef XMP_CHECKED
+  if (rs->checker) rs->checker->check_affinity(*this, me, "recv");
+#endif
+  if (src != kAnySource && (src < 0 || src >= size()))
+    throw std::out_of_range("xmp: recv src " + std::to_string(src) +
+                            " out of range for comm of size " + std::to_string(size()) +
+                            " (tag " + std::to_string(tag) + ")");
+  Message m{};
+  claim(me, src, tag, /*block=*/true, m);
   if (out_src) *out_src = m.src;
   if (out_tag) *out_tag = m.tag;
   return std::move(m.data);
@@ -302,40 +309,11 @@ std::vector<std::uint8_t> Pending::wait(int* out_src, int* out_tag) {
     return {};
   }
   if (!st.matched) {
-    // Same match/park loop as Group::recv: parking goes through WaitCv, so
+    // The blocking claim Group::recv makes: parking goes through WaitCv, so
     // this wait() is a yield point, and the checked-mode watchdog sees it as
     // a blocked recv (wait-for cycles through Pending::wait are diagnosed
     // like recv deadlocks).
-    detail::Mailbox& box = *g.boxes[static_cast<std::size_t>(st.me)];
-    std::unique_lock lk(box.mu);
-    auto match = [&]() -> std::deque<detail::Message>::iterator {
-      for (auto it = box.q.begin(); it != box.q.end(); ++it)
-        if ((st.peer == kAnySource || it->src == st.peer) &&
-            (st.tag == kAnyTag || it->tag == st.tag))
-          return it;
-      return box.q.end();
-    };
-    std::deque<detail::Message>::iterator it;
-#ifdef XMP_CHECKED
-    bool registered = false;
-#endif
-    while (true) {
-      it = match();
-      if (it != box.q.end() || g.rs->aborted.load(std::memory_order_relaxed)) break;
-#ifdef XMP_CHECKED
-      if (g.rs->checker && !registered) {
-        g.rs->checker->block_recv(g, st.me, st.peer, st.tag);
-        registered = true;
-      }
-#endif
-      box.cv.wait(lk);
-    }
-#ifdef XMP_CHECKED
-    if (registered) g.rs->checker->unblock(g, st.me);
-#endif
-    g.check_abort();
-    st.claimed = std::move(*it);
-    box.q.erase(it);
+    g.claim(st.me, st.peer, st.tag, /*block=*/true, st.claimed);
     st.matched = true;
   } else {
     g.check_abort();
@@ -357,25 +335,12 @@ bool Pending::test() {
   if (g.rs->checker) g.rs->checker->check_affinity(g, st.me, "test");
 #endif
   g.check_abort();
+  // Claim immediately: a true result stays true, and the payload is reserved
+  // for the eventual wait().
+  if (!st.matched) st.matched = g.claim(st.me, st.peer, st.tag, /*block=*/false, st.claimed);
   if (st.matched) {
     retire_pending(st);
     return true;
-  }
-  detail::Mailbox& box = *g.boxes[static_cast<std::size_t>(st.me)];
-  {
-    std::lock_guard lk(box.mu);
-    for (auto it = box.q.begin(); it != box.q.end(); ++it) {
-      if ((st.peer == kAnySource || it->src == st.peer) &&
-          (st.tag == kAnyTag || it->tag == st.tag)) {
-        // Claim immediately: a true result stays true, and the payload is
-        // reserved for the eventual wait().
-        st.claimed = std::move(*it);
-        box.q.erase(it);
-        st.matched = true;
-        retire_pending(st);
-        return true;
-      }
-    }
   }
   // A failed poll is a cooperative yield point: the caller's
   // `while (!test())` loop must let the polled-on rank run even on a
@@ -552,81 +517,53 @@ void trace_allreduce(const Comm& c, std::size_t bytes) {
     for (int r = 1; r < c.size(); ++r) c.trace_transfer(0, r, bytes, TraceKind::Bcast);
   }
 }
+
+/// The one reduction loop behind every allreduce overload: each rank
+/// contributes n values of T, and rank 0's values seed the result that the
+/// other ranks fold into in rank order, so every rank gets the same bits.
+template <class T>
+std::vector<T> reduce_in_rank_order(const Comm& c, const std::shared_ptr<detail::Group>& g,
+                                    const T* v, std::size_t n, Op op) {
+  trace_allreduce(c, n * sizeof(T));
+  const CollDesc desc{CollKind::Allreduce, sizeof(T), -1, static_cast<int>(op), n};
+  auto blobs = collect_bytes(g, c.rank(), v, n * sizeof(T), desc);
+  std::vector<T> acc(n);
+  bool first = true;
+  for (const auto& b : *blobs) {
+    if (b.size() != n * sizeof(T))
+      throw std::runtime_error("xmp: allreduce length mismatch: a rank contributed " +
+                               std::to_string(b.size() / sizeof(T)) + " elements, this rank " +
+                               std::to_string(n));
+    for (std::size_t i = 0; i < n; ++i) {
+      T x{};
+      std::memcpy(&x, b.data() + i * sizeof x, sizeof x);
+      if (first) {
+        acc[i] = x;
+        continue;
+      }
+      switch (op) {
+        case Op::Sum: acc[i] += x; break;
+        case Op::Min: acc[i] = std::min(acc[i], x); break;
+        case Op::Max: acc[i] = std::max(acc[i], x); break;
+      }
+    }
+    first = false;
+  }
+  return acc;
+}
+
 }  // namespace
 
 double Comm::allreduce(double v, Op op) const {
-  trace_allreduce(*this, sizeof v);
-  auto blobs = collect_bytes(group_, rank_, &v, sizeof v,
-                             CollDesc{CollKind::Allreduce, sizeof v, -1, static_cast<int>(op), 1});
-  double acc = 0.0;
-  bool first = true;
-  for (const auto& b : *blobs) {
-    double x;
-    std::memcpy(&x, b.data(), sizeof x);
-    if (first) {
-      acc = x;
-      first = false;
-    } else {
-      switch (op) {
-        case Op::Sum: acc += x; break;
-        case Op::Min: acc = std::min(acc, x); break;
-        case Op::Max: acc = std::max(acc, x); break;
-      }
-    }
-  }
-  return acc;
+  return reduce_in_rank_order(*this, group_, &v, 1, op)[0];
 }
 
 std::int64_t Comm::allreduce(std::int64_t v, Op op) const {
-  trace_allreduce(*this, sizeof v);
-  auto blobs = collect_bytes(group_, rank_, &v, sizeof v,
-                             CollDesc{CollKind::Allreduce, sizeof v, -1, static_cast<int>(op), 1});
-  std::int64_t acc = 0;
-  bool first = true;
-  for (const auto& b : *blobs) {
-    std::int64_t x;
-    std::memcpy(&x, b.data(), sizeof x);
-    if (first) {
-      acc = x;
-      first = false;
-    } else {
-      switch (op) {
-        case Op::Sum: acc += x; break;
-        case Op::Min: acc = std::min(acc, x); break;
-        case Op::Max: acc = std::max(acc, x); break;
-      }
-    }
-  }
-  return acc;
+  return reduce_in_rank_order(*this, group_, &v, 1, op)[0];
 }
 
 std::vector<double> Comm::allreduce(std::span<const double> v, Op op) const {
-  trace_allreduce(*this, v.size() * sizeof(double));
-  auto blobs = collect_bytes(
-      group_, rank_, v.data(), v.size() * sizeof(double),
-      CollDesc{CollKind::Allreduce, sizeof(double), -1, static_cast<int>(op), v.size()});
-  std::vector<double> acc(v.size());
-  bool first = true;
-  for (const auto& b : *blobs) {
-    if (b.size() != v.size() * sizeof(double))
-      throw std::runtime_error("xmp: allreduce length mismatch: a rank contributed " +
-                               std::to_string(b.size() / sizeof(double)) +
-                               " elements, this rank " + std::to_string(v.size()));
-    const double* x = reinterpret_cast<const double*>(b.data());
-    if (first) {
-      std::copy(x, x + v.size(), acc.begin());
-      first = false;
-    } else {
-      for (std::size_t i = 0; i < v.size(); ++i) {
-        switch (op) {
-          case Op::Sum: acc[i] += x[i]; break;
-          case Op::Min: acc[i] = std::min(acc[i], x[i]); break;
-          case Op::Max: acc[i] = std::max(acc[i], x[i]); break;
-        }
-      }
-    }
-  }
-  return acc;
+  return reduce_in_rank_order(*this, group_, v.data(), v.size(), op);
 }
 
 void run(int nranks, const std::function<void(Comm&)>& fn, TraceSink trace,

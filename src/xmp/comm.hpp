@@ -202,7 +202,6 @@ public:
   void send(int dst, int tag, const std::vector<T>& v) const {
     send(dst, tag, std::span<const T>(v));
   }
-  void send_value_double(int dst, int tag, double v) const { send_bytes(dst, tag, &v, sizeof v); }
 
   template <class T>
   std::vector<T> recv(int src, int tag, int* out_src = nullptr) const {

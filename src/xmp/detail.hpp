@@ -118,11 +118,17 @@ struct Group : std::enable_shared_from_this<Group> {
   void emit_trace(int src, int dst, std::size_t bytes, int tag, TraceKind kind);
   void send(int src, int dst, int tag, const void* data, std::size_t bytes);
   std::vector<std::uint8_t> recv(int me, int src, int tag, int* out_src, int* out_tag);
+  /// Move the first message queued for rank `me` that matches `src` and
+  /// `tag` (kAnySource / kAnyTag match anything) into `out` and return true.
+  /// Non-blocking, return false when none is queued. Blocking, park on the
+  /// mailbox until one arrives (registered with the checker as a blocked
+  /// recv); throws AbortedError once the run aborts.
+  bool claim(int me, int src, int tag, bool block, Message& out);
 };
 
 /// State behind one Pending handle (comm.hpp). Rank-affine: only the rank
-/// that created the handle mutates it, so no lock guards these fields — a
-/// matching probe/claim takes the mailbox mutex like Group::recv does.
+/// that created the handle mutates it, so no lock guards these fields — the
+/// message itself is taken by Group::claim under the mailbox mutex.
 struct PendingState {
   std::shared_ptr<Group> grp;
   int me = -1;    // group-local owner rank

@@ -399,95 +399,6 @@ TEST(Cdc, DpdFlowTracksContinuum) {
 
 }  // namespace
 
-#include "coupling/triple.hpp"
-
-namespace {
-
-TEST(TripleDecker, NestedScheduleAndVelocityCascade) {
-  // NS channel -> DPD layer -> nested "MD" layer (finer particle system).
-  // Verify the Fig.-5 nested schedule counts and that the imposed velocity
-  // cascades through both Eq.-(1) maps with the right magnitude.
-  auto m = mesh::QuadMesh::channel(4.0, 1.0, 8, 2);
-  sem::Discretization d(m, 4);
-  sem::NavierStokes<sem::Discretization>::Params nsp;
-  nsp.nu = 0.05;
-  nsp.dt = 2e-3;
-  sem::NavierStokes<sem::Discretization> ns(d, nsp);
-  ns.set_velocity_bc(mesh::kInlet,
-                     [](double, double y, double) { return 4.0 * y * (1.0 - y); },
-                     [](double, double, double) { return 0.0; });
-  ns.set_natural_bc(mesh::kOutlet);
-  for (int s = 0; s < 200; ++s) ns.step();
-
-  dpd::DpdParams dp;
-  dp.box = {16.0, 6.0, 10.0};
-  dp.periodic = {false, true, false};
-  dp.dt = 0.01;
-  dpd::DpdSystem dpd_sys(dp, std::make_shared<dpd::ChannelZ>(10.0));
-  dpd_sys.fill(3.0, dpd::kSolvent, 13, 0.1);
-  dpd::FlowBcParams fp;
-  fp.axis = 0;
-  fp.relax = 0.3;
-  dpd::FlowBc bc(fp);
-
-  coupling::ScaleMap s1;
-  s1.L_ns = 1.0;
-  s1.L_dpd = 10.0;
-  s1.nu_ns = 0.05;
-  s1.nu_dpd = 2.5;  // NS -> DPD: x0.5
-  coupling::TimeProgression tp;
-  tp.exchange_every_ns = 2;
-  tp.dpd_per_ns = 10;
-  coupling::BasicContinuumDpdCoupler cdc(ns, dpd_sys, bc, {1.5, 2.5, 0.0, 1.0}, s1, tp);
-
-  // MD layer: small periodic box nested mid-DPD-domain
-  dpd::DpdParams mdp;
-  mdp.box = {6.0, 6.0, 6.0};
-  mdp.periodic = {true, true, true};
-  mdp.dt = 0.002;
-  dpd::DpdSystem md(mdp, std::make_shared<dpd::NoWalls>());
-  md.fill(3.0, dpd::kSolvent, 21);
-
-  dpd::BufferZones md_buf;
-  dpd::BufferWindow w;
-  w.name = "md-interface";
-  w.lo = {0, 0, 0};
-  w.hi = {6, 6, 6};  // whole box steered (strong coupling for the test)
-  w.relax = 0.5;
-  md_buf.add_window(w);
-
-  coupling::ScaleMap s2;
-  s2.L_ns = 10.0;  // the shared feature in DPD units
-  s2.L_dpd = 40.0; // ... and in MD units: MD resolves it 4x finer
-  s2.nu_ns = 2.5;
-  s2.nu_dpd = 5.0;  // DPD -> MD: x(10/40)(5/2.5) = x0.5
-  coupling::NestedRegion region{{6.0, 0.0, 4.0}, {12.0, 6.0, 10.0}};
-  coupling::TripleDecker triple(cdc, md, md_buf, region, s2, /*md_per_dpd=*/4);
-
-  std::size_t md_steps = 0;
-  const int kIntervals = 20;  // enough for the DPD channel flow to develop
-  for (int k = 0; k < kIntervals; ++k) triple.advance_interval([&] { ++md_steps; });
-
-  // nested schedule: 2 NS x 10 DPD x 4 MD per interval
-  EXPECT_EQ(md_steps, kIntervals * 2u * 10u * 4u);
-  EXPECT_EQ(triple.exchanges(), static_cast<std::size_t>(kIntervals));
-  EXPECT_EQ(dpd_sys.step_count(), kIntervals * 2u * 10u);
-  EXPECT_EQ(md.step_count(), md_steps);
-
-  // velocity cascade: the MD bulk flow should approach the DPD mean scaled
-  // by the second map (which itself tracks the NS field). Probe an MD point
-  // that maps into the developed mid-channel of the DPD layer (z_dpd = 5).
-  const dpd::Vec3 probe{3.0, 3.0, 1.0};
-  const dpd::Vec3 imposed = triple.dpd_velocity_at_md_point(probe);
-  double um = 0.0;
-  for (std::size_t i = 0; i < md.size(); ++i) um += md.velocities()[i].x;
-  um /= static_cast<double>(md.size());
-  EXPECT_GT(imposed.x, 0.05);  // the cascade transmits forward flow
-  EXPECT_NEAR(um, imposed.x, 0.3 + 0.5 * imposed.x);
-}
-
-}  // namespace
-
 namespace {
 
 TEST(MultiPatch, InterfaceThroughAneurysmCavity) {

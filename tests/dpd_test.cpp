@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "dpd/bonds.hpp"
-#include "dpd/buffers.hpp"
 #include "dpd/geometry.hpp"
 #include "dpd/inflow.hpp"
 #include "dpd/platelets.hpp"
@@ -422,74 +421,6 @@ TEST(Viscometry, IndependentOfDrivingForce) {
   auto ra = dpd::measure_viscosity(a);
   auto rb = dpd::measure_viscosity(b);
   EXPECT_NEAR(rb.dynamic_viscosity / ra.dynamic_viscosity, 1.0, 0.2);
-}
-
-}  // namespace
-
-namespace {
-
-TEST(Buffers, WindowsSteerLocalVelocities) {
-  dpd::DpdParams prm;
-  prm.box = {12.0, 6.0, 6.0};
-  prm.periodic = {true, true, true};
-  prm.dt = 0.01;
-  dpd::DpdSystem sys(prm, std::make_shared<dpd::NoWalls>());
-  sys.fill(3.0, dpd::kSolvent, 19);
-
-  dpd::BufferZones zones;
-  dpd::BufferWindow w1;
-  w1.name = "Gamma_I1";
-  w1.lo = {0.0, 0.0, 0.0};
-  w1.hi = {2.0, 6.0, 6.0};
-  w1.relax = 0.4;
-  dpd::BufferWindow w2 = w1;
-  w2.name = "Gamma_I2";
-  w2.lo = {10.0, 0.0, 0.0};
-  w2.hi = {12.0, 6.0, 6.0};
-  zones.add_window(w1);
-  zones.add_window(w2);
-  // shared field with a spatial profile: u = 1 + z/6 (periodic x keeps the
-  // windows populated)
-  zones.set_shared_target([](const dpd::Vec3& p) {
-    return dpd::Vec3{1.0 + p.z / 6.0, 0.0, 0.0};
-  });
-
-  for (int s = 0; s < 200; ++s) {
-    sys.step();
-    zones.apply(sys);
-  }
-  EXPECT_GT(zones.count_inside(sys, 0), 20u);
-  EXPECT_GT(zones.count_inside(sys, 1), 20u);
-  // each window's particles track the local target (thermal noise ~1)
-  EXPECT_LT(zones.mismatch(sys, 0), 1.6);
-  EXPECT_LT(zones.mismatch(sys, 1), 1.6);
-  // windowed mean streamwise velocity near the imposed mean (~1.5)
-  double u1 = 0.0, u2 = 0.0;
-  std::size_t c1 = 0, c2 = 0;
-  for (std::size_t i = 0; i < sys.size(); ++i) {
-    const auto& p = sys.positions()[i];
-    if (p.x < 2.0) { u1 += sys.velocities()[i].x; ++c1; }
-    if (p.x > 10.0) { u2 += sys.velocities()[i].x; ++c2; }
-  }
-  EXPECT_NEAR(u1 / static_cast<double>(c1), 1.5, 0.5);
-  EXPECT_NEAR(u2 / static_cast<double>(c2), 1.5, 0.5);
-}
-
-TEST(Buffers, FrozenParticlesExempt) {
-  dpd::DpdParams prm;
-  prm.box = {4.0, 4.0, 4.0};
-  dpd::DpdSystem sys(prm, std::make_shared<dpd::NoWalls>());
-  const auto i = sys.add_particle({1.0, 1.0, 1.0}, {}, dpd::kPlatelet);
-  sys.frozen()[i] = 1;
-  dpd::BufferZones zones;
-  dpd::BufferWindow w;
-  w.lo = {0, 0, 0};
-  w.hi = {4, 4, 4};
-  w.relax = 1.0;
-  w.target = [](const dpd::Vec3&) { return dpd::Vec3{9.0, 0, 0}; };
-  zones.add_window(w);
-  zones.apply(sys);
-  EXPECT_DOUBLE_EQ(sys.velocities()[i].x, 0.0);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Unit tests for the la substrate: SIMD kernels, dense/sparse algebra,
+// Unit tests for the la substrate: SIMD kernels, dense algebra,
 // CG + solution projection, symmetric eigensolver, statistics.
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "la/cg.hpp"
-#include "la/csr.hpp"
 #include "la/dense.hpp"
 #include "la/eig.hpp"
 #include "la/simd.hpp"
@@ -403,120 +402,38 @@ TEST(Dense, LuSolveDetectsSingular) {
   EXPECT_FALSE(la::lu_solve(A, b, x));
 }
 
-TEST(Dense, CholeskySolve) {
-  const std::size_t n = 10;
-  // SPD matrix: A = B^T B + I
-  la::DenseMatrix B(n, n);
-  std::uniform_real_distribution<double> d(-1.0, 1.0);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) B(i, j) = d(rng);
-  auto A = la::DenseMatrix::matmul(B.transposed(), B);
-  for (std::size_t i = 0; i < n; ++i) A(i, i) += 1.0;
-
-  auto xref = random_vector(n);
-  auto b = A.matvec(xref);
-  la::DenseMatrix L = A;
-  ASSERT_TRUE(la::cholesky(L));
-  la::Vector x;
-  la::cholesky_solve(L, b, x);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], xref[i], 1e-9);
-}
-
-TEST(Dense, CholeskyRejectsIndefinite) {
-  la::DenseMatrix A(2, 2);
-  A(0, 0) = 1.0;
-  A(1, 1) = -1.0;
-  EXPECT_FALSE(la::cholesky(A));
-}
-
-// ---------------- CSR ----------------
-
-TEST(Csr, FromTripletsMergesDuplicates) {
-  auto m = la::CsrMatrix::from_triplets(3, 3, {0, 0, 1, 2, 2}, {0, 0, 1, 2, 0},
-                                        {1.0, 2.0, 5.0, 7.0, -1.0});
-  EXPECT_EQ(m.nnz(), 4u);
-  la::Vector x(3, 1.0);
-  auto y = m.matvec(x);
-  EXPECT_DOUBLE_EQ(y[0], 3.0);
-  EXPECT_DOUBLE_EQ(y[1], 5.0);
-  EXPECT_DOUBLE_EQ(y[2], 6.0);
-}
-
-TEST(Csr, MatvecMatchesDense) {
-  const std::size_t n = 40;
-  la::DenseMatrix D(n, n);
-  std::vector<std::size_t> is, js;
-  std::vector<double> vs;
-  std::uniform_real_distribution<double> d(-1.0, 1.0);
-  std::uniform_int_distribution<std::size_t> idx(0, n - 1);
-  for (int k = 0; k < 300; ++k) {
-    std::size_t i = idx(rng), j = idx(rng);
-    double v = d(rng);
-    D(i, j) += v;
-    is.push_back(i);
-    js.push_back(j);
-    vs.push_back(v);
-  }
-  auto S = la::CsrMatrix::from_triplets(n, n, is, js, vs);
-  auto x = random_vector(n);
-  auto yd = D.matvec(x);
-  auto ys = S.matvec(x);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(yd[i], ys[i], 1e-12);
-}
-
-TEST(Csr, Diagonal) {
-  auto m = la::CsrMatrix::from_triplets(3, 3, {0, 1, 2, 0}, {0, 1, 2, 1},
-                                        {2.0, 3.0, 4.0, 9.0});
-  auto dvec = m.diagonal();
-  EXPECT_DOUBLE_EQ(dvec[0], 2.0);
-  EXPECT_DOUBLE_EQ(dvec[1], 3.0);
-  EXPECT_DOUBLE_EQ(dvec[2], 4.0);
-}
-
-TEST(BlockCsr, MatvecMatchesDenseAssembly) {
-  const std::size_t nb = 4, b = 3;
-  la::BlockCsr B(nb, nb, b);
-  la::DenseMatrix D(nb * b, nb * b);
-  std::uniform_real_distribution<double> d(-1.0, 1.0);
-  for (std::size_t i = 0; i < nb; ++i) {
-    for (std::size_t j = 0; j < nb; ++j) {
-      if ((i + j) % 2 == 1 && i != j) continue;  // sparse pattern
-      la::DenseMatrix blk(b, b);
-      for (std::size_t r = 0; r < b; ++r)
-        for (std::size_t c = 0; c < b; ++c) {
-          blk(r, c) = d(rng);
-          D(i * b + r, j * b + c) = blk(r, c);
-        }
-      B.append_block(i, j, blk);
-    }
-    B.finish_row(i);
-  }
-  auto x = random_vector(nb * b);
-  la::Vector y(nb * b);
-  B.matvec(x.data(), y.data());
-  auto yd = D.matvec(x);
-  for (std::size_t i = 0; i < nb * b; ++i) EXPECT_NEAR(y[i], yd[i], 1e-12);
-}
-
 // ---------------- CG ----------------
 
-la::CsrMatrix laplacian_1d(std::size_t n) {
-  std::vector<std::size_t> is, js;
-  std::vector<double> vs;
-  for (std::size_t i = 0; i < n; ++i) {
-    is.push_back(i); js.push_back(i); vs.push_back(2.0);
-    if (i > 0) { is.push_back(i); js.push_back(i - 1); vs.push_back(-1.0); }
-    if (i + 1 < n) { is.push_back(i); js.push_back(i + 1); vs.push_back(-1.0); }
-  }
-  return la::CsrMatrix::from_triplets(n, n, is, js, vs);
+// Symmetric tridiagonal operator: diag[i] on the diagonal, `off` on both
+// neighbours.
+la::LinearOperator tridiagonal(la::Vector diag, double off) {
+  return [diag = std::move(diag), off](const double* x, double* y) {
+    const std::size_t n = diag.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      double s = 0.0;
+      if (i > 0) s += off * x[i - 1];
+      s += diag[i] * x[i];
+      if (i + 1 < n) s += off * x[i + 1];
+      y[i] = s;
+    }
+  };
+}
+
+la::Vector matvec(const la::LinearOperator& op, const la::Vector& x) {
+  la::Vector y(x.size());
+  op(x.data(), y.data());
+  return y;
+}
+
+la::LinearOperator laplacian_1d(std::size_t n) {
+  return tridiagonal(la::Vector(n, 2.0), -1.0);
 }
 
 TEST(Cg, SolvesLaplacian) {
   const std::size_t n = 200;
-  auto A = laplacian_1d(n);
-  la::LinearOperator op = [&](const double* x, double* y) { A.matvec(x, y); };
+  const auto op = laplacian_1d(n);
   auto xref = random_vector(n);
-  auto b = A.matvec(xref);
+  auto b = matvec(op, xref);
   la::Vector x(n, 0.0);
   auto res = la::cg_solve(op, b, x, la::identity_preconditioner(), {.rtol = 1e-12});
   EXPECT_TRUE(res.converged);
@@ -526,18 +443,11 @@ TEST(Cg, SolvesLaplacian) {
 TEST(Cg, JacobiPreconditionerReducesIterations) {
   const std::size_t n = 300;
   // badly scaled diagonal
-  std::vector<std::size_t> is, js;
-  std::vector<double> vs;
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = 1.0 + 999.0 * static_cast<double>(i) / static_cast<double>(n - 1);
-    is.push_back(i); js.push_back(i); vs.push_back(2.0 * s);
-    if (i > 0) { is.push_back(i); js.push_back(i - 1); vs.push_back(-0.5); }
-    if (i + 1 < n) { is.push_back(i); js.push_back(i + 1); vs.push_back(-0.5); }
-  }
-  auto A = la::CsrMatrix::from_triplets(n, n, is, js, vs);
-  la::LinearOperator op = [&](const double* x, double* y) { A.matvec(x, y); };
+  la::Vector diag(n);
+  for (std::size_t i = 0; i < n; ++i)
+    diag[i] = 2.0 * (1.0 + 999.0 * static_cast<double>(i) / static_cast<double>(n - 1));
+  const auto op = tridiagonal(diag, -0.5);
   auto b = random_vector(n);
-  auto diag = A.diagonal();
 
   la::Vector x1(n, 0.0), x2(n, 0.0);
   auto r1 = la::cg_solve(op, b, x1, la::identity_preconditioner(), {.rtol = 1e-10});
@@ -548,8 +458,7 @@ TEST(Cg, JacobiPreconditionerReducesIterations) {
 }
 
 TEST(Cg, ZeroRhsImmediateConvergence) {
-  auto A = laplacian_1d(10);
-  la::LinearOperator op = [&](const double* x, double* y) { A.matvec(x, y); };
+  const auto op = laplacian_1d(10);
   la::Vector b(10, 0.0), x(10, 0.0);
   auto res = la::cg_solve(op, b, x, la::identity_preconditioner());
   EXPECT_TRUE(res.converged);
@@ -560,15 +469,14 @@ TEST(Cg, ConvergedStartNeverAppliesThePreconditioner) {
   // an exact-inverse preconditioner is a full solve: a start that already
   // meets the tolerance must return before paying for it
   const std::size_t n = 50;
-  auto A = laplacian_1d(n);
-  la::LinearOperator op = [&](const double* x, double* y) { A.matvec(x, y); };
+  const auto op = laplacian_1d(n);
   std::size_t calls = 0;
   const la::Preconditioner counting = [&calls](const double* r, double* z, std::size_t m) {
     ++calls;
     for (std::size_t i = 0; i < m; ++i) z[i] = r[i];
   };
   const auto xref = random_vector(n);
-  const auto b = A.matvec(xref);
+  const auto b = matvec(op, xref);
   la::Vector x = xref;
   auto res = la::cg_solve(op, b, x, counting, {.rtol = 1e-10});
   EXPECT_TRUE(res.converged);
@@ -588,8 +496,7 @@ TEST(Cg, SolutionProjectorCutsIterations) {
   // projected initial guess must reduce iteration counts vs a zero guess
   // (the paper's "predicting a good initial state").
   const std::size_t n = 400;
-  auto A = laplacian_1d(n);
-  la::LinearOperator op = [&](const double* x, double* y) { A.matvec(x, y); };
+  const auto op = laplacian_1d(n);
 
   la::SolutionProjector proj(6);
   std::size_t iters_cold = 0, iters_warm = 0;

@@ -12,7 +12,6 @@
 #include "dpd/geometry.hpp"
 #include "dpd/system.hpp"
 #include "la/cg.hpp"
-#include "la/csr.hpp"
 #include "model/graph.hpp"
 #include "model/partition.hpp"
 #include "model/torus.hpp"
@@ -313,24 +312,28 @@ TEST_P(CgSizeSweep, RandomSpdSystems) {
   const std::size_t n = GetParam();
   std::mt19937 gen(static_cast<unsigned>(n));
   std::uniform_real_distribution<double> dist(-1.0, 1.0);
-  // SPD: tridiagonal dominant + random symmetric perturbation
-  std::vector<std::size_t> is, js;
-  std::vector<double> vs;
+  // SPD: tridiagonal dominant + random symmetric perturbation; off[i]
+  // couples rows i and i + 1
+  la::Vector diag(n), off(n - 1);
   for (std::size_t i = 0; i < n; ++i) {
-    is.push_back(i); js.push_back(i); vs.push_back(4.0 + std::fabs(dist(gen)));
-    if (i + 1 < n) {
-      const double o = dist(gen);
-      is.push_back(i); js.push_back(i + 1); vs.push_back(o);
-      is.push_back(i + 1); js.push_back(i); vs.push_back(o);
-    }
+    diag[i] = 4.0 + std::fabs(dist(gen));
+    if (i + 1 < n) off[i] = dist(gen);
   }
-  auto A = la::CsrMatrix::from_triplets(n, n, is, js, vs);
-  la::LinearOperator op = [&](const double* x, double* y) { A.matvec(x, y); };
+  la::LinearOperator op = [&](const double* x, double* y) {
+    for (std::size_t i = 0; i < n; ++i) {
+      double s = 0.0;
+      if (i > 0) s += off[i - 1] * x[i - 1];
+      s += diag[i] * x[i];
+      if (i + 1 < n) s += off[i] * x[i + 1];
+      y[i] = s;
+    }
+  };
   la::Vector xref(n);
   for (auto& v : xref) v = dist(gen);
-  auto b = A.matvec(xref);
+  la::Vector b(n);
+  op(xref.data(), b.data());
   la::Vector x(n, 0.0);
-  auto res = la::cg_solve(op, b, x, la::jacobi_preconditioner(A.diagonal()), {.rtol = 1e-12});
+  auto res = la::cg_solve(op, b, x, la::jacobi_preconditioner(diag), {.rtol = 1e-12});
   EXPECT_TRUE(res.converged);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], xref[i], 1e-8);
 }

@@ -2,8 +2,8 @@
 // diagnostics (unknown keys / type mismatches with a "$." path), bitwise
 // re-emit of the checked-in scenario files, Runner-vs-handwritten STATE_DIGEST
 // equivalence for the quickstart and coupled3d stacks, ensemble sweep
-// expansion, warm-start-vs-cold physical equivalence, and one-variant-killed
-// fault isolation.
+// expansion, warm-start-vs-cold physical equivalence, one-variant-killed
+// fault isolation, and the example mains' strict integer flags.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +24,7 @@
 #include "resilience/fault.hpp"
 #include "resilience/snapshot.hpp"
 #include "scenario/ensemble.hpp"
+#include "scenario/flags.hpp"
 #include "scenario/json.hpp"
 #include "scenario/presets.hpp"
 #include "scenario/runner.hpp"
@@ -106,6 +107,39 @@ TEST(JsonTest, PathHelpers) {
   scenario::require_path(doc, "a.b.c") = Json(4.0);
   EXPECT_EQ(scenario::find_path(doc, "a.b.c")->as_number(), 4.0);
   EXPECT_THROW(scenario::require_path(doc, "a.b.zzz"), JsonError);
+}
+
+// --- command-line flags ----------------------------------------------------
+
+/// Parse `--intervals <value>` into a target that starts at 7.
+bool parse_intervals(const std::string& value, int& n) {
+  n = 7;
+  scenario::Flags flags("prog");
+  flags.add_int("--intervals", &n, "coupling intervals to run");
+  std::string prog = "prog", name = "--intervals", arg = value;
+  char* argv[] = {prog.data(), name.data(), arg.data()};
+  return flags.parse(3, argv);
+}
+
+TEST(Flags, RejectsMalformedIntegers) {
+  // every int flag is a count: the whole value must be a decimal int >= 0
+  for (const char* bad : {"1x", "abc", "", " 5", "-3", "99999999999"}) {
+    int n = 0;
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(parse_intervals(bad, n)) << "'" << bad << "'";
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("invalid value for --intervals: '" + std::string(bad) + "'"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("usage: prog"), std::string::npos) << err;
+    EXPECT_EQ(n, 7) << "'" << bad << "'";  // target untouched
+  }
+  const std::pair<const char*, int> good[] = {{"0", 0}, {"12", 12}, {"2147483647", 2147483647}};
+  for (const auto& [text, want] : good) {
+    int n = 0;
+    EXPECT_TRUE(parse_intervals(text, n)) << text;
+    EXPECT_EQ(n, want);
+  }
 }
 
 // --- schema: diagnostics ---------------------------------------------------

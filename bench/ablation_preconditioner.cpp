@@ -16,15 +16,13 @@
 // Reports the set-up time (for fast_diag, the per-axis eigenbases a solver
 // builds once), CG iterations and milliseconds per solve, and per mesh the
 // speedup of one time step's solves (one pressure solve and one velocity
-// solve per component), both methods timed in the same process. CI gates
-// the smaller of the two step speedups through NEKTARG_PRECOND_MIN_SPEEDUP
-// (default 1.0 so local runs on busy machines do not fail spuriously).
+// solve per component), both methods timed in the same process. Exits
+// non-zero when the smaller of the two step speedups is below kMinSpeedup.
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -40,6 +38,7 @@ namespace {
 
 using clock_type = std::chrono::steady_clock;
 constexpr int kSolves = 5;
+constexpr double kMinSpeedup = 3.0;
 
 template <class Disc>
 struct Problem {
@@ -186,11 +185,9 @@ int main() {
 
   std::printf("PRECOND_STEP_SPEEDUP=%.2f  (the smaller of the 3D and 2D step speedups)\n",
               step_speedup);
-  double gate = 1.0;  // loose default: only CI pins a real threshold
-  if (const char* env = std::getenv("NEKTARG_PRECOND_MIN_SPEEDUP")) gate = std::atof(env);
-  if (step_speedup < gate) {
-    std::printf("FAIL: speedup %.2f below NEKTARG_PRECOND_MIN_SPEEDUP=%.2f\n", step_speedup,
-                gate);
+  std::printf("PRECOND_MIN_SPEEDUP=%.2f\n", kMinSpeedup);
+  if (step_speedup < kMinSpeedup) {
+    std::printf("FAIL: speedup %.2f below gate %.2f\n", step_speedup, kMinSpeedup);
     return 1;
   }
   return 0;

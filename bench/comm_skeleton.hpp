@@ -17,14 +17,11 @@
 // structure), not that the two columns agree in seconds.
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <limits>
-#include <string>
-#include <system_error>
 #include <vector>
 
+#include "scenario/flags.hpp"
 #include "telemetry/bench_report.hpp"
 #include "xmp/comm.hpp"
 
@@ -100,81 +97,36 @@ inline SkeletonResult run_comm_skeleton(const SkeletonConfig& cfg) {
 // Shared CLI for the scaling benches
 // ---------------------------------------------------------------------------
 
-/// Flags accepted by table3/4/5: --ranks=N turns on the measured execution,
-/// --workers=N / --stack-kb=N / --no-guard-pages configure the fiber
-/// scheduler, --patches/--steps/--iters size the skeleton. Unknown flags and
-/// malformed or out-of-range values fail loudly so CI typos don't silently
-/// run the wrong config.
+/// Flags accepted by table3/4/5, parsed by scenario::Flags (`--ranks N` or
+/// `--ranks=N`): --ranks turns on the measured execution, --workers /
+/// --stack-kb / --no-guard-pages configure the fiber scheduler,
+/// --patches/--steps/--iters size the skeleton. Unknown flags and malformed
+/// or out-of-range values exit 2 so CI typos don't silently run the wrong
+/// config.
 struct ScalingCli {
   int ranks = 0;  ///< 0: modeled tables only (default)
   int patches = 4;
   int steps = 3;
   int iters = 5;
   xmp::SchedOptions sched;
+
+  /// False (after a diagnostic and the usage on stderr) on a bad command line.
+  bool parse(int argc, char** argv, const char* prog) {
+    bool no_guard_pages = false;
+    scenario::Flags flags(prog);
+    flags.add_int("--ranks", &ranks, "fiber ranks of the measured execution (0 = off)");
+    flags.add_int("--patches", &patches, "patches (MCI task groups)", 1);
+    flags.add_int("--steps", &steps, "outer time steps", 1);
+    flags.add_int("--iters", &iters, "CG iterations per step", 1);
+    // the XMP_SCHED_WORKERS / XMP_SCHED_STACK_KB ranges
+    flags.add_int("--workers", &sched.workers, "fiber worker threads (0 = auto)", 0, 1024);
+    flags.add_int("--stack-kb", &sched.stack_kb, "fiber stack size in KiB", 16, 1 << 20);
+    flags.add_flag("--no-guard-pages", &no_guard_pages, "fiber stacks without guard pages");
+    if (!flags.parse(argc, argv)) return false;
+    sched.guard_pages = !no_guard_pages;
+    return true;
+  }
 };
-
-/// Parse the value of --`flag` as a base-10 integer in [lo, hi] spanning the
-/// whole string: "4k", "+4", " 4" and "x" are rejected, not read as 4 or 0.
-inline bool parse_int_flag(const char* flag, const std::string& text, int lo, int hi,
-                           int& out) {
-  int v = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  if (ec != std::errc() || ptr != end || v < lo || v > hi) {
-    std::fprintf(stderr, "invalid --%s '%s': expected an integer in [%d, %d]\n", flag,
-                 text.c_str(), lo, hi);
-    return false;
-  }
-  out = v;
-  return true;
-}
-
-inline bool parse_scaling_cli(int argc, char** argv, ScalingCli& cli) {
-  constexpr int kMax = std::numeric_limits<int>::max();
-  auto value_of = [&](const std::string& arg, const char* name, int& i,
-                      std::string& out) -> bool {
-    const std::string flag = std::string("--") + name;
-    if (arg == flag) {
-      if (i + 1 >= argc) return false;
-      out = argv[++i];
-      return true;
-    }
-    if (arg.rfind(flag + "=", 0) == 0) {
-      out = arg.substr(flag.size() + 1);
-      return true;
-    }
-    return false;
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string v;
-    bool ok = true;
-    if (value_of(arg, "ranks", i, v)) {
-      ok = parse_int_flag("ranks", v, 0, kMax, cli.ranks);
-    } else if (value_of(arg, "patches", i, v)) {
-      ok = parse_int_flag("patches", v, 1, kMax, cli.patches);
-    } else if (value_of(arg, "steps", i, v)) {
-      ok = parse_int_flag("steps", v, 1, kMax, cli.steps);
-    } else if (value_of(arg, "iters", i, v)) {
-      ok = parse_int_flag("iters", v, 1, kMax, cli.iters);
-    } else if (value_of(arg, "workers", i, v)) {
-      // the XMP_SCHED_WORKERS / XMP_SCHED_STACK_KB ranges
-      ok = parse_int_flag("workers", v, 0, 1024, cli.sched.workers);
-    } else if (value_of(arg, "stack-kb", i, v)) {
-      ok = parse_int_flag("stack-kb", v, 16, 1 << 20, cli.sched.stack_kb);
-    } else if (arg == "--no-guard-pages") {
-      cli.sched.guard_pages = false;
-    } else {
-      std::fprintf(stderr,
-                   "unknown flag '%s'\nusage: %s [--ranks=N] [--workers=N] [--stack-kb=N] "
-                   "[--no-guard-pages] [--patches=N] [--steps=N] [--iters=N]\n",
-                   arg.c_str(), argv[0]);
-      return false;
-    }
-    if (!ok) return false;
-  }
-  return true;
-}
 
 /// Run the measured execution for one bench and print/report it next to the
 /// modeled per-step time. The caller's report name must start with

@@ -7,16 +7,14 @@
 // are bitwise trajectory-neutral (tests/dpd_exchange_test.cpp), so this
 // bench measures pure wall-time ratios on 4 xmp ranks. Prints
 // DPD_OVERLAP_SPEEDUP and DPD_REBALANCE_SPEEDUP for CI to grep and writes
-// BENCH_dpd_overlap.json. Exits non-zero when a ratio falls below
-// NEKTARG_DPD_OVERLAP_MIN_SPEEDUP / NEKTARG_DPD_REBALANCE_MIN_SPEEDUP
-// (unset: 0.0; CI pins 1.10 and 1.30). Both gates need a thread per rank:
-// the rank fibers run on min(cores, 8) worker threads, and on fewer than 4
-// hardware threads hidden halo time and a balanced load do not shorten
-// the wall time, so there the gates are reported as not applicable.
+// BENCH_dpd_overlap.json. Exits non-zero when a ratio falls below its gate
+// (kMinOverlapSpeedup, kMinRebalanceSpeedup). Both gates need a thread per
+// rank: the rank fibers run on min(cores, 8) worker threads, and on fewer
+// than 4 hardware threads hidden halo time and a balanced load do not
+// shorten the wall time, so there the gates are reported as not applicable.
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -33,6 +31,8 @@ constexpr int kRanks = 4;
 constexpr int kWarmupSteps = 10;
 constexpr int kSteps = 30;
 constexpr int kRepeats = 3;
+constexpr double kMinOverlapSpeedup = 1.10;
+constexpr double kMinRebalanceSpeedup = 1.30;
 
 dpd::DpdParams params() {
   dpd::DpdParams prm;
@@ -145,9 +145,7 @@ int main() {
   // an unknown thread count (0) keeps the gates
   const unsigned hw = std::thread::hardware_concurrency();
   const bool applicable = hw == 0 || hw >= static_cast<unsigned>(kRanks);
-  const auto gate = [&rc, hw, applicable](const char* env, const char* what, double got) {
-    double min = 0.0;
-    if (const char* v = std::getenv(env)) min = std::atof(v);
+  const auto gate = [&rc, hw, applicable](const char* what, double got, double min) {
     if (!applicable) {
       std::printf("%s gate: not applicable (%u hardware threads for %d ranks; bar %.2f)\n", what,
                   hw, kRanks, min);
@@ -159,7 +157,7 @@ int main() {
       rc = 1;
     }
   };
-  gate("NEKTARG_DPD_OVERLAP_MIN_SPEEDUP", "overlap speedup", overlap_speedup);
-  gate("NEKTARG_DPD_REBALANCE_MIN_SPEEDUP", "rebalance speedup", rebalance_speedup);
+  gate("overlap speedup", overlap_speedup, kMinOverlapSpeedup);
+  gate("rebalance speedup", rebalance_speedup, kMinRebalanceSpeedup);
   return rc;
 }

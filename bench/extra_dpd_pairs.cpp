@@ -9,8 +9,7 @@
 // the skin at the cdc2d_ckpt DPD shape with its open x faces (force-pass
 // and step cost, rebuild rate, listed and in-range pairs: the measurement
 // behind dpd::kDefaultSkin). Writes BENCH_dpd_pairs.json.
-// Exits non-zero when the speedup falls below the gate (override with
-// NEKTARG_DPD_PAIRS_MIN_SPEEDUP; timing smoke, default is a loose 1.0).
+// Exits non-zero when the speedup falls below kMinSpeedup.
 
 #include <chrono>
 #include <cstdio>
@@ -35,6 +34,7 @@ constexpr int kTraversals = 25;
 constexpr int kRepeats = 5;
 constexpr int kLiveSteps = 200;
 constexpr int kSkinSteps = 300;
+constexpr double kMinSpeedup = 1.5;
 
 dpd::DpdSystem make_system(double skin, bool open_x = false) {
   dpd::DpdParams prm;
@@ -286,10 +286,8 @@ int main() {
   }
   rep.write();
 
-  double min_speedup = 1.0;
-  if (const char* v = std::getenv("NEKTARG_DPD_PAIRS_MIN_SPEEDUP")) min_speedup = std::atof(v);
-  std::printf("\nDPD_PAIRS_MIN_SPEEDUP=%.2f\n", min_speedup);
-  if (speedup < min_speedup) {
+  std::printf("\nDPD_PAIRS_MIN_SPEEDUP=%.2f\n", kMinSpeedup);
+  if (speedup < kMinSpeedup) {
     std::printf("FAIL: Verlet speedup below threshold\n");
     return 1;
   }

@@ -5,16 +5,16 @@
 // collapses). Prints per-variant CG-iteration and develop-step counts,
 // scenarios/hour and ENSEMBLE_WARMSTART_SAVING (the fraction of develop
 // steps the warm starts save) for CI to grep, and writes
-// BENCH_ensemble.json. Exits non-zero when the saving is not finite or
-// falls below the gate (override with NEKTARG_ENSEMBLE_MIN_WARMSTART_SAVING;
-// default is a loose 0.0 — CI runs with 0.20).
+// BENCH_ensemble.json. Exits non-zero when the saving is not finite or, on
+// a serial run, falls below kMinSaving. With --pool above 1 warm starts
+// trade donor locality for parallelism, so there the gate is not applicable
+// and the run only has to complete every variant.
 //
 // Flags: --variants N (default 8)   sweep size (umax = 1.0, 1.02, ...)
 //        --pool N     (default 0)   xmp rank pool; 0 = serial in-process
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "scenario/ensemble.hpp"
@@ -23,6 +23,8 @@
 #include "telemetry/bench_report.hpp"
 
 namespace {
+
+constexpr double kMinSaving = 0.20;
 
 scenario::Json base_doc() {
   scenario::Scenario sc = scenario::quickstart_preset();
@@ -132,12 +134,13 @@ int main(int argc, char** argv) {
   rep.meta("shared_misses", static_cast<double>(warm.shared_misses));
   rep.write();
 
-  double min_saving = 0.0;  // loose by default; CI gates at 0.20
-  if (const char* v = std::getenv("NEKTARG_ENSEMBLE_MIN_WARMSTART_SAVING"))
-    min_saving = std::atof(v);
-  std::printf("ENSEMBLE_MIN_WARMSTART_SAVING=%.2f\n", min_saving);
-  if (!std::isfinite(saving) || saving < min_saving) {
-    std::fprintf(stderr, "FAIL: warm-start saving %.3f below gate %.2f\n", saving, min_saving);
+  const bool gated = pool <= 1;
+  if (gated)
+    std::printf("ENSEMBLE_MIN_WARMSTART_SAVING=%.2f\n", kMinSaving);
+  else
+    std::printf("ENSEMBLE_MIN_WARMSTART_SAVING=n/a (pool %d)\n", pool);
+  if (!std::isfinite(saving) || (gated && saving < kMinSaving)) {
+    std::fprintf(stderr, "FAIL: warm-start saving %.3f below gate %.2f\n", saving, kMinSaving);
     return 1;
   }
   return 0;

@@ -3,14 +3,12 @@
 // per-element cost scales as O((P+1)^4) (sum factorisation), not the naive
 // O((P+1)^6), and measures the fast path (batched la::simd line kernels,
 // precomputed gather/scatter tables, hoisted scratch) against the scalar
-// baseline in the test-only sem_reference library. CI gates the speedup at
-// P >= 5 through NEKTARG_SEM_MIN_SPEEDUP (defaults to a loose 1.0 so local
-// runs on busy or non-AVX2 machines don't fail spuriously).
+// baseline in the test-only sem_reference library. Exits non-zero when the
+// smallest speedup at P >= 5 is below kMinSpeedup.
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "reference/sem_reference.hpp"
 #include "sem/operators.hpp"
@@ -19,6 +17,7 @@
 namespace {
 
 using clock_type = std::chrono::steady_clock;
+constexpr double kMinSpeedup = 1.5;
 
 template <typename Apply>
 double time_apply(const la::Vector& u, la::Vector& y, Apply&& apply) {
@@ -99,11 +98,9 @@ int main() {
   std::printf("(cost per element tracks the O((P+1)^4) sum-factorised bound; a naive\n"
               " dense elemental operator would scale as (P+1)^6)\n");
 
-  double min_speedup = 1.0;  // loose default: only CI pins a real threshold
-  if (const char* env = std::getenv("NEKTARG_SEM_MIN_SPEEDUP")) min_speedup = std::atof(env);
-  if (gated_min_speedup < min_speedup) {
-    std::printf("FAIL: speedup %.2f below NEKTARG_SEM_MIN_SPEEDUP=%.2f\n", gated_min_speedup,
-                min_speedup);
+  std::printf("SEM3D_KERNEL_MIN_SPEEDUP=%.2f\n", kMinSpeedup);
+  if (gated_min_speedup < kMinSpeedup) {
+    std::printf("FAIL: speedup %.2f below gate %.2f\n", gated_min_speedup, kMinSpeedup);
     return 1;
   }
   return 0;

@@ -19,6 +19,7 @@
 #include "model/graph.hpp"
 #include "model/partition.hpp"
 #include "model/torus.hpp"
+#include "scenario/flags.hpp"
 #include "telemetry/bench_report.hpp"
 
 namespace {
@@ -84,11 +85,7 @@ double modeled_time(const machine::Torus& torus, const mesh::ElementGraph& truth
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1) {
-    std::fprintf(stderr, "unknown argument '%s'\nusage: %s (takes no arguments)\n", argv[1],
-                 argv[0]);
-    return 2;
-  }
+  if (!scenario::Flags("table2_partitioning").parse(argc, argv)) return 2;  // takes no flags
 
   std::printf("=== Table 2: partitioning strategies, CPU-time (s) per %d steps ===\n", kSteps);
   std::printf("(paper BG/P: a) 1181/655/382/238  b) 1172/638/362/220 for 512-4096 cores)\n");

@@ -5,9 +5,9 @@
 // Also reprints the Sec. 4.1 large-run claims: 92.3% at 49,152 -> 122,880
 // cores (16 -> 40 patches, 3072 cores/patch).
 
-// With --ranks=N (plus --workers=W etc., see comm_skeleton.hpp) the bench
-// additionally executes the communication skeleton at N real ranks through
-// the xmp runtime and writes BENCH_scaling_table3_weak.json.
+// With --ranks N (plus --workers W etc., see ScalingCli in comm_skeleton.hpp)
+// the bench additionally executes the communication skeleton at N real ranks
+// through the xmp runtime and writes BENCH_scaling_table3_weak.json.
 
 #include <cstdio>
 
@@ -51,7 +51,7 @@ void run(const scaling::MachineConfig& mc, telemetry::BenchReport& rep) {
 
 int main(int argc, char** argv) {
   scaling::ScalingCli cli;
-  if (!scaling::parse_scaling_cli(argc, argv, cli)) return 2;
+  if (!cli.parse(argc, argv, "table3_weak_scaling")) return 2;
   std::printf("=== Table 3: weak scaling, multi-patch flow simulation ===\n");
   std::printf("(paper: BG/P 650.67/685.23/703.4 s -> 100/95/92%%;\n");
   std::printf("        XT5  462.3/477.2/505.1 s -> 100/96.9/91.5%%)\n\n");

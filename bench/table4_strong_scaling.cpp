@@ -3,10 +3,10 @@
 // from 1024 to 2048 yields ~75% parallel efficiency in the paper
 // (996.98 -> 650.67 s, 1025.33 -> 685.23 s, 1048.75 -> 703.4 s).
 //
-// With --ranks=N (plus --workers=W etc., see comm_skeleton.hpp) the bench
-// additionally *executes* the communication skeleton at N real ranks through
-// the xmp runtime and writes BENCH_scaling_table4_strong.json with measured
-// wall-clock next to the modeled per-step time.
+// With --ranks N (plus --workers W etc., see ScalingCli in comm_skeleton.hpp)
+// the bench additionally *executes* the communication skeleton at N real
+// ranks through the xmp runtime and writes BENCH_scaling_table4_strong.json
+// with measured wall-clock next to the modeled per-step time.
 
 #include <cstdio>
 
@@ -16,7 +16,7 @@
 
 int main(int argc, char** argv) {
   scaling::ScalingCli cli;
-  if (!scaling::parse_scaling_cli(argc, argv, cli)) return 2;
+  if (!cli.parse(argc, argv, "table4_strong_scaling")) return 2;
   std::printf("=== Table 4: strong scaling (BG/P, 4 cores/node) ===\n");
   std::printf("(paper: Np=3 996.98->650.67 (76.6%%), Np=8 1025.33->685.23 (74.8%%),\n");
   std::printf("        Np=16 1048.75->703.4 (74.5%%))\n\n");

@@ -6,9 +6,9 @@
 // super-linear (BG/P 107% / 102%; XT5 144%) because halving the per-core
 // working set moves it into cache.
 
-// With --ranks=N (plus --workers=W etc., see comm_skeleton.hpp) the bench
-// additionally executes the communication skeleton at N real ranks through
-// the xmp runtime and writes BENCH_scaling_table5_coupled.json.
+// With --ranks N (plus --workers W etc., see ScalingCli in comm_skeleton.hpp)
+// the bench additionally executes the communication skeleton at N real ranks
+// through the xmp runtime and writes BENCH_scaling_table5_coupled.json.
 
 #include <cstdio>
 
@@ -50,7 +50,7 @@ void run(const scaling::MachineConfig& mc, const std::vector<int>& cores_list,
 
 int main(int argc, char** argv) {
   scaling::ScalingCli cli;
-  if (!scaling::parse_scaling_cli(argc, argv, cli)) return 2;
+  if (!cli.parse(argc, argv, "table5_coupled_scaling")) return 2;
   std::printf("=== Table 5: coupled continuum-DPD strong scaling ===\n");
   std::printf("(paper BG/P: 3205.58 / 1399.12 (107%%) / 665.79 (102%%);\n");
   std::printf(" paper XT5:  2193.66 / 762.99 (144%%))\n\n");

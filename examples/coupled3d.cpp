@@ -2,86 +2,20 @@
 // Navier-Stokes channel (plates at z = 0, H) with an embedded 3D DPD box,
 // coupled through Eq. (1) and the Fig. 5 schedule with no dimension
 // folding. Prints the continuum and atomistic velocity profiles across the
-// gap, plus the wall-normal profile agreement.
+// gap.
 //
 // The whole run is described by a scenario (docs/SCENARIOS.md): with no
 // --scenario flag the built-in coupled3d preset runs (identical to
-// examples/scenarios/coupled3d.json).
+// examples/scenarios/coupled3d.json). Flags, the run and the printout are
+// the scenario driver's (driver.cpp, which lists the flags).
 //
 // Run: ./build/examples/coupled3d
-//
-// Flags (see docs/RESILIENCE.md for checkpoint/restart):
-//   --scenario FILE          run a scenario JSON file instead of the preset
-//   --intervals N            coupling intervals to run (default 25)
-//   --checkpoint-every K     save a checkpoint every K intervals
-//   --checkpoint-dir DIR     where checkpoints go (default ./coupled3d-ckpt)
-//   --restart DIR            resume from a checkpoint directory
-//   --digest                 print a CRC32 digest of the final state
-//                            (bitwise restart-equivalence checks)
 
-#include <cstdio>
-#include <string>
-
-#include "scenario/flags.hpp"
+#include "driver.hpp"
 #include "scenario/presets.hpp"
-#include "scenario/runner.hpp"
 
 int main(int argc, char** argv) {
-  int intervals = -1;
-  int checkpoint_every = -1;
-  std::string checkpoint_dir;
-  std::string restart_dir;
-  std::string scenario_file;
-  bool digest = false;
-  scenario::Flags flags("coupled3d");
-  flags.add_string("--scenario", &scenario_file, "scenario JSON file (default: built-in preset)");
-  flags.add_int("--intervals", &intervals, "coupling intervals to run");
-  flags.add_int("--checkpoint-every", &checkpoint_every, "save a checkpoint every K intervals");
-  flags.add_string("--checkpoint-dir", &checkpoint_dir, "where checkpoints go");
-  flags.add_string("--restart", &restart_dir, "resume from a checkpoint directory");
-  flags.add_flag("--digest", &digest, "print a CRC32 digest of the final state");
-  if (!flags.parse(argc, argv)) return 2;
-
-  std::printf("Fully 3D coupled simulation: SEM hexahedra + DPD box\n\n");
-
-  scenario::Scenario sc;
-  try {
-    sc = scenario_file.empty() ? scenario::coupled3d_preset()
-                               : scenario::load_scenario_file(scenario_file);
-  } catch (const scenario::JsonError& e) {
-    std::fprintf(stderr, "scenario error: %s\n", e.what());
-    return 2;
-  }
-
-  scenario::RunnerOptions opts;
-  opts.restart_dir = restart_dir;
-  opts.intervals = intervals;
-  opts.checkpoint_every = checkpoint_every;
-  opts.checkpoint_dir = checkpoint_dir;
-  opts.verbose = true;
-
-  scenario::Runner runner(sc, opts);
-  scenario::RunResult res;
-  try {
-    res = runner.run();
-  } catch (const resilience::SnapshotError& e) {
-    std::fprintf(stderr, "restart failed: %s\n", e.what());
-    return 1;
-  }
-
-  if (digest) {
-    std::printf("STATE_DIGEST %08x\n", res.digest);
-    return 0;
-  }
-
-  auto profile = runner.sampler().snapshot();
-  std::printf("%-8s %-14s %-16s\n", "z (NS)", "u continuum", "u DPD (scaled back)");
-  for (std::size_t b = 0; b < profile.size(); ++b) {
-    const double z = (static_cast<double>(b) + 0.5) / static_cast<double>(profile.size());
-    std::printf("%-8.2f %-14.4f %-16.4f\n", z, runner.eval_u(2.0, 0.5, z),
-                runner.scales().velocity_dpd_to_ns(profile[b]));
-  }
-  std::printf("\n%zu exchanges; all three velocity components coupled (v, w ~ 0)\n",
-              runner.exchanges());
-  return 0;
+  return drive_scenario(argc, argv, "coupled3d",
+                        "Fully 3D coupled simulation: SEM hexahedra + DPD box",
+                        scenario::coupled3d_preset);
 }

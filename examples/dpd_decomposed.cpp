@@ -7,8 +7,8 @@
 //
 // Build & run:  cmake --build build && ./build/examples/dpd_decomposed
 //
-// Flags:
-//   --ranks N   decomposed rank count (default 4)
+// Flags (scenario::Flags; a bad value exits 2):
+//   --ranks N   decomposed rank count, >= 1 (default 4)
 //   --steps N   DPD steps (default 50)
 //   --overlap   overlap the halo refresh with interior pair computation
 //               (DistOptions::overlap); the digest gate is unchanged —
@@ -16,11 +16,11 @@
 
 #include <cstdio>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 
 #include "dpd/exchange/distributed.hpp"
 #include "dpd/system.hpp"
+#include "scenario/flags.hpp"
 #include "xmp/comm.hpp"
 
 namespace {
@@ -41,11 +41,11 @@ int main(int argc, char** argv) {
   int ranks = 4;
   int steps = 50;
   bool overlap = false;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--ranks") && i + 1 < argc) ranks = std::atoi(argv[++i]);
-    if (!std::strcmp(argv[i], "--steps") && i + 1 < argc) steps = std::atoi(argv[++i]);
-    if (!std::strcmp(argv[i], "--overlap")) overlap = true;
-  }
+  scenario::Flags flags("dpd_decomposed");
+  flags.add_int("--ranks", &ranks, "decomposed rank count (default 4)", 1);
+  flags.add_int("--steps", &steps, "DPD steps (default 50)");
+  flags.add_flag("--overlap", &overlap, "overlap the halo refresh with interior pairs");
+  if (!flags.parse(argc, argv)) return 2;
 
   auto single = make_system();
   std::printf("dpd_decomposed: n=%zu steps=%d ranks=%d overlap=%s\n", single->size(), steps,

@@ -8,128 +8,16 @@
 //
 // The whole run is described by a scenario (docs/SCENARIOS.md): with no
 // --scenario flag the built-in quickstart preset runs (identical to
-// examples/scenarios/quickstart.json), so this main is only flag parsing,
-// scenario loading, and the profile printout.
+// examples/scenarios/quickstart.json). Flags, the run and the printout are
+// the scenario driver's (driver.cpp, which lists the flags).
 //
 // Build & run:  cmake --build build && ./build/examples/quickstart
-//
-// Flags (see docs/RESILIENCE.md for checkpoint/restart):
-//   --scenario FILE          run a scenario JSON file instead of the preset
-//   --intervals N            coupling intervals to run (default 20)
-//   --checkpoint-every K     save a checkpoint every K intervals
-//   --checkpoint-dir DIR     where checkpoints go (default ./quickstart-ckpt)
-//   --restart DIR            resume from a checkpoint directory
-//   --digest                 print a CRC32 digest of the final state
-//                            (bitwise restart-equivalence checks)
-//   --sweep FILE             expand the scenario by a sweep spec and run the
-//                            whole ensemble (docs/SCENARIOS.md)
-//   --pool N                 xmp rank pool for --sweep (0 = serial)
 
-#include <cstdio>
-#include <string>
-#include <vector>
-
-#include "scenario/ensemble.hpp"
-#include "scenario/flags.hpp"
+#include "driver.hpp"
 #include "scenario/presets.hpp"
-#include "scenario/runner.hpp"
 
 int main(int argc, char** argv) {
-  int intervals = -1;
-  int checkpoint_every = -1;
-  std::string checkpoint_dir;
-  std::string restart_dir;
-  std::string scenario_file;
-  std::string sweep_file;
-  int pool = 0;
-  bool digest = false;
-  scenario::Flags flags("quickstart");
-  flags.add_string("--scenario", &scenario_file, "scenario JSON file (default: built-in preset)");
-  flags.add_string("--sweep", &sweep_file,
-                   "sweep JSON file: expand the scenario into an ensemble and run it");
-  flags.add_int("--pool", &pool, "xmp rank pool for --sweep (default 0 = serial in-process)");
-  flags.add_int("--intervals", &intervals, "coupling intervals to run");
-  flags.add_int("--checkpoint-every", &checkpoint_every, "save a checkpoint every K intervals");
-  flags.add_string("--checkpoint-dir", &checkpoint_dir, "where checkpoints go");
-  flags.add_string("--restart", &restart_dir, "resume from a checkpoint directory");
-  flags.add_flag("--digest", &digest, "print a CRC32 digest of the final state");
-  if (!flags.parse(argc, argv)) return 2;
-
-  std::printf("NektarG quickstart: continuum channel + embedded DPD box\n\n");
-
-  scenario::Scenario sc;
-  try {
-    sc = scenario_file.empty() ? scenario::quickstart_preset()
-                               : scenario::load_scenario_file(scenario_file);
-  } catch (const scenario::JsonError& e) {
-    std::fprintf(stderr, "scenario error: %s\n", e.what());
-    return 2;
-  }
-
-  if (!sweep_file.empty()) {
-    // --sweep: run the whole parameter study through the ensemble engine
-    // instead of a single scenario (docs/SCENARIOS.md "Parameter sweeps").
-    scenario::EnsembleReport rep;
-    std::vector<scenario::Variant> variants;
-    try {
-      const scenario::SweepSpec sweep = scenario::load_sweep_file(sweep_file);
-      const scenario::Json base = scenario::serialize_scenario(sc);
-      variants = scenario::EnsembleEngine::expand(base, sweep);
-      scenario::EnsembleOptions eopts;
-      eopts.pool = pool;
-      rep = scenario::EnsembleEngine(base, sweep, eopts).run();
-    } catch (const scenario::JsonError& e) {
-      std::fprintf(stderr, "sweep error: %s\n", e.what());
-      return 2;
-    }
-    std::printf("%-44s %-5s %-10s %s\n", "variant", "ok", "digest", "seconds");
-    for (const auto& r : rep.variants) {
-      const std::string& name = variants[r.index].name;
-      if (r.ok)
-        std::printf("%-44s %-5s %08x   %.2f\n", name.c_str(), "ok", r.digest, r.seconds);
-      else
-        std::printf("%-44s %-5s %s\n", name.c_str(), "FAIL", r.error.c_str());
-    }
-    std::printf("ensemble: %zu completed, %zu failed, %.2fs wall\n", rep.completed, rep.failed,
-                rep.wall_seconds);
-    return rep.failed == 0 ? 0 : 1;
-  }
-
-  scenario::RunnerOptions opts;
-  opts.restart_dir = restart_dir;
-  opts.intervals = intervals;
-  opts.checkpoint_every = checkpoint_every;
-  opts.checkpoint_dir = checkpoint_dir;
-  opts.verbose = true;
-
-  scenario::Runner runner(sc, opts);
-  scenario::RunResult res;
-  try {
-    res = runner.run();
-  } catch (const resilience::SnapshotError& e) {
-    std::fprintf(stderr, "restart failed: %s\n", e.what());
-    return 1;
-  }
-
-  if (digest) {
-    // CRC32 over the concatenated component states: two runs arriving at the
-    // same interval must print the same digest (restart-equivalence check).
-    std::printf("STATE_DIGEST %08x\n", res.digest);
-    return 0;
-  }
-
-  // --- compare the profiles across the interface ---
-  auto profile = runner.sampler().snapshot();
-  std::printf("%-8s %-14s %-14s\n", "y (NS)", "u continuum", "u DPD (scaled back)");
-  for (std::size_t b = 0; b < profile.size(); ++b) {
-    const double y = (static_cast<double>(b) + 0.5) / static_cast<double>(profile.size());
-    const double u_ns = runner.eval_u(2.0, y);
-    const double u_dpd = runner.scales().velocity_dpd_to_ns(profile[b]);
-    std::printf("%-8.2f %-14.4f %-14.4f\n", y, u_ns, u_dpd);
-  }
-  std::printf("\nExchanges performed: %zu; DPD particles now: %zu "
-              "(inserted %zu / deleted %zu by the flux BC)\n",
-              runner.exchanges(), runner.dpd().size(), runner.flow_bc().inserted_total(),
-              runner.flow_bc().deleted_total());
-  return 0;
+  return drive_scenario(argc, argv, "quickstart",
+                        "NektarG quickstart: continuum channel + embedded DPD box",
+                        scenario::quickstart_preset);
 }

@@ -1,11 +1,13 @@
 #pragma once
-// Tiny command-line flag helper shared by the example mains. Replaces the
-// hand-rolled strcmp chains: flags are declared once with a bound target and
-// a help line, unknown flags are a hard error (exit code 2 convention in the
-// callers), and --help prints the generated usage text. Every int flag is a
-// count: its value must be a whole decimal int >= 0.
+// The one command-line flag parser of the example and bench mains: flags are
+// declared once with a bound target and a help line, a value follows its flag
+// as the next argument or after '=' (`--ranks 8` or `--ranks=8`), unknown
+// flags are a hard error (exit code 2 convention in the callers), and --help
+// prints the generated usage text. An int value must be a whole decimal int
+// inside its flag's [lo, hi] range (default [0, INT_MAX]: a count).
 
 #include <charconv>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -18,62 +20,65 @@ class Flags {
  public:
   explicit Flags(std::string prog) : prog_(std::move(prog)) {}
 
-  void add_int(const char* name, int* target, const char* help) {
-    specs_.push_back({name, help, Kind::Int, target, nullptr, nullptr});
+  void add_int(const char* name, int* target, const char* help, int lo = 0, int hi = INT_MAX) {
+    specs_.push_back({name, help, Kind::Int, target, nullptr, nullptr, lo, hi});
   }
   void add_string(const char* name, std::string* target, const char* help) {
-    specs_.push_back({name, help, Kind::String, nullptr, target, nullptr});
+    specs_.push_back({name, help, Kind::String, nullptr, target, nullptr, 0, 0});
   }
   void add_flag(const char* name, bool* target, const char* help) {
-    specs_.push_back({name, help, Kind::Bool, nullptr, nullptr, target});
+    specs_.push_back({name, help, Kind::Bool, nullptr, nullptr, target, 0, 0});
   }
 
   /// Parse argv. Returns false (after printing a diagnostic + usage to
-  /// stderr) on an unknown flag, a missing value or an int value that is not
-  /// a whole decimal int >= 0 (the target is left untouched); the caller
-  /// should exit non-zero. "--help" prints usage to stdout and exits 0.
+  /// stderr) on an unknown flag, a missing value, a value given to a bool
+  /// flag or an int value that is not a whole decimal int in [lo, hi] (the
+  /// target is left untouched); the caller should exit non-zero. "--help"
+  /// prints usage to stdout and exits 0.
   bool parse(int argc, char** argv) const {
     for (int i = 1; i < argc; ++i) {
       if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
         print_usage(stdout);
         std::exit(0);
       }
+      const char* eq = std::strchr(argv[i], '=');
+      const std::string name = eq ? std::string(argv[i], eq - argv[i]) : std::string(argv[i]);
       const Spec* spec = nullptr;
       for (const auto& s : specs_)
-        if (!std::strcmp(argv[i], s.name)) {
+        if (name == s.name) {
           spec = &s;
           break;
         }
-      if (!spec) {
-        std::fprintf(stderr, "unknown option: %s\n", argv[i]);
-        print_usage(stderr);
-        return false;
-      }
+      if (!spec) return fail("unknown option: " + name);
       if (spec->kind == Kind::Bool) {
+        if (eq) return fail(name + " takes no value");
         *spec->bool_target = true;
         continue;
       }
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", spec->name);
-        print_usage(stderr);
-        return false;
-      }
-      ++i;
+      if (!eq && i + 1 >= argc) return fail(name + " requires a value");
+      const char* value = eq ? eq + 1 : argv[++i];
       if (spec->kind == Kind::String) {
-        *spec->str_target = argv[i];
+        *spec->str_target = value;
         continue;
       }
-      const char* end = argv[i] + std::strlen(argv[i]);
+      const char* end = value + std::strlen(value);
       int v = 0;
-      const auto [stop, ec] = std::from_chars(argv[i], end, v);
-      if (ec != std::errc() || stop != end || v < 0) {
-        std::fprintf(stderr, "invalid value for %s: '%s'\n", spec->name, argv[i]);
-        print_usage(stderr);
-        return false;
-      }
+      const auto [stop, ec] = std::from_chars(value, end, v);
+      if (ec != std::errc() || stop != end || v < spec->lo || v > spec->hi)
+        return fail("invalid value for " + name + ": '" + value +
+                    "' (expected an integer in [" + std::to_string(spec->lo) + ", " +
+                    std::to_string(spec->hi) + "])");
       *spec->int_target = v;
     }
     return true;
+  }
+
+  /// Print `message` and the usage to stderr; returns false so a caller can
+  /// reject a flag combination the same way parse() rejects a bad flag.
+  bool fail(const std::string& message) const {
+    std::fprintf(stderr, "%s\n", message.c_str());
+    print_usage(stderr);
+    return false;
   }
 
  private:
@@ -85,6 +90,7 @@ class Flags {
     int* int_target;
     std::string* str_target;
     bool* bool_target;
+    int lo, hi;
   };
 
   void print_usage(std::FILE* out) const {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
 #include "dpd/geometry.hpp"
 #include "mesh/quadmesh.hpp"
@@ -90,6 +91,18 @@ struct Dim<sem::NavierStokes<sem::Discretization3D>> {
     return {rg[0], rg[1], rg[2], rg[3], rg[4], rg[5]};
   }
 };
+
+// A kind-specific accessor called on a run that did not build its part.
+[[noreturn]] void missing(const char* accessor, const std::string& kind) {
+  throw std::logic_error(std::string("scenario::Runner::") + accessor +
+                         ": not built by this run (scenario kind \"" + kind + "\")");
+}
+
+template <class T>
+T& built(const std::unique_ptr<T>& part, const char* accessor, const std::string& kind) {
+  if (!part) missing(accessor, kind);
+  return *part;
+}
 
 }  // namespace
 
@@ -402,6 +415,11 @@ RunResult Runner::run_net1d() {
   return res;
 }
 
+dpd::FieldSampler& Runner::sampler() { return built(sampler_, "sampler()", sc_.kind); }
+dpd::DpdSystem& Runner::dpd() { return built(dpd_, "dpd()", sc_.kind); }
+dpd::FlowBc& Runner::flow_bc() { return built(bc_, "flow_bc()", sc_.kind); }
+nektar1d::ArterialNetwork& Runner::network() { return built(net_, "network()", sc_.kind); }
+
 std::size_t Runner::sem_nodes() const {
   return std::visit(
       [](const auto& c) -> std::size_t { return c.disc ? c.disc->num_nodes() : 0; },
@@ -414,13 +432,15 @@ std::size_t Runner::exchanges() const {
 }
 
 double Runner::eval_u(double x, double y) const {
-  const auto& c = std::get<Continuum2D>(continuum_);
-  return sem::evaluate(*c.disc, {x, y}, c.ns->u());
+  const auto* c = std::get_if<Continuum2D>(&continuum_);
+  if (!c || !c->ns) missing("eval_u(x, y)", sc_.kind);
+  return sem::evaluate(*c->disc, {x, y}, c->ns->u());
 }
 
 double Runner::eval_u(double x, double y, double z) const {
-  const auto& c = std::get<Continuum3D>(continuum_);
-  return sem::evaluate(*c.disc, {x, y, z}, c.ns->u());
+  const auto* c = std::get_if<Continuum3D>(&continuum_);
+  if (!c || !c->ns) missing("eval_u(x, y, z)", sc_.kind);
+  return sem::evaluate(*c->disc, {x, y, z}, c->ns->u());
 }
 
 }  // namespace scenario

@@ -100,17 +100,19 @@ class Runner {
   const Scenario& scenario() const { return sc_; }
 
   // --- introspection for the example epilogues (valid after run()) ---
+  // The kind-specific accessors throw std::logic_error naming the accessor
+  // and the scenario kind when this run built no such component.
   std::size_t sem_nodes() const;
   std::size_t exchanges() const;
   const coupling::ScaleMap& scales() const { return scales_; }
-  dpd::FieldSampler& sampler() { return *sampler_; }
-  dpd::DpdSystem& dpd() { return *dpd_; }
-  dpd::FlowBc& flow_bc() { return *bc_; }
+  dpd::FieldSampler& sampler();
+  dpd::DpdSystem& dpd();
+  dpd::FlowBc& flow_bc();
   /// Continuum u at a point ("cdc" kind).
   double eval_u(double x, double y) const;
   /// Continuum u at a point ("cdc3d" kind).
   double eval_u(double x, double y, double z) const;
-  nektar1d::ArterialNetwork& network() { return *net_; }
+  nektar1d::ArterialNetwork& network();
 
  private:
   /// The continuum solver of a coupled run and its coupler to the DPD box.

@@ -3,12 +3,15 @@
 // re-emit of the checked-in scenario files, Runner-vs-handwritten STATE_DIGEST
 // equivalence for the quickstart and coupled3d stacks, ensemble sweep
 // expansion, warm-start-vs-cold physical equivalence, one-variant-killed
-// fault isolation, and the example mains' strict integer flags.
+// fault isolation, Runner's typed accessor errors, and the mains' flag
+// parser (both value forms, strict integers inside their ranges).
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -140,6 +143,68 @@ TEST(Flags, RejectsMalformedIntegers) {
     EXPECT_TRUE(parse_intervals(text, n)) << text;
     EXPECT_EQ(n, want);
   }
+}
+
+/// Flags with an int `--n` in [2, 9] (starts at 7), a string `--scenario` and
+/// a bool `--digest`, parsed from `args`; stderr goes to `err`.
+struct Parsed {
+  bool ok = false;
+  int n = 7;
+  std::string path;
+  bool digest = false;
+  std::string err;
+};
+
+Parsed parse_args(std::vector<std::string> args) {
+  Parsed p;
+  scenario::Flags flags("prog");
+  flags.add_int("--n", &p.n, "a bounded count", 2, 9);
+  flags.add_string("--scenario", &p.path, "a path");
+  flags.add_flag("--digest", &p.digest, "a switch");
+  args.insert(args.begin(), "prog");
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  testing::internal::CaptureStderr();
+  p.ok = flags.parse(static_cast<int>(argv.size()), argv.data());
+  p.err = testing::internal::GetCapturedStderr();
+  return p;
+}
+
+TEST(Flags, AcceptsTheEqualsForm) {
+  const Parsed p = parse_args({"--n=5", "--scenario=dir/a=b.json", "--digest"});
+  EXPECT_TRUE(p.ok) << p.err;
+  EXPECT_EQ(p.n, 5);
+  EXPECT_EQ(p.path, "dir/a=b.json");  // only the first '=' splits
+  EXPECT_TRUE(p.digest);
+  EXPECT_EQ(parse_args({"--n", "9"}).n, 9);  // the space form, at hi
+  EXPECT_EQ(parse_args({"--n=2"}).n, 2);     // at lo
+}
+
+TEST(Flags, RejectsEmptyEqualsValue) {
+  const Parsed p = parse_args({"--n="});
+  EXPECT_FALSE(p.ok);
+  EXPECT_EQ(p.n, 7);
+  EXPECT_NE(p.err.find("invalid value for --n: ''"), std::string::npos) << p.err;
+}
+
+TEST(Flags, RejectsValuesOutsideTheRange) {
+  for (const char* bad : {"--n=1", "--n=10", "--n=-3"}) {
+    const Parsed p = parse_args({bad});
+    EXPECT_FALSE(p.ok) << bad;
+    EXPECT_EQ(p.n, 7) << bad;
+    EXPECT_NE(p.err.find("expected an integer in [2, 9]"), std::string::npos) << p.err;
+  }
+  const Parsed p = parse_args({"--n", "10"});
+  EXPECT_FALSE(p.ok);
+  EXPECT_EQ(p.n, 7);
+}
+
+TEST(Flags, BoolFlagTakesNoValue) {
+  const Parsed p = parse_args({"--digest=1"});
+  EXPECT_FALSE(p.ok);
+  EXPECT_FALSE(p.digest);
+  EXPECT_NE(p.err.find("--digest takes no value"), std::string::npos) << p.err;
+  EXPECT_NE(p.err.find("usage: prog"), std::string::npos) << p.err;
 }
 
 // --- schema: diagnostics ---------------------------------------------------
@@ -617,6 +682,38 @@ TEST(RunnerTest, Net1dDeterministicDigest) {
   const auto b = Runner(sc).run();
   EXPECT_NE(a.digest, 0u);
   EXPECT_EQ(a.digest, b.digest);
+}
+
+// Kind-specific accessors on a run that built no such part throw a typed
+// error naming the accessor and the kind, instead of dereferencing null or
+// throwing std::bad_variant_access.
+TEST(RunnerTest, AccessorsNameTheMissingKind) {
+  const auto expect_named = [](auto&& call, const std::string& accessor, const char* kind) {
+    try {
+      call();
+      ADD_FAILURE() << accessor << " did not throw";
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(accessor), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("\"") + kind + "\""), std::string::npos) << what;
+    }
+  };
+  Runner net(tiny_net1d());
+  net.run();
+  expect_named([&] { net.sampler(); }, "sampler()", "net1d");
+  expect_named([&] { net.dpd(); }, "dpd()", "net1d");
+  expect_named([&] { net.flow_bc(); }, "flow_bc()", "net1d");
+  expect_named([&] { net.eval_u(2.0, 0.5); }, "eval_u(x, y)", "net1d");
+  EXPECT_GT(net.network().time(), 0.0);
+
+  Scenario sc = scenario::quickstart_preset();
+  sc.time.develop_steps = 2;
+  sc.time.intervals = 0;
+  Runner cdc(sc);
+  cdc.run();
+  expect_named([&] { cdc.eval_u(2.0, 0.5, 0.5); }, "eval_u(x, y, z)", "cdc");
+  expect_named([&] { cdc.network(); }, "network()", "cdc");
+  EXPECT_TRUE(std::isfinite(cdc.eval_u(2.0, 0.5)));
 }
 
 TEST(RunnerTest, SharedTablesReuseDiscretization) {

@@ -4,17 +4,15 @@
 //   1. continuum-continuum: a pulsatile channel split into 3 overlapping
 //      SEM patches; velocity and (gauge-aligned) pressure jumps across the
 //      two artificial interfaces,
-//   2. continuum-atomistic: a DPD subdomain embedded in the continuum patch;
-//      mismatch between the DPD mean field and the imposed continuum field.
+//   2. continuum-atomistic: a DPD subdomain embedded in the continuum patch
+//      (scenario::Runner's quickstart stack with a pulsatile inlet); mismatch
+//      between the DPD mean field and the imposed continuum field.
 
 #include <cstdio>
 
-#include "coupling/cdc.hpp"
 #include "coupling/multipatch.hpp"
-#include "dpd/geometry.hpp"
-#include "dpd/inflow.hpp"
-#include "dpd/sampling.hpp"
-#include "dpd/system.hpp"
+#include "scenario/presets.hpp"
+#include "scenario/runner.hpp"
 #include "telemetry/bench_report.hpp"
 
 int main() {
@@ -56,58 +54,23 @@ int main() {
     rep.set("centerline_u", ucl);
   }
 
-  // --- continuum-atomistic ---
+  // --- continuum-atomistic: the quickstart stack with a pulsatile inlet ---
   std::printf("\ncontinuum-atomistic: DPD box embedded mid-channel\n");
-  auto m = mesh::QuadMesh::channel(4.0, 1.0, 8, 2);
-  sem::Discretization d(m, 4);
-  sem::NavierStokes<sem::Discretization>::Params nsp;
-  nsp.nu = 0.05;
-  nsp.dt = 2e-3;
-  sem::NavierStokes<sem::Discretization> ns(d, nsp);
-  ns.set_velocity_bc(mesh::kInlet,
-                     [](double, double y, double t) {
-                       return 4.0 * y * (1.0 - y) * (1.0 + 0.3 * std::sin(2.0 * M_PI * t / 0.8));
-                     },
-                     [](double, double, double) { return 0.0; });
-  ns.set_natural_bc(mesh::kOutlet);
-  for (int s = 0; s < 200; ++s) ns.step();
-
-  dpd::DpdParams dp;
-  dp.box = {16.0, 6.0, 10.0};
-  dp.periodic = {false, true, false};
-  dp.dt = 0.01;
-  dpd::DpdSystem sys(dp, std::make_shared<dpd::ChannelZ>(10.0));
-  sys.fill(3.0, dpd::kSolvent, 13, 0.1);
-  dpd::FlowBcParams fp;
-  fp.axis = 0;
-  fp.buffer_len = 2.0;
-  fp.density = 3.0;
-  fp.relax = 0.3;
-  dpd::FlowBc bc(fp);
-  coupling::ScaleMap scales;
-  scales.L_ns = 1.0;
-  scales.L_dpd = 10.0;
-  scales.nu_ns = 0.05;
-  scales.nu_dpd = 2.5;
-  coupling::TimeProgression tp;
-  tp.exchange_every_ns = 2;
-  tp.dpd_per_ns = 10;
-  coupling::BasicContinuumDpdCoupler cdc(ns, sys, bc, {1.5, 2.5, 0.0, 1.0}, scales, tp);
-
-  dpd::SamplerParams sp;
-  sp.nx = 4;
-  sp.ny = 1;
-  sp.nz = 5;
-  dpd::FieldSampler sampler(sys, sp);
+  scenario::Scenario sc = scenario::quickstart_preset();
+  sc.sem.inlet_pulse = 0.3;
+  sc.dpd.seed = 13;
+  sc.sampler = {4, 1, 5};
+  sc.time.develop_steps = 200;
+  sc.time.intervals = 32;
+  sc.time.sample_from = 8;  // the first block of 8 intervals is warm-up
+  scenario::Runner runner(sc);
+  runner.build();
   std::printf("%-10s %-18s %-18s\n", "interval", "mean |u_DPD-u_NS|", "relative to u_max");
-  const double umax_dpd = scales.velocity_ns_to_dpd(4.0 * 0.25 * 1.3);
+  const double umax_dpd = runner.scales().velocity_ns_to_dpd(4.0 * 0.25 * 1.3);
   for (int block = 0; block < 4; ++block) {
-    for (int interval = 0; interval < 8; ++interval)
-      cdc.advance_interval([&] {
-        if (block > 0) sampler.accumulate(sys);
-      });
+    runner.advance(8);
     if (block == 0) continue;  // warm-up
-    const double mism = cdc.interface_mismatch(sampler);
+    const double mism = runner.interface_mismatch();
     std::printf("%-10d %-18.4f %-18.3f\n", 8 * (block + 1), mism, mism / umax_dpd);
     rep.row();
     rep.set("section", std::string("continuum_atomistic"));

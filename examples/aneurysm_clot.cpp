@@ -4,101 +4,58 @@
 // The continuum patch is a channel with a side cavity (the sac); the DPD
 // domain covers the sac and the channel segment beneath it; platelets that
 // dwell near the damaged sac wall trigger, activate after a delay, arrest,
-// and aggregate into a growing clot (Sec. 2 + Fig. 10 physics).
+// and aggregate into a growing clot (Sec. 2 + Fig. 10 physics). The stack is
+// scenario::aneurysm_preset (Fig. 10's run) with a pulsatile inlet, run by
+// scenario::Runner.
 //
 // Run: ./build/examples/aneurysm_clot
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 
-#include "coupling/cdc.hpp"
-#include "dpd/geometry.hpp"
-#include "dpd/inflow.hpp"
-#include "dpd/platelets.hpp"
-#include "dpd/system.hpp"
-#include "mesh/quadmesh.hpp"
-#include "sem/navier_stokes.hpp"
+#include "scenario/presets.hpp"
+#include "scenario/runner.hpp"
 #include "sem/operators.hpp"
 
 int main() {
   std::printf("Aneurysm clotting demo: coupled continuum-atomistic simulation\n\n");
 
-  // continuum: channel with an aneurysm-like cavity on the upper wall
-  auto m = mesh::QuadMesh::channel_with_cavity(/*L=*/8.0, /*H=*/1.0, /*cav_x0=*/3.0,
-                                               /*cav_x1=*/5.0, /*cav_depth=*/1.0,
-                                               /*nx=*/16, /*ny=*/2);
-  sem::Discretization d(m, 4);
-  sem::NavierStokes<sem::Discretization>::Params nsp;
-  nsp.nu = 0.02;
-  nsp.dt = 2e-3;
-  sem::NavierStokes<sem::Discretization> ns(d, nsp);
-  const double T = 0.8;  // pulse period (NS time units)
-  ns.set_velocity_bc(mesh::kInlet,
-                     [T](double, double y, double t) {
-                       return 4.0 * y * (1.0 - y) * (1.0 + 0.3 * std::sin(2 * M_PI * t / T));
-                     },
-                     [](double, double, double) { return 0.0; });
-  ns.set_natural_bc(mesh::kOutlet);
+  scenario::Scenario sc = scenario::aneurysm_preset();
+  sc.sem.inlet_pulse = 0.3;
+  sc.platelets = {50, 1.0, 2.0, 0.8};
+  sc.time.develop_steps = 200;
+  sc.time.intervals = 30;
+  scenario::Runner runner(sc);
+  runner.build();
   std::printf("continuum: channel+cavity, %zu SEM nodes; developing flow...\n",
-              d.num_nodes());
-  for (int s = 0; s < 200; ++s) ns.step();
+              runner.sem_nodes());
   // flow inside the sac is slow compared to the channel: the clot condition
   std::printf("  channel centerline u = %.3f, sac u = %.3f (stagnant: clotting risk)\n\n",
-              sem::evaluate(d, {4.0, 0.5}, ns.u()), sem::evaluate(d, {4.0, 1.5}, ns.u()));
+              runner.eval_u(4.0, 0.5), runner.eval_u(4.0, 1.5));
 
-  // atomistic: DPD domain covering the sac region
-  dpd::DpdParams dp;
-  dp.box = {20.0, 5.0, 10.0};
-  dp.periodic = {false, true, false};
-  dp.dt = 0.01;
-  dpd::DpdSystem sys(dp, std::make_shared<dpd::ChannelWithCavityZ>(5.0, 6.0, 14.0, 5.0));
-  sys.fill(3.0, dpd::kSolvent, 41, 0.1);
-
-  dpd::PlateletParams pp;
-  pp.adhesive_region = [](const dpd::Vec3& p) { return p.z > 5.0; };  // sac walls
-  pp.activation_delay = 2.0;
-  pp.bind_distance = 0.8;
-  pp.bind_speed = 1.2;
-  auto platelets = std::make_shared<dpd::PlateletModel>(pp);
-  sys.add_module(platelets);
-  platelets->seed_platelets(sys, 50, 5);
+  const auto& sys = runner.dpd();
+  const auto& platelets = runner.platelets();
   std::printf("atomistic: %zu particles incl. %zu platelets\n\n", sys.size(),
-              platelets->total());
-
-  dpd::FlowBcParams fp;
-  fp.axis = 0;
-  fp.buffer_len = 2.0;
-  fp.density = 3.0;
-  fp.relax = 0.3;
-  dpd::FlowBc bc(fp);
-
-  coupling::ScaleMap scales;
-  scales.L_ns = 1.0;
-  scales.L_dpd = 5.0;
-  scales.nu_ns = nsp.nu;
-  scales.nu_dpd = 0.4;
-  coupling::TimeProgression tp;
-  tp.dt_ns = nsp.dt;
-  tp.exchange_every_ns = 5;
-  tp.dpd_per_ns = 10;
-  coupling::BasicContinuumDpdCoupler cdc(ns, sys, bc, {2.0, 6.0, 0.0, 2.0}, scales, tp);
+              platelets.total());
 
   std::printf("%-10s %-8s %-7s | clot profile along the sac wall\n", "DPD time", "active",
               "bound");
   for (int block = 0; block < 6; ++block) {
-    for (int k = 0; k < 5; ++k) cdc.advance_interval([&] { platelets->update(sys); });
+    runner.advance(5);
     // crude rendering: bound platelets per x-slab of the sac
     int slab[10] = {};
-    for (std::size_t i = 0; i < platelets->total(); ++i) {
-      if (platelets->state_of(i) != dpd::PlateletState::Bound) continue;
-      const long li = sys.local_of(platelets->particles()[i]);
+    for (std::size_t i = 0; i < platelets.total(); ++i) {
+      if (platelets.state_of(i) != dpd::PlateletState::Bound) continue;
+      const long li = sys.local_of(platelets.particles()[i]);
       if (li < 0) continue;
       const auto& p = sys.positions()[static_cast<std::size_t>(li)];
       const int sbin = std::clamp(static_cast<int>(p.x / 2.0), 0, 9);
       slab[sbin]++;
     }
     std::printf("%-10.1f %-8zu %-7zu | ", sys.time(),
-                platelets->count(dpd::PlateletState::Active),
-                platelets->count(dpd::PlateletState::Bound));
+                platelets.count(dpd::PlateletState::Active),
+                platelets.count(dpd::PlateletState::Bound));
     for (int sbin = 0; sbin < 10; ++sbin)
       std::printf("%c", slab[sbin] == 0 ? '.' : slab[sbin] < 3 ? '+' : '#');
     std::printf("\n");
@@ -109,8 +66,10 @@ int main() {
   // wall shear stress along the walls (the paper: mean WSS is "a very
   // important quantity in biological flows"); the sac walls should carry far
   // lower WSS than the channel walls — the clotting-risk signature
+  const auto& ns = runner.ns2d();
+  const auto& d = ns.disc();
   sem::Operators ops(d);
-  auto tau = ops.wall_shear_stress(ns.u(), ns.v(), nsp.nu, mesh::kWall);
+  auto tau = ops.wall_shear_stress(ns.u(), ns.v(), sc.sem.nu, mesh::kWall);
   const auto& wall_nodes = d.boundary_nodes(mesh::kWall);
   double wss_channel = 0.0, wss_sac = 0.0;
   std::size_t nc = 0, nsac = 0;

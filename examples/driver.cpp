@@ -3,12 +3,14 @@
 // binary's preset), one scenario::Runner run or a --sweep ensemble, and an
 // epilogue chosen by the scenario's kind (docs/SCENARIOS.md). A flag the
 // chosen mode would ignore (--pool without --sweep; --intervals, the
-// checkpoint flags, --restart or --digest with it) exits 2.
+// checkpoint flags, --restart or --digest with it) exits 2; a run that
+// throws prints "run failed: <what>" and exits 1.
 
 #include "driver.hpp"
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -145,6 +147,9 @@ int drive_scenario(int argc, char** argv, const char* prog, const char* banner,
     res = runner.run();
   } catch (const resilience::SnapshotError& e) {
     std::fprintf(stderr, "restart failed: %s\n", e.what());
+    return 1;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "run failed: %s\n", e.what());
     return 1;
   }
 

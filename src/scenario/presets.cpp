@@ -26,4 +26,25 @@ Scenario coupled3d_preset() {
   return sc;
 }
 
+Scenario aneurysm_preset() {
+  Scenario sc;
+  sc.name = "aneurysm";
+  sc.kind = "cdc";
+  sc.mesh = {8.0, 1.0, 16, 2, 4, {3.0, 5.0, 1.0}};
+  sc.sem.nu = 0.02;
+  // the DPD box covers NS x in [2, 6] and the channel plus the sac in z
+  sc.dpd.box = {20.0, 5.0, 10.0};
+  sc.dpd.seed = 41;
+  sc.dpd.geometry = {"channel_with_cavity_z", 5.0, {6.0, 14.0, 5.0}};
+  sc.platelets = {60, 1.2, 1.0, 0.8};
+  sc.coupling.scales = {1.0, 5.0, 0.02, 0.4};
+  sc.coupling.exchange_every_ns = 5;
+  sc.coupling.region = {2.0, 6.0, 0.0, 2.0};
+  sc.time.intervals = 32;
+  sc.time.develop_steps = 150;
+  sc.checkpoint.dir = "aneurysm-ckpt";
+  validate_scenario(sc);
+  return sc;
+}
+
 }  // namespace scenario

@@ -1,8 +1,9 @@
 #pragma once
-// Built-in scenario presets mirroring the hand-written examples. The
-// checked-in files under examples/scenarios/ are exactly
-// scenario_to_json(preset) — a test pins their bytes, so the JSON on disk
-// can never drift from the code that defines the runs.
+// Built-in scenario presets: the runs of the examples and the coupled
+// figures. The checked-in files under examples/scenarios/ are exactly
+// scenario_to_json of the quickstart and coupled3d presets — a test pins
+// their bytes, so the JSON on disk can never drift from the code that
+// defines the runs.
 
 #include "scenario/schema.hpp"
 
@@ -13,5 +14,10 @@ Scenario quickstart_preset();
 
 /// The coupled3d example (kind "cdc3d"): 3D SEM box + embedded DPD box.
 Scenario coupled3d_preset();
+
+/// The Fig. 10 run (kind "cdc"): a 2D channel with an aneurysm-like cavity
+/// and a DPD box over the sac, seeded with platelets. aneurysm_clot and
+/// multiscale_viz start from it too.
+Scenario aneurysm_preset();
 
 }  // namespace scenario

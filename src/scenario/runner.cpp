@@ -18,7 +18,12 @@ std::string mesh_signature(const MeshSpec& m) {
   std::snprintf(buf, sizeof buf, "quad|L=%.17g|H=%.17g|nx=%lld|ny=%lld|P=%lld", m.length,
                 m.height, static_cast<long long>(m.nx), static_cast<long long>(m.ny),
                 static_cast<long long>(m.order));
-  return buf;
+  std::string sig = buf;
+  for (double c : m.cavity) {  // a cavity mesh never shares a straight one's tables
+    std::snprintf(buf, sizeof buf, "|cavity=%.17g", c);
+    sig += buf;
+  }
+  return sig;
 }
 
 std::string mesh_signature(const Mesh3dSpec& m) {
@@ -30,8 +35,11 @@ std::string mesh_signature(const Mesh3dSpec& m) {
 }
 
 std::shared_ptr<const sem::Discretization> make_disc(const MeshSpec& m) {
-  auto mesh = mesh::QuadMesh::channel(m.length, m.height, static_cast<int>(m.nx),
-                                      static_cast<int>(m.ny));
+  const auto nx = static_cast<int>(m.nx), ny = static_cast<int>(m.ny);
+  const auto& c = m.cavity;
+  auto mesh = c.empty() ? mesh::QuadMesh::channel(m.length, m.height, nx, ny)
+                        : mesh::QuadMesh::channel_with_cavity(m.length, m.height, c[0], c[1],
+                                                              c[2], nx, ny);
   return std::make_shared<const sem::Discretization>(mesh, static_cast<int>(m.order));
 }
 
@@ -41,9 +49,18 @@ std::shared_ptr<const sem::Discretization3D> make_disc(const Mesh3dSpec& m) {
       static_cast<int>(m.order));
 }
 
+// Every platelet run seeds with this seed and arrests below this speed.
+constexpr unsigned kPlateletSeed = 5;
+constexpr double kPlateletBindSpeed = 1.2;
+
+/// The pulsatile inflow factor; every pulsatile run has the period 0.8 (NS
+/// time units). At a = 0 it is exactly 1, so a steady inlet keeps its bits.
+double pulse(double a, double t) { return 1.0 + a * std::sin(2.0 * M_PI * t / 0.8); }
+
 // What a coupled run builds differently per dimension: the discretization,
-// the inlet BCs (same expression trees as the hand-written examples, for
-// digest equality) and the region the DPD box covers.
+// the inlet BCs (the steady profile times the pulse factor, in the
+// expression tree the hand-written stacks used) and the region the DPD box
+// covers.
 template <class NS>
 struct Dim;
 
@@ -57,9 +74,12 @@ struct Dim<sem::NavierStokes<sem::Discretization>> {
   static void set_inlet(sem::NavierStokes<sem::Discretization>& ns, const Scenario& sc) {
     const double H = sc.mesh.height;
     const double Umax = sc.sem.inlet_umax;
+    const double a = sc.sem.inlet_pulse;
     ns.set_velocity_bc(
         mesh::kInlet,
-        [H, Umax](double, double y, double) { return 4.0 * Umax * y * (H - y) / (H * H); },
+        [H, Umax, a](double, double y, double t) {
+          return 4.0 * Umax * y * (H - y) / (H * H) * pulse(a, t);
+        },
         [](double, double, double) { return 0.0; });
     ns.set_natural_bc(mesh::kOutlet);
   }
@@ -78,8 +98,9 @@ struct Dim<sem::NavierStokes<sem::Discretization3D>> {
   static void set_inlet(sem::NavierStokes<sem::Discretization3D>& ns, const Scenario& sc) {
     const double H = sc.mesh3d.lz;
     const double Umax = sc.sem.inlet_umax;
-    auto prof = [H, Umax](double, double, double z, double) {
-      return 4.0 * Umax * z * (H - z) / (H * H);
+    const double a = sc.sem.inlet_pulse;
+    auto prof = [H, Umax, a](double, double, double z, double t) {
+      return 4.0 * Umax * z * (H - z) / (H * H) * pulse(a, t);
     };
     auto zero = [](double, double, double, double) { return 0.0; };
     ns.set_velocity_bc(sem::HexFace::X0, prof, zero, zero);
@@ -98,8 +119,8 @@ struct Dim<sem::NavierStokes<sem::Discretization3D>> {
                          ": not built by this run (scenario kind \"" + kind + "\")");
 }
 
-template <class T>
-T& built(const std::unique_ptr<T>& part, const char* accessor, const std::string& kind) {
+template <class Ptr>
+auto& built(const Ptr& part, const char* accessor, const std::string& kind) {
   if (!part) missing(accessor, kind);
   return *part;
 }
@@ -200,7 +221,7 @@ std::size_t Runner::develop(NS& ns) {
   for (std::int64_t s = 0; s < sc_.time.develop_steps; ++s) {
     if (tol > 0.0) old = ns.velocity();
     cg += ns.step();
-    ++develop_steps_;
+    ++res_.develop_steps;
     if (tol > 0.0) {
       double delta = 0.0;
       for (std::size_t c = 0; c < NS::kDim; ++c)
@@ -225,6 +246,7 @@ std::uint32_t Runner::compute_digest() const {
         bc_->save_state(w);
         c.cdc->save_state(w);
         sampler_->save_state(w);
+        if (platelets_) platelets_->save_state(w);
       },
       continuum_);
   return resilience::crc32(w.data());
@@ -239,17 +261,69 @@ void Runner::maybe_checkpoint(std::int64_t interval, double time) {
   }
 }
 
+void Runner::build() {
+  res_ = {};
+  interval_ = 0;
+  platelets_.reset();
+  if (sc_.kind == "net1d")
+    build_net1d();
+  else if (sc_.kind == "cdc3d")
+    build_coupled(continuum_.emplace<Continuum3D>());
+  else
+    build_coupled(continuum_.emplace<Continuum2D>());
+  if (opts_.restart_dir.empty()) return;
+  const auto info = coord_->load(opts_.restart_dir);  // throws SnapshotError on damage
+  interval_ = static_cast<std::int64_t>(info.step);
+  res_.restarted = true;
+  if (!opts_.verbose) return;
+  const char* dir = opts_.restart_dir.c_str();
+  const int start = static_cast<int>(interval_);
+  if (net_)
+    std::printf("restarted from %s: interval %d, t = %.4f\n\n", dir, start, info.time);
+  else
+    std::printf("restarted from %s: interval %d, t_ns = %.4f, %zu DPD particles\n\n", dir,
+                start, info.time, dpd_->size());
+}
+
+void Runner::advance(std::int64_t n) {
+  if (!coord_) throw std::logic_error("scenario::Runner::advance: call build() first");
+  for (std::int64_t k = 0; k < n; ++k, ++interval_) {
+    if (opts_.fault_plan)
+      opts_.fault_plan->check(opts_.fault_id, static_cast<std::uint64_t>(interval_));
+    double time = 0.0;
+    if (net_) {
+      const double dt =
+          sc_.network.dt > 0.0 ? sc_.network.dt : net_->suggested_dt(sc_.network.cfl);
+      for (std::int64_t s = 0; s < sc_.network.steps_per_interval; ++s) net_->step(dt);
+      time = net_->time();
+    } else {
+      const bool sample = interval_ >= sc_.time.sample_from;
+      const auto per_dpd_step = [this, sample] {
+        if (platelets_) platelets_->update(*dpd_);
+        if (sample) sampler_->accumulate(*dpd_);
+      };
+      time = std::visit(
+          [&](auto& c) {
+            res_.cg_iters += c.cdc->advance_interval(per_dpd_step);
+            return c.ns->time();
+          },
+          continuum_);
+    }
+    ++res_.intervals_run;
+    maybe_checkpoint(interval_, time);
+  }
+}
+
 RunResult Runner::run() {
-  develop_steps_ = 0;
-  if (sc_.kind == "net1d") return run_net1d();
-  if (sc_.kind == "cdc3d") return run_coupled(continuum_.emplace<Continuum3D>());
-  return run_coupled(continuum_.emplace<Continuum2D>());
+  build();
+  advance(intervals() - interval_);
+  res_.digest = compute_digest();
+  return res_;
 }
 
 template <class NS>
-RunResult Runner::run_coupled(Continuum<NS>& c) {
+void Runner::build_coupled(Continuum<NS>& c) {
   const bool restarting = !opts_.restart_dir.empty();
-  RunResult res;
 
   // --- 1. the continuum solver -- same construction order, parameters and
   // BC expression trees as the hand-written examples (digest equality).
@@ -263,28 +337,44 @@ RunResult Runner::run_coupled(Continuum<NS>& c) {
   if (!restarting) {
     apply_warm_start(*c.ns);
     if (opts_.verbose) std::printf(Dim<NS>::kDevelopLine, sem_nodes());
-    res.cg_iters += develop(*c.ns);
-    res.develop_steps = develop_steps_;
+    res_.cg_iters += develop(*c.ns);
   }
 
-  // --- 2. the atomistic solver ---
+  // --- 2. the atomistic solver, with the platelets seeded after the fill ---
   dpd::DpdParams dp;
   dp.box = {sc_.dpd.box[0], sc_.dpd.box[1], sc_.dpd.box[2]};
   dp.periodic = sc_.dpd.periodic;
   dp.rc = sc_.dpd.rc;
   dp.kBT = sc_.dpd.kBT;
   dp.dt = sc_.dpd.dt;
+  const auto& g = sc_.dpd.geometry;
   std::shared_ptr<dpd::Geometry> geom;
-  if (sc_.dpd.geometry.kind == "channel_z")
-    geom = std::make_shared<dpd::ChannelZ>(sc_.dpd.geometry.height);
+  if (g.kind == "channel_z")
+    geom = std::make_shared<dpd::ChannelZ>(g.height);
+  else if (g.kind == "channel_with_cavity_z")
+    geom = std::make_shared<dpd::ChannelWithCavityZ>(g.height, g.cavity[0], g.cavity[1],
+                                                     g.cavity[2]);
   else
     geom = std::make_shared<dpd::NoWalls>();
   dpd_ = std::make_unique<dpd::DpdSystem>(dp, geom);
-  if (!restarting) {
+  if (!restarting)
     dpd_->fill(sc_.dpd.density, dpd::kSolvent, static_cast<unsigned>(sc_.dpd.seed),
                sc_.dpd.fill_margin);
-    if (opts_.verbose) std::printf("atomistic: %zu DPD particles\n\n", dpd_->size());
+  if (sc_.platelets.count > 0) {
+    // the damaged endothelium is the cavity wall, above the channel roof
+    platelets_ = std::make_shared<dpd::PlateletModel>(dpd::PlateletParams{
+        .adhesive_region = [roof = g.height](const dpd::Vec3& p) { return p.z > roof; },
+        .trigger_distance = sc_.platelets.trigger_distance,
+        .activation_delay = sc_.platelets.activation_delay,
+        .bind_distance = sc_.platelets.bind_distance,
+        .bind_speed = kPlateletBindSpeed});
+    dpd_->add_module(platelets_);
+    if (!restarting)
+      platelets_->seed_platelets(*dpd_, static_cast<std::size_t>(sc_.platelets.count),
+                                 kPlateletSeed);
   }
+  if (!restarting && opts_.verbose)
+    std::printf("atomistic: %zu DPD particles\n\n", dpd_->size());
 
   dpd::FlowBcParams fp;
   fp.axis = static_cast<int>(sc_.flow_bc.axis);
@@ -320,40 +410,10 @@ RunResult Runner::run_coupled(Continuum<NS>& c) {
   coord_->add("flowbc", *bc_);
   coord_->add(sc_.kind, *c.cdc);
   coord_->add("sampler", *sampler_);
-
-  std::int64_t start_interval = 0;
-  if (restarting) {
-    const auto info = coord_->load(opts_.restart_dir);  // throws SnapshotError on damage
-    start_interval = static_cast<std::int64_t>(info.step);
-    res.restarted = true;
-    res.start_interval = static_cast<int>(start_interval);
-    res.t_ns = c.ns->time();
-    if (opts_.verbose)
-      std::printf("restarted from %s: interval %d, t_ns = %.4f, %zu DPD particles\n\n",
-                  opts_.restart_dir.c_str(), res.start_interval, res.t_ns, dpd_->size());
-  }
-
-  const std::int64_t n = intervals();
-  for (std::int64_t interval = start_interval; interval < n; ++interval) {
-    if (opts_.fault_plan)
-      opts_.fault_plan->check(opts_.fault_id, static_cast<std::uint64_t>(interval));
-    auto cb = [&, interval] {
-      if (interval >= sc_.time.sample_from) sampler_->accumulate(*dpd_);
-    };
-    res.cg_iters += c.cdc->advance_interval(cb);
-    ++res.intervals_run;
-    maybe_checkpoint(interval, c.ns->time());
-  }
-
-  res.develop_steps = develop_steps_;
-  res.digest = compute_digest();
-  return res;
+  if (platelets_) coord_->add("platelets", *platelets_);
 }
 
-RunResult Runner::run_net1d() {
-  const bool restarting = !opts_.restart_dir.empty();
-  RunResult res;
-
+void Runner::build_net1d() {
   net_ = std::make_unique<nektar1d::ArterialNetwork>();
   for (const auto& vs : sc_.network.vessels) {
     nektar1d::VesselParams p;
@@ -387,37 +447,12 @@ RunResult Runner::run_net1d() {
 
   coord_ = std::make_unique<resilience::CheckpointCoordinator>();
   coord_->add("net1d", *net_);
-
-  std::int64_t start_interval = 0;
-  if (restarting) {
-    const auto info = coord_->load(opts_.restart_dir);
-    start_interval = static_cast<std::int64_t>(info.step);
-    res.restarted = true;
-    res.start_interval = static_cast<int>(start_interval);
-    res.t_ns = net_->time();
-    if (opts_.verbose)
-      std::printf("restarted from %s: interval %d, t = %.4f\n\n", opts_.restart_dir.c_str(),
-                  res.start_interval, res.t_ns);
-  }
-
-  const std::int64_t n = intervals();
-  for (std::int64_t interval = start_interval; interval < n; ++interval) {
-    if (opts_.fault_plan)
-      opts_.fault_plan->check(opts_.fault_id, static_cast<std::uint64_t>(interval));
-    const double dt =
-        sc_.network.dt > 0.0 ? sc_.network.dt : net_->suggested_dt(sc_.network.cfl);
-    for (std::int64_t k = 0; k < sc_.network.steps_per_interval; ++k) net_->step(dt);
-    ++res.intervals_run;
-    maybe_checkpoint(interval, net_->time());
-  }
-
-  res.digest = compute_digest();
-  return res;
 }
 
 dpd::FieldSampler& Runner::sampler() { return built(sampler_, "sampler()", sc_.kind); }
 dpd::DpdSystem& Runner::dpd() { return built(dpd_, "dpd()", sc_.kind); }
 dpd::FlowBc& Runner::flow_bc() { return built(bc_, "flow_bc()", sc_.kind); }
+dpd::PlateletModel& Runner::platelets() { return built(platelets_, "platelets()", sc_.kind); }
 nektar1d::ArterialNetwork& Runner::network() { return built(net_, "network()", sc_.kind); }
 
 std::size_t Runner::sem_nodes() const {
@@ -429,6 +464,21 @@ std::size_t Runner::sem_nodes() const {
 std::size_t Runner::exchanges() const {
   return std::visit([](const auto& c) -> std::size_t { return c.cdc ? c.cdc->exchanges() : 0; },
                     continuum_);
+}
+
+const sem::NavierStokes<sem::Discretization>& Runner::ns2d() const {
+  const auto* c = std::get_if<Continuum2D>(&continuum_);
+  if (!c || !c->ns) missing("ns2d()", sc_.kind);
+  return *c->ns;
+}
+
+double Runner::interface_mismatch() {
+  return std::visit(
+      [this](auto& c) {
+        if (!c.cdc) missing("interface_mismatch()", sc_.kind);
+        return c.cdc->interface_mismatch(*sampler_);
+      },
+      continuum_);
 }
 
 double Runner::eval_u(double x, double y) const {

@@ -1,10 +1,10 @@
 #pragma once
 // scenario::Runner — one object that instantiates a complete solver stack
-// from a parsed Scenario and drives it to completion. It subsumes the
-// hand-rolled setup the examples used to carry: quickstart and coupled3d are
-// now thin wrappers that load a scenario (file or built-in preset) and call
-// run(). A Runner built from the matching preset reproduces the handwritten
-// example bit-for-bit (STATE_DIGEST equality — pinned by scenario_test).
+// from a parsed Scenario and drives it; the only code that builds a coupled
+// NS + DPD + FlowBc + coupler stack. quickstart and coupled3d call run(); the
+// coupled figures and the aneurysm examples call build(), then advance() in
+// blocks, reading the run in between. A Runner built from a preset
+// reproduces the hand-written stack bit-for-bit (STATE_DIGEST equality).
 //
 // Runners are also the unit of work of the EnsembleEngine (ensemble.hpp):
 // they accept shared discretization tables (cross-variant redundancy),
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "coupling/cdc.hpp"
+#include "dpd/platelets.hpp"
 #include "nektar1d/network.hpp"
 #include "resilience/checkpoint.hpp"
 #include "resilience/fault.hpp"
@@ -69,8 +70,6 @@ struct RunResult {
   std::size_t develop_steps = 0;   ///< develop steps actually taken
   std::size_t intervals_run = 0;
   bool restarted = false;
-  int start_interval = 0;
-  double t_ns = 0.0;               ///< continuum time after restart load
 };
 
 class Runner {
@@ -86,9 +85,13 @@ class Runner {
   /// True when the installed blob's signature matched and will be applied.
   bool warm_applied() const { return warm_applied_; }
 
-  /// Build the stack and advance all intervals. Throws JsonError on
-  /// configuration problems, SnapshotError on restart failures, and
-  /// propagates InjectedFault from the fault plan.
+  /// Build the stack: develop and fill (seeding platelets) on a fresh start,
+  /// or load the restart checkpoint (SnapshotError on damage).
+  void build();
+  /// Run `n` more intervals, checkpointing on schedule; propagates
+  /// InjectedFault from the fault plan. Call build() first.
+  void advance(std::int64_t n);
+  /// build(), then advance through the remaining intervals.
   RunResult run();
 
   /// Donor blob for warm-starting sibling variants (valid after run()):
@@ -99,7 +102,7 @@ class Runner {
 
   const Scenario& scenario() const { return sc_; }
 
-  // --- introspection for the example epilogues (valid after run()) ---
+  // --- introspection for the epilogues (valid after build()) ---
   // The kind-specific accessors throw std::logic_error naming the accessor
   // and the scenario kind when this run built no such component.
   std::size_t sem_nodes() const;
@@ -108,6 +111,13 @@ class Runner {
   dpd::FieldSampler& sampler();
   dpd::DpdSystem& dpd();
   dpd::FlowBc& flow_bc();
+  /// Built when platelets.count > 0.
+  dpd::PlateletModel& platelets();
+  /// The continuum solver ("cdc" kind); its disc() is the mesh.
+  const sem::NavierStokes<sem::Discretization>& ns2d() const;
+  /// Fig. 9 diagnostic: mean |u_DPD - u_NS| over the sampler's bins.
+  /// Consumes the sampler window.
+  double interface_mismatch();
   /// Continuum u at a point ("cdc" kind).
   double eval_u(double x, double y) const;
   /// Continuum u at a point ("cdc3d" kind).
@@ -135,8 +145,8 @@ class Runner {
   std::uint32_t compute_digest() const;
   void maybe_checkpoint(std::int64_t interval, double time);
   template <class NS>
-  RunResult run_coupled(Continuum<NS>& c);
-  RunResult run_net1d();
+  void build_coupled(Continuum<NS>& c);
+  void build_net1d();
 
   Scenario sc_;
   RunnerOptions opts_;
@@ -146,6 +156,7 @@ class Runner {
   std::unique_ptr<dpd::DpdSystem> dpd_;
   std::unique_ptr<dpd::FlowBc> bc_;
   std::unique_ptr<dpd::FieldSampler> sampler_;
+  std::shared_ptr<dpd::PlateletModel> platelets_;
   std::unique_ptr<nektar1d::ArterialNetwork> net_;
   std::unique_ptr<resilience::CheckpointCoordinator> coord_;
   coupling::ScaleMap scales_;
@@ -153,7 +164,8 @@ class Runner {
   WarmMode warm_mode_ = WarmMode::Off;
   std::vector<std::uint8_t> warm_blob_;
   bool warm_applied_ = false;
-  std::size_t develop_steps_ = 0;
+  RunResult res_;
+  std::int64_t interval_ = 0;  ///< the next interval advance() runs
 };
 
 }  // namespace scenario

@@ -1,6 +1,7 @@
 #include "scenario/schema.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "scenario/fields.hpp"
@@ -15,7 +16,8 @@ namespace scenario {
 auto fields(const MeshSpec*) {
   using S = MeshSpec;
   return std::tuple{Field{"length", &S::length}, Field{"height", &S::height},
-                    Field{"nx", &S::nx}, Field{"ny", &S::ny}, Field{"order", &S::order}};
+                    Field{"nx", &S::nx},         Field{"ny", &S::ny},
+                    Field{"order", &S::order},   Field{"cavity", &S::cavity}};
 }
 
 auto fields(const Mesh3dSpec*) {
@@ -28,12 +30,14 @@ auto fields(const Mesh3dSpec*) {
 auto fields(const SemSpec*) {
   using S = SemSpec;
   return std::tuple{Field{"nu", &S::nu}, Field{"dt", &S::dt},
-                    Field{"time_order", &S::time_order}, Field{"inlet_umax", &S::inlet_umax}};
+                    Field{"time_order", &S::time_order}, Field{"inlet_umax", &S::inlet_umax},
+                    Field{"inlet_pulse", &S::inlet_pulse}};
 }
 
 auto fields(const DpdGeometrySpec*) {
   using S = DpdGeometrySpec;
-  return std::tuple{Field{"kind", &S::kind}, Field{"height", &S::height}};
+  return std::tuple{Field{"kind", &S::kind}, Field{"height", &S::height},
+                    Field{"cavity", &S::cavity}};
 }
 
 auto fields(const DpdSpec*) {
@@ -42,6 +46,13 @@ auto fields(const DpdSpec*) {
                     Field{"kBT", &S::kBT}, Field{"dt", &S::dt}, Field{"density", &S::density},
                     Field{"seed", &S::seed}, Field{"fill_margin", &S::fill_margin},
                     Field{"geometry", &S::geometry}};
+}
+
+auto fields(const PlateletSpec*) {
+  using S = PlateletSpec;
+  return std::tuple{Field{"count", &S::count}, Field{"trigger_distance", &S::trigger_distance},
+                    Field{"activation_delay", &S::activation_delay},
+                    Field{"bind_distance", &S::bind_distance}};
 }
 
 auto fields(const FlowBcSpec*) {
@@ -131,6 +142,7 @@ auto sections(const std::string& kind) {
   using S = Scenario;
   return std::tuple{Field{"mesh", &S::mesh, in(cdc)}, Field{"mesh3d", &S::mesh3d, in(cdc3d)},
                     Field{"sem", &S::sem, in(coupled)}, Field{"dpd", &S::dpd, in(coupled)},
+                    Field{"platelets", &S::platelets, in(coupled)},
                     Field{"flow_bc", &S::flow_bc, in(coupled)},
                     Field{"coupling", &S::coupling, in(coupled, Use::Required)},
                     Field{"sampler", &S::sampler, in(coupled)},
@@ -190,9 +202,27 @@ Scenario load_scenario_file(const std::string& path) {
 }
 
 namespace {
+
 void check(bool ok, const std::string& path, const std::string& what) {
   if (!ok) fail(path, what);
 }
+
+/// An integer the Runner narrows: counts to int, seeds to 32-bit unsigned.
+void check_int(std::int64_t v, std::int64_t lo, std::int64_t hi, const std::string& path) {
+  check(v >= lo && v <= hi, path,
+        "must be in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]");
+}
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr std::int64_t kSeedMax = 0xFFFFFFFF;
+
+/// [x0, x1, depth] with 0 <= x0 < x1 <= x_max and depth > 0.
+void check_cavity(const std::vector<double>& c, double x_max, const std::string& path) {
+  check(c.size() == 3, path, "expected [x0, x1, depth], got " + std::to_string(c.size()) +
+                                 " numbers");
+  check(c[0] >= 0 && c[1] > c[0] && c[1] <= x_max && c[2] > 0, path,
+        "need 0 <= x0 < x1 <= " + std::to_string(x_max) + " and depth > 0");
+}
+
 }  // namespace
 
 void validate_scenario(const Scenario& sc) {
@@ -202,39 +232,69 @@ void validate_scenario(const Scenario& sc) {
   if (sc.kind == "cdc" || sc.kind == "cdc3d") {
     const std::string max_order = "must be <= " + std::to_string(sem::kMaxOrder);
     if (sc.kind == "cdc") {
-      check(sc.mesh.length > 0 && sc.mesh.height > 0, "$.mesh", "non-positive extent");
-      check(sc.mesh.nx > 0 && sc.mesh.ny > 0, "$.mesh", "non-positive element count");
-      check(sc.mesh.order >= 1, "$.mesh.order", "must be >= 1");
-      check(sc.mesh.order <= sem::kMaxOrder, "$.mesh.order", max_order);
+      const auto& m = sc.mesh;
+      check(m.length > 0 && m.height > 0, "$.mesh", "non-positive extent");
+      check_int(m.nx, 1, kIntMax, "$.mesh.nx");
+      check_int(m.ny, 1, kIntMax, "$.mesh.ny");
+      check(m.order >= 1, "$.mesh.order", "must be >= 1");
+      check(m.order <= sem::kMaxOrder, "$.mesh.order", max_order);
+      if (!m.cavity.empty()) {
+        check_cavity(m.cavity, m.length, "$.mesh.cavity");
+        // the mesh rounds the depth to whole element rows of height / ny
+        check(m.cavity[2] / (m.height / static_cast<double>(m.ny)) <= kIntMax, "$.mesh.cavity",
+              "the depth spans more element rows than an int holds");
+      }
     } else {
-      check(sc.mesh3d.lx > 0 && sc.mesh3d.ly > 0 && sc.mesh3d.lz > 0, "$.mesh3d",
-            "non-positive extent");
-      check(sc.mesh3d.nx > 0 && sc.mesh3d.ny > 0 && sc.mesh3d.nz > 0, "$.mesh3d",
-            "non-positive element count");
-      check(sc.mesh3d.order >= 1, "$.mesh3d.order", "must be >= 1");
-      check(sc.mesh3d.order <= sem::kMaxOrder, "$.mesh3d.order", max_order);
+      const auto& m = sc.mesh3d;
+      check(m.lx > 0 && m.ly > 0 && m.lz > 0, "$.mesh3d", "non-positive extent");
+      check_int(m.nx, 1, kIntMax, "$.mesh3d.nx");
+      check_int(m.ny, 1, kIntMax, "$.mesh3d.ny");
+      check_int(m.nz, 1, kIntMax, "$.mesh3d.nz");
+      check(m.order >= 1, "$.mesh3d.order", "must be >= 1");
+      check(m.order <= sem::kMaxOrder, "$.mesh3d.order", max_order);
     }
     check(sc.sem.nu > 0, "$.sem.nu", "must be > 0");
     check(sc.sem.dt > 0, "$.sem.dt", "must be > 0");
     check(sc.sem.time_order == 1 || sc.sem.time_order == 2, "$.sem.time_order",
           "must be 1 or 2");
-    check(sc.dpd.box[0] > 0 && sc.dpd.box[1] > 0 && sc.dpd.box[2] > 0, "$.dpd.box",
-          "non-positive box");
+    check(sc.sem.inlet_pulse >= 0 && sc.sem.inlet_pulse <= 1, "$.sem.inlet_pulse",
+          "must be in [0, 1]");
+    const auto& box = sc.dpd.box;
+    check(box[0] > 0 && box[1] > 0 && box[2] > 0, "$.dpd.box", "non-positive box");
     check(sc.dpd.rc > 0, "$.dpd.rc", "must be > 0");
     check(sc.dpd.kBT >= 0, "$.dpd.kBT", "must be >= 0");
     check(sc.dpd.dt > 0, "$.dpd.dt", "must be > 0");
     check(sc.dpd.density > 0, "$.dpd.density", "must be > 0");
-    check(sc.dpd.geometry.kind == "none" || sc.dpd.geometry.kind == "channel_z",
-          "$.dpd.geometry.kind", "unknown geometry \"" + sc.dpd.geometry.kind +
-                                     "\" (known: none, channel_z)");
-    check(sc.flow_bc.axis >= 0 && sc.flow_bc.axis <= 2, "$.flow_bc.axis", "must be 0, 1 or 2");
+    check_int(sc.dpd.seed, 0, kSeedMax, "$.dpd.seed");
+    const auto& geom = sc.dpd.geometry;
+    const bool cavity_z = geom.kind == "channel_with_cavity_z";
+    check(geom.kind == "none" || geom.kind == "channel_z" || cavity_z, "$.dpd.geometry.kind",
+          "unknown geometry \"" + geom.kind +
+              "\" (known: none, channel_z, channel_with_cavity_z)");
+    if (cavity_z)
+      check_cavity(geom.cavity, box[0], "$.dpd.geometry.cavity");
+    else
+      check(geom.cavity.empty(), "$.dpd.geometry.cavity",
+            "only the channel_with_cavity_z geometry has a cavity");
+    const auto& pl = sc.platelets;
+    check_int(pl.count, 0, kIntMax, "$.platelets.count");
+    check(pl.trigger_distance >= 0, "$.platelets.trigger_distance", "must be >= 0");
+    check(pl.activation_delay >= 0, "$.platelets.activation_delay", "must be >= 0");
+    check(pl.bind_distance >= 0, "$.platelets.bind_distance", "must be >= 0");
+    const auto& fb = sc.flow_bc;
+    check(fb.axis >= 0 && fb.axis <= 2, "$.flow_bc.axis", "must be 0, 1 or 2");
+    check(fb.buffer_len > 0 && fb.buffer_len < box[static_cast<std::size_t>(fb.axis)],
+          "$.flow_bc.buffer_len", "must be in (0, dpd.box[axis])");
+    check(fb.density > 0, "$.flow_bc.density", "must be > 0");
+    check(fb.relax >= 0 && fb.relax <= 1, "$.flow_bc.relax", "must be in [0, 1]");
+    check_int(fb.seed, 0, kSeedMax, "$.flow_bc.seed");
     const auto& scales = sc.coupling.scales;
     check(scales.L_ns > 0, "$.coupling.scales.L_ns", "must be > 0");
     check(scales.L_dpd > 0, "$.coupling.scales.L_dpd", "must be > 0");
     check(scales.nu_ns > 0, "$.coupling.scales.nu_ns", "must be > 0");
     check(scales.nu_dpd > 0, "$.coupling.scales.nu_dpd", "must be > 0");
-    check(sc.coupling.exchange_every_ns > 0, "$.coupling.exchange_every_ns", "must be > 0");
-    check(sc.coupling.dpd_per_ns > 0, "$.coupling.dpd_per_ns", "must be > 0");
+    check_int(sc.coupling.exchange_every_ns, 1, kIntMax, "$.coupling.exchange_every_ns");
+    check_int(sc.coupling.dpd_per_ns, 1, kIntMax, "$.coupling.dpd_per_ns");
     const auto& r = sc.coupling.region;
     const std::size_t region_len = sc.kind == "cdc" ? 4 : 6;
     check(r.size() == region_len, "$.coupling.region",
@@ -242,8 +302,9 @@ void validate_scenario(const Scenario& sc) {
     for (std::size_t i = 0; i + 1 < r.size(); i += 2)
       check(r[i + 1] > r[i], "$.coupling.region",
             "degenerate region: need max > min on every axis");
-    check(sc.sampler.nx > 0 && sc.sampler.ny > 0 && sc.sampler.nz > 0, "$.sampler",
-          "non-positive bin count");
+    check_int(sc.sampler.nx, 1, kIntMax, "$.sampler.nx");
+    check_int(sc.sampler.ny, 1, kIntMax, "$.sampler.ny");
+    check_int(sc.sampler.nz, 1, kIntMax, "$.sampler.nz");
     check(sc.time.sample_from >= 0, "$.time.sample_from", "must be >= 0");
   } else if (sc.kind == "net1d") {
     check(!sc.network.vessels.empty(), "$.network.vessels", "at least one vessel required");
@@ -252,7 +313,8 @@ void validate_scenario(const Scenario& sc) {
       const auto& v = sc.network.vessels[i];
       const std::string p = "$.network.vessels[" + std::to_string(i) + "]";
       check(v.length > 0 && v.A0 > 0 && v.beta > 0 && v.rho > 0, p, "non-positive parameter");
-      check(v.elements >= 1 && v.order >= 1, p, "need elements >= 1 and order >= 1");
+      check(v.elements >= 1, p, "need elements >= 1");
+      check_int(v.order, 1, kIntMax, p + ".order");
     }
     const auto vessel_ok = [&](std::int64_t v) { return v >= 0 && v < nv; };
     for (std::size_t i = 0; i < sc.network.inlets.size(); ++i)

@@ -24,13 +24,15 @@ namespace scenario {
 
 inline constexpr std::int64_t kSchemaVersion = 1;
 
-/// 2D channel mesh (kind "cdc"): mesh::QuadMesh::channel + SEM order.
+/// 2D channel mesh (kind "cdc"): mesh::QuadMesh::channel + SEM order, or
+/// QuadMesh::channel_with_cavity when `cavity` is set.
 struct MeshSpec {
   double length = 4.0;
   double height = 1.0;
   std::int64_t nx = 8;
   std::int64_t ny = 2;
   std::int64_t order = 4;
+  std::vector<double> cavity;  ///< [x0, x1, depth] on the upper wall; empty: none
 };
 
 /// 3D box mesh (kind "cdc3d"): sem::Discretization3D.
@@ -48,12 +50,14 @@ struct SemSpec {
   double dt = 2e-3;
   std::int64_t time_order = 1;
   double inlet_umax = 1.0;
+  double inlet_pulse = 0.0;  ///< a in the inflow u_in (1 + a sin(2 pi t / 0.8))
 };
 
-/// DPD wall geometry (SDF). Kinds: "none", "channel_z".
+/// DPD wall geometry (SDF). Kinds: "none", "channel_z", "channel_with_cavity_z".
 struct DpdGeometrySpec {
   std::string kind = "channel_z";
-  double height = 10.0;  ///< channel_z: fluid for 0 < z < height
+  double height = 10.0;  ///< fluid for 0 < z < height
+  std::vector<double> cavity;  ///< channel_with_cavity_z: [x0, x1, depth] above
 };
 
 /// DPD region: box, thermodynamic state and initial fill.
@@ -67,6 +71,15 @@ struct DpdSpec {
   std::int64_t seed = 7;
   double fill_margin = 0.1;
   DpdGeometrySpec geometry;
+};
+
+/// Platelets seeded into the DPD box (Pivkin et al. aggregation model). The
+/// adhesive wall is the cavity: everything above z = dpd.geometry.height.
+struct PlateletSpec {
+  std::int64_t count = 0;  ///< 0: no platelet model
+  double trigger_distance = 1.0;
+  double activation_delay = 2.0;
+  double bind_distance = 0.6;
 };
 
 /// Inflow/outflow flux BC (Lei-Fedosov-Karniadakis).
@@ -175,6 +188,7 @@ struct Scenario {
   Mesh3dSpec mesh3d;
   SemSpec sem;
   DpdSpec dpd;
+  PlateletSpec platelets;
   FlowBcSpec flow_bc;
   CouplingSpec coupling;
   SamplerSpec sampler;

@@ -36,23 +36,15 @@ enum class LeftoverPolicy : std::uint8_t { Error, Warn, Off };
 
 struct CheckOptions {
   /// Master switch. With enabled == false a checked build behaves (and
-  /// costs) like an unchecked one apart from a few dead branches.
+  /// costs) like an unchecked one apart from a few dead branches. An enabled
+  /// run always verifies collective matching and rank affinity and keeps
+  /// the wait-for graph that aborts on a verified deadlock cycle.
   bool enabled = false;
-
-  /// Verify that all ranks of a communicator issue the same collective
-  /// sequence (kind / element size / root / reduce op / shape).
-  bool verify_collectives = true;
-
-  /// Enforce that every Comm is used only by the rank it was created for
-  /// (the documented affinity contract).
-  bool enforce_affinity = true;
-
-  /// Maintain the wait-for graph and abort on a verified cycle.
-  bool detect_deadlock = true;
 
   /// Abort when any rank has been blocked longer than this, dumping every
   /// rank's blocked operation. Generous by default: a long block behind a
-  /// slow peer is legal; a cycle is caught much earlier by detect_deadlock.
+  /// slow peer is legal; a cycle is caught much earlier by the wait-for
+  /// graph.
   std::chrono::milliseconds stall_timeout{30000};
 
   /// Watchdog sampling period (deadlock cycles are confirmed over two

@@ -57,7 +57,6 @@ Checker::~Checker() { stop_watchdog(); }
 // ---- rank affinity ----------------------------------------------------------
 
 void Checker::check_affinity(const Group& g, int local_rank, const char* op) const {
-  if (!opts_.enforce_affinity) return;
   // Identity comes from the scheduler's rank context, never from the OS
   // thread: a rank legally migrates between worker threads, and a thread-id
   // comparison would fire falsely. A helper thread spawned by user code has
@@ -77,7 +76,6 @@ void Checker::check_affinity(const Group& g, int local_rank, const char* op) con
 // ---- collective matching ----------------------------------------------------
 
 void Checker::verify_collective(Group& g, const std::vector<CollDesc>& descs, std::uint64_t seq) {
-  if (!opts_.verify_collectives) return;
   // Modal descriptor: the shape most ranks agree on; deviants are offenders.
   std::size_t best = 0, best_votes = 0;
   for (std::size_t i = 0; i < descs.size(); ++i) {
@@ -240,7 +238,6 @@ std::string Checker::dump_all_blocked(std::chrono::steady_clock::time_point now)
 // ---- watchdog ---------------------------------------------------------------
 
 void Checker::start_watchdog() {
-  if (!opts_.detect_deadlock && opts_.stall_timeout.count() <= 0) return;
   watchdog_ = std::thread([this] { watchdog_main(); });
 }
 
@@ -298,8 +295,6 @@ void Checker::poll_once() {
       }
     }
   }
-
-  if (!opts_.detect_deadlock) return;
 
   // Wait-for edges. A specific-source recv waits on exactly one rank; a rank
   // parked in a collective waits on every group member that has not arrived

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -19,6 +20,7 @@
 #include "coupling/cdc.hpp"
 #include "dpd/geometry.hpp"
 #include "dpd/inflow.hpp"
+#include "dpd/platelets.hpp"
 #include "dpd/sampling.hpp"
 #include "dpd/system.hpp"
 #include "io/json_escape.hpp"
@@ -333,6 +335,85 @@ TEST(SchemaTest, OutOfRangeIntegerIsADiagnostic) {
   }
 }
 
+/// Set `path` of `preset`'s document to the JSON `value` and expect
+/// parse_scenario to reject it with a diagnostic naming the path.
+void expect_rejected(const Scenario& preset, const std::string& path,
+                     const std::string& value) {
+  Json doc = Json::parse(scenario::scenario_to_json(preset));
+  scenario::require_path(doc, path) = Json::parse(value);
+  try {
+    scenario::parse_scenario(doc);
+    ADD_FAILURE() << path << " = " << value << ": accepted";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("$." + path + ": "), std::string::npos)
+        << path << " = " << value << ": " << e.what();
+  }
+}
+
+TEST(Scenario, RejectsValuesTheRunnerCannotRepresent) {
+  // Counts the Runner narrows to int used to wrap (nx = 2^32+1 ran one
+  // element, exchange_every_ns = 2^32 ran no NS step), 32-bit seeds wrapped
+  // (2^32+7 ran as seed 7), a negative buffer reached an undefined cast and
+  // a buffer longer than the box never finished, and a density <= 0 or a
+  // relaxation outside [0, 1] inserted nothing or overshot.
+  const Scenario quickstart = scenario::quickstart_preset();
+  const std::pair<const char*, const char*> cases[] = {
+      {"mesh.nx", "4294967297"},
+      {"mesh.ny", "4294967297"},
+      {"coupling.exchange_every_ns", "4294967296"},
+      {"coupling.dpd_per_ns", "4294967296"},
+      {"sampler.nx", "4294967297"},
+      {"sampler.ny", "4294967297"},
+      {"sampler.nz", "4294967297"},
+      {"dpd.seed", "4294967303"},
+      {"dpd.seed", "-1"},
+      {"flow_bc.seed", "4294967296"},
+      {"flow_bc.buffer_len", "-1"},
+      {"flow_bc.buffer_len", "0"},
+      {"flow_bc.buffer_len", "1000"},
+      {"flow_bc.density", "0"},
+      {"flow_bc.density", "-3"},
+      {"flow_bc.relax", "-0.1"},
+      {"flow_bc.relax", "1.5"},
+  };
+  for (const auto& [path, value] : cases) expect_rejected(quickstart, path, value);
+  for (const char* axis : {"nx", "ny", "nz"})
+    expect_rejected(scenario::coupled3d_preset(), std::string("mesh3d.") + axis, "4294967297");
+  Scenario net = tiny_net1d();
+  net.network.vessels[0].order = 4294967297;
+  try {
+    scenario::validate_scenario(net);
+    ADD_FAILURE() << "vessel order 2^32+1 accepted";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("$.network.vessels[0].order: "), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SchemaTest, CavityPulseAndPlateletKeysAreValidated) {
+  const Scenario aneurysm = scenario::aneurysm_preset();
+  const std::pair<const char*, const char*> cases[] = {
+      {"mesh.cavity", "[3, 5]"},
+      {"mesh.cavity", "[5, 3, 1]"},
+      {"mesh.cavity", "[3, 5, 0]"},
+      {"mesh.cavity", "[3, 9, 1]"},
+      {"mesh.cavity", "[3, 5, 1e300]"},
+      {"sem.inlet_pulse", "-0.1"},
+      {"sem.inlet_pulse", "1.5"},
+      {"dpd.geometry.kind", "\"sphere\""},
+      {"dpd.geometry.cavity", "[]"},
+      {"dpd.geometry.cavity", "[14, 6, 5]"},
+      {"platelets.count", "-1"},
+      {"platelets.count", "4294967296"},
+      {"platelets.trigger_distance", "-1"},
+      {"platelets.activation_delay", "-1"},
+      {"platelets.bind_distance", "-1"},
+  };
+  for (const auto& [path, value] : cases) expect_rejected(aneurysm, path, value);
+  // a cavity on a geometry that has none would be ignored: reject it
+  expect_rejected(scenario::quickstart_preset(), "dpd.geometry.cavity", "[6, 14, 5]");
+}
+
 TEST(SchemaTest, MeshOrderAboveCapCarriesJsonPath) {
   // an order the point evaluator's stack bases cannot hold is a scenario
   // diagnostic, not an exception from inside the discretization
@@ -381,8 +462,8 @@ TEST(SchemaTest, LoadScenarioFilePrefixesPath) {
 // --- schema: bitwise re-emit ----------------------------------------------
 
 TEST(SchemaTest, BitwiseReEmit) {
-  for (const Scenario& sc :
-       {scenario::quickstart_preset(), scenario::coupled3d_preset(), tiny_net1d()}) {
+  for (const Scenario& sc : {scenario::quickstart_preset(), scenario::coupled3d_preset(),
+                             scenario::aneurysm_preset(), tiny_net1d()}) {
     const std::string text = scenario::scenario_to_json(sc);
     const Scenario back = scenario::parse_scenario_text(text);
     EXPECT_EQ(scenario::scenario_to_json(back), text) << sc.name;
@@ -402,10 +483,12 @@ TEST(SchemaTest, EveryKeyLandsInItsNamedMember) {
   // still round-trip; only a member-by-name check catches them. Every value
   // is valid, differs from its default and from its siblings.
   const std::string coupled_sections = R"(
-    "sem": {"nu": 0.07, "dt": 0.003, "time_order": 2, "inlet_umax": 1.5},
+    "sem": {"nu": 0.07, "dt": 0.003, "time_order": 2, "inlet_umax": 1.5, "inlet_pulse": 0.25},
     "dpd": {"box": [11, 12, 13], "periodic": [true, false, true], "rc": 1.1, "kBT": 0.9,
             "dt": 0.02, "density": 4, "seed": 17, "fill_margin": 0.2,
-            "geometry": {"kind": "none", "height": 9}},
+            "geometry": {"kind": "channel_with_cavity_z", "height": 9, "cavity": [2, 4, 1.5]}},
+    "platelets": {"count": 7, "trigger_distance": 1.3, "activation_delay": 2.5,
+                  "bind_distance": 0.7},
     "flow_bc": {"axis": 1, "buffer_len": 2.5, "density": 3.5, "relax": 0.4, "seed": 98},
     "sampler": {"nx": 2, "ny": 3, "nz": 6},
     "time": {"intervals": 21, "develop_steps": 301, "develop_tol": 1e-6, "sample_from": 13},
@@ -415,7 +498,8 @@ TEST(SchemaTest, EveryKeyLandsInItsNamedMember) {
 
   const Scenario cdc = scenario::parse_scenario_text(
       R"({"version": 1, "name": "cdc-keys", "kind": "cdc",
-          "mesh": {"length": 5, "height": 2, "nx": 3, "ny": 7, "order": 6},)" +
+          "mesh": {"length": 5, "height": 2, "nx": 3, "ny": 7, "order": 6,
+                   "cavity": [1, 3, 0.5]},)" +
       coupled_sections + R"( "region": [1, 2, 0.2, 0.8]}})");
   EXPECT_EQ(cdc.name, "cdc-keys");
   EXPECT_EQ(cdc.mesh.length, 5.0);
@@ -423,10 +507,12 @@ TEST(SchemaTest, EveryKeyLandsInItsNamedMember) {
   EXPECT_EQ(cdc.mesh.nx, 3);
   EXPECT_EQ(cdc.mesh.ny, 7);
   EXPECT_EQ(cdc.mesh.order, 6);
+  EXPECT_EQ(cdc.mesh.cavity, (std::vector<double>{1, 3, 0.5}));
   EXPECT_EQ(cdc.sem.nu, 0.07);
   EXPECT_EQ(cdc.sem.dt, 0.003);
   EXPECT_EQ(cdc.sem.time_order, 2);
   EXPECT_EQ(cdc.sem.inlet_umax, 1.5);
+  EXPECT_EQ(cdc.sem.inlet_pulse, 0.25);
   EXPECT_EQ(cdc.dpd.box, (std::array<double, 3>{11, 12, 13}));
   EXPECT_EQ(cdc.dpd.periodic, (std::array<bool, 3>{true, false, true}));
   EXPECT_EQ(cdc.dpd.rc, 1.1);
@@ -435,8 +521,13 @@ TEST(SchemaTest, EveryKeyLandsInItsNamedMember) {
   EXPECT_EQ(cdc.dpd.density, 4.0);
   EXPECT_EQ(cdc.dpd.seed, 17);
   EXPECT_EQ(cdc.dpd.fill_margin, 0.2);
-  EXPECT_EQ(cdc.dpd.geometry.kind, "none");
+  EXPECT_EQ(cdc.dpd.geometry.kind, "channel_with_cavity_z");
   EXPECT_EQ(cdc.dpd.geometry.height, 9.0);
+  EXPECT_EQ(cdc.dpd.geometry.cavity, (std::vector<double>{2, 4, 1.5}));
+  EXPECT_EQ(cdc.platelets.count, 7);
+  EXPECT_EQ(cdc.platelets.trigger_distance, 1.3);
+  EXPECT_EQ(cdc.platelets.activation_delay, 2.5);
+  EXPECT_EQ(cdc.platelets.bind_distance, 0.7);
   EXPECT_EQ(cdc.flow_bc.axis, 1);
   EXPECT_EQ(cdc.flow_bc.buffer_len, 2.5);
   EXPECT_EQ(cdc.flow_bc.density, 3.5);
@@ -674,6 +765,10 @@ TEST(Scenario, PresetDigestsArePinned) {
   RunnerOptions c;
   c.intervals = 8;
   EXPECT_EQ(Runner(scenario::coupled3d_preset(), c).run().digest, 0x3e7a5628u);
+  // Fig. 10's stack: cavity mesh (Jacobi CG), cavity DPD box, platelets
+  RunnerOptions a;
+  a.intervals = 4;
+  EXPECT_EQ(Runner(scenario::aneurysm_preset(), a).run().digest, 0x8827df5au);
 }
 
 TEST(RunnerTest, Net1dDeterministicDigest) {
@@ -726,6 +821,45 @@ TEST(RunnerTest, SharedTablesReuseDiscretization) {
   EXPECT_EQ(a.digest, b.digest);  // sharing tables must not change results
   EXPECT_EQ(tables.misses(), 1u);
   EXPECT_EQ(tables.hits(), 1u);
+}
+
+TEST(RunnerTest, SharedTablesKeyOnTheCavity) {
+  scenario::SharedTables tables;
+  const scenario::MeshSpec cavity = scenario::aneurysm_preset().mesh;
+  scenario::MeshSpec straight = cavity;
+  straight.cavity.clear();
+  const auto a = tables.quad(cavity);
+  const auto b = tables.quad(straight);
+  EXPECT_NE(a, b);
+  EXPECT_GT(a->num_nodes(), b->num_nodes());
+  EXPECT_EQ(tables.misses(), 2u);
+  EXPECT_EQ(tables.hits(), 0u);
+}
+
+// A checkpoint taken after platelets have triggered (trigger times, states,
+// frozen arrests) resumes to the uninterrupted run's digest: the end-to-end
+// gate on PlateletModel checkpointing.
+TEST(RunnerTest, PlateletRestartEqualsUninterrupted) {
+  Scenario sc = scenario::aneurysm_preset();
+  sc.platelets.activation_delay = 0.5;
+  sc.time.develop_steps = 10;
+  sc.time.intervals = 4;
+  sc.checkpoint.every = 2;
+  sc.checkpoint.dir = testing::TempDir() + "/nektarg-scenario-platelets";
+  std::filesystem::remove_all(sc.checkpoint.dir);
+  const auto full = Runner(sc).run();
+
+  RunnerOptions ro;
+  ro.restart_dir = sc.checkpoint.dir + "/step-2";
+  Runner probe(sc, ro);
+  probe.build();
+  const auto& pl = probe.platelets();
+  EXPECT_GT(pl.total() - pl.count(dpd::PlateletState::Passive), 0u)
+      << "no platelet had triggered by the checkpoint";
+  const auto resumed = Runner(sc, ro).run();
+  EXPECT_TRUE(resumed.restarted);
+  EXPECT_EQ(resumed.intervals_run, 2u);
+  EXPECT_EQ(resumed.digest, full.digest);
 }
 
 // --- warm starts -----------------------------------------------------------

@@ -12,6 +12,10 @@ namespace dpd::exchange {
 
 namespace {
 
+/// rebalance() moves the cut planes once the max owned count exceeds this
+/// multiple of the mean.
+constexpr double kRebalanceThreshold = 1.2;
+
 std::uint64_t fnv1a_mix(std::uint64_t h, std::uint64_t v) {
   for (int b = 0; b < 8; ++b) {
     h ^= (v >> (8 * b)) & 0xFFu;
@@ -164,7 +168,7 @@ bool DistributedDpd::rebalance() {
   const auto mine = static_cast<double>(sys_.owned_count());
   const double maxc = comm_.allreduce(mine, xmp::Op::Max);
   const double mean = comm_.allreduce(mine, xmp::Op::Sum) / comm_.size();
-  if (mean <= 0.0 || maxc <= opt_.rebalance_threshold * mean) return false;
+  if (mean <= 0.0 || maxc <= kRebalanceThreshold * mean) return false;
 
   // Per-axis marginal histograms of owned positions; the allreduce
   // replicates them, so every rank derives identical cut planes.

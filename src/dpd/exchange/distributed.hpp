@@ -50,13 +50,10 @@ struct DistOptions {
   /// docs/PERF.md "Overlapped halos").
   bool overlap = false;
   /// When > 0, every Nth refresh measures owned-count imbalance and — above
-  /// rebalance_threshold — shifts the decomposition's cut planes toward
-  /// equal counts (Decomposition::rebalance) followed by a full rebuild.
+  /// 1.2 max/mean — shifts the decomposition's cut planes toward equal
+  /// counts (Decomposition::rebalance) followed by a full rebuild.
   /// Trajectory-neutral, like any forced rebuild.
   int rebalance_every = 0;
-  /// Trigger rebalancing when max owned count exceeds this multiple of the
-  /// mean.
-  double rebalance_threshold = 1.2;
 };
 
 /// Bitwise trajectory digest (FNV-1a over gid-sorted owned gid/pos/vel) of
@@ -81,11 +78,11 @@ public:
   void finish_refresh(DpdSystem& sys) override;
 
   /// Measure owned-count imbalance (max/mean over ranks, allreduced) and,
-  /// above options().rebalance_threshold, move the decomposition's cut
-  /// planes toward equal per-slab counts and migrate ownership to the new
-  /// layout. Collective; returns true when the layout changed (the halo and
-  /// plans are then freshly rebuilt). Called automatically every
-  /// rebalance_every refreshes when that option is set.
+  /// above 1.2, move the decomposition's cut planes toward equal per-slab
+  /// counts and migrate ownership to the new layout. Collective; returns
+  /// true when the layout changed (the halo and plans are then freshly
+  /// rebuilt). Called automatically every rebalance_every refreshes when
+  /// that option is set.
   bool rebalance();
 
   const Decomposition& decomposition() const { return decomp_; }

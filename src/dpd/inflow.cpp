@@ -9,6 +9,11 @@
 namespace dpd {
 
 namespace {
+/// Insertion stops while the whole-domain density exceeds this multiple of
+/// the target (the buffer top-up must not over-pressurise the box before the
+/// outflow has equilibrated).
+constexpr double kMaxDensityFactor = 1.05;
+
 double axis_of(const Vec3& v, int axis) { return axis == 0 ? v.x : axis == 1 ? v.y : v.z; }
 }  // namespace
 
@@ -68,7 +73,7 @@ void FlowBc::apply(DpdSystem& sys) {
                     static_cast<double>(probes);
   }
   const double global_density = static_cast<double>(sys.size()) / fluid_volume_;
-  if (global_density > prm_.max_density_factor * prm_.density) return;
+  if (global_density > kMaxDensityFactor * prm_.density) return;
 
   const auto target = static_cast<std::size_t>(prm_.density * prm_.buffer_len * area_like);
   std::uniform_real_distribution<double> u01(0.0, 1.0);

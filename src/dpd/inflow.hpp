@@ -17,14 +17,10 @@ struct FlowBcParams {
   double buffer_len = 2.0;  ///< inflow buffer thickness (in rc units)
   double density = 3.0;     ///< target number density in the buffer
   double relax = 0.2;       ///< per-step velocity relaxation factor in the buffer
-  /// Insertion stops while the whole-domain density exceeds this multiple of
-  /// `density` (prevents the buffer top-up from over-pressurising the box
-  /// before the outflow has equilibrated).
-  double max_density_factor = 1.05;
   unsigned seed = 99;
   /// Imposed velocity at a point (evaluated in the buffer and at insertion).
   // analyze: std-function-ok (coupling callback, evaluated per particle not per pair)
-  std::function<Vec3(const Vec3&)> target_velocity;
+  std::function<Vec3(const Vec3&)> target_velocity{};
 };
 
 class FlowBc {

@@ -15,11 +15,9 @@ FieldSampler::FieldSampler(const DpdSystem& sys, SamplerParams p)
 void FieldSampler::accumulate(const DpdSystem& sys) {
   const auto& pos = sys.positions();
   const auto& vel = sys.velocities();
-  const auto& sp = sys.species();
   const auto& ghost = sys.ghost_mask();
   for (std::size_t i = 0; i < sys.size(); ++i) {
     if (ghost[i]) continue;  // owners accumulate; ghosts would double-count
-    if (!prm_.all_species && sp[i] != prm_.only_species) continue;
     const int bx = std::clamp(static_cast<int>(pos[i].x / box_.x * prm_.nx), 0, prm_.nx - 1);
     const int by = std::clamp(static_cast<int>(pos[i].y / box_.y * prm_.ny), 0, prm_.ny - 1);
     const int bz = std::clamp(static_cast<int>(pos[i].z / box_.z * prm_.nz), 0, prm_.nz - 1);

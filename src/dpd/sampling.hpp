@@ -15,8 +15,6 @@ namespace dpd {
 struct SamplerParams {
   int nx = 8, ny = 8, nz = 8;  ///< bin grid over the box
   int component = 0;           ///< velocity component sampled: 0=x, 1=y, 2=z
-  Species only_species = kSolvent;
-  bool all_species = true;
 };
 
 /// Accumulates per-bin mean velocity over a window of steps.

@@ -254,19 +254,6 @@ public:
     nlist_.for_each(pos_, std::forward<Fn>(fn));
   }
 
-  /// Direct O(N^2) pair enumeration — the reference the fast paths are
-  /// validated against in tests/neighbor_test.cpp.
-  template <class Fn>
-  void for_each_pair_direct(Fn&& fn) const {
-    const double rc2 = prm_.rc * prm_.rc;
-    for (std::size_t i = 0; i < pos_.size(); ++i)
-      for (std::size_t j = i + 1; j < pos_.size(); ++j) {
-        const Vec3 dr = min_image(pos_[i], pos_[j]);
-        const double r2 = dr.norm2();
-        if (r2 < rc2 && r2 > 1e-20) fn(i, j, dr, std::sqrt(r2));
-      }
-  }
-
   /// Bring the Verlet list and its cell grid up to date with the current
   /// positions (no-op while the skin criterion holds).
   void ensure_neighbors() { nlist_.ensure(pos_); }

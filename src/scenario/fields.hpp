@@ -1,8 +1,10 @@
 #pragma once
 // One key list per schema struct, and the one strict reader and one writer
 // that walk it. A struct opts in with an overload `fields(const S*)`, found
-// by argument-dependent lookup, returning a std::tuple of Field entries in
-// document order. from_json reads *into* an existing value, so whatever the
+// by argument-dependent lookup (so it lives in S's own namespace),
+// returning a std::tuple of Field entries in document order. An integral
+// member is read within its own type's range, so the member's type is its
+// range check. from_json reads *into* an existing value, so whatever the
 // struct's member initialisers set stays the default for an absent key;
 // to_json emits the same keys in the same order, so parse + serialize is a
 // fixed point.
@@ -11,6 +13,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -126,16 +129,22 @@ void from_json(const Json& v, const std::string& path, T& out) {
   if constexpr (std::is_same_v<T, double>) {
     if (!v.is_number()) fail(path, mismatch("number", v));
     out = v.as_number();
-  } else if constexpr (std::is_same_v<T, std::int64_t>) {
-    if (!v.is_number()) fail(path, mismatch("number", v));
-    // Range first: the cast is undefined for values std::int64_t cannot hold.
-    const double d = v.as_number();
-    if (!(std::abs(d) <= 0x1p53) || std::trunc(d) != d)
-      fail(path, "expected integer, got " + std::to_string(d));
-    out = static_cast<std::int64_t>(d);
   } else if constexpr (std::is_same_v<T, bool>) {
     if (!v.is_bool()) fail(path, mismatch("bool", v));
     out = v.as_bool();
+  } else if constexpr (std::is_integral_v<T>) {
+    // The member's type is the range: a value it cannot hold is a
+    // diagnostic, never a wrapped or undefined cast.
+    if (!v.is_number()) fail(path, mismatch("number", v));
+    const double d = v.as_number();
+    if (!(std::abs(d) <= 0x1p53) || std::trunc(d) != d)
+      fail(path, "expected integer, got " + std::to_string(d));
+    using Lim = std::numeric_limits<T>;
+    const auto i = static_cast<std::int64_t>(d);
+    if (std::cmp_less(i, Lim::min()) || std::cmp_greater(i, Lim::max()))
+      fail(path, "must be in [" + std::to_string(Lim::min()) + ", " +
+                     std::to_string(Lim::max()) + "]");
+    out = static_cast<T>(i);
   } else if constexpr (std::is_same_v<T, std::string>) {
     if (!v.is_string()) fail(path, mismatch("string", v));
     out = v.as_string();
@@ -162,7 +171,9 @@ void from_json(const Json& v, const std::string& path, T& out) {
 
 template <class T>
 Json to_json(const T& x) {
-  if constexpr (std::is_arithmetic_v<T> || std::is_same_v<T, std::string>) {
+  if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
+    return Json(static_cast<double>(x));  // Json has no unsigned constructor
+  } else if constexpr (std::is_arithmetic_v<T> || std::is_same_v<T, std::string>) {
     return Json(x);
   } else if constexpr (is_std_array<T> || is_vector<T>) {
     Json a = Json::array();

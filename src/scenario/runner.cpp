@@ -15,9 +15,8 @@ namespace {
 
 std::string mesh_signature(const MeshSpec& m) {
   char buf[160];
-  std::snprintf(buf, sizeof buf, "quad|L=%.17g|H=%.17g|nx=%lld|ny=%lld|P=%lld", m.length,
-                m.height, static_cast<long long>(m.nx), static_cast<long long>(m.ny),
-                static_cast<long long>(m.order));
+  std::snprintf(buf, sizeof buf, "quad|L=%.17g|H=%.17g|nx=%d|ny=%d|P=%d", m.length, m.height,
+                m.nx, m.ny, m.order);
   std::string sig = buf;
   for (double c : m.cavity) {  // a cavity mesh never shares a straight one's tables
     std::snprintf(buf, sizeof buf, "|cavity=%.17g", c);
@@ -28,25 +27,22 @@ std::string mesh_signature(const MeshSpec& m) {
 
 std::string mesh_signature(const Mesh3dSpec& m) {
   char buf[200];
-  std::snprintf(buf, sizeof buf, "hex|Lx=%.17g|Ly=%.17g|Lz=%.17g|nx=%lld|ny=%lld|nz=%lld|P=%lld",
-                m.lx, m.ly, m.lz, static_cast<long long>(m.nx), static_cast<long long>(m.ny),
-                static_cast<long long>(m.nz), static_cast<long long>(m.order));
+  std::snprintf(buf, sizeof buf, "hex|Lx=%.17g|Ly=%.17g|Lz=%.17g|nx=%d|ny=%d|nz=%d|P=%d", m.lx,
+                m.ly, m.lz, m.nx, m.ny, m.nz, m.order);
   return buf;
 }
 
 std::shared_ptr<const sem::Discretization> make_disc(const MeshSpec& m) {
-  const auto nx = static_cast<int>(m.nx), ny = static_cast<int>(m.ny);
   const auto& c = m.cavity;
-  auto mesh = c.empty() ? mesh::QuadMesh::channel(m.length, m.height, nx, ny)
+  auto mesh = c.empty() ? mesh::QuadMesh::channel(m.length, m.height, m.nx, m.ny)
                         : mesh::QuadMesh::channel_with_cavity(m.length, m.height, c[0], c[1],
-                                                              c[2], nx, ny);
-  return std::make_shared<const sem::Discretization>(mesh, static_cast<int>(m.order));
+                                                              c[2], m.nx, m.ny);
+  return std::make_shared<const sem::Discretization>(mesh, m.order);
 }
 
 std::shared_ptr<const sem::Discretization3D> make_disc(const Mesh3dSpec& m) {
-  return std::make_shared<const sem::Discretization3D>(
-      m.lx, m.ly, m.lz, static_cast<int>(m.nx), static_cast<int>(m.ny), static_cast<int>(m.nz),
-      static_cast<int>(m.order));
+  return std::make_shared<const sem::Discretization3D>(m.lx, m.ly, m.lz, m.nx, m.ny, m.nz,
+                                                       m.order);
 }
 
 // Every platelet run seeds with this seed and arrests below this speed.
@@ -175,8 +171,8 @@ std::string Runner::checkpoint_dir() const {
 std::string Runner::warm_signature() const {
   if (sc_.kind == "net1d") return "net1d";
   char buf[120];
-  std::snprintf(buf, sizeof buf, "|nu=%.17g|dt=%.17g|to=%lld", sc_.sem.nu, sc_.sem.dt,
-                static_cast<long long>(sc_.sem.time_order));
+  std::snprintf(buf, sizeof buf, "|nu=%.17g|dt=%.17g|to=%d", sc_.sem.nu, sc_.sem.dt,
+                sc_.sem.time_order);
   return (sc_.kind == "cdc" ? mesh_signature(sc_.mesh) : mesh_signature(sc_.mesh3d)) + buf;
 }
 
@@ -331,7 +327,7 @@ void Runner::build_coupled(Continuum<NS>& c) {
   typename NS::Params prm;
   prm.nu = sc_.sem.nu;
   prm.dt = sc_.sem.dt;
-  prm.time_order = static_cast<int>(sc_.sem.time_order);
+  prm.time_order = sc_.sem.time_order;
   c.ns = std::make_unique<NS>(*c.disc, prm);
   Dim<NS>::set_inlet(*c.ns, sc_);
   if (!restarting) {
@@ -358,8 +354,7 @@ void Runner::build_coupled(Continuum<NS>& c) {
     geom = std::make_shared<dpd::NoWalls>();
   dpd_ = std::make_unique<dpd::DpdSystem>(dp, geom);
   if (!restarting)
-    dpd_->fill(sc_.dpd.density, dpd::kSolvent, static_cast<unsigned>(sc_.dpd.seed),
-               sc_.dpd.fill_margin);
+    dpd_->fill(sc_.dpd.density, dpd::kSolvent, sc_.dpd.seed, sc_.dpd.fill_margin);
   if (sc_.platelets.count > 0) {
     // the damaged endothelium is the cavity wall, above the channel roof
     platelets_ = std::make_shared<dpd::PlateletModel>(dpd::PlateletParams{
@@ -376,31 +371,17 @@ void Runner::build_coupled(Continuum<NS>& c) {
   if (!restarting && opts_.verbose)
     std::printf("atomistic: %zu DPD particles\n\n", dpd_->size());
 
-  dpd::FlowBcParams fp;
-  fp.axis = static_cast<int>(sc_.flow_bc.axis);
-  fp.buffer_len = sc_.flow_bc.buffer_len;
-  fp.density = sc_.flow_bc.density;
-  fp.relax = sc_.flow_bc.relax;
-  fp.seed = static_cast<unsigned>(sc_.flow_bc.seed);
-  bc_ = std::make_unique<dpd::FlowBc>(fp);
+  bc_ = std::make_unique<dpd::FlowBc>(sc_.flow_bc);
 
   // --- 3. glue: Eq. (1) scaling + Fig. 5 time progression ---
-  scales_.L_ns = sc_.coupling.scales.L_ns;
-  scales_.L_dpd = sc_.coupling.scales.L_dpd;
-  scales_.nu_ns = sc_.coupling.scales.nu_ns;
-  scales_.nu_dpd = sc_.coupling.scales.nu_dpd;
   coupling::TimeProgression tp;
   tp.dt_ns = sc_.sem.dt;
-  tp.exchange_every_ns = static_cast<int>(sc_.coupling.exchange_every_ns);
-  tp.dpd_per_ns = static_cast<int>(sc_.coupling.dpd_per_ns);
+  tp.exchange_every_ns = sc_.coupling.exchange_every_ns;
+  tp.dpd_per_ns = sc_.coupling.dpd_per_ns;
   c.cdc = std::make_unique<coupling::BasicContinuumDpdCoupler<NS>>(
-      *c.ns, *dpd_, *bc_, Dim<NS>::region(sc_.coupling.region), scales_, tp);
+      *c.ns, *dpd_, *bc_, Dim<NS>::region(sc_.coupling.region), sc_.coupling.scales, tp);
 
-  dpd::SamplerParams sp;
-  sp.nx = static_cast<int>(sc_.sampler.nx);
-  sp.ny = static_cast<int>(sc_.sampler.ny);
-  sp.nz = static_cast<int>(sc_.sampler.nz);
-  sampler_ = std::make_unique<dpd::FieldSampler>(*dpd_, sp);
+  sampler_ = std::make_unique<dpd::FieldSampler>(*dpd_, sc_.sampler);
 
   // stream names: the solver's phase prefix (ns2d, ns3d) and the scenario
   // kind (cdc, cdc3d)
@@ -422,23 +403,22 @@ void Runner::build_net1d() {
     p.beta = vs.beta;
     p.rho = vs.rho;
     p.Kr = vs.Kr;
-    p.elements = static_cast<std::size_t>(vs.elements);
-    p.order = static_cast<int>(vs.order);
+    p.elements = vs.elements;
+    p.order = vs.order;
     net_->add_vessel(p);
   }
   for (const auto& in : sc_.network.inlets) {
     const double q_mean = in.q_mean, q_amp = in.q_amp, freq = in.freq;
-    net_->set_inlet_flow(static_cast<int>(in.vessel), [q_mean, q_amp, freq](double t) {
+    net_->set_inlet_flow(in.vessel, [q_mean, q_amp, freq](double t) {
       return q_mean + q_amp * std::sin(2.0 * M_PI * freq * t);
     });
   }
   for (const auto& out : sc_.network.outlets)
-    net_->set_outlet_rcr(static_cast<int>(out.vessel), out.rp, out.rd, out.c);
+    net_->set_outlet_rcr(out.vessel, out.rp, out.rd, out.c);
   for (const auto& j : sc_.network.junctions) {
     std::vector<nektar1d::Attachment> atts;
     for (const auto& a : j)
-      atts.push_back({static_cast<int>(a.vessel),
-                      a.end == "left" ? nektar1d::End::Left : nektar1d::End::Right});
+      atts.push_back({a.vessel, a.end == "left" ? nektar1d::End::Left : nektar1d::End::Right});
     net_->add_junction(std::move(atts));
   }
   if (opts_.verbose)

@@ -5,6 +5,9 @@
 // coupled figures and the aneurysm examples call build(), then advance() in
 // blocks, reading the run in between. A Runner built from a preset
 // reproduces the hand-written stack bit-for-bit (STATE_DIGEST equality).
+// The Scenario already holds the solvers' parameter structs (ScaleMap,
+// FlowBcParams, SamplerParams) and every integer in its solver's type, so
+// the Runner hands each value on as it is: no copies, no narrowing casts.
 //
 // Runners are also the unit of work of the EnsembleEngine (ensemble.hpp):
 // they accept shared discretization tables (cross-variant redundancy),
@@ -107,7 +110,7 @@ class Runner {
   // and the scenario kind when this run built no such component.
   std::size_t sem_nodes() const;
   std::size_t exchanges() const;
-  const coupling::ScaleMap& scales() const { return scales_; }
+  const coupling::ScaleMap& scales() const { return sc_.coupling.scales; }
   dpd::FieldSampler& sampler();
   dpd::DpdSystem& dpd();
   dpd::FlowBc& flow_bc();
@@ -159,7 +162,6 @@ class Runner {
   std::shared_ptr<dpd::PlateletModel> platelets_;
   std::unique_ptr<nektar1d::ArterialNetwork> net_;
   std::unique_ptr<resilience::CheckpointCoordinator> coord_;
-  coupling::ScaleMap scales_;
 
   WarmMode warm_mode_ = WarmMode::Off;
   std::vector<std::uint8_t> warm_blob_;

@@ -4,14 +4,45 @@
 #include <limits>
 #include <sstream>
 
+#include "dpd/neighbor.hpp"
 #include "scenario/fields.hpp"
 #include "sem/evaluate.hpp"
 
-namespace scenario {
-
 // ---- one key list per struct, in document order ---------------------------
-// (outside the anonymous namespace: from_json / to_json find these by
-// argument-dependent lookup, which does not search unnamed namespaces)
+// from_json / to_json find these by argument-dependent lookup, which
+// searches only the struct's own namespace (and no unnamed one): the solver
+// structs' lists live in theirs.
+
+namespace coupling {
+
+auto fields(const ScaleMap*) {
+  using S = ScaleMap;
+  using scenario::Field;
+  return std::tuple{Field{"L_ns", &S::L_ns}, Field{"L_dpd", &S::L_dpd},
+                    Field{"nu_ns", &S::nu_ns}, Field{"nu_dpd", &S::nu_dpd}};
+}
+
+}  // namespace coupling
+
+namespace dpd {
+
+auto fields(const FlowBcParams*) {
+  using S = FlowBcParams;
+  using scenario::Field;
+  return std::tuple{Field{"axis", &S::axis}, Field{"buffer_len", &S::buffer_len},
+                    Field{"density", &S::density}, Field{"relax", &S::relax},
+                    Field{"seed", &S::seed}};
+}
+
+auto fields(const SamplerParams*) {
+  using S = SamplerParams;
+  using scenario::Field;
+  return std::tuple{Field{"nx", &S::nx}, Field{"ny", &S::ny}, Field{"nz", &S::nz}};
+}
+
+}  // namespace dpd
+
+namespace scenario {
 
 auto fields(const MeshSpec*) {
   using S = MeshSpec;
@@ -55,29 +86,11 @@ auto fields(const PlateletSpec*) {
                     Field{"bind_distance", &S::bind_distance}};
 }
 
-auto fields(const FlowBcSpec*) {
-  using S = FlowBcSpec;
-  return std::tuple{Field{"axis", &S::axis}, Field{"buffer_len", &S::buffer_len},
-                    Field{"density", &S::density}, Field{"relax", &S::relax},
-                    Field{"seed", &S::seed}};
-}
-
-auto fields(const ScalesSpec*) {
-  using S = ScalesSpec;
-  return std::tuple{Field{"L_ns", &S::L_ns}, Field{"L_dpd", &S::L_dpd},
-                    Field{"nu_ns", &S::nu_ns}, Field{"nu_dpd", &S::nu_dpd}};
-}
-
 auto fields(const CouplingSpec*) {
   using S = CouplingSpec;
   return std::tuple{Field{"scales", &S::scales},
                     Field{"exchange_every_ns", &S::exchange_every_ns},
                     Field{"dpd_per_ns", &S::dpd_per_ns}, Field{"region", &S::region}};
-}
-
-auto fields(const SamplerSpec*) {
-  using S = SamplerSpec;
-  return std::tuple{Field{"nx", &S::nx}, Field{"ny", &S::ny}, Field{"nz", &S::nz}};
 }
 
 auto fields(const TimeSpec*) {
@@ -207,13 +220,8 @@ void check(bool ok, const std::string& path, const std::string& what) {
   if (!ok) fail(path, what);
 }
 
-/// An integer the Runner narrows: counts to int, seeds to 32-bit unsigned.
-void check_int(std::int64_t v, std::int64_t lo, std::int64_t hi, const std::string& path) {
-  check(v >= lo && v <= hi, path,
-        "must be in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]");
-}
-constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
-constexpr std::int64_t kSeedMax = 0xFFFFFFFF;
+/// Every DPD particle carries a uint32 gid.
+constexpr double kMaxParticles = std::numeric_limits<std::uint32_t>::max();
 
 /// [x0, x1, depth] with 0 <= x0 < x1 <= x_max and depth > 0.
 void check_cavity(const std::vector<double>& c, double x_max, const std::string& path) {
@@ -234,22 +242,22 @@ void validate_scenario(const Scenario& sc) {
     if (sc.kind == "cdc") {
       const auto& m = sc.mesh;
       check(m.length > 0 && m.height > 0, "$.mesh", "non-positive extent");
-      check_int(m.nx, 1, kIntMax, "$.mesh.nx");
-      check_int(m.ny, 1, kIntMax, "$.mesh.ny");
+      check(m.nx >= 1, "$.mesh.nx", "must be >= 1");
+      check(m.ny >= 1, "$.mesh.ny", "must be >= 1");
       check(m.order >= 1, "$.mesh.order", "must be >= 1");
       check(m.order <= sem::kMaxOrder, "$.mesh.order", max_order);
       if (!m.cavity.empty()) {
         check_cavity(m.cavity, m.length, "$.mesh.cavity");
         // the mesh rounds the depth to whole element rows of height / ny
-        check(m.cavity[2] / (m.height / static_cast<double>(m.ny)) <= kIntMax, "$.mesh.cavity",
-              "the depth spans more element rows than an int holds");
+        check(m.cavity[2] / (m.height / m.ny) <= std::numeric_limits<int>::max(),
+              "$.mesh.cavity", "the depth spans more element rows than an int holds");
       }
     } else {
       const auto& m = sc.mesh3d;
       check(m.lx > 0 && m.ly > 0 && m.lz > 0, "$.mesh3d", "non-positive extent");
-      check_int(m.nx, 1, kIntMax, "$.mesh3d.nx");
-      check_int(m.ny, 1, kIntMax, "$.mesh3d.ny");
-      check_int(m.nz, 1, kIntMax, "$.mesh3d.nz");
+      check(m.nx >= 1, "$.mesh3d.nx", "must be >= 1");
+      check(m.ny >= 1, "$.mesh3d.ny", "must be >= 1");
+      check(m.nz >= 1, "$.mesh3d.nz", "must be >= 1");
       check(m.order >= 1, "$.mesh3d.order", "must be >= 1");
       check(m.order <= sem::kMaxOrder, "$.mesh3d.order", max_order);
     }
@@ -262,10 +270,15 @@ void validate_scenario(const Scenario& sc) {
     const auto& box = sc.dpd.box;
     check(box[0] > 0 && box[1] > 0 && box[2] > 0, "$.dpd.box", "non-positive box");
     check(sc.dpd.rc > 0, "$.dpd.rc", "must be > 0");
+    // the neighbor grid casts box / (rc + skin) to an int cell count
+    for (const double len : box)
+      check(len / (sc.dpd.rc + dpd::kDefaultSkin) <= std::numeric_limits<int>::max(),
+            "$.dpd.box", "more neighbor cells along an axis than an int holds");
     check(sc.dpd.kBT >= 0, "$.dpd.kBT", "must be >= 0");
     check(sc.dpd.dt > 0, "$.dpd.dt", "must be > 0");
     check(sc.dpd.density > 0, "$.dpd.density", "must be > 0");
-    check_int(sc.dpd.seed, 0, kSeedMax, "$.dpd.seed");
+    check(sc.dpd.density * box[0] * box[1] * box[2] <= kMaxParticles, "$.dpd.density",
+          "fills the box with more particles than a uint32 gid numbers");
     const auto& geom = sc.dpd.geometry;
     const bool cavity_z = geom.kind == "channel_with_cavity_z";
     check(geom.kind == "none" || geom.kind == "channel_z" || cavity_z, "$.dpd.geometry.kind",
@@ -277,24 +290,27 @@ void validate_scenario(const Scenario& sc) {
       check(geom.cavity.empty(), "$.dpd.geometry.cavity",
             "only the channel_with_cavity_z geometry has a cavity");
     const auto& pl = sc.platelets;
-    check_int(pl.count, 0, kIntMax, "$.platelets.count");
+    check(pl.count >= 0, "$.platelets.count", "must be >= 0");
     check(pl.trigger_distance >= 0, "$.platelets.trigger_distance", "must be >= 0");
     check(pl.activation_delay >= 0, "$.platelets.activation_delay", "must be >= 0");
     check(pl.bind_distance >= 0, "$.platelets.bind_distance", "must be >= 0");
     const auto& fb = sc.flow_bc;
     check(fb.axis >= 0 && fb.axis <= 2, "$.flow_bc.axis", "must be 0, 1 or 2");
-    check(fb.buffer_len > 0 && fb.buffer_len < box[static_cast<std::size_t>(fb.axis)],
-          "$.flow_bc.buffer_len", "must be in (0, dpd.box[axis])");
+    const auto axis = static_cast<std::size_t>(fb.axis);
+    check(fb.buffer_len > 0 && fb.buffer_len < box[axis], "$.flow_bc.buffer_len",
+          "must be in (0, dpd.box[axis])");
     check(fb.density > 0, "$.flow_bc.density", "must be > 0");
+    const double cross_section = box[(axis + 1) % 3] * box[(axis + 2) % 3];
+    check(fb.density * fb.buffer_len * cross_section <= kMaxParticles, "$.flow_bc.density",
+          "fills the buffer with more particles than a uint32 gid numbers");
     check(fb.relax >= 0 && fb.relax <= 1, "$.flow_bc.relax", "must be in [0, 1]");
-    check_int(fb.seed, 0, kSeedMax, "$.flow_bc.seed");
     const auto& scales = sc.coupling.scales;
     check(scales.L_ns > 0, "$.coupling.scales.L_ns", "must be > 0");
     check(scales.L_dpd > 0, "$.coupling.scales.L_dpd", "must be > 0");
     check(scales.nu_ns > 0, "$.coupling.scales.nu_ns", "must be > 0");
     check(scales.nu_dpd > 0, "$.coupling.scales.nu_dpd", "must be > 0");
-    check_int(sc.coupling.exchange_every_ns, 1, kIntMax, "$.coupling.exchange_every_ns");
-    check_int(sc.coupling.dpd_per_ns, 1, kIntMax, "$.coupling.dpd_per_ns");
+    check(sc.coupling.exchange_every_ns >= 1, "$.coupling.exchange_every_ns", "must be >= 1");
+    check(sc.coupling.dpd_per_ns >= 1, "$.coupling.dpd_per_ns", "must be >= 1");
     const auto& r = sc.coupling.region;
     const std::size_t region_len = sc.kind == "cdc" ? 4 : 6;
     check(r.size() == region_len, "$.coupling.region",
@@ -302,9 +318,9 @@ void validate_scenario(const Scenario& sc) {
     for (std::size_t i = 0; i + 1 < r.size(); i += 2)
       check(r[i + 1] > r[i], "$.coupling.region",
             "degenerate region: need max > min on every axis");
-    check_int(sc.sampler.nx, 1, kIntMax, "$.sampler.nx");
-    check_int(sc.sampler.ny, 1, kIntMax, "$.sampler.ny");
-    check_int(sc.sampler.nz, 1, kIntMax, "$.sampler.nz");
+    check(sc.sampler.nx >= 1, "$.sampler.nx", "must be >= 1");
+    check(sc.sampler.ny >= 1, "$.sampler.ny", "must be >= 1");
+    check(sc.sampler.nz >= 1, "$.sampler.nz", "must be >= 1");
     check(sc.time.sample_from >= 0, "$.time.sample_from", "must be >= 0");
   } else if (sc.kind == "net1d") {
     check(!sc.network.vessels.empty(), "$.network.vessels", "at least one vessel required");
@@ -314,9 +330,9 @@ void validate_scenario(const Scenario& sc) {
       const std::string p = "$.network.vessels[" + std::to_string(i) + "]";
       check(v.length > 0 && v.A0 > 0 && v.beta > 0 && v.rho > 0, p, "non-positive parameter");
       check(v.elements >= 1, p, "need elements >= 1");
-      check_int(v.order, 1, kIntMax, p + ".order");
+      check(v.order >= 1, p + ".order", "must be >= 1");
     }
-    const auto vessel_ok = [&](std::int64_t v) { return v >= 0 && v < nv; };
+    const auto vessel_ok = [&](int v) { return v >= 0 && v < nv; };
     for (std::size_t i = 0; i < sc.network.inlets.size(); ++i)
       check(vessel_ok(sc.network.inlets[i].vessel),
             "$.network.inlets[" + std::to_string(i) + "].vessel", "out of range");

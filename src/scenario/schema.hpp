@@ -8,9 +8,14 @@
 // carrying the JSON path ("$.sem.nu") so a typo'd config can never silently
 // run with defaults.
 //
-// Each spec struct's keys are listed once, as (key, member) entries in
+// Each struct's keys are listed once, as (key, member) entries in
 // schema.cpp; one reader and one writer (scenario/fields.hpp) walk that
 // list, so a field is parsed and emitted under the same key or not at all.
+// Where a solver already has a parameter struct (the Eq. (1) ScaleMap, the
+// FlowBc and sampler parameters) the scenario holds that struct itself, and
+// every integer member has the type its solver takes: the reader rejects a
+// value outside that type's range at its JSON path, so the Runner passes
+// each value on without a cast.
 
 #include <array>
 #include <cstdint>
@@ -18,6 +23,9 @@
 #include <string_view>
 #include <vector>
 
+#include "coupling/scales.hpp"
+#include "dpd/inflow.hpp"
+#include "dpd/sampling.hpp"
 #include "scenario/json.hpp"
 
 namespace scenario {
@@ -29,17 +37,17 @@ inline constexpr std::int64_t kSchemaVersion = 1;
 struct MeshSpec {
   double length = 4.0;
   double height = 1.0;
-  std::int64_t nx = 8;
-  std::int64_t ny = 2;
-  std::int64_t order = 4;
+  int nx = 8;
+  int ny = 2;
+  int order = 4;
   std::vector<double> cavity;  ///< [x0, x1, depth] on the upper wall; empty: none
 };
 
 /// 3D box mesh (kind "cdc3d"): sem::Discretization3D.
 struct Mesh3dSpec {
   double lx = 4.0, ly = 1.0, lz = 1.0;
-  std::int64_t nx = 4, ny = 1, nz = 2;
-  std::int64_t order = 4;
+  int nx = 4, ny = 1, nz = 2;
+  int order = 4;
 };
 
 /// SEM Navier-Stokes patch. The boundary layout is the channel family both
@@ -48,7 +56,7 @@ struct Mesh3dSpec {
 struct SemSpec {
   double nu = 0.05;
   double dt = 2e-3;
-  std::int64_t time_order = 1;
+  int time_order = 1;
   double inlet_umax = 1.0;
   double inlet_pulse = 0.0;  ///< a in the inflow u_in (1 + a sin(2 pi t / 0.8))
 };
@@ -68,7 +76,7 @@ struct DpdSpec {
   double kBT = 1.0;
   double dt = 0.01;
   double density = 3.0;
-  std::int64_t seed = 7;
+  unsigned seed = 7;
   double fill_margin = 0.1;
   DpdGeometrySpec geometry;
 };
@@ -76,41 +84,19 @@ struct DpdSpec {
 /// Platelets seeded into the DPD box (Pivkin et al. aggregation model). The
 /// adhesive wall is the cavity: everything above z = dpd.geometry.height.
 struct PlateletSpec {
-  std::int64_t count = 0;  ///< 0: no platelet model
+  int count = 0;  ///< 0: no platelet model
   double trigger_distance = 1.0;
   double activation_delay = 2.0;
   double bind_distance = 0.6;
 };
 
-/// Inflow/outflow flux BC (Lei-Fedosov-Karniadakis).
-struct FlowBcSpec {
-  std::int64_t axis = 0;
-  double buffer_len = 2.0;
-  double density = 3.0;
-  double relax = 0.3;
-  std::int64_t seed = 99;
-};
-
-/// Eq. (1) unit scaling between the descriptions.
-struct ScalesSpec {
-  double L_ns = 1.0;
-  double L_dpd = 10.0;
-  double nu_ns = 0.05;
-  double nu_dpd = 2.5;
-};
-
-/// Coupling layout: scales, Fig. 5 schedule and the embedded region
+/// Coupling layout: Eq. (1) scales, Fig. 5 schedule and the embedded region
 /// (4 numbers [x0, x1, y0, y1] for "cdc", 6 [..., z0, z1] for "cdc3d").
 struct CouplingSpec {
-  ScalesSpec scales;
-  std::int64_t exchange_every_ns = 2;
-  std::int64_t dpd_per_ns = 10;
+  coupling::ScaleMap scales{1.0, 10.0, 0.05, 2.5};
+  int exchange_every_ns = 2;
+  int dpd_per_ns = 10;
   std::vector<double> region{1.5, 2.5, 0.0, 1.0};
-};
-
-/// DPD velocity-field sampler (bin grid over the box).
-struct SamplerSpec {
-  std::int64_t nx = 1, ny = 1, nz = 10;
 };
 
 /// Time stepping: coupling intervals, the continuum develop phase, and when
@@ -134,19 +120,21 @@ struct CheckpointSpec {
 
 // --- 1D network (kind "net1d") ---------------------------------------------
 
+/// Not nektar1d::VesselParams itself: a document that omits Kr runs 1.005,
+/// where VesselParams defaults to 8 pi 0.04.
 struct VesselSpec {
   double length = 1.0;
   double A0 = 0.5;
   double beta = 1.0e5;
   double rho = 1.06;
   double Kr = 1.005;
-  std::int64_t elements = 8;
-  std::int64_t order = 4;
+  std::size_t elements = 8;
+  int order = 4;
 };
 
 /// Pulsatile prescribed inflow Q(t) = q_mean + q_amp sin(2 pi freq t).
 struct InletSpec {
-  std::int64_t vessel = 0;
+  int vessel = 0;
   double q_mean = 5.0;
   double q_amp = 0.0;
   double freq = 1.0;
@@ -154,14 +142,14 @@ struct InletSpec {
 
 /// RCR windkessel outflow.
 struct OutletSpec {
-  std::int64_t vessel = 0;
+  int vessel = 0;
   double rp = 100.0;
   double rd = 1000.0;
   double c = 1e-4;
 };
 
 struct AttachmentSpec {
-  std::int64_t vessel = 0;
+  int vessel = 0;
   std::string end = "right";  ///< "left" | "right"
 };
 
@@ -189,9 +177,12 @@ struct Scenario {
   SemSpec sem;
   DpdSpec dpd;
   PlateletSpec platelets;
-  FlowBcSpec flow_bc;
+  /// Inflow/outflow flux BC (Lei-Fedosov-Karniadakis). target_velocity
+  /// stays empty here: the coupler sets it.
+  dpd::FlowBcParams flow_bc{.relax = 0.3};
   CouplingSpec coupling;
-  SamplerSpec sampler;
+  /// DPD velocity-field sampler (bin grid over the box).
+  dpd::SamplerParams sampler{.nx = 1, .ny = 1, .nz = 10};
   TimeSpec time;
   CheckpointSpec checkpoint;
   NetworkSpec network;

@@ -11,6 +11,12 @@
 
 namespace wpod {
 
+namespace {
+/// Modes with eigenvalue > kNoiseGap * (tail plateau level) belong to the
+/// ensemble mean.
+constexpr double kNoiseGap = 10.0;
+}  // namespace
+
 la::Vector WpodResult::mean_at(std::size_t t) const {
   if (spatial_modes.empty()) return {};
   la::Vector m(spatial_modes[0].size(), 0.0);
@@ -26,8 +32,7 @@ la::Vector WpodResult::fluctuation_at(std::size_t t, const la::Vector& snapshot)
   return f;
 }
 
-WpodResult analyze(const std::vector<la::Vector>& snapshots, const WpodOptions& opt,
-                   std::size_t keep_modes) {
+WpodResult analyze(const std::vector<la::Vector>& snapshots, const WpodOptions& opt) {
   const std::size_t nt = snapshots.size();
   if (nt < 2) throw std::invalid_argument("wpod::analyze: need >= 2 snapshots");
   const std::size_t nx = snapshots[0].size();
@@ -49,11 +54,10 @@ WpodResult analyze(const std::vector<la::Vector>& snapshots, const WpodOptions& 
   WpodResult out;
   out.eigenvalues = eig.values;
 
-  const std::size_t k_keep = keep_modes == 0 ? nt : std::min(keep_modes, nt);
-  out.spatial_modes.reserve(k_keep);
-  out.temporal = la::DenseMatrix(nt, k_keep);
+  out.spatial_modes.reserve(nt);
+  out.temporal = la::DenseMatrix(nt, nt);
 
-  for (std::size_t k = 0; k < k_keep; ++k) {
+  for (std::size_t k = 0; k < nt; ++k) {
     const double lam = eig.values[k];
     if (lam <= 1e-300) break;
     // phi_k = sum_i V_ik u_i / sqrt(lam * nt)
@@ -78,7 +82,7 @@ WpodResult analyze(const std::vector<la::Vector>& snapshots, const WpodOptions& 
 
   std::size_t km = 0;
   for (std::size_t k = 0; k < kept; ++k) {
-    if (out.eigenvalues[k] > opt.noise_gap * out.noise_floor)
+    if (out.eigenvalues[k] > kNoiseGap * out.noise_floor)
       km = k + 1;
     else
       break;

@@ -27,9 +27,6 @@ class BlobReader;
 namespace wpod {
 
 struct WpodOptions {
-  /// Modes with eigenvalue > noise_gap * (tail plateau level) belong to the
-  /// ensemble mean.
-  double noise_gap = 10.0;
   /// Cap on the number of mean modes (0 = no cap).
   std::size_t max_mean_modes = 0;
 };
@@ -48,9 +45,8 @@ struct WpodResult {
 };
 
 /// Analyze one window of snapshots (each a field sampled over spatial bins).
-/// Keeps up to keep_modes modes (0 = all).
-WpodResult analyze(const std::vector<la::Vector>& snapshots, const WpodOptions& opt = {},
-                   std::size_t keep_modes = 0);
+/// Modes with eigenvalue > 10 x (tail plateau level) form the ensemble mean.
+WpodResult analyze(const std::vector<la::Vector>& snapshots, const WpodOptions& opt = {});
 
 /// Plain per-bin time average of the window (the "standard averaging" WPOD
 /// is compared against in Fig. 7).

@@ -14,8 +14,8 @@
 //   * p2p/collective deadlock: a wait-for graph over blocked operations with
 //     cycle detection, plus a stall timeout that dumps every rank's blocked
 //     operation (comm, peer, tag, bytes) before aborting the run;
-//   * message hygiene: unreceived messages left in any mailbox at the end of
-//     a clean run are reported (error by default).
+//   * message hygiene: unreceived messages left in any mailbox, and Pending
+//     handles never completed, at the end of a clean run raise CheckError.
 
 #include <chrono>
 #include <stdexcept>
@@ -29,10 +29,6 @@ namespace xmp {
 struct CheckError : std::runtime_error {
   explicit CheckError(const std::string& msg) : std::runtime_error(msg) {}
 };
-
-/// What to do with messages still sitting in mailboxes at the end of an
-/// otherwise clean run.
-enum class LeftoverPolicy : std::uint8_t { Error, Warn, Off };
 
 struct CheckOptions {
   /// Master switch. With enabled == false a checked build behaves (and
@@ -51,12 +47,9 @@ struct CheckOptions {
   /// consecutive polls, so detection latency is ~2x this).
   std::chrono::milliseconds poll_interval{25};
 
-  LeftoverPolicy leftovers = LeftoverPolicy::Error;
-
-  /// Reads XMP_CHECK (0|1), XMP_CHECK_STALL_MS (>= 0, 0 = no stall
-  /// timeout), XMP_CHECK_POLL_MS (>= 1) and XMP_CHECK_LEFTOVER
-  /// (error|warn|off). Unset or empty variables keep defaults; any other
-  /// malformed value throws std::invalid_argument naming the variable.
+  /// Reads XMP_CHECK (0|1) and XMP_CHECK_STALL_MS (>= 0, 0 = no stall
+  /// timeout). Unset or empty variables keep defaults; any other malformed
+  /// value throws std::invalid_argument naming the variable.
   static CheckOptions from_env();
 };
 

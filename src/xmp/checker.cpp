@@ -1,7 +1,6 @@
 #include "xmp/checker.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 #include <sstream>
 
@@ -15,14 +14,6 @@ CheckOptions CheckOptions::from_env() {
   constexpr long kDayMs = 24L * 3600 * 1000;
   if (auto v = detail::env_int("XMP_CHECK_STALL_MS", 0, kDayMs))
     o.stall_timeout = std::chrono::milliseconds(*v);
-  if (auto v = detail::env_int("XMP_CHECK_POLL_MS", 1, kDayMs))
-    o.poll_interval = std::chrono::milliseconds(*v);
-  if (auto v = detail::env_str("XMP_CHECK_LEFTOVER")) {
-    if (*v == "error") o.leftovers = LeftoverPolicy::Error;
-    else if (*v == "warn") o.leftovers = LeftoverPolicy::Warn;
-    else if (*v == "off") o.leftovers = LeftoverPolicy::Off;
-    else detail::env_invalid("XMP_CHECK_LEFTOVER", *v, "error, warn or off");
-  }
   return o;
 }
 
@@ -169,7 +160,6 @@ void Checker::complete_pending(std::uint64_t id) {
 }
 
 void Checker::report_leaked_pending() {
-  if (opts_.leftovers == LeftoverPolicy::Off) return;
   std::size_t count = 0;
   std::ostringstream os;
   {
@@ -181,14 +171,8 @@ void Checker::report_leaked_pending() {
     }
   }
   if (count == 0) return;
-  const std::string msg =
-      "xmp checked: " + std::to_string(count) +
-      " leaked pending handle(s) never completed by wait()/test():" + os.str();
-  if (opts_.leftovers == LeftoverPolicy::Warn) {
-    std::fprintf(stderr, "%s\n", msg.c_str());
-    return;
-  }
-  throw CheckError(msg);
+  throw CheckError("xmp checked: " + std::to_string(count) +
+                   " leaked pending handle(s) never completed by wait()/test():" + os.str());
 }
 
 BlockedOp Checker::snapshot_slot(int world) const {
@@ -395,7 +379,6 @@ void Checker::release_groups() {
 }
 
 void Checker::report_leftovers() {
-  if (opts_.leftovers == LeftoverPolicy::Off) return;
   std::vector<std::shared_ptr<Group>> groups;
   {
     std::lock_guard lk(groups_mu_);
@@ -415,13 +398,8 @@ void Checker::report_leftovers() {
     }
   }
   if (count == 0) return;
-  const std::string msg = "xmp checked: " + std::to_string(count) +
-                          " unreceived message(s) left in mailboxes at end of run:" + os.str();
-  if (opts_.leftovers == LeftoverPolicy::Warn) {
-    std::fprintf(stderr, "%s\n", msg.c_str());
-    return;
-  }
-  throw CheckError(msg);
+  throw CheckError("xmp checked: " + std::to_string(count) +
+                   " unreceived message(s) left in mailboxes at end of run:" + os.str());
 }
 
 }  // namespace detail

@@ -64,16 +64,15 @@ public:
   std::uint64_t register_pending(const Group& g, int me_local, int peer_local, int tag,
                                  bool is_send);
   void complete_pending(std::uint64_t id);
-  /// Reports Pending handles never completed by wait()/test(); same
-  /// LeftoverPolicy handling as report_leftovers. Call after every rank
-  /// finished, on the clean-run path.
+  /// Throws CheckError listing the Pending handles never completed by
+  /// wait()/test(). Call after every rank finished, on the clean-run path.
   void report_leaked_pending();
 
   // -- watchdog / run end ----------------------------------------------------
   void start_watchdog();
   void stop_watchdog();
-  /// Scans every communicator's mailboxes after a clean run; throws
-  /// CheckError (or warns) per LeftoverPolicy. Must be called after every
+  /// Scans every communicator's mailboxes after a clean run and throws
+  /// CheckError listing any unreceived message. Must be called after every
   /// rank finished.
   void report_leftovers();
   /// Retains the group so end-of-run leftover reporting can reach it even

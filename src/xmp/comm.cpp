@@ -645,7 +645,7 @@ void run(int nranks, const std::function<void(Comm&)>& fn, TraceSink trace,
   }
 #ifdef XMP_CHECKED
   // Clean run: report Pending handles never completed by wait()/test(), then
-  // messages nobody ever received (both per LeftoverPolicy).
+  // messages nobody ever received (either throws CheckError).
   if (rs->checker) {
     rs->checker->report_leaked_pending();
     rs->checker->report_leftovers();

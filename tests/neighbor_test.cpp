@@ -20,6 +20,7 @@
 #include "dpd/inflow.hpp"
 #include "dpd/neighbor.hpp"
 #include "dpd/system.hpp"
+#include "reference/dpd_pairs_reference.hpp"
 #include "resilience/blob.hpp"
 
 namespace {
@@ -403,7 +404,7 @@ TEST(DpdNeighbor, ForcesMatchDirectReference) {
   const auto& spc = sys.species();
   std::vector<dpd::Vec3> ref(sys.size());
   const double inv_sqrt_dt = 1.0 / std::sqrt(prm.dt);
-  sys.for_each_pair_direct([&](std::size_t i, std::size_t j, const dpd::Vec3& dr, double r) {
+  const auto direct = [&](std::size_t i, std::size_t j, const dpd::Vec3& dr, double r) {
     const auto si = static_cast<std::size_t>(spc[i]), sj = static_cast<std::size_t>(spc[j]);
     const double a = prm.a[si][sj];
     const double g = prm.gamma[si][sj];
@@ -416,7 +417,8 @@ TEST(DpdNeighbor, ForcesMatchDirectReference) {
     const dpd::Vec3 f = dr * (fmag / r);
     ref[i] -= f;
     ref[j] += f;
-  });
+  };
+  dpd::reference::for_each_pair_direct(sys, direct);
 
   const auto& frc = sys.forces();
   for (std::size_t i = 0; i < sys.size(); ++i) {
@@ -479,9 +481,8 @@ TEST(DpdNeighbor, ListSurvivesRemovalAndInsertion) {
     sys.for_each_pair([&](std::size_t i, std::size_t j, const dpd::Vec3&, double) {
       fast.emplace_back(std::min(i, j), std::max(i, j));
     });
-    sys.for_each_pair_direct([&](std::size_t i, std::size_t j, const dpd::Vec3&, double) {
-      ref.emplace_back(i, j);
-    });
+    dpd::reference::for_each_pair_direct(sys, [&](std::size_t i, std::size_t j, const dpd::Vec3&,
+                                                  double) { ref.emplace_back(i, j); });
     std::sort(fast.begin(), fast.end());
     std::sort(ref.begin(), ref.end());
     EXPECT_EQ(fast, ref);
@@ -561,8 +562,8 @@ TEST(DpdNeighbor, InflowOutflowKeepsListCorrect) {
   sys.for_each_pair([&](std::size_t i, std::size_t j, const dpd::Vec3&, double) {
     fast.emplace_back(std::min(i, j), std::max(i, j));
   });
-  sys.for_each_pair_direct(
-      [&](std::size_t i, std::size_t j, const dpd::Vec3&, double) { ref.emplace_back(i, j); });
+  dpd::reference::for_each_pair_direct(sys, [&](std::size_t i, std::size_t j, const dpd::Vec3&,
+                                                double) { ref.emplace_back(i, j); });
   std::sort(fast.begin(), fast.end());
   std::sort(ref.begin(), ref.end());
   EXPECT_EQ(fast, ref);
@@ -672,8 +673,8 @@ TEST(DpdNeighbor, HeavyChurnKeepsPairSetsExact) {
     sys.for_each_pair([&](std::size_t i, std::size_t j, const dpd::Vec3&, double) {
       fast.emplace_back(std::min(i, j), std::max(i, j));
     });
-    sys.for_each_pair_direct(
-        [&](std::size_t i, std::size_t j, const dpd::Vec3&, double) { ref.emplace_back(i, j); });
+    dpd::reference::for_each_pair_direct(sys, [&](std::size_t i, std::size_t j, const dpd::Vec3&,
+                                                  double) { ref.emplace_back(i, j); });
     std::sort(fast.begin(), fast.end());
     std::sort(ref.begin(), ref.end());
     ASSERT_EQ(fast, ref) << "churn step " << s;

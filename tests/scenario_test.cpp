@@ -288,7 +288,7 @@ TEST(SchemaTest, SemanticValidation) {
   sc = scenario::quickstart_preset();
   sc.dpd.kBT = -1.0;
   expect_invalid(sc, "$.dpd.kBT", "must be >= 0");
-  using Scales = scenario::ScalesSpec;
+  using Scales = coupling::ScaleMap;
   const std::pair<double Scales::*, std::string> scales[] = {
       {&Scales::L_ns, "L_ns"}, {&Scales::L_dpd, "L_dpd"}, {&Scales::nu_ns, "nu_ns"},
       {&Scales::nu_dpd, "nu_dpd"}};
@@ -321,6 +321,17 @@ TEST(SchemaTest, OutOfRangeIntegerIsADiagnostic) {
       const std::string msg = e.what();
       EXPECT_NE(msg.find("$.dpd.seed: expected integer"), std::string::npos) << msg;
     }
+  }
+  // an integer the member's type cannot hold names the type's range
+  Json doc = Json::parse(scenario::scenario_to_json(scenario::quickstart_preset()));
+  *doc.find("dpd")->find("seed") = Json(-1.0);
+  try {
+    scenario::parse_scenario(doc);
+    ADD_FAILURE() << "seed -1: expected JsonError";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("$.dpd.seed: must be in [0, 4294967295]"),
+              std::string::npos)
+        << e.what();
   }
   // the same value arriving through a sweep
   scenario::SweepSpec sweep;
@@ -355,7 +366,10 @@ TEST(Scenario, RejectsValuesTheRunnerCannotRepresent) {
   // element, exchange_every_ns = 2^32 ran no NS step), 32-bit seeds wrapped
   // (2^32+7 ran as seed 7), a negative buffer reached an undefined cast and
   // a buffer longer than the box never finished, and a density <= 0 or a
-  // relaxation outside [0, 1] inserted nothing or overshot.
+  // relaxation outside [0, 1] inserted nothing or overshot. A box whose
+  // neighbor-cell count overflows an int, or a fill or buffer density whose
+  // particle count overflows the casts and the uint32 gids, ran out of
+  // memory or reached an undefined cast.
   const Scenario quickstart = scenario::quickstart_preset();
   const std::pair<const char*, const char*> cases[] = {
       {"mesh.nx", "4294967297"},
@@ -375,14 +389,17 @@ TEST(Scenario, RejectsValuesTheRunnerCannotRepresent) {
       {"flow_bc.density", "-3"},
       {"flow_bc.relax", "-0.1"},
       {"flow_bc.relax", "1.5"},
+      {"dpd.box", "[1e12, 6, 10]"},
+      {"dpd.density", "1e12"},
+      {"flow_bc.density", "1e300"},
   };
   for (const auto& [path, value] : cases) expect_rejected(quickstart, path, value);
   for (const char* axis : {"nx", "ny", "nz"})
     expect_rejected(scenario::coupled3d_preset(), std::string("mesh3d.") + axis, "4294967297");
-  Scenario net = tiny_net1d();
-  net.network.vessels[0].order = 4294967297;
+  Json net = Json::parse(scenario::scenario_to_json(tiny_net1d()));
+  *net.find("network")->find("vessels")->elements()[0].find("order") = Json(4294967297.0);
   try {
-    scenario::validate_scenario(net);
+    scenario::parse_scenario(net);
     ADD_FAILURE() << "vessel order 2^32+1 accepted";
   } catch (const JsonError& e) {
     EXPECT_NE(std::string(e.what()).find("$.network.vessels[0].order: "), std::string::npos)
@@ -476,6 +493,8 @@ TEST(SchemaTest, CheckedInFilesMatchPresets) {
             scenario::scenario_to_json(scenario::quickstart_preset()));
   EXPECT_EQ(slurp(root + "/examples/scenarios/coupled3d.json"),
             scenario::scenario_to_json(scenario::coupled3d_preset()));
+  EXPECT_EQ(slurp(root + "/examples/scenarios/aneurysm.json"),
+            scenario::scenario_to_json(scenario::aneurysm_preset()));
 }
 
 TEST(SchemaTest, EveryKeyLandsInItsNamedMember) {

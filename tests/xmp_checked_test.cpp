@@ -352,35 +352,6 @@ TEST(XmpChecked, PendingWaitDeadlockCycleDetected) {
                         "recv(src=0, tag=8)", "comm world"});
 }
 
-TEST(XmpChecked, LeftoverPolicyWarnCoversLeakedHandles) {
-  SKIP_UNLESS_CHECKED();
-  auto opts = checked();
-  opts.leftovers = xmp::LeftoverPolicy::Warn;
-  xmp::run(
-      2,
-      [](xmp::Comm& world) {
-        if (world.rank() == 0) {
-          xmp::Pending p = world.irecv_bytes(1, 9);
-          (void)p;
-        }
-        world.barrier();
-      },
-      nullptr, opts);
-}
-
-TEST(XmpChecked, LeftoverPolicyWarnDoesNotThrow) {
-  SKIP_UNLESS_CHECKED();
-  auto opts = checked();
-  opts.leftovers = xmp::LeftoverPolicy::Warn;
-  xmp::run(
-      2,
-      [](xmp::Comm& world) {
-        if (world.rank() == 0) world.send(1, 9, std::vector<double>(3, 1.0));
-        world.barrier();
-      },
-      nullptr, opts);
-}
-
 TEST(XmpChecked, CleanHierarchicalExchangePassesChecked) {
   SKIP_UNLESS_CHECKED();
   // Positive control: the MCI communicator pattern — split into task groups,
@@ -440,12 +411,10 @@ TEST(XmpChecked, FromEnvDefaultsDisabled) {
 TEST(XmpChecked, FromEnvRejectsMalformedValues) {
   // Only 0/1 switch checking, so a word like "false" must not turn it on.
   // Every malformed value throws and names its variable instead of meaning
-  // 0, "on" or the Error policy.
+  // 0 or "on".
   const std::pair<const char*, const char*> cases[] = {
-      {"XMP_CHECK", "false"},           {"XMP_CHECK", "true"},
-      {"XMP_CHECK", "2"},               {"XMP_CHECK_STALL_MS", "5s"},
-      {"XMP_CHECK_STALL_MS", "-1"},     {"XMP_CHECK_POLL_MS", "0"},
-      {"XMP_CHECK_LEFTOVER", "ignore"},
+      {"XMP_CHECK", "false"},       {"XMP_CHECK", "true"}, {"XMP_CHECK", "2"},
+      {"XMP_CHECK_STALL_MS", "5s"}, {"XMP_CHECK_STALL_MS", "-1"},
   };
   for (const auto& [name, value] : cases) {
     ScopedEnv e(name, value);
@@ -457,10 +426,10 @@ TEST(XmpChecked, FromEnvRejectsMalformedValues) {
     }
   }
   // Well-formed values still parse.
-  ScopedEnv check("XMP_CHECK", "0"), leftover("XMP_CHECK_LEFTOVER", "warn");
+  ScopedEnv check("XMP_CHECK", "0"), stall("XMP_CHECK_STALL_MS", "500");
   const auto o = xmp::CheckOptions::from_env();
   EXPECT_FALSE(o.enabled);
-  EXPECT_EQ(o.leftovers, xmp::LeftoverPolicy::Warn);
+  EXPECT_EQ(o.stall_timeout, std::chrono::milliseconds(500));
 }
 
 }  // namespace

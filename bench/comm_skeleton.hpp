@@ -118,7 +118,6 @@ struct ScalingCli {
     flags.add_int("--patches", &patches, "patches (MCI task groups)", 1);
     flags.add_int("--steps", &steps, "outer time steps", 1);
     flags.add_int("--iters", &iters, "CG iterations per step", 1);
-    // the XMP_SCHED_WORKERS / XMP_SCHED_STACK_KB ranges
     flags.add_int("--workers", &sched.workers, "fiber worker threads (0 = auto)", 0, 1024);
     flags.add_int("--stack-kb", &sched.stack_kb, "fiber stack size in KiB", 16, 1 << 20);
     flags.add_flag("--no-guard-pages", &no_guard_pages, "fiber stacks without guard pages");

@@ -3,7 +3,7 @@
 // decomposed over N xmp ranks (src/dpd/exchange/), and the two trajectory
 // digests are compared. They must be *bitwise* equal — any divergence is an
 // exchange bug, and the binary exits non-zero so CI catches it. The digest
-// does not depend on XMP_SCHED_WORKERS.
+// does not depend on the fiber worker count (SchedOptions::workers).
 //
 // Build & run:  cmake --build build && ./build/examples/dpd_decomposed
 //

@@ -107,6 +107,12 @@ void FlowBc::load_state(resilience::BlobReader& r) {
   inserted_ = static_cast<std::size_t>(r.pod<std::uint64_t>());
   deleted_ = static_cast<std::size_t>(r.pod<std::uint64_t>());
   r.pod(fluid_volume_);
+  // -1 means "not yet estimated"; an estimate is a finite positive volume.
+  // Anything else would silently stop insertion (0) or disable the density
+  // guard (NaN) for the rest of the run.
+  if (fluid_volume_ != -1.0 && !(std::isfinite(fluid_volume_) && fluid_volume_ > 0.0))
+    throw resilience::CorruptError("FlowBc: fluid volume " + std::to_string(fluid_volume_) +
+                                   " in checkpoint is neither -1 nor a positive volume");
 }
 
 }  // namespace dpd

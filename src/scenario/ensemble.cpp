@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -270,15 +269,6 @@ EnsembleReport EnsembleEngine::run_serial(const std::vector<Variant>& variants) 
     }
     std::vector<std::uint8_t> warm_out;
     VariantResult r = run_variant(v, tables, donor, donor_idx, &warm_out);
-    if (opts_.verbose) {
-      if (r.ok)
-        std::printf("ensemble: %s -> digest %08x, cg %llu, develop %llu%s\n", v.name.c_str(),
-                    r.digest, static_cast<unsigned long long>(r.cg_iters),
-                    static_cast<unsigned long long>(r.develop_steps),
-                    r.warm_source >= 0 ? " (warm)" : "");
-      else
-        std::printf("ensemble: %s -> FAILED: %s\n", v.name.c_str(), r.error.c_str());
-    }
     if (r.ok && opts_.warm != WarmMode::Off) warm_blobs[v.index] = std::move(warm_out);
     rep.variants[v.index] = std::move(r);
   }
@@ -291,10 +281,10 @@ EnsembleReport EnsembleEngine::run_pool(const std::vector<Variant>& variants) {
   EnsembleReport rep;
   rep.variants.resize(variants.size());
 
-  // Each rank runs a whole solver on its fiber stack; keep the env-selected
-  // options but raise the stack floor.
-  xmp::SchedOptions sched = xmp::SchedOptions::from_env();
-  if (sched.stack_kb < 4096) sched.stack_kb = 4096;
+  // Each rank runs a whole solver on its fiber stack: 4 MiB, not the
+  // default 256 KiB.
+  xmp::SchedOptions sched;
+  sched.stack_kb = 4096;
 
   xmp::run(
       opts_.pool,
@@ -316,17 +306,6 @@ EnsembleReport EnsembleEngine::run_pool(const std::vector<Variant>& variants) {
               VariantResult r = unpack_result(mr, warm_blob, th, tm);
               r.rank = src;
               tbl_stats[src] = {th, tm};
-              if (opts_.verbose) {
-                const auto& v = variants[r.index];
-                if (r.ok)
-                  std::printf("ensemble[rank %d]: %s -> digest %08x, cg %llu%s\n", src,
-                              v.name.c_str(), r.digest,
-                              static_cast<unsigned long long>(r.cg_iters),
-                              r.warm_source >= 0 ? " (warm)" : "");
-                else
-                  std::printf("ensemble[rank %d]: %s -> FAILED: %s\n", src, v.name.c_str(),
-                              r.error.c_str());
-              }
               if (r.ok && opts_.warm != WarmMode::Off) warm_blobs[r.index] = std::move(warm_blob);
               rep.variants[r.index] = std::move(r);
             }

@@ -72,7 +72,6 @@ struct EnsembleOptions {
   /// workers). <= 1 runs every variant serially in-process.
   int pool = 0;
   WarmMode warm = WarmMode::Off;
-  bool verbose = false;
   /// Optional failure injection: variant k runs with fault_id = k, so
   /// plan.kill_rank(k, step) kills exactly that variant.
   resilience::FaultPlan* fault_plan = nullptr;

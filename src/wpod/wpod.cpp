@@ -150,7 +150,13 @@ void StreamingWpod::save_state(resilience::BlobWriter& w) const {
 }
 
 void StreamingWpod::load_state(resilience::BlobReader& r) {
-  window_ = static_cast<std::size_t>(r.pod<std::uint64_t>());
+  const auto window = r.pod<std::uint64_t>();
+  if (window < opt_.min_window || window > opt_.max_window)
+    throw resilience::CorruptError("StreamingWpod: window " + std::to_string(window) +
+                                   " in checkpoint is outside [" +
+                                   std::to_string(opt_.min_window) + ", " +
+                                   std::to_string(opt_.max_window) + "]");
+  window_ = static_cast<std::size_t>(window);
   since_last_ = static_cast<std::size_t>(r.pod<std::uint64_t>());
   analyses_ = static_cast<std::size_t>(r.pod<std::uint64_t>());
   resilience::get_vector_deque(r, buf_);

@@ -1,9 +1,8 @@
 #pragma once
 // xmp checked mode — runtime verification of MPI-style usage (in the spirit
-// of the MUST correctness checker), compiled in with the XMP_CHECKED macro
-// (CMake option XMP_CHECKED, default ON) and switched on per run either by
-// passing CheckOptions to xmp::run or via the XMP_CHECK=1 environment
-// variable. When the macro is off every hook compiles out of the runtime.
+// of the MUST correctness checker). The hooks are always compiled in and are
+// switched on per run, either by passing CheckOptions to xmp::run or via the
+// XMP_CHECK=1 environment variable.
 //
 // What it verifies (see docs/CHECKING.md):
 //   * collective matching: every rank of a communicator must issue the same
@@ -31,10 +30,10 @@ struct CheckError : std::runtime_error {
 };
 
 struct CheckOptions {
-  /// Master switch. With enabled == false a checked build behaves (and
-  /// costs) like an unchecked one apart from a few dead branches. An enabled
-  /// run always verifies collective matching and rank affinity and keeps
-  /// the wait-for graph that aborts on a verified deadlock cycle.
+  /// Master switch. With enabled == false a run costs what it would without
+  /// the hooks, apart from a few untaken branches. An enabled run always
+  /// verifies collective matching and rank affinity and keeps the wait-for
+  /// graph that aborts on a verified deadlock cycle.
   bool enabled = false;
 
   /// Abort when any rank has been blocked longer than this, dumping every
@@ -52,9 +51,5 @@ struct CheckOptions {
   /// value throws std::invalid_argument naming the variable.
   static CheckOptions from_env();
 };
-
-/// True when the library was compiled with XMP_CHECKED. Requesting an
-/// enabled CheckOptions from xmp::run in a build without it throws.
-bool checked_available();
 
 }  // namespace xmp

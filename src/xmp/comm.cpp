@@ -69,9 +69,7 @@ void Group::wake_all() {
 
 std::shared_ptr<void> Group::collective(int rank, const void* ptr, std::size_t bytes,
                                         const CollDesc& desc, const CombineFn& combine) {
-#ifdef XMP_CHECKED
   if (rs->checker) rs->checker->check_affinity(*this, rank, to_string(desc.kind));
-#endif
   // Refuse a non-rank caller before it touches the slot, not inside the
   // WaitCv park where its input would already be registered.
   require_rank_fiber();
@@ -79,38 +77,28 @@ std::shared_ptr<void> Group::collective(int rank, const void* ptr, std::size_t b
   check_abort();
   const std::uint64_t mygen = gen;
   inputs[static_cast<std::size_t>(rank)] = {ptr, bytes};
-#ifdef XMP_CHECKED
   if (rs->checker) descs[static_cast<std::size_t>(rank)] = desc;
-#endif
   std::shared_ptr<void> out;
   if (++arrived == size()) {
-#ifdef XMP_CHECKED
     // Throws CheckError on mismatch (after marking the run aborted, so the
     // co-arrived ranks wake with AbortedError instead of hanging).
     if (rs->checker) rs->checker->verify_collective(*this, descs, mygen);
-#endif
     result = combine(inputs);
     out = result;
     arrived = 0;
     ++gen;
     ccv.notify_all();
   } else {
-#ifdef XMP_CHECKED
     bool registered = false;
-#endif
     while (gen == mygen && !rs->aborted.load(std::memory_order_relaxed)) {
-#ifdef XMP_CHECKED
       // Register in the wait-for graph only when actually parking.
       if (rs->checker && !registered) {
         rs->checker->block_collective(*this, rank, desc, mygen, bytes);
         registered = true;
       }
-#endif
       ccv.wait(lk);
     }
-#ifdef XMP_CHECKED
     if (registered) rs->checker->unblock(*this, rank);
-#endif
     check_abort();
     out = result;
   }
@@ -118,17 +106,14 @@ std::shared_ptr<void> Group::collective(int rank, const void* ptr, std::size_t b
 }
 
 void Group::emit_trace(int src, int dst, std::size_t bytes, int tag, TraceKind kind) {
-  if (!rs->has_trace.load(std::memory_order_acquire)) return;
+  if (!rs->trace) return;
   std::lock_guard tl(rs->trace_mu);
-  if (rs->trace)
-    rs->trace(TraceEvent{world_ranks[static_cast<std::size_t>(src)],
-                         world_ranks[static_cast<std::size_t>(dst)], bytes, tag, kind});
+  rs->trace(TraceEvent{world_ranks[static_cast<std::size_t>(src)],
+                       world_ranks[static_cast<std::size_t>(dst)], bytes, tag, kind});
 }
 
 void Group::send(int src, int dst, int tag, const void* data, std::size_t bytes) {
-#ifdef XMP_CHECKED
   if (rs->checker) rs->checker->check_affinity(*this, src, "send");
-#endif
   check_abort();
   if (dst < 0 || dst >= size())
     throw std::out_of_range("xmp: send dst " + std::to_string(dst) +
@@ -159,24 +144,18 @@ bool Group::claim(int me, int src, int tag, bool block, Message& out) {
   };
   auto it = match();
   if (block) {
-#ifdef XMP_CHECKED
     bool registered = false;
-#endif
     while (it == box.q.end() && !rs->aborted.load(std::memory_order_relaxed)) {
-#ifdef XMP_CHECKED
       // Register in the wait-for graph only when actually parking (the fast
       // path where the message is already queued never touches the registry).
       if (rs->checker && !registered) {
         rs->checker->block_recv(*this, me, src, tag);
         registered = true;
       }
-#endif
       box.cv.wait(lk);
       it = match();
     }
-#ifdef XMP_CHECKED
     if (registered) rs->checker->unblock(*this, me);
-#endif
     check_abort();
   }
   if (it == box.q.end()) return false;
@@ -186,9 +165,7 @@ bool Group::claim(int me, int src, int tag, bool block, Message& out) {
 }
 
 std::vector<std::uint8_t> Group::recv(int me, int src, int tag, int* out_src, int* out_tag) {
-#ifdef XMP_CHECKED
   if (rs->checker) rs->checker->check_affinity(*this, me, "recv");
-#endif
   if (src != kAnySource && (src < 0 || src >= size()))
     throw std::out_of_range("xmp: recv src " + std::to_string(src) +
                             " out of range for comm of size " + std::to_string(size()) +
@@ -207,9 +184,7 @@ std::shared_ptr<Group> make_group(const std::shared_ptr<RunState>& rs, std::vect
     std::lock_guard lk(rs->reg_mu);
     rs->groups.push_back(g);
   }
-#ifdef XMP_CHECKED
   if (rs->checker) rs->checker->retain_group(g);
-#endif
   return g;
 }
 }  // namespace
@@ -239,14 +214,10 @@ namespace {
 
 /// Retire a handle in the checked-mode leak registry (idempotent).
 void retire_pending(detail::PendingState& st) {
-#ifdef XMP_CHECKED
   if (st.check_id != 0) {
     if (auto* ck = st.grp->rs->checker.get()) ck->complete_pending(st.check_id);
     st.check_id = 0;
   }
-#else
-  (void)st;
-#endif
 }
 
 }  // namespace
@@ -264,18 +235,14 @@ Pending Comm::isend_bytes(int dst, int tag, const void* data, std::size_t bytes)
   st->tag = tag;
   st->is_send = true;
   st->matched = true;
-#ifdef XMP_CHECKED
   if (group_->rs->checker)
     st->check_id = group_->rs->checker->register_pending(*group_, rank_, dst, tag, true);
-#endif
   return Pending(std::move(st));
 }
 
 Pending Comm::irecv_bytes(int src, int tag) const {
   if (!group_) throw std::logic_error("xmp: invalid comm");
-#ifdef XMP_CHECKED
   if (group_->rs->checker) group_->rs->checker->check_affinity(*group_, rank_, "irecv");
-#endif
   if (src != kAnySource && (src < 0 || src >= size()))
     throw std::out_of_range("xmp: irecv src " + std::to_string(src) +
                             " out of range for comm of size " + std::to_string(size()) +
@@ -286,10 +253,8 @@ Pending Comm::irecv_bytes(int src, int tag) const {
   st->me = rank_;
   st->peer = src;
   st->tag = tag;
-#ifdef XMP_CHECKED
   if (group_->rs->checker)
     st->check_id = group_->rs->checker->register_pending(*group_, rank_, src, tag, false);
-#endif
   return Pending(std::move(st));
 }
 
@@ -299,9 +264,7 @@ std::vector<std::uint8_t> Pending::wait(int* out_src, int* out_tag) {
   if (st.consumed)
     throw std::logic_error("xmp: wait() called twice on the same Pending handle");
   detail::Group& g = *st.grp;
-#ifdef XMP_CHECKED
   if (g.rs->checker) g.rs->checker->check_affinity(g, st.me, "wait");
-#endif
   if (st.is_send) {
     g.check_abort();
     st.consumed = true;
@@ -331,9 +294,7 @@ bool Pending::test() {
   if (st.consumed)
     throw std::logic_error("xmp: test() after wait() on the same Pending handle");
   detail::Group& g = *st.grp;
-#ifdef XMP_CHECKED
   if (g.rs->checker) g.rs->checker->check_affinity(g, st.me, "test");
-#endif
   g.check_abort();
   // Claim immediately: a true result stays true, and the payload is reserved
   // for the eventual wait().
@@ -378,55 +339,13 @@ const char* to_string(CollKind k) {
     case CollKind::Scatterv: return "scatterv";
     case CollKind::Allreduce: return "allreduce";
     case CollKind::Split: return "split";
-    case CollKind::SetTrace: return "set_trace";
   }
   return "?";
-}
-
-bool checked_available() {
-#ifdef XMP_CHECKED
-  return true;
-#else
-  return false;
-#endif
 }
 
 void Comm::trace_transfer(int src, int dst, std::size_t bytes, TraceKind kind) const {
   if (!group_) throw std::logic_error("xmp: invalid comm");
   group_->emit_trace(src, dst, bytes, kCollectiveTag, kind);
-}
-
-void Comm::set_trace(TraceSink sink) const {
-  if (!group_) throw std::logic_error("xmp: invalid comm");
-  auto* rs = group_->rs.get();
-  // Enforce the quiescence requirement: installation must happen while every
-  // rank of the run is blocked here, which only a world-spanning collective
-  // can guarantee. A subgroup collective would leave outside ranks free to
-  // send concurrently.
-  if (group_->size() != rs->world_size)
-    throw std::logic_error(
-        "xmp: set_trace is collective over the WORLD communicator (or pass the "
-        "sink to xmp::run to install it before ranks start)");
-  // analyze: no-trace (installs the sink itself; nothing to attribute)
-  group_->collective(rank_, &sink, sizeof sink,
-                     CollDesc{CollKind::SetTrace, sizeof sink, -1, -1, kShapeUnknown},
-                     [rs](const auto& ins) {
-    TraceSink* chosen = nullptr;
-    for (const auto& [ptr, bytes] : ins) {
-      (void)bytes;
-      auto* s = static_cast<TraceSink*>(const_cast<void*>(ptr));
-      if (*s) {
-        chosen = s;
-        break;
-      }
-    }
-    // Every rank is parked inside this collective, so swapping the sink here
-    // cannot race any emit_trace.
-    std::lock_guard lk(rs->trace_mu);
-    rs->trace = chosen ? std::move(*chosen) : nullptr;
-    rs->has_trace.store(chosen != nullptr, std::memory_order_release);
-    return std::make_shared<int>(0);
-  });
 }
 
 Comm Comm::split(int color, int key) const {
@@ -571,24 +490,13 @@ void run(int nranks, const std::function<void(Comm&)>& fn, TraceSink trace,
   if (nranks <= 0) throw std::invalid_argument("xmp: nranks must be positive");
   auto rs = std::make_shared<detail::RunState>();
   rs->world_size = nranks;
-  if (trace) {
-    // Installed before any rank exists: trivially race-free.
-    rs->trace = std::move(trace);
-    rs->has_trace.store(true, std::memory_order_release);
-  }
-  if (check.enabled) {
-#ifdef XMP_CHECKED
-    rs->checker = std::make_unique<detail::Checker>(rs.get(), check);
-#else
-    throw std::logic_error(
-        "xmp: checked mode requested but not compiled in (configure with -DXMP_CHECKED=ON)");
-#endif
-  }
+  // Installed before any rank exists, and fixed for the whole run.
+  rs->trace = std::move(trace);
+  if (check.enabled) rs->checker = std::make_unique<detail::Checker>(rs.get(), check);
   std::vector<int> wr(static_cast<std::size_t>(nranks));
   for (int i = 0; i < nranks; ++i) wr[static_cast<std::size_t>(i)] = i;
   auto world = detail::make_group(rs, std::move(wr));
 
-#ifdef XMP_CHECKED
   // The checker retains every group (so the leftover sweep can reach
   // mailboxes of dropped sub-comms), and groups own the RunState that owns
   // the checker: break that deliberate cycle on every exit path, including
@@ -600,7 +508,6 @@ void run(int nranks, const std::function<void(Comm&)>& fn, TraceSink trace,
     }
   } release_guard{rs.get()};
   if (rs->checker) rs->checker->start_watchdog();
-#endif
 
   std::exception_ptr first_error;
   std::mutex err_mu;
@@ -619,9 +526,7 @@ void run(int nranks, const std::function<void(Comm&)>& fn, TraceSink trace,
       rs->abort_all();
     }
   });
-#ifdef XMP_CHECKED
   if (rs->checker) rs->checker->stop_watchdog();
-#endif
   if (first_error) {
     // Surface the root-cause failure, not the secondary AbortedErrors: when
     // the checker triggered the abort, its diagnosis is the root cause.
@@ -643,23 +548,12 @@ void run(int nranks, const std::function<void(Comm&)>& fn, TraceSink trace,
     std::lock_guard lk(rs->check_err_mu);
     if (rs->check_error) std::rethrow_exception(rs->check_error);
   }
-#ifdef XMP_CHECKED
   // Clean run: report Pending handles never completed by wait()/test(), then
   // messages nobody ever received (either throws CheckError).
   if (rs->checker) {
     rs->checker->report_leaked_pending();
     rs->checker->report_leftovers();
   }
-#endif
-}
-
-void run(int nranks, const std::function<void(Comm&)>& fn, TraceSink trace,
-         const CheckOptions& check) {
-  run(nranks, fn, std::move(trace), check, SchedOptions::from_env());
-}
-
-void run(int nranks, const std::function<void(Comm&)>& fn, TraceSink trace) {
-  run(nranks, fn, std::move(trace), CheckOptions::from_env(), SchedOptions::from_env());
 }
 
 }  // namespace xmp

@@ -87,7 +87,6 @@ enum class CollKind : std::uint8_t {
   Scatterv,
   Allreduce,
   Split,
-  SetTrace,
 };
 
 const char* to_string(CollKind k);
@@ -157,7 +156,7 @@ private:
 
 /// Rank-local handle to a communicator. Cheap to copy; all copies refer to
 /// the same group. Rank-affine: a Comm must only be used by the rank it was
-/// created for — checked builds enforce this via the scheduler's rank
+/// created for — checked runs enforce this via the scheduler's rank
 /// context (sched::current_rank), and a blocking call from a thread outside
 /// any rank throws std::logic_error even unchecked.
 class Comm {
@@ -243,18 +242,6 @@ public:
   std::int64_t allreduce(std::int64_t v, Op op) const;
   /// Element-wise allreduce of equal-length vectors.
   std::vector<double> allreduce(std::span<const double> v, Op op) const;
-
-  /// Install a sink observing every traced transfer in the whole run (world
-  /// scope). COLLECTIVE over the world communicator: every rank must call it,
-  /// and the first non-empty sink (by rank order) is installed — all ranks
-  /// passing nullptr clears the sink. Installation happens while every rank
-  /// is blocked inside this call, so it can neither race nor miss concurrent
-  /// traffic; calling it on a communicator that does not span the whole run
-  /// throws std::logic_error. To observe a run from the very first message,
-  /// pass the sink to xmp::run() instead, which installs it before any rank
-  /// starts. The sink itself is invoked under a mutex and may be called from
-  /// any rank, on any worker thread.
-  void set_trace(TraceSink sink) const;
 
   /// Internal: report one logical transfer (local ranks of this comm) to the
   /// run's trace sink. Used by the collectives; near-zero cost when no sink
@@ -441,17 +428,14 @@ std::vector<T> Comm::scatterv(const std::vector<std::vector<T>>& parts, int root
 /// rethrow the first rank failure after every rank has stopped. Every rank
 /// is a cooperatively scheduled fiber; `sched` sizes the worker pool and the
 /// fiber stacks (sched/sched.hpp), executing 4k-64k ranks on a laptop.
-/// A non-null `trace` sink is installed before any rank starts (the
-/// race-free way to observe a run's traffic from its first message) and
-/// stays installed for the whole run unless replaced via Comm::set_trace.
-/// The shorter overloads read CheckOptions::from_env() and/or
-/// SchedOptions::from_env(), so exporting XMP_CHECK=1 or XMP_SCHED_WORKERS=1
-/// switches every run in the process (see check.hpp, docs/CHECKING.md and
-/// docs/SCHED.md).
-void run(int nranks, const std::function<void(Comm&)>& fn, TraceSink trace,
-         const CheckOptions& check, const SchedOptions& sched);
-void run(int nranks, const std::function<void(Comm&)>& fn, TraceSink trace,
-         const CheckOptions& check);
-void run(int nranks, const std::function<void(Comm&)>& fn, TraceSink trace = nullptr);
+/// A non-null `trace` sink observes every traced transfer of the run, from
+/// the first message to the last: it is installed before any rank starts
+/// and cannot be replaced. It is invoked under a mutex and may be called
+/// from any rank, on any worker thread. The default `check` reads
+/// CheckOptions::from_env(), so exporting XMP_CHECK=1 switches every run in
+/// the process that does not pass its own (see check.hpp and
+/// docs/CHECKING.md).
+void run(int nranks, const std::function<void(Comm&)>& fn, TraceSink trace = nullptr,
+         const CheckOptions& check = CheckOptions::from_env(), const SchedOptions& sched = {});
 
 }  // namespace xmp

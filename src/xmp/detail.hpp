@@ -51,19 +51,18 @@ struct Mailbox {
 /// abort.
 struct RunState {
   std::atomic<bool> aborted{false};
-  /// Fast-path flag mirroring `trace != nullptr`: senders skip the trace
-  /// mutex entirely when no sink is installed.
-  std::atomic<bool> has_trace{false};
   int world_size = 0;
-  std::mutex trace_mu;
+  /// Set by run() before any rank starts and never replaced, so ranks read
+  /// it without a lock; trace_mu serializes the calls into the sink.
   TraceSink trace;
+  std::mutex trace_mu;
 
   std::mutex reg_mu;
   std::vector<std::weak_ptr<Group>> groups;
   std::atomic<int> next_group_id{0};
 
-  /// Non-null when this run executes in checked mode (XMP_CHECKED build and
-  /// CheckOptions.enabled). Owned here so every Group hook can reach it.
+  /// Non-null when this run executes in checked mode (CheckOptions.enabled).
+  /// Owned here so every Group hook can reach it.
   std::unique_ptr<Checker> checker;
   /// Root-cause diagnosis recorded by the checker (watchdog or collective
   /// verifier); surfaced by run() in preference to secondary AbortedErrors.

@@ -1,9 +1,9 @@
 #pragma once
-// Strict parsing of the XMP_* environment variables behind
-// SchedOptions::from_env and CheckOptions::from_env. Unset or empty means
-// "keep the default"; anything else must be well-formed or the parse throws
-// std::invalid_argument naming the variable and its value, so a typo never
-// silently turns a feature on, off, or to zero. Internal header.
+// Strict parsing of the XMP_CHECK* environment variables behind
+// CheckOptions::from_env. Unset or empty means "keep the default"; anything
+// else must be well-formed or the parse throws std::invalid_argument naming
+// the variable and its value, so a typo never silently turns a feature on,
+// off, or to zero. Internal header.
 
 #include <cerrno>
 #include <cstdlib>

@@ -1,19 +1,6 @@
 #include "xmp/sched/sched.hpp"
 
-#include "xmp/env.hpp"
-
-namespace xmp {
-
-SchedOptions SchedOptions::from_env() {
-  SchedOptions o;
-  if (auto v = detail::env_int("XMP_SCHED_WORKERS", 0, 1024)) o.workers = static_cast<int>(*v);
-  if (auto v = detail::env_int("XMP_SCHED_STACK_KB", 16, 1 << 20))
-    o.stack_kb = static_cast<int>(*v);
-  if (auto v = detail::env_flag("XMP_SCHED_GUARD")) o.guard_pages = *v;
-  return o;
-}
-
-namespace sched {
+namespace xmp::sched {
 
 namespace {
 // The one place rank identity is allowed to live in a thread-local: the
@@ -33,5 +20,4 @@ void set_current_rank(int r) noexcept { tl_current_rank = r; }
 void set_rank_local_slot(std::shared_ptr<void>* slot) noexcept { tl_rank_slot = slot; }
 }  // namespace detail
 
-}  // namespace sched
-}  // namespace xmp
+}  // namespace xmp::sched

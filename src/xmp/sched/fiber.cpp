@@ -137,8 +137,8 @@ std::size_t usable_stack_bytes(const SchedOptions& opts) {
       errno, std::generic_category(),
       std::string("xmp: fiber stack allocation failed (") + what +
           "); guard-paged stacks cost two kernel VMAs each, so tens of thousands of ranks "
-          "exhaust vm.max_map_count — set SchedOptions.guard_pages=false (XMP_SCHED_GUARD=0) "
-          "or raise vm.max_map_count");
+          "exhaust vm.max_map_count — set SchedOptions::guard_pages = false (the scaling "
+          "benches' --no-guard-pages) or raise vm.max_map_count");
 }
 
 }  // namespace

@@ -22,11 +22,8 @@ namespace xmp {
 // Kept for bench/e2e/dpd_dist.cpp; the next benchmark change deletes it and `mode`.
 enum class SchedMode { Fibers };
 
-/// Per-run scheduling knobs, passed to xmp::run. from_env() reads
-///   XMP_SCHED_WORKERS=<n>    (worker threads; 0 = auto)
-///   XMP_SCHED_STACK_KB=<n>   (per-rank stack size)
-///   XMP_SCHED_GUARD=0|1      (guard page below every stack)
-/// so any existing test or bench can be re-tuned without a code change.
+/// Per-run scheduling knobs, passed to xmp::run. They are set in code only:
+/// no environment variable changes them.
 struct SchedOptions {
   SchedMode mode = SchedMode::Fibers;
   /// Worker threads the fibers multiplex over. 0 picks
@@ -42,10 +39,6 @@ struct SchedOptions {
   /// setting this false allocates all stacks from one contiguous slab (two
   /// VMAs total), trading overflow detection for scale.
   bool guard_pages = true;
-
-  /// Unset or empty variables keep the defaults; a malformed or
-  /// out-of-range value throws std::invalid_argument naming the variable.
-  static SchedOptions from_env();
 };
 
 namespace sched {

@@ -128,31 +128,32 @@ TEST(Mci, InterfaceChannelMessageCountIsRootToRoot) {
   // The whole exchange must cross the World communicator exactly twice
   // (one payload per direction) regardless of L4 sizes: the 3-step pattern
   // keeps high-volume traffic inside the groups.
+  // The sink sees the whole run; the tag filter keeps only the interface
+  // payload, not the set-up's splits and gathers.
   std::mutex mu;
   std::vector<xmp::TraceEvent> events;
-  xmp::run(6, [&](xmp::Comm& world) {
-    coupling::MciConfig cfg;
-    cfg.rack_of = {0, 0, 0, 0, 0, 0};
-    cfg.task_of = {0, 0, 0, 1, 1, 1};
-    auto mci = coupling::build_mci(world, cfg);
-    xmp::Comm l4 = coupling::derive_l4(mci.l3, true);
-    const int peer_root = mci.task == 0 ? 3 : 0;
-    std::vector<std::size_t> my_samples = {static_cast<std::size_t>(l4.rank()),
-                                           static_cast<std::size_t>(l4.rank() + 3)};
-    coupling::InterfaceChannel ch(world, l4, peer_root, 6, my_samples, 42);
-    // Collective install: all ranks call set_trace; the sink goes live while
-    // every rank is parked inside the call, so no prior traffic can leak in.
-    world.set_trace([&](const xmp::TraceEvent& e) {
-      if (e.tag == 42) {
-        std::lock_guard lk(mu);
-        events.push_back(e);
-      }
-    });
-    std::vector<double> vals(2, 1.0);
-    ch.send(vals);
-    ch.recv();
-    world.set_trace(nullptr);
-  });
+  xmp::run(
+      6,
+      [](xmp::Comm& world) {
+        coupling::MciConfig cfg;
+        cfg.rack_of = {0, 0, 0, 0, 0, 0};
+        cfg.task_of = {0, 0, 0, 1, 1, 1};
+        auto mci = coupling::build_mci(world, cfg);
+        xmp::Comm l4 = coupling::derive_l4(mci.l3, true);
+        const int peer_root = mci.task == 0 ? 3 : 0;
+        std::vector<std::size_t> my_samples = {static_cast<std::size_t>(l4.rank()),
+                                               static_cast<std::size_t>(l4.rank() + 3)};
+        coupling::InterfaceChannel ch(world, l4, peer_root, 6, my_samples, 42);
+        std::vector<double> vals(2, 1.0);
+        ch.send(vals);
+        ch.recv();
+      },
+      [&](const xmp::TraceEvent& e) {
+        if (e.tag == 42) {
+          std::lock_guard lk(mu);
+          events.push_back(e);
+        }
+      });
   ASSERT_EQ(events.size(), 2u);
   for (const auto& e : events) {
     EXPECT_TRUE((e.src_world == 0 && e.dst_world == 3) ||
@@ -583,7 +584,6 @@ TEST(Cdc3d, RejectsDegenerateBoxOnEveryAxis) {
 }
 
 TEST(Replica, DistributeVsGatherMismatchCaughtByCheckedMode) {
-  if (!xmp::checked_available()) GTEST_SKIP() << "built without XMP_CHECKED";
   xmp::CheckOptions opts;
   opts.enabled = true;
   try {

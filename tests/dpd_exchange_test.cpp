@@ -7,11 +7,13 @@
 // tests/reference and must match it bitwise. Also pins the gid-keyed pair
 // RNG (trajectories invariant to local index layout and to removal
 // compaction), the exchange telemetry counters / CommMatrix attribution,
-// and how DistributedDpd::load_state handles hostile input.
+// how DistributedDpd::load_state handles hostile input, and that a rank
+// killed with an overlapped halo update in flight ends the whole run.
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -30,6 +32,7 @@
 #include "dpd/system.hpp"
 #include "reference/dpd_exchange_reference.hpp"
 #include "resilience/blob.hpp"
+#include "resilience/fault.hpp"
 #include "telemetry/comm_matrix.hpp"
 #include "telemetry/registry.hpp"
 #include "xmp/comm.hpp"
@@ -211,7 +214,6 @@ TEST(ExchangeEquivalence, OverlappedFourRankSymmetricRunIsBitwiseEqual) {
 }
 
 TEST(ExchangeEquivalence, BothRefreshFlavoursRunCleanUnderCheckedMode) {
-  if (!xmp::checked_available()) GTEST_SKIP() << "built without XMP_CHECKED";
   // The blocking refresh completes its Pending handles right away, the
   // overlapped one from inside the pair pass. Checked mode must find no
   // leaked handle and no unreceived message in either, and both must stay
@@ -478,7 +480,6 @@ TEST(ExchangeMigration, SkipPastTheNeighbourShellThrowsNamingGidAndRanks) {
   // failing rank must abort the others instead of leaving them blocked on
   // its migration message — with and without the checked runtime.
   for (bool checked : {false, true}) {
-    if (checked && !xmp::checked_available()) continue;
     xmp::CheckOptions check;
     check.enabled = checked;
     std::uint32_t gid = 0;
@@ -510,6 +511,80 @@ TEST(ExchangeMigration, SkipPastTheNeighbourShellThrowsNamingGidAndRanks) {
         << "checked=" << checked << ": " << what;
     EXPECT_NE(what.find("past the neighbour shell to rank 2"), std::string::npos)
         << "checked=" << checked << ": " << what;
+  }
+}
+
+// ------------------------------------------------------------ rank faults
+
+/// Test-side exchange hook: forwards every call to the driver, but lets the
+/// FaultPlan kill this rank in finish_refresh first — after begin_update
+/// posted the halo receives, before they complete — so the dead rank still
+/// holds its Pending receives.
+class FaultingExchange final : public dpd::ExchangeHook {
+public:
+  FaultingExchange(DistributedDpd& drv, const resilience::FaultPlan& plan, int world_rank)
+      : drv_(drv), plan_(plan), world_rank_(world_rank) {}
+
+  void refresh(dpd::DpdSystem& sys) override { drv_.refresh(sys); }
+  bool overlap_pending() const override { return drv_.overlap_pending(); }
+  void finish_refresh(dpd::DpdSystem& sys) override {
+    EXPECT_TRUE(drv_.overlap_pending());
+    plan_.check(world_rank_, ++overlapped_);
+    drv_.finish_refresh(sys);
+  }
+
+private:
+  DistributedDpd& drv_;
+  const resilience::FaultPlan& plan_;
+  int world_rank_;
+  /// Overlapped refreshes so far, this one included: the FaultPlan's step.
+  /// Rebuild decisions are allreduced, so every rank counts alike.
+  std::uint64_t overlapped_ = 0;
+};
+
+TEST(ExchangeFaults, RankDyingWithOverlappedHaloInFlightEndsTheRun) {
+  // The victim dies with its halo receives posted; every other rank is in
+  // or heading into the same exchange. xmp::run must end promptly and name
+  // the injected fault as the root cause, not the AbortedError the woken
+  // ranks throw, nor a checked-mode diagnosis.
+  for (int nranks : {2, 4}) {
+    const int victim = nranks - 1;
+    const std::uint64_t kill_step = 3;  // the third overlapped refresh
+    resilience::FaultPlan plan;
+    plan.kill_rank(victim, kill_step);
+    for (bool checked : {false, true}) {
+      xmp::CheckOptions check;
+      check.enabled = checked;
+      bool faulted = false;
+      std::string other;
+      const auto t0 = std::chrono::steady_clock::now();
+      try {
+        xmp::run(
+            nranks,
+            [&](xmp::Comm& world) {
+              auto sys = make_channel_system();
+              DistOptions opt;
+              opt.overlap = true;
+              DistributedDpd drv(world, *sys, opt);
+              FaultingExchange hook(drv, plan, world.world_rank());
+              sys->set_exchange(&hook);
+              drv.distribute();
+              for (int s = 0; s < 20; ++s) sys->step();
+            },
+            nullptr, check);
+      } catch (const resilience::InjectedFault& e) {
+        faulted = true;
+        EXPECT_EQ(e.rank, victim);
+        EXPECT_EQ(e.step, kill_step);
+      } catch (const std::exception& e) {
+        other = e.what();
+      }
+      const double secs =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+      EXPECT_TRUE(faulted) << nranks << " ranks, checked=" << checked
+                           << ": root cause was: " << (other.empty() ? "none" : other);
+      EXPECT_LT(secs, 10.0) << nranks << " ranks, checked=" << checked;
+    }
   }
 }
 

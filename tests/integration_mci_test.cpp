@@ -175,7 +175,6 @@ TEST(MciIntegration, ReplicatedAtomisticTaskFeedsContinuumRoot) {
 }
 
 TEST(MciIntegration, BothSidesRecvIsCaughtAsDeadlockInCheckedMode) {
-  if (!xmp::checked_available()) GTEST_SKIP() << "built without XMP_CHECKED";
   xmp::CheckOptions opts;
   opts.enabled = true;
   opts.poll_interval = std::chrono::milliseconds(5);
@@ -204,7 +203,6 @@ TEST(MciIntegration, BothSidesRecvIsCaughtAsDeadlockInCheckedMode) {
 }
 
 TEST(MciIntegration, ThreeStepExchangeRunsCleanUnderCheckedMode) {
-  if (!xmp::checked_available()) GTEST_SKIP() << "built without XMP_CHECKED";
   // Positive control: the correct 3-step protocol (one side sends first, the
   // other receives first) must produce no checked-mode diagnostic.
   xmp::CheckOptions opts;
@@ -249,29 +247,30 @@ TEST(MciIntegration, TracedExchangeReplaysOnModeledMachine) {
   // replay exactly those messages through the machine cost model.
   std::mutex mu;
   std::vector<xmp::TraceEvent> events;
-  xmp::run(6, [&](xmp::Comm& world) {
-    coupling::MciConfig cfg;
-    cfg.rack_of.assign(6, 0);
-    cfg.task_of = {0, 0, 0, 1, 1, 1};
-    auto mci = coupling::build_mci(world, cfg);
-    xmp::Comm l4 = coupling::derive_l4(mci.l3, true);
-    const int peer_root = mci.task == 0 ? 3 : 0;
-    std::vector<std::size_t> mine = {static_cast<std::size_t>(l4.rank()),
-                                     static_cast<std::size_t>(l4.rank() + 3)};
-    coupling::InterfaceChannel ch(world, l4, peer_root, 6, mine, 42);
-    // Collective install (all ranks call set_trace); the tag filter keeps
-    // only the interface payload, not the logical collective traffic.
-    world.set_trace([&](const xmp::TraceEvent& e) {
-      if (e.tag == 42) {
-        std::lock_guard lk(mu);
-        events.push_back(e);
-      }
-    });
-    std::vector<double> vals(2, 1.5);
-    ch.send(vals);
-    ch.recv();
-    world.set_trace(nullptr);
-  });
+  xmp::run(
+      6,
+      [](xmp::Comm& world) {
+        coupling::MciConfig cfg;
+        cfg.rack_of.assign(6, 0);
+        cfg.task_of = {0, 0, 0, 1, 1, 1};
+        auto mci = coupling::build_mci(world, cfg);
+        xmp::Comm l4 = coupling::derive_l4(mci.l3, true);
+        const int peer_root = mci.task == 0 ? 3 : 0;
+        std::vector<std::size_t> mine = {static_cast<std::size_t>(l4.rank()),
+                                         static_cast<std::size_t>(l4.rank() + 3)};
+        coupling::InterfaceChannel ch(world, l4, peer_root, 6, mine, 42);
+        std::vector<double> vals(2, 1.5);
+        ch.send(vals);
+        ch.recv();
+      },
+      // The tag filter keeps only the interface payload, not the logical
+      // collective traffic.
+      [&](const xmp::TraceEvent& e) {
+        if (e.tag == 42) {
+          std::lock_guard lk(mu);
+          events.push_back(e);
+        }
+      });
 
   ASSERT_EQ(events.size(), 2u);  // root-to-root, one per direction
   machine::TorusSpec spec;

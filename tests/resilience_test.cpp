@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <random>
 #include <string>
@@ -491,6 +493,37 @@ TEST(RoundTrip, DpdWithBondsPlateletsAndFlowBcContinuesBitwise) {
   EXPECT_EQ(a.bc.inserted_total(), b.bc.inserted_total());
 }
 
+TEST(RoundTrip, FlowBcRejectsAFluidVolumeItNeverWrites) {
+  // The cached fluid volume closes the FlowBc blob: -1 until the first
+  // insertion estimates it, a positive volume after. A zero volume would
+  // silently stop insertion for the rest of the run and NaN would switch
+  // off the density guard, so the load refuses every other value.
+  DpdWorld a(/*populate=*/true);
+  const auto fresh = state_of(a.bc);
+  a.advance(5);
+  const auto estimated = state_of(a.bc);
+  const auto volume_of = [](const std::vector<std::uint8_t>& blob) {
+    double v = 0.0;
+    std::memcpy(&v, blob.data() + blob.size() - sizeof v, sizeof v);
+    return v;
+  };
+  ASSERT_EQ(volume_of(fresh), -1.0);
+  ASSERT_GT(volume_of(estimated), 0.0);
+  const auto load_with_volume = [&](std::vector<std::uint8_t> blob, double volume) {
+    std::memcpy(blob.data() + blob.size() - sizeof volume, &volume, sizeof volume);
+    dpd::FlowBc bc(DpdWorld::bc_params());
+    resilience::BlobReader r(blob);
+    bc.load_state(r);
+    r.expect_end();
+  };
+  EXPECT_NO_THROW(load_with_volume(fresh, -1.0));
+  EXPECT_NO_THROW(load_with_volume(estimated, volume_of(estimated)));
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {0.0, -0.0, -2.0, std::numeric_limits<double>::quiet_NaN(), inf, -inf})
+    EXPECT_THROW(load_with_volume(estimated, bad), resilience::CorruptError)
+        << "volume " << bad;
+}
+
 // Pins PlateletModel::trigger_time_ while it is live: the checkpoint is
 // taken mid-activation-delay (platelets Triggered but not yet Active), so
 // the restored run reaches Active at exactly the same step as the
@@ -648,6 +681,34 @@ TEST(RoundTrip, StreamingWpodContinuesExactly) {
     }
   }
   EXPECT_EQ(state_of(a), state_of(b));
+}
+
+TEST(RoundTrip, StreamingWpodRejectsAWindowOutsideItsBounds) {
+  // The window length opens the blob. One above max_window never analyses
+  // again (the buffer holds at most max_window snapshots), and 0 makes the
+  // next due push throw from wpod::analyze, so the load refuses both.
+  wpod::StreamingWpod a;
+  for (int t = 0; t < 21; ++t) {
+    la::Vector v(12);
+    for (std::size_t b = 0; b < v.size(); ++b)
+      v[b] = std::sin(0.1 * t + 0.5 * static_cast<double>(b));
+    a.push(v);
+  }
+  const auto load_with_window = [&](std::uint64_t window) {
+    auto blob = state_of(a);
+    std::memcpy(blob.data(), &window, sizeof window);
+    wpod::StreamingWpod b;
+    resilience::BlobReader r(blob);
+    b.load_state(r);
+    r.expect_end();
+    return b.window();
+  };
+  const wpod::StreamingWpod::Options opt;
+  EXPECT_EQ(load_with_window(opt.min_window), opt.min_window);
+  EXPECT_EQ(load_with_window(opt.max_window), opt.max_window);
+  for (std::uint64_t bad : {std::uint64_t{0}, std::uint64_t{opt.min_window - 1},
+                            std::uint64_t{opt.max_window + 1}, std::uint64_t{1} << 40})
+    EXPECT_THROW(load_with_window(bad), resilience::CorruptError) << "window " << bad;
 }
 
 // ---------------- mini coupled run: 2N steps == N + restart + N ----------------

@@ -54,11 +54,7 @@ void expect_contains(const std::string& msg, std::initializer_list<const char*> 
     EXPECT_NE(msg.find(needle), std::string::npos) << "missing \"" << needle << "\" in:\n" << msg;
 }
 
-#define SKIP_UNLESS_CHECKED() \
-  if (!xmp::checked_available()) GTEST_SKIP() << "built without XMP_CHECKED"
-
 TEST(XmpChecked, MismatchedCollectiveOpNamesOffender) {
-  SKIP_UNLESS_CHECKED();
   const auto msg = run_expect_check(
       2,
       [](xmp::Comm& world) {
@@ -73,7 +69,6 @@ TEST(XmpChecked, MismatchedCollectiveOpNamesOffender) {
 }
 
 TEST(XmpChecked, RootDisagreementCaught) {
-  SKIP_UNLESS_CHECKED();
   const auto msg = run_expect_check(
       3,
       [](xmp::Comm& world) {
@@ -85,7 +80,6 @@ TEST(XmpChecked, RootDisagreementCaught) {
 }
 
 TEST(XmpChecked, ElementSizeDisagreementCaught) {
-  SKIP_UNLESS_CHECKED();
   const auto msg = run_expect_check(
       2,
       [](xmp::Comm& world) {
@@ -102,7 +96,6 @@ TEST(XmpChecked, ElementSizeDisagreementCaught) {
 }
 
 TEST(XmpChecked, ReduceOpDisagreementCaught) {
-  SKIP_UNLESS_CHECKED();
   const auto msg = run_expect_check(
       2,
       [](xmp::Comm& world) {
@@ -113,7 +106,6 @@ TEST(XmpChecked, ReduceOpDisagreementCaught) {
 }
 
 TEST(XmpChecked, VectorAllreduceShapeMismatchCaught) {
-  SKIP_UNLESS_CHECKED();
   const auto msg = run_expect_check(
       2,
       [](xmp::Comm& world) {
@@ -125,7 +117,6 @@ TEST(XmpChecked, VectorAllreduceShapeMismatchCaught) {
 }
 
 TEST(XmpChecked, MismatchOnSubCommunicatorNamesIt) {
-  SKIP_UNLESS_CHECKED();
   const auto msg = run_expect_check(
       4,
       [](xmp::Comm& world) {
@@ -144,7 +135,6 @@ TEST(XmpChecked, MismatchOnSubCommunicatorNamesIt) {
 }
 
 TEST(XmpChecked, CrossThreadCommUseCaught) {
-  SKIP_UNLESS_CHECKED();
   std::atomic<int> violations{0};
   xmp::run(
       2,
@@ -172,7 +162,6 @@ TEST(XmpChecked, CrossThreadCommUseCaught) {
 }
 
 TEST(XmpChecked, CrossThreadCollectiveCaught) {
-  SKIP_UNLESS_CHECKED();
   std::atomic<int> violations{0};
   xmp::run(
       1,
@@ -191,7 +180,6 @@ TEST(XmpChecked, CrossThreadCollectiveCaught) {
 }
 
 TEST(XmpChecked, TwoRankP2pDeadlockDetected) {
-  SKIP_UNLESS_CHECKED();
   const auto msg = run_expect_check(
       2,
       [](xmp::Comm& world) {
@@ -207,7 +195,6 @@ TEST(XmpChecked, TwoRankP2pDeadlockDetected) {
 }
 
 TEST(XmpChecked, ThreeRankCycleDetected) {
-  SKIP_UNLESS_CHECKED();
   const auto msg = run_expect_check(
       3,
       [](xmp::Comm& world) {
@@ -220,7 +207,6 @@ TEST(XmpChecked, ThreeRankCycleDetected) {
 }
 
 TEST(XmpChecked, CollectiveVsRecvDeadlockDetected) {
-  SKIP_UNLESS_CHECKED();
   // Rank 0 enters a barrier (waits on rank 1); rank 1 waits for a message
   // from rank 0 that can never come: a mixed collective/p2p cycle.
   const auto msg = run_expect_check(
@@ -237,7 +223,6 @@ TEST(XmpChecked, CollectiveVsRecvDeadlockDetected) {
 }
 
 TEST(XmpChecked, NoFalsePositiveWhenMessageAlreadyQueued) {
-  SKIP_UNLESS_CHECKED();
   // Send-before-recv head-to-head is legal (mailboxes are buffered): the
   // wait-for graph momentarily looks cyclic only if sampled carelessly.
   for (int repeat = 0; repeat < 20; ++repeat) {
@@ -254,7 +239,6 @@ TEST(XmpChecked, NoFalsePositiveWhenMessageAlreadyQueued) {
 }
 
 TEST(XmpChecked, StallTimeoutDumpsBlockedOperations) {
-  SKIP_UNLESS_CHECKED();
   // Any-source receives contribute no wait-for edge, so this hang is only
   // catchable by the stall timeout — which must dump the blocked recv with
   // comm, peer and tag.
@@ -269,7 +253,6 @@ TEST(XmpChecked, StallTimeoutDumpsBlockedOperations) {
 }
 
 TEST(XmpChecked, UnreceivedMessagesReportedAtRunEnd) {
-  SKIP_UNLESS_CHECKED();
   const auto msg = run_expect_check(
       2,
       [](xmp::Comm& world) {
@@ -286,7 +269,6 @@ TEST(XmpChecked, UnreceivedMessagesReportedAtRunEnd) {
 // --------------------------------------- nonblocking-p2p handle hygiene
 
 TEST(XmpChecked, LeakedIrecvHandleReportedAtRunEnd) {
-  SKIP_UNLESS_CHECKED();
   const auto msg = run_expect_check(
       2,
       [](xmp::Comm& world) {
@@ -302,7 +284,6 @@ TEST(XmpChecked, LeakedIrecvHandleReportedAtRunEnd) {
 }
 
 TEST(XmpChecked, LeakedIsendHandleReportedAtRunEnd) {
-  SKIP_UNLESS_CHECKED();
   // The message itself is delivered (eager transport) and received, so the
   // only diagnostic left is the dropped send handle.
   const auto msg = run_expect_check(
@@ -322,7 +303,6 @@ TEST(XmpChecked, LeakedIsendHandleReportedAtRunEnd) {
 }
 
 TEST(XmpChecked, CompletedHandlesLeaveNoLeakReport) {
-  SKIP_UNLESS_CHECKED();
   // wait() and a successful (claiming) test() both retire the handle.
   xmp::run(
       2,
@@ -338,7 +318,6 @@ TEST(XmpChecked, CompletedHandlesLeaveNoLeakReport) {
 }
 
 TEST(XmpChecked, PendingWaitDeadlockCycleDetected) {
-  SKIP_UNLESS_CHECKED();
   // Pending::wait parks exactly like a blocking recv, so a wait-for cycle
   // through nonblocking handles must be diagnosed the same way.
   const auto msg = run_expect_check(
@@ -353,7 +332,6 @@ TEST(XmpChecked, PendingWaitDeadlockCycleDetected) {
 }
 
 TEST(XmpChecked, CleanHierarchicalExchangePassesChecked) {
-  SKIP_UNLESS_CHECKED();
   // Positive control: the MCI communicator pattern — split into task groups,
   // root-to-root p2p, collectives at every level — runs checked without a
   // diagnostic.
@@ -393,11 +371,6 @@ TEST(XmpChecked, DisabledOptionsAreNoop) {
         if (world.rank() == 1) (void)world.recv<int>(0, 1);
       },
       nullptr, off);
-}
-
-TEST(XmpChecked, RequestingCheckedWithoutBuildThrows) {
-  if (xmp::checked_available()) GTEST_SKIP() << "built with XMP_CHECKED";
-  EXPECT_THROW(xmp::run(1, [](xmp::Comm&) {}, nullptr, checked()), std::logic_error);
 }
 
 TEST(XmpChecked, FromEnvDefaultsDisabled) {

@@ -4,7 +4,7 @@
 // executor; this file pins what is specific to fibers: the rank context
 // across yields, many ranks on few workers, the 4096-rank smoke, bitwise
 // determinism on one worker, fiber migration under the affinity check,
-// non-rank threads that would block, and SchedOptions env parsing.
+// and non-rank threads that would block.
 
 #include <gtest/gtest.h>
 
@@ -15,10 +15,8 @@
 #include <string>
 #include <thread>
 #include <tuple>
-#include <utility>
 #include <vector>
 
-#include "scoped_env.hpp"
 #include "telemetry/registry.hpp"
 #include "xmp/comm.hpp"
 
@@ -44,9 +42,6 @@ xmp::CheckOptions checked(int stall_ms = 120000) {
   return o;
 }
 
-#define SKIP_UNLESS_CHECKED() \
-  if (!xmp::checked_available()) GTEST_SKIP() << "built without XMP_CHECKED"
-
 TEST(XmpSched, RankContextMatchesCommRank) {
   EXPECT_EQ(xmp::sched::current_rank(), -1);  // test main thread is no rank
   run_fibers(8, [](xmp::Comm& world) {
@@ -58,10 +53,8 @@ TEST(XmpSched, RankContextMatchesCommRank) {
 }
 
 TEST(XmpSched, DefaultRunExecutesRanksAsFibers) {
-  // No SchedOptions and no scheduler env: ranks still run as fibers, so each
-  // has a rank-local slot and its own telemetry registry.
-  ScopedEnv workers("XMP_SCHED_WORKERS", nullptr), stack("XMP_SCHED_STACK_KB", nullptr),
-      guard("XMP_SCHED_GUARD", nullptr);
+  // No SchedOptions: ranks still run as fibers, so each has a rank-local
+  // slot and its own telemetry registry.
   const telemetry::Registry* regs[2] = {nullptr, nullptr};
   bool has_slot[2] = {false, false};
   xmp::run(2, [&](xmp::Comm& world) {
@@ -173,45 +166,7 @@ TEST(XmpSched, SingleWorkerSchedulingIsDeterministic) {
   EXPECT_EQ(a, b);
 }
 
-TEST(XmpSched, FromEnvParsesModeWorkersAndStack) {
-  {
-    ScopedEnv w("XMP_SCHED_WORKERS", "3"), s("XMP_SCHED_STACK_KB", "512"),
-        g("XMP_SCHED_GUARD", "0");
-    const auto o = xmp::SchedOptions::from_env();
-    EXPECT_EQ(o.workers, 3);
-    EXPECT_EQ(o.stack_kb, 512);
-    EXPECT_FALSE(o.guard_pages);
-  }
-  {
-    // Unset and empty both keep the defaults.
-    ScopedEnv w("XMP_SCHED_WORKERS", nullptr), s("XMP_SCHED_STACK_KB", ""),
-        g("XMP_SCHED_GUARD", "1");
-    const auto o = xmp::SchedOptions::from_env();
-    EXPECT_EQ(o.workers, 0);
-    EXPECT_EQ(o.stack_kb, 256);
-    EXPECT_TRUE(o.guard_pages);
-  }
-  // Malformed values throw and name the variable instead of silently
-  // meaning 0 or "on".
-  const std::pair<const char*, const char*> bad[] = {
-      {"XMP_SCHED_GUARD", "false"},  {"XMP_SCHED_GUARD", "yes"},
-      {"XMP_SCHED_WORKERS", "two"},  {"XMP_SCHED_WORKERS", "2x"},
-      {"XMP_SCHED_WORKERS", "-1"},   {"XMP_SCHED_WORKERS", " 2"},
-      {"XMP_SCHED_STACK_KB", "8"},   {"XMP_SCHED_STACK_KB", "99999999999999999999"},
-  };
-  for (const auto& [name, value] : bad) {
-    ScopedEnv e(name, value);
-    try {
-      (void)xmp::SchedOptions::from_env();
-      ADD_FAILURE() << name << "=" << value << " was accepted";
-    } catch (const std::invalid_argument& err) {
-      EXPECT_NE(std::string(err.what()).find(name), std::string::npos) << err.what();
-    }
-  }
-}
-
 TEST(XmpSched, CheckedFiberMigrationDoesNotTripAffinity) {
-  SKIP_UNLESS_CHECKED();
   // Many barriers over two workers: fibers park and resume on whichever
   // worker is free, so a rank's OS thread changes constantly. The affinity
   // checker must key on the scheduler's rank context, not the thread.

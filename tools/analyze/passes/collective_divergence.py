@@ -29,7 +29,7 @@ MARKERS = {"collective-divergence-ok"}
 
 COLLECTIVES = frozenset({
     "barrier", "bcast", "gather", "gatherv", "scatter", "scatterv",
-    "allgather", "allgatherv", "reduce", "allreduce", "split", "set_trace",
+    "allgather", "allgatherv", "reduce", "allreduce", "split",
     "collect_bytes", "collect_bytes_all",
 })
 # the raw primitives are collective even when called unqualified (implicit

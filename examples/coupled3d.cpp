@@ -4,10 +4,9 @@
 // folding. Prints the continuum and atomistic velocity profiles across the
 // gap.
 //
-// The whole run is described by a scenario (docs/SCENARIOS.md): with no
-// --scenario flag the built-in coupled3d preset runs (identical to
-// examples/scenarios/coupled3d.json). Flags, the run and the printout are
-// the scenario driver's (driver.cpp, which lists the flags).
+// The run is a scenario (docs/SCENARIOS.md), by default the coupled3d preset
+// (examples/scenarios/coupled3d.json); driver.cpp holds the flags, the run
+// and the printout.
 //
 // Run: ./build/examples/coupled3d
 

@@ -1,10 +1,10 @@
-// The scenario driver of quickstart and coupled3d: flags (--help lists them;
-// docs/RESILIENCE.md covers checkpoint/restart), scenario load (file or the
-// binary's preset), one scenario::Runner run or a --sweep ensemble, and an
-// epilogue chosen by the scenario's kind (docs/SCENARIOS.md). A flag the
-// chosen mode would ignore (--pool without --sweep; --intervals, the
-// checkpoint flags, --restart or --digest with it) exits 2; a run that
-// throws prints "run failed: <what>" and exits 1.
+// The scenario driver of quickstart and coupled3d: flags (--help lists them),
+// scenario load (file or the binary's preset, each --set applied to it), one
+// scenario::Runner run or a --sweep ensemble, and an epilogue chosen by the
+// scenario's kind (docs/SCENARIOS.md; docs/RESILIENCE.md covers restarts). A
+// bad scenario or --set, and a flag the chosen mode would ignore (--pool
+// without --sweep; --restart or --digest with it), exit 2; a run that throws
+// prints "run failed: <what>" and exits 1.
 
 #include "driver.hpp"
 
@@ -86,34 +86,27 @@ void print_cdc3d(scenario::Runner& runner) {
 
 int drive_scenario(int argc, char** argv, const char* prog, const char* banner,
                    scenario::Scenario (*preset)()) {
-  int intervals = -1;
-  int checkpoint_every = -1;
-  std::string checkpoint_dir;
-  std::string restart_dir;
   std::string scenario_file;
+  std::vector<std::string> sets;
   std::string sweep_file;
   int pool = -1;
+  std::string restart_dir;
   bool digest = false;
   scenario::Flags flags(prog);
   flags.add_string("--scenario", &scenario_file,
                    "scenario JSON file (default: built-in preset)");
+  flags.add_strings("--set", &sets, "PATH=JSON: set one scenario value (repeatable)");
   flags.add_string("--sweep", &sweep_file,
                    "sweep JSON file: expand the scenario into an ensemble and run it");
   flags.add_int("--pool", &pool, "xmp rank pool for --sweep (default 0 = serial in-process)");
-  flags.add_int("--intervals", &intervals, "coupling intervals to run");
-  flags.add_int("--checkpoint-every", &checkpoint_every, "save a checkpoint every K intervals");
-  flags.add_string("--checkpoint-dir", &checkpoint_dir, "where checkpoints go");
   flags.add_string("--restart", &restart_dir, "resume from a checkpoint directory");
   flags.add_flag("--digest", &digest, "print a CRC32 digest of the final state");
   if (!flags.parse(argc, argv)) return 2;
 
-  // unset ints stay -1 and unset strings empty: flag them when given
+  // an unset --pool stays -1 and an unset string empty: flag them when given
   const bool sweeping = !sweep_file.empty();
   const char* ignored = nullptr;
   if (!sweeping && pool >= 0) ignored = "--pool";
-  if (sweeping && intervals >= 0) ignored = "--intervals";
-  if (sweeping && checkpoint_every >= 0) ignored = "--checkpoint-every";
-  if (sweeping && !checkpoint_dir.empty()) ignored = "--checkpoint-dir";
   if (sweeping && !restart_dir.empty()) ignored = "--restart";
   if (sweeping && digest) ignored = "--digest";
   if (ignored) {
@@ -124,11 +117,23 @@ int drive_scenario(int argc, char** argv, const char* prog, const char* banner,
 
   std::printf("%s\n\n", banner);
 
+  // --set PATH=JSON replaces a value the document already has (require_path,
+  // as a sweep axis does); the result parses and validates like a file.
   scenario::Scenario sc;
+  std::string at;  // the --set being applied, named by its error
   try {
-    sc = scenario_file.empty() ? preset() : scenario::load_scenario_file(scenario_file);
+    scenario::Json doc = scenario::serialize_scenario(
+        scenario_file.empty() ? preset() : scenario::load_scenario_file(scenario_file));
+    for (const std::string& set : sets) {
+      at = "--set " + set + ": ";
+      const std::size_t eq = set.find('=');
+      if (eq == std::string::npos) throw scenario::JsonError("expected PATH=JSON");
+      scenario::require_path(doc, set.substr(0, eq)) = scenario::Json::parse(&set[eq + 1]);
+    }
+    at.clear();
+    sc = scenario::parse_scenario(doc);
   } catch (const scenario::JsonError& e) {
-    std::fprintf(stderr, "scenario error: %s\n", e.what());
+    std::fprintf(stderr, "scenario error: %s%s\n", at.c_str(), e.what());
     return 2;
   }
 
@@ -136,9 +141,6 @@ int drive_scenario(int argc, char** argv, const char* prog, const char* banner,
 
   scenario::RunnerOptions opts;
   opts.restart_dir = restart_dir;
-  opts.intervals = intervals;
-  opts.checkpoint_every = checkpoint_every;
-  opts.checkpoint_dir = checkpoint_dir;
   opts.verbose = true;
 
   scenario::Runner runner(sc, opts);

@@ -5,8 +5,8 @@
 
 #include "scenario/schema.hpp"
 
-/// Parse the flags, load the scenario (`--scenario FILE`, else `preset()`),
-/// run it once or as a `--sweep` ensemble and print the epilogue of its kind.
-/// Returns the process exit code.
+/// Parse the flags, load the scenario (`--scenario FILE`, else `preset()`)
+/// and apply each `--set`, run it once or as a `--sweep` ensemble and print
+/// the epilogue of its kind. Returns the process exit code.
 int drive_scenario(int argc, char** argv, const char* prog, const char* banner,
                    scenario::Scenario (*preset)());

@@ -6,10 +6,9 @@
 // solver advances with the Fig. 5 schedule. At the end we print the two
 // velocity profiles side by side so you can see the coupling at work.
 //
-// The whole run is described by a scenario (docs/SCENARIOS.md): with no
-// --scenario flag the built-in quickstart preset runs (identical to
-// examples/scenarios/quickstart.json). Flags, the run and the printout are
-// the scenario driver's (driver.cpp, which lists the flags).
+// The run is a scenario (docs/SCENARIOS.md), by default the quickstart preset
+// (examples/scenarios/quickstart.json); driver.cpp holds the flags, the run
+// and the printout.
 //
 // Build & run:  cmake --build build && ./build/examples/quickstart
 

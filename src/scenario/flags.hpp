@@ -4,7 +4,8 @@
 // as the next argument or after '=' (`--ranks 8` or `--ranks=8`), unknown
 // flags are a hard error (exit code 2 convention in the callers), and --help
 // prints the generated usage text. An int value must be a whole decimal int
-// inside its flag's [lo, hi] range (default [0, INT_MAX]: a count).
+// inside its flag's [lo, hi] range (default [0, INT_MAX]: a count). A
+// repeatable string flag collects every value it is given, in order.
 
 #include <charconv>
 #include <climits>
@@ -12,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <variant>
 #include <vector>
 
 namespace scenario {
@@ -21,13 +23,16 @@ class Flags {
   explicit Flags(std::string prog) : prog_(std::move(prog)) {}
 
   void add_int(const char* name, int* target, const char* help, int lo = 0, int hi = INT_MAX) {
-    specs_.push_back({name, help, Kind::Int, target, nullptr, nullptr, lo, hi});
+    specs_.push_back({name, help, target, lo, hi});
   }
   void add_string(const char* name, std::string* target, const char* help) {
-    specs_.push_back({name, help, Kind::String, nullptr, target, nullptr, 0, 0});
+    specs_.push_back({name, help, target});
+  }
+  void add_strings(const char* name, std::vector<std::string>* target, const char* help) {
+    specs_.push_back({name, help, target});
   }
   void add_flag(const char* name, bool* target, const char* help) {
-    specs_.push_back({name, help, Kind::Bool, nullptr, nullptr, target, 0, 0});
+    specs_.push_back({name, help, target});
   }
 
   /// Parse argv. Returns false (after printing a diagnostic + usage to
@@ -50,15 +55,19 @@ class Flags {
           break;
         }
       if (!spec) return fail("unknown option: " + name);
-      if (spec->kind == Kind::Bool) {
+      if (auto* b = std::get_if<bool*>(&spec->target)) {
         if (eq) return fail(name + " takes no value");
-        *spec->bool_target = true;
+        **b = true;
         continue;
       }
       if (!eq && i + 1 >= argc) return fail(name + " requires a value");
       const char* value = eq ? eq + 1 : argv[++i];
-      if (spec->kind == Kind::String) {
-        *spec->str_target = value;
+      if (auto* str = std::get_if<std::string*>(&spec->target)) {
+        **str = value;
+        continue;
+      }
+      if (auto* strs = std::get_if<std::vector<std::string>*>(&spec->target)) {
+        (*strs)->push_back(value);
         continue;
       }
       const char* end = value + std::strlen(value);
@@ -68,7 +77,7 @@ class Flags {
         return fail("invalid value for " + name + ": '" + value +
                     "' (expected an integer in [" + std::to_string(spec->lo) + ", " +
                     std::to_string(spec->hi) + "])");
-      *spec->int_target = v;
+      *std::get<int*>(spec->target) = v;
     }
     return true;
   }
@@ -82,22 +91,19 @@ class Flags {
   }
 
  private:
-  enum class Kind { Int, String, Bool };
   struct Spec {
     const char* name;
     const char* help;
-    Kind kind;
-    int* int_target;
-    std::string* str_target;
-    bool* bool_target;
-    int lo, hi;
+    std::variant<int*, std::string*, std::vector<std::string>*, bool*> target;
+    int lo = 0, hi = 0;  ///< an int flag's range
   };
 
   void print_usage(std::FILE* out) const {
     std::fprintf(out, "usage: %s [options]\n", prog_.c_str());
-    for (const auto& s : specs_)
-      std::fprintf(out, "  %-22s %s\n",
-                   s.kind == Kind::Bool ? s.name : (std::string(s.name) + " V").c_str(), s.help);
+    for (const auto& s : specs_) {
+      const char* value = std::holds_alternative<bool*>(s.target) ? "" : " V";
+      std::fprintf(out, "  %-22s %s\n", (s.name + std::string(value)).c_str(), s.help);
+    }
   }
 
   std::string prog_;

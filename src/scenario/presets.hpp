@@ -1,8 +1,8 @@
 #pragma once
 // Built-in scenario presets: the runs of the examples and the coupled
-// figures. The checked-in files under examples/scenarios/ are exactly
-// scenario_to_json of the quickstart and coupled3d presets — a test pins
-// their bytes, so the JSON on disk can never drift from the code that
+// figures. examples/scenarios/{quickstart,coupled3d,aneurysm}.json are
+// exactly scenario_to_json of these three presets: a test pins their bytes
+// and their digests, so the JSON on disk can never drift from the code that
 // defines the runs.
 
 #include "scenario/schema.hpp"

@@ -160,14 +160,6 @@ std::int64_t Runner::intervals() const {
   return opts_.intervals >= 0 ? opts_.intervals : sc_.time.intervals;
 }
 
-std::int64_t Runner::checkpoint_every() const {
-  return opts_.checkpoint_every >= 0 ? opts_.checkpoint_every : sc_.checkpoint.every;
-}
-
-std::string Runner::checkpoint_dir() const {
-  return opts_.checkpoint_dir.empty() ? sc_.checkpoint.dir : opts_.checkpoint_dir;
-}
-
 std::string Runner::warm_signature() const {
   if (sc_.kind == "net1d") return "net1d";
   char buf[120];
@@ -249,9 +241,9 @@ std::uint32_t Runner::compute_digest() const {
 }
 
 void Runner::maybe_checkpoint(std::int64_t interval, double time) {
-  const std::int64_t every = checkpoint_every();
+  const std::int64_t every = sc_.checkpoint.every;
   if (every > 0 && (interval + 1) % every == 0 && interval + 1 < intervals()) {
-    const std::string dir = checkpoint_dir() + "/step-" + std::to_string(interval + 1);
+    const std::string dir = sc_.checkpoint.dir + "/step-" + std::to_string(interval + 1);
     const std::size_t bytes = coord_->save(dir, static_cast<std::uint64_t>(interval + 1), time);
     if (opts_.verbose) std::printf("checkpoint: %s (%zu bytes)\n", dir.c_str(), bytes);
   }
@@ -270,6 +262,10 @@ void Runner::build() {
   if (opts_.restart_dir.empty()) return;
   const auto info = coord_->load(opts_.restart_dir);  // throws SnapshotError on damage
   interval_ = static_cast<std::int64_t>(info.step);
+  if (interval_ > intervals())
+    throw RestartPastEndError("restart from " + opts_.restart_dir + ": checkpoint step " +
+                              std::to_string(interval_) + " lies past the end of the run " +
+                              "(time.intervals = " + std::to_string(intervals()) + ")");
   res_.restarted = true;
   if (!opts_.verbose) return;
   const char* dir = opts_.restart_dir.c_str();

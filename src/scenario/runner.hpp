@@ -55,12 +55,17 @@ class SharedTables {
   std::size_t misses_ = 0;
 };
 
+/// A restart checkpoint whose step lies past the run's last interval.
+struct RestartPastEndError : resilience::SnapshotError {
+  using resilience::SnapshotError::SnapshotError;
+};
+
 struct RunnerOptions {
-  std::string restart_dir;         ///< non-empty: resume from this checkpoint
-  std::int64_t intervals = -1;     ///< >= 0 overrides scenario time.intervals
-  std::int64_t checkpoint_every = -1;  ///< >= 0 overrides checkpoint.every
-  std::string checkpoint_dir;      ///< non-empty overrides checkpoint.dir
-  bool verbose = false;            ///< reproduce the example progress lines
+  std::string restart_dir;      ///< non-empty: resume from this checkpoint
+  /// >= 0 overrides time.intervals. Only bench/e2e/coupled.cpp's resume legs
+  /// set it; it goes with ROADMAP item 2's next change to that bench.
+  std::int64_t intervals = -1;
+  bool verbose = false;         ///< reproduce the example progress lines
   /// Optional fault injection: check(fault_id, interval) runs once per
   /// coupling interval (failure-isolation tests).
   resilience::FaultPlan* fault_plan = nullptr;
@@ -89,7 +94,7 @@ class Runner {
   bool warm_applied() const { return warm_applied_; }
 
   /// Build the stack: develop and fill (seeding platelets) on a fresh start,
-  /// or load the restart checkpoint (SnapshotError on damage).
+  /// or load the restart checkpoint (SnapshotError on damage or a step past the end).
   void build();
   /// Run `n` more intervals, checkpointing on schedule; propagates
   /// InjectedFault from the fault plan. Call build() first.
@@ -139,8 +144,6 @@ class Runner {
   using Continuum3D = Continuum<sem::NavierStokes<sem::Discretization3D>>;
 
   std::int64_t intervals() const;
-  std::int64_t checkpoint_every() const;
-  std::string checkpoint_dir() const;
   template <class NS>
   void apply_warm_start(NS& ns);
   template <class NS>

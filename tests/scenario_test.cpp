@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -147,12 +148,14 @@ TEST(Flags, RejectsMalformedIntegers) {
   }
 }
 
-/// Flags with an int `--n` in [2, 9] (starts at 7), a string `--scenario` and
-/// a bool `--digest`, parsed from `args`; stderr goes to `err`.
+/// Flags with an int `--n` in [2, 9] (starts at 7), a string `--scenario`, a
+/// repeatable string `--set` and a bool `--digest`, parsed from `args`;
+/// stderr goes to `err`.
 struct Parsed {
   bool ok = false;
   int n = 7;
   std::string path;
+  std::vector<std::string> sets;
   bool digest = false;
   std::string err;
 };
@@ -162,6 +165,7 @@ Parsed parse_args(std::vector<std::string> args) {
   scenario::Flags flags("prog");
   flags.add_int("--n", &p.n, "a bounded count", 2, 9);
   flags.add_string("--scenario", &p.path, "a path");
+  flags.add_strings("--set", &p.sets, "a repeatable assignment");
   flags.add_flag("--digest", &p.digest, "a switch");
   args.insert(args.begin(), "prog");
   std::vector<char*> argv;
@@ -180,6 +184,13 @@ TEST(Flags, AcceptsTheEqualsForm) {
   EXPECT_TRUE(p.digest);
   EXPECT_EQ(parse_args({"--n", "9"}).n, 9);  // the space form, at hi
   EXPECT_EQ(parse_args({"--n=2"}).n, 2);     // at lo
+}
+
+TEST(Flags, RepeatableStringKeepsEveryValueInOrder) {
+  const Parsed p = parse_args({"--set", "time.intervals=4", "--set=checkpoint.every=2"});
+  EXPECT_TRUE(p.ok) << p.err;
+  EXPECT_EQ(p.sets, (std::vector<std::string>{"time.intervals=4", "checkpoint.every=2"}));
+  EXPECT_FALSE(parse_args({"--set"}).ok);  // a value is required
 }
 
 TEST(Flags, RejectsEmptyEqualsValue) {
@@ -487,14 +498,20 @@ TEST(SchemaTest, BitwiseReEmit) {
   }
 }
 
+// Each checked-in file is its preset's bytes, and both run to one digest.
 TEST(SchemaTest, CheckedInFilesMatchPresets) {
-  const std::string root = NEKTARG_SOURCE_DIR;
-  EXPECT_EQ(slurp(root + "/examples/scenarios/quickstart.json"),
-            scenario::scenario_to_json(scenario::quickstart_preset()));
-  EXPECT_EQ(slurp(root + "/examples/scenarios/coupled3d.json"),
-            scenario::scenario_to_json(scenario::coupled3d_preset()));
-  EXPECT_EQ(slurp(root + "/examples/scenarios/aneurysm.json"),
-            scenario::scenario_to_json(scenario::aneurysm_preset()));
+  const std::string dir = std::string(NEKTARG_SOURCE_DIR) + "/examples/scenarios/";
+  const std::pair<const char*, Scenario> presets[] = {
+      {"quickstart.json", scenario::quickstart_preset()},
+      {"coupled3d.json", scenario::coupled3d_preset()},
+      {"aneurysm.json", scenario::aneurysm_preset()}};
+  for (auto [file, preset] : presets) {
+    SCOPED_TRACE(file);
+    EXPECT_EQ(slurp(dir + file), scenario::scenario_to_json(preset));
+    Scenario from_file = scenario::load_scenario_file(dir + file);
+    preset.time.intervals = from_file.time.intervals = 2;
+    EXPECT_EQ(Runner(from_file).run().digest, Runner(preset).run().digest);
+  }
 }
 
 TEST(SchemaTest, EveryKeyLandsInItsNamedMember) {
@@ -765,10 +782,13 @@ TEST(RunnerTest, Coupled3dDigestMatchesHandwritten) {
   EXPECT_EQ(res.digest, handwritten_coupled3d_digest(3, 40));
 }
 
-// The absolute STATE_DIGESTs of the two example presets at their CI interval
-// counts. Every relational gate (restart, scenario file vs preset) would
-// still pass if a refactor shifted both sides; these literals would not.
-// The scalar kernels sum in a different order, so the pins hold on AVX2 only.
+// examples/scenarios/pins.json holds one pin per checked-in scenario: an
+// interval count, a restart step and the STATE_DIGEST (`--digest`) of that
+// run. Each scenario runs once checkpointing at the restart step, with both
+// values set through the document as the driver's --set does, and once
+// resumed from that checkpoint. The two runs agree bitwise on every ISA.
+// The scalar kernels sum in a different order, so the pinned digest holds on
+// AVX2 only; it is what catches a refactor that shifts both runs alike.
 // The pins last moved, from 0c02f50c (2D) and 351c803b (3D), when the
 // box-mesh Helmholtz solves began at the exact fast-diagonalisation answer
 // with CG only checking it in 0 iterations (HelmholtzDims's
@@ -776,18 +796,64 @@ TEST(RunnerTest, Coupled3dDigestMatchesHandwritten) {
 // the projector's guess. Each solve still agrees with a Jacobi-CG solve of
 // the same operator to 1e-9 relative (Helmholtz2dFastDiag.AgreesWithJacobiCg
 // in sem_test, Helmholtz3dFastDiag.AgreesWithJacobiCg in sem3d_test).
-TEST(Scenario, PresetDigestsArePinned) {
-  if (la::simd::detect() != la::simd::Isa::Avx2) GTEST_SKIP() << "digests pinned on AVX2";
-  RunnerOptions q;
-  q.intervals = 12;
-  EXPECT_EQ(Runner(scenario::quickstart_preset(), q).run().digest, 0x77e1b283u);
-  RunnerOptions c;
-  c.intervals = 8;
-  EXPECT_EQ(Runner(scenario::coupled3d_preset(), c).run().digest, 0x3e7a5628u);
-  // Fig. 10's stack: cavity mesh (Jacobi CG), cavity DPD box, platelets
-  RunnerOptions a;
-  a.intervals = 4;
-  EXPECT_EQ(Runner(scenario::aneurysm_preset(), a).run().digest, 0x8827df5au);
+TEST(Scenario, CheckedInScenariosMatchTheirPinsAcrossARestart) {
+  const std::string dir = std::string(NEKTARG_SOURCE_DIR) + "/examples/scenarios/";
+  Json pins = Json::parse(slurp(dir + "pins.json"));
+  EXPECT_EQ(pins.elements().size(), 3u);
+  const bool avx2 = la::simd::detect() == la::simd::Isa::Avx2;
+  for (Json& pin : pins.elements()) {
+    const std::string file = scenario::require_path(pin, "scenario").as_string();
+    SCOPED_TRACE(file);
+    const Json restart_at = scenario::require_path(pin, "restart_at");
+    const std::string ckpt = testing::TempDir() + "/nektarg-pin-" + file;
+    std::filesystem::remove_all(ckpt);
+    Json doc = scenario::serialize_scenario(scenario::load_scenario_file(dir + file));
+    scenario::require_path(doc, "time.intervals") = scenario::require_path(pin, "intervals");
+    scenario::require_path(doc, "checkpoint.every") = restart_at;
+    scenario::require_path(doc, "checkpoint.dir") = Json(ckpt);
+    const Scenario sc = scenario::parse_scenario(doc);
+
+    const auto full = Runner(sc).run();
+    RunnerOptions ro;
+    ro.restart_dir = ckpt + "/step-" + std::to_string(static_cast<int>(restart_at.as_number()));
+    const auto resumed = Runner(sc, ro).run();
+    EXPECT_TRUE(resumed.restarted);
+    EXPECT_EQ(resumed.digest, full.digest);
+    if (avx2) {
+      char hex[9];
+      std::snprintf(hex, sizeof hex, "%08x", full.digest);
+      EXPECT_EQ(hex, scenario::require_path(pin, "digest").as_string());
+    }
+  }
+}
+
+// A restart from a checkpoint past the run's last interval is refused with
+// an error naming the step and time.intervals; one at the last interval is
+// an empty resume (the e2e benchmark's resume leg).
+TEST(RunnerTest, RestartPastTheEndIsRefused) {
+  Scenario sc = scenario::quickstart_preset();
+  sc.time.develop_steps = 2;
+  sc.time.intervals = 3;
+  sc.checkpoint.every = 2;
+  sc.checkpoint.dir = testing::TempDir() + "/nektarg-scenario-past-end";
+  std::filesystem::remove_all(sc.checkpoint.dir);
+  Runner(sc).run();
+
+  RunnerOptions ro;
+  ro.restart_dir = sc.checkpoint.dir + "/step-2";
+  sc.time.intervals = 1;
+  try {
+    Runner(sc, ro).run();
+    ADD_FAILURE() << "restart past the end did not throw";
+  } catch (const scenario::RestartPastEndError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("checkpoint step 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("time.intervals = 1"), std::string::npos) << what;
+  }
+  sc.time.intervals = 2;
+  const auto at_end = Runner(sc, ro).run();
+  EXPECT_TRUE(at_end.restarted);
+  EXPECT_EQ(at_end.intervals_run, 0u);
 }
 
 TEST(RunnerTest, Net1dDeterministicDigest) {

@@ -1,9 +1,9 @@
 #include "scenario/ensemble.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <fstream>
-#include <map>
 #include <sstream>
 
 #include "resilience/blob.hpp"
@@ -15,8 +15,8 @@ namespace scenario {
 namespace {
 
 // p2p tags of the dispatcher protocol
-constexpr int kWorkerMsgTag = 71;  ///< worker -> master: hello / result
-constexpr int kAssignTag = 72;     ///< master -> worker: variant assignment
+constexpr int kResultTag = 71;  ///< worker -> master: a variant's result
+constexpr int kAssignTag = 72;  ///< master -> worker: variant assignment
 
 double now_seconds() {
   using clock = std::chrono::steady_clock;
@@ -54,7 +54,7 @@ void pack_result(resilience::BlobWriter& w, const VariantResult& r,
 }
 
 VariantResult unpack_result(resilience::BlobReader& r, std::vector<std::uint8_t>& warm_blob,
-                            std::uint64_t& tbl_hits, std::uint64_t& tbl_misses) {
+                            std::pair<std::uint64_t, std::uint64_t>& tbl_stats) {
   VariantResult res;
   res.index = static_cast<std::size_t>(r.pod<std::uint64_t>());
   res.ok = r.pod<std::uint8_t>() != 0;
@@ -65,31 +65,38 @@ VariantResult unpack_result(resilience::BlobReader& r, std::vector<std::uint8_t>
   r.pod(res.seconds);
   r.pod(res.warm_source);
   warm_blob = r.vec<std::uint8_t>();
-  r.pod(tbl_hits);
-  r.pod(tbl_misses);
+  r.pod(tbl_stats.first);
+  r.pod(tbl_stats.second);
   return res;
 }
 
-/// Nearest completed parameter point (normalized Euclidean distance).
-std::int64_t nearest_donor(const std::vector<Variant>& variants,
-                           const std::map<std::size_t, std::vector<std::uint8_t>>& blobs,
-                           const Variant& target) {
-  std::int64_t best = -1;
-  double best_d = 0.0;
-  for (const auto& [idx, blob] : blobs) {
-    if (blob.empty()) continue;
-    const auto& c = variants[idx].coords;
-    double d = 0.0;
-    for (std::size_t a = 0; a < c.size() && a < target.coords.size(); ++a) {
-      const double dd = c[a] - target.coords[a];
-      d += dd * dd;
-    }
-    if (best < 0 || d < best_d) {
-      best = static_cast<std::int64_t>(idx);
-      best_d = d;
-    }
+/// The warm state `v` starts from: its donor's, empty for none.
+const std::vector<std::uint8_t>& donor_state(const std::vector<std::vector<std::uint8_t>>& warm,
+                                             const Variant& v) {
+  static const std::vector<std::uint8_t> none;
+  return v.donor >= 0 ? warm[static_cast<std::size_t>(v.donor)] : none;
+}
+
+/// The structural rules of a sweep spec, for parsed and hand-built specs alike.
+void check_axes(const SweepSpec& s) {
+  auto axis = [&](std::size_t i) {
+    return "$.axes[" + std::to_string(i) + "] (\"" + s.axes[i].path + "\")";
+  };
+  // path `outer` names `inner` or one of its ancestors
+  auto covers = [](const std::string& outer, const std::string& inner) {
+    return (inner + ".").starts_with(outer + ".");
+  };
+  for (std::size_t i = 0; i < s.axes.size(); ++i) {
+    if (s.axes[i].values.empty()) sweep_fail(axis(i) + ": empty values");
+    // two axes over one value: the variant names would list both, but only
+    // the later assignment would run
+    for (std::size_t j = 0; j < i; ++j)
+      if (covers(s.axes[j].path, s.axes[i].path) || covers(s.axes[i].path, s.axes[j].path))
+        sweep_fail(axis(i) + " overlaps " + axis(j));
   }
-  return best;
+  if (s.mode != "cross" && s.mode != "zip")
+    sweep_fail("$.mode \"" + s.mode + "\" unknown (known: cross, zip)");
+  if (s.axes.empty()) sweep_fail("$.axes: no axes");
 }
 
 }  // namespace
@@ -111,12 +118,7 @@ SweepSpec SweepSpec::parse(const Json& doc) {
   } catch (const JsonError& e) {
     sweep_fail(e.what());
   }
-  for (std::size_t i = 0; i < s.axes.size(); ++i)
-    if (s.axes[i].values.empty())
-      sweep_fail("$.axes[" + std::to_string(i) + "] (\"" + s.axes[i].path + "\"): empty values");
-  if (s.mode != "cross" && s.mode != "zip")
-    sweep_fail("$.mode \"" + s.mode + "\" unknown (known: cross, zip)");
-  if (s.axes.empty()) sweep_fail("$.axes: no axes");
+  check_axes(s);
   return s;
 }
 
@@ -133,6 +135,7 @@ SweepSpec load_sweep_file(const std::string& path) {
 }
 
 std::vector<Variant> EnsembleEngine::expand(const Json& base, const SweepSpec& sweep) {
+  check_axes(sweep);
   const std::size_t na = sweep.axes.size();
   // enumerate the per-variant value selections
   std::vector<std::vector<std::size_t>> picks;
@@ -143,36 +146,24 @@ std::vector<Variant> EnsembleEngine::expand(const Json& base, const SweepSpec& s
         sweep_fail("zip axes must have equal lengths (\"" + ax.path + "\" has " +
                    std::to_string(ax.values.size()) + ", expected " + std::to_string(n) + ")");
     for (std::size_t i = 0; i < n; ++i) picks.emplace_back(na, i);
-  } else {
-    std::vector<std::size_t> cur(na, 0);
-    while (true) {
-      picks.push_back(cur);
-      std::size_t a = na;
-      while (a > 0) {
-        --a;
-        if (++cur[a] < sweep.axes[a].values.size()) break;
-        cur[a] = 0;
-        if (a == 0) {
-          a = static_cast<std::size_t>(-1);
-          break;
-        }
-      }
-      if (a == static_cast<std::size_t>(-1)) break;
+  } else {  // variant k's picks are k's mixed-radix digits, the last axis fastest
+    std::size_t total = 1;
+    for (const auto& ax : sweep.axes) total *= ax.values.size();
+    for (std::size_t k = 0; k < total; ++k) {
+      auto& pick = picks.emplace_back(na, 0);
+      for (std::size_t a = na, rest = k; a-- > 0; rest /= sweep.axes[a].values.size())
+        pick[a] = rest % sweep.axes[a].values.size();
     }
   }
 
   // per-axis numeric ranges for coordinate normalization
-  std::vector<double> lo(na, 0.0), hi(na, 0.0);
-  for (std::size_t a = 0; a < na; ++a) {
-    bool first = true;
-    for (const Json& v : sweep.axes[a].values) {
-      if (!v.is_number()) continue;
-      const double x = v.as_number();
-      if (first || x < lo[a]) lo[a] = first ? x : std::min(lo[a], x);
-      if (first || x > hi[a]) hi[a] = first ? x : std::max(hi[a], x);
-      first = false;
-    }
-  }
+  std::vector<double> lo(na, HUGE_VAL), hi(na, -HUGE_VAL);
+  for (std::size_t a = 0; a < na; ++a)
+    for (const Json& v : sweep.axes[a].values)
+      if (v.is_number()) {
+        lo[a] = std::min(lo[a], v.as_number());
+        hi[a] = std::max(hi[a], v.as_number());
+      }
 
   const std::string base_name = [&] {
     const Json* n = base.find("name");
@@ -180,18 +171,32 @@ std::vector<Variant> EnsembleEngine::expand(const Json& base, const SweepSpec& s
   }();
 
   std::vector<Variant> out;
+  std::vector<std::vector<double>> coords;  // per variant and axis, normalized to [0, 1]
   for (std::size_t i = 0; i < picks.size(); ++i) {
     Variant v;
     v.index = i;
     v.doc = base;
-    v.coords.assign(na, 0.0);
+    std::vector<double>& c = coords.emplace_back(na, 0.0);
     std::string suffix;
     for (std::size_t a = 0; a < na; ++a) {
       const Json& val = sweep.axes[a].values[picks[i][a]];
       require_path(v.doc, sweep.axes[a].path) = val;
-      if (val.is_number() && hi[a] > lo[a])
-        v.coords[a] = (val.as_number() - lo[a]) / (hi[a] - lo[a]);
+      if (val.is_number() && hi[a] > lo[a]) c[a] = (val.as_number() - lo[a]) / (hi[a] - lo[a]);
       suffix += (suffix.empty() ? "" : ",") + sweep.axes[a].path + "=" + value_suffix(val);
+    }
+    // the donor: the nearest earlier variant (Euclidean distance over the
+    // normalized coordinates), ties to the lower index
+    double best = 0.0;
+    for (std::size_t j = 0; j < i; ++j) {
+      double d = 0.0;
+      for (std::size_t a = 0; a < na; ++a) {
+        const double dd = coords[j][a] - c[a];
+        d += dd * dd;
+      }
+      if (v.donor < 0 || d < best) {
+        v.donor = static_cast<std::int64_t>(j);
+        best = d;
+      }
     }
     v.name = base_name + "[" + suffix + "]";
     v.doc.set("name", v.name);
@@ -208,8 +213,7 @@ EnsembleEngine::EnsembleEngine(Json base_doc, SweepSpec sweep, EnsembleOptions o
 
 VariantResult EnsembleEngine::run_variant(const Variant& v, SharedTables& tables,
                                           const std::vector<std::uint8_t>& donor_blob,
-                                          std::int64_t donor_index,
-                                          std::vector<std::uint8_t>* warm_out) {
+                                          std::vector<std::uint8_t>& warm_out) {
   VariantResult r;
   r.index = v.index;
   const double t0 = now_seconds();
@@ -226,12 +230,11 @@ VariantResult EnsembleEngine::run_variant(const Variant& v, SharedTables& tables
     r.digest = rr.digest;
     r.cg_iters = rr.cg_iters;
     r.develop_steps = rr.develop_steps;
-    r.warm_source = runner.warm_applied() ? donor_index : -1;
-    if (warm_out) *warm_out = runner.warm_state();
+    r.warm_source = runner.warm_applied() ? v.donor : -1;
+    if (opts_.warm != WarmMode::Off) warm_out = runner.warm_state();
   } catch (const std::exception& e) {
     r.ok = false;
     r.error = e.what();
-    if (warm_out) warm_out->clear();
   }
   r.seconds = now_seconds() - t0;
   return r;
@@ -259,19 +262,9 @@ EnsembleReport EnsembleEngine::run_serial(const std::vector<Variant>& variants) 
   EnsembleReport rep;
   rep.variants.resize(variants.size());
   SharedTables tables;
-  std::map<std::size_t, std::vector<std::uint8_t>> warm_blobs;
-  for (const auto& v : variants) {
-    std::vector<std::uint8_t> donor;
-    std::int64_t donor_idx = -1;
-    if (opts_.warm != WarmMode::Off) {
-      donor_idx = nearest_donor(variants, warm_blobs, v);
-      if (donor_idx >= 0) donor = warm_blobs[static_cast<std::size_t>(donor_idx)];
-    }
-    std::vector<std::uint8_t> warm_out;
-    VariantResult r = run_variant(v, tables, donor, donor_idx, &warm_out);
-    if (r.ok && opts_.warm != WarmMode::Off) warm_blobs[v.index] = std::move(warm_out);
-    rep.variants[v.index] = std::move(r);
-  }
+  std::vector<std::vector<std::uint8_t>> warm(variants.size());
+  for (const auto& v : variants)
+    rep.variants[v.index] = run_variant(v, tables, donor_state(warm, v), warm[v.index]);
   rep.shared_hits = tables.hits();
   rep.shared_misses = tables.misses();
   return rep;
@@ -290,74 +283,73 @@ EnsembleReport EnsembleEngine::run_pool(const std::vector<Variant>& variants) {
       opts_.pool,
       [&](xmp::Comm& comm) {
         if (comm.rank() == 0) {
-          // dispatcher: pull-based work distribution — whichever worker asks
-          // first gets the next variant (async work stealing).
-          std::map<std::size_t, std::vector<std::uint8_t>> warm_blobs;
-          std::map<int, std::pair<std::uint64_t, std::uint64_t>> tbl_stats;
-          std::size_t next = 0;
+          // dispatcher: a free worker takes the lowest-index variant that is
+          // ready — any variant with warm starts off, else one whose donor
+          // has finished — and waits while none is.
+          const std::size_t n = variants.size();
+          std::vector<std::vector<std::uint8_t>> warm(n);
+          std::vector<char> started(n, 0), finished(n, 0);
+          std::size_t pending = n;  // not yet started
+          auto ready = [&](const Variant& v) {
+            return !started[v.index] && (opts_.warm == WarmMode::Off || v.donor < 0 ||
+                                         finished[static_cast<std::size_t>(v.donor)]);
+          };
+          std::vector<std::pair<std::uint64_t, std::uint64_t>> tbl_stats(comm.size());
+          std::vector<int> idle;  // workers waiting for an assignment, rank 1 at the back
+          for (int w = comm.size() - 1; w >= 1; --w) idle.push_back(w);
           int active = comm.size() - 1;
-          while (active > 0) {
+          while (true) {
+            while (!idle.empty()) {
+              const auto it = std::find_if(variants.begin(), variants.end(), ready);
+              if (it == variants.end() && pending > 0) break;  // wait for a donor
+              resilience::BlobWriter aw;
+              if (it != variants.end()) {
+                aw.pod(static_cast<std::int64_t>(it->index));
+                aw.vec(donor_state(warm, *it));
+                started[it->index] = 1;
+                --pending;
+              } else {
+                aw.pod(static_cast<std::int64_t>(-1));
+                --active;
+              }
+              const auto bytes = aw.take();
+              comm.send_bytes(idle.back(), kAssignTag, bytes.data(), bytes.size());
+              idle.pop_back();
+            }
+            if (active == 0) break;
             int src = xmp::kAnySource;
-            auto msg = comm.recv_bytes(xmp::kAnySource, kWorkerMsgTag, &src);
+            auto msg = comm.recv_bytes(xmp::kAnySource, kResultTag, &src);
             resilience::BlobReader mr(msg);
-            if (mr.pod<std::uint8_t>() != 0) {  // carries a result
-              std::vector<std::uint8_t> warm_blob;
-              std::uint64_t th = 0, tm = 0;
-              VariantResult r = unpack_result(mr, warm_blob, th, tm);
-              r.rank = src;
-              tbl_stats[src] = {th, tm};
-              if (r.ok && opts_.warm != WarmMode::Off) warm_blobs[r.index] = std::move(warm_blob);
-              rep.variants[r.index] = std::move(r);
-            }
+            std::vector<std::uint8_t> blob;
+            VariantResult r = unpack_result(mr, blob, tbl_stats[static_cast<std::size_t>(src)]);
             mr.expect_end();
-            resilience::BlobWriter aw;
-            if (next < variants.size()) {
-              const Variant& v = variants[next];
-              std::int64_t donor_idx = -1;
-              if (opts_.warm != WarmMode::Off) donor_idx = nearest_donor(variants, warm_blobs, v);
-              aw.pod(static_cast<std::int64_t>(next));
-              aw.pod(donor_idx);
-              if (donor_idx >= 0)
-                aw.vec(warm_blobs[static_cast<std::size_t>(donor_idx)]);
-              else
-                aw.vec(std::vector<std::uint8_t>{});
-              ++next;
-            } else {
-              aw.pod(static_cast<std::int64_t>(-1));
-              aw.pod(static_cast<std::int64_t>(-1));
-              aw.vec(std::vector<std::uint8_t>{});
-              --active;
-            }
-            const auto bytes = aw.take();
-            comm.send_bytes(src, kAssignTag, bytes.data(), bytes.size());
+            r.rank = src;
+            finished[r.index] = 1;
+            warm[r.index] = std::move(blob);
+            rep.variants[r.index] = std::move(r);
+            idle.push_back(src);
           }
-          for (const auto& [rank, hm] : tbl_stats) {
-            rep.shared_hits += hm.first;
-            rep.shared_misses += hm.second;
+          for (const auto& [hits, misses] : tbl_stats) {
+            rep.shared_hits += hits;
+            rep.shared_misses += misses;
           }
         } else {
-          // worker: hello, then run assignments until told to stop
+          // worker: run assignments until told to stop
           SharedTables tables;
-          resilience::BlobWriter hello;
-          hello.pod(static_cast<std::uint8_t>(0));
-          const auto hb = hello.take();
-          comm.send_bytes(0, kWorkerMsgTag, hb.data(), hb.size());
           while (true) {
             auto msg = comm.recv_bytes(0, kAssignTag);
             resilience::BlobReader ar(msg);
             const auto idx = ar.pod<std::int64_t>();
-            const auto donor_idx = ar.pod<std::int64_t>();
+            if (idx < 0) break;
             const auto donor = ar.vec<std::uint8_t>();
             ar.expect_end();
-            if (idx < 0) break;
             std::vector<std::uint8_t> warm_out;
-            VariantResult r = run_variant(variants[static_cast<std::size_t>(idx)], tables, donor,
-                                          donor_idx, &warm_out);
+            VariantResult r =
+                run_variant(variants[static_cast<std::size_t>(idx)], tables, donor, warm_out);
             resilience::BlobWriter w;
-            w.pod(static_cast<std::uint8_t>(1));
             pack_result(w, r, warm_out, tables.hits(), tables.misses());
             const auto rb = w.take();
-            comm.send_bytes(0, kWorkerMsgTag, rb.data(), rb.size());
+            comm.send_bytes(0, kResultTag, rb.data(), rb.size());
           }
         }
       },

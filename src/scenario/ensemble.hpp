@@ -3,16 +3,21 @@
 // sweep spec) batched across an xmp rank pool. The paper's paradigm treats a
 // multiscale run as a composable unit of work; the ensemble layer treats
 // *whole runs* the same way: variants are dispatched to a master/worker rank
-// pool (pull-based, so fast workers steal the remaining work), a failing
-// variant is isolated by the PR 2/3 resilience machinery (InjectedFault /
-// any exception is caught per variant, siblings are unaffected), and
+// pool (pull-based, so fast workers take the remaining work), a failing
+// variant is isolated by the resilience machinery (InjectedFault / any
+// exception is caught per variant, siblings are unaffected), and
 // cross-variant redundancy is exploited:
 //   * identical meshes share discretization/gather-scatter tables per rank
 //     (SharedTables),
-//   * the checkpoint-format continuum state of the nearest completed
-//     parameter point warm-starts each new variant (WarmMode::State collapses
-//     the develop phase: the saving shows in develop steps, since box-mesh
-//     solves take 0 CG iterations cold or warm).
+//   * each variant warm-starts from the checkpoint-format continuum state of
+//     its donor (WarmMode::State collapses the develop phase: the saving
+//     shows in develop steps, since box-mesh solves take 0 CG iterations cold
+//     or warm).
+// The donor is fixed when the sweep is expanded: the nearest earlier variant
+// by the normalized sweep coordinates, ties to the lower index. A pool worker
+// takes the lowest-index variant whose donor has finished (any variant with
+// warm starts off), so serial and pool runs return the same per-variant
+// results. A variant whose donor failed, or left no warm state, starts cold.
 
 #include <cstdint>
 #include <string>
@@ -34,7 +39,8 @@ struct SweepAxis {
 ///   {"mode": "cross", "axes": [{"path": "sem.inlet_umax",
 ///                               "values": [0.9, 1.0, 1.1]}]}
 /// mode "cross" = cartesian product, "zip" = parallel iteration (all axes
-/// must have equal length).
+/// must have equal length). No two axes may set the same value: equal
+/// paths, or one path a dotted prefix of the other, are an error.
 struct SweepSpec {
   std::string mode = "cross";
   std::vector<SweepAxis> axes;
@@ -46,13 +52,16 @@ struct SweepSpec {
 /// offending JSON path ("sweeps.json: sweep: $.axes[1].values: ...").
 SweepSpec load_sweep_file(const std::string& path);
 
-/// One expanded variant: the base document with overrides applied, plus the
-/// override values as normalized coordinates (nearest-donor selection).
+/// One expanded variant: the base document with overrides applied, plus its
+/// warm-start donor, fixed at expansion.
 struct Variant {
   std::size_t index = 0;
   std::string name;
   Json doc;
-  std::vector<double> coords;  ///< per-axis, normalized to [0, 1]
+  /// The nearest earlier variant by Euclidean distance over the override
+  /// values normalized per axis to [0, 1], ties to the lower index; -1 for
+  /// variant 0.
+  std::int64_t donor = -1;
 };
 
 struct VariantResult {
@@ -103,7 +112,7 @@ class EnsembleEngine {
   EnsembleReport run_pool(const std::vector<Variant>& variants);
   VariantResult run_variant(const Variant& v, SharedTables& tables,
                             const std::vector<std::uint8_t>& donor_blob,
-                            std::int64_t donor_index, std::vector<std::uint8_t>* warm_out);
+                            std::vector<std::uint8_t>& warm_out);
 
   Json base_;
   SweepSpec sweep_;

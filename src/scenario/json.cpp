@@ -1,9 +1,7 @@
 #include "scenario/json.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <limits>
 
 #include "io/json_escape.hpp"
 
@@ -329,7 +327,12 @@ class Parser {
       if (!digits()) fail("invalid number: digits required in exponent");
     }
     const std::string tok(text_.substr(start, pos_ - start));
-    return Json(std::strtod(tok.c_str(), nullptr));
+    const double v = std::strtod(tok.c_str(), nullptr);
+    if (!std::isfinite(v)) {
+      pos_ = start;
+      fail("number " + tok + " overflows a double");
+    }
+    return Json(v);
   }
 
   std::string_view text_;
@@ -346,14 +349,7 @@ Json Json::parse(std::string_view text) {
 
 void append_json_number(std::string& out, double v) {
   if (!std::isfinite(v)) throw JsonError("cannot serialize non-finite number");
-  char buf[40];
-  // range first: the integer cast is undefined for values it cannot hold
-  if (std::fabs(v) < 1e15 && v == static_cast<double>(static_cast<std::int64_t>(v))) {
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof buf, "%.*g", std::numeric_limits<double>::max_digits10, v);
-  }
-  out += buf;
+  io::append_json_number(out, v);
 }
 
 namespace {

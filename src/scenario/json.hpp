@@ -8,8 +8,9 @@
 // property the scenario round-trip tests pin.
 //
 // Deliberately minimal: no comments, no trailing commas, no NaN/Inf (dump
-// throws; JSON has no spelling for them), doubles only (integers survive
-// exactly up to 2^53, far beyond any scenario knob).
+// throws and parse rejects a literal that overflows a double; JSON has no
+// spelling for them), doubles only (integers survive exactly up to 2^53, far
+// beyond any scenario knob).
 
 #include <cstdint>
 #include <stdexcept>
@@ -90,8 +91,9 @@ class Json {
   static Json parse(std::string_view text);
 
   /// Canonical pretty form: 2-space indent, objects one member per line,
-  /// arrays of scalars on one line, numbers in telemetry's shortest
-  /// round-trip format. Deterministic, and a fixed point of parse+dump.
+  /// arrays of scalars on one line, numbers in their shortest round-trip
+  /// form (append_json_number). Deterministic, and a fixed point of
+  /// parse+dump.
   std::string dump() const;
 
  private:
@@ -105,9 +107,9 @@ class Json {
   std::vector<Member> obj_;
 };
 
-/// Append one JSON number in the canonical format shared with telemetry's
-/// JsonWriter: integral values below 1e15 print as integers, everything else
-/// as %.17g. Throws JsonError on non-finite values.
+/// Append one JSON number in the shortest round-trip format shared with
+/// telemetry's JsonWriter (io::append_json_number). Throws JsonError on
+/// non-finite values.
 void append_json_number(std::string& out, double v);
 
 /// Walk a dotted object path ("coupling.scales.nu_dpd") from `root`;

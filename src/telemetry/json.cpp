@@ -1,8 +1,6 @@
 #include "telemetry/json.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <limits>
 
 #include "io/json_escape.hpp"
 
@@ -15,14 +13,9 @@ void JsonWriter::value(double v) {
     out_ << "null";
     return;
   }
-  // range first: the integer cast is undefined for values it cannot hold
-  if (std::fabs(v) < 1e15 && v == static_cast<double>(static_cast<std::int64_t>(v))) {
-    out_ << static_cast<std::int64_t>(v);
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.*g", std::numeric_limits<double>::max_digits10, v);
-  out_ << buf;
+  std::string s;
+  io::append_json_number(s, v);
+  out_ << s;
 }
 
 void JsonWriter::string_literal(const std::string& s) {

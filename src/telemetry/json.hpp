@@ -1,8 +1,8 @@
 #pragma once
 // Minimal JSON emitter for the telemetry exporters. Write-only, streaming,
 // no DOM: exporters push objects/arrays and scalars in document order.
-// Numbers use max_digits10 round-trip formatting so consumers can compare
-// bench JSON values against the text tables exactly.
+// Numbers use the shortest round-trip form (io::append_json_number) so
+// consumers read back exactly the double that was written.
 
 #include <cstdint>
 #include <sstream>

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -36,6 +37,7 @@
 #include "scenario/runner.hpp"
 #include "scenario/schema.hpp"
 #include "sem/navier_stokes.hpp"
+#include "telemetry/json.hpp"
 
 namespace {
 
@@ -80,6 +82,35 @@ TEST(JsonTest, StrictParseErrors) {
   } catch (const JsonError& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
   }
+  // a literal beyond the double range would parse to an infinity that passes
+  // every "> 0" check; it is an error at the literal
+  for (const std::string lit : {"1e400", "-1e400"}) {
+    try {
+      Json::parse("{\n  \"nu\": " + lit + "\n}");
+      FAIL() << "expected JsonError for " << lit;
+    } catch (const JsonError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2, col 9: number " + lit + " overflows a double"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(JsonTest, NumbersRoundTripBitwise) {
+  // dump writes the shortest text that parses back to the same double
+  for (const double x : {0.1, 1.0 / 3.0, 5e-324, 1e15, 9007199254740994.0 /* 2^53 + 2 */, -0.0,
+                         0.05, 1.1, 100000.0, -2.5e-8, 1.7976931348623157e308}) {
+    const std::string text = Json(x).dump();
+    const double back = Json::parse(text).as_number();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back), std::bit_cast<std::uint64_t>(x)) << text;
+  }
+  EXPECT_EQ(Json(0.05).dump(), "0.05\n");  // not %.17g's 0.050000000000000003
+  EXPECT_EQ(Json(1.1).dump(), "1.1\n");
+  EXPECT_EQ(Json(100000.0).dump(), "100000\n");  // integral values stay integers
+  // telemetry's writer uses the same formatter
+  telemetry::JsonWriter w;
+  w.value(0.05);
+  EXPECT_EQ(w.str(), "0.05");
 }
 
 TEST(JsonTest, EscapingRoundTrip) {
@@ -1055,6 +1086,21 @@ TEST(EnsembleTest, SweepDiagnosticsCarryJsonPaths) {
   } catch (const JsonError& e) {
     EXPECT_NE(std::string(e.what()).find("$.axes[0]"), std::string::npos) << e.what();
   }
+  // an axis over an object shadows an axis over one of its members: the
+  // error names both
+  try {
+    scenario::SweepSpec::parse(Json::parse(R"({"axes": [{"path": "coupling.region",
+        "values": [[1, 3, 0.1, 0.9]]}, {"path": "coupling", "values": [{}]}]})"));
+    FAIL() << "expected JsonError";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  R"($.axes[1] ("coupling") overlaps $.axes[0] ("coupling.region"))"),
+              std::string::npos)
+        << e.what();
+  }
+  // a path that merely starts with the other's name is a different value
+  EXPECT_NO_THROW(scenario::SweepSpec::parse(Json::parse(
+      R"({"axes": [{"path": "mesh", "values": [1]}, {"path": "mesh3d", "values": [1]}]})")));
 }
 
 TEST(EnsembleTest, LoadSweepFileCarriesFilePathInDiagnostics) {
@@ -1088,9 +1134,14 @@ TEST(EnsembleTest, CrossExpansionLastAxisFastest) {
   EXPECT_EQ(scenario::find_path(variants[1].doc, "dpd.seed")->as_number(), 2.0);  // last fastest
   EXPECT_EQ(scenario::find_path(variants[3].doc, "sem.inlet_umax")->as_number(), 1.1);
   EXPECT_NE(variants[4].name.find("inlet_umax"), std::string::npos);
-  ASSERT_EQ(variants[5].coords.size(), 2u);
-  EXPECT_EQ(variants[5].coords[0], 1.0);  // normalized to [0, 1]
-  EXPECT_EQ(variants[5].coords[1], 1.0);
+  // donors: the nearest earlier variant over the coordinates normalized to
+  // [0, 1] — (0,0) (0,.5) (0,1) (1,0) (1,.5) (1,1)
+  const std::vector<std::int64_t> donors = {-1, 0, 1, 0, 3, 4};
+  for (std::size_t i = 0; i < variants.size(); ++i)
+    EXPECT_EQ(variants[i].donor, donors[i]) << "variant " << i;
+  // 1.0 lies as near 0.9 as 1.1: ties go to the lower index
+  const auto tie = scenario::EnsembleEngine::expand(base, umax_sweep({0.9, 1.1, 1.0}));
+  EXPECT_EQ(tie[2].donor, 0);
 
   scenario::SweepSpec zip = sweep;
   zip.mode = "zip";
@@ -1103,30 +1154,70 @@ TEST(EnsembleTest, CrossExpansionLastAxisFastest) {
   scenario::SweepSpec bad_value;
   bad_value.axes.push_back({"sem.nu", {Json(-1.0)}});  // fails validation up front
   EXPECT_THROW(scenario::EnsembleEngine::expand(base, bad_value), JsonError);
+
+  // two axes over one value (equal paths, or one path a dotted prefix of the
+  // other) would print both values in the variant names but run only the
+  // later one
+  for (const auto& [p0, p1] : {std::pair{"sem.inlet_umax", "sem.inlet_umax"},
+                               std::pair{"coupling.region", "coupling"},
+                               std::pair{"coupling", "coupling.region"}}) {
+    scenario::SweepSpec overlap;
+    overlap.axes.push_back({p0, {Json(1.0)}});
+    overlap.axes.push_back({p1, {Json(1.0)}});
+    try {
+      scenario::EnsembleEngine::expand(base, overlap);
+      ADD_FAILURE() << p0 << " and " << p1 << " expanded";
+    } catch (const JsonError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("$.axes[1] (\"") + p1 +
+                                           "\") overlaps $.axes[0] (\"" + p0 + "\")"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+/// Every pool size must return the serial run's per-variant results: each
+/// donor is fixed when the sweep is expanded, so with warm starts on a
+/// variant waits for its donor instead of taking whatever has finished.
+void expect_pool_matches_serial(const Json& base, const scenario::SweepSpec& sweep,
+                                WarmMode warm) {
+  scenario::EnsembleOptions opts;
+  opts.warm = warm;
+  const auto serial = scenario::EnsembleEngine(base, sweep, opts).run();
+  ASSERT_EQ(serial.failed, 0u);
+  // Identical meshes: the per-rank discretization cache hits after the first.
+  EXPECT_EQ(serial.shared_misses, 1u);
+  EXPECT_EQ(serial.shared_hits, serial.variants.size() - 1);
+  for (const int pool : {2, 3, 4}) {  // 1 dispatcher + 1, 2 or 3 workers
+    opts.pool = pool;
+    const auto rep = scenario::EnsembleEngine(base, sweep, opts).run();
+    ASSERT_EQ(rep.variants.size(), serial.variants.size());
+    EXPECT_EQ(rep.completed, serial.completed);
+    for (std::size_t i = 0; i < rep.variants.size(); ++i) {
+      const auto& p = rep.variants[i];
+      const auto& s = serial.variants[i];
+      SCOPED_TRACE("pool " + std::to_string(pool) + ", variant " + std::to_string(i));
+      EXPECT_TRUE(p.ok) << p.error;
+      EXPECT_EQ(p.digest, s.digest);
+      EXPECT_EQ(p.warm_source, s.warm_source);
+      EXPECT_EQ(p.develop_steps, s.develop_steps);
+      EXPECT_GE(p.rank, 1);  // rank 0 is the dispatcher
+    }
+  }
 }
 
 TEST(EnsembleTest, PoolMatchesSerial) {
-  const Json base = ensemble_base_doc();
-  const auto sweep = umax_sweep({0.9, 1.0, 1.1});
-
-  scenario::EnsembleOptions serial_opts;
-  const auto serial = scenario::EnsembleEngine(base, sweep, serial_opts).run();
-  ASSERT_EQ(serial.variants.size(), 3u);
-  EXPECT_EQ(serial.completed, 3u);
-  EXPECT_EQ(serial.failed, 0u);
-  // Identical meshes: the per-rank discretization cache hits after the first.
-  EXPECT_EQ(serial.shared_misses, 1u);
-  EXPECT_EQ(serial.shared_hits, 2u);
-
-  scenario::EnsembleOptions pool_opts;
-  pool_opts.pool = 3;  // 1 dispatcher + 2 workers stealing 3 variants
-  const auto pool = scenario::EnsembleEngine(base, sweep, pool_opts).run();
-  ASSERT_EQ(pool.variants.size(), 3u);
-  EXPECT_EQ(pool.completed, 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_TRUE(pool.variants[i].ok);
-    EXPECT_EQ(pool.variants[i].digest, serial.variants[i].digest) << "variant " << i;
-    EXPECT_GE(pool.variants[i].rank, 1);  // rank 0 is the dispatcher
+  const std::string root = NEKTARG_SOURCE_DIR;
+  const auto inlet =
+      scenario::load_sweep_file(root + "/examples/scenarios/sweeps/quickstart_inlet.json");
+  // a tolerance-terminated develop phase, so a warm start changes the step count
+  Json tol = ensemble_base_doc();
+  scenario::require_path(tol, "time.develop_steps") = Json(3000);
+  scenario::require_path(tol, "time.develop_tol") = Json(3e-8);
+  for (const WarmMode warm : {WarmMode::Off, WarmMode::State}) {
+    SCOPED_TRACE(warm == WarmMode::Off ? "cold" : "warm");
+    expect_pool_matches_serial(ensemble_base_doc(), inlet, warm);  // the checked-in 3x2
+    expect_pool_matches_serial(tol, umax_sweep({1.0, 1.02, 1.04, 1.06}), warm);
   }
 }
 
@@ -1178,6 +1269,35 @@ TEST(EnsembleTest, FaultIsolationKeepsSurvivorsBitwise) {
   EXPECT_TRUE(faulty.variants[2].ok);
   EXPECT_EQ(faulty.variants[0].digest, healthy.variants[0].digest);
   EXPECT_EQ(faulty.variants[2].digest, healthy.variants[2].digest);
+}
+
+TEST(EnsembleTest, WarmDependantOfAKilledVariantStartsColdUnderBothExecutors) {
+  const Json base = ensemble_base_doc();
+  const auto sweep = umax_sweep({0.9, 1.0, 1.1});  // donors: -1, 0, 1
+  resilience::FaultPlan plan;
+  plan.kill_rank(/*fault_id=*/1, /*interval=*/1);
+  scenario::EnsembleOptions opts;
+  opts.warm = WarmMode::State;
+  opts.fault_plan = &plan;
+  const auto serial = scenario::EnsembleEngine(base, sweep, opts).run();
+  opts.pool = 3;
+  const auto pool = scenario::EnsembleEngine(base, sweep, opts).run();
+
+  ASSERT_EQ(serial.variants.size(), 3u);
+  ASSERT_EQ(pool.variants.size(), 3u);
+  EXPECT_FALSE(serial.variants[1].ok);
+  EXPECT_EQ(serial.variants[0].warm_source, -1);
+  EXPECT_EQ(serial.variants[2].warm_source, -1);  // its donor died: cold, not variant 0
+  for (std::size_t i = 0; i < 3; ++i) {
+    SCOPED_TRACE("variant " + std::to_string(i));
+    EXPECT_EQ(pool.variants[i].ok, serial.variants[i].ok);
+    EXPECT_EQ(pool.variants[i].digest, serial.variants[i].digest);
+    EXPECT_EQ(pool.variants[i].warm_source, serial.variants[i].warm_source);
+    EXPECT_EQ(pool.variants[i].develop_steps, serial.variants[i].develop_steps);
+  }
+  // cold, variant 2 ends where a cold ensemble's variant 2 does
+  const auto cold = scenario::EnsembleEngine(base, sweep, {}).run();
+  EXPECT_EQ(serial.variants[2].digest, cold.variants[2].digest);
 }
 
 }  // namespace

@@ -70,11 +70,8 @@ std::vector<std::size_t> make_rbc_ring(DpdSystem& sys, BondSet& bonds,
   for (int k = 0; k < p.beads; ++k) {
     const double th = 2.0 * M_PI * k / p.beads;
     Vec3 q = p.center;
-    switch (p.plane) {
-      case 0: q.x += p.radius * std::cos(th); q.y += p.radius * std::sin(th); break;
-      case 1: q.x += p.radius * std::cos(th); q.z += p.radius * std::sin(th); break;
-      default: q.y += p.radius * std::cos(th); q.z += p.radius * std::sin(th); break;
-    }
+    q.x += p.radius * std::cos(th);
+    q.z += p.radius * std::sin(th);
     idx.push_back(sys.add_particle(q, {}, kRbcBead));
   }
   const double r1 = 2.0 * p.radius * std::sin(M_PI / p.beads);      // neighbour distance

@@ -53,11 +53,10 @@ struct RbcRingParams {
   int beads = 16;
   double k_spring = 100.0;  ///< neighbour spring stiffness
   double k_bend = 25.0;     ///< second-neighbour (bending) stiffness
-  /// Ring plane: 0 = xy, 1 = xz, 2 = yz.
-  int plane = 1;
 };
 
-/// Insert an RBC ring into the system and register its bonds on `bonds`.
+/// Insert an RBC ring, in the xz plane through `center`, into the system
+/// and register its bonds on `bonds`.
 /// Returns the bead indices.
 std::vector<std::size_t> make_rbc_ring(DpdSystem& sys, BondSet& bonds,
                                        const RbcRingParams& p);

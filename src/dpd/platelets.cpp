@@ -8,6 +8,18 @@
 
 namespace dpd {
 
+namespace {
+
+/// Morse adhesion between active/bound platelets: strength D, range
+/// parameter beta and equilibrium distance r0.
+constexpr double kMorseD = 20.0;
+constexpr double kMorseBeta = 2.0;
+constexpr double kMorseR0 = 0.6;
+/// Attraction of active platelets to the adhesive wall.
+constexpr double kWallPull = 15.0;
+
+}  // namespace
+
 PlateletModel::PlateletModel(PlateletParams p) : prm_(std::move(p)) {
   if (!prm_.adhesive_region)
     prm_.adhesive_region = [](const Vec3&) { return true; };
@@ -61,7 +73,7 @@ void PlateletModel::add_forces(DpdSystem& sys) {
     if (la < 0) continue;  // not resident on this rank
     const auto i = static_cast<std::size_t>(la);
     const std::uint32_t gi = particles_[a];
-    sys.query_neighbors(pos[i], prm_.adhesion_cutoff, [&](std::size_t j, const Vec3&, double) {
+    sys.query_neighbors(pos[i], kAdhesionCutoff, [&](std::size_t j, const Vec3&, double) {
       const std::uint32_t gj = sys.gid_of(j);
       if (gj <= gi) return;
       const std::size_t b = platelet_of(gj);
@@ -77,10 +89,10 @@ void PlateletModel::add_forces(DpdSystem& sys) {
     const auto j = static_cast<std::size_t>(sys.local_of(gj));
     const Vec3 dr = sys.min_image(pos[i], pos[j]);
     const double r = dr.norm();
-    if (r > prm_.adhesion_cutoff || r < 1e-9) continue;
+    if (r > kAdhesionCutoff || r < 1e-9) continue;
     // Morse force magnitude (positive = attraction towards r0)
-    const double e = std::exp(-prm_.morse_beta * (r - prm_.morse_r0));
-    const double f = 2.0 * prm_.morse_D * prm_.morse_beta * (e * e - e);
+    const double e = std::exp(-kMorseBeta * (r - kMorseR0));
+    const double f = 2.0 * kMorseD * kMorseBeta * (e * e - e);
     // f > 0 for r < r0 (repulsion), f < 0 for r > r0 (attraction):
     // force on i along -er scaled by f
     const Vec3 er = dr * (1.0 / r);
@@ -97,8 +109,8 @@ void PlateletModel::add_forces(DpdSystem& sys) {
     if (ghost[i]) continue;  // per-particle term: the owner applies it
     if (!prm_.adhesive_region(pos[i])) continue;
     const double d = sys.geometry().sdf(pos[i]);
-    if (d > prm_.adhesion_cutoff) continue;
-    frc[i] -= sys.geometry().normal(pos[i]) * prm_.wall_pull;
+    if (d > kAdhesionCutoff) continue;
+    frc[i] -= sys.geometry().normal(pos[i]) * kWallPull;
   }
 }
 

@@ -36,20 +36,19 @@ struct PlateletParams {
   /// Setup-time configuration, evaluated per platelet (not per pair).
   // analyze: std-function-ok (setup-time callback, not a pair-loop parameter)
   std::function<bool(const Vec3&)> adhesive_region;
-  double trigger_distance = 1.0;   ///< wall distance that triggers activation
-  double activation_delay = 2.0;   ///< time between trigger and adhesiveness
-  double morse_D = 20.0;           ///< adhesion strength
-  double morse_beta = 2.0;         ///< adhesion range parameter
-  double morse_r0 = 0.6;           ///< equilibrium adhesion distance
-  double adhesion_cutoff = 1.5;    ///< max interaction distance
-  double bind_distance = 0.6;      ///< arrest distance (to wall or bound platelet)
-  double bind_speed = 0.8;         ///< arrest only below this speed
-  double wall_pull = 15.0;         ///< attraction of active platelets to the wall
+  double trigger_distance = 1.0;  ///< wall distance that triggers activation
+  double activation_delay = 2.0;  ///< time between trigger and adhesiveness
+  double bind_distance = 0.6;     ///< arrest distance (to wall or bound platelet)
+  double bind_speed = 0.8;        ///< arrest only below this speed
 };
 
 class PlateletModel final : public ForceModule {
 public:
   explicit PlateletModel(PlateletParams p);
+
+  /// Range of the adhesive forces (platelet-platelet Morse and the wall
+  /// pull): a decomposed run needs halos at least this wide plus the skin.
+  static constexpr double kAdhesionCutoff = 1.5;
 
   /// Register a platelet by global particle ID (the particle must already
   /// exist in the system; for a fresh system gid == insertion index).

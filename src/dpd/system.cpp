@@ -11,26 +11,30 @@
 
 namespace dpd {
 
+namespace {
+
+/// Groot-Warren velocity prediction factor of the modified velocity-Verlet.
+constexpr double kLambda = 0.65;
+/// Effective boundary force amplitude of the SDF walls.
+constexpr double kWallForce = 40.0;
+/// Dissipative wall friction: together with bounce-back this enforces
+/// no-slip (a wall made of particles would exert exactly this kind of drag
+/// on near-wall fluid).
+constexpr double kWallGamma = 12.0;
+
+}  // namespace
+
 DpdSystem::DpdSystem(const DpdParams& prm, std::shared_ptr<Geometry> geom)
-    : prm_(prm), geom_(std::move(geom)) {
+    : prm_(prm), geom_(std::move(geom)), pair_sigma_(std::sqrt(2.0 * kPairGamma * prm.kBT)) {
   if (prm.rc <= 0.0 || prm.dt <= 0.0 || prm.skin < 0.0)
     throw std::invalid_argument("DpdSystem: rc/dt/skin");
   if (!geom_) geom_ = std::make_shared<NoWalls>();
   nlist_.configure({prm_.box, prm_.periodic, prm_.rc, prm_.skin});
-  // hoist the per-species-pair coefficients (incl. sigma = sqrt(2 gamma kBT))
-  // out of the pair loop once and for all
-  for (int si = 0; si < kNumSpecies; ++si)
-    for (int sj = 0; sj < kNumSpecies; ++sj) {
-      const auto k = static_cast<std::size_t>(si * kNumSpecies + sj);
-      a_tab_[k] = prm_.a[static_cast<std::size_t>(si)][static_cast<std::size_t>(sj)];
-      g_tab_[k] = prm_.gamma[static_cast<std::size_t>(si)][static_cast<std::size_t>(sj)];
-      sig_tab_[k] = std::sqrt(2.0 * g_tab_[k] * prm_.kBT);
-    }
 }
 
 void DpdSystem::PairBatch::grow(std::size_t m) {
   if (dx.size() >= m) return;
-  for (auto* v : {&dx, &dy, &dz, &r2, &dvx, &dvy, &dvz, &zeta, &a, &g, &sig}) v->resize(m);
+  for (auto* v : {&dx, &dy, &dz, &r2, &dvx, &dvy, &dvz, &zeta}) v->resize(m);
 }
 
 void DpdSystem::PairStage::grow(std::size_t lanes) {
@@ -256,11 +260,11 @@ std::size_t DpdSystem::pair_row(std::size_t i, std::size_t at, double rc2, doubl
                                 double inv_sqrt_dt) {
   // Compact, then compute. The first sweep takes the minimum-image
   // separation and r2 of every listed partner and keeps the in-range lanes,
-  // with their j, in CSR order; only those lanes get the relative velocity,
-  // counter-based noise and hoisted coefficients, and the SIMD kernel writes
-  // their forces straight into the stage. The noise is keyed on *global*
-  // IDs, so a pair's random stream is invariant to index compaction and to
-  // which rank computes it.
+  // with their j, in CSR order; only those lanes get the relative velocity
+  // and counter-based noise, and the SIMD kernel writes their forces
+  // straight into the stage. The noise is keyed on *global* IDs, so a pair's
+  // random stream is invariant to index compaction and to which rank
+  // computes it.
   const std::size_t lo = nlist_.offsets()[i], m = nlist_.offsets()[i + 1] - lo;
   batch_.grow(m);
   stage_.grow(at + m);
@@ -298,10 +302,6 @@ std::size_t DpdSystem::pair_row(std::size_t i, std::size_t at, double rc2, doubl
   const double* ux = vel_.xs().data();
   const double* uy = vel_.ys().data();
   const double* uz = vel_.zs().data();
-  const Species si = species_[i];
-  const double* a_row = &a_tab_[static_cast<std::size_t>(si) * kNumSpecies];
-  const double* g_row = &g_tab_[static_cast<std::size_t>(si) * kNumSpecies];
-  const double* s_row = &sig_tab_[static_cast<std::size_t>(si) * kNumSpecies];
   const double uxi = ux[i], uyi = uy[i], uzi = uz[i];
   const std::uint32_t gi = gid_[i];
   for (std::size_t k = 0; k < c; ++k) {
@@ -310,16 +310,12 @@ std::size_t DpdSystem::pair_row(std::size_t i, std::size_t at, double rc2, doubl
     b.dvy[k] = uy[j] - uyi;
     b.dvz[k] = uz[j] - uzi;
     b.zeta[k] = pair_gaussian_like(step_, gi, gid_[j]);
-    const Species s = species_[j];
-    b.a[k] = a_row[s];
-    b.g[k] = g_row[s];
-    b.sig[k] = s_row[s];
   }
   // f = (dx,dy,dz) fmag / r is the force on j; i receives -f (the kernel
   // header documents the lane math)
   la::simd::dpd_pair_forces(c, inv_rc, inv_sqrt_dt, b.dx.data(), b.dy.data(), b.dz.data(),
                             b.r2.data(), b.dvx.data(), b.dvy.data(), b.dvz.data(),
-                            b.zeta.data(), b.a.data(), b.g.data(), b.sig.data(),
+                            b.zeta.data(), kPairA, kPairGamma, pair_sigma_,
                             stage_.fx.data() + at, stage_.fy.data() + at, stage_.fz.data() + at);
   stage_.start[i] = at;
   stage_.count[i] = c;
@@ -446,15 +442,15 @@ void DpdSystem::compute_forces() {
   // effective wall boundary force: normal repulsion + dissipative friction
   // + the fluctuation-dissipation-matched random kicks (a particle wall
   // would deliver both; omitting the random part cools the near-wall fluid)
-  const double sig_w = std::sqrt(2.0 * prm_.wall_gamma * prm_.kBT);
+  const double sig_w = std::sqrt(2.0 * kWallGamma * prm_.kBT);
   const double inv_sqrt_dt_w = 1.0 / std::sqrt(prm_.dt);
   for (std::size_t i = 0; i < n; ++i) {
     const Vec3 p = pos_[i];
     const double d = geom_->sdf(p);
     if (d < prm_.rc) {
       const double w = 1.0 - std::max(d, 0.0) / prm_.rc;
-      frc_[i] += geom_->normal(p) * (prm_.wall_force * w * w);
-      frc_[i] -= vel_[i] * (prm_.wall_gamma * w * w);
+      frc_[i] += geom_->normal(p) * (kWallForce * w * w);
+      frc_[i] -= vel_[i] * (kWallGamma * w * w);
       const std::uint32_t gi = gid_[i];
       frc_[i] += Vec3{pair_gaussian_like(step_ * 3 + 0, gi, gi),
                       pair_gaussian_like(step_ * 3 + 1, gi, gi),
@@ -499,7 +495,7 @@ void DpdSystem::step() {
         continue;
       }
       pos_[i] += vel_[i] * dt + frc_[i] * (0.5 * dt * dt);
-      v_pred_[i] = vel_[i] + frc_[i] * (prm_.lambda * dt);
+      v_pred_[i] = vel_[i] + frc_[i] * (kLambda * dt);
       Vec3 p = pos_[i];
       wrap(p);
       pos_[i] = p;

@@ -91,31 +91,20 @@ struct DpdParams {
   double rc = 1.0;
   double kBT = 1.0;
   double dt = 0.01;
-  double lambda = 0.65;  ///< Groot-Warren velocity prediction factor
   /// Verlet-list skin radius: the neighbor list covers rc + skin and is
   /// reused until some particle moves farther than skin/2 (0 disables
   /// reuse: rebuild on every force evaluation).
   double skin = kDefaultSkin;
-
-  /// Pair coefficients by species (symmetric): conservative repulsion a_ij
-  /// and dissipative gamma_ij (sigma_ij = sqrt(2 gamma_ij kBT)).
-  std::array<std::array<double, kNumSpecies>, kNumSpecies> a{};
-  std::array<std::array<double, kNumSpecies>, kNumSpecies> gamma{};
-
-  double wall_force = 40.0;  ///< effective boundary force amplitude
-  /// Dissipative wall friction: together with bounce-back this enforces
-  /// no-slip (a wall made of particles would exert exactly this kind of
-  /// drag on near-wall fluid).
-  double wall_gamma = 12.0;
-
-  DpdParams() {
-    for (auto& row : a) row.fill(25.0);
-    for (auto& row : gamma) row.fill(4.5);
-  }
 };
 
 class DpdSystem {
 public:
+  /// Groot-Warren pair coefficients, the same for every pair of species:
+  /// conservative repulsion a and dissipative gamma (the random amplitude
+  /// sigma = sqrt(2 gamma kBT) follows from DpdParams::kBT).
+  static constexpr double kPairA = 25.0;
+  static constexpr double kPairGamma = 4.5;
+
   DpdSystem(const DpdParams& prm, std::shared_ptr<Geometry> geom);
 
   const DpdParams& params() const { return prm_; }
@@ -280,7 +269,7 @@ private:
   /// order — bitwise the same however the rows were scheduled.
   void pair_forces();
   /// Compute CSR row i into the stage at `at`: r2 for the whole run, then
-  /// the noise, coefficients and SIMD kernel for its in-range lanes only.
+  /// the relative velocity, noise and SIMD kernel for its in-range lanes only.
   /// Records the row's (start, count) and returns the count.
   std::size_t pair_row(std::size_t i, std::size_t at, double rc2, double inv_rc,
                        double inv_sqrt_dt);
@@ -314,10 +303,9 @@ private:
   // analyze: no-checkpoint (derived cache, rebuilt on demand from pos_)
   NeighborList nlist_;
 
-  // per-species-pair coefficient tables, hoisted out of the pair loop:
-  // a, gamma, and sigma = sqrt(2 gamma kBT), row-major [si * kNumSpecies + sj]
+  // sigma = sqrt(2 kPairGamma kBT), the random pair-force amplitude
   // analyze: no-checkpoint (derived from prm_ in the constructor)
-  std::array<double, kNumSpecies * kNumSpecies> a_tab_{}, g_tab_{}, sig_tab_{};
+  double pair_sigma_;
 
   // reusable scratch: predicted velocities (integrator) and the compacted
   // in-range lanes of one row handed to la::simd::dpd_pair_forces. Dead
@@ -325,7 +313,7 @@ private:
   // analyze: no-checkpoint (integrator scratch, recomputed within every step)
   SoA3 v_pred_;
   struct PairBatch {
-    std::vector<double> dx, dy, dz, r2, dvx, dvy, dvz, zeta, a, g, sig;
+    std::vector<double> dx, dy, dz, r2, dvx, dvy, dvz, zeta;
     void grow(std::size_t m);
   };
   // analyze: no-checkpoint (pair-loop scratch, dead between force passes)

@@ -41,7 +41,9 @@ inline double min_image_1d(double v, double L) {
   return v;
 }
 
-/// Particle species. Pair coefficients are indexed by (species, species).
+/// Particle species: a label carried into checkpoints, the VTK output and
+/// the body-force callback. The pair coefficients are the same for every
+/// species; RBC beads and platelets differ through their force modules.
 enum Species : std::uint8_t {
   kSolvent = 0,
   kRbcBead = 1,

@@ -179,14 +179,14 @@ NO_AUTOVEC
 void dpd_pair_forces_scalar(std::size_t n, double inv_rc, double inv_sqrt_dt, const double* dx,
                             const double* dy, const double* dz, const double* r2,
                             const double* dvx, const double* dvy, const double* dvz,
-                            const double* zeta, const double* a, const double* g,
-                            const double* sig, double* fx, double* fy, double* fz) {
+                            const double* zeta, double a, double g, double sig, double* fx,
+                            double* fy, double* fz) {
   for (std::size_t k = 0; k < n; ++k) {
     const double r = std::sqrt(r2[k]);
     const double inv_r = 1.0 / r;
     const double w = 1.0 - r * inv_rc;
     const double rv = (dx[k] * dvx[k] + dy[k] * dvy[k] + dz[k] * dvz[k]) * inv_r;
-    const double fmag = a[k] * w - g[k] * w * w * rv + sig[k] * w * zeta[k] * inv_sqrt_dt;
+    const double fmag = a * w - g * w * w * rv + sig * w * zeta[k] * inv_sqrt_dt;
     const double s = fmag * inv_r;
     fx[k] = dx[k] * s;
     fy[k] = dy[k] * s;
@@ -201,11 +201,11 @@ namespace {
 /// value computed for a pair never depends on its position in the batch —
 /// load-bearing for bitwise checkpoint/restart, where the same pair can sit
 /// at a different batch offset depending on when the Verlet list was built.
-inline void dpd_block4(__m256d one, __m256d virc, __m256d visdt, const double* dx,
-                       const double* dy, const double* dz, const double* r2,
-                       const double* dvx, const double* dvy, const double* dvz,
-                       const double* zeta, const double* a, const double* g,
-                       const double* sig, double* fx, double* fy, double* fz) {
+inline void dpd_block4(__m256d one, __m256d virc, __m256d visdt, __m256d va, __m256d vg,
+                       __m256d vsig, const double* dx, const double* dy, const double* dz,
+                       const double* r2, const double* dvx, const double* dvy,
+                       const double* dvz, const double* zeta, double* fx, double* fy,
+                       double* fz) {
   const __m256d vdx = _mm256_loadu_pd(dx);
   const __m256d vdy = _mm256_loadu_pd(dy);
   const __m256d vdz = _mm256_loadu_pd(dz);
@@ -218,11 +218,9 @@ inline void dpd_block4(__m256d one, __m256d virc, __m256d visdt, const double* d
                                                     _mm256_mul_pd(vdz, _mm256_loadu_pd(dvz)))),
                     vinv_r);
   // fmag = w * (a - g*w*rv + sig*zeta*inv_sqrt_dt)
-  const __m256d vdiss = _mm256_mul_pd(_mm256_mul_pd(_mm256_loadu_pd(g), vw), vrv);
-  const __m256d vrand =
-      _mm256_mul_pd(_mm256_mul_pd(_mm256_loadu_pd(sig), _mm256_loadu_pd(zeta)), visdt);
-  const __m256d vfmag =
-      _mm256_mul_pd(vw, _mm256_add_pd(_mm256_sub_pd(_mm256_loadu_pd(a), vdiss), vrand));
+  const __m256d vdiss = _mm256_mul_pd(_mm256_mul_pd(vg, vw), vrv);
+  const __m256d vrand = _mm256_mul_pd(_mm256_mul_pd(vsig, _mm256_loadu_pd(zeta)), visdt);
+  const __m256d vfmag = _mm256_mul_pd(vw, _mm256_add_pd(_mm256_sub_pd(va, vdiss), vrand));
   const __m256d vs = _mm256_mul_pd(vfmag, vinv_r);
   _mm256_storeu_pd(fx, _mm256_mul_pd(vdx, vs));
   _mm256_storeu_pd(fy, _mm256_mul_pd(vdy, vs));
@@ -234,23 +232,25 @@ inline void dpd_block4(__m256d one, __m256d virc, __m256d visdt, const double* d
 void dpd_pair_forces_avx2(std::size_t n, double inv_rc, double inv_sqrt_dt, const double* dx,
                           const double* dy, const double* dz, const double* r2,
                           const double* dvx, const double* dvy, const double* dvz,
-                          const double* zeta,
-                          const double* a, const double* g, const double* sig, double* fx,
+                          const double* zeta, double a, double g, double sig, double* fx,
                           double* fy, double* fz) {
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d virc = _mm256_set1_pd(inv_rc);
   const __m256d visdt = _mm256_set1_pd(inv_sqrt_dt);
+  const __m256d va = _mm256_set1_pd(a);
+  const __m256d vg = _mm256_set1_pd(g);
+  const __m256d vsig = _mm256_set1_pd(sig);
   std::size_t k = 0;
   for (; k + 4 <= n; k += 4)
-    dpd_block4(one, virc, visdt, dx + k, dy + k, dz + k, r2 + k, dvx + k, dvy + k, dvz + k,
-               zeta + k, a + k, g + k, sig + k, fx + k, fy + k, fz + k);
+    dpd_block4(one, virc, visdt, va, vg, vsig, dx + k, dy + k, dz + k, r2 + k, dvx + k,
+               dvy + k, dvz + k, zeta + k, fx + k, fy + k, fz + k);
   if (k < n) {
     // tail: pad to a full block (r2 = 1 keeps the padded lanes exception
     // free) and run the identical 4-lane body, then copy out the real lanes
     const std::size_t m = n - k;
     alignas(32) double tdx[4] = {}, tdy[4] = {}, tdz[4] = {}, tr2[4] = {1.0, 1.0, 1.0, 1.0},
-                       tdvx[4] = {}, tdvy[4] = {}, tdvz[4] = {}, tzeta[4] = {}, ta[4] = {},
-                       tg[4] = {}, tsig[4] = {}, tfx[4], tfy[4], tfz[4];
+                       tdvx[4] = {}, tdvy[4] = {}, tdvz[4] = {}, tzeta[4] = {}, tfx[4], tfy[4],
+                       tfz[4];
     for (std::size_t l = 0; l < m; ++l) {
       tdx[l] = dx[k + l];
       tdy[l] = dy[k + l];
@@ -260,11 +260,8 @@ void dpd_pair_forces_avx2(std::size_t n, double inv_rc, double inv_sqrt_dt, cons
       tdvy[l] = dvy[k + l];
       tdvz[l] = dvz[k + l];
       tzeta[l] = zeta[k + l];
-      ta[l] = a[k + l];
-      tg[l] = g[k + l];
-      tsig[l] = sig[k + l];
     }
-    dpd_block4(one, virc, visdt, tdx, tdy, tdz, tr2, tdvx, tdvy, tdvz, tzeta, ta, tg, tsig, tfx,
+    dpd_block4(one, virc, visdt, va, vg, vsig, tdx, tdy, tdz, tr2, tdvx, tdvy, tdvz, tzeta, tfx,
                tfy, tfz);
     for (std::size_t l = 0; l < m; ++l) {
       fx[k + l] = tfx[l];
@@ -276,8 +273,8 @@ void dpd_pair_forces_avx2(std::size_t n, double inv_rc, double inv_sqrt_dt, cons
 
 void dpd_pair_forces(std::size_t n, double inv_rc, double inv_sqrt_dt, const double* dx,
                      const double* dy, const double* dz, const double* r2, const double* dvx,
-                     const double* dvy, const double* dvz, const double* zeta, const double* a,
-                     const double* g, const double* sig, double* fx, double* fy, double* fz) {
+                     const double* dvy, const double* dvz, const double* zeta, double a,
+                     double g, double sig, double* fx, double* fy, double* fz) {
   static const Isa isa = detect();
   if (isa == Isa::Avx2)
     return dpd_pair_forces_avx2(n, inv_rc, inv_sqrt_dt, dx, dy, dz, r2, dvx, dvy, dvz, zeta, a,

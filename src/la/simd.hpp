@@ -47,9 +47,10 @@ void scale(double a, double* x, std::size_t n);                   // x *= a
 //
 // One lane per pair k of a neighbor run: given the minimum-image separation
 // (dx,dy,dz) with r2 = dx^2+dy^2+dz^2, the relative velocity (dvx,dvy,dvz)
-// = v_j - v_i, the symmetric noise zeta, and per-pair coefficients a
-// (conservative), g (dissipative gamma) and sig (= sqrt(2 g kBT), hoisted
-// by the caller), computes the force components on particle j:
+// = v_j - v_i and the symmetric noise zeta, and the coefficients shared by
+// every lane, a (conservative), g (dissipative gamma) and sig
+// (= sqrt(2 g kBT), computed by the caller), computes the force components
+// on particle j:
 //
 //   w    = 1 - r * inv_rc
 //   rv   = (dx dvx + dy dvy + dz dvz) / r
@@ -65,18 +66,17 @@ void scale(double a, double* x, std::size_t n);                   // x *= a
 // pairs differently and still get bitwise-identical forces.
 void dpd_pair_forces(std::size_t n, double inv_rc, double inv_sqrt_dt, const double* dx,
                      const double* dy, const double* dz, const double* r2, const double* dvx,
-                     const double* dvy, const double* dvz, const double* zeta, const double* a,
-                     const double* g, const double* sig, double* fx, double* fy, double* fz);
+                     const double* dvy, const double* dvz, const double* zeta, double a,
+                     double g, double sig, double* fx, double* fy, double* fz);
 void dpd_pair_forces_scalar(std::size_t n, double inv_rc, double inv_sqrt_dt, const double* dx,
                             const double* dy, const double* dz, const double* r2,
                             const double* dvx, const double* dvy, const double* dvz,
-                            const double* zeta, const double* a, const double* g,
-                            const double* sig, double* fx, double* fy, double* fz);
+                            const double* zeta, double a, double g, double sig, double* fx,
+                            double* fy, double* fz);
 void dpd_pair_forces_avx2(std::size_t n, double inv_rc, double inv_sqrt_dt, const double* dx,
                           const double* dy, const double* dz, const double* r2,
                           const double* dvx, const double* dvy, const double* dvz,
-                          const double* zeta,
-                          const double* a, const double* g, const double* sig, double* fx,
+                          const double* zeta, double a, double g, double sig, double* fx,
                           double* fy, double* fz);
 
 // --- batched SEM line kernels ------------------------------------------

@@ -195,6 +195,12 @@ RestartInfo CheckpointCoordinator::load(const std::string& dir) {
   return RestartInfo{man.step, man.time, man.world_size};
 }
 
+std::uint32_t CheckpointCoordinator::digest() const {
+  BlobWriter w;
+  for (const auto& c : components_) c.second->save_state(w);
+  return crc32(w.data());
+}
+
 RestartInfo CheckpointCoordinator::peek(const std::string& dir) {
   const Manifest man = parse_manifest(read_frame(manifest_file(dir)));
   return RestartInfo{man.step, man.time, man.world_size};

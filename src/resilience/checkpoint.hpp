@@ -83,6 +83,10 @@ public:
   /// on a world/component mismatch and CorruptError on damaged streams.
   RestartInfo load(const std::string& dir);
 
+  /// CRC32 over every registered component's save_state bytes, back to
+  /// back in registration order: a state digest of this rank.
+  std::uint32_t digest() const;
+
   /// Read only the manifest header of a checkpoint directory (serial).
   static RestartInfo peek(const std::string& dir);
 

@@ -221,25 +221,6 @@ std::size_t Runner::develop(NS& ns) {
   return cg;
 }
 
-std::uint32_t Runner::compute_digest() const {
-  resilience::BlobWriter w;
-  if (net_) {
-    net_->save_state(w);
-    return resilience::crc32(w.data());
-  }
-  std::visit(
-      [&](const auto& c) {
-        c.ns->save_state(w);
-        dpd_->save_state(w);
-        bc_->save_state(w);
-        c.cdc->save_state(w);
-        sampler_->save_state(w);
-        if (platelets_) platelets_->save_state(w);
-      },
-      continuum_);
-  return resilience::crc32(w.data());
-}
-
 void Runner::maybe_checkpoint(std::int64_t interval, double time) {
   const std::int64_t every = sc_.checkpoint.every;
   if (every > 0 && (interval + 1) % every == 0 && interval + 1 < intervals()) {
@@ -309,7 +290,7 @@ void Runner::advance(std::int64_t n) {
 RunResult Runner::run() {
   build();
   advance(intervals() - interval_);
-  res_.digest = compute_digest();
+  res_.digest = coord_->digest();
   return res_;
 }
 

@@ -73,7 +73,7 @@ struct RunnerOptions {
 };
 
 struct RunResult {
-  std::uint32_t digest = 0;        ///< CRC32 over the component states
+  std::uint32_t digest = 0;        ///< CheckpointCoordinator::digest() at the end
   std::size_t cg_iters = 0;        ///< continuum CG iterations (develop + coupled)
   std::size_t develop_steps = 0;   ///< develop steps actually taken
   std::size_t intervals_run = 0;
@@ -148,7 +148,6 @@ class Runner {
   void apply_warm_start(NS& ns);
   template <class NS>
   std::size_t develop(NS& ns);
-  std::uint32_t compute_digest() const;
   void maybe_checkpoint(std::int64_t interval, double time);
   template <class NS>
   void build_coupled(Continuum<NS>& c);

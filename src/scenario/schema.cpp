@@ -237,6 +237,9 @@ void validate_scenario(const Scenario& sc) {
   check(sc.time.intervals >= 0, "$.time.intervals", "must be >= 0");
   check(sc.time.develop_steps >= 0, "$.time.develop_steps", "must be >= 0");
   check(sc.time.develop_tol >= 0.0, "$.time.develop_tol", "must be >= 0");
+  check(sc.checkpoint.every >= 0, "$.checkpoint.every", "must be >= 0 (0 = never)");
+  check(sc.checkpoint.every == 0 || !sc.checkpoint.dir.empty(), "$.checkpoint.dir",
+        "must not be empty when checkpoint.every > 0");
   if (sc.kind == "cdc" || sc.kind == "cdc3d") {
     const std::string max_order = "must be <= " + std::to_string(sem::kMaxOrder);
     if (sc.kind == "cdc") {
@@ -284,6 +287,7 @@ void validate_scenario(const Scenario& sc) {
     check(geom.kind == "none" || geom.kind == "channel_z" || cavity_z, "$.dpd.geometry.kind",
           "unknown geometry \"" + geom.kind +
               "\" (known: none, channel_z, channel_with_cavity_z)");
+    check(geom.height > 0, "$.dpd.geometry.height", "must be > 0");
     if (cavity_z)
       check_cavity(geom.cavity, box[0], "$.dpd.geometry.cavity");
     else

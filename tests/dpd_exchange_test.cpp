@@ -755,7 +755,7 @@ TEST(ExchangeModules, BondsAndPlateletsMatchSingleRankBitwise) {
     sys.add_module(bonds);
     sys.add_module(model);
     DistOptions opt;
-    opt.halo_width = platelet_params().adhesion_cutoff + prm.skin;
+    opt.halo_width = dpd::PlateletModel::kAdhesionCutoff + prm.skin;
     DistributedDpd drv(world, sys, opt);
     drv.distribute();
     for (int s = 0; s < steps; ++s) {
@@ -1003,7 +1003,7 @@ TEST(ExchangeOracle, BondsAndPlateletsAtARaisedHaloMatchTheRecordOracle) {
     sys.add_module(bonds);
     sys.add_module(model);
     DistOptions opt;
-    opt.halo_width = pp.adhesion_cutoff + prm.skin;
+    opt.halo_width = dpd::PlateletModel::kAdhesionCutoff + prm.skin;
     DistributedDpd drv(world, sys, opt);
     OracleProbe probe(world, sys, drv);
     probe.distribute();

@@ -108,18 +108,18 @@ TEST_P(SimdKernels, DpdPairForcesMatchScalar) {
   const std::size_t n = GetParam();
   auto dx = random_vector(n), dy = random_vector(n), dz = random_vector(n);
   auto dvx = random_vector(n), dvy = random_vector(n), dvz = random_vector(n);
-  auto zeta = random_vector(n), a = random_vector(n), g = random_vector(n),
-       sig = random_vector(n);
+  auto zeta = random_vector(n);
+  const double a = 25.0, g = 4.5, sig = 3.0;  // Groot-Warren at kBT = 1
   la::Vector r2(n);
   for (std::size_t i = 0; i < n; ++i)
     r2[i] = dx[i] * dx[i] + dy[i] * dy[i] + dz[i] * dz[i];
   la::Vector fx1(n), fy1(n), fz1(n), fx2(n), fy2(n), fz2(n);
   la::simd::dpd_pair_forces_scalar(n, 1.0, 10.0, dx.data(), dy.data(), dz.data(), r2.data(),
-                                   dvx.data(), dvy.data(), dvz.data(), zeta.data(), a.data(),
-                                   g.data(), sig.data(), fx1.data(), fy1.data(), fz1.data());
+                                   dvx.data(), dvy.data(), dvz.data(), zeta.data(), a, g, sig,
+                                   fx1.data(), fy1.data(), fz1.data());
   la::simd::dpd_pair_forces(n, 1.0, 10.0, dx.data(), dy.data(), dz.data(), r2.data(),
-                            dvx.data(), dvy.data(), dvz.data(), zeta.data(), a.data(),
-                            g.data(), sig.data(), fx2.data(), fy2.data(), fz2.data());
+                            dvx.data(), dvy.data(), dvz.data(), zeta.data(), a, g, sig,
+                            fx2.data(), fy2.data(), fz2.data());
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(fx1[i], fx2[i], 1e-12 * (1.0 + std::fabs(fx1[i])));
     EXPECT_NEAR(fy1[i], fy2[i], 1e-12 * (1.0 + std::fabs(fy1[i])));
@@ -136,23 +136,22 @@ TEST(SimdDpdKernel, LaneValueIndependentOfBatchPosition) {
   const std::size_t n = 11;
   auto dx = random_vector(n), dy = random_vector(n), dz = random_vector(n);
   auto dvx = random_vector(n), dvy = random_vector(n), dvz = random_vector(n);
-  auto zeta = random_vector(n), a = random_vector(n), g = random_vector(n),
-       sig = random_vector(n);
+  auto zeta = random_vector(n);
+  const double a = 25.0, g = 4.5, sig = 3.0;  // Groot-Warren at kBT = 1
   la::Vector r2(n);
   for (std::size_t i = 0; i < n; ++i)
     r2[i] = dx[i] * dx[i] + dy[i] * dy[i] + dz[i] * dz[i];
   la::Vector fx(n), fy(n), fz(n);
   la::simd::dpd_pair_forces(n, 1.0, 10.0, dx.data(), dy.data(), dz.data(), r2.data(),
-                            dvx.data(), dvy.data(), dvz.data(), zeta.data(), a.data(),
-                            g.data(), sig.data(), fx.data(), fy.data(), fz.data());
+                            dvx.data(), dvy.data(), dvz.data(), zeta.data(), a, g, sig,
+                            fx.data(), fy.data(), fz.data());
   for (std::size_t off = 1; off < n; ++off) {
     const std::size_t m = n - off;
     la::Vector gx(m), gy(m), gz(m);
     la::simd::dpd_pair_forces(m, 1.0, 10.0, dx.data() + off, dy.data() + off,
                               dz.data() + off, r2.data() + off, dvx.data() + off,
-                              dvy.data() + off, dvz.data() + off, zeta.data() + off,
-                              a.data() + off, g.data() + off, sig.data() + off, gx.data(),
-                              gy.data(), gz.data());
+                              dvy.data() + off, dvz.data() + off, zeta.data() + off, a, g,
+                              sig, gx.data(), gy.data(), gz.data());
     for (std::size_t i = 0; i < m; ++i) {
       EXPECT_EQ(fx[off + i], gx[i]) << "off=" << off << " i=" << i;
       EXPECT_EQ(fy[off + i], gy[i]);

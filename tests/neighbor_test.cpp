@@ -401,14 +401,11 @@ TEST(DpdNeighbor, ForcesMatchDirectReference) {
   sys.compute_forces();
 
   const auto& vel = sys.velocities();
-  const auto& spc = sys.species();
   std::vector<dpd::Vec3> ref(sys.size());
   const double inv_sqrt_dt = 1.0 / std::sqrt(prm.dt);
+  const double a = dpd::DpdSystem::kPairA, g = dpd::DpdSystem::kPairGamma;
+  const double sig = std::sqrt(2.0 * g * prm.kBT);
   const auto direct = [&](std::size_t i, std::size_t j, const dpd::Vec3& dr, double r) {
-    const auto si = static_cast<std::size_t>(spc[i]), sj = static_cast<std::size_t>(spc[j]);
-    const double a = prm.a[si][sj];
-    const double g = prm.gamma[si][sj];
-    const double sig = std::sqrt(2.0 * g * prm.kBT);
     const double w = 1.0 - r / prm.rc;
     const double rv = dr.dot(vel[j] - vel[i]) / r;
     const double zeta = dpd::pair_gaussian_like(sys.step_count(), static_cast<std::uint32_t>(i),

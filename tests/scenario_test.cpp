@@ -473,6 +473,26 @@ TEST(SchemaTest, CavityPulseAndPlateletKeysAreValidated) {
   expect_rejected(scenario::quickstart_preset(), "dpd.geometry.cavity", "[6, 14, 5]");
 }
 
+TEST(SchemaTest, ChannelHeightAndCheckpointPolicyAreValidated) {
+  // A channel height <= 0 leaves no fluid and ran with 0 particles; a
+  // negative checkpoint.every silently meant "never"; an empty directory with
+  // checkpoints on would write "/step-N" at the filesystem root. Each case is
+  // only parsed, never run.
+  const Scenario quickstart = scenario::quickstart_preset();
+  expect_rejected(quickstart, "dpd.geometry.height", "0");
+  expect_rejected(quickstart, "dpd.geometry.height", "-2");
+  expect_rejected(scenario::aneurysm_preset(), "dpd.geometry.height", "0");
+  expect_rejected(quickstart, "checkpoint.every", "-1");
+  expect_rejected(tiny_net1d(), "checkpoint.every", "-1");
+  Scenario checkpointing = quickstart;
+  checkpointing.checkpoint.every = 2;
+  expect_rejected(checkpointing, "checkpoint.dir", "\"\"");
+  // without checkpoints the directory is never used
+  Scenario never = quickstart;
+  never.checkpoint.dir = "";
+  EXPECT_NO_THROW(scenario::validate_scenario(never));
+}
+
 TEST(SchemaTest, MeshOrderAboveCapCarriesJsonPath) {
   // an order the point evaluator's stack bases cannot hold is a scenario
   // diagnostic, not an exception from inside the discretization

@@ -3,8 +3,8 @@
 // scenario::Runner run or a --sweep ensemble, and an epilogue chosen by the
 // scenario's kind (docs/SCENARIOS.md; docs/RESILIENCE.md covers restarts). A
 // bad scenario or --set, and a flag the chosen mode would ignore (--pool
-// without --sweep; --restart or --digest with it), exit 2; a run that throws
-// prints "run failed: <what>" and exits 1.
+// without --sweep; --restart or --digest with it), exit 2; a run or epilogue
+// that throws prints "run failed: <what>" and exits 1.
 
 #include "driver.hpp"
 
@@ -144,27 +144,26 @@ int drive_scenario(int argc, char** argv, const char* prog, const char* banner,
   opts.verbose = true;
 
   scenario::Runner runner(sc, opts);
-  scenario::RunResult res;
   try {
-    res = runner.run();
+    const scenario::RunResult res = runner.run();
+    if (digest) {
+      // CRC32 over the concatenated component states: two runs arriving at
+      // the same interval must print the same digest (restart-equivalence
+      // check).
+      std::printf("STATE_DIGEST %08x\n", res.digest);
+    } else if (sc.kind == "cdc") {
+      print_cdc(runner);
+    } else if (sc.kind == "cdc3d") {
+      print_cdc3d(runner);
+    } else {
+      std::printf("1D network: t = %.4f at the end of the run\n", runner.network().time());
+    }
   } catch (const resilience::SnapshotError& e) {
     std::fprintf(stderr, "restart failed: %s\n", e.what());
     return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "run failed: %s\n", e.what());
     return 1;
-  }
-
-  if (digest) {
-    // CRC32 over the concatenated component states: two runs arriving at the
-    // same interval must print the same digest (restart-equivalence check).
-    std::printf("STATE_DIGEST %08x\n", res.digest);
-  } else if (sc.kind == "cdc") {
-    print_cdc(runner);
-  } else if (sc.kind == "cdc3d") {
-    print_cdc3d(runner);
-  } else {
-    std::printf("1D network: t = %.4f at the end of the run\n", runner.network().time());
   }
   return 0;
 }

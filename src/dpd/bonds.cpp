@@ -24,7 +24,7 @@ void BondSet::add_forces(DpdSystem& sys) {
       // zeroing the spring.
       const long have = li < 0 ? lj : li;
       if (dist && !ghost[static_cast<std::size_t>(have)])
-        throw std::runtime_error("BondSet: bond partner outside halo (bond longer than rc+skin)");
+        throw std::runtime_error("BondSet: bond partner outside halo (bond longer than halo)");
       continue;
     }
     const auto ui = static_cast<std::size_t>(li), uj = static_cast<std::size_t>(lj);

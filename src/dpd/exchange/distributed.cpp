@@ -24,6 +24,14 @@ std::uint64_t fnv1a_mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
+std::vector<ParticleRecord> owned_records(const DpdSystem& sys) {
+  std::vector<ParticleRecord> recs;
+  recs.reserve(sys.owned_count());
+  for (std::size_t i = 0; i < sys.size(); ++i)
+    if (!sys.is_ghost(i)) recs.push_back(sys.particle_record(i));
+  return recs;
+}
+
 std::uint64_t digest_records(std::vector<ParticleRecord> recs) {
   std::sort(recs.begin(), recs.end(),
             [](const ParticleRecord& a, const ParticleRecord& b) { return a.gid < b.gid; });
@@ -45,22 +53,10 @@ GridDims resolve_dims(const DistOptions& opt, int nranks, const Vec3& box) {
   return opt.dims;
 }
 
-double resolve_halo(const DistOptions& opt, const DpdParams& prm) {
-  const double floor = prm.rc + prm.skin;
-  if (opt.halo_width == 0.0) return floor;
-  if (opt.halo_width < floor)
-    throw std::invalid_argument("DistributedDpd: halo_width below the rc + skin minimum");
-  return opt.halo_width;
-}
-
 }  // namespace
 
 std::uint64_t trajectory_digest(const DpdSystem& sys) {
-  std::vector<ParticleRecord> recs;
-  recs.reserve(sys.size());
-  for (std::size_t i = 0; i < sys.size(); ++i)
-    if (!sys.is_ghost(i)) recs.push_back(sys.particle_record(i));
-  return digest_records(std::move(recs));
+  return digest_records(owned_records(sys));
 }
 
 DistributedDpd::DistributedDpd(const xmp::Comm& comm, DpdSystem& sys, DistOptions opt)
@@ -68,11 +64,10 @@ DistributedDpd::DistributedDpd(const xmp::Comm& comm, DpdSystem& sys, DistOption
       sys_(sys),
       opt_(opt),
       decomp_(sys.params().box, sys.params().periodic, resolve_dims(opt, comm.size(), sys.params().box),
-              resolve_halo(opt, sys.params())),
+              sys.force_reach() + sys.params().skin),
       migrate_(comm_, decomp_),
       halo_(comm_, decomp_) {
   opt_.dims = decomp_.dims();
-  opt_.halo_width = decomp_.halo_width();
   sys_.set_exchange(this);
   sys_.set_ghost_pair_filter(true);
 }
@@ -80,14 +75,6 @@ DistributedDpd::DistributedDpd(const xmp::Comm& comm, DpdSystem& sys, DistOption
 DistributedDpd::~DistributedDpd() {
   sys_.set_exchange(nullptr);
   sys_.set_ghost_pair_filter(false);
-}
-
-std::vector<ParticleRecord> DistributedDpd::owned_records(const DpdSystem& sys) const {
-  std::vector<ParticleRecord> recs;
-  recs.reserve(sys.owned_count());
-  for (std::size_t i = 0; i < sys.size(); ++i)
-    if (!sys.is_ghost(i)) recs.push_back(sys.particle_record(i));
-  return recs;
 }
 
 void DistributedDpd::capture_ref(const DpdSystem& sys) {
@@ -299,7 +286,7 @@ void DistributedDpd::save_state(resilience::BlobWriter& w) const {
   w.pod(static_cast<std::int32_t>(opt_.dims.px));
   w.pod(static_cast<std::int32_t>(opt_.dims.py));
   w.pod(static_cast<std::int32_t>(opt_.dims.pz));
-  w.pod(opt_.halo_width);
+  w.pod(decomp_.halo_width());
   w.pod(static_cast<std::uint8_t>(distributed_));
   // Cut planes: a rebalanced layout must survive restart, or the forced
   // post-load migration would run under uniform cuts that no longer own the
@@ -316,7 +303,7 @@ void DistributedDpd::load_state(resilience::BlobReader& r) {
   const bool was_distributed = r.pod<std::uint8_t>() != 0;
   if (dims.px != opt_.dims.px || dims.py != opt_.dims.py || dims.pz != opt_.dims.pz)
     throw resilience::LayoutError("DistributedDpd: checkpoint process grid mismatch");
-  if (halo != opt_.halo_width)
+  if (halo != decomp_.halo_width())
     throw resilience::LayoutError("DistributedDpd: checkpoint halo width mismatch");
   for (int a = 0; a < 3; ++a) {
     // vec() checks the count against the bytes left before allocating

@@ -39,10 +39,6 @@ namespace dpd::exchange {
 
 struct DistOptions {
   GridDims dims{};  ///< process grid; default (count()==0) auto-factors
-  /// Ghost shell thickness; 0 means rc + skin (the pair-completeness
-  /// minimum). Raise to max module cutoff + skin when a force module
-  /// (platelet adhesion, long bonds) reaches beyond rc.
-  double halo_width = 0.0;
   /// Overlap halo communication with interior pair computation: the engine
   /// computes interior neighbor-list rows while the fast-path lanes fly,
   /// completing the exchange only before the boundary rows. Off, refresh()
@@ -63,7 +59,8 @@ std::uint64_t trajectory_digest(const DpdSystem& sys);
 class DistributedDpd final : public ExchangeHook {
 public:
   /// Installs itself as the system's exchange hook and enables the ghost
-  /// pair filter. The system must outlive this driver.
+  /// pair filter; the ghost shell is DpdSystem::force_reach() + skin wide.
+  /// The system must outlive this driver.
   DistributedDpd(const xmp::Comm& comm, DpdSystem& sys, DistOptions opt = {});
   ~DistributedDpd() override;
 
@@ -77,16 +74,7 @@ public:
   bool overlap_pending() const override { return overlap_pending_; }
   void finish_refresh(DpdSystem& sys) override;
 
-  /// Measure owned-count imbalance (max/mean over ranks, allreduced) and,
-  /// above 1.2, move the decomposition's cut planes toward equal per-slab
-  /// counts and migrate ownership to the new layout. Collective; returns
-  /// true when the layout changed (the halo and plans are then freshly
-  /// rebuilt). Called automatically every rebalance_every refreshes when
-  /// that option is set.
-  bool rebalance();
-
   const Decomposition& decomposition() const { return decomp_; }
-  const DistOptions& options() const { return opt_; }
   /// The halo protocol object, for its plans (tests/diagnostics).
   const HaloExchanger& halo() const { return halo_; }
   /// Full rebuilds taken by refresh() so far, rebalances included.
@@ -120,6 +108,13 @@ public:
   void load_state(resilience::BlobReader& r);
 
 private:
+  /// Measure owned-count imbalance (max/mean over ranks, allreduced) and,
+  /// above 1.2, move the decomposition's cut planes toward equal per-slab
+  /// counts and migrate ownership to the new layout. Collective; returns
+  /// true when the layout changed (the halo and plans are then freshly
+  /// rebuilt). refresh() calls it every rebalance_every refreshes, ahead of
+  /// the force pass that refills the migrated particles' zero forces.
+  bool rebalance();
   /// Migrate, then rebuild_halo: the phases dpd.exchange.migrate, .halo
   /// and .relayout nested under dpd.exchange.rebuild.
   void full_rebuild(DpdSystem& sys);
@@ -127,13 +122,12 @@ private:
   /// and recapture the displacement references.
   void rebuild_halo(DpdSystem& sys);
   void capture_ref(const DpdSystem& sys);
-  std::vector<ParticleRecord> owned_records(const DpdSystem& sys) const;
 
   // analyze: no-checkpoint (rank-affine communicator handle, re-supplied on restart)
   xmp::Comm comm_;
   // analyze: no-checkpoint (borrowed engine; checkpoints separately)
   DpdSystem& sys_;
-  DistOptions opt_;  ///< layout + halo width; serialised for restart validation
+  DistOptions opt_;  ///< process grid; serialised for restart validation
   Decomposition decomp_;  ///< geometry from opt_; moved cut planes serialised
   // analyze: no-checkpoint (per-rebuild owned set, refilled by every rebuild)
   MigrationExchanger migrate_;

@@ -27,7 +27,8 @@
 //
 // Particle churn (open-boundary deletion and insertion) patches the live
 // list instead of discarding it: removal compacts it in place through the
-// same index remap the force modules get (on_remap), and particles appended
+// index map of DpdSystem::remove_particles' lane compaction (on_remap,
+// which only removal calls; a relayout invalidates), and particles appended
 // since the last ensure() are merged in with every partner j whose
 // *reference* position lies within rc + skin, which is exactly what a full
 // build at the same reference positions would list.
@@ -90,10 +91,9 @@ public:
 
   /// Drop the list (wholesale state reload).
   void invalidate() { valid_ = false; }
-  /// Particle removal (ForceModule-style remap hook): new_index[i] is the
-  /// new index of old particle i, or -1 if it was removed; survivors keep
-  /// their relative order. Compacts the live list in place; a ghost-filtered
-  /// list is invalidated instead.
+  /// Particle removal: new_index[i] is the new index of old particle i, or
+  /// -1 if it was removed; survivors keep their relative order. Compacts
+  /// the live list in place; a ghost-filtered list is invalidated instead.
   void on_remap(const std::vector<long>& new_index);
   bool valid() const { return valid_; }
   /// Bumped by every build, compaction and append: a cache derived from the

@@ -47,7 +47,7 @@ public:
   explicit PlateletModel(PlateletParams p);
 
   /// Range of the adhesive forces (platelet-platelet Morse and the wall
-  /// pull): a decomposed run needs halos at least this wide plus the skin.
+  /// pull), reported as reach(): a decomposed run ghosts this plus skin.
   static constexpr double kAdhesionCutoff = 1.5;
 
   /// Register a platelet by global particle ID (the particle must already
@@ -58,6 +58,7 @@ public:
   void seed_platelets(DpdSystem& sys, std::size_t count, unsigned seed = 11);
 
   void add_forces(DpdSystem& sys) override;
+  double reach() const override { return kAdhesionCutoff; }
   /// Drop slots whose particle was removed from the system.
   void on_remove_gids(const std::vector<std::uint32_t>& gids) override;
 

@@ -93,46 +93,35 @@ void DpdSystem::remove_particles(std::vector<std::size_t> idx) {
   if (idx.empty()) return;
   if (distributed())
     throw std::logic_error("DpdSystem: remove_particles while decomposed (unsupported)");
-  std::sort(idx.begin(), idx.end());
-  idx.erase(std::unique(idx.begin(), idx.end()), idx.end());
-  const std::size_t n = pos_.size();
-  std::vector<char> dead(n, 0);
-  std::vector<std::uint32_t> dead_gids;
-  dead_gids.reserve(idx.size());
-  for (std::size_t i : idx) {
-    dead[i] = 1;
-    dead_gids.push_back(gid_[i]);
-  }
-  std::vector<long> new_index(n, -1);
-  std::size_t w = 0;
+  // mark the removed slots (out of range throws), then number the survivors
+  const std::size_t n = size();
+  std::vector<long> new_index(n, 0);
+  for (std::size_t i : idx) new_index.at(i) = -1;
+  std::vector<std::uint32_t> keep, dead_gids, slot;
+  keep.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    if (dead[i]) continue;
-    new_index[i] = static_cast<long>(w);
-    if (w != i) {
-      pos_[w] = pos_[i];
-      vel_[w] = vel_[i];
-      frc_[w] = frc_[i];
-      frc_old_[w] = frc_old_[i];
-      species_[w] = species_[i];
-      frozen_[w] = frozen_[i];
-      gid_[w] = gid_[i];
-      is_ghost_[w] = is_ghost_[i];
+    if (new_index[i] < 0) {
+      dead_gids.push_back(gid_[i]);
+      continue;
     }
-    ++w;
+    new_index[i] = static_cast<long>(keep.size());
+    keep.push_back(static_cast<std::uint32_t>(i));
   }
-  pos_.resize(w);
-  vel_.resize(w);
-  frc_.resize(w);
-  frc_old_.resize(w);
-  species_.resize(w);
-  frozen_.resize(w);
-  gid_.resize(w);
-  is_ghost_.resize(w);
+  merge_lanes(keep, {}, slot);
   nlist_.on_remap(new_index);
-  for (auto& m : modules_) {
-    m->on_remap(new_index);
-    m->on_remove_gids(dead_gids);
-  }
+  for (auto& m : modules_) m->on_remove_gids(dead_gids);
+}
+
+void DpdSystem::add_module(std::shared_ptr<ForceModule> m) {
+  if (distributed())
+    throw std::logic_error("DpdSystem: add_module while decomposed (unsupported)");
+  modules_.push_back(std::move(m));
+}
+
+double DpdSystem::force_reach() const {
+  double r = prm_.rc;
+  for (const auto& m : modules_) r = std::max(r, m->reach());
+  return r;
 }
 
 std::size_t DpdSystem::owned_count() const {
@@ -159,6 +148,14 @@ ParticleRecord DpdSystem::particle_record(std::size_t i) const {
 void DpdSystem::merge_particles(const std::vector<std::uint32_t>& keep,
                                 std::span<const std::span<const ParticleRecord>> runs,
                                 std::vector<std::uint32_t>& slot) {
+  merge_lanes(keep, runs, slot);
+  frc_.assign(size(), {});
+  nlist_.invalidate();
+}
+
+void DpdSystem::merge_lanes(const std::vector<std::uint32_t>& keep,
+                            std::span<const std::span<const ParticleRecord>> runs,
+                            std::vector<std::uint32_t>& slot) {
   const std::size_t nk = keep.size();
   if (nk > 0 && keep.back() >= size())
     throw std::invalid_argument("DpdSystem::merge_particles: kept slot " +
@@ -196,17 +193,21 @@ void DpdSystem::merge_particles(const std::vector<std::uint32_t>& keep,
   }
 
   // Pass 2, per lane and in place: kept particles compact to the front
-  // (keep[k] >= k), then spread to their slots from the back (slot[k] >= k
-  // and ascending, so no unread entry is overwritten); the records fill the
-  // slots in between. An unstepped system has no integrator scratch yet:
-  // its kept particles read zeros there, as particle_record() does.
+  // (keep[k] >= k, equal before the first gap), then spread to their slots
+  // from the back (slot[k] >= k and ascending, so no unread entry is
+  // overwritten; equal without records); the records fill the slots in
+  // between. An unstepped system has no integrator scratch yet: its kept
+  // particles read zeros there, as particle_record() does.
+  std::size_t q0 = 0;
+  while (q0 < nk && keep[q0] == q0) ++q0;
   v_pred_.resize(size());
   auto move_kept = [&](auto& lane) {
-    for (std::size_t q = 0; q < nk; ++q) lane[q] = lane[keep[q]];
+    for (std::size_t q = q0; q < nk; ++q) lane[q] = lane[keep[q]];
     lane.resize(n);
-    for (std::size_t q = nk; q-- > 0;) lane[slot[q]] = lane[q];
+    if (n > nk)
+      for (std::size_t q = nk; q-- > 0;) lane[slot[q]] = lane[q];
   };
-  for (SoA3* a : {&pos_, &vel_, &v_pred_, &frc_old_}) {
+  for (SoA3* a : {&pos_, &vel_, &v_pred_, &frc_, &frc_old_}) {
     move_kept(a->xs());
     move_kept(a->ys());
     move_kept(a->zs());
@@ -215,7 +216,6 @@ void DpdSystem::merge_particles(const std::vector<std::uint32_t>& keep,
   move_kept(frozen_);
   move_kept(gid_);
   move_kept(is_ghost_);
-  frc_.assign(n, {});
   std::size_t q = nk;
   for (const auto& run : runs)
     for (const ParticleRecord& r : run) {
@@ -229,7 +229,6 @@ void DpdSystem::merge_particles(const std::vector<std::uint32_t>& keep,
       gid_[i] = r.gid;
       is_ghost_[i] = static_cast<char>(r.ghost);
     }
-  nlist_.invalidate();
 }
 
 void DpdSystem::reset_particles(const std::vector<ParticleRecord>& recs) {

@@ -45,12 +45,12 @@ class ForceModule {
 public:
   virtual ~ForceModule() = default;
   virtual void add_forces(DpdSystem& sys) = 0;
-  /// Called after particle removal: new_index[i] is the new position of old
-  /// particle i, or -1 if removed. Modules tracking particles by *local
-  /// index* translate here; gid-keyed modules can ignore it.
-  virtual void on_remap(const std::vector<long>& new_index) { (void)new_index; }
+  /// Farthest separation at which the module couples two particles; 0 means
+  /// within the pair cutoff rc. A decomposition sizes its ghost shell from
+  /// the largest reach (exchange::DistributedDpd).
+  virtual double reach() const { return 0.0; }
   /// Called after particle removal with the global IDs that vanished, so
-  /// gid-keyed modules (bonds, platelets) can prune dead references.
+  /// the modules, which track particles by gid, can prune dead references.
   virtual void on_remove_gids(const std::vector<std::uint32_t>& gids) { (void)gids; }
 };
 
@@ -117,10 +117,12 @@ public:
   /// Fill the fluid region (sdf > margin) with `density` particles per unit
   /// volume at Maxwellian velocities; returns number inserted.
   std::size_t fill(double density, Species s, unsigned seed = 7, double margin = 0.0);
-  /// Remove particles by index (order-irrelevant); the neighbor list is
-  /// compacted in place and modules are remapped.
-  /// Global IDs of surviving particles are preserved, so the pair-RNG
-  /// stream of every surviving pair is unchanged by the compaction.
+  /// Remove particles by index (any order, duplicates allowed): the lane
+  /// pass of merge_particles with the survivors kept and no records, so a
+  /// survivor keeps every lane, force and global ID included (its pair-RNG
+  /// streams are unchanged). The neighbor list is compacted in place and
+  /// the modules prune the removed gids. Throws on an index out of range
+  /// (std::out_of_range) and while decomposed.
   void remove_particles(std::vector<std::size_t> idx);
 
   std::size_t size() const { return pos_.size(); }
@@ -187,7 +189,10 @@ public:
   /// merge with no kept particles.
   void reset_particles(const std::vector<ParticleRecord>& recs);
 
-  void add_module(std::shared_ptr<ForceModule> m) { modules_.push_back(std::move(m)); }
+  /// Throws while decomposed: the ghost shell was sized from force_reach().
+  void add_module(std::shared_ptr<ForceModule> m);
+  /// max(rc, every module's ForceModule::reach()).
+  double force_reach() const;
 
   /// Per-particle external force (body force / pressure gradient).
   /// Setup-time configuration, evaluated outside the pair hot loop.
@@ -261,6 +266,11 @@ public:
 private:
   void wrap(Vec3& p) const;
   void reflect_walls(std::size_t i);
+  /// The one routine that moves particle lanes (removal and merge_particles
+  /// run it): kept particles carry every lane, their force included.
+  void merge_lanes(const std::vector<std::uint32_t>& keep,
+                   std::span<const std::span<const ParticleRecord>> runs,
+                   std::vector<std::uint32_t>& slot);
   /// The staged pair pass. With a split-phase halo update in flight it
   /// computes the interior rows (owned-only runs), completes the exchange
   /// via ExchangeHook::finish_refresh, then computes the boundary rows;

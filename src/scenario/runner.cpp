@@ -13,25 +13,6 @@ namespace scenario {
 
 namespace {
 
-std::string mesh_signature(const MeshSpec& m) {
-  char buf[160];
-  std::snprintf(buf, sizeof buf, "quad|L=%.17g|H=%.17g|nx=%d|ny=%d|P=%d", m.length, m.height,
-                m.nx, m.ny, m.order);
-  std::string sig = buf;
-  for (double c : m.cavity) {  // a cavity mesh never shares a straight one's tables
-    std::snprintf(buf, sizeof buf, "|cavity=%.17g", c);
-    sig += buf;
-  }
-  return sig;
-}
-
-std::string mesh_signature(const Mesh3dSpec& m) {
-  char buf[200];
-  std::snprintf(buf, sizeof buf, "hex|Lx=%.17g|Ly=%.17g|Lz=%.17g|nx=%d|ny=%d|nz=%d|P=%d", m.lx,
-                m.ly, m.lz, m.nx, m.ny, m.nz, m.order);
-  return buf;
-}
-
 std::shared_ptr<const sem::Discretization> make_disc(const MeshSpec& m) {
   const auto& c = m.cavity;
   auto mesh = c.empty() ? mesh::QuadMesh::channel(m.length, m.height, m.nx, m.ny)
@@ -124,7 +105,7 @@ auto& built(const Ptr& part, const char* accessor, const std::string& kind) {
 }  // namespace
 
 std::shared_ptr<const sem::Discretization> SharedTables::quad(const MeshSpec& m) {
-  const std::string key = mesh_signature(m);
+  const std::string key = mesh_key(m);
   for (const auto& [k, d] : quad_)
     if (k == key) {
       ++hits_;
@@ -137,7 +118,7 @@ std::shared_ptr<const sem::Discretization> SharedTables::quad(const MeshSpec& m)
 }
 
 std::shared_ptr<const sem::Discretization3D> SharedTables::hex(const Mesh3dSpec& m) {
-  const std::string key = mesh_signature(m);
+  const std::string key = mesh_key(m);
   for (const auto& [k, d] : hex_)
     if (k == key) {
       ++hits_;
@@ -165,7 +146,7 @@ std::string Runner::warm_signature() const {
   char buf[120];
   std::snprintf(buf, sizeof buf, "|nu=%.17g|dt=%.17g|to=%d", sc_.sem.nu, sc_.sem.dt,
                 sc_.sem.time_order);
-  return (sc_.kind == "cdc" ? mesh_signature(sc_.mesh) : mesh_signature(sc_.mesh3d)) + buf;
+  return (sc_.kind == "cdc" ? mesh_key(sc_.mesh) : mesh_key(sc_.mesh3d)) + buf;
 }
 
 void Runner::set_warm_start(WarmMode mode, std::vector<std::uint8_t> blob) {

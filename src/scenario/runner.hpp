@@ -37,7 +37,7 @@ namespace scenario {
 enum class WarmMode : std::uint8_t { Off, State };
 
 /// Per-rank cache of immutable discretization tables, keyed by the mesh
-/// signature. Variants of a sweep almost always share the mesh; building
+/// spec's mesh_key. Variants of a sweep almost always share the mesh; building
 /// the gather/scatter and quadrature tables once per rank instead of once
 /// per variant is the first redundancy an ensemble can exploit. (Only const
 /// objects are shared — Operators hold mutable scratch and stay per-Runner.)

@@ -1,5 +1,7 @@
 #include "scenario/schema.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -198,6 +200,10 @@ std::string scenario_to_json(const Scenario& sc) {
   return serialize_scenario(sc).dump();
 }
 
+std::string mesh_key(const MeshSpec& m) { return to_json(m).dump(); }
+
+std::string mesh_key(const Mesh3dSpec& m) { return to_json(m).dump(); }
+
 Scenario parse_scenario_text(std::string_view text) {
   return parse_scenario(Json::parse(text));
 }
@@ -322,6 +328,19 @@ void validate_scenario(const Scenario& sc) {
     for (std::size_t i = 0; i + 1 < r.size(); i += 2)
       check(r[i + 1] > r[i], "$.coupling.region",
             "degenerate region: need max > min on every axis");
+    // inside the mesh's bounding box; in 2D the sac adds whole element
+    // rows, rounded as mesh::QuadMesh::channel_with_cavity rounds them
+    const auto& m = sc.mesh;
+    const auto& h = sc.mesh3d;
+    const double dy = m.height / m.ny;
+    const long rows = m.cavity.empty() ? 0 : std::max(1L, std::lround(m.cavity[2] / dy));
+    std::vector<double> mesh_box = {0, h.lx, 0, h.ly, 0, h.lz};
+    if (sc.kind == "cdc") mesh_box = {0, m.length, 0, m.height + rows * dy};
+    std::string box_text = to_json(mesh_box).dump();
+    box_text.pop_back();  // dump()'s newline
+    for (std::size_t i = 0; i + 1 < r.size(); i += 2)
+      check(r[i] >= mesh_box[i] && r[i + 1] <= mesh_box[i + 1], "$.coupling.region",
+            "outside the continuum mesh's bounding box " + box_text);
     check(sc.sampler.nx >= 1, "$.sampler.nx", "must be >= 1");
     check(sc.sampler.ny >= 1, "$.sampler.ny", "must be >= 1");
     check(sc.sampler.nz >= 1, "$.sampler.nz", "must be >= 1");

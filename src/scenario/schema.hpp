@@ -200,6 +200,9 @@ Json serialize_scenario(const Scenario& sc);
 /// serialize + canonical dump. parse(scenario_to_json(sc)) re-emits the
 /// exact same bytes (the round-trip tests pin this).
 std::string scenario_to_json(const Scenario& sc);
+/// A mesh spec's canonical text: the SharedTables and warm-start key.
+std::string mesh_key(const MeshSpec& m);
+std::string mesh_key(const Mesh3dSpec& m);
 
 /// Semantic validation (positive sizes, known kinds, in-range indices...).
 /// parse_scenario calls this; exposed for programmatically built scenarios.

@@ -703,9 +703,9 @@ TEST(ExchangeTelemetry, RebuildNestsMigrateHaloRelayout) {
 
 TEST(ExchangeModules, BondsAndPlateletsMatchSingleRankBitwise) {
   // Platelet adhesion (cutoff 1.5) reaches beyond the rc + skin pair halo
-  // (1.2): the driver must be told, via halo_width, to ghost the wider
-  // shell. Bonds and platelet slot tables are replicated and gid-keyed;
-  // owner-decided state transitions are re-synced after every step.
+  // (1.2): the driver sizes its ghost shell from the modules' reach. Bonds
+  // and platelet slot tables are replicated and gid-keyed; owner-decided
+  // state transitions are re-synced after every step.
   const int steps = 25;
   auto build = [](dpd::DpdSystem& sys, dpd::BondSet& bonds, dpd::PlateletModel& model) {
     sys.fill(3.0, dpd::kSolvent, 7);
@@ -754,9 +754,7 @@ TEST(ExchangeModules, BondsAndPlateletsMatchSingleRankBitwise) {
     build(sys, *bonds, *model);
     sys.add_module(bonds);
     sys.add_module(model);
-    DistOptions opt;
-    opt.halo_width = dpd::PlateletModel::kAdhesionCutoff + prm.skin;
-    DistributedDpd drv(world, sys, opt);
+    DistributedDpd drv(world, sys);
     drv.distribute();
     for (int s = 0; s < steps; ++s) {
       sys.step();
@@ -796,6 +794,25 @@ TEST(ExchangeModules, NarrowHaloWithWideBondFailsLoudly) {
     DistributedDpd drv(world, sys, DistOptions{{2, 1, 1}});
     drv.distribute();
     EXPECT_THROW(sys.step(), std::runtime_error);
+  });
+}
+
+TEST(ExchangeModules, HaloWidthFollowsTheModulesReach) {
+  // The ghost shell is max(rc, every module's reach) + skin, fixed when the
+  // driver is installed: a module added afterwards is refused.
+  xmp::run(2, [](xmp::Comm& world) {
+    const auto prm = channel_params();
+    dpd::DpdSystem plain(prm, std::make_shared<dpd::ChannelZ>(prm.box.z));
+    plain.add_module(std::make_shared<dpd::BondSet>());
+    DistributedDpd plain_drv(world, plain);
+    EXPECT_EQ(plain_drv.decomposition().halo_width(), prm.rc + prm.skin);
+    EXPECT_THROW(plain.add_module(std::make_shared<dpd::PlateletModel>(dpd::PlateletParams{})),
+                 std::logic_error);
+
+    dpd::DpdSystem sys(prm, std::make_shared<dpd::ChannelZ>(prm.box.z));
+    sys.add_module(std::make_shared<dpd::PlateletModel>(dpd::PlateletParams{}));
+    DistributedDpd drv(world, sys);
+    EXPECT_EQ(drv.decomposition().halo_width(), dpd::PlateletModel::kAdhesionCutoff + prm.skin);
   });
 }
 
@@ -1002,9 +1019,7 @@ TEST(ExchangeOracle, BondsAndPlateletsAtARaisedHaloMatchTheRecordOracle) {
     model->seed_platelets(sys, 12, 11);
     sys.add_module(bonds);
     sys.add_module(model);
-    DistOptions opt;
-    opt.halo_width = dpd::PlateletModel::kAdhesionCutoff + prm.skin;
-    DistributedDpd drv(world, sys, opt);
+    DistributedDpd drv(world, sys);
     OracleProbe probe(world, sys, drv);
     probe.distribute();
     for (int s = 0; s < 25; ++s) {

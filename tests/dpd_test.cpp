@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "dpd/bonds.hpp"
@@ -216,6 +217,82 @@ TEST(Dpd, RemoveParticlesRemapsModules) {
   EXPECT_EQ(sys.size(), 2u);
   sys.remove_particles({a});
   EXPECT_EQ(bonds->size(), 0u);
+}
+
+TEST(Dpd, RemoveParticlesKeepsSurvivorLanes) {
+  // Removal is the relayout lane pass with no records: every survivor keeps
+  // every lane, its force included (the next drift reads it), and the
+  // modules drop the removed gids.
+  dpd::DpdParams prm;
+  prm.box = {10.0, 6.0, 6.0};
+  prm.periodic = {true, true, false};
+  dpd::DpdSystem sys(prm, std::make_shared<dpd::ChannelZ>(prm.box.z));
+  sys.fill(3.0, dpd::kSolvent, 17, 0.1);
+  auto bonds = std::make_shared<dpd::BondSet>();
+  dpd::RbcRingParams ring;
+  ring.center = {5.0, 3.0, 3.0};
+  ring.radius = 1.5;
+  ring.beads = 12;
+  const auto beads = dpd::make_rbc_ring(sys, *bonds, ring);
+  auto model = std::make_shared<dpd::PlateletModel>(dpd::PlateletParams{});
+  model->seed_platelets(sys, 8, 5);
+  sys.add_module(bonds);
+  sys.add_module(model);
+  sys.frozen()[11] = 1;
+  sys.frozen()[sys.size() - 2] = 1;
+  for (int s = 0; s < 5; ++s) {
+    sys.step();
+    model->update(sys);
+  }
+
+  // every 7th particle, two ring beads and a platelet
+  std::vector<std::size_t> idx;
+  for (std::size_t i = 3; i < sys.size(); i += 7) idx.push_back(i);
+  idx.push_back(beads[1]);
+  idx.push_back(beads[6]);
+  idx.push_back(static_cast<std::size_t>(sys.local_of(model->particles()[2])));
+  std::set<std::uint32_t> dead;
+  for (std::size_t i : idx) dead.insert(sys.gid_of(i));
+  std::map<std::uint32_t, std::pair<dpd::ParticleRecord, dpd::Vec3>> before;
+  for (std::size_t i = 0; i < sys.size(); ++i)
+    if (!dead.count(sys.gid_of(i)))
+      before[sys.gid_of(i)] = {sys.particle_record(i), sys.forces()[i]};
+  ASSERT_GT(before.size(), 100u);
+  std::size_t platelets_left = 0;
+  for (std::uint32_t g : model->particles()) platelets_left += !dead.count(g);
+
+  // an index out of range throws before anything moves
+  const std::size_t n = sys.size();
+  EXPECT_THROW(sys.remove_particles({3, n}), std::out_of_range);
+  ASSERT_EQ(sys.size(), n);
+  sys.remove_particles(idx);
+  ASSERT_EQ(sys.size(), before.size());
+  auto same = [](const dpd::Vec3& a, const dpd::Vec3& b) {
+    return std::bit_cast<std::uint64_t>(a.x) == std::bit_cast<std::uint64_t>(b.x) &&
+           std::bit_cast<std::uint64_t>(a.y) == std::bit_cast<std::uint64_t>(b.y) &&
+           std::bit_cast<std::uint64_t>(a.z) == std::bit_cast<std::uint64_t>(b.z);
+  };
+  std::size_t i = 0;
+  for (const auto& [gid, lanes] : before) {
+    const auto& [r, f] = lanes;
+    const dpd::ParticleRecord now = sys.particle_record(i);
+    EXPECT_EQ(now.gid, gid) << "slot " << i;
+    EXPECT_TRUE(same(now.pos, r.pos)) << "gid " << gid;
+    EXPECT_TRUE(same(now.vel, r.vel)) << "gid " << gid;
+    EXPECT_TRUE(same(sys.forces()[i], f)) << "gid " << gid;
+    EXPECT_TRUE(same(now.frc_old, r.frc_old)) << "gid " << gid;
+    EXPECT_EQ(now.species, r.species) << "gid " << gid;
+    EXPECT_EQ(now.frozen, r.frozen) << "gid " << gid;
+    EXPECT_EQ(now.ghost, r.ghost) << "gid " << gid;
+    ++i;
+  }
+  for (const dpd::Bond& b : bonds->bonds()) {
+    EXPECT_FALSE(dead.count(b.i)) << "bond to removed gid " << b.i;
+    EXPECT_FALSE(dead.count(b.j)) << "bond to removed gid " << b.j;
+  }
+  EXPECT_LT(bonds->size(), 24u);
+  EXPECT_EQ(model->total(), platelets_left);
+  for (std::uint32_t g : model->particles()) EXPECT_FALSE(dead.count(g)) << "platelet " << g;
 }
 
 TEST(FlowBc, InsertsAndDeletes) {

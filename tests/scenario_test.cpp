@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -493,6 +494,37 @@ TEST(SchemaTest, ChannelHeightAndCheckpointPolicyAreValidated) {
   EXPECT_NO_THROW(scenario::validate_scenario(never));
 }
 
+TEST(SchemaTest, CouplingRegionLiesInsideTheContinuumMesh) {
+  // A region past the mesh was read at the mesh edge and then aborted in the
+  // driver's epilogue. The 2D box includes the sac's whole element rows
+  // (aneurysm: height 1 plus 2 rows of 0.5); the 3D box is the mesh box.
+  const Scenario quickstart = scenario::quickstart_preset();
+  const char* const outside[] = {
+      "[1.5, 9, 0, 1]",
+      "[1.5, 2.5, 0, 3]",
+      "[-3, 2.5, 0, 1]",
+      "[1.5, 2.5, -0.1, 1]",
+  };
+  for (const char* region : outside) expect_rejected(quickstart, "coupling.region", region);
+  const Scenario aneurysm = scenario::aneurysm_preset();
+  expect_rejected(aneurysm, "coupling.region", "[2, 6, 0, 2.5]");
+  expect_rejected(aneurysm, "coupling.region", "[2, 8.5, 0, 2]");
+  const Scenario coupled3d = scenario::coupled3d_preset();
+  expect_rejected(coupled3d, "coupling.region", "[1.5, 2.5, 0.25, 0.75, 0, 1.5]");
+  expect_rejected(coupled3d, "coupling.region", "[1.5, 2.5, 0.25, 1.25, 0, 1]");
+  expect_rejected(coupled3d, "coupling.region", "[-1, 2.5, 0.25, 0.75, 0, 1]");
+  // the whole mesh box is a valid region
+  Scenario whole = quickstart;
+  whole.coupling.region = {0.0, 4.0, 0.0, 1.0};
+  EXPECT_NO_THROW(scenario::validate_scenario(whole));
+  Scenario sac = aneurysm;
+  sac.coupling.region = {0.0, 8.0, 0.0, 2.0};
+  EXPECT_NO_THROW(scenario::validate_scenario(sac));
+  Scenario box = coupled3d;
+  box.coupling.region = {0.0, 4.0, 0.0, 1.0, 0.0, 1.0};
+  EXPECT_NO_THROW(scenario::validate_scenario(box));
+}
+
 TEST(SchemaTest, MeshOrderAboveCapCarriesJsonPath) {
   // an order the point evaluator's stack bases cannot hold is a scenario
   // diagnostic, not an exception from inside the discretization
@@ -970,6 +1002,53 @@ TEST(RunnerTest, SharedTablesKeyOnTheCavity) {
   EXPECT_GT(a->num_nodes(), b->num_nodes());
   EXPECT_EQ(tables.misses(), 2u);
   EXPECT_EQ(tables.hits(), 0u);
+}
+
+// The table key is the spec's own serialization: changing any one mesh key
+// builds new tables, and the unchanged spec still hits.
+TEST(RunnerTest, SharedTablesMissOnEveryMeshKey) {
+  scenario::SharedTables tables;
+  const scenario::MeshSpec quad = scenario::aneurysm_preset().mesh;
+  const std::vector<std::function<void(scenario::MeshSpec&)>> quad_edits = {
+      [](auto& m) { m.length = 9.0; },
+      [](auto& m) { m.height = 1.5; },
+      [](auto& m) { m.nx = 8; },
+      [](auto& m) { m.ny = 4; },
+      [](auto& m) { m.order = 3; },
+      [](auto& m) { m.cavity[2] = 0.5; },
+      [](auto& m) { m.cavity = {2.0, 5.0, 1.0}; },
+      [](auto& m) { m.cavity.clear(); },
+  };
+  const auto base = tables.quad(quad);
+  for (std::size_t k = 0; k < quad_edits.size(); ++k) {
+    scenario::MeshSpec m = quad;
+    quad_edits[k](m);
+    EXPECT_NE(tables.quad(m), base) << "2D edit " << k;
+    EXPECT_EQ(tables.misses(), k + 2) << "2D edit " << k;
+  }
+  EXPECT_EQ(tables.quad(quad), base);
+  EXPECT_EQ(tables.hits(), 1u);
+
+  const scenario::Mesh3dSpec hex;
+  const std::vector<std::function<void(scenario::Mesh3dSpec&)>> hex_edits = {
+      [](auto& m) { m.lx = 5.0; },
+      [](auto& m) { m.ly = 2.0; },
+      [](auto& m) { m.lz = 2.0; },
+      [](auto& m) { m.nx = 2; },
+      [](auto& m) { m.ny = 2; },
+      [](auto& m) { m.nz = 1; },
+      [](auto& m) { m.order = 3; },
+  };
+  const auto hbase = tables.hex(hex);
+  const std::size_t misses = tables.misses();
+  for (std::size_t k = 0; k < hex_edits.size(); ++k) {
+    scenario::Mesh3dSpec m = hex;
+    hex_edits[k](m);
+    EXPECT_NE(tables.hex(m), hbase) << "3D edit " << k;
+    EXPECT_EQ(tables.misses(), misses + k + 1) << "3D edit " << k;
+  }
+  EXPECT_EQ(tables.hex(hex), hbase);
+  EXPECT_EQ(tables.hits(), 2u);
 }
 
 // A checkpoint taken after platelets have triggered (trigger times, states,

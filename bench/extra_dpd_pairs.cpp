@@ -1,29 +1,39 @@
-// DPD pair-iteration throughput: the engine's reused Verlet neighbor list
-// (at the default skin) vs a skin-0 NeighborList that rebuilds its cell
-// grid and pair list on every sweep and pays a std::function indirect call
-// per pair (the pre-fast-path cost model). Prints pairs/sec for both and
+// DPD pair-iteration throughput on one lane: the engine's reused Verlet
+// neighbor list (at the default skin) vs a skin-0 NeighborList that
+// rebuilds its cell grid and pair list on every sweep and pays a
+// std::function indirect call per pair (the pre-fast-path cost model).
+// Prints pairs/sec for both and
 // DPD_PAIRS_SPEEDUP for CI to grep, then times one full Verlet build at the
 // cdc2d_ckpt DPD shape and at the 12^3 periodic box, measures
 // rebuilds/step across skin radii on a live (stepped) system and on an open
 // channel whose FlowBc inserts and deletes particles every step, and sweeps
 // the skin at the cdc2d_ckpt DPD shape with its open x faces (force-pass
 // and step cost, rebuild rate, listed and in-range pairs: the measurement
-// behind dpd::kDefaultSkin). Writes BENCH_dpd_pairs.json.
-// Exits non-zero when the speedup falls below kMinSpeedup.
+// behind dpd::kDefaultSkin). Last, it times the force pass of that run on
+// every idle core next to inline (DPD_LANES_SPEEDUP) and checks that both
+// give one trajectory digest. Writes BENCH_dpd_pairs.json. Exits non-zero
+// when the Verlet speedup falls below kMinSpeedup, when the lane speedup
+// falls below kMinLaneSpeedup where the process may run on two or more
+// hardware threads, or when the digests differ.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "dpd/exchange/distributed.hpp"
 #include "dpd/inflow.hpp"
 #include "dpd/neighbor.hpp"
 #include "dpd/system.hpp"
 #include "telemetry/bench_report.hpp"
 #include "telemetry/registry.hpp"
+#include "xmp/comm.hpp"
+#include "xmp/sched/lanes.hpp"
 
 namespace {
 
@@ -35,6 +45,11 @@ constexpr int kRepeats = 5;
 constexpr int kLiveSteps = 200;
 constexpr int kSkinSteps = 300;
 constexpr double kMinSpeedup = 1.5;
+/// Force-pass speed-up on every idle core over inline, gated where a pass
+/// outside xmp::run gets two or more lanes, and the rounds of one run of each variant
+/// whose median speed-up is gated (each variant also reports its best).
+constexpr double kMinLaneSpeedup = 1.3;
+constexpr int kLaneRounds = 15;
 
 dpd::DpdSystem make_system(double skin, bool open_x = false) {
   dpd::DpdParams prm;
@@ -100,6 +115,52 @@ double best_build_ms(const dpd::DpdSystem& sys) {
          kTraversals;
 }
 
+/// fn() on one lane: the one rank of an xmp::run whose workers claim every
+/// hardware thread, so every lane pass inside it runs inline.
+template <class Fn>
+void on_one_lane(Fn&& fn) {
+  xmp::SchedOptions sched;
+  sched.workers = static_cast<int>(std::max(std::thread::hardware_concurrency(), 1u));
+  sched.stack_kb = 4096;
+  xmp::run(1, [&](xmp::Comm&) { fn(); }, nullptr, xmp::CheckOptions{}, sched);
+}
+
+/// ms per force pass (the dpd.forces phase, full builds included), lanes
+/// per pass and the trajectory digest of kSkinSteps steps of the skin
+/// sweep's cdc2d_ckpt-shaped FlowBc run at the default skin, on the calling
+/// thread's lanes.
+struct LanePassTiming {
+  double ms_per_pass = 0.0, lanes_per_pass = 0.0;
+  std::uint64_t digest = 0;
+};
+LanePassTiming time_lane_passes() {
+  auto ch = make_channel();
+  dpd::FlowBcParams bp;
+  bp.axis = 0;
+  bp.density = kDensity;
+  bp.relax = 0.3;
+  bp.target_velocity = [](const dpd::Vec3& p) {
+    return dpd::Vec3{0.2 * p.z * (10.0 - p.z), 0.0, 0.0};
+  };
+  dpd::FlowBc bc(bp);
+  for (int s = 0; s < kWarmupSteps; ++s) {
+    ch.step();
+    bc.apply(ch);
+  }
+  telemetry::Registry::local().clear();
+  for (int s = 0; s < kSkinSteps; ++s) {
+    ch.step();
+    bc.apply(ch);
+  }
+  const auto phases = telemetry::Registry::local().phases();
+  const telemetry::PhaseNode* step = phases.find("dpd.step");
+  const telemetry::PhaseNode* forces = step ? step->find("dpd.forces") : nullptr;
+  const auto lanes = telemetry::Registry::local().counters()["dpd.lanes"];
+  if (!forces || forces->count == 0 || lanes.count == 0) std::abort();
+  return {1e3 * forces->seconds / static_cast<double>(forces->count),
+          lanes.value / static_cast<double>(lanes.count), dpd::exchange::trajectory_digest(ch)};
+}
+
 }  // namespace
 
 int main() {
@@ -109,25 +170,30 @@ int main() {
   const std::size_t n = sys.size();
   std::printf("n=%zu box=%.0f^3 rc=%.1f density=%.1f\n", n, kBoxLen, sys.params().rc, kDensity);
 
-  // Baseline: at skin 0 the list never survives a sweep, so every sweep
-  // rebuilds the rc-sized cell grid and half-stencil pair list, then pays an
-  // indirect call per pair, as the pre-Verlet for_each_pair did.
-  dpd::NeighborList rebuild({sys.params().box, sys.params().periodic, sys.params().rc, 0.0});
-  const auto baseline = time_sweeps([&](std::size_t& pairs, double& acc) {
-    std::function<void(std::size_t, std::size_t, const dpd::Vec3&, double)> visit =
-        [&](std::size_t, std::size_t, const dpd::Vec3&, double r) {
-          ++pairs;
-          acc += r;
-        };
-    rebuild.ensure(sys.positions());
-    rebuild.for_each(sys.positions(), visit);
-  });
+  // Both sweeps run on one lane: the pair traversal is serial, and the
+  // lanes rows below measure the split builds.
+  Throughput baseline, verlet;
+  on_one_lane([&] {
+    // Baseline: at skin 0 the list never survives a sweep, so every sweep
+    // rebuilds the rc-sized cell grid and half-stencil pair list, then pays
+    // an indirect call per pair, as the pre-Verlet for_each_pair did.
+    dpd::NeighborList rebuild({sys.params().box, sys.params().periodic, sys.params().rc, 0.0});
+    baseline = time_sweeps([&](std::size_t& pairs, double& acc) {
+      std::function<void(std::size_t, std::size_t, const dpd::Vec3&, double)> visit =
+          [&](std::size_t, std::size_t, const dpd::Vec3&, double r) {
+            ++pairs;
+            acc += r;
+          };
+      rebuild.ensure(sys.positions());
+      rebuild.for_each(sys.positions(), visit);
+    });
 
-  // Fast path: Verlet list (reused while the skin holds) + inlined kernel.
-  const auto verlet = time_sweeps([&](std::size_t& pairs, double& acc) {
-    sys.for_each_pair([&](std::size_t, std::size_t, const dpd::Vec3&, double r) {
-      ++pairs;
-      acc += r;
+    // Fast path: Verlet list (reused while the skin holds) + inlined kernel.
+    verlet = time_sweeps([&](std::size_t& pairs, double& acc) {
+      sys.for_each_pair([&](std::size_t, std::size_t, const dpd::Vec3&, double r) {
+        ++pairs;
+        acc += r;
+      });
     });
   });
 
@@ -284,13 +350,78 @@ int main() {
     rep.set("listed_pairs_per_pass", row.listed);
     rep.set("in_range_pairs_per_pass", row.in_range);
   }
+  // Lanes: the same cdc2d_ckpt-shaped FlowBc run with its force passes on
+  // every idle core (outside xmp::run) and inline (one rank of a run whose
+  // workers claim every hardware thread). Per variant: lanes per pass, best
+  // ms per force pass over kLaneRounds interleaved rounds, and the
+  // trajectory digest, which must not depend on the lane count; the gated
+  // speed-up is the median of the rounds' ratios.
+  struct LaneRow {
+    const char* variant;
+    double lanes = 0.0, best_ms = 0.0;
+    std::uint64_t digest = 0;
+  };
+  LaneRow lane_rows[2] = {{"lanes"}, {"inline"}};
+  // the lanes a pass outside xmp::run gets: the CPUs of this process's
+  // affinity mask, capped (xmp/sched/lanes.hpp)
+  const int width = xmp::lanes::width();
+  // each round's inline over lanes ms: the two runs of a round are back to
+  // back, so a slow spell of the host weighs on both
+  std::vector<double> ratios;
+  for (int r = 0; r < kLaneRounds; ++r) {
+    double ms[2] = {0.0, 0.0};
+    for (LaneRow& row : lane_rows) {
+      auto pass = [&] {
+        const LanePassTiming t = time_lane_passes();
+        if (r == 0 || t.ms_per_pass < row.best_ms) row.best_ms = t.ms_per_pass;
+        row.lanes = t.lanes_per_pass;
+        if (r > 0 && t.digest != row.digest) std::abort();  // the run is deterministic
+        row.digest = t.digest;
+        ms[&row - lane_rows] = t.ms_per_pass;
+      };
+      if (&row == &lane_rows[0])
+        pass();
+      else
+        on_one_lane(pass);
+    }
+    ratios.push_back(ms[1] / ms[0]);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  std::printf("\nvariant  lanes/pass  ms/pass  digest\n");
+  for (const LaneRow& row : lane_rows) {
+    std::printf("%-7s  %10.2f  %7.3f  %016llx\n", row.variant, row.lanes, row.best_ms,
+                static_cast<unsigned long long>(row.digest));
+    rep.row();
+    rep.set("variant", std::string(row.variant));
+    rep.set("shape", std::string("cdc2d_ckpt"));
+    rep.set("steps", static_cast<double>(kSkinSteps));
+    rep.set("lanes_per_pass", row.lanes);
+    rep.set("ms_per_pass", row.best_ms);
+  }
+  const double lane_speedup = ratios[ratios.size() / 2];
+  std::printf("DPD_LANES_SPEEDUP=%.2f (median over rounds; %.2f-%.2f)\n", lane_speedup,
+              ratios.front(), ratios.back());
   rep.write();
 
+  int status = 0;
+  if (lane_rows[0].digest != lane_rows[1].digest) {
+    std::printf("FAIL: trajectory digest depends on the lane count\n");
+    status = 1;
+  }
   std::printf("\nDPD_PAIRS_MIN_SPEEDUP=%.2f\n", kMinSpeedup);
   if (speedup < kMinSpeedup) {
     std::printf("FAIL: Verlet speedup below threshold\n");
-    return 1;
+    status = 1;
   }
-  std::printf("OK\n");
-  return 0;
+  if (width >= 2) {
+    std::printf("DPD_LANES_MIN_SPEEDUP=%.2f\n", kMinLaneSpeedup);
+    if (lane_speedup < kMinLaneSpeedup) {
+      std::printf("FAIL: lane speedup below threshold\n");
+      status = 1;
+    }
+  } else {
+    std::printf("DPD_LANES_MIN_SPEEDUP=n/a (one usable hardware thread)\n");
+  }
+  if (status == 0) std::printf("OK\n");
+  return status;
 }

@@ -2,13 +2,17 @@
 // stepped on 1, 2 and 4 xmp ranks through the exchange layer
 // (src/dpd/exchange/). The single-rank baseline is the plain engine with no
 // decomposition driver, so the speedup includes every halo/migration
-// overhead the distributed path pays. Prints DPD_SCALING_SPEEDUP (4 ranks
+// overhead the distributed path pays. Every rank, the baseline's included,
+// steps on one lane: each run's workers claim every hardware thread, so no
+// force pass splits over idle cores (xmp/sched/lanes.hpp) and the speedup
+// is the ranks' alone. Prints DPD_SCALING_SPEEDUP (4 ranks
 // vs 1) for CI to grep and writes BENCH_dpd_scaling.json. Exits non-zero
 // when the speedup falls below kMinSpeedup. The gate needs a thread per
 // rank: the rank fibers run on min(cores, 8) worker threads, so on fewer
 // than 4 hardware threads 4 ranks share the cores and the gate is reported
 // as not applicable.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -42,32 +46,34 @@ std::shared_ptr<dpd::DpdSystem> make_system() {
   return sys;
 }
 
+/// fn(world) on `nranks` ranks of a run whose workers claim every hardware
+/// thread, so each rank's force passes run inline on one lane.
+template <class Fn>
+void on_one_lane_each(int nranks, Fn&& fn) {
+  xmp::SchedOptions sched;
+  sched.workers = static_cast<int>(std::max(std::thread::hardware_concurrency(), 1u));
+  xmp::run(nranks, fn, nullptr, xmp::CheckOptions{}, sched);
+}
+
 /// Best-of-kRepeats wall time for kSteps on `nranks` ranks (1 = plain
 /// engine, no driver).
 double time_steps(int nranks) {
   double best_ms = 0.0;
   for (int r = 0; r < kRepeats; ++r) {
     double ms = 0.0;
-    if (nranks == 1) {
+    on_one_lane_each(nranks, [&](xmp::Comm& world) {
       auto sys = make_system();
+      std::unique_ptr<dpd::exchange::DistributedDpd> drv;
+      if (nranks > 1) {
+        drv = std::make_unique<dpd::exchange::DistributedDpd>(world, *sys);
+        drv->distribute();
+      }
       for (int s = 0; s < kWarmupSteps; ++s) sys->step();
       const auto t0 = std::chrono::steady_clock::now();
       for (int s = 0; s < kSteps; ++s) sys->step();
       const auto t1 = std::chrono::steady_clock::now();
-      ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    } else {
-      xmp::run(nranks, [&](xmp::Comm& world) {
-        auto sys = make_system();
-        dpd::exchange::DistributedDpd drv(world, *sys);
-        drv.distribute();
-        for (int s = 0; s < kWarmupSteps; ++s) sys->step();
-        const auto t0 = std::chrono::steady_clock::now();
-        for (int s = 0; s < kSteps; ++s) sys->step();
-        const auto t1 = std::chrono::steady_clock::now();
-        if (world.rank() == 0)
-          ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-      });
-    }
+      if (world.rank() == 0) ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+    });
     if (r == 0 || ms < best_ms) best_ms = ms;
   }
   return best_ms;

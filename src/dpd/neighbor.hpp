@@ -10,9 +10,11 @@
 // The grid is cell-sorted: one counting sort by cell lays the reference
 // positions out in cell order, cells numbered x fastest, so the cells
 // cx-1..cx+1 of one (y, z) row are one contiguous slot range. The build
-// scans such ranges with tight branchless loops, and a two-pass counting
-// sort (by upper, then stably by lower index) assembles the canonical CSR
-// without sorting any row.
+// scans such ranges with tight branchless loops, 4 slots at a time on AVX2
+// hosts, split over the idle cores by chunks of (y, z) rows
+// (xmp/sched/lanes.hpp), and a two-pass counting sort (by upper, then
+// stably by lower index) assembles the canonical CSR from the lanes' pairs
+// in any order, without sorting any row.
 //
 // The canonical (i ascending, j ascending within each run) pair ordering is
 // load-bearing: the force loop skips out-of-range pairs entirely, so the
@@ -175,12 +177,28 @@ private:
   /// Counting-sort every reference position into the cell-sorted grid
   /// (build, compaction and append all re-bin through here).
   void rebin();
-  /// Candidate scan over the half stencil: keeps every pair within
-  /// rc + skin at the front of pair_scratch_ and returns how many.
+  /// One lane's candidate pairs as (lower, upper) index: the first `count`
+  /// entries of `pairs`, whose size only grows because the scan writes
+  /// ahead of its count.
+  struct alignas(64) ScanLane {
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+    std::size_t count = 0;
+    /// Per particle: the lane's pairs with it as the lower index, and with
+    /// it as the upper one (then the lane's cursor into that bucket).
+    std::vector<std::uint32_t> lower_count, upper_at;
+    /// Counts the first `count` pairs by lower and by upper index.
+    void count_pairs(std::size_t n);
+  };
+  /// Candidate scan over the half stencil from the cells of (y, z) rows
+  /// [r_lo, r_hi) (row cz * ncy + cy): appends every pair within rc + skin
+  /// to the lane's pairs.
   template <bool Px, bool Py, bool Pz>
-  std::size_t scan_cells();
-  /// Canonical CSR of n rows from the first m entries of pair_scratch_.
-  void assemble_csr(std::size_t n, std::size_t m);
+  void scan_rows(std::size_t r_lo, std::size_t r_hi, ScanLane& lane) const;
+  /// First (y, z) row of a scan chunk: the rows split on particle counts.
+  std::size_t chunk_first_row(std::size_t chunk, std::size_t chunks) const;
+  /// Canonical CSR of n rows from the counted pairs of the first `lanes`
+  /// scan lanes.
+  void assemble_csr(std::size_t n, int lanes);
 
   /// Cells within `reach` of cell `base` along an axis of n cells, as at
   /// most two ascending runs [lo[k], hi[k]] holding each cell at most once:
@@ -296,13 +314,13 @@ private:
   std::vector<std::size_t> offsets_;
   std::vector<std::uint32_t> neighbors_;
 
-  // Scratch reused across calls: each particle's cell (rebin); the kept
-  // candidate pairs as (lower, upper) index, whose size only grows because
-  // the scan writes ahead of its count; the lower indices bucketed by upper
-  // index with each bucket's end (first CSR pass) — 12 B per listed pair in
-  // all; and the pairs an append merges.
+  // Scratch reused across calls: each particle's cell (rebin); each scan
+  // lane's kept candidate pairs and their counts by index, sized once per
+  // lane count; the lower indices bucketed by upper index with each
+  // bucket's end (first CSR pass) — 12 B per listed pair in all; and the
+  // pairs an append merges.
   std::vector<std::uint32_t> cell_of_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pair_scratch_;
+  std::vector<ScanLane> scan_lanes_;
   std::vector<std::uint32_t> by_upper_;
   std::vector<std::size_t> upper_end_;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> new_pairs_;

@@ -1,6 +1,7 @@
 #include "dpd/system.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -8,6 +9,7 @@
 #include "la/simd.hpp"
 #include "resilience/blob.hpp"
 #include "telemetry/registry.hpp"
+#include "xmp/sched/lanes.hpp"
 
 namespace dpd {
 
@@ -21,6 +23,10 @@ constexpr double kWallForce = 40.0;
 /// no-slip (a wall made of particles would exert exactly this kind of drag
 /// on near-wall fluid).
 constexpr double kWallGamma = 12.0;
+/// Fork-joins of one pair pass. A helper's rows stay staged until lane 0
+/// replays them in the next wave, so a helper stage holds at most one
+/// wave; each join costs about one chunk of imbalance.
+constexpr std::size_t kPairWaves = 4;
 
 }  // namespace
 
@@ -255,7 +261,7 @@ Vec3 DpdSystem::min_image(const Vec3& a, const Vec3& b) const {
   return d;
 }
 
-std::size_t DpdSystem::pair_row(std::size_t i, std::size_t at, double rc2, double inv_rc,
+std::size_t DpdSystem::pair_row(std::size_t i, int lane, int parity, double rc2, double inv_rc,
                                 double inv_sqrt_dt) {
   // Compact, then compute. The first sweep takes the minimum-image
   // separation and r2 of every listed partner and keeps the in-range lanes,
@@ -263,18 +269,22 @@ std::size_t DpdSystem::pair_row(std::size_t i, std::size_t at, double rc2, doubl
   // and counter-based noise, and the SIMD kernel writes their forces
   // straight into the stage. The noise is keyed on *global* IDs, so a pair's
   // random stream is invariant to index compaction and to which rank
-  // computes it.
+  // computes it. Reads only the particle state and the list, and writes
+  // only the lane's scratch and row i's record: lanes run it side by side.
+  PairLane& L = pair_lanes_[static_cast<std::size_t>(lane)];
   const std::size_t lo = nlist_.offsets()[i], m = nlist_.offsets()[i + 1] - lo;
-  batch_.grow(m);
-  stage_.grow(at + m);
+  const std::size_t at = L.at[parity];
+  PairBatch& b = L.batch;
+  PairStage& st = L.stage[parity];
+  b.grow(m);
+  st.grow(at + m);
   const std::uint32_t* nbr = nlist_.neighbors().data() + lo;
   const double* px = pos_.xs().data();
   const double* py = pos_.ys().data();
   const double* pz = pos_.zs().data();
   const double bx = prm_.box.x, by = prm_.box.y, bz = prm_.box.z;
   const bool perx = prm_.periodic[0], pery = prm_.periodic[1], perz = prm_.periodic[2];
-  auto& b = batch_;
-  std::uint32_t* sj = stage_.j.data() + at;
+  std::uint32_t* sj = st.j.data() + at;
   const double xi = px[i], yi = py[i], zi = pz[i];
   std::size_t c = 0;
   for (std::size_t k = 0; k < m; ++k) {
@@ -314,10 +324,11 @@ std::size_t DpdSystem::pair_row(std::size_t i, std::size_t at, double rc2, doubl
   // header documents the lane math)
   la::simd::dpd_pair_forces(c, inv_rc, inv_sqrt_dt, b.dx.data(), b.dy.data(), b.dz.data(),
                             b.r2.data(), b.dvx.data(), b.dvy.data(), b.dvz.data(),
-                            b.zeta.data(), kPairA, kPairGamma, pair_sigma_,
-                            stage_.fx.data() + at, stage_.fy.data() + at, stage_.fz.data() + at);
-  stage_.start[i] = at;
-  stage_.count[i] = c;
+                            b.zeta.data(), kPairA, kPairGamma, pair_sigma_, st.fx.data() + at,
+                            st.fy.data() + at, st.fz.data() + at);
+  row_start_[i] = at;
+  row_count_[i] = c;
+  row_stage_[i] = static_cast<std::uint16_t>(2 * lane + parity);
   return c;
 }
 
@@ -325,16 +336,17 @@ void DpdSystem::pair_scatter(std::size_t lo, std::size_t hi) {
   double* gx = frc_.xs().data();
   double* gy = frc_.ys().data();
   double* gz = frc_.zs().data();
-  const std::uint32_t* sj = stage_.j.data();
-  const double* fx = stage_.fx.data();
-  const double* fy = stage_.fy.data();
-  const double* fz = stage_.fz.data();
   for (std::size_t i = lo; i < hi; ++i) {
+    const PairStage& st = pair_lanes_[row_stage_[i] / 2].stage[row_stage_[i] % 2];
+    const std::uint32_t* sj = st.j.data();
+    const double* fx = st.fx.data();
+    const double* fy = st.fy.data();
+    const double* fz = st.fz.data();
     // every partner j > i, so i's running sum can live in registers: the
     // same subtractions in the same order as updating frc_ in place
     double xi = gx[i], yi = gy[i], zi = gz[i];
-    const std::size_t end = stage_.start[i] + stage_.count[i];
-    for (std::size_t k = stage_.start[i]; k < end; ++k) {
+    const std::size_t end = row_start_[i] + row_count_[i];
+    for (std::size_t k = row_start_[i]; k < end; ++k) {
       const std::uint32_t j = sj[k];
       xi -= fx[k];
       yi -= fy[k];
@@ -351,17 +363,24 @@ void DpdSystem::pair_scatter(std::size_t lo, std::size_t hi) {
 
 void DpdSystem::pair_forces() {
   // Batched Groot-Warren pair forces over the Verlet list as one staged
-  // pass: pair_row computes a row's in-range lanes into the stage, and
+  // pass: pair_row computes a row's in-range lanes into a stage, and
   // pair_scatter replays finished rows into frc_ in canonical CSR order.
   // Out-of-range lanes are dropped before any force arithmetic — skipped,
   // never zeroed — so the accumulation order of the contributing pairs is a
   // function of the particle state alone, not of when the list was built
-  // (bitwise restarts). A row is replayed once every earlier row is done:
-  // without a halo update in flight that is at once, and the stage holds
-  // one row. With one in flight (overlap), rows touching a ghost wait for
-  // finish_refresh, and the interior rows after the first of them stay
-  // staged until it is done — compute out of order, accumulate in order,
-  // bitwise equal to the blocking run (docs/PERF.md "Overlapped halos").
+  // (bitwise restarts). A row is replayed once every earlier row is done.
+  //
+  // The rows go out in chunks of about equal listed pairs, in kPairWaves
+  // fork-joins (xmp/sched/lanes.hpp). In each wave lane 0, the caller,
+  // first replays the helpers' rows of the wave before, then claims the
+  // wave's chunks from the front and replays each row as it computes it;
+  // the helper lanes claim chunks from the back. A helper writes a wave's
+  // rows while lane 0 replays the wave before, so it alternates two
+  // stages by wave parity. With a halo update in flight (overlap), rows
+  // touching a ghost wait for finish_refresh, and the rows after the first
+  // of them stay staged until it is done. Compute out of order, accumulate
+  // in order: bitwise the blocking single-lane pass at any lane count
+  // (docs/PERF.md "Overlapped halos", "Intra-rank lanes").
   ensure_neighbors();
   const bool overlap = exchange_ && exchange_->overlap_pending();
   if (overlap &&
@@ -372,40 +391,119 @@ void DpdSystem::pair_forces() {
   const double inv_sqrt_dt = 1.0 / std::sqrt(prm_.dt);
   const auto& offs = nlist_.offsets();
   const std::size_t n = pos_.size();
-  stage_.start.resize(n);
-  stage_.count.resize(n);
+  row_start_.resize(n);
+  row_count_.resize(n);
+  row_stage_.resize(n);
   auto deferred = [&](std::size_t i) { return overlap && !row_interior_[i]; };
-  std::size_t next = 0;  // first row not yet replayed
-  std::size_t at = 0;    // stage cursor
+  // the first row at or past `from` that is deferred or at least `end`
+  auto replayable_end = [&](std::size_t from, std::size_t end) {
+    while (from < end && !deferred(from)) ++from;
+    return from;
+  };
+  const int want = xmp::lanes::width();
+  if (pair_lanes_.size() < static_cast<std::size_t>(want))
+    pair_lanes_.resize(static_cast<std::size_t>(want));
+  const std::size_t chunks = static_cast<std::size_t>(xmp::lanes::kChunksPerLane * want);
+  // chunk c starts at the first row holding the c-th share of the pairs
+  auto chunk_row = [&](std::size_t c) -> std::size_t {
+    if (c >= chunks) return n;
+    const std::size_t target = offs[n] * c / chunks;
+    return static_cast<std::size_t>(
+        std::lower_bound(offs.begin(), offs.begin() + n, target) - offs.begin());
+  };
+  // the wave's unclaimed chunks [front, back), packed as back << 32 | front
+  std::atomic<std::uint64_t> unclaimed{0};
+  auto claim = [&](bool front) -> std::size_t {
+    std::uint64_t e = unclaimed.load(std::memory_order_relaxed);
+    for (;;) {
+      const std::uint64_t f = e & 0xffffffffu, b = e >> 32;
+      if (f >= b) return chunks;
+      if (unclaimed.compare_exchange_weak(e, front ? e + 1 : e - (std::uint64_t{1} << 32),
+                                          std::memory_order_relaxed))
+        return static_cast<std::size_t>(front ? f : b - 1);
+    }
+  };
+  std::size_t next = 0;                  // first row not yet replayed
+  std::size_t wave_lo = 0, wave_hi = 0;  // the wave's chunks
+  int parity = 0;                        // the helpers' stage this wave
+  auto body = [&](int lane, int) {
+    // the lane's state lives in its own cache lines and registers: the
+    // lanes share no written line but the claim cursor while they run
+    PairLane& L = pair_lanes_[static_cast<std::size_t>(lane)];
+    const bool ov = overlap;
+    const double c2 = rc2, c1 = inv_rc, cdt = inv_sqrt_dt;
+    const int p = lane == 0 ? 0 : parity;
+    // lane 0's replay cursor; `next` is lane 0's alone during the pass
+    std::size_t in = 0, rows = 0, replayed = 0;
+    if (lane == 0) {
+      // the helpers' rows of the wave before, unless a deferred row blocks
+      replayed = replayable_end(next, chunk_row(wave_lo));
+      pair_scatter(next, replayed);
+    }
+    for (std::size_t c = claim(lane == 0); c < chunks; c = claim(lane == 0)) {
+      const std::size_t hi = chunk_row(c + 1);
+      for (std::size_t i = chunk_row(c); i < hi; ++i) {
+        if (ov && !row_interior_[i]) continue;
+        rows += offs[i + 1] > offs[i];
+        const std::size_t k = pair_row(i, lane, p, c2, c1, cdt);
+        in += k;
+        if (lane == 0 && replayed == i)
+          pair_scatter(i, ++replayed);  // every earlier row is done; the stage drains
+        else
+          L.at[p] += k;
+      }
+    }
+    L.in_range = in;
+    L.rows = rows;
+    if (lane == 0) next = replayed;
+  };
+  for (PairLane& L : pair_lanes_) L.at[0] = L.at[1] = 0;
   std::size_t in_range = 0, interior_rows = 0, boundary_rows = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (deferred(i)) continue;
-    interior_rows += offs[i + 1] > offs[i];
-    const std::size_t c = pair_row(i, at, rc2, inv_rc, inv_sqrt_dt);
-    in_range += c;
-    if (next == i) {
-      pair_scatter(i, ++next);  // every earlier row is done; the stage drains
-    } else {
-      at += c;
+  int lanes_used = 1;
+  double wait_s = 0.0;
+  for (std::size_t w = 0; w < kPairWaves; ++w) {
+    wave_lo = chunks * w / kPairWaves;
+    wave_hi = chunks * (w + 1) / kPairWaves;
+    parity = static_cast<int>(w % 2);
+    // the helpers' stage of this parity restarts once the rows it held,
+    // two waves back, are replayed
+    if (w >= 2 && next >= chunk_row(chunks * (w - 1) / kPairWaves))
+      for (std::size_t k = 1; k < pair_lanes_.size(); ++k) pair_lanes_[k].at[parity] = 0;
+    unclaimed.store(static_cast<std::uint64_t>(wave_hi) << 32 | wave_lo,
+                    std::memory_order_relaxed);
+    const xmp::lanes::Pass pass = xmp::lanes::run(want, body);
+    lanes_used = std::max(lanes_used, pass.lanes);
+    wait_s += pass.wait_s;
+    for (int k = 0; k < pass.lanes; ++k) {
+      in_range += pair_lanes_[static_cast<std::size_t>(k)].in_range;
+      interior_rows += pair_lanes_[static_cast<std::size_t>(k)].rows;
     }
   }
+  // the helpers' rows of the last wave
+  const std::size_t stop = replayable_end(next, n);
+  pair_scatter(next, stop);
+  next = stop;
+  // complete the in-flight halo update; ghost slots are fresh from here on
+  if (overlap) exchange_->finish_refresh(*this);
+  // Row `next` is the first deferred row: compute it (into lane 0's stage,
+  // after its staged rows), replay it with the staged rows up to the next
+  // deferred one, repeat.
+  while (next < n) {
+    boundary_rows += offs[next + 1] > offs[next];
+    const std::size_t c = pair_row(next, 0, 0, rc2, inv_rc, inv_sqrt_dt);
+    pair_lanes_[0].at[0] += c;
+    in_range += c;
+    const std::size_t end = replayable_end(next + 1, n);
+    pair_scatter(next, end);
+    next = end;
+  }
   if (overlap) {
-    // complete the in-flight halo update; ghost slots are fresh from here
-    // on. Row `next` is now the first deferred row: compute it, replay it
-    // with the staged rows up to the next deferred one, repeat.
-    exchange_->finish_refresh(*this);
-    while (next < n) {
-      boundary_rows += offs[next + 1] > offs[next];
-      in_range += pair_row(next, at, rc2, inv_rc, inv_sqrt_dt);
-      std::size_t stop = next + 1;
-      while (stop < n && !deferred(stop)) ++stop;
-      pair_scatter(next, stop);
-      next = stop;
-    }
     telemetry::count("dpd.rows.interior", static_cast<double>(interior_rows));
     telemetry::count("dpd.rows.boundary", static_cast<double>(boundary_rows));
   }
   telemetry::count("dpd.pairs.in_range", static_cast<double>(in_range));
+  telemetry::count("dpd.lanes", static_cast<double>(lanes_used));
+  if (lanes_used > 1) telemetry::count("dpd.lanes.wait_us", 1e6 * wait_s);
 }
 
 void DpdSystem::classify_rows() {

@@ -271,17 +271,18 @@ private:
   void merge_lanes(const std::vector<std::uint32_t>& keep,
                    std::span<const std::span<const ParticleRecord>> runs,
                    std::vector<std::uint32_t>& slot);
-  /// The staged pair pass. With a split-phase halo update in flight it
-  /// computes the interior rows (owned-only runs), completes the exchange
-  /// via ExchangeHook::finish_refresh, then computes the boundary rows;
-  /// otherwise every row is interior. Each row is scatter-replayed once
-  /// every earlier row is done, so forces accumulate in canonical CSR row
-  /// order — bitwise the same however the rows were scheduled.
+  /// The staged pair pass. The lanes (xmp/sched/lanes.hpp) compute chunks
+  /// of rows side by side; with a split-phase halo update in flight the
+  /// rows touching a ghost wait for ExchangeHook::finish_refresh. Each row
+  /// is scatter-replayed once every earlier row is done, so forces
+  /// accumulate in canonical CSR row order — bitwise the same however the
+  /// rows were scheduled.
   void pair_forces();
-  /// Compute CSR row i into the stage at `at`: r2 for the whole run, then
-  /// the relative velocity, noise and SIMD kernel for its in-range lanes only.
-  /// Records the row's (start, count) and returns the count.
-  std::size_t pair_row(std::size_t i, std::size_t at, double rc2, double inv_rc,
+  /// Compute CSR row i into stage `parity` of lane `lane` at its cursor:
+  /// r2 for the whole run, then the relative velocity, noise and SIMD
+  /// kernel for its in-range lanes only. Records the row's (stage, start,
+  /// count) and returns the count.
+  std::size_t pair_row(std::size_t i, int lane, int parity, double rc2, double inv_rc,
                        double inv_sqrt_dt);
   /// Scatter-replay the staged rows [lo, hi) into frc_, in row order.
   void pair_scatter(std::size_t lo, std::size_t hi);
@@ -317,17 +318,10 @@ private:
   // analyze: no-checkpoint (derived from prm_ in the constructor)
   double pair_sigma_;
 
-  // reusable scratch: predicted velocities (integrator) and the compacted
-  // in-range lanes of one row handed to la::simd::dpd_pair_forces. Dead
-  // between calls — never checkpointed.
+  // reusable scratch: predicted velocities (integrator). Dead between
+  // calls — never checkpointed.
   // analyze: no-checkpoint (integrator scratch, recomputed within every step)
   SoA3 v_pred_;
-  struct PairBatch {
-    std::vector<double> dx, dy, dz, r2, dvx, dvy, dvz, zeta;
-    void grow(std::size_t m);
-  };
-  // analyze: no-checkpoint (pair-loop scratch, dead between force passes)
-  PairBatch batch_;
 
   // Which CSR rows touch only owned particles (cached per neighbor-list
   // version; read only while a split-phase halo update is in flight).
@@ -335,17 +329,37 @@ private:
   std::vector<char> row_interior_;
   // analyze: no-checkpoint (cache key: nlist_.version() at classification time)
   std::uint64_t row_class_version_ = ~std::uint64_t{0};
-  // The pair stage: each computed row's in-range partners j and kernel
-  // forces, at [start[i], start[i] + count[i]), until its scatter replay.
-  // Only rows computed ahead of an unfinished earlier row stay staged.
+
+  // The pair pass's lanes, lane 0 the calling thread's (scratch, dead
+  // between force passes). A lane's batch holds the compacted in-range
+  // lanes of one row for la::simd::dpd_pair_forces; its stages hold its
+  // computed rows' in-range partners j and kernel forces until their
+  // scatter replay: row i at [row_start_[i], row_start_[i] + row_count_[i])
+  // of stage row_stage_[i] % 2 of lane row_stage_[i] / 2. Lane 0 replays
+  // its rows as it computes them unless an earlier row is unfinished, and
+  // uses stage 0 only; the helpers alternate stages by wave.
+  struct PairBatch {
+    std::vector<double> dx, dy, dz, r2, dvx, dvy, dvz, zeta;
+    void grow(std::size_t m);
+  };
   struct PairStage {
     std::vector<std::uint32_t> j;
     std::vector<double> fx, fy, fz;
-    std::vector<std::size_t> start, count;
     void grow(std::size_t lanes);
   };
-  // analyze: no-checkpoint (pair-pass staging scratch, dead between force passes)
-  PairStage stage_;
+  struct alignas(64) PairLane {
+    PairBatch batch;
+    PairStage stage[2];
+    std::size_t at[2] = {0, 0};  ///< stage cursors
+    std::size_t in_range = 0;    ///< in-range pairs its rows computed
+    std::size_t rows = 0;        ///< non-empty rows it computed
+  };
+  // analyze: no-checkpoint (pair-pass scratch, dead between force passes)
+  std::vector<PairLane> pair_lanes_;
+  // analyze: no-checkpoint (pair-pass staging records, dead between force passes)
+  std::vector<std::size_t> row_start_, row_count_;
+  // analyze: no-checkpoint (pair-pass staging records, dead between force passes)
+  std::vector<std::uint16_t> row_stage_;
 
   std::uint64_t step_ = 0;
   std::mt19937 rng_{0xD1CEu};

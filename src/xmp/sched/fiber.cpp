@@ -10,6 +10,7 @@
 #include <system_error>
 
 #include "xmp/detail.hpp"
+#include "xmp/sched/lanes.hpp"
 
 // Sanitizers instrument the stack, so raw swapcontext without annotations
 // corrupts their shadow state (CI runs the full suite under ASan and TSan).
@@ -333,6 +334,13 @@ void FiberScheduler::run(int nranks, const std::function<void(int)>& body) {
   int nworkers = opts_.workers;
   if (nworkers <= 0)
     nworkers = static_cast<int>(std::min(std::max(std::thread::hardware_concurrency(), 1u), 8u));
+  // The run holds the hardware threads it asked for until its workers are
+  // done; lane passes take only the rest (sched/lanes.hpp).
+  lanes::detail::claim_workers(nworkers);
+  struct Unclaim {
+    int n;
+    ~Unclaim() { lanes::detail::claim_workers(-n); }
+  } unclaim{nworkers};
   nworkers = std::min(nworkers, nranks);
 
   std::vector<std::thread> workers;

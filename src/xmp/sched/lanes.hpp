@@ -1,0 +1,66 @@
+#pragma once
+// Fork-join lanes on the cores no xmp worker runs on.
+//
+// A lane pass splits one data-parallel loop of the calling thread: lane 0
+// runs on the caller, lanes 1.. on persistent helper threads. Helpers start
+// with the first pass that can use them; between passes they poll briefly
+// and then sleep on a futex (std::atomic::wait). A helper takes part in a
+// pass only if it joins before lane 0 returns, so a pass never waits for a
+// helper that is asleep or descheduled: the lanes claim their work as they
+// go, and lane 0 alone must be able to finish it.
+//
+// The width is derived, never set: the hardware threads the process may
+// run on (its CPU affinity mask) minus the workers every xmp::run in flight
+// asked for (SchedOptions::workers, 0 counting as its default pool),
+// between 1 and kMaxLanes. A caller outside xmp::run gets every core up to
+// that cap; a rank of a run that claims every core works inline on one
+// lane. A pass started while another is in flight (from another thread)
+// also runs inline.
+//
+// The pool allocates nothing per pass and lane bodies must make no xmp or
+// telemetry call: they run on threads that are not ranks. Callers keep
+// their results independent of the lanes by computing per lane and
+// combining in a fixed order (dpd::NeighborList::build, the DPD pair pass;
+// docs/PERF.md "Intra-rank lanes").
+
+namespace xmp::lanes {
+
+/// The most lanes a pass ever gets: xmp's own default cap on workers. Only
+/// 2 lanes have been measured (docs/PERF.md "Intra-rank lanes"); each lane
+/// adds a helper thread and per-lane build counts.
+inline constexpr int kMaxLanes = 8;
+
+/// Lanes a pass started here now would get.
+int width() noexcept;
+
+/// Chunks per lane a pass splits its work into. The lanes claim chunks as
+/// they go, so a lane on a slower or busier core simply takes fewer.
+inline constexpr int kChunksPerLane = 32;
+
+/// What a pass used: the lanes that ran, [0, lanes), and the seconds lane 0
+/// waited at the join for the helpers that joined.
+struct Pass {
+  int lanes = 1;
+  double wait_s = 0.0;
+};
+
+namespace detail {
+using Body = void (*)(void* ctx, int lane, int most);
+Pass run(int want, Body body, void* ctx);
+/// xmp::run's claim on the hardware threads for as long as its workers run.
+void claim_workers(int n) noexcept;
+}  // namespace detail
+
+/// Calls fn(lane, most) on lane 0, the calling thread, and on every helper
+/// that joins before lane 0 returns, numbered 1.. in join order; most is
+/// min(want, width()), or 1 while another pass is in flight, and no lane
+/// numbers most or more. Returns once every lane that ran has returned. An
+/// exception from a lane is rethrown here (lane 0's first, then the lowest
+/// helper's).
+template <class Fn>
+Pass run(int want, Fn& fn) {
+  return detail::run(
+      want, [](void* ctx, int lane, int most) { (*static_cast<Fn*>(ctx))(lane, most); }, &fn);
+}
+
+}  // namespace xmp::lanes

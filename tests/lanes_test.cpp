@@ -1,0 +1,380 @@
+// Intra-rank lanes: the fork-join pool behind the DPD force pass
+// (xmp/sched/lanes.hpp), and the contract it serves: a DPD trajectory is
+// bitwise the same whether its force passes split over every idle core
+// (outside xmp::run) or run inline (a rank of a run that claims every
+// core). Every comparison is bit for bit.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <cstring>
+#include <memory>
+#include <stdexcept>
+#include <thread>
+#include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
+#include "dpd/exchange/distributed.hpp"
+#include "dpd/inflow.hpp"
+#include "dpd/platelets.hpp"
+#include "dpd/system.hpp"
+#include "resilience/blob.hpp"
+#include "telemetry/registry.hpp"
+#include "xmp/comm.hpp"
+#include "xmp/sched/lanes.hpp"
+
+namespace {
+
+int hardware_threads() {
+  return static_cast<int>(std::max(std::thread::hardware_concurrency(), 1u));
+}
+
+/// Lanes a pass outside xmp::run gets: the CPUs in this process's affinity
+/// mask, up to the cap.
+int outside_width() {
+  int cpus = hardware_threads();
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) cpus = CPU_COUNT(&set);
+#endif
+  return std::min(cpus, xmp::lanes::kMaxLanes);
+}
+
+/// fn() on the one rank of a run whose workers claim every hardware thread,
+/// so every lane pass inside it runs inline.
+template <class Fn>
+void run_inline(Fn&& fn) {
+  xmp::SchedOptions sched;
+  sched.workers = hardware_threads();
+  sched.stack_kb = 4096;
+  xmp::run(1, [&](xmp::Comm&) { fn(); }, nullptr, xmp::CheckOptions{}, sched);
+}
+
+std::vector<std::uint8_t> state_of(const dpd::DpdSystem& sys) {
+  resilience::BlobWriter w;
+  sys.save_state(w);
+  return w.take();
+}
+
+/// A run's fingerprint and how many lanes its force passes used.
+struct Outcome {
+  std::uint64_t digest = 0;
+  std::vector<std::uint8_t> state;
+  double lanes = 0.0;       ///< dpd.lanes: lanes summed over force passes
+  std::uint64_t passes = 0;  ///< force passes that recorded dpd.lanes
+};
+
+template <class Fn>
+Outcome observe(Fn&& fn) {
+  telemetry::Registry::local().clear();
+  Outcome out;
+  const dpd::DpdSystem& sys = fn();
+  out.digest = dpd::exchange::trajectory_digest(sys);
+  out.state = state_of(sys);
+  const auto c = telemetry::Registry::local().counters()["dpd.lanes"];
+  out.lanes = c.value;
+  out.passes = c.count;
+  return out;
+}
+
+/// The same run outside xmp::run (every core) and inline: equal bits, and
+/// the outside run really split when the process may use a second core.
+template <class Fn>
+void expect_lane_count_invariant(Fn&& run) {
+  const Outcome all = observe(run);
+  Outcome one;
+  run_inline([&] { one = observe(run); });
+  ASSERT_GT(all.passes, 0u);
+  EXPECT_EQ(one.lanes, static_cast<double>(one.passes)) << "inline passes used one lane";
+  if (outside_width() >= 2) {
+    EXPECT_GT(all.lanes, static_cast<double>(all.passes)) << "outside passes used more lanes";
+  }
+  EXPECT_EQ(all.digest, one.digest);
+  EXPECT_EQ(all.state, one.state);
+}
+
+dpd::DpdParams open_channel_params() {
+  dpd::DpdParams prm;
+  prm.box = {10.0, 5.0, 5.0};
+  prm.periodic = {false, true, true};
+  return prm;
+}
+
+dpd::FlowBcParams open_channel_bc() {
+  dpd::FlowBcParams bp;
+  bp.axis = 0;
+  bp.density = 3.0;
+  bp.target_velocity = [](const dpd::Vec3&) { return dpd::Vec3{1.0, 0.0, 0.0}; };
+  return bp;
+}
+
+}  // namespace
+
+// ---------------- the pool ----------------
+
+/// Lane 0 of a pass that holds the pass open until a helper joined (or a
+/// second passed), so the helpers of a pass are sure to run.
+void hold_open(const std::atomic<int>& helpers) {
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (helpers.load() == 0 && std::chrono::steady_clock::now() < until) std::this_thread::yield();
+}
+
+TEST(LanePool, EveryLaneThatRanRanOnceAndTheCallerIsLaneZero) {
+  const int want = outside_width();
+  int split = 0;
+  for (int pass = 0; pass < 50; ++pass) {
+    std::vector<std::atomic<int>> hits(static_cast<std::size_t>(want));
+    std::atomic<int> helpers{0};
+    const auto caller = std::this_thread::get_id();
+    bool lane0_on_caller = false;
+    int most = 0;
+    auto body = [&](int lane, int m) {
+      ++hits[static_cast<std::size_t>(lane)];
+      if (lane == 0) {
+        most = m;
+        lane0_on_caller = std::this_thread::get_id() == caller;
+        if (m >= 2) hold_open(helpers);
+      } else {
+        ++helpers;
+      }
+    };
+    const xmp::lanes::Pass p = xmp::lanes::run(want, body);
+    EXPECT_EQ(most, want);
+    EXPECT_TRUE(lane0_on_caller);
+    ASSERT_GE(p.lanes, 1);
+    ASSERT_LE(p.lanes, want);
+    split += p.lanes > 1;
+    for (int k = 0; k < want; ++k)
+      EXPECT_EQ(hits[static_cast<std::size_t>(k)].load(), k < p.lanes ? 1 : 0) << "lane " << k;
+  }
+  if (want >= 2) {
+    EXPECT_GT(split, 0) << "helpers joined passes held open for them";
+  }
+}
+
+TEST(LanePool, APassNeverWaitsForAHelperThatDidNotJoin) {
+  // lane 0 does all the work; the pass returns at once whatever the helpers
+  // are doing, and reports only the lanes that ran
+  for (int pass = 0; pass < 1000; ++pass) {
+    std::atomic<int> ran{0};
+    auto body = [&](int, int) { ++ran; };
+    const xmp::lanes::Pass p = xmp::lanes::run(hardware_threads(), body);
+    EXPECT_EQ(ran.load(), p.lanes);
+  }
+}
+
+TEST(LanePool, WidthIsTheCoresNoRunClaims) {
+  EXPECT_EQ(xmp::lanes::width(), outside_width());
+  int inside = 0;
+  run_inline([&] { inside = xmp::lanes::width(); });
+  EXPECT_EQ(inside, 1);
+  EXPECT_EQ(xmp::lanes::width(), outside_width()) << "a finished run releases its claim";
+}
+
+TEST(LanePool, LaneExceptionsReachTheCallerAfterTheJoin) {
+  auto lane0 = [](int lane, int) {
+    if (lane == 0) throw std::runtime_error("lane 0");
+  };
+  EXPECT_THROW(xmp::lanes::run(hardware_threads(), lane0), std::runtime_error);
+  if (outside_width() < 2) return;
+  // a helper's exception, once lane 0 has waited for the helper to join
+  std::atomic<int> helpers{0};
+  auto helper = [&](int lane, int) {
+    if (lane == 0) {
+      hold_open(helpers);
+      return;
+    }
+    ++helpers;
+    throw std::logic_error("helper");
+  };
+  bool thrown = false;
+  for (int attempt = 0; attempt < 10 && !thrown; ++attempt) {
+    helpers = 0;
+    try {
+      xmp::lanes::run(hardware_threads(), helper);
+    } catch (const std::logic_error&) {
+      thrown = true;
+    }
+  }
+  EXPECT_TRUE(thrown);
+  // the pool is free again
+  std::atomic<int> ran{0};
+  auto count = [&](int, int) { ++ran; };
+  const xmp::lanes::Pass p = xmp::lanes::run(hardware_threads(), count);
+  EXPECT_EQ(p.lanes, ran.load());
+}
+
+TEST(LanePool, PassesFromTwoThreadsBothComplete) {
+  // a pass started while another is in flight runs inline
+  std::atomic<long> sum{0};
+  auto work = [&] {
+    for (int pass = 0; pass < 200; ++pass) {
+      auto body = [&](int lane, int) { sum += lane + 1; };
+      xmp::lanes::run(hardware_threads(), body);
+    }
+  };
+  std::thread other(work);
+  work();
+  other.join();
+  EXPECT_GE(sum.load(), 400);
+}
+
+// ---------------- DPD force passes at any lane count ----------------
+
+TEST(DpdLanes, FlowBcChurnRunIsLaneCountInvariant) {
+  std::unique_ptr<dpd::DpdSystem> sys;
+  expect_lane_count_invariant([&]() -> const dpd::DpdSystem& {
+    sys = std::make_unique<dpd::DpdSystem>(open_channel_params(),
+                                           std::make_shared<dpd::NoWalls>());
+    sys->fill(3.0, dpd::kSolvent);
+    dpd::FlowBc bc(open_channel_bc());
+    for (int s = 0; s < 200; ++s) {
+      sys->step();
+      bc.apply(*sys);
+    }
+    EXPECT_GT(bc.inserted_total() + bc.deleted_total(), 200u);
+    return *sys;
+  });
+}
+
+TEST(DpdLanes, PlateletRunIsLaneCountInvariant) {
+  std::unique_ptr<dpd::DpdSystem> sys;
+  std::vector<int> states_all, states_one;
+  bool first = true;
+  expect_lane_count_invariant([&]() -> const dpd::DpdSystem& {
+    dpd::DpdParams prm;
+    prm.box = {12.0, 6.0, 6.0};
+    prm.periodic = {true, true, false};
+    sys = std::make_unique<dpd::DpdSystem>(prm, std::make_shared<dpd::ChannelZ>(prm.box.z));
+    sys->fill(3.0, dpd::kSolvent, 7);
+    dpd::PlateletParams pp;
+    pp.adhesive_region = [](const dpd::Vec3& r) { return r.x > 4.0 && r.x < 8.0; };
+    auto model = std::make_shared<dpd::PlateletModel>(pp);
+    model->seed_platelets(*sys, 12, 11);
+    sys->add_module(model);
+    for (int s = 0; s < 60; ++s) {
+      sys->step();
+      model->update(*sys);
+    }
+    auto& states = first ? states_all : states_one;
+    first = false;
+    for (std::size_t k = 0; k < model->total(); ++k)
+      states.push_back(static_cast<int>(model->state_of(k)));
+    return *sys;
+  });
+  EXPECT_EQ(states_all, states_one);
+}
+
+TEST(DpdLanes, CheckpointRestartLegIsLaneCountInvariant) {
+  // 30 steps, a checkpoint, and 30 more steps on a system restored from it:
+  // checkpoint bytes and the restarted trajectory agree at any lane count
+  std::vector<std::uint8_t> ckpt_all, ckpt_one;
+  bool first = true;
+  std::unique_ptr<dpd::DpdSystem> restarted;
+  expect_lane_count_invariant([&]() -> const dpd::DpdSystem& {
+    dpd::DpdSystem sys(open_channel_params(), std::make_shared<dpd::NoWalls>());
+    sys.fill(3.0, dpd::kSolvent);
+    dpd::FlowBc bc(open_channel_bc());
+    for (int s = 0; s < 30; ++s) {
+      sys.step();
+      bc.apply(sys);
+    }
+    auto& ckpt = first ? ckpt_all : ckpt_one;
+    first = false;
+    ckpt = state_of(sys);
+    restarted = std::make_unique<dpd::DpdSystem>(open_channel_params(),
+                                                 std::make_shared<dpd::NoWalls>());
+    resilience::BlobReader r(ckpt.data(), ckpt.size());
+    restarted->load_state(r);
+    for (int s = 0; s < 30; ++s) {
+      sys.step();
+      restarted->step();
+    }
+    EXPECT_EQ(state_of(sys), state_of(*restarted)) << "restart equals uninterrupted";
+    return *restarted;
+  });
+  EXPECT_EQ(ckpt_all, ckpt_one);
+}
+
+namespace {
+
+/// A halo update that is always in flight and never changes a particle:
+/// every force pass defers the rows touching a ghost to finish_refresh.
+class PendingHalo : public dpd::ExchangeHook {
+public:
+  explicit PendingHalo(bool overlap) : overlap_(overlap) {}
+  void refresh(dpd::DpdSystem&) override {}
+  bool overlap_pending() const override { return overlap_; }
+  void finish_refresh(dpd::DpdSystem&) override { ++finished; }
+  int finished = 0;
+
+private:
+  bool overlap_;
+};
+
+}  // namespace
+
+TEST(DpdLanes, OverlappedRowsAreLaneCountInvariant) {
+  // Ghosts spread over the whole index range put deferred rows in every
+  // lane's share; the forces equal the blocking pass's, bit for bit.
+  // `split`: repeat the pass until a helper joined one (a loaded host may
+  // keep the helpers off their core for a while)
+  auto forces = [](bool overlap, bool split) {
+    dpd::DpdSystem src(open_channel_params(), std::make_shared<dpd::NoWalls>());
+    src.fill(3.0, dpd::kSolvent);
+    std::vector<dpd::ParticleRecord> recs;
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      recs.push_back(src.particle_record(i));
+      recs.back().ghost = i % 7 == 3;
+    }
+    dpd::DpdSystem sys(open_channel_params(), std::make_shared<dpd::NoWalls>());
+    sys.reset_particles(recs);
+    PendingHalo halo(overlap);
+    sys.set_exchange(&halo);
+    telemetry::Registry::local().clear();
+    // the same state, so the same forces, every pass
+    auto helped = [] {
+      const auto c = telemetry::Registry::local().counters()["dpd.lanes"];
+      return c.value > static_cast<double>(c.count);
+    };
+    std::vector<double> f;
+    int passes = 0;
+    for (; passes < 20 || (split && passes < 20000 && !helped()); ++passes) {
+      sys.compute_forces();
+      std::vector<double> g;
+      for (const auto* lane : {&sys.forces().xs(), &sys.forces().ys(), &sys.forces().zs()})
+        g.insert(g.end(), lane->begin(), lane->end());
+      if (passes > 0) {
+        EXPECT_EQ(0, std::memcmp(f.data(), g.data(), f.size() * sizeof(double)));
+      }
+      f = std::move(g);
+    }
+    EXPECT_EQ(halo.finished, overlap ? passes : 0);
+    const auto counters = telemetry::Registry::local().counters();
+    if (overlap) {
+      EXPECT_GT(counters.at("dpd.rows.boundary").value, 0.0);
+    }
+    sys.set_exchange(nullptr);
+    const auto lanes = counters.at("dpd.lanes");
+    return std::make_pair(f, lanes.value / static_cast<double>(lanes.count));
+  };
+  const auto blocking = forces(false, false);
+  const auto overlapped = forces(true, outside_width() >= 2);
+  std::pair<std::vector<double>, double> overlapped_inline;
+  run_inline([&] { overlapped_inline = forces(true, false); });
+  if (outside_width() >= 2) {
+    EXPECT_GT(overlapped.second, 1.0) << "some overlapped pass used more lanes";
+  }
+  EXPECT_EQ(overlapped_inline.second, 1.0);
+  ASSERT_EQ(blocking.first.size(), overlapped.first.size());
+  EXPECT_EQ(0, std::memcmp(blocking.first.data(), overlapped.first.data(),
+                           blocking.first.size() * sizeof(double)));
+  EXPECT_EQ(0, std::memcmp(blocking.first.data(), overlapped_inline.first.data(),
+                           blocking.first.size() * sizeof(double)));
+}

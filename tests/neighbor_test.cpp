@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "dpd/system.hpp"
 #include "reference/dpd_pairs_reference.hpp"
 #include "resilience/blob.hpp"
+#include "xmp/comm.hpp"
 
 namespace {
 
@@ -343,6 +346,112 @@ TEST(NeighborList, BuildCsrEqualsBruteForceAllPeriodicities) {
       nl.ensure(pos);
       expect_csr_eq(nl, brute_csr(nl, pos, &ghost), what + " ghost-filtered");
     }
+  }
+}
+
+namespace {
+
+/// A full build of `pos` equals the O(N^2) CSR bit for bit, unfiltered and
+/// with every third particle a ghost, whether the scan splits over every
+/// core (outside xmp::run) or runs inline (a rank of a run that claims
+/// every core).
+void expect_build_exact(const dpd::NeighborParams& prm, const dpd::SoA3& pos,
+                        const std::string& what) {
+  std::vector<char> ghost(pos.size());
+  for (std::size_t i = 0; i < pos.size(); ++i) ghost[i] = i % 3 == 0;
+  auto check = [&](const std::string& where) {
+    dpd::NeighborList nl(prm);
+    ASSERT_FALSE(nl.degenerate()) << what;
+    nl.ensure(pos);
+    expect_csr_eq(nl, brute_csr(nl, pos), what + where);
+    nl.set_pair_filter(&ghost);
+    nl.ensure(pos);
+    expect_csr_eq(nl, brute_csr(nl, pos, &ghost), what + where + " ghost-filtered");
+  };
+  check(" all lanes");
+  xmp::SchedOptions sched;
+  sched.workers = static_cast<int>(std::max(std::thread::hardware_concurrency(), 1u));
+  xmp::run(1, [&](xmp::Comm&) { check(" inline"); }, nullptr, xmp::CheckOptions{}, sched);
+}
+
+}  // namespace
+
+TEST(NeighborList, SplitScanEqualsBruteForceWhateverTheRows) {
+  // The lanes split the scan by (y, z) cell rows: with 1, 2 or 3 rows a
+  // lane's range is empty, and with every particle in one row one lane
+  // scans them all. rc + skin = 1.3.
+  dpd::NeighborParams prm;
+  prm.rc = 1.0;
+  prm.skin = 0.3;
+  struct Shape {
+    dpd::Vec3 box;
+    std::array<bool, 3> periodic;
+  };
+  for (const Shape& sh : {Shape{{6.0, 2.0, 2.0}, {true, false, false}},
+                          Shape{{6.0, 2.0, 2.0}, {false, false, false}},
+                          Shape{{6.0, 2.6, 2.0}, {true, false, false}},
+                          Shape{{6.0, 4.0, 2.0}, {true, true, false}},
+                          Shape{{6.0, 2.0, 4.0}, {false, false, true}}}) {
+    prm.box = sh.box;
+    prm.periodic = sh.periodic;
+    for (std::size_t n : {0, 1, 7, 200}) {
+      const auto pos = random_positions(n, prm.box, 40 + static_cast<unsigned>(n));
+      expect_build_exact(prm, pos,
+                         "box " + std::to_string(sh.box.y) + "x" + std::to_string(sh.box.z) +
+                             " n " + std::to_string(n));
+    }
+  }
+  // every particle in cell row (y, z) = (1, 1) of a 4 x 3 row grid
+  prm.box = {6.0, 6.0, 4.5};
+  for (int mask = 0; mask < 8; ++mask) {
+    prm.periodic = {(mask & 1) != 0, (mask & 2) != 0, (mask & 4) != 0};
+    auto pos = random_positions(300, {6.0, 1.3, 1.3}, 50 + static_cast<unsigned>(mask));
+    for (std::size_t i = 0; i < pos.size(); ++i)
+      pos.set(i, pos[i] + dpd::Vec3{0.0, 1.5, 1.5});
+    expect_build_exact(prm, pos, "one row, mask " + std::to_string(mask));
+  }
+}
+
+TEST(NeighborList, ScanRangesOfEveryTailLengthEqualBruteForce) {
+  // The scan reads 4 slots at a time with a masked tail. Cells holding 0-7
+  // particles give own-tail and neighbour ranges of every length around
+  // the block width, for every periodicity.
+  dpd::NeighborParams prm;
+  prm.rc = 1.0;
+  prm.skin = 0.3;
+  prm.box = {8 * 1.3, 3 * 1.3, 4 * 1.3};
+  for (int mask = 0; mask < 8; ++mask) {
+    prm.periodic = {(mask & 1) != 0, (mask & 2) != 0, (mask & 4) != 0};
+    std::mt19937 rng(60 + static_cast<unsigned>(mask));
+    std::uniform_real_distribution<double> u(0.0, 1.3);
+    dpd::SoA3 pos;
+    int cell = 0;
+    for (int cz = 0; cz < 4; ++cz)
+      for (int cy = 0; cy < 3; ++cy)
+        for (int cx = 0; cx < 8; ++cx, ++cell)
+          for (int k = 0; k < (cell * 5 + mask) % 8; ++k)
+            pos.push_back({1.3 * cx + u(rng), 1.3 * cy + u(rng), 1.3 * cz + u(rng)});
+    expect_build_exact(prm, pos, "tails, mask " + std::to_string(mask));
+  }
+}
+
+TEST(NeighborList, NonFiniteCoordinatesScanLikeBruteForce) {
+  // NaN and +-inf separations compare false in the 4-wide scan as in the
+  // scalar one: such a particle lists no pair, on any axis, periodic or not.
+  dpd::NeighborParams prm;
+  prm.box = {8.0, 6.0, 5.0};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int mask = 0; mask < 8; ++mask) {
+    prm.periodic = {(mask & 1) != 0, (mask & 2) != 0, (mask & 4) != 0};
+    auto pos = random_positions(300, prm.box, 70 + static_cast<unsigned>(mask));
+    const double bad[] = {nan, inf, -inf};
+    for (std::size_t k = 0; k < 27; ++k) {
+      dpd::Vec3 p = pos[5 + 11 * k];
+      (k % 3 == 0 ? p.x : k % 3 == 1 ? p.y : p.z) = bad[(k / 3) % 3];
+      pos.set(5 + 11 * k, p);
+    }
+    expect_build_exact(prm, pos, "non-finite, mask " + std::to_string(mask));
   }
 }
 

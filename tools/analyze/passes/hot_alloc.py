@@ -17,8 +17,13 @@ lines above:
                       `relayout`), whose scratch lives in members;
                       exchange-alloc-ok (distribute() and the gather and
                       checkpoint paths are cold and not gated)
-  pair-hot-alloc      src/dpd/system.cpp, the `DpdSystem::pair_*` pair pass;
-                      pair-alloc-ok
+  pair-hot-alloc      the DPD force pass and what runs it on every core:
+                      src/dpd/system.cpp's `DpdSystem::pair_*` pair pass,
+                      src/dpd/neighbor.cpp's Verlet build (`build`, the
+                      candidate scan `scan_*`, `assemble_csr`), whose
+                      per-lane buffers are members sized once, and
+                      src/xmp/sched/lanes.cpp's dispatch (`run`, `helper`,
+                      `wait_while`); pair-alloc-ok
 
 A construction is a value declaration or temporary; a reference or pointer
 type (`std::vector<T>&` parameters, `std::vector<T>*` lane tables)
@@ -50,6 +55,11 @@ HOT_ALLOC = [
          "or every rebuild"),
         ("pair-hot-alloc", "src/dpd/system.cpp", "DpdSystem", r"pair_\w+",
          "pair-alloc-ok", "a DpdSystem::pair_* body allocates every force pass"),
+        ("pair-hot-alloc", "src/dpd/neighbor.cpp", None, r"build|scan_\w+|assemble_csr",
+         "pair-alloc-ok",
+         "a Verlet build body (build, scan_*, assemble_csr) allocates every rebuild"),
+        ("pair-hot-alloc", "src/xmp/sched/lanes.cpp", None, r"run|helper|wait_while",
+         "pair-alloc-ok", "the lane pool's dispatch allocates every pass"),
     ]
 ]
 
@@ -214,6 +224,26 @@ SELF_TEST_CASES = [
       "  std::vector<double> copy(batch_.r2);\n  return 0;\n}\n"
       "void DpdSystem::compute_forces() {\n  std::vector<double> tmp(n);\n}\n"},
      set()),
+
+    ("a scratch vector in the Verlet build's CSR assembly is flagged",
+     {"src/dpd/neighbor.cpp":
+      "void NeighborList::assemble_csr(std::size_t n, int lanes) {\n"
+      "  std::vector<std::uint32_t> by_upper(n);\n}\n"},
+     {"pair-hot-alloc"}),
+
+    ("a scan lane growing its hoisted member buffer is clean",
+     {"src/dpd/neighbor.cpp":
+      "template <bool Px, bool Py, bool Pz>\n"
+      "void NeighborList::scan_rows(std::size_t lo, std::size_t hi, ScanLane& lane) const {\n"
+      "  std::vector<IndexPair>& pairs = lane.pairs;\n"
+      "  if (pairs.size() < hi - lo) pairs.resize(hi - lo);\n}\n"},
+     set()),
+
+    ("a vector in the lane pool's dispatch is flagged",
+     {"src/xmp/sched/lanes.cpp":
+      "Pass Pool::run(int want, Body body, void* ctx) {\n"
+      "  std::vector<std::exception_ptr> errors(want);\n  return {};\n}\n"},
+     {"pair-hot-alloc"}),
 
     ("a vector in a comment is not code",
      {"src/sem/ok_hot_alloc_in_comment.cpp":

@@ -2,6 +2,7 @@
 
 #include "resilience/blob.hpp"
 #include "telemetry/registry.hpp"
+#include "xmp/sched/lanes.hpp"
 
 #include <cmath>
 #include <optional>
@@ -40,17 +41,27 @@ void FlowBc::apply(DpdSystem& sys) {
   deleted_ += dead.size();
   sys.remove_particles(std::move(dead));
 
-  // 2) relax buffer velocities towards the imposed profile
+  // 2) relax buffer velocities towards the imposed profile: the buffer
+  //    particles, found in index order, then relaxed on every idle core.
+  //    An update reads only its own particle and the imposed velocity, so
+  //    the velocities are bitwise the same at any lane count.
   sub.emplace("flowbc.relax");
-  std::size_t in_buffer = 0;
+  buffer_.clear();
   for (std::size_t i = 0; i < sys.size(); ++i) {
     if (sys.frozen()[i]) continue;
     const double c = axis_of(pos[i], prm_.axis);
     if (c > prm_.buffer_len) continue;
-    ++in_buffer;
-    const Vec3 vt = prm_.target_velocity(pos[i]);
-    vel[i] += (vt - vel[i]) * prm_.relax;
+    buffer_.push_back(i);
   }
+  std::size_t in_buffer = buffer_.size();
+  auto relax = [&](std::size_t lo, std::size_t hi, int) {
+    for (std::size_t k = lo; k < hi; ++k) {
+      const std::size_t i = buffer_[k];
+      const Vec3 vt = prm_.target_velocity(pos[i]);
+      vel[i] += (vt - vel[i]) * prm_.relax;
+    }
+  };
+  xmp::lanes::for_chunks(xmp::lanes::width(), buffer_.size(), relax);
 
   // 3) insert to hold the buffer at the target density (counts only the
   //    fluid volume: rejection-sample positions against the wall geometry)

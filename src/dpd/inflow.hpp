@@ -7,6 +7,7 @@
 // callback, so the continuum coupling can refresh it every exchange step.
 
 #include <functional>
+#include <vector>
 
 #include "dpd/system.hpp"
 
@@ -19,6 +20,9 @@ struct FlowBcParams {
   double relax = 0.2;       ///< per-step velocity relaxation factor in the buffer
   unsigned seed = 99;
   /// Imposed velocity at a point (evaluated in the buffer and at insertion).
+  /// The buffer relax calls it from several threads at once (one call per
+  /// particle), so it must be safe to call concurrently: a pure function of
+  /// the point and of state that stays constant during FlowBc::apply.
   // analyze: std-function-ok (coupling callback, evaluated per particle not per pair)
   std::function<Vec3(const Vec3&)> target_velocity{};
 };
@@ -50,6 +54,8 @@ private:
   std::mt19937 rng_;
   std::size_t inserted_ = 0, deleted_ = 0;
   double fluid_volume_ = -1.0;  ///< lazily estimated from the geometry
+  // analyze: no-checkpoint (per-step scratch: the buffer particles of one apply)
+  std::vector<std::size_t> buffer_;
 };
 
 }  // namespace dpd

@@ -11,6 +11,7 @@
 
 #include "la/eig.hpp"
 #include "la/simd.hpp"
+#include "sem/split.hpp"
 #include "telemetry/registry.hpp"
 
 namespace sem {
@@ -190,20 +191,34 @@ private:
   /// the transpose. One pass per axis, laid out like Operators::elem_axes:
   /// axis 0 along the contiguous lines, axis k on blocks of n_k rows of
   /// the lower axes' points. The passes alternate between out and scratch
-  /// and end in out; in is only read.
+  /// and end in out; in is only read. Each pass splits its output rows over
+  /// the lanes (sem/split.hpp): lines on axis 0, (block, row) ranges above.
+  /// la::simd::gemm computes every row on its own and blocks only over
+  /// columns, so a row split gives the same bits at any lane count.
   void transform(bool transposed, const double* in, double* out, double* scratch) const {
+    const int want = split_lanes(size_);
     const std::size_t n0 = ax_[0].S.rows();
     double* dst = ax_.size() % 2 ? out : scratch;
     // a line times S is S^T applied along the line
-    la::simd::gemm(in, (transposed ? ax_[0].S : ax_[0].ST).data(), dst, size_ / n0, n0, n0);
+    const double* S0 = (transposed ? ax_[0].S : ax_[0].ST).data();
+    split(want, size_ / n0, [&](std::size_t lo, std::size_t hi, int) {
+      la::simd::gemm(in + lo * n0, S0, dst + lo * n0, hi - lo, n0, n0);
+    });
     std::size_t stride = n0;
     for (std::size_t k = 1; k < ax_.size(); ++k) {
       const double* src = dst;
       dst = dst == out ? scratch : out;
       const std::size_t nk = ax_[k].S.rows();
       const double* A = (transposed ? ax_[k].ST : ax_[k].S).data();
-      for (std::size_t blk = 0; blk < size_; blk += nk * stride)
-        la::simd::gemm(A, src + blk, dst + blk, nk, nk, stride);
+      // output row r is row r % nk of block r / nk, stride points long
+      split(want, size_ / stride, [&](std::size_t lo, std::size_t hi, int) {
+        for (std::size_t r = lo; r < hi;) {
+          const std::size_t blk = r / nk * nk * stride, row = r % nk;
+          const std::size_t rows = std::min(hi - r, nk - row);
+          la::simd::gemm(A + row * nk, src + blk, dst + blk + row * stride, rows, nk, stride);
+          r += rows;
+        }
+      });
       stride *= nk;
     }
   }

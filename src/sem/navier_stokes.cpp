@@ -100,6 +100,7 @@ void NavierStokes<D>::build_solvers() {
   for (Boundary b : params_.pressure_dirichlet_faces)
     if (!d_->boundary_nodes(b).empty()) pressure.push_back(b);
   pressure_solver_ = std::make_unique<Solver>(ops_, 0.0, 1.0, pressure);
+  p_bc_.resize(pressure_solver_->dirichlet_nodes().size(), 0.0);
 
   // A node shared by two Dirichlet boundaries takes the value of the one
   // with the larger id: dirichlet_ ascends, so the last write wins.
@@ -115,22 +116,26 @@ void NavierStokes<D>::build_solvers() {
 }
 
 template <class D>
-void NavierStokes<D>::fill_bc_values(double t, Components<la::Vector>& bc) const {
-  std::vector<const BoundaryBc*> src(dirichlet_.size(), nullptr);
+void NavierStokes<D>::fill_bc_values(double t) {
+  bc_src_.assign(dirichlet_.size(), nullptr);
   for (std::size_t j = 0; j < dirichlet_.size(); ++j) {
     const auto it = bc_.find(dirichlet_[j]);
-    if (it != bc_.end()) src[j] = &it->second;
+    if (it != bc_.end()) bc_src_[j] = &it->second;
   }
   const auto& dn = velocity_solver_->dirichlet_nodes();
-  for (auto& c : bc) c.resize(dn.size(), 0.0);
+  for (auto& c : bc_values_) {
+    if (c.size() != dn.size()) c.resize(dn.size());
+    c.fill(0.0);  // an unregistered wall stays at zero
+  }
   for (std::size_t k = 0; k < dn.size(); ++k) {
-    const BoundaryBc* b = src[owner_[k].boundary];
+    const BoundaryBc* b = bc_src_[owner_[k].boundary];
     if (!b) continue;  // unregistered wall: no-slip
     if (b->values) {
-      for (std::size_t c = 0; c < kDim; ++c) bc[c][k] = (*b->values)[c][owner_[k].index];
+      for (std::size_t c = 0; c < kDim; ++c)
+        bc_values_[c][k] = (*b->values)[c][owner_[k].index];
     } else if (b->fn[0]) {
       const auto x = d_->node(dn[k]);
-      for (std::size_t c = 0; c < kDim; ++c) bc[c][k] = eval_at(b->fn[c], x, t);
+      for (std::size_t c = 0; c < kDim; ++c) bc_values_[c][k] = eval_at(b->fn[c], x, t);
     }
   }
 }
@@ -158,9 +163,12 @@ std::size_t NavierStokes<D>::step() {
   const bool second = params_.time_order >= 2 && have_history_;
   const double gamma0 = second ? 1.5 : 1.0;
 
-  Components<la::Vector> conv, us;
+  auto& us = us_;
+  auto& bc = bc_values_;
+  Components<la::Vector>& conv = work_;
   ops_.convection(vel_, conv);
-  for (auto& c : us) c.resize(n);
+  for (auto& c : us)
+    if (c.size() != n) c.resize(n);
   const bool forced = std::any_of(force_.begin(), force_.end(), [](const BcFn& f) {
     return static_cast<bool>(f);
   });
@@ -181,15 +189,18 @@ std::size_t NavierStokes<D>::step() {
     }
   }
   if (params_.time_order >= 2) {
-    vel_prev_ = vel_;
-    conv_prev_ = std::move(conv);
+    // the viscous solves below write vel_ without reading it
+    vel_prev_.swap(vel_);
+    conv_prev_.swap(conv);
     have_history_ = true;
   }
 
   // Order 2 (pressure-increment, Van Kan): the predictor carries
   // -dt/gamma0 grad p^n; the Poisson solve below then yields the increment
   // phi = p^{n+1} - p^n, lifting the splitting error to O(dt^2).
-  Components<la::Vector> grad;
+  // The convective term is history or dead by now: its vectors take the
+  // pressure gradients.
+  Components<la::Vector>& grad = work_;
   if (second) {
     ops_.gradient(p_, grad);
     for (std::size_t g = 0; g < n; ++g)
@@ -198,25 +209,21 @@ std::size_t NavierStokes<D>::step() {
 
   // enforce the new-time Dirichlet velocity on the predictor before taking
   // its divergence (improves the projection's boundary mass balance)
-  Components<la::Vector> bc;
-  fill_bc_values(tn1, bc);
+  fill_bc_values(tn1);
   const auto& dn = velocity_solver_->dirichlet_nodes();
   for (std::size_t k = 0; k < dn.size(); ++k)
     for (std::size_t c = 0; c < kDim; ++c) us[c][dn[k]] = bc[c][k];
 
   // 2) pressure Poisson solve with the rhs -gamma0 div(us) / dt
   sub.emplace(phase_name<D>(kPressure));
-  la::Vector rhs(n);
-  ops_.divergence(us, rhs);
-  for (std::size_t g = 0; g < n; ++g) rhs[g] = -gamma0 * rhs[g] / dt;
-  la::Vector phi(n, 0.0);
-  const la::Vector p_bc(pressure_solver_->dirichlet_nodes().size(), 0.0);
-  iters += pressure_solver_->solve_with_values(rhs, p_bc, second ? phi : p_).iterations;
+  ops_.divergence(us, rhs_);
+  for (std::size_t g = 0; g < n; ++g) rhs_[g] = -gamma0 * rhs_[g] / dt;
+  iters += pressure_solver_->solve_with_values(rhs_, p_bc_, second ? phi_ : p_).iterations;
   if (second)
-    for (std::size_t g = 0; g < n; ++g) p_[g] += phi[g];
+    for (std::size_t g = 0; g < n; ++g) p_[g] += phi_[g];
 
   // 3) projection: u_hat_hat/gamma0 = us - (dt/gamma0) grad (p or phi)
-  ops_.gradient(second ? phi : p_, grad);
+  ops_.gradient(second ? phi_ : p_, grad);
   for (std::size_t g = 0; g < n; ++g)
     for (std::size_t c = 0; c < kDim; ++c) us[c][g] -= dt / gamma0 * grad[c][g];
 

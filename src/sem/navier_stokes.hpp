@@ -163,7 +163,8 @@ private:
   };
 
   void build_solvers();
-  void fill_bc_values(double t, Components<la::Vector>& bc) const;
+  /// bc_values_ at time t, one entry per velocity_solver_->dirichlet_nodes().
+  void fill_bc_values(double t);
   /// The tail of save_state/load_state: each Helmholtz solver's state, or
   /// a marker that the solvers were never built.
   void save_solvers(resilience::BlobWriter& w) const;
@@ -197,6 +198,21 @@ private:
   std::vector<Boundary> dirichlet_;  ///< velocity-Dirichlet boundaries, ascending
   // analyze: no-checkpoint (derived from BC registration, rebuilt by build_solvers)
   std::vector<Owner> owner_;  ///< per velocity_solver_->dirichlet_nodes() entry
+
+  // Per-step scratch, hoisted out of step(): every value is written in the
+  // step before it is read, so none carries from one step to the next.
+  // analyze: no-checkpoint (per-step scratch: the convective term, then the pressure gradients)
+  Components<la::Vector> work_;
+  // analyze: no-checkpoint (per-step scratch: the predictor velocity)
+  Components<la::Vector> us_;
+  // analyze: no-checkpoint (per-step scratch: Dirichlet velocity values and their sources)
+  Components<la::Vector> bc_values_;
+  // analyze: no-checkpoint (per-step scratch, see bc_values_)
+  std::vector<const BoundaryBc*> bc_src_;
+  // analyze: no-checkpoint (per-step scratch: the Poisson rhs and the pressure increment)
+  la::Vector rhs_, phi_;
+  // analyze: no-checkpoint (constant zero pressure Dirichlet values, sized by build_solvers)
+  la::Vector p_bc_;
 };
 
 extern template class NavierStokes<Discretization>;

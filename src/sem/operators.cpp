@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "la/simd.hpp"
+#include "sem/split.hpp"
 #include "telemetry/registry.hpp"
 
 namespace sem {
@@ -43,7 +44,7 @@ Operators<Disc>::Operators(const Disc& d) : d_(&d) {
       G_(a, b) = s;
     }
 
-  // tables and scratch first, so the build's one temporary (lstiff) is the
+  // tables first, so the build's one temporary (lstiff) is the
   // last allocation and freeing it leaves no hole between long-lived blocks
   // (that hole measurably raised the peak RSS of coupled 3D runs)
   const std::size_t npe = d.nodes_per_element();
@@ -55,9 +56,6 @@ Operators<Disc>::Operators(const Disc& d) : d_(&d) {
   for (std::size_t q = 0; q < wt_.size(); ++q)
     for (std::size_t i : local_index<kDim - 1>(q, n1)) wt_[q] *= w[i];
   lmass_.resize(npe);
-  lu_.resize(npe);
-  ly_.resize(npe);
-  for (auto& l : ld_) l.resize(npe);
 
   // per local node: lumped mass jac * prod_k w_k and diag(K) =
   // jac * sum_k r_k^2 (prod_{j != k} w_j) G(i_k, i_k); assembled per element
@@ -114,15 +112,33 @@ void Operators<Disc>::elem_stiffness(double nu, const double* u, double* y) cons
 }
 
 template <class Disc>
+int Operators<Disc>::stage_lanes() const {
+  const int want = split_lanes(d_->num_nodes());
+  const std::size_t npe = lmass_.size();
+  if (stage_.empty()) stage_.resize(d_->num_elements() * kDim * npe);
+  if (lane_u_.size() < static_cast<std::size_t>(want)) {
+    lane_u_.resize(static_cast<std::size_t>(want));
+    for (auto& l : lane_u_) l.resize(npe);
+  }
+  return want;
+}
+
+template <class Disc>
 template <class Kernel>
 void Operators<Disc>::sweep(const la::Vector& u, la::Vector& y, Kernel&& kernel) const {
+  // lanes fill the stage out of order; the scatter adds it in element order
+  const std::size_t npe = lmass_.size();
+  split(stage_lanes(), d_->num_elements(), [&](std::size_t lo, std::size_t hi, int lane) {
+    double* lu = lane_u_[static_cast<std::size_t>(lane)].data();
+    for (std::size_t e = lo; e < hi; ++e) {
+      d_->gather(u, e, lu);
+      kernel(lu, stage_.data() + e * npe);
+    }
+  });
   if (y.size() != u.size()) y.resize(u.size());
   y.fill(0.0);
-  for (std::size_t e = 0; e < d_->num_elements(); ++e) {
-    d_->gather(u, e, lu_.data());
-    kernel(lu_.data(), ly_.data());
-    d_->scatter_add(ly_.data(), e, y);
-  }
+  for (std::size_t e = 0; e < d_->num_elements(); ++e)
+    d_->scatter_add(stage_.data() + e * npe, e, y);
 }
 
 template <class Disc>
@@ -154,24 +170,34 @@ template <class Disc>
 void Operators<Disc>::gradient(const la::Vector& u, Fields& grad) const {
   const std::size_t n = d_->num_nodes();
   const std::size_t npe = lmass_.size();
-  std::array<double*, kDim> out;
-  for (std::size_t k = 0; k < kDim; ++k) {
-    if (grad[k].size() != n) grad[k].resize(n);
-    grad[k].fill(0.0);
-    out[k] = ld_[k].data();
-  }
-  for (std::size_t e = 0; e < d_->num_elements(); ++e) {
-    d_->gather(u, e, lu_.data());
-    for (auto& l : ld_) std::fill(l.begin(), l.end(), 0.0);
-    elem_axes(d_->diff_matrix(), DT_, false, r_, lu_.data(), out);
-    // weight by the local mass before scatter; divide by assembled mass after
-    for (std::size_t k = 0; k < kDim; ++k) {
-      for (std::size_t q = 0; q < npe; ++q) ld_[k][q] *= lmass_[q];
-      d_->scatter_add(ld_[k].data(), e, grad[k]);
+  // element e's kDim local derivatives sit side by side in the stage
+  split(stage_lanes(), d_->num_elements(), [&](std::size_t lo, std::size_t hi, int lane) {
+    double* lu = lane_u_[static_cast<std::size_t>(lane)].data();
+    for (std::size_t e = lo; e < hi; ++e) {
+      d_->gather(u, e, lu);
+      double* ld = stage_.data() + e * kDim * npe;
+      std::fill(ld, ld + kDim * npe, 0.0);
+      std::array<double*, kDim> out;
+      for (std::size_t k = 0; k < kDim; ++k) out[k] = ld + k * npe;
+      elem_axes(d_->diff_matrix(), DT_, false, r_, lu, out);
+      // weight by the local mass before scatter; divide by assembled mass after
+      for (std::size_t k = 0; k < kDim; ++k)
+        for (std::size_t q = 0; q < npe; ++q) out[k][q] *= lmass_[q];
     }
-  }
-  for (std::size_t g = 0; g < n; ++g)
-    for (std::size_t k = 0; k < kDim; ++k) grad[k][g] /= mass_[g];
+  });
+  for (std::size_t k = 0; k < kDim; ++k)
+    if (grad[k].size() != n) grad[k].resize(n);
+  // each component sums its elements in element order, on a lane of its own
+  split(split_lanes(n), kDim, [&](std::size_t lo, std::size_t hi, int) {
+    for (std::size_t k = lo; k < hi; ++k) {
+      grad[k].fill(0.0);
+      for (std::size_t e = 0; e < d_->num_elements(); ++e)
+        d_->scatter_add(stage_.data() + (e * kDim + k) * npe, e, grad[k]);
+      double* gk = grad[k].data();
+      const double* m = mass_.data();
+      for (std::size_t g = 0; g < n; ++g) gk[g] /= m[g];
+    }
+  });
 }
 
 template <class Disc>

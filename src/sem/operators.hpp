@@ -26,9 +26,15 @@ namespace sem {
 /// The apply paths run on the batched `la::simd` line kernels with
 /// per-instance scratch (no allocation and no per-call index arithmetic);
 /// the scalar baselines they are checked against live in the test-only
-/// library under tests/reference. Scratch makes applies non-reentrant: one
-/// Operators instance must not be applied from two threads at once (each
-/// solver owns its Operators, so this never happens in-tree).
+/// library under tests/reference. The element sweeps split over the
+/// intra-rank lanes on large fields (sem/split.hpp): each lane gathers into
+/// its own scratch and writes each element's local result into a
+/// per-element stage, and the stage is then scatter-added in element order
+/// (the gradient's components each on a lane of their own), so every node
+/// sums its contributions in the one-lane order. The scratch and the stage
+/// make applies non-reentrant: one Operators instance must not be applied
+/// from two threads at once. A NavierStokes and its three HelmholtzSolvers
+/// share one instance and apply it from the stepping thread only.
 template <class Disc>
 class Operators {
 public:
@@ -79,7 +85,11 @@ public:
   double integral(const la::Vector& u) const;
 
 private:
-  /// Gather u per element, run `kernel(local u, local y)`, scatter-add into y.
+  /// Lanes the next element sweep is offered; sizes the stage and the
+  /// per-lane scratch on first use.
+  int stage_lanes() const;
+  /// Gather u per element, run `kernel(local u, local y)` into the stage,
+  /// scatter-add the stage into y in element order.
   template <class Kernel>
   void sweep(const la::Vector& u, la::Vector& y, Kernel&& kernel) const;
   /// Local y = nu K_e u (zeroed first).
@@ -99,9 +109,10 @@ private:
   la::DenseMatrix GT_, DT_;  // transposes for the along-line (axis 0) kernels
   std::vector<double> wt_;     // weights of axes 1..d-1: w (2D), w (x) w (3D)
   std::vector<double> lmass_;  // per-element lumped mass jac * prod_k w
-  // element scratch, hoisted out of the apply loops (see class comment)
-  mutable std::vector<double> lu_, ly_;
-  mutable std::array<std::vector<double>, kDim> ld_;
+  // per-lane gather scratch and the per-element stage, num_elements() x
+  // kDim x nodes_per_element(), hoisted out of the sweeps (see class comment)
+  mutable std::vector<std::vector<double>> lane_u_;
+  mutable std::vector<double> stage_;
   // global-field scratch for divergence/convection/wall_shear_stress
   mutable Fields grad_;
   double jac_;                  // element Jacobian prod_k h_k/2, uniform grid

@@ -20,8 +20,17 @@
 // The pool allocates nothing per pass and lane bodies must make no xmp or
 // telemetry call: they run on threads that are not ranks. Callers keep
 // their results independent of the lanes by computing per lane and
-// combining in a fixed order (dpd::NeighborList::build, the DPD pair pass;
-// docs/PERF.md "Intra-rank lanes").
+// combining in a fixed order (docs/PERF.md "Intra-rank lanes"):
+//   * DPD: dpd::NeighborList::build's candidate scan, the DPD pair pass and
+//     dpd::FlowBc's buffer relax (one particle per update, any size);
+//   * SEM, through sem/split.hpp on fields of sem::kSplitNodes nodes and
+//     more: sem::Operators' element sweeps (apply_helmholtz,
+//     apply_stiffness, gradient) and the fast-diagonalisation transforms
+//     of sem::HelmholtzSolver.
+
+#include <algorithm>
+#include <atomic>
+#include <cstddef>
 
 namespace xmp::lanes {
 
@@ -61,6 +70,26 @@ template <class Fn>
 Pass run(int want, Fn& fn) {
   return detail::run(
       want, [](void* ctx, int lane, int most) { (*static_cast<Fn*>(ctx))(lane, most); }, &fn);
+}
+
+/// Calls fn(lo, hi, lane) on the chunks [lo, hi) of [0, n) that each lane of
+/// one pass claims, kChunksPerLane per lane of `want`; want <= 1 makes the
+/// one call fn(0, n, 0) inline. Every index lands in exactly one chunk, and
+/// the chunks depend on want and n only, never on the lanes that joined.
+template <class Fn>
+Pass for_chunks(int want, std::size_t n, Fn& fn) {
+  if (want <= 1) {
+    fn(std::size_t{0}, n, 0);
+    return {};
+  }
+  const std::size_t chunks = std::min(n, static_cast<std::size_t>(kChunksPerLane * want));
+  std::atomic<std::size_t> next{0};
+  auto body = [&](int lane, int) {
+    for (std::size_t c = next.fetch_add(1, std::memory_order_relaxed); c < chunks;
+         c = next.fetch_add(1, std::memory_order_relaxed))
+      fn(n * c / chunks, n * (c + 1) / chunks, lane);
+  };
+  return run(want, body);
 }
 
 }  // namespace xmp::lanes

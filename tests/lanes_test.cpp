@@ -1,7 +1,8 @@
-// Intra-rank lanes: the fork-join pool behind the DPD force pass
-// (xmp/sched/lanes.hpp), and the contract it serves: a DPD trajectory is
-// bitwise the same whether its force passes split over every idle core
-// (outside xmp::run) or run inline (a rank of a run that claims every
+// Intra-rank lanes: the fork-join pool behind the DPD force pass and the
+// 3D continuum passes (xmp/sched/lanes.hpp, sem/split.hpp), and the
+// contract it serves: a DPD trajectory, a SEM field and a coupled run's
+// digest are bitwise the same whether their passes split over every idle
+// core (outside xmp::run) or run inline (a rank of a run that claims every
 // core). Every comparison is bit for bit.
 
 #include <gtest/gtest.h>
@@ -24,6 +25,11 @@
 #include "dpd/platelets.hpp"
 #include "dpd/system.hpp"
 #include "resilience/blob.hpp"
+#include "scenario/runner.hpp"
+#include "scenario/schema.hpp"
+#include "sem/helmholtz.hpp"
+#include "sem/navier_stokes.hpp"
+#include "sem/split.hpp"
 #include "telemetry/registry.hpp"
 #include "xmp/comm.hpp"
 #include "xmp/sched/lanes.hpp"
@@ -377,4 +383,165 @@ TEST(DpdLanes, OverlappedRowsAreLaneCountInvariant) {
                            blocking.first.size() * sizeof(double)));
   EXPECT_EQ(0, std::memcmp(blocking.first.data(), overlapped_inline.first.data(),
                            blocking.first.size() * sizeof(double)));
+}
+
+// ---------------- SEM passes at any lane count ----------------
+
+namespace {
+
+/// The bytes of some fields, end to end.
+std::vector<std::uint8_t> bytes_of(std::initializer_list<const la::Vector*> fields) {
+  std::vector<std::uint8_t> out;
+  for (const la::Vector* f : fields) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(f->data());
+    out.insert(out.end(), p, p + f->size() * sizeof(double));
+  }
+  return out;
+}
+
+/// What a SEM computation wrote and how many lanes its passes used.
+struct SemOutcome {
+  std::vector<std::uint8_t> bytes;
+  double lanes = 0.0;        ///< sem.lanes: lanes summed over split passes
+  std::uint64_t passes = 0;  ///< passes offered more than one lane
+};
+
+/// The computation inline and outside xmp::run: equal bytes, no pass
+/// counted inline, and the outside runs split whenever the field reaches
+/// the split size and the process may use a second core. The first passes
+/// of a process start the helpers, a loaded host may keep them off their
+/// core for a while, and a pass never waits for them: so the outside run
+/// repeats at least three times, and until a helper joined one of its
+/// passes, each run bitwise equal to the inline one.
+template <class Fn>
+void expect_sem_lane_count_invariant(std::size_t nodes, Fn&& fn, int attempts = 200) {
+  auto observe = [&] {
+    telemetry::Registry::local().clear();
+    SemOutcome out;
+    out.bytes = fn();
+    const auto c = telemetry::Registry::local().counters()["sem.lanes"];
+    out.lanes = c.value;
+    out.passes = c.count;
+    return out;
+  };
+  SemOutcome one;
+  run_inline([&] { one = observe(); });
+  EXPECT_EQ(one.passes, 0u) << "inline passes count nothing";
+  ASSERT_FALSE(one.bytes.empty());
+  const bool split = outside_width() >= 2 && nodes >= sem::kSplitNodes;
+  bool helped = false;
+  for (int k = 0; k < attempts && (k < 3 || (split && !helped)); ++k) {
+    const SemOutcome all = observe();
+    EXPECT_EQ(all.bytes, one.bytes) << "outside run " << k;
+    if (!split) {
+      EXPECT_EQ(all.passes, 0u);
+    }
+    helped = helped || all.lanes > static_cast<double>(all.passes);
+  }
+  if (split) {
+    EXPECT_TRUE(helped) << "outside passes used more lanes";
+  }
+}
+
+la::Vector wavy(std::size_t n, double phase) {
+  la::Vector u(n);
+  for (std::size_t g = 0; g < n; ++g) u[g] = std::sin(0.37 * static_cast<double>(g) + phase);
+  return u;
+}
+
+/// Helmholtz apply, stiffness apply, gradient and two fast-diagonalisation
+/// solves (Dirichlet sides, and pure-Neumann Poisson) on d.
+void expect_operators_lane_count_invariant(const sem::Discretization3D& d) {
+  using F = sem::HexFace;
+  const std::size_t n = d.num_nodes();
+  expect_sem_lane_count_invariant(n, [&] {
+    sem::Operators ops(d);
+    const la::Vector u = wavy(n, 0.1);
+    la::Vector y, k;
+    sem::Operators<sem::Discretization3D>::Fields grad;
+    ops.apply_helmholtz(750.0, 0.05, u, y);
+    ops.apply_stiffness(u, k);
+    ops.gradient(u, grad);
+    sem::HelmholtzSolver velocity(ops, 750.0, 0.05, {F::X0, F::Y0, F::Y1, F::Z0, F::Z1});
+    sem::HelmholtzSolver poisson(ops, 0.0, 1.0, {});
+    la::Vector bc(velocity.dirichlet_nodes().size());
+    for (std::size_t i = 0; i < bc.size(); ++i) bc[i] = std::cos(0.1 * static_cast<double>(i));
+    la::Vector xv, xp;
+    velocity.solve_with_values(u, bc, xv);
+    poisson.solve_with_values(wavy(n, 0.7), la::Vector(), xp);
+    return bytes_of({&y, &k, &grad[0], &grad[1], &grad[2], &xv, &xp});
+  });
+}
+
+}  // namespace
+
+TEST(SemLanes, OperatorsAndFastDiagAreLaneCountInvariant) {
+  // 7 x 3 x 5 elements at P = 4: a 29 x 13 x 21 lattice of 7,917 nodes.
+  // Neither the 105 elements nor the 273 rows of axes 0 and 1 fill the
+  // chunks evenly, and axis 2's 21 rows are fewer than the chunks.
+  const sem::Discretization3D odd(1.4, 0.6, 1.0, 7, 3, 5, 4);
+  ASSERT_GE(odd.num_nodes(), sem::kSplitNodes);
+  expect_operators_lane_count_invariant(odd);
+}
+
+TEST(SemLanes, OneElementMeshIsLaneCountInvariant) {
+  // one element at P = 16: 4,913 nodes in one element, 289 rows per axis
+  const sem::Discretization3D one(1.0, 1.0, 1.0, 1, 1, 1, 16);
+  ASSERT_EQ(one.num_elements(), 1u);
+  ASSERT_GE(one.num_nodes(), sem::kSplitNodes);
+  expect_operators_lane_count_invariant(one);
+}
+
+TEST(SemLanes, SmallMeshesRunInline) {
+  // below the split size every pass runs inline, outside xmp::run too
+  const sem::Discretization3D small(1.0, 1.0, 1.0, 2, 2, 2, 4);
+  ASSERT_LT(small.num_nodes(), sem::kSplitNodes);
+  expect_operators_lane_count_invariant(small);
+}
+
+TEST(SemLanes, NavierStokes3dIsLaneCountInvariant) {
+  // cdc3d_sem's mesh and scheme: 8 x 2 x 4 elements, P = 6, time_order 2
+  using F = sem::HexFace;
+  const sem::Discretization3D d(4.0, 1.0, 1.0, 8, 2, 4, 6);
+  expect_sem_lane_count_invariant(d.num_nodes(), [&] {
+    sem::NavierStokes3D::Params prm;
+    prm.nu = 0.05;
+    prm.dt = 0.002;
+    prm.time_order = 2;
+    sem::NavierStokes3D ns(d, prm);
+    auto inflow = [](double, double y, double z, double) {
+      return 16.0 * y * (1 - y) * z * (1 - z);
+    };
+    auto zero = [](double, double, double, double) { return 0.0; };
+    ns.set_velocity_bc(F::X0, inflow, zero, zero);
+    ns.set_natural_bc(F::X1);
+    for (int s = 0; s < 4; ++s) ns.step();
+    resilience::BlobWriter w;
+    ns.save_state(w);
+    std::vector<std::uint8_t> out = bytes_of({&ns.u(), &ns.v(), &ns.w(), &ns.p()});
+    const std::vector<std::uint8_t> state = w.take();
+    out.insert(out.end(), state.begin(), state.end());
+    return out;
+  }, 20);
+}
+
+TEST(SemLanes, Cdc3dRunnerDigestIsLaneCountInvariant) {
+  // two coupling intervals of the cdc3d_sem benchmark workload: SEM passes,
+  // FlowBc's continuum reads and the DPD force passes all on lanes, or all
+  // inline
+  scenario::Scenario sc =
+      scenario::load_scenario_file(NEKTARG_SOURCE_DIR "/bench/e2e/workloads/cdc3d_sem.json");
+  sc.time.intervals = 2;
+  sc.time.develop_steps = 4;
+  sc.checkpoint.every = 0;
+  const auto& m = sc.mesh3d;
+  const auto nodes = static_cast<std::size_t>((m.nx * m.order + 1) * (m.ny * m.order + 1) *
+                                              (m.nz * m.order + 1));
+  ASSERT_EQ(nodes, 15925u);
+  expect_sem_lane_count_invariant(nodes, [&] {
+    const std::uint32_t digest = scenario::Runner(sc).run().digest;
+    std::vector<std::uint8_t> out(sizeof digest);
+    std::memcpy(out.data(), &digest, sizeof digest);
+    return out;
+  }, 10);
 }

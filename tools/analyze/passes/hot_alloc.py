@@ -5,11 +5,16 @@ scratch into persistent members or stack arrays (docs/PERF.md). One table
 (HOT_ALLOC) gives each rule its path scope, the bodies it gates and its
 opt-out marker, `// analyze: <marker> (<reason>)` on the line or up to two
 lines above:
-  sem-hot-alloc       src/sem/, the operator applies `apply_*` / `elem_*`
-                      and the point evaluator `evaluate` / `tensor_sum` /
-                      `locate` / `lagrange_basis_at`; sem-alloc-ok (no body
-                      in src/ carries it: the scalar baselines with per-call
-                      scratch live in tests/reference)
+  sem-hot-alloc       src/sem/, the operator applies `apply_*` / `elem_*`,
+                      the element sweeps `sweep` / `gradient`, the
+                      fast-diagonalisation `transform`, the lane split
+                      helper `split`, the stepper's `step` /
+                      `fill_bc_values` and the point evaluator `evaluate` /
+                      `tensor_sum` / `locate` / `lagrange_basis_at`, whose
+                      per-lane scratch and stage are members sized once;
+                      sem-alloc-ok (no body in src/ carries it: the scalar
+                      baselines with per-call scratch live in
+                      tests/reference)
   exchange-hot-alloc  src/dpd/exchange/, the halo fast path `begin_update` /
                       `finish_update`, the `pack_*` / `unpack_*` packers and
                       the layout rebuild (`full_rebuild` / `rebuild_halo`,
@@ -21,9 +26,10 @@ lines above:
                       src/dpd/system.cpp's `DpdSystem::pair_*` pair pass,
                       src/dpd/neighbor.cpp's Verlet build (`build`, the
                       candidate scan `scan_*`, `assemble_csr`), whose
-                      per-lane buffers are members sized once, and
-                      src/xmp/sched/lanes.cpp's dispatch (`run`, `helper`,
-                      `wait_while`); pair-alloc-ok
+                      per-lane buffers are members sized once, and the
+                      lane pool's dispatch in src/xmp/sched/lanes.{hpp,cpp}
+                      (`run`, `helper`, `wait_while`, `for_chunks`);
+                      pair-alloc-ok
 
 A construction is a value declaration or temporary; a reference or pointer
 type (`std::vector<T>&` parameters, `std::vector<T>*` lane tables)
@@ -45,8 +51,10 @@ HOT_ALLOC = [
     (rule, scope, cls, re.compile(names), marker, what)
     for rule, scope, cls, names, marker, what in [
         ("sem-hot-alloc", "src/sem/", None,
-         r"(?:apply_|elem_)\w*|evaluate|tensor_sum|locate|lagrange_basis_at", "sem-alloc-ok",
-         "a SEM hot path (apply_*/elem_* or the point evaluator) allocates per call"),
+         r"(?:apply_|elem_)\w*|sweep|gradient|transform|split|step|fill_bc_values"
+         r"|evaluate|tensor_sum|locate|lagrange_basis_at", "sem-alloc-ok",
+         "a SEM hot path (apply_*/elem_*, an element sweep, a fast-diagonalisation "
+         "transform, the lane split, a time step or the point evaluator) allocates per call"),
         ("exchange-hot-alloc", "src/dpd/exchange/", None,
          r"begin_update|finish_update|pack_\w+|unpack_\w+"
          r"|full_rebuild|rebuild_halo|exchange|claim|ship|relayout", "exchange-alloc-ok",
@@ -58,7 +66,7 @@ HOT_ALLOC = [
         ("pair-hot-alloc", "src/dpd/neighbor.cpp", None, r"build|scan_\w+|assemble_csr",
          "pair-alloc-ok",
          "a Verlet build body (build, scan_*, assemble_csr) allocates every rebuild"),
-        ("pair-hot-alloc", "src/xmp/sched/lanes.cpp", None, r"run|helper|wait_while",
+        ("pair-hot-alloc", "src/xmp/sched/lanes.", None, r"run|helper|wait_while|for_chunks",
          "pair-alloc-ok", "the lane pool's dispatch allocates every pass"),
     ]
 ]
@@ -243,6 +251,43 @@ SELF_TEST_CASES = [
      {"src/xmp/sched/lanes.cpp":
       "Pass Pool::run(int want, Body body, void* ctx) {\n"
       "  std::vector<std::exception_ptr> errors(want);\n  return {};\n}\n"},
+     {"pair-hot-alloc"}),
+
+    ("an allocating lane body in an element sweep is flagged",
+     {"src/sem/bad_lane_alloc.cpp":
+      "template <class Disc>\ntemplate <class Kernel>\n"
+      "void Operators<Disc>::sweep(const la::Vector& u, la::Vector& y, Kernel&& kernel) const {\n"
+      "  split(stage_lanes(), ne, [&](std::size_t lo, std::size_t hi, int lane) {\n"
+      "    std::vector<double> lu(npe);\n"
+      "    for (std::size_t e = lo; e < hi; ++e) d_->gather(u, e, lu.data());\n  });\n}\n"},
+     {"sem-hot-alloc"}),
+
+    ("a lane body on hoisted member scratch is clean",
+     {"src/sem/ok_lane_member.cpp":
+      "template <class Disc>\n"
+      "void Operators<Disc>::gradient(const la::Vector& u, Fields& grad) const {\n"
+      "  split(stage_lanes(), ne, [&](std::size_t lo, std::size_t hi, int lane) {\n"
+      "    double* lu = lane_u_[static_cast<std::size_t>(lane)].data();\n"
+      "    for (std::size_t e = lo; e < hi; ++e) d_->gather(u, e, lu);\n  });\n}\n"},
+     set()),
+
+    ("a scratch lattice in a fast-diagonalisation transform is flagged",
+     {"src/sem/bad_transform_alloc.cpp":
+      "void BoxEigenbasis::transform(bool t, const double* in, double* out) const {\n"
+      "  std::vector<double> scratch(size_);\n}\n"},
+     {"sem-hot-alloc"}),
+
+    ("a per-step vector in the time step is flagged",
+     {"src/sem/bad_step_alloc.cpp":
+      "template <class D>\nstd::size_t NavierStokes<D>::step() {\n"
+      "  la::Vector rhs(n);\n  return 0;\n}\n"},
+     {"sem-hot-alloc"}),
+
+    ("a vector in the lane pool's chunk split is flagged",
+     {"src/xmp/sched/lanes.hpp":
+      "#pragma once\ntemplate <class Fn>\n"
+      "Pass for_chunks(int want, std::size_t n, Fn& fn) {\n"
+      "  std::vector<std::size_t> bounds(want + 1);\n  return {};\n}\n"},
      {"pair-hot-alloc"}),
 
     ("a vector in a comment is not code",

@@ -9,9 +9,9 @@
 #include <cstdio>
 #include <vector>
 
-#include "dpd/bonds.hpp"
 #include "dpd/geometry.hpp"
 #include "dpd/system.hpp"
+#include "rbc/bonds.hpp"
 #include "telemetry/bench_report.hpp"
 
 int main() {

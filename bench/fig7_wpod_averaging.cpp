@@ -14,11 +14,11 @@
 #include <cstdio>
 #include <vector>
 
-#include "dpd/bonds.hpp"
 #include "dpd/geometry.hpp"
 #include "dpd/sampling.hpp"
 #include "dpd/system.hpp"
 #include "la/stats.hpp"
+#include "rbc/bonds.hpp"
 #include "telemetry/bench_report.hpp"
 #include "wpod/wpod.hpp"
 

@@ -1,4 +1,5 @@
 #pragma once
+// analyze: unreached-ok (ROADMAP item 10: the two-group run builds its MCI here)
 // Multilevel Communicating Interface (paper Sec. 3.1/3.2) over the xmp
 // runtime:
 //   L1 = World

@@ -1,4 +1,5 @@
 #pragma once
+// analyze: unreached-ok (ROADMAP item 11: a Runner scenario kind, or a move next to fig9)
 // Continuum-continuum multi-patch coupling (paper Sec. 3.2): a monolithic
 // domain is subdivided into overlapping patches, each solved by its own
 // NavierStokes<Discretization> instance; once per time step, interface

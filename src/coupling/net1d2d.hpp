@@ -1,4 +1,5 @@
 #pragma once
+// analyze: unreached-ok (ROADMAP item 11: a runnable net1d2d scenario kind)
 // 1D-network <-> 2D-patch coupling (paper Sec. 3: "Coupled to the 3D model,
 // the 1D model can be used to account for flow dynamics in peripheral
 // arterial networks invisible to the MRI or CT scanners", and NektarG

@@ -1,4 +1,5 @@
 #pragma once
+// analyze: unreached-ok (ROADMAP item 11: replicas under Runner, or a move to bench/)
 // Replica ensembles (paper Sec. 3.3, Fig. 6): DPD-LAMMPS can replicate the
 // atomistic domain and solve an array of identical problems with different
 // random forcing; averaging the replicas improves the statistics by

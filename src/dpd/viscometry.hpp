@@ -1,4 +1,5 @@
 #pragma once
+// analyze: unreached-ok (ROADMAP item 3: nu_DPD becomes a constant; this moves to tests/)
 // DPD fluid viscometry. The Eq.-(1) unit scaling needs nu_DPD, which for a
 // DPD fluid is an emergent property of (a, gamma, rho, kBT, dt) rather than
 // an input. measure_viscosity() runs a body-force-driven plane-Poiseuille

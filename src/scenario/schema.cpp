@@ -299,6 +299,12 @@ void validate_scenario(const Scenario& sc) {
     else
       check(geom.cavity.empty(), "$.dpd.geometry.cavity",
             "only the channel_with_cavity_z geometry has a cavity");
+    // fill() keeps positions with wall distance > margin: a negative margin
+    // fills the solid, half the channel height or more fills nothing
+    const bool channel = geom.kind != "none";
+    check(sc.dpd.fill_margin >= 0, "$.dpd.fill_margin", "must be >= 0");
+    check(!channel || sc.dpd.fill_margin < geom.height / 2, "$.dpd.fill_margin",
+          "must be < dpd.geometry.height / 2, or the channel is left empty");
     const auto& pl = sc.platelets;
     check(pl.count >= 0, "$.platelets.count", "must be >= 0");
     check(pl.trigger_distance >= 0, "$.platelets.trigger_distance", "must be >= 0");
@@ -307,6 +313,12 @@ void validate_scenario(const Scenario& sc) {
     const auto& fb = sc.flow_bc;
     check(fb.axis >= 0 && fb.axis <= 2, "$.flow_bc.axis", "must be 0, 1 or 2");
     const auto axis = static_cast<std::size_t>(fb.axis);
+    // FlowBc deletes only positions outside [0, L] along the axis: nothing
+    // leaves through a periodic axis or a channel wall, yet insertion runs
+    check(!sc.dpd.periodic[axis], "$.flow_bc.axis",
+          "is periodic in dpd.periodic: the flow needs an open inlet and outlet");
+    check(!(channel && axis == 2), "$.flow_bc.axis",
+          "is the channel's wall-normal axis (z): the flow needs an open inlet and outlet");
     check(fb.buffer_len > 0 && fb.buffer_len < box[axis], "$.flow_bc.buffer_len",
           "must be in (0, dpd.box[axis])");
     check(fb.density > 0, "$.flow_bc.density", "must be > 0");

@@ -1,4 +1,5 @@
 #pragma once
+// analyze: unreached-ok (ROADMAP item 2: moves to bench/ once bench/e2e is switched)
 // Machine-readable bench output with a stable schema.
 //
 // Every bench binary builds a BenchReport next to its printf table, pushing

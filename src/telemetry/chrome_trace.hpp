@@ -1,4 +1,5 @@
 #pragma once
+// analyze: unreached-ok (ROADMAP item 1: the run's report exports its timeline)
 // Chrome trace_event exporter: dumps every registry's recorded timeline as
 // complete ("X") events, one trace thread per rank, loadable in
 // chrome://tracing or https://ui.perfetto.dev.

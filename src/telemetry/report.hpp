@@ -1,4 +1,5 @@
 #pragma once
+// analyze: unreached-ok (ROADMAP item 1: the run's report aggregates through it)
 // Cross-rank aggregation of the per-rank phase trees and counters.
 //
 // Every rank serialises its thread-local Registry snapshot to a flat text

@@ -23,13 +23,13 @@
 #include <string>
 #include <vector>
 
-#include "dpd/bonds.hpp"
 #include "dpd/exchange/decomposition.hpp"
 #include "dpd/exchange/distributed.hpp"
 #include "dpd/exchange/exchangers.hpp"
 #include "dpd/geometry.hpp"
 #include "dpd/platelets.hpp"
 #include "dpd/system.hpp"
+#include "rbc/bonds.hpp"
 #include "reference/dpd_exchange_reference.hpp"
 #include "resilience/blob.hpp"
 #include "resilience/fault.hpp"

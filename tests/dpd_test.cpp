@@ -14,7 +14,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "dpd/bonds.hpp"
 #include "dpd/geometry.hpp"
 #include "dpd/inflow.hpp"
 #include "dpd/platelets.hpp"
@@ -22,6 +21,7 @@
 #include "dpd/system.hpp"
 #include "dpd/viscometry.hpp"
 #include "la/simd.hpp"
+#include "rbc/bonds.hpp"
 #include "telemetry/registry.hpp"
 
 namespace {

@@ -21,7 +21,6 @@
 
 #include "coupling/cdc.hpp"
 #include "coupling/replica.hpp"
-#include "dpd/bonds.hpp"
 #include "dpd/geometry.hpp"
 #include "dpd/inflow.hpp"
 #include "dpd/platelets.hpp"
@@ -29,6 +28,7 @@
 #include "dpd/system.hpp"
 #include "mesh/quadmesh.hpp"
 #include "nektar1d/network.hpp"
+#include "rbc/bonds.hpp"
 #include "resilience/blob.hpp"
 #include "resilience/blob_la.hpp"
 #include "resilience/checkpoint.hpp"

@@ -412,7 +412,11 @@ TEST(Scenario, RejectsValuesTheRunnerCannotRepresent) {
   // relaxation outside [0, 1] inserted nothing or overshot. A box whose
   // neighbor-cell count overflows an int, or a fill or buffer density whose
   // particle count overflows the casts and the uint32 gids, ran out of
-  // memory or reached an undefined cast.
+  // memory or reached an undefined cast. A flow axis that is periodic (y) or
+  // the channel's wall normal (z) deleted nothing while insertion ran, so the
+  // population only grew (inserted 21 and 16 against 0 deleted in one
+  // interval); a fill margin of half the height (5) filled 0 particles and
+  // left the box to the BC, and a negative one filled the walls.
   const Scenario quickstart = scenario::quickstart_preset();
   const std::pair<const char*, const char*> cases[] = {
       {"mesh.nx", "4294967297"},
@@ -435,6 +439,10 @@ TEST(Scenario, RejectsValuesTheRunnerCannotRepresent) {
       {"dpd.box", "[1e12, 6, 10]"},
       {"dpd.density", "1e12"},
       {"flow_bc.density", "1e300"},
+      {"flow_bc.axis", "1"},
+      {"flow_bc.axis", "2"},
+      {"dpd.fill_margin", "-0.1"},
+      {"dpd.fill_margin", "5"},
   };
   for (const auto& [path, value] : cases) expect_rejected(quickstart, path, value);
   for (const char* axis : {"nx", "ny", "nz"})
@@ -451,6 +459,9 @@ TEST(Scenario, RejectsValuesTheRunnerCannotRepresent) {
 }
 
 TEST(SchemaTest, CavityPulseAndPlateletKeysAreValidated) {
+  // A fill margin of -1 put 290 extra particles inside the solid around the
+  // cavity (2,454 against 2,164), after which FlowBc inserted none; 2.5, half
+  // the channel height of 5, leaves the channel empty.
   const Scenario aneurysm = scenario::aneurysm_preset();
   const std::pair<const char*, const char*> cases[] = {
       {"mesh.cavity", "[3, 5]"},
@@ -468,6 +479,8 @@ TEST(SchemaTest, CavityPulseAndPlateletKeysAreValidated) {
       {"platelets.trigger_distance", "-1"},
       {"platelets.activation_delay", "-1"},
       {"platelets.bind_distance", "-1"},
+      {"dpd.fill_margin", "-1"},
+      {"dpd.fill_margin", "2.5"},
   };
   for (const auto& [path, value] : cases) expect_rejected(aneurysm, path, value);
   // a cavity on a geometry that has none would be ignored: reject it

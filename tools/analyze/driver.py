@@ -23,11 +23,11 @@ from pathlib import Path
 from index import RepoIndex
 from passes import (checkpoint_coverage, collective_divergence, collective_trace,
                     dpd_no_std_function, hot_alloc, lock_across_yield, memcpy_divisibility,
-                    no_using_namespace, pragma_once, sched_context)
+                    no_using_namespace, pragma_once, sched_context, src_reach)
 
 PASSES = (checkpoint_coverage, collective_divergence, lock_across_yield, memcpy_divisibility,
           collective_trace, dpd_no_std_function, hot_alloc, sched_context, pragma_once,
-          no_using_namespace)
+          no_using_namespace, src_reach)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 DEFAULT_ROOTS = ("src", "tests", "bench", "examples")

@@ -11,10 +11,10 @@
 #include <cstdio>
 #include <vector>
 
-#include "coupling/replica.hpp"
 #include "dpd/geometry.hpp"
 #include "dpd/sampling.hpp"
 #include "dpd/system.hpp"
+#include "replica/replica.hpp"
 #include "telemetry/bench_report.hpp"
 #include "xmp/comm.hpp"
 

@@ -10,7 +10,7 @@
 
 #include <cstdio>
 
-#include "coupling/multipatch.hpp"
+#include "multipatch/multipatch.hpp"
 #include "scenario/presets.hpp"
 #include "scenario/runner.hpp"
 #include "telemetry/bench_report.hpp"

@@ -11,7 +11,8 @@
 // InjectedFault there. By xmp semantics an uncaught InjectedFault aborts the
 // whole run (every blocked rank wakes with AbortedError); a failover-aware
 // harness instead catches it and reports the rank dead through
-// coupling::ReplicaEnsemble::exchange_health.
+// coupling::ReplicaEnsemble::exchange_health (the replica model in
+// bench/replica/, exercised by resilience_test's Failover suite).
 //
 // Storage faults hook into CheckpointCoordinator::save via set_fault_plan:
 // the scheduled save on the scheduled rank is either corrupted (one payload

@@ -177,7 +177,7 @@ Scenario parse_scenario(const Json& doc) {
   if (sc.version != kSchemaVersion)
     fail("$.version", "unsupported schema version " + std::to_string(sc.version) +
                           " (this build reads version " + std::to_string(kSchemaVersion) + ")");
-  if (sc.kind == "mci" || sc.kind == "net1d2d")
+  if (sc.kind == "net1d2d")
     fail("$.kind", "kind \"" + sc.kind + "\" is reserved but not yet runnable");
   if (sc.kind != "cdc" && sc.kind != "cdc3d" && sc.kind != "net1d")
     fail("$.kind", "unknown kind \"" + sc.kind + "\" (known: cdc, cdc3d, net1d)");

@@ -167,7 +167,7 @@ struct NetworkSpec {
 ///   "cdc"   — 2D SEM channel + embedded DPD box (quickstart family)
 ///   "cdc3d" — 3D SEM box + embedded DPD box (coupled3d family)
 ///   "net1d" — 1D arterial network (nektar1d)
-/// ("mci" and "net1d2d" are reserved kinds for later PRs.)
+/// ("net1d2d" is a reserved kind for a later change.)
 struct Scenario {
   std::int64_t version = kSchemaVersion;
   std::string name;

@@ -9,9 +9,9 @@
 
 #include "coupling/cdc.hpp"
 #include "coupling/mci.hpp"
-#include "coupling/multipatch.hpp"
-#include "coupling/replica.hpp"
 #include "coupling/scales.hpp"
+#include "multipatch/multipatch.hpp"
+#include "replica/replica.hpp"
 
 namespace {
 

@@ -19,10 +19,10 @@
 #include "dpd/platelets.hpp"
 #include "dpd/sampling.hpp"
 #include "dpd/system.hpp"
-#include "dpd/viscometry.hpp"
 #include "la/simd.hpp"
 #include "rbc/bonds.hpp"
 #include "telemetry/registry.hpp"
+#include "viscometry.hpp"
 
 namespace {
 

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "coupling/mci.hpp"
-#include "coupling/replica.hpp"
+#include "replica/replica.hpp"
 #include "xmp/comm.hpp"
 
 namespace {

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "coupling/cdc.hpp"
-#include "coupling/replica.hpp"
 #include "dpd/geometry.hpp"
 #include "dpd/inflow.hpp"
 #include "dpd/platelets.hpp"
@@ -29,6 +28,7 @@
 #include "mesh/quadmesh.hpp"
 #include "nektar1d/network.hpp"
 #include "rbc/bonds.hpp"
+#include "replica/replica.hpp"
 #include "resilience/blob.hpp"
 #include "resilience/blob_la.hpp"
 #include "resilience/checkpoint.hpp"

@@ -562,7 +562,7 @@ TEST(SchemaTest, VersionAndKindAreChecked) {
   *doc.find("version") = Json(static_cast<std::int64_t>(99));
   EXPECT_THROW(scenario::parse_scenario(doc), JsonError);
 
-  doc = Json::parse(R"({"version": 1, "kind": "mci"})");
+  doc = Json::parse(R"({"version": 1, "kind": "net1d2d"})");
   try {
     scenario::parse_scenario(doc);
     FAIL() << "expected JsonError";
@@ -570,8 +570,15 @@ TEST(SchemaTest, VersionAndKindAreChecked) {
     EXPECT_NE(std::string(e.what()).find("reserved"), std::string::npos) << e.what();
   }
 
-  doc = Json::parse(R"({"version": 1, "kind": "warp"})");
-  EXPECT_THROW(scenario::parse_scenario(doc), JsonError);
+  for (const char* kind : {"mci", "warp"}) {
+    doc = Json::parse(std::string(R"({"version": 1, "kind": ")") + kind + "\"}");
+    try {
+      scenario::parse_scenario(doc);
+      FAIL() << "expected JsonError for kind " << kind;
+    } catch (const JsonError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown kind"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(SchemaTest, LoadScenarioFilePrefixesPath) {

@@ -7,10 +7,10 @@ same-stem source file. Every src/ file outside that closure is flagged,
 unless its first 10 lines carry
 `// analyze: unreached-ok (ROADMAP item N: <reason>)`, naming the item that
 will give it a caller or delete it. A marker on a header also covers its
-same-stem source file; a marker on a reached file is stale and flagged.
-When the index holds no examples/ file (a subtree run such as
-`python3 tools/analyze src/dpd`) there are no roots, and the pass reports
-nothing.
+same-stem source file. A marker on a reached file, or on any file outside
+src/ (where it suppresses nothing), is stale and flagged. When the index
+holds no examples/ file (a subtree run such as `python3 tools/analyze
+src/dpd`) there are no roots, and only markers outside src/ are reported.
 """
 
 from __future__ import annotations
@@ -67,12 +67,16 @@ def _marked(fi) -> bool:
 
 
 def run(repo) -> list:
+    marked = {p for p, fi in repo.files.items() if _marked(fi)}
+    outside = [Finding(RULE, p, 1, "only src/ files must be reached, so this unreached-ok "
+                       "marker suppresses nothing: remove it", key=p)
+               for p in sorted(marked) if not p.startswith("src/")]
     roots = [p for p in repo.files
              if posixpath.dirname(p) == "examples" and p.endswith(".cpp")]
     if not roots:
-        return []
+        return outside
     reached = _closure(repo, roots)
-    marked = {p for p, fi in repo.files.items() if _marked(fi)}
+    marked = {p for p in marked if p.startswith("src/")}
     covered = marked | {s for p in marked for s in _sources_of(repo, p)}
     findings = [Finding(RULE, p, 1,
                         "no examples/*.cpp reaches this file through its includes: move "
@@ -83,7 +87,7 @@ def run(repo) -> list:
     findings += [Finding(RULE, p, 1, "an examples/*.cpp now reaches this file: remove its "
                          "unreached-ok marker", key=p)
                  for p in sorted(marked & reached)]
-    return findings
+    return outside + findings
 
 
 # ---- self-test fixtures -----------------------------------------------------
@@ -137,4 +141,12 @@ SELF_TEST_CASES = [
      {"src/b/dead.hpp": "#pragma once\nint dead();\n",
       "src/b/dead.cpp": '#include "b/dead.hpp"\nint dead() { return 0; }\n'},
      set()),
+
+    ("a marker outside src/ is stale, since only src/ files must be reached",
+     {**_RUN,
+      "src/a/used.hpp": "#pragma once\nint used();\n",
+      "bench/b/moved.hpp": "#pragma once\n"
+                           "// analyze: unreached-ok (ROADMAP item 7: the run calls it next)\n"
+                           "int moved();\n"},
+     {"bench/b/moved.hpp"}),
 ]

@@ -23,16 +23,15 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dpd/exchange/distributed.hpp"
 #include "dpd/inflow.hpp"
 #include "dpd/neighbor.hpp"
 #include "dpd/system.hpp"
+#include "one_lane.hpp"
 #include "telemetry/bench_report.hpp"
 #include "telemetry/registry.hpp"
-#include "xmp/comm.hpp"
 #include "xmp/sched/lanes.hpp"
 
 namespace {
@@ -113,16 +112,6 @@ double best_build_ms(const dpd::DpdSystem& sys) {
            nl.ensure(sys.positions());
          }).best_ms /
          kTraversals;
-}
-
-/// fn() on one lane: the one rank of an xmp::run whose workers claim every
-/// hardware thread, so every lane pass inside it runs inline.
-template <class Fn>
-void on_one_lane(Fn&& fn) {
-  xmp::SchedOptions sched;
-  sched.workers = static_cast<int>(std::max(std::thread::hardware_concurrency(), 1u));
-  sched.stack_kb = 4096;
-  xmp::run(1, [&](xmp::Comm&) { fn(); }, nullptr, xmp::CheckOptions{}, sched);
 }
 
 /// ms per force pass (the dpd.forces phase, full builds included), lanes
@@ -351,9 +340,8 @@ int main() {
     rep.set("in_range_pairs_per_pass", row.in_range);
   }
   // Lanes: the same cdc2d_ckpt-shaped FlowBc run with its force passes on
-  // every idle core (outside xmp::run) and inline (one rank of a run whose
-  // workers claim every hardware thread). Per variant: lanes per pass, best
-  // ms per force pass over kLaneRounds interleaved rounds, and the
+  // every idle core and inline (one_lane.hpp). Per variant: lanes per pass,
+  // best ms per force pass over kLaneRounds interleaved rounds, and the
   // trajectory digest, which must not depend on the lane count; the gated
   // speed-up is the median of the rounds' ratios.
   struct LaneRow {

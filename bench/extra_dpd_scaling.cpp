@@ -3,12 +3,12 @@
 // (src/dpd/exchange/). The single-rank baseline is the plain engine with no
 // decomposition driver, so the speedup includes every halo/migration
 // overhead the distributed path pays. Every rank, the baseline's included,
-// steps on one lane: each run's workers claim every hardware thread, so no
-// force pass splits over idle cores (xmp/sched/lanes.hpp) and the speedup
-// is the ranks' alone. Prints DPD_SCALING_SPEEDUP (4 ranks
+// steps on one lane: a OneLane (one_lane.hpp) keeps every force pass
+// inline, so no pass splits over idle cores (xmp/sched/lanes.hpp) and the
+// speedup is the ranks' alone. Prints DPD_SCALING_SPEEDUP (4 ranks
 // vs 1) for CI to grep and writes BENCH_dpd_scaling.json. Exits non-zero
 // when the speedup falls below kMinSpeedup. The gate needs a thread per
-// rank: the rank fibers run on min(cores, 8) worker threads, so on fewer
+// rank: the rank fibers run on min(cores, 8) pool threads, so on fewer
 // than 4 hardware threads 4 ranks share the cores and the gate is reported
 // as not applicable.
 
@@ -20,6 +20,7 @@
 
 #include "dpd/exchange/distributed.hpp"
 #include "dpd/system.hpp"
+#include "one_lane.hpp"
 #include "telemetry/bench_report.hpp"
 #include "xmp/comm.hpp"
 
@@ -46,13 +47,12 @@ std::shared_ptr<dpd::DpdSystem> make_system() {
   return sys;
 }
 
-/// fn(world) on `nranks` ranks of a run whose workers claim every hardware
-/// thread, so each rank's force passes run inline on one lane.
+/// fn(world) on `nranks` ranks of a run at the default workers, each
+/// rank's force passes inline on one lane.
 template <class Fn>
 void on_one_lane_each(int nranks, Fn&& fn) {
-  xmp::SchedOptions sched;
-  sched.workers = static_cast<int>(std::max(std::thread::hardware_concurrency(), 1u));
-  xmp::run(nranks, fn, nullptr, xmp::CheckOptions{}, sched);
+  const OneLane one;
+  xmp::run(nranks, fn, nullptr, xmp::CheckOptions{});
 }
 
 /// Best-of-kRepeats wall time for kSteps on `nranks` ranks (1 = plain

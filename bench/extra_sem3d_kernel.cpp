@@ -8,11 +8,10 @@
 //
 // Then the intra-rank lanes (sem/split.hpp) on cdc3d_sem's mesh (8 x 2 x 4
 // elements, P = 6, 15,925 nodes): a Helmholtz apply, a gradient and a
-// fast-diagonalisation solve, each on every idle core (outside xmp::run)
-// and inline (one rank of a run whose workers claim every hardware
-// thread), over kLaneRounds interleaved rounds. Each row prints the lanes
-// per split pass, the best time of each variant and one output digest,
-// which must not depend on the lane count. SEM_LANES_SPEEDUP is the
+// fast-diagonalisation solve, each on every idle core and inline
+// (one_lane.hpp), over kLaneRounds interleaved rounds. Each row prints the
+// lanes per split pass, the best time of each variant and one output
+// digest, which must not depend on the lane count. SEM_LANES_SPEEDUP is the
 // smallest of the rows' median speed-ups.
 //
 // Last a size sweep from the 2D sweep_warm mesh (297 nodes) to cdc3d_sem's:
@@ -32,18 +31,17 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "la/simd.hpp"
 #include "mesh/quadmesh.hpp"
+#include "one_lane.hpp"
 #include "reference/sem_reference.hpp"
 #include "sem/helmholtz.hpp"
 #include "sem/operators.hpp"
 #include "sem/split.hpp"
 #include "telemetry/bench_report.hpp"
 #include "telemetry/registry.hpp"
-#include "xmp/comm.hpp"
 #include "xmp/sched/lanes.hpp"
 
 namespace {
@@ -71,16 +69,6 @@ double time_call(Fn&& fn) {
     if (dt > 0.05 || reps >= 1000) return dt / reps;
     reps *= 4;
   }
-}
-
-/// fn() on the one rank of a run whose workers claim every hardware thread,
-/// so every lane pass inside it runs inline.
-template <class Fn>
-void on_one_lane(Fn&& fn) {
-  xmp::SchedOptions sched;
-  sched.workers = static_cast<int>(std::max(std::thread::hardware_concurrency(), 1u));
-  sched.stack_kb = 4096;
-  xmp::run(1, [&](xmp::Comm&) { fn(); }, nullptr, xmp::CheckOptions{}, sched);
 }
 
 /// FNV-1a over the bytes of the fields.

@@ -21,8 +21,6 @@ namespace detail {
 
 namespace {
 
-const char* kind_name(CollKind k) { return to_string(k); }
-
 bool desc_equal(const CollDesc& a, const CollDesc& b) {
   if (a.kind != b.kind || a.elem_size != b.elem_size || a.root != b.root || a.extra != b.extra)
     return false;
@@ -30,8 +28,11 @@ bool desc_equal(const CollDesc& a, const CollDesc& b) {
   return true;
 }
 
+/// `v`, or "any" for the kAnySource / kAnyTag wildcard.
+std::string or_any(int v) { return v == kAnySource ? "any" : std::to_string(v); }
+
 void print_desc(std::ostringstream& os, const CollDesc& d) {
-  os << kind_name(d.kind) << "(elem=" << d.elem_size;
+  os << to_string(d.kind) << "(elem=" << d.elem_size;
   if (d.root >= 0) os << ", root=" << d.root;
   if (d.extra >= 0) os << ", op=" << d.extra;
   if (d.shape != kShapeUnknown) os << ", shape=" << d.shape;
@@ -141,13 +142,9 @@ void Checker::unblock(const Group& g, int me_local) {
 std::uint64_t Checker::register_pending(const Group& g, int me_local, int peer_local, int tag,
                                         bool is_send) {
   std::ostringstream os;
-  os << "comm " << g.name() << ": " << (is_send ? "isend(dst=" : "irecv(src=");
-  if (!is_send && peer_local == kAnySource) os << "any";
-  else os << world_of(g, peer_local);
-  os << ", tag=";
-  if (tag == kAnyTag) os << "any";
-  else os << tag;
-  os << ") held by world rank " << world_of(g, me_local);
+  os << "comm " << g.name() << ": " << (is_send ? "isend(dst=" : "irecv(src=")
+     << (peer_local == kAnySource ? "any" : std::to_string(world_of(g, peer_local)))
+     << ", tag=" << or_any(tag) << ") held by world rank " << world_of(g, me_local);
   std::lock_guard lk(pend_mu_);
   const std::uint64_t id = next_pending_++;
   pending_.emplace(id, os.str());
@@ -190,13 +187,7 @@ std::string Checker::describe_blocked(int world, const BlockedOp& op,
       std::chrono::duration_cast<std::chrono::milliseconds>(now - op.since).count();
   os << "  world rank " << world << ": ";
   if (op.kind == BlockedOp::Kind::Recv) {
-    os << "recv(src=";
-    if (op.src_world == kAnySource) os << "any";
-    else os << op.src_world;
-    os << ", tag=";
-    if (op.tag == kAnyTag) os << "any";
-    else os << op.tag;
-    os << ")";
+    os << "recv(src=" << or_any(op.src_world) << ", tag=" << or_any(op.tag) << ")";
   } else if (op.kind == BlockedOp::Kind::Collective) {
     os << "collective #" << op.slot_gen << " ";
     print_desc(os, op.desc);

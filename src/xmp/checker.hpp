@@ -39,8 +39,6 @@ public:
   Checker(RunState* rs, CheckOptions opts);
   ~Checker();
 
-  const CheckOptions& options() const { return opts_; }
-
   // -- rank affinity ---------------------------------------------------------
   /// Throws CheckError when the calling execution context (per
   /// sched::current_rank) is not `local_rank`'s owner.

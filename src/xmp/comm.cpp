@@ -1,7 +1,7 @@
 #include "xmp/comm.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <map>
 
 #include "xmp/checker.hpp"
 #include "xmp/detail.hpp"
@@ -220,6 +220,15 @@ void retire_pending(detail::PendingState& st) {
   }
 }
 
+/// A live handle's state, registered in checked mode's leak registry.
+std::shared_ptr<detail::PendingState> make_pending(const std::shared_ptr<detail::Group>& g,
+                                                   int me, int peer, int tag, bool is_send) {
+  const std::uint64_t id =
+      g->rs->checker ? g->rs->checker->register_pending(*g, me, peer, tag, is_send) : 0;
+  return std::make_shared<detail::PendingState>(detail::PendingState{
+      g, me, peer, tag, is_send, /*matched=*/is_send, /*consumed=*/false, {}, id});
+}
+
 }  // namespace
 
 Pending Comm::isend_bytes(int dst, int tag, const void* data, std::size_t bytes) const {
@@ -228,16 +237,7 @@ Pending Comm::isend_bytes(int dst, int tag, const void* data, std::size_t bytes)
   // and only exists so completion stays symmetric with irecv_bytes (and so
   // checked mode can flag callers who drop it without wait()/test()).
   group_->send(rank_, dst, tag, data, bytes);
-  auto st = std::make_shared<detail::PendingState>();
-  st->grp = group_;
-  st->me = rank_;
-  st->peer = dst;
-  st->tag = tag;
-  st->is_send = true;
-  st->matched = true;
-  if (group_->rs->checker)
-    st->check_id = group_->rs->checker->register_pending(*group_, rank_, dst, tag, true);
-  return Pending(std::move(st));
+  return Pending(make_pending(group_, rank_, dst, tag, true));
 }
 
 Pending Comm::irecv_bytes(int src, int tag) const {
@@ -248,14 +248,7 @@ Pending Comm::irecv_bytes(int src, int tag) const {
                             " out of range for comm of size " + std::to_string(size()) +
                             " (tag " + std::to_string(tag) + ")");
   group_->check_abort();
-  auto st = std::make_shared<detail::PendingState>();
-  st->grp = group_;
-  st->me = rank_;
-  st->peer = src;
-  st->tag = tag;
-  if (group_->rs->checker)
-    st->check_id = group_->rs->checker->register_pending(*group_, rank_, src, tag, false);
-  return Pending(std::move(st));
+  return Pending(make_pending(group_, rank_, src, tag, false));
 }
 
 std::vector<std::uint8_t> Pending::wait(int* out_src, int* out_tag) {
@@ -511,9 +504,6 @@ void run(int nranks, const std::function<void(Comm&)>& fn, TraceSink trace,
 
   std::exception_ptr first_error;
   std::mutex err_mu;
-
-  // The scheduler establishes the rank context (sched::current_rank) before
-  // each fiber runs.
   detail::FiberScheduler(sched).run(nranks, [&](int r) {
     Comm c(world, r);
     try {
@@ -530,19 +520,13 @@ void run(int nranks, const std::function<void(Comm&)>& fn, TraceSink trace,
   if (first_error) {
     // Surface the root-cause failure, not the secondary AbortedErrors: when
     // the checker triggered the abort, its diagnosis is the root cause.
-    bool secondary = false;
     try {
       std::rethrow_exception(first_error);
     } catch (const AbortedError&) {
-      secondary = true;
-    } catch (...) {
-      throw;
-    }
-    if (secondary) {
       std::lock_guard lk(rs->check_err_mu);
       if (rs->check_error) std::rethrow_exception(rs->check_error);
+      throw;
     }
-    std::rethrow_exception(first_error);
   }
   {
     std::lock_guard lk(rs->check_err_mu);

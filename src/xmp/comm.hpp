@@ -24,11 +24,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -265,6 +262,12 @@ private:
   friend struct detail::Group;
   Comm(std::shared_ptr<detail::Group> g, int rank) : group_(std::move(g)), rank_(rank) {}
 
+  /// Every rank's blob as elements of T, end to end, with each rank's count
+  /// in `counts` if non-null; `what` names the collective in errors.
+  template <class T>
+  static std::vector<T> concat(const std::vector<std::vector<std::uint8_t>>& blobs,
+                               std::vector<std::size_t>* counts, const char* what);
+
   void require_root_in_range(int root, const char* what) const {
     if (root < 0 || root >= size())
       throw std::invalid_argument(std::string("xmp: ") + what + " root " + std::to_string(root) +
@@ -301,24 +304,15 @@ void Comm::bcast(std::vector<T>& data, int root) const {
 }
 
 template <class T>
-std::vector<T> Comm::gatherv(std::span<const T> mine, int root,
-                             std::vector<std::size_t>* counts) const {
-  static_assert(std::is_trivially_copyable_v<T>);
-  require_root_in_range(root, "gatherv");
-  if (rank() != root) trace_transfer(rank(), root, mine.size() * sizeof(T), TraceKind::Gather);
-  auto blobs = collect_bytes_all(mine.data(), mine.size() * sizeof(T),
-                                 CollDesc{CollKind::Gatherv, sizeof(T), root, -1, kShapeUnknown});
+std::vector<T> Comm::concat(const std::vector<std::vector<std::uint8_t>>& blobs,
+                            std::vector<std::size_t>* counts, const char* what) {
   std::vector<T> out;
-  if (rank() != root) {
-    if (counts) counts->clear();
-    return out;
-  }
   if (counts) counts->clear();
-  for (std::size_t r = 0; r < blobs->size(); ++r) {
-    const auto& b = (*blobs)[r];
+  for (std::size_t r = 0; r < blobs.size(); ++r) {
+    const auto& b = blobs[r];
     if (b.size() % sizeof(T) != 0)
-      throw std::runtime_error("xmp: gatherv size mismatch: rank " + std::to_string(r) +
-                               " contributed " + std::to_string(b.size()) +
+      throw std::runtime_error(std::string("xmp: ") + what + " size mismatch: rank " +
+                               std::to_string(r) + " contributed " + std::to_string(b.size()) +
                                " bytes, not a multiple of element size " +
                                std::to_string(sizeof(T)));
     const std::size_t k = b.size() / sizeof(T);
@@ -331,6 +325,19 @@ std::vector<T> Comm::gatherv(std::span<const T> mine, int root,
 }
 
 template <class T>
+std::vector<T> Comm::gatherv(std::span<const T> mine, int root,
+                             std::vector<std::size_t>* counts) const {
+  static_assert(std::is_trivially_copyable_v<T>);
+  require_root_in_range(root, "gatherv");
+  if (rank() != root) trace_transfer(rank(), root, mine.size() * sizeof(T), TraceKind::Gather);
+  auto blobs = collect_bytes_all(mine.data(), mine.size() * sizeof(T),
+                                 CollDesc{CollKind::Gatherv, sizeof(T), root, -1, kShapeUnknown});
+  if (rank() == root) return concat<T>(*blobs, counts, "gatherv");
+  if (counts) counts->clear();
+  return {};
+}
+
+template <class T>
 std::vector<T> Comm::allgatherv(std::span<const T> mine,
                                 std::vector<std::size_t>* counts) const {
   static_assert(std::is_trivially_copyable_v<T>);
@@ -338,22 +345,7 @@ std::vector<T> Comm::allgatherv(std::span<const T> mine,
     if (r != rank()) trace_transfer(rank(), r, mine.size() * sizeof(T), TraceKind::Allgather);
   auto blobs = collect_bytes_all(mine.data(), mine.size() * sizeof(T),
                                  CollDesc{CollKind::Allgatherv, sizeof(T), -1, -1, kShapeUnknown});
-  std::vector<T> out;
-  if (counts) counts->clear();
-  for (std::size_t r = 0; r < blobs->size(); ++r) {
-    const auto& b = (*blobs)[r];
-    if (b.size() % sizeof(T) != 0)
-      throw std::runtime_error("xmp: allgatherv size mismatch: rank " + std::to_string(r) +
-                               " contributed " + std::to_string(b.size()) +
-                               " bytes, not a multiple of element size " +
-                               std::to_string(sizeof(T)));
-    const std::size_t k = b.size() / sizeof(T);
-    if (counts) counts->push_back(k);
-    const std::size_t off = out.size();
-    out.resize(off + k);
-    if (k) std::memcpy(out.data() + off, b.data(), b.size());
-  }
-  return out;
+  return concat<T>(*blobs, counts, "allgatherv");
 }
 
 template <class T>

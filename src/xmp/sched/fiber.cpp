@@ -221,12 +221,8 @@ void FiberScheduler::switch_to_worker(Fiber* f, bool dying) {
 void FiberScheduler::dispatch(Fiber* f) {
   WorkerContext& wc = *tl_worker;
   wc.current = f;
-  sched::detail::set_current_rank(f->world_rank);
-  sched::detail::set_rank_local_slot(&f->local_slot);
   annotated_swap(&wc.asan_fake_stack, f->stack_base, f->stack_bytes, f->tsan_fiber, &wc.ctx,
                  &f->ctx, wc.asan_fake_stack);
-  sched::detail::set_current_rank(-1);
-  sched::detail::set_rank_local_slot(nullptr);
   wc.current = nullptr;
 }
 
@@ -270,8 +266,6 @@ void FiberScheduler::make_runnable(Fiber* f) {
       case Fiber::State::Parking:
         // Raced with the unlock-then-suspend window: the fiber's worker
         // finalises the park right after its swapcontext and re-enqueues.
-        f->wake_pending = true;
-        break;
       case Fiber::State::Runnable:
       case Fiber::State::Running:
         // Already awake; the woken fiber re-checks its predicate anyway.
@@ -280,7 +274,7 @@ void FiberScheduler::make_runnable(Fiber* f) {
       case Fiber::State::Done: break;
     }
   }
-  if (notify) work_cv_.notify_one();
+  if (notify) lanes::detail::wake();
 }
 
 void FiberScheduler::worker_main() {
@@ -289,11 +283,16 @@ void FiberScheduler::worker_main() {
 #ifdef XMP_FIBER_TSAN
   wc.tsan_fiber = __tsan_get_current_fiber();
 #endif
+  WorkerContext* const outer = tl_worker;
   tl_worker = &wc;
+  std::uint32_t seen_pass = 0;
   std::unique_lock lk(mu_);
   while (live_ > 0) {
     if (runq_.empty()) {
-      work_cv_.wait(lk);
+      const std::uint32_t seen = lanes::detail::epoch();
+      lk.unlock();
+      lanes::detail::idle(seen, seen_pass);
+      lk.lock();
       continue;
     }
     Fiber* f = runq_.front();
@@ -312,10 +311,10 @@ void FiberScheduler::worker_main() {
         f->state = Fiber::State::Parked;
       }
     } else if (f->state == Fiber::State::Done) {
-      if (--live_ == 0) work_cv_.notify_all();
+      if (--live_ == 0) lanes::detail::wake();
     }
   }
-  tl_worker = nullptr;
+  tl_worker = outer;
 }
 
 void FiberScheduler::run(int nranks, const std::function<void(int)>& body) {
@@ -330,23 +329,11 @@ void FiberScheduler::run(int nranks, const std::function<void(int)>& body) {
   fibers_.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) runq_.push_back(make_fiber(r));
   live_ = nranks;
-
-  int nworkers = opts_.workers;
-  if (nworkers <= 0)
-    nworkers = static_cast<int>(std::min(std::max(std::thread::hardware_concurrency(), 1u), 8u));
-  // The run holds the hardware threads it asked for until its workers are
-  // done; lane passes take only the rest (sched/lanes.hpp).
-  lanes::detail::claim_workers(nworkers);
-  struct Unclaim {
-    int n;
-    ~Unclaim() { lanes::detail::claim_workers(-n); }
-  } unclaim{nworkers};
-  nworkers = std::min(nworkers, nranks);
-
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(nworkers));
-  for (int i = 0; i < nworkers; ++i) workers.emplace_back([this] { worker_main(); });
-  for (auto& w : workers) w.join();
+  const int workers = opts_.workers > 0 ? std::min(opts_.workers, nranks) : nranks;
+  const lanes::detail::Body worker = [](void* self, int, int) {
+    static_cast<FiberScheduler*>(self)->worker_main();
+  };
+  lanes::detail::run_workers(workers, worker, this);
   body_ = nullptr;
 }
 
@@ -369,3 +356,19 @@ void WaitCv::notify_all() {
 }
 
 }  // namespace xmp::detail
+
+namespace xmp::sched {
+
+// The rank context is the fiber that the calling thread's worker runs, so it
+// follows the rank across workers.
+int current_rank() noexcept {
+  const detail::Fiber* f = detail::current_fiber();
+  return f ? f->world_rank : -1;
+}
+
+std::shared_ptr<void>* rank_local_slot() noexcept {
+  detail::Fiber* f = detail::current_fiber();
+  return f ? &f->local_slot : nullptr;
+}
+
+}  // namespace xmp::sched

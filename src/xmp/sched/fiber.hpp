@@ -2,26 +2,25 @@
 // Cooperative fiber executor behind every xmp::run. Internal header: user
 // code tunes it through xmp::SchedOptions (sched.hpp).
 //
-// Each rank is a ucontext fiber on its own guard-paged mmap stack; a small
-// pool of worker threads drains a FIFO run queue of runnable fibers. A fiber
-// leaves the queue in exactly two ways: it finishes, or it parks inside
-// WaitCv::wait (detail.hpp) — the runtime's only blocking points (mailbox
-// recv, the collective slot) go through WaitCv, so every blocking point is a
-// yield point. Wakers (other ranks, the checked-mode watchdog) re-enqueue
-// parked fibers via make_runnable(), which is safe against the
-// unlock-then-suspend race: a fiber that is woken between releasing the site
-// mutex and completing its context switch is flagged wake_pending and
-// re-enqueued by its worker right after the switch completes.
+// Each rank is a ucontext fiber on its own guard-paged mmap stack; the run's
+// caller and the pool threads that join it (sched/lanes.hpp) drain a FIFO
+// run queue of runnable fibers. A fiber leaves the queue in exactly two
+// ways: it finishes, or it parks inside WaitCv::wait (detail.hpp) — the
+// runtime's only blocking points (mailbox recv, the collective slot) go
+// through WaitCv, so every blocking point is a yield point. Wakers (other
+// ranks, the checked-mode watchdog) re-enqueue parked fibers via
+// make_runnable(), which is safe against the unlock-then-suspend race: a
+// fiber that is woken between releasing the site mutex and completing its
+// context switch is flagged wake_pending and re-enqueued by its worker
+// right after the switch completes.
 
 #include <ucontext.h>
 
-#include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "xmp/sched/sched.hpp"
@@ -69,9 +68,9 @@ public:
   FiberScheduler(const FiberScheduler&) = delete;
   FiberScheduler& operator=(const FiberScheduler&) = delete;
 
-  /// Creates one fiber per rank, runs body(rank) for each over the worker
-  /// pool, and returns when every fiber finished. Exceptions must not escape
-  /// `body` (xmp::run's rank wrapper catches them and aborts the run).
+  /// Creates one fiber per rank, runs body(rank) for each on the caller and
+  /// the pool threads that join, and returns when every fiber finished.
+  /// `body` must not throw (xmp::run's rank wrapper catches and aborts).
   void run(int nranks, const std::function<void(int)>& body);
 
   /// Re-enqueues a parked (or about-to-park) fiber. Thread-safe: callable
@@ -102,7 +101,6 @@ private:
   char* slab_base_ = nullptr;  ///< one contiguous stack slab (guard_pages off)
   std::size_t slab_bytes_ = 0;
   std::mutex mu_;
-  std::condition_variable work_cv_;
   std::deque<Fiber*> runq_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
   int live_ = 0;
@@ -110,7 +108,7 @@ private:
 };
 
 /// Fiber the calling OS thread is currently executing, or nullptr on plain
-/// threads (helper threads, the watchdog, main).
+/// threads (pool threads between fibers, the watchdog, main).
 Fiber* current_fiber() noexcept;
 
 /// The calling rank's fiber; throws std::logic_error on a plain thread.

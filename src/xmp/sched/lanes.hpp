@@ -1,21 +1,20 @@
 #pragma once
-// Fork-join lanes on the cores no xmp worker runs on.
+// Fork-join lanes on the process's one thread pool.
 //
 // A lane pass splits one data-parallel loop of the calling thread: lane 0
-// runs on the caller, lanes 1.. on persistent helper threads. Helpers start
-// with the first pass that can use them; between passes they poll briefly
-// and then sleep on a futex (std::atomic::wait). A helper takes part in a
-// pass only if it joins before lane 0 returns, so a pass never waits for a
-// helper that is asleep or descheduled: the lanes claim their work as they
-// go, and lane 0 alone must be able to finish it.
+// runs on the caller, lanes 1.. on whichever threads join it. The pool
+// (lanes.cpp) has at most min(affinity mask CPUs, kMaxLanes) threads, a
+// caller counted, started with the first pass or xmp::run that can use them.
+// An xmp::run is a fork-join on the same rule, its lanes the run's workers
+// (sched/fiber.hpp); a worker with no fiber to run, and a pool thread with
+// neither, joins an open pass, else polls briefly and sleeps on a futex.
+// Nothing waits for a thread that did not join before lane 0 returned: the
+// lanes claim their work as they go, and lane 0 alone must finish it.
 //
-// The width is derived, never set: the hardware threads the process may
-// run on (its CPU affinity mask) minus the workers every xmp::run in flight
-// asked for (SchedOptions::workers, 0 counting as its default pool),
-// between 1 and kMaxLanes. A caller outside xmp::run gets every core up to
-// that cap; a rank of a run that claims every core works inline on one
-// lane. A pass started while another is in flight (from another thread)
-// also runs inline.
+// The width is derived, never set: the caller plus the threads free to
+// join, or 1 while another pass is in flight (a pass started then runs
+// inline). Outside xmp::run, and on the one rank of a 1-rank run, that is
+// every core up to the cap.
 //
 // The pool allocates nothing per pass and lane bodies must make no xmp or
 // telemetry call: they run on threads that are not ranks. Callers keep
@@ -31,12 +30,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 
 namespace xmp::lanes {
 
-/// The most lanes a pass ever gets: xmp's own default cap on workers. Only
-/// 2 lanes have been measured (docs/PERF.md "Intra-rank lanes"); each lane
-/// adds a helper thread and per-lane build counts.
+/// The most threads the pool runs, a caller included, so the most lanes a
+/// pass and the most workers a run gets. Only 2 lanes have been measured
+/// (docs/PERF.md "Intra-rank lanes"); each adds per-lane build counts.
 inline constexpr int kMaxLanes = 8;
 
 /// Lanes a pass started here now would get.
@@ -56,16 +56,23 @@ struct Pass {
 namespace detail {
 using Body = void (*)(void* ctx, int lane, int most);
 Pass run(int want, Body body, void* ctx);
-/// xmp::run's claim on the hardware threads for as long as its workers run.
-void claim_workers(int n) noexcept;
+// xmp::run's side of the pool (sched/fiber.cpp): run_workers calls
+// worker(ctx, lane, most) on the caller, lane 0, and on up to workers - 1
+// pool threads that join; a worker with no fiber to run calls
+// idle(epoch() read under its run's lock, its last pass), which joins an
+// open lane pass or waits for wake().
+void run_workers(int workers, Body worker, void* ctx);
+std::uint32_t epoch() noexcept;
+void idle(std::uint32_t seen, std::uint32_t& seen_pass);
+void wake() noexcept;
 }  // namespace detail
 
-/// Calls fn(lane, most) on lane 0, the calling thread, and on every helper
-/// that joins before lane 0 returns, numbered 1.. in join order; most is
-/// min(want, width()), or 1 while another pass is in flight, and no lane
-/// numbers most or more. Returns once every lane that ran has returned. An
-/// exception from a lane is rethrown here (lane 0's first, then the lowest
-/// helper's).
+/// Calls fn(lane, most) on lane 0, the calling thread, and on every pool
+/// thread that joins before lane 0 returns, numbered 1.. in join order;
+/// most is min(want, width()), or 1 while another pass is in flight, and no
+/// lane numbers most or more. Returns once every lane that ran has
+/// returned. An exception from a lane is rethrown here (lane 0's first,
+/// then the lowest joined lane's).
 template <class Fn>
 Pass run(int want, Fn& fn) {
   return detail::run(

@@ -1,12 +1,12 @@
 #pragma once
 // Scheduling options and rank-context API for xmp::run.
 //
-// Every rank is a cooperatively scheduled ucontext fiber multiplexed over a
-// small worker-thread pool (sched/fiber.hpp). Blocking points inside the
-// runtime (mailbox recv, the collective slot, barrier) yield into the
-// scheduler, so 4k-64k ranks execute on a laptop — the paper's Table 3-5
-// rank counts are directly runnable instead of extrapolated (see
-// docs/SCHED.md).
+// Every rank is a cooperatively scheduled ucontext fiber multiplexed over the
+// run's caller and the threads of the process's one pool (sched/fiber.hpp).
+// Blocking points inside the runtime (mailbox recv, the collective slot,
+// barrier) yield into the scheduler, so 4k-64k ranks execute on a laptop —
+// the paper's Table 3-5 rank counts are directly runnable instead of
+// extrapolated (see docs/SCHED.md).
 //
 // Because a fiber may resume on a different worker thread than it parked on,
 // rank identity MUST NOT be derived from the OS thread
@@ -26,9 +26,10 @@ enum class SchedMode { Fibers };
 /// no environment variable changes them.
 struct SchedOptions {
   SchedMode mode = SchedMode::Fibers;
-  /// Worker threads the fibers multiplex over. 0 picks
-  /// min(hardware_concurrency, 8). With workers == 1 the FIFO run queue
-  /// makes scheduling bitwise deterministic across identical runs.
+  /// The most threads that run this run's fibers at once, the caller and
+  /// pool threads (sched/lanes.hpp), clamped to the pool; 0 is the whole
+  /// pool. With workers == 1 only the caller runs them, and the FIFO run
+  /// queue makes scheduling bitwise deterministic across identical runs.
   int workers = 0;
   /// Usable stack per rank, excluding the guard page. Rank bodies run user
   /// code on this stack; see docs/SCHED.md for sizing guidance.
@@ -52,12 +53,6 @@ int current_rank() noexcept;
 /// any rank (plain threads fall back to genuinely thread-local storage).
 /// The slot follows the fiber across worker threads.
 std::shared_ptr<void>* rank_local_slot() noexcept;
-
-namespace detail {
-// Set by the scheduler on every fiber switch. Not user API.
-void set_current_rank(int r) noexcept;
-void set_rank_local_slot(std::shared_ptr<void>* slot) noexcept;
-}  // namespace detail
 
 }  // namespace sched
 }  // namespace xmp

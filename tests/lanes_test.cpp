@@ -1,18 +1,21 @@
-// Intra-rank lanes: the fork-join pool behind the DPD force pass and the
+// Intra-rank lanes: the process's one thread pool, which runs the ranks of
+// every xmp::run and the fork-join passes behind the DPD force pass and the
 // 3D continuum passes (xmp/sched/lanes.hpp, sem/split.hpp), and the
 // contract it serves: a DPD trajectory, a SEM field and a coupled run's
 // digest are bitwise the same whether their passes split over every idle
-// core (outside xmp::run) or run inline (a rank of a run that claims every
-// core). Every comparison is bit for bit.
+// core or run inline (one_lane.hpp). Every comparison is bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,6 +27,7 @@
 #include "dpd/inflow.hpp"
 #include "dpd/platelets.hpp"
 #include "dpd/system.hpp"
+#include "one_lane.hpp"
 #include "resilience/blob.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/schema.hpp"
@@ -50,16 +54,6 @@ int outside_width() {
   if (sched_getaffinity(0, sizeof(set), &set) == 0) cpus = CPU_COUNT(&set);
 #endif
   return std::min(cpus, xmp::lanes::kMaxLanes);
-}
-
-/// fn() on the one rank of a run whose workers claim every hardware thread,
-/// so every lane pass inside it runs inline.
-template <class Fn>
-void run_inline(Fn&& fn) {
-  xmp::SchedOptions sched;
-  sched.workers = hardware_threads();
-  sched.stack_kb = 4096;
-  xmp::run(1, [&](xmp::Comm&) { fn(); }, nullptr, xmp::CheckOptions{}, sched);
 }
 
 std::vector<std::uint8_t> state_of(const dpd::DpdSystem& sys) {
@@ -89,13 +83,13 @@ Outcome observe(Fn&& fn) {
   return out;
 }
 
-/// The same run outside xmp::run (every core) and inline: equal bits, and
-/// the outside run really split when the process may use a second core.
+/// The same run on every core and inline: equal bits, and the first really
+/// split when the process may use a second core.
 template <class Fn>
 void expect_lane_count_invariant(Fn&& run) {
   const Outcome all = observe(run);
   Outcome one;
-  run_inline([&] { one = observe(run); });
+  on_one_lane([&] { one = observe(run); });
   ASSERT_GT(all.passes, 0u);
   EXPECT_EQ(one.lanes, static_cast<double>(one.passes)) << "inline passes used one lane";
   if (outside_width() >= 2) {
@@ -175,13 +169,105 @@ TEST(LanePool, APassNeverWaitsForAHelperThatDidNotJoin) {
   }
 }
 
-TEST(LanePool, WidthIsTheCoresNoRunClaims) {
+TEST(LanePool, OneLaneRunsEveryOtherPassInline) {
+  {
+    const OneLane one;
+    EXPECT_EQ(xmp::lanes::width(), 1);
+    std::atomic<int> ran{0};
+    int most = 0;
+    auto body = [&](int, int m) {
+      ++ran;
+      most = m;
+    };
+    const xmp::lanes::Pass p = xmp::lanes::run(hardware_threads(), body);
+    EXPECT_EQ(p.lanes, 1);
+    EXPECT_EQ(ran.load(), 1);
+    EXPECT_EQ(most, 1);
+  }
   EXPECT_EQ(xmp::lanes::width(), outside_width());
-  int inside = 0;
-  run_inline([&] { inside = xmp::lanes::width(); });
-  EXPECT_EQ(inside, 1);
-  EXPECT_EQ(xmp::lanes::width(), outside_width()) << "a finished run releases its claim";
 }
+
+TEST(LanePool, ARankOfAOneRankRunSplitsItsForcePass) {
+  // The run's caller runs the rank, and the pool threads it leaves free
+  // join the rank's passes: a DPD force pass on the rank records more than
+  // one lane once a pool thread joined one.
+  xmp::SchedOptions sched;
+  sched.stack_kb = 4096;
+  int inside = 0;
+  bool helped = false;
+  xmp::run(
+      1,
+      [&](xmp::Comm&) {
+        inside = xmp::lanes::width();
+        dpd::DpdSystem sys(open_channel_params(), std::make_shared<dpd::NoWalls>());
+        sys.fill(3.0, dpd::kSolvent);
+        telemetry::Registry::local().clear();
+        for (int pass = 0; pass < 2000 && !helped; ++pass) {
+          sys.compute_forces();
+          const auto c = telemetry::Registry::local().counters()["dpd.lanes"];
+          helped = c.value > static_cast<double>(c.count);
+        }
+      },
+      nullptr, xmp::CheckOptions{}, sched);
+  EXPECT_EQ(inside, outside_width());
+  EXPECT_EQ(helped, outside_width() >= 2);
+}
+
+#if defined(__linux__)
+namespace {
+
+int os_threads() {
+  int n = 0;
+  for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+#if defined(__SANITIZE_THREAD__)
+constexpr int kRuntimeThreads = 1;  // TSan's background thread
+#else
+constexpr int kRuntimeThreads = 0;
+#endif
+
+}  // namespace
+
+TEST(LanePool, ThreadsNeverOutnumberTheMask) {
+  // The process's threads: the pool, the caller included, plus the
+  // checked-mode watchdog of a run under XMP_CHECK=1 (and a sanitizer
+  // runtime's own thread).
+  const int pool = outside_width() + kRuntimeThreads;
+  const char* check = std::getenv("XMP_CHECK");
+  const int most = pool + (check && std::string(check) == "1" ? 1 : 0);
+  for (int pass = 0; pass < 20; ++pass) {
+    auto body = [](int, int) {};
+    xmp::lanes::run(hardware_threads(), body);
+  }
+  EXPECT_LE(os_threads(), pool) << "after passes outside any run";
+  auto count_during = [&](int nranks, const xmp::SchedOptions& sched) {
+    int during = 0;
+    xmp::run(
+        nranks,
+        [&](xmp::Comm& world) {
+          for (int pass = 0; pass < 20; ++pass) {
+            auto body = [](int, int) {};
+            xmp::lanes::run(hardware_threads(), body);
+          }
+          world.barrier();
+          if (world.rank() == 0) during = os_threads();
+          world.barrier();
+        },
+        nullptr, xmp::CheckOptions::from_env(), sched);
+    return during;
+  };
+  xmp::SchedOptions two;
+  two.workers = 2;
+  EXPECT_LE(count_during(2, two), most) << "2 ranks on 2 workers";
+  EXPECT_LE(count_during(4, xmp::SchedOptions{}), most) << "4 ranks at the default";
+  EXPECT_EQ(xmp::lanes::width(), outside_width());
+}
+#endif
 
 TEST(LanePool, LaneExceptionsReachTheCallerAfterTheJoin) {
   auto lane0 = [](int lane, int) {
@@ -373,7 +459,7 @@ TEST(DpdLanes, OverlappedRowsAreLaneCountInvariant) {
   const auto blocking = forces(false, false);
   const auto overlapped = forces(true, outside_width() >= 2);
   std::pair<std::vector<double>, double> overlapped_inline;
-  run_inline([&] { overlapped_inline = forces(true, false); });
+  on_one_lane([&] { overlapped_inline = forces(true, false); });
   if (outside_width() >= 2) {
     EXPECT_GT(overlapped.second, 1.0) << "some overlapped pass used more lanes";
   }
@@ -425,7 +511,7 @@ void expect_sem_lane_count_invariant(std::size_t nodes, Fn&& fn, int attempts = 
     return out;
   };
   SemOutcome one;
-  run_inline([&] { one = observe(); });
+  on_one_lane([&] { one = observe(); });
   EXPECT_EQ(one.passes, 0u) << "inline passes count nothing";
   ASSERT_FALSE(one.bytes.empty());
   const bool split = outside_width() >= 2 && nodes >= sem::kSplitNodes;

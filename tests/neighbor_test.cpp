@@ -15,16 +15,15 @@
 #include <memory>
 #include <random>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "dpd/inflow.hpp"
 #include "dpd/neighbor.hpp"
 #include "dpd/system.hpp"
+#include "one_lane.hpp"
 #include "reference/dpd_pairs_reference.hpp"
 #include "resilience/blob.hpp"
-#include "xmp/comm.hpp"
 
 namespace {
 
@@ -353,8 +352,7 @@ namespace {
 
 /// A full build of `pos` equals the O(N^2) CSR bit for bit, unfiltered and
 /// with every third particle a ghost, whether the scan splits over every
-/// core (outside xmp::run) or runs inline (a rank of a run that claims
-/// every core).
+/// core or runs inline (one_lane.hpp).
 void expect_build_exact(const dpd::NeighborParams& prm, const dpd::SoA3& pos,
                         const std::string& what) {
   std::vector<char> ghost(pos.size());
@@ -369,9 +367,7 @@ void expect_build_exact(const dpd::NeighborParams& prm, const dpd::SoA3& pos,
     expect_csr_eq(nl, brute_csr(nl, pos, &ghost), what + where + " ghost-filtered");
   };
   check(" all lanes");
-  xmp::SchedOptions sched;
-  sched.workers = static_cast<int>(std::max(std::thread::hardware_concurrency(), 1u));
-  xmp::run(1, [&](xmp::Comm&) { check(" inline"); }, nullptr, xmp::CheckOptions{}, sched);
+  on_one_lane([&] { check(" inline"); });
 }
 
 }  // namespace

@@ -27,8 +27,11 @@ lines above:
                       src/dpd/neighbor.cpp's Verlet build (`build`, the
                       candidate scan `scan_*`, `assemble_csr`), whose
                       per-lane buffers are members sized once, and the
-                      lane pool's dispatch in src/xmp/sched/lanes.{hpp,cpp}
-                      (`run`, `helper`, `wait_while`, `for_chunks`);
+                      thread pool that runs every pass and every rank in
+                      src/xmp/sched/ (`run`, `pass`, `for_chunks`, the
+                      shared `fork_join` and `join`, the pool threads'
+                      loop `serve`, `idle`, `wait_while`, and the run
+                      workers' fiber dispatch `worker_main`);
                       pair-alloc-ok
 
 A construction is a value declaration or temporary; a reference or pointer
@@ -66,8 +69,9 @@ HOT_ALLOC = [
         ("pair-hot-alloc", "src/dpd/neighbor.cpp", None, r"build|scan_\w+|assemble_csr",
          "pair-alloc-ok",
          "a Verlet build body (build, scan_*, assemble_csr) allocates every rebuild"),
-        ("pair-hot-alloc", "src/xmp/sched/lanes.", None, r"run|helper|wait_while|for_chunks",
-         "pair-alloc-ok", "the lane pool's dispatch allocates every pass"),
+        ("pair-hot-alloc", "src/xmp/sched/", None,
+         r"run|pass|for_chunks|fork_join|join|serve|idle|wait_while|worker_main",
+         "pair-alloc-ok", "the thread pool's dispatch allocates every pass or every wake"),
     ]
 ]
 
@@ -251,6 +255,19 @@ SELF_TEST_CASES = [
      {"src/xmp/sched/lanes.cpp":
       "Pass Pool::run(int want, Body body, void* ctx) {\n"
       "  std::vector<std::exception_ptr> errors(want);\n  return {};\n}\n"},
+     {"pair-hot-alloc"}),
+
+    ("a vector in the pool threads' loop is flagged",
+     {"src/xmp/sched/lanes.cpp":
+      "void Pool::serve() {\n"
+      "  std::vector<ForkJoin*> open{&run_, &pass_};\n"
+      "  for (;;) wait_while(wake_, wake_.load());\n}\n"},
+     {"pair-hot-alloc"}),
+
+    ("a vector in the fiber dispatch is flagged",
+     {"src/xmp/sched/fiber.cpp":
+      "void FiberScheduler::worker_main() {\n"
+      "  std::vector<Fiber*> batch(runq_.begin(), runq_.end());\n}\n"},
      {"pair-hot-alloc"}),
 
     ("an allocating lane body in an element sweep is flagged",

@@ -16,6 +16,7 @@
 
 #include "la/simd.hpp"
 #include "la/vector.hpp"
+#include "table1/kernels.hpp"
 #include "telemetry/bench_report.hpp"
 
 namespace {

@@ -1,14 +1,9 @@
 #pragma once
-// SIMD-tuned basic kernels (paper Sec. 3.5, Table 1).
-//
-// The paper SIMDizes three representative routines on Cray XT5 (SSE) and
-// BG/P (Double Hummer):
-//   z[i] = x[i] * y[i]
-//   a    = sum_i x[i] * y[i] * z[i]
-//   a    = sum_i x[i] * y[i] * y[i]
-// Here each kernel has a deliberately scalar reference implementation and a
-// vectorised implementation (AVX2+FMA on x86-64); dispatch() picks the best
-// supported one at runtime. bench/table1_simd measures the speedup ratio.
+// SIMD-tuned basic kernels (paper Sec. 3.5): each dispatched entry point
+// below runs an AVX2+FMA implementation when detect() reports one and a
+// plain loop otherwise. `scale` keeps its pinned-scalar form public for
+// bench/table1_simd, which measures it next to the paper's three Table 1
+// kernels (bench/table1/kernels.hpp).
 
 #include <cstddef>
 
@@ -20,24 +15,10 @@ enum class Isa { Scalar, Avx2 };
 /// Best instruction set supported by the executing CPU.
 Isa detect();
 
-// --- scalar reference implementations (kept intentionally unvectorised) ---
-void vmul_scalar(double* z, const double* x, const double* y, std::size_t n);
-double dot_xyz_scalar(const double* x, const double* y, const double* z, std::size_t n);
-double dot_xyy_scalar(const double* x, const double* y, std::size_t n);
-void scale_scalar(double a, double* x, std::size_t n);
+void scale_scalar(double a, double* x, std::size_t n);  // kept intentionally unvectorised
+void scale_avx2(double a, double* x, std::size_t n);    // valid only if detect() == Avx2
 
-// --- vectorised implementations (valid to call only if detect()==Avx2) ---
-void vmul_avx2(double* z, const double* x, const double* y, std::size_t n);
-double dot_xyz_avx2(const double* x, const double* y, const double* z, std::size_t n);
-double dot_xyy_avx2(const double* x, const double* y, std::size_t n);
-void scale_avx2(double a, double* x, std::size_t n);
-
-// --- dispatched entry points used by the solvers ---
-void vmul(double* z, const double* x, const double* y, std::size_t n);
-double dot_xyz(const double* x, const double* y, const double* z, std::size_t n);
-double dot_xyy(const double* x, const double* y, std::size_t n);
-
-// Additional dispatched kernels used by CG / time steppers.
+// --- dispatched entry points used by CG / time steppers ---
 double dot(const double* x, const double* y, std::size_t n);
 void axpy(double a, const double* x, double* y, std::size_t n);   // y += a*x
 void xpay(const double* x, double a, double* y, std::size_t n);   // y = x + a*y

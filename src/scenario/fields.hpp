@@ -4,16 +4,20 @@
 // by argument-dependent lookup (so it lives in S's own namespace),
 // returning a std::tuple of Field entries in document order. An integral
 // member is read within its own type's range, so the member's type is its
-// range check. from_json reads *into* an existing value, so whatever the
-// struct's member initialisers set stays the default for an absent key;
-// to_json emits the same keys in the same order, so parse + serialize is a
-// fixed point.
+// range check. A key whose range one value decides (`nu > 0`, `order` in
+// [1, 23], `end` one of "left" and "right") carries that range on its
+// entry, and the reader checks it at the key's own path; only the rules
+// that read two or more values are left to validate_scenario. from_json
+// reads *into* an existing value, so whatever the struct's member
+// initialisers set stays the default for an absent key; to_json emits the
+// same keys in the same order, so parse + serialize is a fixed point.
 
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -30,12 +34,27 @@ enum class Use : std::uint8_t {
   Absent,  ///< not part of this document: neither read nor written
 };
 
-/// One schema key and the member it maps to.
+/// One schema key, the member it maps to, and the member's range: every
+/// number it holds (each element of an array) lies in [lo, hi], with lo
+/// excluded when `open`, and a string is one of `allowed` unless that is
+/// empty. Written so that NaN lies outside any bound.
 template <class S, class M>
 struct Field {
   const char* key;
   M S::*member;
   Use use = Use::Optional;
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool open = false;
+  std::span<const char* const> allowed{};
+
+  constexpr Field gt(double v) const { return {key, member, use, v, hi, true, allowed}; }
+  constexpr Field ge(double v) const { return {key, member, use, v, hi, false, allowed}; }
+  constexpr Field le(double v) const { return {key, member, use, lo, v, open, allowed}; }
+  constexpr Field in(double a, double b) const { return ge(a).le(b); }
+  constexpr Field one_of(std::span<const char* const> set) const {
+    return {key, member, use, lo, hi, open, set};
+  }
 };
 
 [[noreturn]] inline void fail(const std::string& path, const std::string& what) {
@@ -106,12 +125,46 @@ void from_json(const Json& v, const std::string& path, T& out);
 template <class T>
 Json to_json(const T& x);
 
+inline std::string number_text(double v) {
+  std::string s;
+  append_json_number(s, v);
+  return s;
+}
+
+/// Throws at `path` when `x` lies outside the range of its entry `fl`.
+template <class S, class M, class T>
+void check_range(const Field<S, M>& fl, const T& x, const std::string& path) {
+  if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+    const auto d = static_cast<double>(x);
+    if (fl.lo > -std::numeric_limits<double>::infinity() && !(fl.open ? d > fl.lo : d >= fl.lo))
+      fail(path, std::string("must be ") + (fl.open ? "> " : ">= ") + number_text(fl.lo));
+    if (fl.hi < std::numeric_limits<double>::infinity() && !(d <= fl.hi))
+      fail(path, "must be <= " + number_text(fl.hi));
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (fl.allowed.empty() ||
+        std::find(fl.allowed.begin(), fl.allowed.end(), x) != fl.allowed.end())
+      return;
+    std::string set;
+    for (std::size_t i = 0; i < fl.allowed.size(); ++i)
+      set += (i == 0 ? "\"" : i + 1 < fl.allowed.size() ? ", \"" : " or \"") +
+             std::string(fl.allowed[i]) + "\"";
+    fail(path, "expected " + set + ", got \"" + x + "\"");
+  } else if constexpr (is_std_array<T> || is_vector<T>) {
+    if constexpr (std::is_arithmetic_v<typename T::value_type>)
+      for (std::size_t i = 0; i < x.size(); ++i)
+        check_range(fl, x[i], path + "[" + std::to_string(i) + "]");
+  }
+}
+
 template <class S, class... M>
 void read_fields(Fields& f, S& s, const std::tuple<Field<S, M>...>& list) {
   const auto read = [&](const auto& fl) {
     if (fl.use == Use::Absent) return;
     const Json* v = fl.use == Use::Required ? &f.req(fl.key) : f.opt(fl.key);
-    if (v) from_json(*v, f.sub(fl.key), s.*fl.member);
+    if (!v) return;
+    const std::string path = f.sub(fl.key);
+    from_json(*v, path, s.*fl.member);
+    check_range(fl, s.*fl.member, path);
   };
   std::apply([&](const auto&... fl) { (read(fl), ...); }, list);
 }

@@ -8,9 +8,10 @@
 // carrying the JSON path ("$.sem.nu") so a typo'd config can never silently
 // run with defaults.
 //
-// Each struct's keys are listed once, as (key, member) entries in
-// schema.cpp; one reader and one writer (scenario/fields.hpp) walk that
-// list, so a field is parsed and emitted under the same key or not at all.
+// Each struct's keys are listed once, as (key, member, range) entries in
+// scenario/keys.hpp; one reader and one writer (scenario/fields.hpp) walk
+// that list, so a field is parsed, range-checked and emitted under the same
+// key or not at all.
 // Where a solver already has a parameter struct (the Eq. (1) ScaleMap, the
 // FlowBc and sampler parameters) the scenario holds that struct itself, and
 // every integer member has the type its solver takes: the reader rejects a
@@ -204,8 +205,10 @@ std::string scenario_to_json(const Scenario& sc);
 std::string mesh_key(const MeshSpec& m);
 std::string mesh_key(const Mesh3dSpec& m);
 
-/// Semantic validation (positive sizes, known kinds, in-range indices...).
-/// parse_scenario calls this; exposed for programmatically built scenarios.
+/// Semantic validation for programmatically built scenarios: reads back
+/// serialize_scenario(sc), so each key's range is checked as a parsed
+/// document's is, then the rules that span keys (in-range indices, regions
+/// inside the mesh, sizes an int or a uint32 gid holds...).
 void validate_scenario(const Scenario& sc);
 
 }  // namespace scenario

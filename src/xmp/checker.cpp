@@ -336,9 +336,15 @@ void Checker::poll_once() {
   }
 
   // Confirmed twice; final guard: a message already sitting in a member's
-  // mailbox that matches its wait means the cycle is about to break.
+  // mailbox that matches its wait, or a collective slot that has moved past
+  // the generation a member parked at (released, not yet resumed), means the
+  // cycle is about to break.
   for (int w : cycle) {
     const auto& op = ops[static_cast<std::size_t>(w)];
+    if (op.kind == BlockedOp::Kind::Collective && op.grp) {
+      std::lock_guard lk(op.grp->cmu);
+      if (op.grp->gen != op.slot_gen) return;
+    }
     if (op.kind != BlockedOp::Kind::Recv || !op.grp) continue;
     Mailbox& box = *op.grp->boxes[static_cast<std::size_t>(op.local_rank)];
     const int src_local = op.grp->local_rank_of_world(op.src_world);

@@ -17,6 +17,7 @@
 #include "la/stats.hpp"
 #include "la/vector.hpp"
 #include "sem/gll.hpp"
+#include "table1/kernels.hpp"
 
 namespace {
 

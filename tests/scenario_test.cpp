@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -16,7 +17,10 @@
 #include <functional>
 #include <sstream>
 #include <stdexcept>
+#include <limits>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -34,6 +38,7 @@
 #include "scenario/ensemble.hpp"
 #include "scenario/flags.hpp"
 #include "scenario/json.hpp"
+#include "scenario/keys.hpp"
 #include "scenario/presets.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/schema.hpp"
@@ -555,6 +560,114 @@ TEST(SchemaTest, MeshOrderAboveCapCarriesJsonPath) {
       EXPECT_NE(msg.find("must be <= 23"), std::string::npos) << msg;
     }
   }
+}
+
+template <class T>
+concept HasFields = requires(const T* p) { fields(p); };
+
+/// Walks the key lists (scenario/keys.hpp) of one valid document and moves
+/// each value that has a range to the range's edges, one at a time: a value
+/// inside is not rejected by its bound, the nearest value outside (the next
+/// integer, or std::nextafter) and NaN are, at the key's own path. A rule
+/// over several keys may still reject an edge value elsewhere (a 5e-324
+/// mesh length leaves the coupling region outside the mesh). A string with
+/// an allowed set takes each member and is rejected at one non-member.
+class EdgeWalk {
+ public:
+  explicit EdgeWalk(const Scenario& sc) : doc_(scenario::serialize_scenario(sc)) {
+    fields_of(doc_, "$", scenario::sections(sc.kind));
+  }
+  std::vector<std::string> visited;
+
+ private:
+  template <class S, class... M>
+  void fields_of(Json& obj, const std::string& path,
+                 const std::tuple<scenario::Field<S, M>...>& list) {
+    std::apply([&](const auto&... fl) { (member(obj, path, fl), ...); }, list);
+  }
+
+  template <class S, class M>
+  void member(Json& obj, const std::string& path, const scenario::Field<S, M>& fl) {
+    if (fl.use != scenario::Use::Absent) value<M>(*obj.find(fl.key), path + "." + fl.key, fl);
+  }
+
+  template <class T, class F>
+  void value(Json& v, const std::string& path, const F& fl) {
+    const double inf = std::numeric_limits<double>::infinity();
+    if constexpr (HasFields<T>) {
+      fields_of(v, path, fields(static_cast<const T*>(nullptr)));
+    } else if constexpr (scenario::is_vector<T> || scenario::is_std_array<T>) {
+      for (std::size_t i = 0; i < v.elements().size(); ++i) {
+        const std::string at = path + "[" + std::to_string(i) + "]";
+        value<typename T::value_type>(v.elements()[i], at, fl);
+      }
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      if (fl.allowed.empty()) return;
+      visited.push_back(path);
+      const std::string bound = path + ": expected \"";
+      for (const char* member : fl.allowed) expect(v, Json(member), bound, false);
+      expect(v, Json("not-a-member"), bound, true);
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      const auto past = [&](double edge, double dir) {
+        return std::is_integral_v<T> ? edge + dir : std::nextafter(edge, dir * inf);
+      };
+      const auto text = [](double x) { return scenario::number_text(x); };
+      if (fl.lo > -inf) {
+        visited.push_back(path);
+        const std::string bound = path + ": must be " + (fl.open ? "> " : ">= ") + text(fl.lo);
+        expect(v, Json(fl.lo), bound, fl.open);
+        expect(v, Json(past(fl.lo, fl.open ? 1 : -1)), bound, !fl.open);
+        if (std::is_floating_point_v<T>) expect(v, Json(std::nan("")), bound, true);
+      }
+      if (fl.hi < inf) {
+        visited.push_back(path);
+        const std::string bound = path + ": must be <= " + text(fl.hi);
+        expect(v, Json(fl.hi), bound, false);
+        expect(v, Json(past(fl.hi, 1)), bound, true);
+      }
+    }
+  }
+
+  /// Parses the document with `v` set to `x`, then restores `v`.
+  void expect(Json& v, const Json& x, const std::string& bound, bool rejected) {
+    const Json keep = v;
+    v = x;
+    std::string msg;
+    try {
+      scenario::parse_scenario(doc_);
+    } catch (const JsonError& e) {
+      msg = e.what();
+    }
+    v = keep;
+    const double shown = x.is_number() ? x.as_number() : 0.0;
+    EXPECT_EQ(msg.find(bound) != std::string::npos, rejected)
+        << bound << " (value " << (x.is_string() ? x.as_string() : std::to_string(shown))
+        << "): " << (msg.empty() ? "accepted" : msg);
+  }
+
+  Json doc_;
+};
+
+TEST(SchemaTest, EveryBoundHoldsAtItsEdge) {
+  const Scenario net1d = scenario::parse_scenario_text(
+      R"({"version": 1, "kind": "net1d", "network": {"vessels": [{}, {}],
+          "junctions": [[{"vessel": 0}, {"vessel": 1, "end": "left"}]],
+          "inlets": [{}], "outlets": [{"vessel": 1}]}})");
+  std::vector<std::string> visited;
+  for (const Scenario& sc : {scenario::quickstart_preset(), scenario::coupled3d_preset(),
+                             scenario::aneurysm_preset(), net1d}) {
+    SCOPED_TRACE(sc.kind + " " + sc.name);
+    const EdgeWalk walk(sc);
+    visited.insert(visited.end(), walk.visited.begin(), walk.visited.end());
+  }
+  for (const char* path : {"$.mesh.order", "$.mesh3d.order", "$.dpd.box[2]",
+                           "$.dpd.geometry.kind", "$.flow_bc.relax", "$.network.outlets[0].c",
+                           "$.network.outlets[0].rd", "$.network.junctions[0][1].end"})
+    EXPECT_NE(std::find(visited.begin(), visited.end(), path), visited.end()) << path;
+  // a hand-built NaN fails its bound through validate_scenario's read-back
+  Scenario nan = scenario::quickstart_preset();
+  nan.sem.nu = std::nan("");
+  EXPECT_THROW(scenario::validate_scenario(nan), JsonError);
 }
 
 TEST(SchemaTest, VersionAndKindAreChecked) {

@@ -238,6 +238,32 @@ TEST(XmpChecked, NoFalsePositiveWhenMessageAlreadyQueued) {
   }
 }
 
+TEST(XmpChecked, ReleasedCollectiveWaitingToResumeIsNoDeadlock) {
+  // One worker, FIFO run queue. Ranks 0 and 1 park in a barrier in that
+  // order; rank 2 arrives last, releasing both, and then waits for a message
+  // from rank 1. Rank 0 resumes first and spins through many polls while
+  // rank 1, released, waits behind it in the queue with its barrier
+  // registration still in place: the graph holds the cycle 1 -> 2 -> 1, but
+  // rank 1 is about to run and send.
+  xmp::SchedOptions one;
+  one.workers = 1;
+  xmp::run(
+      3,
+      [](xmp::Comm& world) {
+        world.barrier();
+        if (world.rank() == 0) {
+          const auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+          while (std::chrono::steady_clock::now() < until) {
+          }
+        } else if (world.rank() == 1) {
+          world.send(2, 4, std::vector<int>{1});
+        } else {
+          EXPECT_EQ(world.recv<int>(1, 4), std::vector<int>{1});
+        }
+      },
+      nullptr, checked(), one);
+}
+
 TEST(XmpChecked, StallTimeoutDumpsBlockedOperations) {
   // Any-source receives contribute no wait-for edge, so this hang is only
   // catchable by the stall timeout — which must dump the blocked recv with

@@ -9,7 +9,8 @@
 // channel whose FlowBc inserts and deletes particles every step, and sweeps
 // the skin at the cdc2d_ckpt DPD shape with its open x faces (force-pass
 // and step cost, rebuild rate, listed and in-range pairs: the measurement
-// behind dpd::kDefaultSkin). Last, it times the force pass of that run on
+// behind dpd::kDefaultSkin). The open-channel rows also report how many
+// removal maps per step the list compacted and how many a rebuild dropped. Last, it times the force pass of that run on
 // every idle core next to inline (DPD_LANES_SPEEDUP) and checks that both
 // give one trajectory digest. Writes BENCH_dpd_pairs.json. Exits non-zero
 // when the Verlet speedup falls below kMinSpeedup, when the lane speedup
@@ -231,13 +232,15 @@ int main() {
   // real dynamics, rebuilds/reuses read off the neighbor-list counters. The
   // "flowbc" case opens the x faces to an inflow/outflow FlowBc, which
   // inserts and deletes particles every step; the list absorbs that churn
-  // by patching itself instead of rebuilding.
+  // by patching itself instead of rebuilding, and each removal's index map
+  // is either compacted into a kept list or dropped by the next rebuild.
   struct LiveCase {
     const char* variant;
     double skin;
     bool open;
   };
-  std::printf("\nvariant  skin   rebuilds/step  reuse-frac  pairs-in-list\n");
+  std::printf(
+      "\nvariant  skin   rebuilds/step  reuse-frac  pairs-in-list  compact/step  dropped/step\n");
   for (const LiveCase& c :
        {LiveCase{"live", 0.15, false}, LiveCase{"live", 0.3, false}, LiveCase{"live", 0.6, false},
         LiveCase{"flowbc", dpd::kDefaultSkin, true}}) {
@@ -249,6 +252,7 @@ int main() {
     dpd::FlowBc bc(bp);
     const auto& nl = live.neighbor_list();
     const std::size_t rb0 = nl.rebuilds(), ru0 = nl.reuses();
+    const std::size_t cp0 = nl.compactions(), dr0 = nl.remaps_dropped();
     for (int s = 0; s < kLiveSteps; ++s) {
       live.step();
       if (c.open) bc.apply(live);
@@ -257,7 +261,7 @@ int main() {
     const double reuses = static_cast<double>(nl.reuses() - ru0);
     const double per_step = rebuilds / kLiveSteps;
     const double reuse_frac = reuses / (rebuilds + reuses);
-    std::printf("%-7s  %.2f   %12.3f  %10.3f  %13zu\n", c.variant, c.skin, per_step, reuse_frac,
+    std::printf("%-7s  %.2f   %12.3f  %10.3f  %13zu", c.variant, c.skin, per_step, reuse_frac,
                 nl.pair_count());
     rep.row();
     rep.set("variant", std::string(c.variant));
@@ -266,6 +270,14 @@ int main() {
     rep.set("rebuilds_per_step", per_step);
     rep.set("reuse_frac", reuse_frac);
     rep.set("list_pairs", static_cast<double>(nl.pair_count()));
+    if (c.open) {
+      const double compact = static_cast<double>(nl.compactions() - cp0) / kLiveSteps;
+      const double dropped = static_cast<double>(nl.remaps_dropped() - dr0) / kLiveSteps;
+      std::printf("  %12.3f  %12.3f", compact, dropped);
+      rep.set("compact_per_step", compact);
+      rep.set("remap_dropped_per_step", dropped);
+    }
+    std::printf("\n");
   }
 
   // Skin sweep at the cdc2d_ckpt DPD shape, x faces open to a FlowBc with
@@ -274,12 +286,15 @@ int main() {
   // (the dpd.forces phase, full builds amortised over the run), ms per
   // whole step including the FlowBc churn (whose list compaction scales
   // with the list), full rebuilds per step, and the listed and in-range
-  // (r < rc) pairs per pass. A thicker skin rebuilds less often but lists
-  // more pairs that the pass must reject and the churn must compact. Every
+  // (r < rc) pairs per pass, and the removal maps per step compacted into a
+  // kept list and dropped by a rebuild. A thicker skin rebuilds less often
+  // but lists more pairs that the pass must reject and the churn must
+  // compact. Every
   // skin gets a fresh run in each of kRepeats rounds and reports its best;
   // interleaving the rounds spreads host noise evenly.
   struct SkinRow {
-    double skin, best_ms = 0.0, step_ms = 0.0, rebuilds = 0.0, listed = 0.0, in_range = 0.0;
+    double skin, best_ms = 0.0, step_ms = 0.0, rebuilds = 0.0, listed = 0.0, in_range = 0.0,
+                 compact = 0.0, dropped = 0.0;
   };
   std::vector<SkinRow> skins;
   for (double skin : {0.15, 0.2, 0.25, 0.3, 0.4}) skins.push_back({skin});
@@ -299,12 +314,13 @@ int main() {
         bc.apply(ch);
       }
       telemetry::Registry::local().clear();
-      const std::size_t rb0 = ch.neighbor_list().rebuilds();
+      const auto& nl = ch.neighbor_list();
+      const std::size_t rb0 = nl.rebuilds(), cp0 = nl.compactions(), dr0 = nl.remaps_dropped();
       double listed = 0.0;
       const auto t0 = std::chrono::steady_clock::now();
       for (int s = 0; s < kSkinSteps; ++s) {
         ch.step();
-        listed += static_cast<double>(ch.neighbor_list().pair_count());
+        listed += static_cast<double>(nl.pair_count());
         bc.apply(ch);
       }
       const double step_ms =
@@ -319,15 +335,19 @@ int main() {
       const double ms = 1e3 * forces->seconds / static_cast<double>(forces->count);
       if (r == 0 || ms < row.best_ms) row.best_ms = ms;
       if (r == 0 || step_ms < row.step_ms) row.step_ms = step_ms;
-      row.rebuilds = static_cast<double>(ch.neighbor_list().rebuilds() - rb0) / kSkinSteps;
+      row.rebuilds = static_cast<double>(nl.rebuilds() - rb0) / kSkinSteps;
+      row.compact = static_cast<double>(nl.compactions() - cp0) / kSkinSteps;
+      row.dropped = static_cast<double>(nl.remaps_dropped() - dr0) / kSkinSteps;
       row.listed = listed / kSkinSteps;
       row.in_range = in.value / static_cast<double>(in.count);
     }
   std::printf(
-      "\nvariant  skin   ms/pass  ms/step  rebuilds/step  listed/pass  in-range/pass\n");
+      "\nvariant  skin   ms/pass  ms/step  rebuilds/step  listed/pass  in-range/pass"
+      "  compact/step  dropped/step\n");
   for (const SkinRow& row : skins) {
-    std::printf("skin     %.2f  %7.3f  %7.3f  %13.3f  %11.0f  %13.0f\n", row.skin, row.best_ms,
-                row.step_ms, row.rebuilds, row.listed, row.in_range);
+    std::printf("skin     %.2f  %7.3f  %7.3f  %13.3f  %11.0f  %13.0f  %12.3f  %12.3f\n", row.skin,
+                row.best_ms, row.step_ms, row.rebuilds, row.listed, row.in_range, row.compact,
+                row.dropped);
     rep.row();
     rep.set("variant", std::string("skin"));
     rep.set("shape", std::string("cdc2d_ckpt"));
@@ -338,6 +358,8 @@ int main() {
     rep.set("rebuilds_per_step", row.rebuilds);
     rep.set("listed_pairs_per_pass", row.listed);
     rep.set("in_range_pairs_per_pass", row.in_range);
+    rep.set("compact_per_step", row.compact);
+    rep.set("remap_dropped_per_step", row.dropped);
   }
   // Lanes: the same cdc2d_ckpt-shaped FlowBc run with its force passes on
   // every idle core and inline (one_lane.hpp). Per variant: lanes per pass,

@@ -195,10 +195,7 @@ Subdomain Decomposition::subdomain(int rank) const {
 
 int Decomposition::rank_of_position(const Vec3& p) const {
   auto cell = [](double x, double L, int n, bool per, const std::vector<double>& cuts) {
-    if (per) {
-      x = std::fmod(x, L);
-      if (x < 0.0) x += L;
-    }
+    if (per) x = wrap_1d(x, L);
     // slab whose [cuts[k], cuts[k+1]) half-open interval holds x — exactly
     // the membership subdomain() describes, whatever the cut positions
     const auto it = std::upper_bound(cuts.begin(), cuts.end(), x);

@@ -33,13 +33,13 @@ void FlowBc::apply(DpdSystem& sys) {
 
   // 1) delete escapees (both faces: inflow insertion replenishes)
   sub.emplace("flowbc.delete");
-  std::vector<std::size_t> dead;
+  dead_.clear();
   for (std::size_t i = 0; i < sys.size(); ++i) {
     const double c = axis_of(pos[i], prm_.axis);
-    if (c < 0.0 || c > L) dead.push_back(i);
+    if (c < 0.0 || c > L) dead_.push_back(i);
   }
-  deleted_ += dead.size();
-  sys.remove_particles(std::move(dead));
+  deleted_ += dead_.size();
+  sys.remove_particles(dead_);
 
   // 2) relax buffer velocities towards the imposed profile: the buffer
   //    particles, found in index order, then relaxed on every idle core.

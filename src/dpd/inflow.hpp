@@ -54,6 +54,8 @@ private:
   std::mt19937 rng_;
   std::size_t inserted_ = 0, deleted_ = 0;
   double fluid_volume_ = -1.0;  ///< lazily estimated from the geometry
+  // analyze: no-checkpoint (per-step scratch: the escapees of one apply)
+  std::vector<std::size_t> dead_;
   // analyze: no-checkpoint (per-step scratch: the buffer particles of one apply)
   std::vector<std::size_t> buffer_;
 };

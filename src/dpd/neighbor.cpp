@@ -238,22 +238,33 @@ void NeighborList::configure(const NeighborParams& p) {
 }
 
 bool NeighborList::ensure(const SoA3& pos) {
-  const std::size_t n0 = ref_pos_.size();
+  const std::size_t n0 = listed();
   if (valid_ && pos.size() >= n0 && prm_.skin > 0.0) {
     // Verlet criterion: the list is a superset of the interacting pairs as
     // long as no listed particle has moved farther than skin/2 from its
-    // reference position.
+    // reference position. Only survivors count: through a pending removal
+    // map, listed particle i is now particle remap_[i], or gone.
     const double lim2 = 0.25 * prm_.skin * prm_.skin;
     bool ok = true;
-    for (std::size_t i = 0; ok && i < n0; ++i)
-      if (min_image(ref_pos_[i], pos[i]).norm2() > lim2) ok = false;
+    for (std::size_t i = 0; ok && i < ref_pos_.size(); ++i) {
+      const long j = remap_pending_ ? remap_[i] : static_cast<long>(i);
+      if (j >= 0 && min_image(ref_pos_[i], pos[static_cast<std::size_t>(j)]).norm2() > lim2)
+        ok = false;
+    }
     // the direct enumeration and the pair filter have no incremental form
     if (ok && (pos.size() == n0 || (!degenerate_ && !ghost_))) {
+      if (remap_pending_) compact(pos.size() == n0);
       if (pos.size() > n0) append(pos);
       ++reuses_;
       telemetry::count("dpd.nlist.reuse");
       return false;
     }
+  }
+  if (remap_pending_) {
+    // the rebuild lists the survivors afresh: the compaction is never done
+    remap_pending_ = false;
+    ++remaps_dropped_;
+    telemetry::count("dpd.nlist.remap_dropped");
   }
   build(pos);
   valid_ = true;
@@ -264,23 +275,38 @@ bool NeighborList::ensure(const SoA3& pos) {
 }
 
 void NeighborList::on_remap(const std::vector<long>& new_index) {
-  const std::size_t n0 = ref_pos_.size();
-  if (!valid_ || ghost_ || new_index.size() < n0) {
+  if (!valid_ || ghost_ || new_index.size() < listed()) {
     invalidate();
     return;
   }
+  // Record the map, or compose it with the pending one. Particles appended
+  // after the last ensure() sit past the survivors and map past them, so
+  // they stay a pending tail.
+  if (remap_pending_) {
+    for (long& j : remap_)
+      if (j >= 0) j = new_index[static_cast<std::size_t>(j)];
+  } else {
+    remap_.assign(new_index.begin(),
+                  new_index.begin() + static_cast<std::ptrdiff_t>(ref_pos_.size()));
+    remap_pending_ = true;
+  }
+  live_ = static_cast<std::size_t>(
+      std::count_if(remap_.begin(), remap_.end(), [](long j) { return j >= 0; }));
+}
+
+void NeighborList::compact(bool grid) {
   telemetry::ScopedPhase phase("dpd.nlist.patch");
   // In-place compaction. Row i is read before any write can reach its
   // slots: the write cursors w (rows) and out (entries) never pass the read
-  // cursors. Particles appended after the last ensure() sit past n0 and map
-  // past the survivors, so they stay a pending tail.
+  // cursors.
+  const std::size_t n0 = ref_pos_.size();
   std::size_t w = 0, out = 0;
   for (std::size_t i = 0; i < n0; ++i) {
     const std::size_t lo = offsets_[i], hi = offsets_[i + 1];
-    if (new_index[i] < 0) continue;
+    if (remap_[i] < 0) continue;
     offsets_[w] = out;
     for (std::size_t k = lo; k < hi; ++k) {
-      const long j = new_index[neighbors_[k]];
+      const long j = remap_[neighbors_[k]];
       if (j >= 0) neighbors_[out++] = static_cast<std::uint32_t>(j);
     }
     ref_pos_.set(w, ref_pos_[i]);
@@ -290,8 +316,29 @@ void NeighborList::on_remap(const std::vector<long>& new_index) {
   offsets_.resize(w + 1);
   neighbors_.resize(out);
   ref_pos_.resize(w);
-  rebin();
+  if (grid) {
+    // A survivor keeps its reference position, so its cell and its order
+    // within the cell: drop the removed slots cell by cell, renumbered,
+    // which is what re-binning the survivors would lay out.
+    const std::size_t ncell = cell_start_.size() - 1;
+    std::uint32_t s = cell_start_[0], ws = 0;
+    for (std::size_t c = 0; c < ncell; ++c) {
+      const std::uint32_t end = cell_start_[c + 1];
+      cell_start_[c] = ws;
+      for (; s < end; ++s) {
+        const long j = remap_[slot_id_[s]];
+        if (j < 0) continue;
+        slot_id_[ws] = static_cast<std::uint32_t>(j);
+        binned_.set(ws++, binned_[s]);
+      }
+    }
+    cell_start_[ncell] = ws;
+    slot_id_.resize(ws);
+    binned_.resize(ws);
+  }
+  remap_pending_ = false;
   ++version_;
+  ++compactions_;
   telemetry::count("dpd.nlist.compact");
 }
 

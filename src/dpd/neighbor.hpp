@@ -28,12 +28,18 @@
 // owned particle's pair forces in exactly the single-rank order.
 //
 // Particle churn (open-boundary deletion and insertion) patches the live
-// list instead of discarding it: removal compacts it in place through the
-// index map of DpdSystem::remove_particles' lane compaction (on_remap,
-// which only removal calls; a relayout invalidates), and particles appended
-// since the last ensure() are merged in with every partner j whose
-// *reference* position lies within rc + skin, which is exactly what a full
-// build at the same reference positions would list.
+// list instead of discarding it. Removal only records the index map of
+// DpdSystem::remove_particles' lane compaction (on_remap, which only
+// removal calls; a relayout invalidates), composed with any map already
+// pending. The next ensure() runs the skin check on the survivors through
+// that map: a rebuild drops it, and a kept list is compacted through it
+// then, CSR and reference positions, with the grid's slot arrays compacted
+// in place (survivors keep their reference positions and so their cells).
+// About half the passes after a removal rebuild anyway, so the compaction
+// they would discard is never done. Particles appended since the last
+// ensure() are merged in with every partner j whose *reference* position
+// lies within rc + skin, which is exactly what a full build at the same
+// reference positions would list.
 //
 // Positions are structure-of-arrays (soa.hpp); build/ensure/query stream
 // the flat x/y/z lanes. An optional ghost-pair filter drops both-ghost
@@ -94,8 +100,11 @@ public:
   /// Drop the list (wholesale state reload).
   void invalidate() { valid_ = false; }
   /// Particle removal: new_index[i] is the new index of old particle i, or
-  /// -1 if it was removed; survivors keep their relative order. Compacts
-  /// the live list in place; a ghost-filtered list is invalidated instead.
+  /// -1 if it was removed; survivors keep their relative order. Records the
+  /// map, composed with one still pending, for the next ensure() to apply
+  /// to a kept list or drop with a rebuilt one; until then offsets() and
+  /// neighbors() still hold the old indices, and query() maps through it.
+  /// A ghost-filtered list is invalidated instead.
   void on_remap(const std::vector<long>& new_index);
   bool valid() const { return valid_; }
   /// Bumped by every build, compaction and append: a cache derived from the
@@ -107,6 +116,9 @@ public:
   std::uint64_t rebuilds() const { return rebuilds_; }
   /// Passes that kept the list, including those that appended to it.
   std::uint64_t reuses() const { return reuses_; }
+  /// Removal maps applied to a kept list, and maps dropped by a rebuild.
+  std::uint64_t compactions() const { return compactions_; }
+  std::uint64_t remaps_dropped() const { return remaps_dropped_; }
   std::size_t pair_count() const { return neighbors_.size(); }
   /// True when a periodic dimension has < 3 cells, so the pair list is
   /// built by direct O(N^2) enumeration (the half stencil would double-count).
@@ -127,7 +139,8 @@ public:
   }
 
   /// Visit every interacting pair (r < rc at *current* positions) once:
-  /// fn(i, j, dr = xj - xi minimum image, r). Requires a valid list.
+  /// fn(i, j, dr = xj - xi minimum image, r). Requires a list ensure()d
+  /// against `pos` since the last removal.
   template <class Fn>
   void for_each(const SoA3& pos, Fn&& fn) const {
     const double rc2 = prm_.rc * prm_.rc;
@@ -145,33 +158,43 @@ public:
   /// Visit every particle within `cutoff` of point `p` (current positions):
   /// fn(j, dr = xj - p minimum image, r2). Walks only the grid cells that
   /// can hold such a particle, padding the search radius by skin/2 because
-  /// the grid bins reference positions. Particles appended since the last
-  /// ensure() are not binned yet and are scanned directly. The caller must
-  /// have ensure()d the list against the same position array.
+  /// the grid bins reference positions. A pending removal map takes each
+  /// binned particle to its current index and skips the removed ones.
+  /// Particles appended since the last ensure() are not binned yet and are
+  /// scanned directly. The caller must have ensure()d the list against the
+  /// same position array.
   template <class Fn>
   void query(const SoA3& pos, const Vec3& p, double cutoff, Fn&& fn) const {
     const double c2 = cutoff * cutoff;
-    auto scan = [&](std::size_t from) {
-      for (std::size_t j = from; j < pos.size(); ++j) {
-        const Vec3 dr = min_image(p, pos[j]);
-        const double r2 = dr.norm2();
-        if (r2 <= c2) fn(j, dr, r2);
-      }
-    };
-    if (!valid_ || pos.size() < ref_pos_.size()) {
-      scan(0);
-      return;
-    }
-    for_each_binned_near(p, cutoff + 0.5 * prm_.skin, [&](std::size_t j) {
+    auto visit = [&](std::size_t j) {
       const Vec3 dr = min_image(p, pos[j]);
       const double r2 = dr.norm2();
       if (r2 <= c2) fn(j, dr, r2);
-    });
-    scan(ref_pos_.size());
+    };
+    const std::size_t n0 = listed();
+    if (!valid_ || pos.size() < n0) {
+      for (std::size_t j = 0; j < pos.size(); ++j) visit(j);
+      return;
+    }
+    const double pad = cutoff + 0.5 * prm_.skin;
+    if (remap_pending_)
+      for_each_binned_near(p, pad, [&](std::size_t i) {
+        if (remap_[i] >= 0) visit(static_cast<std::size_t>(remap_[i]));
+      });
+    else
+      for_each_binned_near(p, pad, visit);
+    for (std::size_t j = n0; j < pos.size(); ++j) visit(j);
   }
 
 private:
+  /// Listed particles in the current indexing: the survivors of a pending
+  /// removal map come first, in order, then the pending appended tail.
+  std::size_t listed() const { return remap_pending_ ? live_ : ref_pos_.size(); }
   void build(const SoA3& pos);
+  /// Apply the pending removal map to the kept list: the CSR and reference
+  /// positions, and with `grid` the cell grid's slot arrays (skipped when
+  /// an append re-bins it next).
+  void compact(bool grid);
   /// Merge particles [ref_pos_.size(), pos.size()) into the reused list.
   void append(const SoA3& pos);
   /// Counting-sort every reference position into the cell-sorted grid
@@ -271,13 +294,9 @@ private:
   }
 
   void wrap(Vec3& p) const {
-    auto wrap1 = [](double v, double L) {
-      v = std::fmod(v, L);
-      return v < 0.0 ? v + L : v;
-    };
-    if (prm_.periodic[0]) p.x = wrap1(p.x, prm_.box.x);
-    if (prm_.periodic[1]) p.y = wrap1(p.y, prm_.box.y);
-    if (prm_.periodic[2]) p.z = wrap1(p.z, prm_.box.z);
+    if (prm_.periodic[0]) p.x = wrap_1d(p.x, prm_.box.x);
+    if (prm_.periodic[1]) p.y = wrap_1d(p.y, prm_.box.y);
+    if (prm_.periodic[2]) p.z = wrap_1d(p.z, prm_.box.z);
   }
 
   /// Cell of coordinate v along an axis of n cells spanning [0, L). Clamped
@@ -314,6 +333,14 @@ private:
   std::vector<std::size_t> offsets_;
   std::vector<std::uint32_t> neighbors_;
 
+  // Pending removal (on_remap): remap_[i] is the current index of listed
+  // particle i, or -1 once removed; the live_ survivors hold the current
+  // indices [0, live_) in order. The list, grid and reference positions
+  // keep the old indices until ensure() compacts or rebuilds.
+  bool remap_pending_ = false;
+  std::vector<long> remap_;
+  std::size_t live_ = 0;
+
   // Scratch reused across calls: each particle's cell (rebin); each scan
   // lane's kept candidate pairs and their counts by index, sized once per
   // lane count; the lower indices bucketed by upper index with each
@@ -326,6 +353,7 @@ private:
   std::vector<std::pair<std::uint32_t, std::uint32_t>> new_pairs_;
 
   std::uint64_t rebuilds_ = 0, reuses_ = 0, version_ = 0;
+  std::uint64_t compactions_ = 0, remaps_dropped_ = 0;
 };
 
 }  // namespace dpd

@@ -95,27 +95,27 @@ std::size_t DpdSystem::fill(double density, Species s, unsigned seed, double mar
   return placed;
 }
 
-void DpdSystem::remove_particles(std::vector<std::size_t> idx) {
+void DpdSystem::remove_particles(const std::vector<std::size_t>& idx) {
   if (idx.empty()) return;
   if (distributed())
     throw std::logic_error("DpdSystem: remove_particles while decomposed (unsupported)");
   // mark the removed slots (out of range throws), then number the survivors
   const std::size_t n = size();
-  std::vector<long> new_index(n, 0);
-  for (std::size_t i : idx) new_index.at(i) = -1;
-  std::vector<std::uint32_t> keep, dead_gids, slot;
-  keep.reserve(n);
+  new_index_.assign(n, 0);
+  for (std::size_t i : idx) new_index_.at(i) = -1;
+  keep_.clear();
+  dead_gids_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    if (new_index[i] < 0) {
-      dead_gids.push_back(gid_[i]);
+    if (new_index_[i] < 0) {
+      dead_gids_.push_back(gid_[i]);
       continue;
     }
-    new_index[i] = static_cast<long>(keep.size());
-    keep.push_back(static_cast<std::uint32_t>(i));
+    new_index_[i] = static_cast<long>(keep_.size());
+    keep_.push_back(static_cast<std::uint32_t>(i));
   }
-  merge_lanes(keep, {}, slot);
-  nlist_.on_remap(new_index);
-  for (auto& m : modules_) m->on_remove_gids(dead_gids);
+  merge_lanes(keep_, {}, slot_);
+  nlist_.on_remap(new_index_);
+  for (auto& m : modules_) m->on_remove_gids(dead_gids_);
 }
 
 void DpdSystem::add_module(std::shared_ptr<ForceModule> m) {
@@ -244,13 +244,9 @@ void DpdSystem::reset_particles(const std::vector<ParticleRecord>& recs) {
 }
 
 void DpdSystem::wrap(Vec3& p) const {
-  auto wrap1 = [](double v, double L) {
-    v = std::fmod(v, L);
-    return v < 0.0 ? v + L : v;
-  };
-  if (prm_.periodic[0]) p.x = wrap1(p.x, prm_.box.x);
-  if (prm_.periodic[1]) p.y = wrap1(p.y, prm_.box.y);
-  if (prm_.periodic[2]) p.z = wrap1(p.z, prm_.box.z);
+  if (prm_.periodic[0]) p.x = wrap_1d(p.x, prm_.box.x);
+  if (prm_.periodic[1]) p.y = wrap_1d(p.y, prm_.box.y);
+  if (prm_.periodic[2]) p.z = wrap_1d(p.z, prm_.box.z);
 }
 
 Vec3 DpdSystem::min_image(const Vec3& a, const Vec3& b) const {
@@ -261,75 +257,102 @@ Vec3 DpdSystem::min_image(const Vec3& a, const Vec3& b) const {
   return d;
 }
 
-std::size_t DpdSystem::pair_row(std::size_t i, int lane, int parity, double rc2, double inv_rc,
-                                double inv_sqrt_dt) {
-  // Compact, then compute. The first sweep takes the minimum-image
-  // separation and r2 of every listed partner and keeps the in-range lanes,
-  // with their j, in CSR order; only those lanes get the relative velocity
-  // and counter-based noise, and the SIMD kernel writes their forces
-  // straight into the stage. The noise is keyed on *global* IDs, so a pair's
-  // random stream is invariant to index compaction and to which rank
-  // computes it. Reads only the particle state and the list, and writes
-  // only the lane's scratch and row i's record: lanes run it side by side.
+std::size_t DpdSystem::pair_rows(std::size_t lo, std::size_t hi, int lane, int parity,
+                                 std::size_t* replayed) {
+  // Compact, then compute, one batch of whole rows at a time. The first
+  // sweep takes the minimum-image separation and r2 of every listed partner
+  // of the batch's rows and keeps the in-range lanes, with their j, in CSR
+  // order; only those lanes get the relative velocity and counter-based
+  // noise, and one SIMD kernel call writes their forces straight into the
+  // stage. The noise is keyed on *global* IDs, so a pair's random stream is
+  // invariant to index compaction and to which rank computes it, and the
+  // kernel is lane-pure, so a force does not depend on the batch it sits
+  // in. Reads only the particle state and the list, and writes only the
+  // lane's scratch and the rows' records: lanes run it side by side.
   PairLane& L = pair_lanes_[static_cast<std::size_t>(lane)];
-  const std::size_t lo = nlist_.offsets()[i], m = nlist_.offsets()[i + 1] - lo;
-  const std::size_t at = L.at[parity];
   PairBatch& b = L.batch;
   PairStage& st = L.stage[parity];
-  b.grow(m);
-  st.grow(at + m);
-  const std::uint32_t* nbr = nlist_.neighbors().data() + lo;
+  const std::size_t* offs = nlist_.offsets().data();
+  const std::uint32_t* nbr = nlist_.neighbors().data();
   const double* px = pos_.xs().data();
   const double* py = pos_.ys().data();
   const double* pz = pos_.zs().data();
-  const double bx = prm_.box.x, by = prm_.box.y, bz = prm_.box.z;
-  const bool perx = prm_.periodic[0], pery = prm_.periodic[1], perz = prm_.periodic[2];
-  std::uint32_t* sj = st.j.data() + at;
-  const double xi = px[i], yi = py[i], zi = pz[i];
-  std::size_t c = 0;
-  for (std::size_t k = 0; k < m; ++k) {
-    const std::uint32_t j = nbr[k];
-    double dx = px[j] - xi;
-    double dy = py[j] - yi;
-    double dz = pz[j] - zi;
-    if (perx) dx = min_image_1d(dx, bx);
-    if (pery) dy = min_image_1d(dy, by);
-    if (perz) dz = min_image_1d(dz, bz);
-    const double r2 = dx * dx + dy * dy + dz * dz;
-    b.dx[c] = dx;
-    b.dy[c] = dy;
-    b.dz[c] = dz;
-    b.r2[c] = r2;
-    sj[c] = j;
-    // keep = !(r2 >= rc2 || r2 <= 1e-20), the exact negation of "out of
-    // range or coincident", so a NaN separation (a non-finite position)
-    // stays in and poisons both partners. `|` instead of `||` evaluates both
-    // side-effect-free compares without a branch: about half the listed
-    // pairs are out of range, so a branch here would mispredict often.
-    c += !((r2 >= rc2) | (r2 <= 1e-20));
-  }
   const double* ux = vel_.xs().data();
   const double* uy = vel_.ys().data();
   const double* uz = vel_.zs().data();
-  const double uxi = ux[i], uyi = uy[i], uzi = uz[i];
-  const std::uint32_t gi = gid_[i];
-  for (std::size_t k = 0; k < c; ++k) {
-    const std::uint32_t j = sj[k];
-    b.dvx[k] = ux[j] - uxi;
-    b.dvy[k] = uy[j] - uyi;
-    b.dvz[k] = uz[j] - uzi;
-    b.zeta[k] = pair_gaussian_like(step_, gi, gid_[j]);
+  const double bx = prm_.box.x, by = prm_.box.y, bz = prm_.box.z;
+  const bool perx = prm_.periodic[0], pery = prm_.periodic[1], perz = prm_.periodic[2];
+  const double rc2 = prm_.rc * prm_.rc;
+  const double inv_rc = 1.0 / prm_.rc;
+  const double inv_sqrt_dt = 1.0 / std::sqrt(prm_.dt);
+  const auto stage_id = static_cast<std::uint16_t>(2 * lane + parity);
+  std::size_t total = 0;
+  for (std::size_t r0 = lo; r0 < hi;) {
+    // rows [r0, r1): at most kPairBatch listed pairs, or one longer row
+    std::size_t r1 = r0 + 1;
+    while (r1 < hi && offs[r1 + 1] - offs[r0] <= kPairBatch) ++r1;
+    const std::size_t at = L.at[parity];
+    b.grow(offs[r1] - offs[r0]);
+    st.grow(at + offs[r1] - offs[r0]);
+    std::uint32_t* sj = st.j.data() + at;
+    std::size_t c = 0;
+    for (std::size_t i = r0; i < r1; ++i) {
+      const double xi = px[i], yi = py[i], zi = pz[i];
+      const std::size_t c0 = c;
+      for (std::size_t k = offs[i]; k < offs[i + 1]; ++k) {
+        const std::uint32_t j = nbr[k];
+        double dx = px[j] - xi;
+        double dy = py[j] - yi;
+        double dz = pz[j] - zi;
+        if (perx) dx = min_image_1d(dx, bx);
+        if (pery) dy = min_image_1d(dy, by);
+        if (perz) dz = min_image_1d(dz, bz);
+        const double r2 = dx * dx + dy * dy + dz * dz;
+        b.dx[c] = dx;
+        b.dy[c] = dy;
+        b.dz[c] = dz;
+        b.r2[c] = r2;
+        sj[c] = j;
+        // keep = !(r2 >= rc2 || r2 <= 1e-20), the exact negation of "out
+        // of range or coincident", so a NaN separation (a non-finite
+        // position) stays in and poisons both partners. `|` instead of
+        // `||` evaluates both side-effect-free compares without a branch:
+        // about half the listed pairs are out of range, so a branch here
+        // would mispredict often.
+        c += !((r2 >= rc2) | (r2 <= 1e-20));
+      }
+      row_start_[i] = at + c0;
+      row_count_[i] = c - c0;
+      row_stage_[i] = stage_id;
+    }
+    for (std::size_t i = r0; i < r1; ++i) {
+      const double uxi = ux[i], uyi = uy[i], uzi = uz[i];
+      const std::uint32_t gi = gid_[i];
+      const std::size_t end = row_start_[i] - at + row_count_[i];
+      for (std::size_t k = row_start_[i] - at; k < end; ++k) {
+        const std::uint32_t j = sj[k];
+        b.dvx[k] = ux[j] - uxi;
+        b.dvy[k] = uy[j] - uyi;
+        b.dvz[k] = uz[j] - uzi;
+        b.zeta[k] = pair_gaussian_like(step_, gi, gid_[j]);
+      }
+    }
+    // f = (dx,dy,dz) fmag / r is the force on j; i receives -f (the kernel
+    // header documents the lane math)
+    la::simd::dpd_pair_forces(c, inv_rc, inv_sqrt_dt, b.dx.data(), b.dy.data(), b.dz.data(),
+                              b.r2.data(), b.dvx.data(), b.dvy.data(), b.dvz.data(),
+                              b.zeta.data(), kPairA, kPairGamma, pair_sigma_, st.fx.data() + at,
+                              st.fy.data() + at, st.fz.data() + at);
+    total += c;
+    if (replayed && *replayed == r0) {
+      pair_scatter(r0, r1);  // every earlier row is done; the stage drains
+      *replayed = r1;
+    } else {
+      L.at[parity] += c;
+    }
+    r0 = r1;
   }
-  // f = (dx,dy,dz) fmag / r is the force on j; i receives -f (the kernel
-  // header documents the lane math)
-  la::simd::dpd_pair_forces(c, inv_rc, inv_sqrt_dt, b.dx.data(), b.dy.data(), b.dz.data(),
-                            b.r2.data(), b.dvx.data(), b.dvy.data(), b.dvz.data(),
-                            b.zeta.data(), kPairA, kPairGamma, pair_sigma_, st.fx.data() + at,
-                            st.fy.data() + at, st.fz.data() + at);
-  row_start_[i] = at;
-  row_count_[i] = c;
-  row_stage_[i] = static_cast<std::uint16_t>(2 * lane + parity);
-  return c;
+  return total;
 }
 
 void DpdSystem::pair_scatter(std::size_t lo, std::size_t hi) {
@@ -363,8 +386,9 @@ void DpdSystem::pair_scatter(std::size_t lo, std::size_t hi) {
 
 void DpdSystem::pair_forces() {
   // Batched Groot-Warren pair forces over the Verlet list as one staged
-  // pass: pair_row computes a row's in-range lanes into a stage, and
-  // pair_scatter replays finished rows into frc_ in canonical CSR order.
+  // pass: pair_rows computes runs of rows' in-range lanes into a stage, one
+  // kernel call per batch of rows, and pair_scatter replays finished rows
+  // into frc_ in canonical CSR order.
   // Out-of-range lanes are dropped before any force arithmetic — skipped,
   // never zeroed — so the accumulation order of the contributing pairs is a
   // function of the particle state alone, not of when the list was built
@@ -373,7 +397,8 @@ void DpdSystem::pair_forces() {
   // The rows go out in chunks of about equal listed pairs, in kPairWaves
   // fork-joins (xmp/sched/lanes.hpp). In each wave lane 0, the caller,
   // first replays the helpers' rows of the wave before, then claims the
-  // wave's chunks from the front and replays each row as it computes it;
+  // wave's chunks from the front and replays each batch of rows as it
+  // computes it;
   // the helper lanes claim chunks from the back. A helper writes a wave's
   // rows while lane 0 replays the wave before, so it alternates two
   // stages by wave parity. With a halo update in flight (overlap), rows
@@ -386,9 +411,6 @@ void DpdSystem::pair_forces() {
   if (overlap &&
       (row_class_version_ != nlist_.version() || row_interior_.size() != pos_.size()))
     classify_rows();
-  const double rc2 = prm_.rc * prm_.rc;
-  const double inv_rc = 1.0 / prm_.rc;
-  const double inv_sqrt_dt = 1.0 / std::sqrt(prm_.dt);
   const auto& offs = nlist_.offsets();
   const std::size_t n = pos_.size();
   row_start_.resize(n);
@@ -431,7 +453,6 @@ void DpdSystem::pair_forces() {
     // lanes share no written line but the claim cursor while they run
     PairLane& L = pair_lanes_[static_cast<std::size_t>(lane)];
     const bool ov = overlap;
-    const double c2 = rc2, c1 = inv_rc, cdt = inv_sqrt_dt;
     const int p = lane == 0 ? 0 : parity;
     // lane 0's replay cursor; `next` is lane 0's alone during the pass
     std::size_t in = 0, rows = 0, replayed = 0;
@@ -442,15 +463,15 @@ void DpdSystem::pair_forces() {
     }
     for (std::size_t c = claim(lane == 0); c < chunks; c = claim(lane == 0)) {
       const std::size_t hi = chunk_row(c + 1);
-      for (std::size_t i = chunk_row(c); i < hi; ++i) {
-        if (ov && !row_interior_[i]) continue;
-        rows += offs[i + 1] > offs[i];
-        const std::size_t k = pair_row(i, lane, p, c2, c1, cdt);
-        in += k;
-        if (lane == 0 && replayed == i)
-          pair_scatter(i, ++replayed);  // every earlier row is done; the stage drains
-        else
-          L.at[p] += k;
+      // the chunk's runs of interior rows, split at the deferred ones
+      for (std::size_t i = chunk_row(c); i < hi;) {
+        if (ov && !row_interior_[i]) {
+          ++i;
+          continue;
+        }
+        const std::size_t first = i;
+        for (; i < hi && !(ov && !row_interior_[i]); ++i) rows += offs[i + 1] > offs[i];
+        in += pair_rows(first, i, lane, p, lane == 0 ? &replayed : nullptr);
       }
     }
     L.in_range = in;
@@ -485,15 +506,14 @@ void DpdSystem::pair_forces() {
   next = stop;
   // complete the in-flight halo update; ghost slots are fresh from here on
   if (overlap) exchange_->finish_refresh(*this);
-  // Row `next` is the first deferred row: compute it (into lane 0's stage,
-  // after its staged rows), replay it with the staged rows up to the next
-  // deferred one, repeat.
+  // Row `next` is the first deferred row: compute the run of deferred rows
+  // it starts (into lane 0's stage, after its staged rows) and replay it as
+  // it goes, then the staged rows up to the next deferred one, repeat.
   while (next < n) {
-    boundary_rows += offs[next + 1] > offs[next];
-    const std::size_t c = pair_row(next, 0, 0, rc2, inv_rc, inv_sqrt_dt);
-    pair_lanes_[0].at[0] += c;
-    in_range += c;
-    const std::size_t end = replayable_end(next + 1, n);
+    std::size_t end = next;
+    for (; end < n && deferred(end); ++end) boundary_rows += offs[end + 1] > offs[end];
+    in_range += pair_rows(next, end, 0, 0, &next);
+    end = replayable_end(end, n);
     pair_scatter(next, end);
     next = end;
   }

@@ -104,6 +104,11 @@ public:
   /// sigma = sqrt(2 gamma kBT) follows from DpdParams::kBT).
   static constexpr double kPairA = 25.0;
   static constexpr double kPairGamma = 4.5;
+  /// Listed pairs per pair-kernel call: the pair pass batches consecutive
+  /// rows up to this many (a longer row is a batch of its own). Batches of
+  /// 64, 256 and 1,024 time the same; one row alone would give a call about
+  /// 7 in-range lanes.
+  static constexpr std::size_t kPairBatch = 256;
 
   DpdSystem(const DpdParams& prm, std::shared_ptr<Geometry> geom);
 
@@ -120,10 +125,13 @@ public:
   /// Remove particles by index (any order, duplicates allowed): the lane
   /// pass of merge_particles with the survivors kept and no records, so a
   /// survivor keeps every lane, force and global ID included (its pair-RNG
-  /// streams are unchanged). The neighbor list is compacted in place and
-  /// the modules prune the removed gids. Throws on an index out of range
-  /// (std::out_of_range) and while decomposed.
-  void remove_particles(std::vector<std::size_t> idx);
+  /// streams are unchanged). The neighbor list records the index map and
+  /// applies it at the next pass only if that pass keeps the list
+  /// (NeighborList::on_remap); the modules prune the removed gids. Its
+  /// scratch is members, so it allocates nothing once warm (a module's
+  /// pruning may). Throws on an index out of range (std::out_of_range) and
+  /// while decomposed.
+  void remove_particles(const std::vector<std::size_t>& idx);
 
   std::size_t size() const { return pos_.size(); }
   SoA3& positions() { return pos_; }
@@ -278,12 +286,16 @@ private:
   /// accumulate in canonical CSR row order — bitwise the same however the
   /// rows were scheduled.
   void pair_forces();
-  /// Compute CSR row i into stage `parity` of lane `lane` at its cursor:
-  /// r2 for the whole run, then the relative velocity, noise and SIMD
-  /// kernel for its in-range lanes only. Records the row's (stage, start,
-  /// count) and returns the count.
-  std::size_t pair_row(std::size_t i, int lane, int parity, double rc2, double inv_rc,
-                       double inv_sqrt_dt);
+  /// Compute CSR rows [lo, hi), all interior or all deferred, into stage
+  /// `parity` of lane `lane` at its cursor, in batches of whole rows of up
+  /// to kPairBatch listed pairs: r2 for every listed pair of the batch,
+  /// then the relative velocity, noise and one SIMD kernel call for its
+  /// in-range lanes only. Records each row's (stage, start, count). With
+  /// `replayed` (lane 0's replay cursor), a batch starting at *replayed is
+  /// scatter-replayed at once and its stage space reused; otherwise the
+  /// cursor advances past it. Returns the in-range pairs.
+  std::size_t pair_rows(std::size_t lo, std::size_t hi, int lane, int parity,
+                        std::size_t* replayed);
   /// Scatter-replay the staged rows [lo, hi) into frc_, in row order.
   void pair_scatter(std::size_t lo, std::size_t hi);
   /// Mark rows whose full neighbor run touches only owned particles
@@ -332,12 +344,12 @@ private:
 
   // The pair pass's lanes, lane 0 the calling thread's (scratch, dead
   // between force passes). A lane's batch holds the compacted in-range
-  // lanes of one row for la::simd::dpd_pair_forces; its stages hold its
-  // computed rows' in-range partners j and kernel forces until their
-  // scatter replay: row i at [row_start_[i], row_start_[i] + row_count_[i])
-  // of stage row_stage_[i] % 2 of lane row_stage_[i] / 2. Lane 0 replays
-  // its rows as it computes them unless an earlier row is unfinished, and
-  // uses stage 0 only; the helpers alternate stages by wave.
+  // lanes of one batch of rows for la::simd::dpd_pair_forces; its stages
+  // hold its computed rows' in-range partners j and kernel forces until
+  // their scatter replay: row i at [row_start_[i], row_start_[i] +
+  // row_count_[i]) of stage row_stage_[i] % 2 of lane row_stage_[i] / 2.
+  // Lane 0 replays its batches as it computes them unless an earlier row is
+  // unfinished, and uses stage 0 only; the helpers alternate stages by wave.
   struct PairBatch {
     std::vector<double> dx, dy, dz, r2, dvx, dvy, dvz, zeta;
     void grow(std::size_t m);
@@ -360,6 +372,13 @@ private:
   std::vector<std::size_t> row_start_, row_count_;
   // analyze: no-checkpoint (pair-pass staging records, dead between force passes)
   std::vector<std::uint16_t> row_stage_;
+
+  // remove_particles' scratch: the old-to-new index map, the kept slots,
+  // the removed gids and merge_lanes' slot output.
+  // analyze: no-checkpoint (removal scratch, dead between calls)
+  std::vector<long> new_index_;
+  // analyze: no-checkpoint (removal scratch, dead between calls)
+  std::vector<std::uint32_t> keep_, dead_gids_, slot_;
 
   std::uint64_t step_ = 0;
   std::mt19937 rng_{0xD1CEu};

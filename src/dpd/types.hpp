@@ -41,6 +41,23 @@ inline double min_image_1d(double v, double L) {
   return v;
 }
 
+/// Wrap of a coordinate v into [0, L) along a periodic axis of length L:
+/// bitwise `fmod(v, L)` plus L when negative, without the fmod in the
+/// common cases, where that form returns v on [0, L), v - L on [L, 2L)
+/// (exact by Sterbenz) and v + L on (-L, 0). Everything else (-L, 2L and
+/// beyond, NaN, ±inf) takes the fmod form. Binning and the integrator call
+/// this per particle.
+inline double wrap_1d(double v, double L) {
+  if (v >= 0.0) {
+    if (v < L) return v;
+    if (v < 2.0 * L) return v - L;
+  } else if (v > -L) {
+    return v + L;
+  }
+  v = std::fmod(v, L);
+  return v < 0.0 ? v + L : v;
+}
+
 /// Particle species: a label carried into checkpoints, the VTK output and
 /// the body-force callback. The pair coefficients are the same for every
 /// species; RBC beads and platelets differ through their force modules.

@@ -9,7 +9,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <random>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -57,6 +59,36 @@ TEST(Geometry, CavitySdfUnion) {
   EXPECT_GT(g.sdf({12.0, 0.0, 5.0}), 0.0);   // cavity interior
   EXPECT_LT(g.sdf({5.0, 0.0, 5.0}), 0.0);    // above channel, outside cavity
   EXPECT_LT(g.sdf({12.0, 0.0, 7.5}), 0.0);   // above cavity roof
+}
+
+TEST(Dpd, Wrap1dEqualsFmodFormBitwise) {
+  // wrap_1d's shortcuts must return the bits of fmod(v, L), plus L when
+  // negative: at the edges of each shortcut interval, their nextafter
+  // neighbours, the non-finite values, and random values on [-3L, 4L).
+  const auto fmod_form = [](double v, double L) {
+    v = std::fmod(v, L);
+    return v < 0.0 ? v + L : v;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  std::mt19937 rng(5);
+  std::size_t checked = 0;
+  for (const double L : {1.0, 6.0, 10.0, 16.0, 0.1, 1.3, 1e-3}) {
+    std::vector<double> vs = {0.0, -0.0, L, -L, 2.0 * L, -2.0 * L, 0.5 * L, -0.5 * L,
+                              1.5 * L, inf, -inf, std::numeric_limits<double>::quiet_NaN()};
+    for (std::size_t k = 0, n = vs.size(); k < n; ++k) {
+      vs.push_back(std::nextafter(vs[k], inf));
+      vs.push_back(std::nextafter(vs[k], -inf));
+    }
+    std::uniform_real_distribution<double> u(-3.0 * L, 4.0 * L);
+    for (int k = 0; k < 20000; ++k) vs.push_back(u(rng));
+    for (const double v : vs) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(dpd::wrap_1d(v, L)),
+                std::bit_cast<std::uint64_t>(fmod_form(v, L)))
+          << "v = " << v << ", L = " << L;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 140000u);
 }
 
 TEST(Dpd, PairSearchMatchesBruteForce) {

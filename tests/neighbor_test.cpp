@@ -286,6 +286,70 @@ TEST(NeighborList, PatchedListEqualsFreshBuild) {
   EXPECT_EQ(nl.neighbors(), fresh.neighbors());
 }
 
+TEST(NeighborList, PendingRemapsComposeUntilTheNextPass) {
+  // Two removals with an insertion between them, and no ensure(): the list
+  // holds one composed map. Queries in between map the grid through it;
+  // the next ensure() either compacts the kept list into exactly a fresh
+  // build of the survivors, or, once a survivor has moved past skin/2,
+  // drops the map and rebuilds.
+  dpd::NeighborParams prm;
+  prm.box = {8.0, 6.0, 5.0};
+  prm.periodic = {true, true, false};
+  prm.skin = 0.3;
+  dpd::NeighborList nl(prm);
+  const auto pos0 = random_positions(400, prm.box, 28);
+  EXPECT_TRUE(nl.ensure(pos0));
+
+  // drop every index with i % m == r from `pos`
+  auto remove = [&](const dpd::SoA3& pos, std::size_t m, std::size_t r) {
+    std::vector<long> new_index(pos.size(), -1);
+    dpd::SoA3 kept;
+    for (std::size_t i = 0; i < pos.size(); ++i) {
+      if (i % m == r) continue;
+      new_index[i] = static_cast<long>(kept.size());
+      kept.push_back(pos.get(i));
+    }
+    nl.on_remap(new_index);
+    return kept;
+  };
+  auto queries_exact = [&](const dpd::SoA3& pos) {
+    for (const std::size_t k : {std::size_t{0}, pos.size() / 2, pos.size() - 1})
+      expect_query_exact(nl, pos, pos.get(k), 1.0);
+    expect_query_exact(nl, pos, {0.1, 5.9, 2.5}, 1.3);
+  };
+
+  auto pos = remove(pos0, 7, 3);
+  queries_exact(pos);
+  const auto extra = random_positions(30, prm.box, 29);
+  for (std::size_t k = 0; k < extra.size(); ++k) pos.push_back(extra.get(k));
+  queries_exact(pos);
+  // the second removal takes listed particles and appended ones alike
+  pos = remove(pos, 5, 1);
+  EXPECT_TRUE(nl.valid());
+  queries_exact(pos);
+  EXPECT_EQ(nl.compactions(), 0u);
+  EXPECT_EQ(nl.remaps_dropped(), 0u);
+
+  EXPECT_FALSE(nl.ensure(pos));
+  EXPECT_EQ(nl.rebuilds(), 1u);
+  EXPECT_EQ(nl.compactions(), 1u);
+  EXPECT_EQ(nl.remaps_dropped(), 0u);
+  dpd::NeighborList fresh(prm);
+  fresh.ensure(pos);
+  expect_csr_eq(nl, {fresh.offsets(), fresh.neighbors()}, "kept");
+  queries_exact(pos);
+
+  // a survivor past skin/2: the next pass rebuilds and drops the map
+  pos = remove(pos, 9, 4);
+  queries_exact(pos);
+  pos[0].x += 0.2;
+  EXPECT_TRUE(nl.ensure(pos));
+  EXPECT_EQ(nl.compactions(), 1u);
+  EXPECT_EQ(nl.remaps_dropped(), 1u);
+  expect_csr_eq(nl, brute_csr(nl, pos), "rebuilt");
+  queries_exact(pos);
+}
+
 TEST(NeighborList, AppendPairsAgainstReferencePositions) {
   // Particle 0 drifts 0.14 (< skin/2) away from its reference, then particle
   // 1 is inserted 1.25 (< rc + skin) from that reference but 1.39 from 0's
@@ -499,36 +563,52 @@ dpd::DpdParams small_box_params(double skin) {
 
 TEST(DpdNeighbor, ForcesMatchDirectReference) {
   // engine forces (Verlet gather + SIMD kernel) vs the Groot-Warren formula
-  // evaluated pair-by-pair over direct enumeration
+  // evaluated pair-by-pair over direct enumeration: a uniform fill, and the
+  // same fill with a dense cluster whose first member's row is longer than
+  // one kernel batch
   auto prm = small_box_params(0.3);
+  auto check = [&](dpd::DpdSystem& sys) {
+    sys.compute_forces();
+    const auto& vel = sys.velocities();
+    std::vector<dpd::Vec3> ref(sys.size());
+    const double inv_sqrt_dt = 1.0 / std::sqrt(prm.dt);
+    const double a = dpd::DpdSystem::kPairA, g = dpd::DpdSystem::kPairGamma;
+    const double sig = std::sqrt(2.0 * g * prm.kBT);
+    const auto direct = [&](std::size_t i, std::size_t j, const dpd::Vec3& dr, double r) {
+      const double w = 1.0 - r / prm.rc;
+      const double rv = dr.dot(vel[j] - vel[i]) / r;
+      const double zeta = dpd::pair_gaussian_like(
+          sys.step_count(), static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j));
+      const double fmag = a * w - g * w * w * rv + sig * w * zeta * inv_sqrt_dt;
+      const dpd::Vec3 f = dr * (fmag / r);
+      ref[i] -= f;
+      ref[j] += f;
+    };
+    dpd::reference::for_each_pair_direct(sys, direct);
+
+    const auto& frc = sys.forces();
+    for (std::size_t i = 0; i < sys.size(); ++i) {
+      const double tol = 1e-9 * std::max(1.0, ref[i].norm());
+      EXPECT_NEAR(frc[i].x, ref[i].x, tol) << "particle " << i;
+      EXPECT_NEAR(frc[i].y, ref[i].y, tol);
+      EXPECT_NEAR(frc[i].z, ref[i].z, tol);
+    }
+  };
   dpd::DpdSystem sys(prm, std::make_shared<dpd::NoWalls>());
   sys.fill(3.0, dpd::kSolvent);
-  sys.compute_forces();
+  check(sys);
 
-  const auto& vel = sys.velocities();
-  std::vector<dpd::Vec3> ref(sys.size());
-  const double inv_sqrt_dt = 1.0 / std::sqrt(prm.dt);
-  const double a = dpd::DpdSystem::kPairA, g = dpd::DpdSystem::kPairGamma;
-  const double sig = std::sqrt(2.0 * g * prm.kBT);
-  const auto direct = [&](std::size_t i, std::size_t j, const dpd::Vec3& dr, double r) {
-    const double w = 1.0 - r / prm.rc;
-    const double rv = dr.dot(vel[j] - vel[i]) / r;
-    const double zeta = dpd::pair_gaussian_like(sys.step_count(), static_cast<std::uint32_t>(i),
-                                                static_cast<std::uint32_t>(j));
-    const double fmag = a * w - g * w * w * rv + sig * w * zeta * inv_sqrt_dt;
-    const dpd::Vec3 f = dr * (fmag / r);
-    ref[i] -= f;
-    ref[j] += f;
-  };
-  dpd::reference::for_each_pair_direct(sys, direct);
-
-  const auto& frc = sys.forces();
-  for (std::size_t i = 0; i < sys.size(); ++i) {
-    const double tol = 1e-9 * std::max(1.0, ref[i].norm());
-    EXPECT_NEAR(frc[i].x, ref[i].x, tol) << "particle " << i;
-    EXPECT_NEAR(frc[i].y, ref[i].y, tol);
-    EXPECT_NEAR(frc[i].z, ref[i].z, tol);
-  }
+  dpd::DpdSystem dense(prm, std::make_shared<dpd::NoWalls>());
+  dense.fill(3.0, dpd::kSolvent);
+  std::mt19937 rng(17);
+  std::uniform_real_distribution<double> u(-0.35, 0.35), v(-1.0, 1.0);
+  const std::size_t first = dense.size();
+  for (int k = 0; k < 400; ++k)
+    dense.add_particle({3.0 + u(rng), 3.0 + u(rng), 3.0 + u(rng)}, {v(rng), v(rng), v(rng)},
+                       dpd::kSolvent);
+  check(dense);
+  const auto& offs = dense.neighbor_list().offsets();
+  EXPECT_GT(offs[first + 1] - offs[first], dpd::DpdSystem::kPairBatch);
 }
 
 TEST(DpdNeighbor, TrajectoryIndependentOfSkin) {
@@ -676,25 +756,39 @@ TEST(DpdNeighbor, FlowBcChurnTrajectoryEqualsRebuildEveryPass) {
   // patches the live list instead. Bitwise-equal states pin that every
   // patched list enumerates the interacting pairs in canonical order; the
   // rebuild count pins that churn no longer throws the list away.
+  // Every removal's index map is applied to a kept list or dropped by a
+  // rebuild at the next pass, never both: compactions plus dropped maps
+  // count the removals made on a valid list, but for the last step's,
+  // which is still pending.
   struct Run {
     std::vector<std::uint8_t> state;
-    std::uint64_t rebuilds = 0, passes = 0;
-    std::size_t churned = 0;
+    std::uint64_t rebuilds = 0, passes = 0, compactions = 0, dropped = 0;
+    std::size_t churned = 0, removals = 0;
   };
   auto run = [](double skin) {
     dpd::DpdSystem sys(open_channel_params(skin), std::make_shared<dpd::NoWalls>());
     sys.fill(3.0, dpd::kSolvent);
     dpd::FlowBc bc(open_channel_bc());
-    for (int s = 0; s < 200; ++s) {
+    const auto& nl = sys.neighbor_list();
+    constexpr int kSteps = 200;
+    std::size_t removals = 0;
+    for (int s = 0; s < kSteps; ++s) {
       sys.step();
+      const bool valid = nl.valid();
+      const std::size_t deleted = bc.deleted_total();
       bc.apply(sys);
+      removals += s + 1 < kSteps && valid && bc.deleted_total() > deleted;
     }
     // the binary-searched gid lookup survives the churn
     for (std::size_t i = 0; i < sys.size(); ++i)
       EXPECT_EQ(sys.local_of(sys.gid_of(i)), static_cast<long>(i));
-    const auto& nl = sys.neighbor_list();
-    return Run{state_of(sys), nl.rebuilds(), nl.rebuilds() + nl.reuses(),
-               bc.inserted_total() + bc.deleted_total()};
+    return Run{state_of(sys),
+               nl.rebuilds(),
+               nl.rebuilds() + nl.reuses(),
+               nl.compactions(),
+               nl.remaps_dropped(),
+               bc.inserted_total() + bc.deleted_total(),
+               removals};
   };
   const Run every = run(0.0);
   const Run patched = run(0.3);
@@ -703,6 +797,11 @@ TEST(DpdNeighbor, FlowBcChurnTrajectoryEqualsRebuildEveryPass) {
   EXPECT_EQ(patched.passes, every.passes);
   EXPECT_LT(static_cast<double>(patched.rebuilds), 0.8 * static_cast<double>(patched.passes));
   EXPECT_EQ(patched.state, every.state);
+  EXPECT_EQ(every.compactions, 0u);
+  EXPECT_EQ(every.dropped, every.removals);
+  EXPECT_GT(patched.compactions, 0u);
+  EXPECT_GT(patched.dropped, 0u);
+  EXPECT_EQ(patched.compactions + patched.dropped, patched.removals);
 }
 
 TEST(DpdNeighbor, LoadStateRejectsUnsortedGids) {

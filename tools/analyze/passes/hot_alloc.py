@@ -22,11 +22,15 @@ lines above:
                       `relayout`), whose scratch lives in members;
                       exchange-alloc-ok (distribute() and the gather and
                       checkpoint paths are cold and not gated)
-  pair-hot-alloc      the DPD force pass and what runs it on every core:
-                      src/dpd/system.cpp's `DpdSystem::pair_*` pair pass,
-                      src/dpd/neighbor.cpp's Verlet build (`build`, the
-                      candidate scan `scan_*`, `assemble_csr`), whose
-                      per-lane buffers are members sized once, and the
+  pair-hot-alloc      the DPD force pass, the open-boundary churn and what
+                      runs them on every core: src/dpd/system.cpp's
+                      `DpdSystem::pair_*` pair pass and
+                      `DpdSystem::remove_particles`, src/dpd/inflow.cpp's
+                      `FlowBc::apply`, src/dpd/neighbor.cpp's Verlet build
+                      (`build`, the candidate scan `scan_*`,
+                      `assemble_csr`) and its removal map and compaction
+                      (`on_remap`, `compact`), whose per-lane buffers and
+                      churn scratch are members sized once, and the
                       thread pool that runs every pass and every rank in
                       src/xmp/sched/ (`run`, `pass`, `for_chunks`, the
                       shared `fork_join` and `join`, the pool threads'
@@ -64,11 +68,15 @@ HOT_ALLOC = [
          "an exchange hot path (the halo fast path begin_update/finish_update/"
          "pack_*/unpack_*, or a layout rebuild body) allocates every force pass "
          "or every rebuild"),
-        ("pair-hot-alloc", "src/dpd/system.cpp", "DpdSystem", r"pair_\w+",
-         "pair-alloc-ok", "a DpdSystem::pair_* body allocates every force pass"),
-        ("pair-hot-alloc", "src/dpd/neighbor.cpp", None, r"build|scan_\w+|assemble_csr",
+        ("pair-hot-alloc", "src/dpd/system.cpp", "DpdSystem", r"pair_\w+|remove_particles",
          "pair-alloc-ok",
-         "a Verlet build body (build, scan_*, assemble_csr) allocates every rebuild"),
+         "a DpdSystem::pair_* or remove_particles body allocates every force pass or step"),
+        ("pair-hot-alloc", "src/dpd/inflow.cpp", "FlowBc", r"apply", "pair-alloc-ok",
+         "FlowBc::apply allocates every step"),
+        ("pair-hot-alloc", "src/dpd/neighbor.cpp", None,
+         r"build|scan_\w+|assemble_csr|on_remap|compact", "pair-alloc-ok",
+         "a Verlet build, removal-map or compaction body (build, scan_*, assemble_csr, "
+         "on_remap, compact) allocates every rebuild or removal"),
         ("pair-hot-alloc", "src/xmp/sched/", None,
          r"run|pass|for_chunks|fork_join|join|serve|idle|wait_while|worker_main",
          "pair-alloc-ok", "the thread pool's dispatch allocates every pass or every wake"),
@@ -241,6 +249,12 @@ SELF_TEST_CASES = [
      {"src/dpd/neighbor.cpp":
       "void NeighborList::assemble_csr(std::size_t n, int lanes) {\n"
       "  std::vector<std::uint32_t> by_upper(n);\n}\n"},
+     {"pair-hot-alloc"}),
+
+    ("a per-step escapee vector in FlowBc::apply is flagged",
+     {"src/dpd/inflow.cpp":
+      "void FlowBc::apply(DpdSystem& sys) {\n"
+      "  std::vector<std::size_t> dead;\n  sys.remove_particles(dead);\n}\n"},
      {"pair-hot-alloc"}),
 
     ("a scan lane growing its hoisted member buffer is clean",

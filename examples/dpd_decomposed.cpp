@@ -3,7 +3,10 @@
 // decomposed over N xmp ranks (src/dpd/exchange/), and the two trajectory
 // digests are compared. They must be *bitwise* equal — any divergence is an
 // exchange bug, and the binary exits non-zero so CI catches it. The digest
-// does not depend on the fiber worker count (SchedOptions::workers).
+// does not depend on the fiber worker count (SchedOptions::workers). The
+// rebuild cadence is checked the same way: the single-rank Verlet list's
+// builds must equal rank 0's layout builds (distribute() plus every
+// relayout), because both follow the list's one skin/2 rule.
 //
 // Build & run:  cmake --build build && ./build/examples/dpd_decomposed
 //
@@ -52,9 +55,10 @@ int main(int argc, char** argv) {
               ranks, overlap ? "on" : "off");
   for (int s = 0; s < steps; ++s) single->step();
   const std::uint64_t ref = dpd::exchange::trajectory_digest(*single);
+  const std::uint64_t ref_builds = single->neighbor_list().rebuilds();
   std::printf("single-rank digest:  %016llx\n", static_cast<unsigned long long>(ref));
 
-  std::uint64_t dist = 0;
+  std::uint64_t dist = 0, dist_builds = 0;
   xmp::run(ranks, [&](xmp::Comm& world) {
     auto sys = make_system();
     dpd::exchange::DistOptions opt;
@@ -65,16 +69,26 @@ int main(int argc, char** argv) {
     const std::uint64_t d = drv.global_digest();
     if (world.rank() == 0) {
       dist = d;
+      dist_builds = 1 + drv.rebuilds();
       const auto dims = drv.decomposition().dims();
       std::printf("%d-rank digest (%dx%dx%d grid): %016llx\n", ranks, dims.px, dims.py,
                   dims.pz, static_cast<unsigned long long>(d));
     }
   });
 
+  std::printf("single-rank Verlet builds: %llu\n", static_cast<unsigned long long>(ref_builds));
+  std::printf("%d-rank layout builds:     %llu\n", ranks,
+              static_cast<unsigned long long>(dist_builds));
+
   if (dist != ref) {
     std::fprintf(stderr, "FAIL: decomposed trajectory diverged from the single-rank run\n");
     return 1;
   }
-  std::printf("OK: %d-rank run is bitwise equal to the single-rank run\n", ranks);
+  if (dist_builds != ref_builds) {
+    std::fprintf(stderr, "FAIL: decomposed rebuild cadence differs from the single-rank run\n");
+    return 1;
+  }
+  std::printf("OK: %d-rank run is bitwise equal to the single-rank run, rebuilds included\n",
+              ranks);
   return 0;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 #include <stdexcept>
 
 #include "resilience/blob.hpp"
@@ -77,12 +76,6 @@ DistributedDpd::~DistributedDpd() {
   sys_.set_ghost_pair_filter(false);
 }
 
-void DistributedDpd::capture_ref(const DpdSystem& sys) {
-  const std::size_t n = sys.size();
-  ref_pos_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) ref_pos_[i] = sys.positions()[i];
-}
-
 void DistributedDpd::distribute() {
   if (distributed_) throw std::logic_error("DistributedDpd: distribute() called twice");
   // the replicated-setup contract is checkable cheaply: sizes must agree
@@ -108,23 +101,16 @@ void DistributedDpd::refresh(DpdSystem& sys) {
   if (opt_.rebalance_every > 0 && refresh_count_ % static_cast<std::uint64_t>(opt_.rebalance_every) == 0 &&
       rebalance())
     return;
-  // Rebuild when any owned particle anywhere drifted past skin/2 since the
-  // last rebuild — the same criterion that bounds Verlet-list reuse, and
-  // exactly what keeps the rc+skin halo a superset of every rc partner set.
-  // The decision is an allreduce so every rank takes the same branch.
-  double local = rebuild_pending_ || sys.params().skin <= 0.0
-                     ? std::numeric_limits<double>::infinity()
-                     : 0.0;
-  if (local == 0.0) {
-    const auto& ghost = sys.ghost_mask();
-    for (std::size_t i = 0; i < sys.size(); ++i) {
-      if (ghost[i]) continue;
-      const double d2 = sys.min_image(ref_pos_[i], sys.positions()[i]).norm2();
-      if (d2 > local) local = d2;
-    }
-  }
-  const double lim = 0.5 * sys.params().skin;
-  if (comm_.allreduce(local, xmp::Op::Max) > lim * lim) {
+  // Rebuild when any rank's Verlet list is stale: a particle anywhere
+  // drifted past skin/2 since the last relayout, which is exactly what
+  // keeps the rc+skin halo a superset of every rc partner set. The decision
+  // is an allreduce so every rank takes the same branch. The force pass
+  // after every relayout builds the list, except after distribute(): the
+  // first refresh builds it then, and since stepping starts after
+  // distribute() (its relayout zeroes the forces), nothing has moved since.
+  if (!rebuild_pending_ && !sys.neighbor_list().valid()) sys.ensure_neighbors();
+  const bool stale = rebuild_pending_ || sys.neighbor_list().stale(sys.positions());
+  if (comm_.allreduce(stale ? 1.0 : 0.0, xmp::Op::Max) > 0.0) {
     full_rebuild(sys);
     return;
   }
@@ -203,7 +189,6 @@ void DistributedDpd::rebuild_halo(DpdSystem& sys) {
   }
   telemetry::ScopedPhase relayout("dpd.exchange.relayout");
   halo_.relayout(sys, migrate_.kept(), migrate_.arrivals());
-  capture_ref(sys);
 }
 
 std::vector<ParticleRecord> DistributedDpd::gather(int root) const {
@@ -317,7 +302,7 @@ void DistributedDpd::load_state(resilience::BlobReader& r) {
     }
   }
   distributed_ = was_distributed;
-  // plans and displacement refs are not serialised: force a rebuild, which
+  // plans and the Verlet list are not serialised: force a rebuild, which
   // re-derives them from the (already loaded) per-rank particle state
   rebuild_pending_ = true;
 }

@@ -3,19 +3,27 @@
 // DpdSystem to the exchange machinery (the ExchangeHook installed into the
 // engine's step loop). Protocol per force evaluation:
 //
-//   refresh():  allreduce the max owned displacement since the last rebuild;
-//               below skin/2 the halo fast path posts packed pos/vel lanes
-//               for the planned boundary slots (HaloExchanger::begin_update)
-//               and completes them at once, or — with DistOptions::overlap —
+//   refresh():  allreduce whether any rank's Verlet list is stale
+//               (NeighborList::stale, the one home of the skin/2 rule). The
+//               list was built at the last relayout's positions, so this
+//               asks whether a particle has moved past skin/2 since then;
+//               a ghost still holds its owner's previous position, which
+//               the previous refresh already checked. While no list is
+//               stale the halo fast path posts packed pos/vel lanes for the
+//               planned boundary slots (HaloExchanger::begin_update) and
+//               completes them at once, or — with DistOptions::overlap —
 //               leaves them in flight until the engine's pair pass calls
-//               finish_refresh(); above skin/2 the layout is rebuilt in
+//               finish_refresh(); otherwise the layout is rebuilt in
 //               place: ownership migrates (MigrationExchanger, records only
 //               for the particles that left), ghost records are shipped
 //               (HaloExchanger::ship), and one gid merge of survivors,
 //               arrivals and received ghosts lays out the local lanes and
-//               yields the plans (HaloExchanger::relayout). distribute(),
-//               the forced rebuild after a restart load and rebalance() all
-//               take this path.
+//               yields the plans (HaloExchanger::relayout). The relayout
+//               invalidates the list, and the force pass right after it
+//               rebuilds the list at the relayout's positions (after
+//               distribute(), the first refresh does, before anything has
+//               moved). distribute(), the forced rebuild after a restart
+//               load and rebalance() all take this path.
 //
 // Equivalence guarantee (pinned in tests/dpd_exchange_test.cpp and
 // docs/PERF.md): every cross-boundary pair is computed on both ranks
@@ -100,7 +108,7 @@ public:
   /// Checkpoint the driver: decomposition layout + halo width (validated on
   /// load) and the current cut planes (restored, so a post-rebalance restart
   /// migrates under the decomposition that actually owns the particles) —
-  /// plans and displacement references are rebuilt, so load forces a full
+  /// plans and the Verlet list are rebuilt, so load forces a full
   /// rebuild at the next refresh, which is trajectory-neutral (see
   /// docs/PERF.md). The per-rank particle state lives in
   /// DpdSystem::save_state.
@@ -118,10 +126,8 @@ private:
   /// Migrate, then rebuild_halo: the phases dpd.exchange.migrate, .halo
   /// and .relayout nested under dpd.exchange.rebuild.
   void full_rebuild(DpdSystem& sys);
-  /// Ship ghosts for the owned set migrate_ holds, merge the new layout
-  /// and recapture the displacement references.
+  /// Ship ghosts for the owned set migrate_ holds and merge the new layout.
   void rebuild_halo(DpdSystem& sys);
-  void capture_ref(const DpdSystem& sys);
 
   // analyze: no-checkpoint (rank-affine communicator handle, re-supplied on restart)
   xmp::Comm comm_;
@@ -136,8 +142,6 @@ private:
   bool distributed_ = false;  ///< serialised: has distribute()/load run?
   // analyze: no-checkpoint (load_state forces the rebuild that repopulates it)
   bool rebuild_pending_ = false;
-  // analyze: no-checkpoint (displacement reference, recaptured at every rebuild)
-  std::vector<Vec3> ref_pos_;
   // analyze: no-checkpoint (in-flight overlap state never spans a checkpoint)
   bool overlap_pending_ = false;
   // analyze: no-checkpoint (telemetry timestamp for dpd.halo.overlap_us)

@@ -229,36 +229,33 @@ void NeighborList::configure(const NeighborParams& p) {
   csx_ = p.box.x / ncx_;
   csy_ = p.box.y / ncy_;
   csz_ = p.box.z / ncz_;
-  // A periodic dimension with fewer than 3 cells breaks the half stencil's
-  // visit-each-pair-once guarantee; such tiny boxes enumerate directly (the
-  // grid stays usable for point queries, which visit each cell once).
-  degenerate_ = (p.periodic[0] && ncx_ < 3) || (p.periodic[1] && ncy_ < 3) ||
-                (p.periodic[2] && ncz_ < 3);
   invalidate();
+}
+
+bool NeighborList::stale(const SoA3& pos) const {
+  if (!valid_ || prm_.skin <= 0.0 || pos.size() < listed()) return true;
+  // Verlet criterion: the list is a superset of the interacting pairs as
+  // long as no listed particle has moved farther than skin/2 from its
+  // reference position. Only survivors count: through a pending removal
+  // map, listed particle i is now particle remap_[i], or gone.
+  const double lim2 = 0.25 * prm_.skin * prm_.skin;
+  for (std::size_t i = 0; i < ref_pos_.size(); ++i) {
+    const long j = remap_pending_ ? remap_[i] : static_cast<long>(i);
+    if (j >= 0 && min_image(ref_pos_[i], pos[static_cast<std::size_t>(j)]).norm2() > lim2)
+      return true;
+  }
+  return false;
 }
 
 bool NeighborList::ensure(const SoA3& pos) {
   const std::size_t n0 = listed();
-  if (valid_ && pos.size() >= n0 && prm_.skin > 0.0) {
-    // Verlet criterion: the list is a superset of the interacting pairs as
-    // long as no listed particle has moved farther than skin/2 from its
-    // reference position. Only survivors count: through a pending removal
-    // map, listed particle i is now particle remap_[i], or gone.
-    const double lim2 = 0.25 * prm_.skin * prm_.skin;
-    bool ok = true;
-    for (std::size_t i = 0; ok && i < ref_pos_.size(); ++i) {
-      const long j = remap_pending_ ? remap_[i] : static_cast<long>(i);
-      if (j >= 0 && min_image(ref_pos_[i], pos[static_cast<std::size_t>(j)]).norm2() > lim2)
-        ok = false;
-    }
-    // the direct enumeration and the pair filter have no incremental form
-    if (ok && (pos.size() == n0 || (!degenerate_ && !ghost_))) {
-      if (remap_pending_) compact(pos.size() == n0);
-      if (pos.size() > n0) append(pos);
-      ++reuses_;
-      telemetry::count("dpd.nlist.reuse");
-      return false;
-    }
+  // the pair filter has no incremental form
+  if (!stale(pos) && (pos.size() == n0 || !ghost_)) {
+    if (remap_pending_) compact(pos.size() == n0);
+    if (pos.size() > n0) append(pos);
+    ++reuses_;
+    telemetry::count("dpd.nlist.reuse");
+    return false;
   }
   if (remap_pending_) {
     // the rebuild lists the survivors afresh: the compaction is never done
@@ -419,7 +416,10 @@ void NeighborList::scan_rows(std::size_t r_lo, std::size_t r_hi, ScanLane& lane)
   // Half stencil: cell cx+1 of the own (y, z) row, and cells cx-1..cx+1 of
   // the four rows at these (dy, dz). The other four rows are their mirror
   // images, so every pair of adjacent cells is scanned from one side only.
+  // A periodic axis of 1 or 2 cells is not wrapped: all its cells are
+  // adjacent, and a wrap would reach some of them from both sides.
   static constexpr int kRows[4][2] = {{1, 0}, {-1, 1}, {0, 1}, {1, 1}};
+  const bool wx = Px && ncx_ >= 3, wy = Py && ncy_ >= 3, wz = Pz && ncz_ >= 3;
   // neighbour row coordinate, or -1 past a non-periodic face
   auto wrap_axis = [](int c, int n, bool per) {
     if (c < 0) return per ? c + n : -1;
@@ -439,7 +439,7 @@ void NeighborList::scan_rows(std::size_t r_lo, std::size_t r_hi, ScanLane& lane)
     std::size_t nrow[4];
     int rows = 0;
     for (const auto& o : kRows) {
-      const int y = wrap_axis(cy + o[0], ncy_, Py), z = wrap_axis(cz + o[1], ncz_, Pz);
+      const int y = wrap_axis(cy + o[0], ncy_, wy), z = wrap_axis(cz + o[1], ncz_, wz);
       if (y >= 0 && z >= 0) nrow[rows++] = row_start(y, z);
     }
     for (int cx = 0; cx < ncx_; ++cx) {
@@ -453,7 +453,7 @@ void NeighborList::scan_rows(std::size_t r_lo, std::size_t r_hi, ScanLane& lane)
         ranges[c.nr++] = {lo, hi};
         c.cand += hi - lo;
       };
-      const AxisRuns rx = axis_runs(cx, 1, ncx_, Px);
+      const AxisRuns rx = axis_runs(cx, 1, ncx_, wx);
       for (int k = 0; k < rows; ++k)
         for (int q = 0; q < rx.count; ++q)
           add(cell_start_[nrow[k] + static_cast<std::size_t>(rx.lo[q])],
@@ -462,7 +462,7 @@ void NeighborList::scan_rows(std::size_t r_lo, std::size_t r_hi, ScanLane& lane)
       // cell cx+1 when it is the next cell in memory
       if (cx + 1 < ncx_)
         c.tail_end = cell_start_[cell + 2];
-      else if (Px)
+      else if (wx)
         add(cell_start_[row], cell_start_[row + 1]);
       m = scan_avx2() ? scan_cell_avx2<Px, Py, Pz>(g, c, lane.pairs, m)
                       : scan_cell<false, Px, Py, Pz>(g, c, lane.pairs, m);
@@ -552,56 +552,40 @@ void NeighborList::build(const SoA3& pos) {
   const int want = xmp::lanes::width();
   if (scan_lanes_.size() < static_cast<std::size_t>(want))
     scan_lanes_.resize(static_cast<std::size_t>(want));
-  int lanes = 1;
+  xmp::lanes::Pass pass;
   {
     telemetry::ScopedPhase scan("dpd.nlist.scan");
-    if (degenerate_) {
-      const double rcut = prm_.rc + prm_.skin;
-      auto& pairs = scan_lanes_[0].pairs;
-      pairs.clear();
-      for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = i + 1; j < n; ++j) {
-          // decomposition filter: no local force needs a both-ghost pair
-          if (ghost_ && (*ghost_)[i] && (*ghost_)[j]) continue;
-          if (min_image(pos[i], pos[j]).norm2() < rcut * rcut)
-            pairs.emplace_back(static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j));
-        }
-      scan_lanes_[0].count = pairs.size();
-      scan_lanes_[0].count_pairs(n);
-    } else {
-      // The (y, z) rows go out in chunks holding about equal shares of the
-      // particles; each lane claims chunks as it goes and scans them into
-      // its own pair buffer. Lane 0 takes whatever is left; a helper stops
-      // at 5/4 of an even share, which bounds its buffer.
-      using Scan = void (NeighborList::*)(std::size_t, std::size_t, ScanLane&) const;
-      static constexpr Scan kScan[8] = {
-          &NeighborList::scan_rows<false, false, false>, &NeighborList::scan_rows<true, false, false>,
-          &NeighborList::scan_rows<false, true, false>,  &NeighborList::scan_rows<true, true, false>,
-          &NeighborList::scan_rows<false, false, true>,  &NeighborList::scan_rows<true, false, true>,
-          &NeighborList::scan_rows<false, true, true>,   &NeighborList::scan_rows<true, true, true>};
-      const Scan scan_fn = kScan[prm_.periodic[0] + 2 * prm_.periodic[1] + 4 * prm_.periodic[2]];
-      const std::size_t chunks = static_cast<std::size_t>(xmp::lanes::kChunksPerLane * want);
-      std::atomic<std::size_t> unclaimed{0};
-      auto body = [&](int lane, int of) {
-        const std::size_t most =
-            lane == 0 ? chunks
-                      : (5 * chunks + 4 * static_cast<std::size_t>(of) - 1) /
-                            (4 * static_cast<std::size_t>(of));
-        ScanLane& out = scan_lanes_[static_cast<std::size_t>(lane)];
-        out.count = 0;
-        for (std::size_t k = 0; k < most; ++k) {
-          const std::size_t c = unclaimed++;
-          if (c >= chunks) break;
-          (this->*scan_fn)(chunk_first_row(c, chunks), chunk_first_row(c + 1, chunks), out);
-        }
-        out.count_pairs(n);
-      };
-      const xmp::lanes::Pass pass = xmp::lanes::run(want, body);
-      lanes = pass.lanes;
-      if (lanes > 1) telemetry::count("dpd.lanes.wait_us", 1e6 * pass.wait_s);
-    }
+    // The (y, z) rows go out in chunks holding about equal shares of the
+    // particles; each lane claims chunks as it goes and scans them into
+    // its own pair buffer. Lane 0 takes whatever is left; a helper stops
+    // at 5/4 of an even share, which bounds its buffer.
+    using Scan = void (NeighborList::*)(std::size_t, std::size_t, ScanLane&) const;
+    static constexpr Scan kScan[8] = {
+        &NeighborList::scan_rows<false, false, false>, &NeighborList::scan_rows<true, false, false>,
+        &NeighborList::scan_rows<false, true, false>,  &NeighborList::scan_rows<true, true, false>,
+        &NeighborList::scan_rows<false, false, true>,  &NeighborList::scan_rows<true, false, true>,
+        &NeighborList::scan_rows<false, true, true>,   &NeighborList::scan_rows<true, true, true>};
+    const Scan scan_fn = kScan[prm_.periodic[0] + 2 * prm_.periodic[1] + 4 * prm_.periodic[2]];
+    const std::size_t chunks = static_cast<std::size_t>(xmp::lanes::kChunksPerLane * want);
+    std::atomic<std::size_t> unclaimed{0};
+    auto body = [&](int lane, int of) {
+      const std::size_t most =
+          lane == 0 ? chunks
+                    : (5 * chunks + 4 * static_cast<std::size_t>(of) - 1) /
+                          (4 * static_cast<std::size_t>(of));
+      ScanLane& out = scan_lanes_[static_cast<std::size_t>(lane)];
+      out.count = 0;
+      for (std::size_t k = 0; k < most; ++k) {
+        const std::size_t c = unclaimed++;
+        if (c >= chunks) break;
+        (this->*scan_fn)(chunk_first_row(c, chunks), chunk_first_row(c + 1, chunks), out);
+      }
+      out.count_pairs(n);
+    };
+    pass = xmp::lanes::run(want, body);
+    if (pass.lanes > 1) telemetry::count("dpd.lanes.wait_us", 1e6 * pass.wait_s);
   }
-  assemble_csr(n, lanes);
+  assemble_csr(n, pass.lanes);
 }
 
 }  // namespace dpd

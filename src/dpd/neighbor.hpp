@@ -6,6 +6,9 @@
 // across force evaluations until any particle has moved farther than
 // skin/2 from its position at build time — the classic Verlet-list
 // criterion that guarantees no interacting pair (r < rc) is ever missed.
+// The list is the one place that rule lives (stale()): the decomposition
+// driver (exchange/distributed.hpp) asks it whether to relayout, and
+// DpdSystem's periodic box (wrap, min_image) is the list's.
 //
 // The grid is cell-sorted: one counting sort by cell lays the reference
 // positions out in cell order, cells numbered x fastest, so the cells
@@ -14,7 +17,11 @@
 // hosts, split over the idle cores by chunks of (y, z) rows
 // (xmp/sched/lanes.hpp), and a two-pass counting sort (by upper, then
 // stably by lower index) assembles the canonical CSR from the lanes' pairs
-// in any order, without sorting any row.
+// in any order, without sorting any row. One build serves every box: the
+// half stencil wraps a periodic axis only when it has 3 or more cells. A
+// periodic axis of 1 or 2 cells has every cell adjacent to every other,
+// so it is walked without the wrap and each cell pair is still visited
+// once; the separations still take the minimum image.
 //
 // The canonical (i ascending, j ascending within each run) pair ordering is
 // load-bearing: the force loop skips out-of-range pairs entirely, so the
@@ -90,10 +97,15 @@ public:
     invalidate();
   }
 
-  /// Make the list valid for `pos`: reuse it when every listed particle has
-  /// moved less than skin/2 since the last build, rebuild otherwise.
-  /// Particles appended to `pos` since the last call are merged into a
-  /// reused list (full build for degenerate boxes and ghost-filtered lists).
+  /// The Verlet rule: true when the list cannot serve `pos` — it is
+  /// invalid, the skin is 0, `pos` holds fewer particles than are listed,
+  /// or a listed particle has moved farther than skin/2 from its reference
+  /// position. Reads through a pending removal map.
+  bool stale(const SoA3& pos) const;
+
+  /// Make the list valid for `pos`: reuse it unless stale(pos), rebuild
+  /// otherwise. Particles appended to `pos` since the last call are merged
+  /// into a reused list (full build for ghost-filtered lists).
   /// Returns true iff a full rebuild happened.
   bool ensure(const SoA3& pos);
 
@@ -120,9 +132,6 @@ public:
   std::uint64_t compactions() const { return compactions_; }
   std::uint64_t remaps_dropped() const { return remaps_dropped_; }
   std::size_t pair_count() const { return neighbors_.size(); }
-  /// True when a periodic dimension has < 3 cells, so the pair list is
-  /// built by direct O(N^2) enumeration (the half stencil would double-count).
-  bool degenerate() const { return degenerate_; }
 
   /// CSR half list: pairs of particle i live in
   /// neighbors_[offsets()[i] .. offsets()[i+1]), sorted ascending, j > i.
@@ -136,6 +145,12 @@ public:
     if (prm_.periodic[1]) d.y = min_image_1d(d.y, prm_.box.y);
     if (prm_.periodic[2]) d.z = min_image_1d(d.z, prm_.box.z);
     return d;
+  }
+  /// Wrap p into the box along the periodic axes.
+  void wrap(Vec3& p) const {
+    if (prm_.periodic[0]) p.x = wrap_1d(p.x, prm_.box.x);
+    if (prm_.periodic[1]) p.y = wrap_1d(p.y, prm_.box.y);
+    if (prm_.periodic[2]) p.z = wrap_1d(p.z, prm_.box.z);
   }
 
   /// Visit every interacting pair (r < rc at *current* positions) once:
@@ -214,7 +229,8 @@ private:
   };
   /// Candidate scan over the half stencil from the cells of (y, z) rows
   /// [r_lo, r_hi) (row cz * ncy + cy): appends every pair within rc + skin
-  /// to the lane's pairs.
+  /// to the lane's pairs. Px, Py, Pz select the minimum image; the stencil
+  /// wraps only the periodic axes of 3 or more cells.
   template <bool Px, bool Py, bool Pz>
   void scan_rows(std::size_t r_lo, std::size_t r_hi, ScanLane& lane) const;
   /// First (y, z) row of a scan chunk: the rows split on particle counts.
@@ -293,12 +309,6 @@ private:
           }
   }
 
-  void wrap(Vec3& p) const {
-    if (prm_.periodic[0]) p.x = wrap_1d(p.x, prm_.box.x);
-    if (prm_.periodic[1]) p.y = wrap_1d(p.y, prm_.box.y);
-    if (prm_.periodic[2]) p.z = wrap_1d(p.z, prm_.box.z);
-  }
-
   /// Cell of coordinate v along an axis of n cells spanning [0, L). Clamped
   /// in double before the cast: a coordinate beyond a non-periodic face (or
   /// +inf) lands in the edge cell, NaN in cell 0.
@@ -310,7 +320,6 @@ private:
 
   NeighborParams prm_;
   bool valid_ = false;
-  bool degenerate_ = false;
 
   // optional decomposition pair filter (see set_pair_filter)
   const std::vector<char>* ghost_ = nullptr;

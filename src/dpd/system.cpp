@@ -243,20 +243,6 @@ void DpdSystem::reset_particles(const std::vector<ParticleRecord>& recs) {
   merge_particles({}, {&run, 1}, slot);
 }
 
-void DpdSystem::wrap(Vec3& p) const {
-  if (prm_.periodic[0]) p.x = wrap_1d(p.x, prm_.box.x);
-  if (prm_.periodic[1]) p.y = wrap_1d(p.y, prm_.box.y);
-  if (prm_.periodic[2]) p.z = wrap_1d(p.z, prm_.box.z);
-}
-
-Vec3 DpdSystem::min_image(const Vec3& a, const Vec3& b) const {
-  Vec3 d = b - a;
-  if (prm_.periodic[0]) d.x = min_image_1d(d.x, prm_.box.x);
-  if (prm_.periodic[1]) d.y = min_image_1d(d.y, prm_.box.y);
-  if (prm_.periodic[2]) d.z = min_image_1d(d.z, prm_.box.z);
-  return d;
-}
-
 std::size_t DpdSystem::pair_rows(std::size_t lo, std::size_t hi, int lane, int parity,
                                  std::size_t* replayed) {
   // Compact, then compute, one batch of whole rows at a time. The first

@@ -220,8 +220,9 @@ public:
   double kinetic_temperature() const;
   Vec3 total_momentum() const;
 
-  /// Minimum-image displacement a -> b under the box periodicity.
-  Vec3 min_image(const Vec3& a, const Vec3& b) const;
+  /// Minimum-image displacement a -> b under the box periodicity (the
+  /// neighbor list's).
+  Vec3 min_image(const Vec3& a, const Vec3& b) const { return nlist_.min_image(a, b); }
 
   /// The engine's persistent RNG (used by fill(); exposed so restart can
   /// capture and restore the exact engine state).
@@ -272,7 +273,7 @@ public:
   const NeighborList& neighbor_list() const { return nlist_; }
 
 private:
-  void wrap(Vec3& p) const;
+  void wrap(Vec3& p) const { nlist_.wrap(p); }
   void reflect_walls(std::size_t i);
   /// The one routine that moves particle lanes (removal and merge_particles
   /// run it): kept particles carry every lane, their force included.

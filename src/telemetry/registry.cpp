@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <mutex>
 #include <stdexcept>
 
@@ -73,8 +74,9 @@ struct Registry::Impl {
   std::vector<Clock::time_point> starts;
   bool timeline_on = false;
   std::vector<TimelineEvent> events;
-  std::map<std::string, CounterValue> counters;
-  std::map<std::string, std::vector<double>> series;
+  // std::less<> looks a string_view up without building a key
+  std::map<std::string, CounterValue, std::less<>> counters;
+  std::map<std::string, std::vector<double>, std::less<>> series;
 
   Node* child_of(Node* n, const char* name) {
     for (auto& c : n->children)
@@ -172,22 +174,35 @@ void Registry::phase_end() {
   impl_->current = cur->parent;
 }
 
-void Registry::counter_add(const std::string& name, double v) {
+namespace {
+
+/// m's entry for `name`; the key string is built only when it is new.
+template <class Map>
+typename Map::mapped_type& entry(Map& m, std::string_view name) {
+  auto it = m.lower_bound(name);
+  if (it == m.end() || it->first != name)
+    it = m.emplace_hint(it, std::string(name), typename Map::mapped_type{});
+  return it->second;
+}
+
+}  // namespace
+
+void Registry::counter_add(std::string_view name, double v) {
   std::lock_guard lk(impl_->mu);
-  auto& c = impl_->counters[name];
+  auto& c = entry(impl_->counters, name);
   c.value += v;
   c.count += 1;
 }
 
-void Registry::series_append(const std::string& name, double v) {
+void Registry::series_append(std::string_view name, double v) {
   std::lock_guard lk(impl_->mu);
-  auto& s = impl_->series[name];
+  auto& s = entry(impl_->series, name);
   if (s.size() < kSeriesCap) s.push_back(v);
 }
 
-void Registry::series_clear(const std::string& name) {
+void Registry::series_clear(std::string_view name) {
   std::lock_guard lk(impl_->mu);
-  impl_->series[name].clear();
+  entry(impl_->series, name).clear();
 }
 
 void Registry::set_timeline_enabled(bool on) {
@@ -207,12 +222,12 @@ PhaseNode Registry::phases() const {
 
 std::map<std::string, CounterValue> Registry::counters() const {
   std::lock_guard lk(impl_->mu);
-  return impl_->counters;
+  return {impl_->counters.begin(), impl_->counters.end()};
 }
 
 std::map<std::string, std::vector<double>> Registry::series() const {
   std::lock_guard lk(impl_->mu);
-  return impl_->series;
+  return {impl_->series.begin(), impl_->series.end()};
 }
 
 std::vector<TimelineEvent> Registry::timeline() const {

@@ -28,6 +28,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace telemetry {
@@ -79,10 +80,12 @@ public:
 
   void phase_begin(const char* name);
   void phase_end();
-  void counter_add(const std::string& name, double v);
+  /// Names are looked up without building a std::string: a name that
+  /// is already present costs no allocation, however long it is.
+  void counter_add(std::string_view name, double v);
   /// Append one sample to a bounded series (silently stops at the cap).
-  void series_append(const std::string& name, double v);
-  void series_clear(const std::string& name);
+  void series_append(std::string_view name, double v);
+  void series_clear(std::string_view name);
 
   /// Record per-instance timeline events for Chrome trace export (off by
   /// default: unbounded in the number of phase entries).
@@ -126,13 +129,13 @@ private:
 
 // --- free-function instrumentation helpers (no-ops when disabled) ---------
 
-inline void count(const std::string& name, double v = 1.0) {
+inline void count(std::string_view name, double v = 1.0) {
   if (enabled()) Registry::local().counter_add(name, v);
 }
-inline void sample(const std::string& name, double v) {
+inline void sample(std::string_view name, double v) {
   if (enabled()) Registry::local().series_append(name, v);
 }
-inline void sample_reset(const std::string& name) {
+inline void sample_reset(std::string_view name) {
   if (enabled()) Registry::local().series_clear(name);
 }
 

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
@@ -211,6 +212,49 @@ TEST(ExchangeEquivalence, OverlappedFourRankSymmetricRunIsBitwiseEqual) {
   DistOptions opt;
   opt.overlap = true;
   EXPECT_EQ(distributed_digest(4, 40, opt), single_rank_digest(40));
+}
+
+// The relayouts a decomposed run of make_channel_system must take, counted
+// on the single-rank trajectory: the steps at which the largest
+// displacement since the last counted relayout exceeds skin/2.
+std::uint64_t single_rank_relayouts(int steps) {
+  auto sys = make_channel_system();
+  const double half_skin = 0.5 * sys->params().skin;
+  dpd::SoA3 ref = sys->positions();
+  std::uint64_t relayouts = 0;
+  for (int s = 0; s < steps; ++s) {
+    sys->step();
+    double worst = 0.0;
+    for (std::size_t i = 0; i < sys->size(); ++i)
+      worst = std::max(worst, sys->min_image(ref[i], sys->positions()[i]).norm2());
+    if (worst > half_skin * half_skin) {
+      ++relayouts;
+      ref = sys->positions();
+    }
+  }
+  return relayouts;
+}
+
+TEST(ExchangeEquivalence, RebuildCadenceFollowsTheSingleRankTrajectory) {
+  // A decomposed run relayouts exactly when one rank's Verlet list would
+  // rebuild: at any rank count, with or without the overlapped halo.
+  const int steps = 40;
+  const std::uint64_t want = single_rank_relayouts(steps);
+  EXPECT_GT(want, 1u);
+  for (int nranks : {2, 4})
+    for (bool overlap : {false, true}) {
+      DistOptions opt;
+      opt.overlap = overlap;
+      std::uint64_t got = 0;
+      xmp::run(nranks, [&](xmp::Comm& world) {
+        auto sys = make_channel_system();
+        DistributedDpd drv(world, *sys, opt);
+        drv.distribute();
+        for (int s = 0; s < steps; ++s) sys->step();
+        if (world.rank() == 0) got = drv.rebuilds();
+      });
+      EXPECT_EQ(got, want) << nranks << " ranks, overlap " << overlap;
+    }
 }
 
 TEST(ExchangeEquivalence, BothRefreshFlavoursRunCleanUnderCheckedMode) {

@@ -1,6 +1,6 @@
 // Verlet neighbor-list equivalence suite: the fast pair paths (CSR list,
 // grid point queries) must agree exactly with direct
-// O(N^2) enumeration across periodicities, skins, degenerate boxes, and
+// O(N^2) enumeration across periodicities, skins, tiny periodic boxes, and
 // particle insertion/deletion — and checkpoint/restart must stay bitwise
 // identical even though a restart rebuilds a list the uninterrupted run was
 // still reusing (docs/PERF.md explains why that is non-trivial).
@@ -115,7 +115,6 @@ TEST(NeighborList, PairsMatchBruteForcePeriodic) {
   dpd::NeighborList nl(prm);
   const auto pos = random_positions(500, prm.box, 21);
   EXPECT_TRUE(nl.ensure(pos));  // first ensure is always a rebuild
-  EXPECT_FALSE(nl.degenerate());
   EXPECT_EQ(list_pairs(nl, pos), brute_pairs(nl, pos));
 }
 
@@ -187,22 +186,6 @@ TEST(NeighborList, ZeroSkinRebuildsEveryTime) {
   EXPECT_TRUE(nl.ensure(pos));
   EXPECT_TRUE(nl.ensure(pos));  // even unchanged positions: no reuse
   EXPECT_EQ(nl.reuses(), 0u);
-  EXPECT_EQ(list_pairs(nl, pos), brute_pairs(nl, pos));
-}
-
-TEST(NeighborList, DegenerateTinyBoxFallsBack) {
-  // 2.5^3 periodic box with rc + skin = 1.3 leaves < 3 cells per dimension:
-  // the half-stencil would double-count, so the build must fall back to
-  // direct enumeration — and still produce the exact pair set
-  dpd::NeighborParams prm;
-  prm.box = {2.5, 2.5, 2.5};
-  prm.periodic = {true, true, true};
-  prm.rc = 1.0;
-  prm.skin = 0.3;
-  dpd::NeighborList nl(prm);
-  const auto pos = random_positions(60, prm.box, 26);
-  nl.ensure(pos);
-  EXPECT_TRUE(nl.degenerate());
   EXPECT_EQ(list_pairs(nl, pos), brute_pairs(nl, pos));
 }
 
@@ -399,7 +382,6 @@ TEST(NeighborList, BuildCsrEqualsBruteForceAllPeriodicities) {
       const std::string what = "mask " + std::to_string(mask) + " n " + std::to_string(n);
       dpd::NeighborList nl(prm);
       nl.ensure(pos);
-      ASSERT_FALSE(nl.degenerate());
       expect_csr_eq(nl, brute_csr(nl, pos), what);
 
       // decomposition filter: every third particle a ghost, no both-ghost pair
@@ -423,7 +405,6 @@ void expect_build_exact(const dpd::NeighborParams& prm, const dpd::SoA3& pos,
   for (std::size_t i = 0; i < pos.size(); ++i) ghost[i] = i % 3 == 0;
   auto check = [&](const std::string& where) {
     dpd::NeighborList nl(prm);
-    ASSERT_FALSE(nl.degenerate()) << what;
     nl.ensure(pos);
     expect_csr_eq(nl, brute_csr(nl, pos), what + where);
     nl.set_pair_filter(&ghost);
@@ -469,6 +450,68 @@ TEST(NeighborList, SplitScanEqualsBruteForceWhateverTheRows) {
     for (std::size_t i = 0; i < pos.size(); ++i)
       pos.set(i, pos[i] + dpd::Vec3{0.0, 1.5, 1.5});
     expect_build_exact(prm, pos, "one row, mask " + std::to_string(mask));
+  }
+}
+
+TEST(NeighborList, TinyPeriodicBoxesListEachPairOnce) {
+  // One build for every box: the half stencil wraps a periodic axis only
+  // when it has 3 or more cells, and walks an axis of 1 or 2 cells, all of
+  // them adjacent, without the wrap. Every mix of 1, 2 and 3 cells per
+  // axis, every periodicity, skin 0 and 0.3: the build is the brute-force
+  // CSR (each pair once) on the pool and inline, and a list patched by 50
+  // passes of removal plus insertion stays a fresh build of the survivors.
+  dpd::NeighborParams prm;
+  prm.rc = 1.0;
+  for (const double skin : {0.0, 0.3}) {
+    prm.skin = skin;
+    // an axis of c * 1.1 (rc + skin) holds exactly c cells for c <= 3
+    const double cell = 1.1 * (prm.rc + skin);
+    for (int shape = 0; shape < 27; ++shape) {
+      const int cx = 1 + shape % 3, cy = 1 + shape / 3 % 3, cz = 1 + shape / 9;
+      prm.box = {cell * cx, cell * cy, cell * cz};
+      const auto n = static_cast<std::size_t>(4.0 * prm.box.x * prm.box.y * prm.box.z) + 2;
+      for (int mask = 0; mask < 8; ++mask) {
+        prm.periodic = {(mask & 1) != 0, (mask & 2) != 0, (mask & 4) != 0};
+        const std::string what = "cells " + std::to_string(cx) + std::to_string(cy) +
+                                 std::to_string(cz) + " mask " + std::to_string(mask) +
+                                 " skin " + std::to_string(skin);
+        const auto seed = static_cast<unsigned>(700 + 8 * shape + mask);
+        auto pos = random_positions(n, prm.box, seed);
+        expect_build_exact(prm, pos, what);
+
+        dpd::NeighborList nl(prm);
+        nl.ensure(pos);
+        const std::size_t inserts = n / 5 + 1;
+        const auto extra = random_positions(50 * inserts, prm.box, seed + 1000);
+        std::size_t next = 0;
+        for (int pass = 0; pass < 50; ++pass) {
+          // in turn: drop about one in five, append n/5 + 1, or both
+          if (pass % 3 != 1) {
+            std::vector<long> new_index(pos.size(), -1);
+            dpd::SoA3 kept;
+            for (std::size_t i = 0; i < pos.size(); ++i) {
+              if ((7 * i + static_cast<std::size_t>(pass)) % 5 == 0) continue;
+              new_index[i] = static_cast<long>(kept.size());
+              kept.push_back(pos.get(i));
+            }
+            nl.on_remap(new_index);
+            pos = kept;
+          }
+          if (pass % 3 != 0)
+            for (std::size_t k = 0; k < inserts; ++k) pos.push_back(extra.get(next++));
+          nl.ensure(pos);
+          dpd::NeighborList fresh(prm);
+          fresh.ensure(pos);
+          expect_csr_eq(nl, {fresh.offsets(), fresh.neighbors()},
+                        what + " pass " + std::to_string(pass));
+        }
+        expect_query_exact(nl, pos, pos.get(0), prm.rc);
+        // tiny boxes take the incremental path too
+        if (skin > 0.0) {
+          EXPECT_EQ(nl.rebuilds(), 1u) << what;
+        }
+      }
+    }
   }
 }
 

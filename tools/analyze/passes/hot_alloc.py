@@ -28,10 +28,12 @@ lines above:
                       `DpdSystem::remove_particles`, src/dpd/inflow.cpp's
                       `FlowBc::apply`, src/dpd/neighbor.cpp's Verlet build
                       (`build`, the candidate scan `scan_*`,
-                      `assemble_csr`) and its removal map and compaction
-                      (`on_remap`, `compact`), whose per-lane buffers and
-                      churn scratch are members sized once, and the
-                      thread pool that runs every pass and every rank in
+                      `assemble_csr`), its removal map and compaction
+                      (`on_remap`, `compact`) and the Verlet rule every
+                      pass and every distributed refresh asks (`stale`),
+                      whose per-lane buffers and churn scratch are
+                      members sized once, and the thread pool that runs
+                      every pass and every rank in
                       src/xmp/sched/ (`run`, `pass`, `for_chunks`, the
                       shared `fork_join` and `join`, the pool threads'
                       loop `serve`, `idle`, `wait_while`, and the run
@@ -74,9 +76,9 @@ HOT_ALLOC = [
         ("pair-hot-alloc", "src/dpd/inflow.cpp", "FlowBc", r"apply", "pair-alloc-ok",
          "FlowBc::apply allocates every step"),
         ("pair-hot-alloc", "src/dpd/neighbor.cpp", None,
-         r"build|scan_\w+|assemble_csr|on_remap|compact", "pair-alloc-ok",
-         "a Verlet build, removal-map or compaction body (build, scan_*, assemble_csr, "
-         "on_remap, compact) allocates every rebuild or removal"),
+         r"build|scan_\w+|assemble_csr|on_remap|compact|stale", "pair-alloc-ok",
+         "a Verlet build, removal-map, compaction or staleness body (build, scan_*, "
+         "assemble_csr, on_remap, compact, stale) allocates every rebuild, removal or pass"),
         ("pair-hot-alloc", "src/xmp/sched/", None,
          r"run|pass|for_chunks|fork_join|join|serve|idle|wait_while|worker_main",
          "pair-alloc-ok", "the thread pool's dispatch allocates every pass or every wake"),
@@ -249,6 +251,12 @@ SELF_TEST_CASES = [
      {"src/dpd/neighbor.cpp":
       "void NeighborList::assemble_csr(std::size_t n, int lanes) {\n"
       "  std::vector<std::uint32_t> by_upper(n);\n}\n"},
+     {"pair-hot-alloc"}),
+
+    ("a displacement vector in the Verlet rule is flagged",
+     {"src/dpd/neighbor.cpp":
+      "bool NeighborList::stale(const SoA3& pos) const {\n"
+      "  std::vector<double> d2(ref_pos_.size());\n  return false;\n}\n"},
      {"pair-hot-alloc"}),
 
     ("a per-step escapee vector in FlowBc::apply is flagged",
